@@ -18,8 +18,9 @@ from .dimension import (BeurlingEstimate, BoxCountFit, DimensionComparison,
 from .fourier import (FamilyCertificate, FilterCertificationError,
                       FilterFamily, QmfReport, TruncatedValue, ZeroWitness,
                       certificate_report, eval_H, eval_H_array,
-                      filter_family_from_config, mu_hat, mu_hat_array,
-                      mu_hat_exact_zero, phi_hat, qmf_check, uniform_family)
+                      eval_H_sq_array, filter_family_from_config, mu_hat,
+                      mu_hat_array, mu_hat_exact_zero, phi_hat, qmf_check,
+                      uniform_family)
 from .sampling import (SampleSet, default_depth, empirical_char,
                        empirical_moments, exact_mean, sample_measure)
 from .spectra import (GrowthReport, SpectrumLevel, TreeMapping, Word,
@@ -28,7 +29,7 @@ from .spectra import (GrowthReport, SpectrumLevel, TreeMapping, Word,
                       validate_tree_mapping, word_count)
 from .verify import (CompletenessReport, OrthogonalityReport, PartitionResult,
                      QRow, completeness_Q, orthogonality_check,
-                     partition_identity)
+                     partition_identity, partition_levels)
 
 __version__ = "0.1.0"
 
@@ -45,12 +46,14 @@ __all__ = [
     "check_growth_conditions",
     "completeness_Q", "constant_pair", "default_depth",
     "dimension_targeting_pair", "empirical_char", "empirical_moments",
-    "enumerate_level", "eval_H", "eval_H_array", "exact_mean",
+    "enumerate_level", "eval_H", "eval_H_array", "eval_H_sq_array",
+    "exact_mean",
     "explicit_pair", "filter_family_from_config", "gap_ratios",
     "hausdorff_dim_formula",
     "lambda_of_word", "mu_hat", "mu_hat_array", "mu_hat_exact_zero",
     "orthogonality_check", "pair_from_config", "pair_to_config",
-    "partition_identity", "phi_hat", "qmf_check", "rescale_constant", "rho",
+    "partition_identity", "partition_levels", "phi_hat", "qmf_check",
+    "rescale_constant", "rho",
     "sample_measure", "tree_mapping_from_config", "uniform_family",
     "validate_pair", "validate_tree_mapping", "word_count",
 ]

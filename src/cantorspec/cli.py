@@ -5,8 +5,9 @@ library operations, and writes CSV/JSON artifacts (plus presentation-only
 SVG charts) into the output directory.  Exit codes: 0 on pass, 1 on a
 verification failure, 2 on usage or configuration errors.  Reports embed the
 fully resolved configuration and contain no timestamps, so identical
-invocations produce byte-identical artifacts.  ``--threads`` caps worker
-parallelism; computations are deterministic, so results never depend on it.
+invocations produce byte-identical artifacts.  ``--threads`` is validated
+and echoed into every report, but no computation reads it: every subcommand
+runs deterministically in a single process.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .core import (BudgetExceededError, PairConstraintError, ScalePair,
 from .fourier import certificate_report, filter_family_from_config, mu_hat
 from .spectra import (TreeMapping, canonical_tau, enumerate_level,
                       tree_mapping_from_config, validate_tree_mapping, word_count)
-from .verify import completeness_Q, orthogonality_check, partition_identity
+from .verify import (completeness_Q, orthogonality_check, partition_identity,
+                     partition_levels)
 
 PASS, FAIL, USAGE_ERROR = 0, 1, 2
 
@@ -91,7 +93,7 @@ def _jsonable(obj):
 def _write_json(outdir: Path, name: str, payload: dict):
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / name, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -189,15 +191,16 @@ def _cmd_partition(args, outdir: Path) -> int:
             return FAIL
     rng = np.random.Generator(np.random.Philox(key=np.array([args.seed, 0], dtype=np.uint64)))
     xis = rng.random(args.draws)
+    top = _capped_level(pair, args.level, args.budget)
+    per_xi = [partition_levels(tm, float(xi), top, filters=filters, budget=args.budget)
+              for xi in xis]
     rows = []
     worst = 0.0
-    for level in range(1, args.level + 1):
-        if word_count(pair, level) > args.budget:
-            break
-        for xi in xis:
-            res = partition_identity(tm, float(xi), level, filters=filters, budget=args.budget)
+    for level in range(top):
+        for xi, results in zip(xis, per_xi):
+            res = results[level]
             worst = max(worst, res.defect)
-            rows.append([repr(float(xi)), level, repr(res.total), repr(res.defect)])
+            rows.append([repr(float(xi)), res.level, repr(res.total), repr(res.defect)])
     _write_csv(outdir, "partition.csv", ["xi", "L", "sum", "defect"], rows)
     passed = worst <= args.tol
     report = {
@@ -289,7 +292,7 @@ def _cmd_beurling(args, outdir: Path) -> int:
 def _cmd_sample(args, outdir: Path) -> int:
     pair, pair_cfg = _load_pair(args)
     samples = sampling.sample_measure(pair, args.count, seed=args.seed)
-    _write_csv(outdir, "samples.csv", ["x"], [[repr(v)] for v in samples.values])
+    _write_csv(outdir, "samples.csv", ["x"], [[v] for v in samples.values.tolist()])
     counts, edges = np.histogram(samples.values, bins=64)
     _write_csv(outdir, "histogram.csv", ["bin_left", "bin_right", "count"],
                [[repr(float(edges[i])), repr(float(edges[i + 1])), int(c)]
@@ -412,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=20240801)
         p.add_argument("--out", default="out", help="output directory for artifacts")
         p.add_argument("--threads", type=int, default=1,
-                       help="parallelism cap; results are identical for any value")
+                       help="accepted and echoed into reports; no computation reads it")
         p.add_argument("--budget", type=int, default=10**6,
                        help="enumeration budget (words / elements / intervals)")
         p.add_argument("--draws", type=int, default=50,
@@ -429,10 +432,14 @@ def main(argv=None) -> int:
         parser.error(f"--threads must be >= 1, got {args.threads}")
     if args.grid < 1:
         parser.error(f"--grid must be >= 1, got {args.grid}")
+    if args.command in ("partition", "completeness") and args.level < 1:
+        parser.error(f"--level must be >= 1, got {args.level}")
+    if args.command == "partition" and args.draws < 1:
+        parser.error(f"--draws must be >= 1, got {args.draws}")
     if args.tol is None:
         args.tol = 1e-9 if args.command == "partition" else 1e-10
-    elif args.tol <= 0:
-        parser.error(f"--tol must be positive, got {args.tol}")
+    elif not math.isfinite(args.tol) or args.tol <= 0:
+        parser.error(f"--tol must be positive and finite, got {args.tol}")
     try:
         return _HANDLERS[args.command](args, Path(args.out))
     except ConfigError as exc:

@@ -5,6 +5,12 @@ product of kernels H_{d_n}(xi / (d_n rho_n)).  Evaluation truncates the
 product and returns a certified radius bounding the discarded tail, derived
 from |H_m(eta) - 1| <= pi (m-1) |eta| and the geometric growth rho_{n+1} >=
 4 rho_n.  Integer frequencies admit an exact zero test by divisibility alone.
+
+Besides the complex kernel, :func:`eval_H_sq_array` gives the squared modulus
+|H_m|^2 in real arithmetic.  The level-expansion kernel of :mod:`.verify`
+multiplies these factors along the digit tree for the partition identity and
+the completeness sums; :func:`mu_hat` and :func:`mu_hat_array` evaluate the
+transform at single frequencies.
 """
 
 from __future__ import annotations
@@ -56,22 +62,54 @@ def eval_H(m: int, xi: float) -> complex:
     return cmath.exp(-1j * math.pi * (m - 1) * s) * math.sin(math.pi * m * s) / (m * math.sin(math.pi * s))
 
 
+def _integer_guard(m: int, xs: np.ndarray):
+    # signed distance s of each x to its nearest integer, exact like eval_H's
+    # reduction; then the masks of the entries at an integer and of those in
+    # the guard band where the literal m-term sum replaces the closed form,
+    # both None when no entry is within _INTEGER_GUARD of an integer
+    s = xs - np.round(xs)
+    dist = np.abs(s)
+    if not np.any(dist < _INTEGER_GUARD):
+        return s, None, None
+    at_integer = dist < _ZERO_CLAMP
+    near = (dist < _INTEGER_GUARD) & ~at_integer if m <= _SERIES_MAX_TAPS else np.zeros_like(at_integer)
+    return s, at_integer, near
+
+
 def eval_H_array(m: int, xs: np.ndarray) -> np.ndarray:
     """Vectorized :func:`eval_H` over a float array."""
     if m == 1:
         return np.ones_like(xs, dtype=complex)
-    t = np.fmod(xs, 1.0)
-    s = t - np.round(t)
-    at_integer = np.abs(s) < _ZERO_CLAMP
-    near = (np.abs(s) < _INTEGER_GUARD) & ~at_integer if m <= _SERIES_MAX_TAPS else np.zeros_like(at_integer)
-    masked = at_integer | near
-    safe = np.where(masked, 0.25, s)  # placeholder argument, masked out below
+    s, at_integer, near = _integer_guard(m, xs)
+    safe = s if at_integer is None else np.where(at_integer | near, 0.25, s)
     vals = np.exp(-1j * np.pi * (m - 1) * safe) * np.sin(np.pi * m * safe) / (m * np.sin(np.pi * safe))
-    vals[at_integer] = 1.0
-    if np.any(near):
+    if at_integer is not None:
+        vals[at_integer] = 1.0
         sn = s[near]
         j = np.arange(m).reshape(-1, 1)
         vals[near] = np.exp(-2j * np.pi * j * sn).sum(axis=0) / m
+    return vals
+
+
+def eval_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:
+    """|H_m(x)|^2 = (sin(pi m s) / (m sin(pi s)))^2 over a float array, s = x mod 1.
+
+    Real arithmetic throughout, with the integer guard of :func:`eval_H_array`:
+    1 at integers, and in the guard band the literal finite sum of the squared
+    modulus, the Fejer form 1/m + (2/m) sum_{0<k<m} (1 - k/m) cos(2 pi k s).
+    For m = 2 the quotient is cos(pi s), which needs one cosine and no guard.
+    """
+    if m == 1:
+        return np.ones(np.shape(xs))
+    if m == 2:
+        return np.cos(np.pi * (xs - np.round(xs))) ** 2
+    s, at_integer, near = _integer_guard(m, xs)
+    safe = s if at_integer is None else np.where(at_integer | near, 0.25, s)
+    vals = (np.sin(np.pi * m * safe) / (m * np.sin(np.pi * safe))) ** 2
+    if at_integer is not None:
+        vals[at_integer] = 1.0
+        k = np.arange(1, m).reshape(-1, 1)
+        vals[near] = (1.0 + 2.0 * ((1.0 - k / m) * np.cos(2.0 * np.pi * k * s[near])).sum(axis=0)) / m
     return vals
 
 
@@ -138,10 +176,17 @@ def truncation_level(pair: ScalePair, xi: float, tol: float) -> tuple[int, int]:
 
     Returns (N, rho_{N+1}).  Uses rho_{N+1} >= 4 pi |xi| / tol, an integer
     comparison that implies the bound via log1p(tol) >= tol/2 for tol <= 1.
+    Raises ValueError for a non-finite xi or tol, and when 4 pi |xi| / tol
+    overflows, where no scale could be reached.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not math.isfinite(xi):
+        raise ValueError(f"frequency xi must be finite, got {xi}")
+    if not math.isfinite(tol) or tol <= 0:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     target = 4.0 * math.pi * abs(xi) / min(tol, 1.0)
+    if not math.isfinite(target):
+        raise ValueError(f"|xi| = {abs(xi):.3e} at tol = {tol:.1e} needs a scale "
+                         f"rho_(N+1) beyond the double range")
     n = 1
     rho_next = pair.b(1)
     while rho_next < target:

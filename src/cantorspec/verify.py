@@ -8,6 +8,17 @@ real xi and every valid tree mapping, so its numerical defect must sit at
 roundoff scale.  Completeness is certified only as a trend: the partial sums
 Q_L(xi) = sum_{lambda in Lambda_L} |muhat(xi + lambda)|^2 increase with L and
 stay below 1 plus the accumulated certified evaluation slack.
+
+Both floating-point pillars run on one level-expansion kernel.  It expands
+the digit tree one level at a time and keeps, per node, the product of the
+squared factors so far and the partial label sum divided by d_n rho_n,
+reduced level by level in floating point.  Each G_n is 1-periodic, so the
+level-n factor at xi + lambda needs only that reduced sum: xi + lambda is
+never rounded and no large integer reaches numpy.  The per-level totals of
+the products are the partition sums for every level at once.  The
+completeness sum takes the prefix products of the words whose frequency is
+new at a level and continues each one along its zero-extension to the
+truncation depth of its batch.
 """
 
 from __future__ import annotations
@@ -19,9 +30,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import BudgetExceededError, ScalePair
-from .fourier import (FilterFamily, eval_H, eval_H_array, eval_filter,
-                      mu_hat, mu_hat_array, mu_hat_exact_zero, uniform_family)
-from .spectra import SpectrumLevel, TreeMapping, enumerate_level, word_count
+from .fourier import (TWO_PI, FilterFamily, _cap_float, _float_div, eval_filter,
+                      eval_H_sq_array, mu_hat_exact_zero, truncation_level,
+                      uniform_family)
+from .spectra import (SpectrumLevel, TreeMapping, Word, validate_tree_mapping,
+                      word_count)
+
+# perfbench/tracing.py wraps these names in this module as well as where they
+# are defined, so they stay bound here although nothing below calls them.
+from .fourier import eval_H, eval_H_array, mu_hat, mu_hat_array  # noqa: E402,F401
+from .spectra import enumerate_level  # noqa: E402,F401
 
 _PAIRWISE_CUTOFF = 600  # above this, all-pairs scanning switches to the residue tree
 
@@ -135,6 +153,79 @@ def orthogonality_check(level_or_elements, pair: ScalePair, max_elements: int = 
 
 
 # ---------------------------------------------------------------------------
+# Level expansion
+# ---------------------------------------------------------------------------
+
+class _Scales:
+    """d_n, q_n = b_n / d_n and rho_n of a pair, 1-indexed, extended on demand."""
+
+    def __init__(self, pair: ScalePair):
+        self.pair = pair
+        self.d = [0]
+        self.q = [1]  # q_0 divides u_0 = 0
+        self.rho = [0, 1]
+
+    def upto(self, n: int) -> "_Scales":
+        while len(self.d) <= n:
+            k = len(self.d)
+            d, b = self.pair.d(k), self.pair.b(k)
+            self.d.append(d)
+            self.q.append(b // d)
+            self.rho.append(self.rho[k] * b)
+        return self
+
+
+def _node_index(scales: _Scales, word: Word) -> int | None:
+    # position of word among the nodes of its level, the children of node i
+    # being i*d_n + digit; None when a digit is out of range (no such node)
+    scales.upto(len(word))
+    index = 0
+    for n, digit in enumerate(word, start=1):
+        if not 0 <= digit < scales.d[n]:
+            return None
+        index = index * scales.d[n] + digit
+    return index
+
+
+def _expand(tm: TreeMapping, scales: _Scales, xi: float, level: int, filters: FilterFamily):
+    """Expand the digit tree to ``level``, yielding (w, u, label) per level n.
+
+    Arrays run over the level-n nodes delta, in the order of
+    :func:`_node_index`.  ``label`` is tau(delta): the last digit, or the table
+    value for words in the mapping's table.  ``u`` is sigma_n / (d_n rho_n),
+    sigma_n = sum_{k<=n} tau(delta_1..delta_k) rho_k, reduced as
+    u_n = (u_{n-1} / q_{n-1} + tau) / d_n.  ``w`` is
+    prod_{k<=n} |G_k(xi / (d_k rho_k) + u_k)|^2, which equals the squared
+    level-k factors at xi + lambda(delta) because lambda(delta) - sigma_k is a
+    multiple of rho_{k+1} = q_k d_k rho_k and every G_k is 1-periodic.
+    """
+    scales.upto(level)
+    table: dict[int, tuple[list[int], list[int]]] = {}
+    for word, value in tm.table.items():
+        index = _node_index(scales, word) if 0 < len(word) <= level else None
+        if index is not None:
+            table.setdefault(len(word), ([], []))
+            table[len(word)][0].append(index)
+            table[len(word)][1].append(value)
+    w = np.ones(1)
+    u = np.zeros(1)
+    for n in range(1, level + 1):
+        d = scales.d[n]
+        label = np.tile(np.arange(d, dtype=float), len(w))
+        if n in table:
+            label[table[n][0]] = table[n][1]
+        u = (np.repeat(u / scales.q[n - 1], d) + label) / d
+        args = _float_div(xi, d * scales.rho[n]) + u
+        if filters.is_uniform(n):
+            factors = eval_H_sq_array(d, args)
+        else:
+            g = eval_filter(np.asarray(filters.coefficients(n)), args)
+            factors = g.real ** 2 + g.imag ** 2
+        w = np.repeat(w, d) * factors
+        yield w, u, label
+
+
+# ---------------------------------------------------------------------------
 # Partition identity
 # ---------------------------------------------------------------------------
 
@@ -147,45 +238,34 @@ class PartitionResult:
     terms: int
 
 
-def _level_weights_vectorized(pair: ScalePair, filters: FilterFamily, xi: float, level: int):
-    # squared-modulus weights per word, expanded level by level; the factor
-    # argument may drop multiples of d_n rho_n because every G_n is 1-periodic
-    sigma = np.zeros(1, dtype=np.int64)
-    weights = np.ones(1, dtype=float)
-    rho_n = 1
-    for n in range(1, level + 1):
-        d = pair.d(n)
-        digits = np.arange(d, dtype=np.int64)
-        sigma = (sigma[:, None] + digits[None, :] * rho_n).reshape(-1)
-        args = (xi + sigma.astype(float)) / float(d * rho_n)
-        if filters.is_uniform(n):
-            factors = eval_H_array(d, args)
-        else:
-            factors = eval_filter(np.asarray(filters.coefficients(n)), args)
-        weights = (np.repeat(weights, d)) * np.abs(factors) ** 2
-        rho_n *= pair.b(n)
-    return weights
+def _check_level(pair: ScalePair, level: int, budget: int):
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    count = word_count(pair, level)
+    if count > budget:
+        raise BudgetExceededError(
+            f"level {level} needs {count} words, over the budget of {budget}", required=count)
 
 
-def _level_weights_python(tm: TreeMapping, filters: FilterFamily, xi: float, level: int):
+def partition_levels(tm: TreeMapping, xi: float, level: int,
+                     filters: FilterFamily | None = None,
+                     budget: int = 10**6) -> tuple[PartitionResult, ...]:
+    """Partition sums for every level 1..``level`` from one tree expansion.
+
+    The level-n sum is the total of the squared products over the level-n
+    words; see :func:`partition_identity`.
+    """
     pair = tm.pair
-    weights = []
-
-    def walk(word, sigma, w, rho_n, n):
-        if n > level:
-            weights.append(w)
-            return
-        d = pair.d(n)
-        g = None if filters.is_uniform(n) else np.asarray(filters.coefficients(n))
-        for dig in range(d):
-            child = word + (dig,)
-            s = sigma + tm.tau(child) * rho_n
-            arg = (xi + s) / (d * rho_n)
-            f = eval_H(d, arg) if g is None else complex(eval_filter(g, np.array([arg]))[0])
-            walk(child, s, w * abs(f) ** 2, rho_n * pair.b(n), n + 1)
-
-    walk((), 0, 1.0, 1, 1)
-    return np.asarray(weights)
+    _check_level(pair, level, budget)
+    if filters is None:
+        filters = uniform_family(pair)
+    xi = float(xi)
+    results = []
+    for n, (w, _, _) in enumerate(_expand(tm, _Scales(pair), xi, level, filters), start=1):
+        total = float(np.sum(w))
+        results.append(PartitionResult(total=total, defect=abs(total - 1.0), level=n,
+                                       xi=xi, terms=len(w)))
+    return tuple(results)
 
 
 def partition_identity(tm: TreeMapping, xi: float, level: int,
@@ -196,20 +276,7 @@ def partition_identity(tm: TreeMapping, xi: float, level: int,
     every xi and every valid mapping, and is evaluated here by direct
     summation over the word tree.
     """
-    pair = tm.pair
-    if filters is None:
-        filters = uniform_family(pair)
-    count = word_count(pair, level)
-    if count > budget:
-        raise BudgetExceededError(
-            f"level {level} needs {count} words, over the budget of {budget}", required=count)
-    if not tm.table and pair.rho(level + 1) < 2**52:
-        weights = _level_weights_vectorized(pair, filters, float(xi), level)
-    else:
-        weights = _level_weights_python(tm, filters, float(xi), level)
-    total = float(np.sum(weights))
-    return PartitionResult(total=total, defect=abs(total - 1.0), level=level,
-                           xi=float(xi), terms=count)
+    return partition_levels(tm, xi, level, filters=filters, budget=budget)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +309,56 @@ class CompletenessReport:
 _MONOTONE_SLACK = 1e-12
 
 
+def _fresh_nodes(tm: TreeMapping, scales: _Scales, n: int):
+    """Level-n nodes whose frequency is new at level n, and their tails.
+
+    lambda(delta 0) = lambda(delta), so the new frequencies at level n >= 2
+    are those of the words with delta_n != 0 (every word at n = 1).  Returns
+    the node indices and, per level k > n, the positions among them and the
+    labels of the table words delta 0^(k-n) on their zero-extensions.
+    """
+    d = scales.upto(n).d[n]
+    nodes = np.arange(word_count(tm.pair, n))
+    if n > 1:
+        nodes = nodes[nodes % d != 0]
+    tails: dict[int, tuple[list[int], list[int]]] = {}
+    for word, value in tm.table.items():
+        if len(word) <= n or value == 0 or any(word[n:]) or (n > 1 and word[n - 1] == 0):
+            continue
+        index = _node_index(scales, word[:n])
+        if index is not None:
+            tails.setdefault(len(word), ([], []))
+            tails[len(word)][0].append(int(np.searchsorted(nodes, index)))
+            tails[len(word)][1].append(value)
+    return nodes, tails
+
+
+def _fresh_terms(scales: _Scales, xi: float, tol: float, n: int, w, u, sigma, tails):
+    """|muhat(xi + lambda)|^2 and radii for the new frequencies of level n.
+
+    Each term continues from its level-n prefix product w along its
+    zero-extension to the depth N that :func:`truncation_level` picks for the
+    largest |xi + lambda| of the batch, the depth and radii of
+    :func:`mu_hat_array` on the same frequencies.
+    """
+    lam = sigma.copy()
+    for k, (positions, labels) in tails.items():
+        lam[positions] += np.asarray(labels, dtype=float) * float(scales.upto(k).rho[k])
+    x = xi + lam
+    depth, rho_next = truncation_level(scales.pair, float(np.max(np.abs(x))), tol)
+    scales.upto(depth)
+    terms = w.copy()
+    for k in range(n + 1, depth + 1):
+        d = scales.d[k]
+        u = u / scales.q[k - 1]
+        if k in tails:
+            u[tails[k][0]] += tails[k][1]
+        u /= d
+        terms *= eval_H_sq_array(d, _float_div(xi, d * scales.rho[k]) + u)
+    radii = np.expm1(TWO_PI * np.abs(x) / _cap_float(rho_next))
+    return terms, radii
+
+
 def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
                    tol: float = 1e-10, budget: int = 10**6) -> CompletenessReport:
     """Partial completeness sums Q_L(xi) for L = 1..l_max on a grid in [0, 1/2].
@@ -250,21 +367,27 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     certified truncation radius; Q_L accumulates those nonnegative terms, so
     the reported values are monotone in L by construction.  The certified
     slack per row is sum over terms of 2 r |v| + r^2, an upper bound for how
-    far the reported Q may exceed the true partial sum.  Reduction order is
-    fixed (frequencies sorted ascending), so reports are reproducible.
+    far the reported Q may exceed the true partial sum.  The frequencies of a
+    mapping are distinct exactly when it passes
+    :func:`~cantorspec.spectra.validate_tree_mapping`; any other mapping is
+    rejected with a ValueError naming the offending word.  The tree is
+    expanded in a fixed order, one grid point at a time, so reports are
+    reproducible.
     """
     pair = tm.pair
     xis = [float(x) for x in xi_grid]
     for x in xis:
         if not 0.0 <= x <= 0.5:
             raise ValueError(f"grid point {x} outside [0, 1/2]")
-    seen: set[int] = set()
-    new_per_level: list[list[int]] = []
-    for level in range(1, l_max + 1):
-        lev = enumerate_level(tm, level, budget=budget)
-        fresh = sorted(set(lev.elements) - seen)
-        seen.update(fresh)
-        new_per_level.append(fresh)
+    _check_level(pair, l_max, budget)
+    validation = validate_tree_mapping(tm, max(l_max, tm.table_depth))
+    if not validation.ok:
+        issue = validation.issues[0]
+        raise ValueError(f"tree mapping fails condition {issue.condition} at {issue.location}: "
+                         f"{issue.message}; its frequencies need not be distinct")
+    scales = _Scales(pair)
+    fresh = [_fresh_nodes(tm, scales, n) for n in range(1, l_max + 1)]
+    uniform = uniform_family(pair)
 
     rows = []
     monotone = True
@@ -275,19 +398,15 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
         q = 0.0
         slack = 0.0
         prev = 0.0
-        for level, fresh in enumerate(new_per_level, start=1):
-            if fresh:
-                if abs(fresh[0]) < 2**52 and abs(fresh[-1]) < 2**52:
-                    args = np.asarray([x + lam for lam in fresh], dtype=float)
-                    vals, radii, _ = mu_hat_array(pair, args, tol=tol)
-                    mods = np.abs(vals)
-                    q += float(np.sum(mods**2))
-                    slack += float(np.sum(2.0 * radii * mods + radii**2))
-                else:
-                    for lam in fresh:  # frequencies beyond exact float range
-                        tv = mu_hat(pair, x + lam, tol=tol)
-                        q += tv.modulus**2
-                        slack += 2.0 * tv.radius * tv.modulus + tv.radius**2
+        sigma = np.zeros(1)
+        for level, (w, u, label) in enumerate(_expand(tm, scales, x, l_max, uniform), start=1):
+            sigma = np.repeat(sigma, scales.d[level]) + label * float(scales.rho[level])
+            nodes, tails = fresh[level - 1]
+            terms, radii = _fresh_terms(scales, x, tol, level, w[nodes], u[nodes],
+                                        sigma[nodes], tails)
+            mods = np.sqrt(terms)
+            q += float(np.sum(terms))
+            slack += float(np.sum(2.0 * radii * mods + radii**2))
             ok = q >= prev - _MONOTONE_SLACK
             monotone = monotone and ok
             if q > 1.0 + slack:

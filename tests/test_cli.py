@@ -1,4 +1,6 @@
+import csv
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -221,3 +223,64 @@ def test_threads_flag_validation(mu42, tmp_path):
     assert err.value.code == 2
     assert run(["pair", "--pair", mu42, "--threads", "4",
                 "--out", str(tmp_path / "o")]) == 0
+
+
+def _strict_constant(token):
+    raise ValueError(f"non-finite JSON constant {token}")
+
+
+def _parses(cell):
+    # int, float or bool; interval endpoints are exact fractions p/q
+    if cell in ("True", "False"):
+        return True
+    for kind in (int, float, Fraction):
+        try:
+            kind(cell)
+            return True
+        except ValueError:
+            pass
+    return False
+
+
+def test_every_artifact_parses_back(mu42, tmp_path):
+    tree = tmp_path / "tree.json"
+    tree.write_text('[{"word": [1], "value": -1}, {"word": [1, 1], "value": -1}]')
+    commands = [
+        ["pair"],
+        ["spectrum", "--level", "3"],
+        ["orthogonality", "--tree", str(tree), "--level", "4"],
+        ["partition", "--tree", str(tree), "--level", "4", "--draws", "3"],
+        ["completeness", "--tree", str(tree), "--level", "5", "--grid", "4"],
+        ["dimension"],
+        ["beurling", "--level", "6"],
+        ["sample", "--count", "500"],
+        ["report", "--count", "2000", "--draws", "2", "--grid", "2"],
+    ]
+    for cmd in commands:
+        out = tmp_path / cmd[0]
+        assert run([cmd[0], "--pair", mu42, *cmd[1:], "--out", str(out)]) == 0, cmd[0]
+        for path in sorted(out.glob("*.csv")):
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows, path.name
+            for row in rows:
+                for cell in row:
+                    assert _parses(cell), (path.name, cell)
+        reports = sorted(out.glob("*.json"))
+        assert reports, cmd[0]
+        for path in reports:
+            json.loads(path.read_text(), parse_constant=_strict_constant)
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    (["completeness", "--tol", "nan"], "--tol"),
+    (["completeness", "--tol", "inf"], "--tol"),
+    (["completeness", "--level", "0"], "--level"),
+    (["partition", "--level", "0"], "--level"),
+    (["partition", "--draws", "0"], "--draws"),
+])
+def test_degenerate_flags_rejected(mu42, tmp_path, capsys, cmd, flag):
+    with pytest.raises(SystemExit) as err:
+        run([cmd[0], "--pair", mu42, *cmd[1:], "--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from cantorspec import (FilterCertificationError, FilterFamily,
                         certificate_report, constant_pair,
                         dimension_targeting_pair, eval_H, eval_H_array,
-                        filter_family_from_config, mu_hat, mu_hat_array,
+                        eval_H_sq_array, filter_family_from_config, mu_hat,
+                        mu_hat_array,
                         mu_hat_exact_zero, phi_hat, qmf_check, uniform_family)
 
 
@@ -72,6 +73,18 @@ def test_eval_H_array_matches_scalar():
         vec = eval_H_array(m, xs)
         for x, v in zip(xs, vec):
             assert v == pytest.approx(eval_H(m, x), abs=1e-14)
+
+
+def test_eval_H_sq_array_matches_summation_oracle():
+    # closed form, the cosine form at m = 2, and the Fejer sum in the guard band
+    rng = np.random.default_rng(4)
+    xs = np.concatenate([rng.uniform(-3, 3, size=200), [-2.0, 0.0, 1.0, 0.5, -0.5],
+                         [k + e for k in (0, 3) for e in (-2e-9, -1e-12, 1e-300, 5e-10)]])
+    for m in (2, 3, 5, 8, 17, 64):
+        got = eval_H_sq_array(m, xs)
+        want = [abs(kernel_by_summation(m, x)) ** 2 for x in xs]
+        assert np.max(np.abs(got - want)) < 1e-13, m
+        assert np.all(got[np.round(xs) == xs] == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +158,17 @@ def test_mu_hat_radius_sound():
         base = mu_hat(pair, xi, 1e-8)
         deeper = mu_hat(pair, xi, 1e-8, levels=base.levels + 10)
         assert abs(base.value - deeper.value) <= base.radius + 1e-16
+
+
+def test_mu_hat_rejects_unreachable_frequencies():
+    # a non-finite xi or tol, or a scale target past the double range, used
+    # to loop forever in the truncation search
+    pair = constant_pair(4, 2)
+    for xi, tol in ((math.inf, 1e-10), (math.nan, 1e-10), (1e300, 1e-10),
+                    (0.3, math.nan), (0.3, math.inf)):
+        with pytest.raises(ValueError):
+            mu_hat(pair, xi, tol)
+    assert mu_hat(pair, 1e290, 1e-10).levels > 400
 
 
 def test_mu_hat_array_matches_scalar():

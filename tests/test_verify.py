@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from mpmath import mp, mpf, exp as mp_exp, pi as mp_pi
 from cantorspec import (BudgetExceededError, TreeMapping, canonical_tau,
                         completeness_Q, constant_pair,
                         dimension_targeting_pair, enumerate_level, mu_hat,
-                        orthogonality_check, partition_identity, uniform_family)
+                        orthogonality_check, partition_identity,
+                        partition_levels, uniform_family)
+from cantorspec.fourier import truncation_level
 
 MU42 = constant_pair(4, 2)
 MU93 = constant_pair(9, 3)
@@ -148,11 +151,24 @@ def test_partition_holds_for_deviated_mappings():
 
 
 def test_partition_python_and_vector_paths_agree():
-    # a table that reproduces the canonical labels forces the generic path
+    # a table that reproduces the canonical labels goes through the table-label
+    # override of the level expansion and must not change the sum
     mirror = TreeMapping(MU42, {(1,): 1})
     fast = partition_identity(canonical_tau(MU42), 0.3, 6)
     slow = partition_identity(mirror, 0.3, 6)
     assert fast.total == pytest.approx(slow.total, abs=1e-12)
+
+
+def test_partition_levels_equal_per_level_identity():
+    cases = [(canonical_tau(MU42), 0.3, 8), (canonical_tau(MU93), 0.71, 5),
+             (canonical_tau(dimension_targeting_pair(0.5)), 0.37, 4),
+             (TreeMapping(MU42, {(1,): -1, (1, 1): -1}), 0.05, 7)]
+    for tm, xi, level in cases:
+        results = partition_levels(tm, xi, level)
+        assert [r.level for r in results] == list(range(1, level + 1))
+        for r in results:
+            assert r == partition_identity(tm, xi, r.level)
+            assert r.defect <= 1e-13
 
 
 def test_partition_budget():
@@ -227,3 +243,84 @@ def test_q_deviated_mapping_trend():
     rep = completeness_Q(tm, [0.0, 0.25, 0.5], 8, tol=1e-12)
     assert rep.monotone and rep.bounded
     assert rep.worst_gap < 1e-3
+
+
+DEVIATED42 = TreeMapping(MU42, {(1,): -1, (1, 1): -1})   # demos/configs/tree_deviation.json
+# labels on the zero-extensions of the word (1): lambda(1) = 1 + 2*8 + 2*64
+STACKED82 = TreeMapping(constant_pair(8, 2), {(1, 0): 2, (1, 0, 0): 2})
+
+
+def scalar_completeness(tm, xi, level, tol):
+    """(Q_L, slack_L) for L = 1..level from the exact frequency sets.
+
+    Each level's new frequencies come from a set difference of
+    enumerate_level results; each term is a scalar mu_hat forced to the
+    depth that truncation_level picks for the batch's largest |xi + lambda|.
+    """
+    seen = set()
+    q = slack = 0.0
+    rows = []
+    for n in range(1, level + 1):
+        fresh = sorted(set(enumerate_level(tm, n).elements) - seen)
+        seen.update(fresh)
+        depth, _ = truncation_level(tm.pair, max(abs(xi + v) for v in fresh), tol)
+        values = [mu_hat(tm.pair, xi + v, tol, levels=depth) for v in fresh]
+        q += math.fsum(tv.modulus ** 2 for tv in values)
+        slack += math.fsum(2.0 * tv.radius * tv.modulus + tv.radius ** 2 for tv in values)
+        rows.append((q, slack))
+    return rows
+
+
+@pytest.mark.parametrize("tm, xi, level", [
+    (canonical_tau(MU42), 0.3, 6),
+    (canonical_tau(MU42), 0.0, 4),
+    (canonical_tau(MU93), 0.17, 4),
+    (canonical_tau(dimension_targeting_pair(0.5)), 0.45, 3),
+    (DEVIATED42, 0.5, 5),
+    (DEVIATED42, 0.125, 3),
+    (STACKED82, 0.3, 1),
+    (STACKED82, 0.05, 3),
+])
+def test_completeness_matches_scalar_sum(tm, xi, level):
+    rep = completeness_Q(tm, [xi], level, tol=1e-10)
+    for row, (q, slack) in zip(rep.rows, scalar_completeness(tm, xi, level, 1e-10)):
+        assert abs(row.q - q) <= 1e-14, (row.level, row.q, q)
+        assert abs(row.certified_slack - slack) <= 1e-9 * slack + 1e-30, row.level
+
+
+# worst relative error of 1 - Q_L over the 33 x 12 oracle points, 5.7e-7
+# when pinned (5.3e-6 before the one-pass kernel); at the smallest gaps,
+# ~1.2e-10, one unit in the last place of Q is 9.4e-7
+ORACLE_REL_ERR_PIN = 2e-6
+
+
+def test_completeness_matches_oracle_file():
+    oracle = {}
+    path = Path(__file__).parent / "oracles" / "completeness_gap_oracle.out"
+    for line in path.read_text().splitlines():
+        fields = line.split()
+        if len(fields) == 13 and not line.startswith("#"):
+            oracle[float(fields[0])] = [float(v) for v in fields[1:]]
+    grid = [0.5 * j / 32 for j in range(33)]
+    rep = completeness_Q(canonical_tau(MU42), grid, 12, tol=1e-10)
+    assert len(rep.rows) == 33 * 12
+    worst = 0.0
+    for row in rep.rows:
+        expected = oracle[row.xi][row.level - 1]
+        gap = 1.0 - row.q
+        if expected == 0.0:
+            assert abs(gap) <= 1e-15, (row.xi, row.level)
+        else:
+            worst = max(worst, abs(gap - expected) / expected)
+    assert worst <= ORACLE_REL_ERR_PIN
+
+
+def test_completeness_rejects_colliding_table():
+    # tau(1) = 0 gives the word (1) the frequency of (0): lambda repeats
+    colliding = TreeMapping(MU42, {(1,): 0})
+    assert len(enumerate_level(colliding, 2).collisions) > 0
+    with pytest.raises(ValueError, match=r"word=\(1,\)"):
+        completeness_Q(colliding, [0.25], 3)
+    # a bad label below the requested depth is found through the zero-extension
+    with pytest.raises(ValueError, match=r"word=\(1, 0\)"):
+        completeness_Q(TreeMapping(MU42, {(1, 0): 1}), [0.25], 1)
