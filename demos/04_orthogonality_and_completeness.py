@@ -30,7 +30,7 @@ alpha = dimension_targeting_pair(0.5)
 big = enumerate_level(canonical_tau(alpha), 5, budget=10**6)
 rep = orthogonality_check(big, alpha, max_elements=40000)
 print(f"alpha=1/2 level 5: {rep.element_count} elements, {rep.pair_count} pairs,",
-      "orthogonal" if rep.passed else "NOT orthogonal", f"({rep.method} method)")
+      "orthogonal" if rep.passed else "NOT orthogonal")
 
 # --- partition identity ------------------------------------------------------
 rng = np.random.default_rng(0)

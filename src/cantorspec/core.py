@@ -156,14 +156,24 @@ def constant_pair(b: int, d: int) -> ScalePair:
     return ScalePair(kind="constant", b_prefix=(b,), d_prefix=(d,))
 
 
+def exact_int(value, field: str) -> int:
+    """``value`` as an int; a ValueError naming ``field`` unless it is integral."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 def explicit_pair(b: list[int] | tuple[int, ...], d: list[int] | tuple[int, ...]) -> ScalePair:
     """Pair from explicit prefixes, extended by repeating the last entry.
 
     Admissibility is *not* enforced here; run :func:`validate_pair` to get a
     per-level report (invalid explicit pairs are useful as negative controls).
     """
-    b = tuple(int(x) for x in b)
-    d = tuple(int(x) for x in d)
+    b = tuple(exact_int(x, f"b[{i}]") for i, x in enumerate(b))
+    d = tuple(exact_int(x, f"d[{i}]") for i, x in enumerate(d))
     if not b or not d or len(b) != len(d):
         raise PairConstraintError("explicit pair needs equal-length nonempty b and d prefixes")
     if any(x < 1 for x in b + d):
@@ -206,7 +216,7 @@ def pair_from_config(cfg: dict) -> ScalePair:
     """
     kind = cfg.get("kind")
     if kind == "constant":
-        return constant_pair(int(cfg["b"]), int(cfg["d"]))
+        return constant_pair(exact_int(cfg["b"], "b"), exact_int(cfg["d"], "d"))
     if kind == "explicit":
         return explicit_pair(cfg["b"], cfg["d"])
     if kind == "alpha":

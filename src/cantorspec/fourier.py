@@ -171,25 +171,28 @@ def _cap_float(big: int) -> float:
     return float(big)
 
 
-def truncation_level(pair: ScalePair, xi: float, tol: float) -> tuple[int, int]:
-    """Least N with tail bound exp(2 pi |xi| / rho_{N+1}) - 1 <= tol.
+def truncation_level(pair: ScalePair, xi: float, tol: float, tail: float = TWO_PI,
+                     levels: int = 1) -> tuple[int, int]:
+    """Least N >= levels with tail bound exp(tail |xi| / rho_{N+1}) - 1 <= tol.
 
-    Returns (N, rho_{N+1}).  Uses rho_{N+1} >= 4 pi |xi| / tol, an integer
-    comparison that implies the bound via log1p(tol) >= tol/2 for tol <= 1.
-    Raises ValueError for a non-finite xi or tol, and when 4 pi |xi| / tol
-    overflows, where no scale could be reached.
+    Returns (N, rho_{N+1}).  ``tail`` is the constant of the truncated
+    product's tail: 2 pi for :func:`mu_hat`, 8 pi d0 / 3 for :func:`phi_hat`.
+    Uses rho_{N+1} >= 2 tail |xi| / tol, an integer comparison that implies
+    the bound via log1p(tol) >= tol/2 for tol <= 1.  Raises ValueError for a
+    non-finite xi or tol, and when 2 tail |xi| / tol overflows, where no
+    scale could be reached.
     """
     if not math.isfinite(xi):
         raise ValueError(f"frequency xi must be finite, got {xi}")
     if not math.isfinite(tol) or tol <= 0:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    target = 4.0 * math.pi * abs(xi) / min(tol, 1.0)
+    target = 2.0 * tail * abs(xi) / min(tol, 1.0)
     if not math.isfinite(target):
         raise ValueError(f"|xi| = {abs(xi):.3e} at tol = {tol:.1e} needs a scale "
                          f"rho_(N+1) beyond the double range")
     n = 1
     rho_next = pair.b(1)
-    while rho_next < target:
+    while rho_next < target or n < levels:
         n += 1
         rho_next *= pair.b(n)
     return n, rho_next
@@ -203,11 +206,7 @@ def mu_hat(pair: ScalePair, xi: float, tol: float = 1e-10, levels: int | None = 
     <= pi |xi| / rho_n, the geometric sum of which is <= 2 pi |xi| / rho_{N+1},
     and |prod(1 + eps_n) - 1| <= exp(sum |eps_n|) - 1.
     """
-    n_levels, rho_next = truncation_level(pair, xi, tol)
-    if levels is not None:
-        while n_levels < levels:
-            n_levels += 1
-            rho_next *= pair.b(n_levels)
+    n_levels, rho_next = truncation_level(pair, xi, tol, levels=levels or 1)
     value = 1.0 + 0.0j
     rho_n = 1
     for n in range(1, n_levels + 1):
@@ -434,20 +433,8 @@ def phi_hat(filters: FilterFamily, xi: float, tol: float = 1e-10,
     geometrically to 8 pi d0 |xi| / (3 rho_{N+1}).
     """
     pair = filters.pair
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    d0 = filters.d0
-    coeff = 8.0 * math.pi * d0 / 3.0
-    target = 2.0 * coeff * abs(xi) / min(tol, 1.0)
-    n_levels = 1
-    rho_next = pair.b(1)
-    while rho_next < target:
-        n_levels += 1
-        rho_next *= pair.b(n_levels)
-    if levels is not None:
-        while n_levels < levels:
-            n_levels += 1
-            rho_next *= pair.b(n_levels)
+    coeff = 8.0 * math.pi * filters.d0 / 3.0
+    n_levels, rho_next = truncation_level(pair, xi, tol, tail=coeff, levels=levels or 1)
     if certificate is None or certificate.depth < n_levels:
         certificate = filters.certify(n_levels)
     if not certificate.ok:

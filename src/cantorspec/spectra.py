@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import BudgetExceededError, Issue, ScalePair, ValidationReport
+from .core import BudgetExceededError, Issue, ScalePair, ValidationReport, exact_int
 
 Word = tuple[int, ...]
 
@@ -60,8 +60,9 @@ def canonical_tau(pair: ScalePair) -> TreeMapping:
 def tree_mapping_from_config(pair: ScalePair, entries: Iterable[dict]) -> TreeMapping:
     """Table from its JSON form [{"word": [d1,...,dn], "value": v}, ...]."""
     table = {}
-    for e in entries:
-        table[tuple(int(x) for x in e["word"])] = int(e["value"])
+    for i, e in enumerate(entries):
+        word = tuple(exact_int(x, f"entry {i} word[{j}]") for j, x in enumerate(e["word"]))
+        table[word] = exact_int(e["value"], f"entry {i} value")
     return TreeMapping(pair=pair, table=table)
 
 

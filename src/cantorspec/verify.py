@@ -23,6 +23,7 @@ truncation depth of its batch.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -31,8 +32,7 @@ import numpy as np
 
 from .core import BudgetExceededError, ScalePair
 from .fourier import (TWO_PI, FilterFamily, _cap_float, _float_div, eval_filter,
-                      eval_H_sq_array, mu_hat_exact_zero, truncation_level,
-                      uniform_family)
+                      eval_H_sq_array, truncation_level, uniform_family)
 from .spectra import (SpectrumLevel, TreeMapping, Word, validate_tree_mapping,
                       word_count)
 
@@ -41,35 +41,20 @@ from .spectra import (SpectrumLevel, TreeMapping, Word, validate_tree_mapping,
 from .fourier import eval_H, eval_H_array, mu_hat, mu_hat_array  # noqa: E402,F401
 from .spectra import enumerate_level  # noqa: E402,F401
 
-_PAIRWISE_CUTOFF = 600  # above this, all-pairs scanning switches to the residue tree
-
 
 @dataclass(frozen=True)
 class OrthogonalityReport:
     passed: bool
     element_count: int
     pair_count: int
-    violations: tuple[tuple[int, int], ...]  # capped; sorted
+    violations: tuple[tuple[int, int], ...]  # the smallest violation_cap, sorted
     violation_count: int
-    method: str
 
 
 def _elements_of(level_or_elements) -> list[int]:
     if isinstance(level_or_elements, SpectrumLevel):
         return list(level_or_elements.elements)
     return sorted(int(x) for x in level_or_elements)
-
-
-def _pairwise_orthogonality(elements: list[int], pair: ScalePair, cap: int):
-    violations = []
-    count = 0
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            if not mu_hat_exact_zero(pair, elements[j] - elements[i]).is_zero:
-                count += 1
-                if len(violations) < cap:
-                    violations.append((elements[i], elements[j]))
-    return violations, count
 
 
 def _grouped_orthogonality(elements: list[int], pair: ScalePair, cap: int):
@@ -83,10 +68,12 @@ def _grouped_orthogonality(elements: list[int], pair: ScalePair, cap: int):
     violates orthogonality.  Grouping by residues mod b_n classifies every
     pair at once, and same-residue groups recurse on u // b_n; differences
     shrink by a factor b_n >= 4 per level, so the recursion terminates.
-    Exact integer arithmetic throughout, same verdict and violation set as
-    the literal per-pair scan.
+    Exact integer arithmetic throughout.  Returns the ``cap`` smallest
+    violating pairs, sorted, and the count of all of them: the verdict and
+    violation list of the literal per-pair scan, independent of the order in
+    which the recursion meets the pairs.
     """
-    violations = []
+    largest_first = []  # the cap smallest violations so far, as a max-heap of negated pairs
     count = 0
 
     def recurse(values: list[tuple[int, int]], n: int):
@@ -106,27 +93,28 @@ def _grouped_orthogonality(elements: list[int], pair: ScalePair, cap: int):
                     for _, x in groups[r]:
                         for _, y in groups[r2]:
                             count += 1
-                            if len(violations) < cap:
-                                violations.append((min(x, y), max(x, y)))
+                            key = (-min(x, y), -max(x, y))
+                            if len(largest_first) < cap:
+                                heapq.heappush(largest_first, key)
+                            elif largest_first and key > largest_first[0]:
+                                heapq.heapreplace(largest_first, key)
         for r in residues:
             grp = groups[r]
             if len(grp) > 1:
                 recurse([(v // b_n, orig) for v, orig in grp], n + 1)
 
     recurse([(x, x) for x in elements], 1)
-    return violations, count
+    return sorted((-a, -b) for a, b in largest_first), count
 
 
 def orthogonality_check(level_or_elements, pair: ScalePair, max_elements: int = 4096,
-                        method: str = "auto", violation_cap: int = 256) -> OrthogonalityReport:
+                        violation_cap: int = 256) -> OrthogonalityReport:
     """Exact pairwise orthogonality of a frequency set.
 
     Every unordered pair of distinct frequencies must have its difference
-    annihilated by the transform (decided by :func:`mu_hat_exact_zero`).
-    ``method='pairwise'`` runs that scan literally; ``method='grouped'`` runs
-    the equivalent residue-tree classification, which is linear in the set
-    size per level and is required for large sets; ``'auto'`` picks by size.
-    No floating point either way.
+    annihilated by the transform (see :func:`mu_hat_exact_zero`).  The pairs
+    are classified by the residue tree of :func:`_grouped_orthogonality`,
+    which is linear in the set size per level; no floating point.
     """
     elements = _elements_of(level_or_elements)
     m = len(elements)
@@ -138,18 +126,10 @@ def orthogonality_check(level_or_elements, pair: ScalePair, max_elements: int = 
     if len(set(elements)) != m:
         raise ValueError("frequency set contains duplicates; deduplicate and "
                          "treat duplicates as orthogonality violations upstream")
-    if method == "auto":
-        method = "pairwise" if m <= _PAIRWISE_CUTOFF else "grouped"
-    if method == "pairwise":
-        violations, count = _pairwise_orthogonality(elements, pair, violation_cap)
-    elif method == "grouped":
-        violations, count = _grouped_orthogonality(elements, pair, violation_cap)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    violations, count = _grouped_orthogonality(elements, pair, violation_cap)
     return OrthogonalityReport(passed=count == 0, element_count=m,
-                               pair_count=m * (m - 1) // 2,
-                               violations=tuple(sorted(violations)),
-                               violation_count=count, method=method)
+                               pair_count=m * (m - 1) // 2, violations=tuple(violations),
+                               violation_count=count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import csv
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from cantorspec.cli import main
+from cantorspec.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MU42 = '{"kind": "constant", "b": 4, "d": 2}'
 ALPHA_HALF = '{"kind": "alpha", "alpha": 0.5, "profile": "dyadic"}'
@@ -46,6 +49,9 @@ def test_pair_config_errors(tmp_path):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     assert run(["pair", "--pair", str(garbled), "--out", str(tmp_path / "o")]) == 2
+    infinite = tmp_path / "infinite.json"
+    infinite.write_text('{"kind": "alpha", "alpha": Infinity}')  # used to crash, exit 1
+    assert run(["pair", "--pair", str(infinite), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_unknown_subcommand_exits_2(mu42):
@@ -129,7 +135,7 @@ def test_byte_identical_reruns(mu42, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         assert run(["completeness", "--pair", mu42, "--grid", "4", "--level", "6",
-                    "--seed", "7", "--out", str(out)]) == 0
+                    "--out", str(out)]) == 0
         assert run(["sample", "--pair", mu42, "--count", "2000", "--seed", "7",
                     "--out", str(out)]) == 0
     for name in ("completeness.csv", "completeness_report.json", "completeness.svg",
@@ -217,12 +223,13 @@ def test_report_fails_on_invalid_pair(tmp_path):
     assert report["passed"] is False and report["checks"]["pair"] is False
 
 
-def test_threads_flag_validation(mu42, tmp_path):
-    with pytest.raises(SystemExit) as err:
-        run(["pair", "--pair", mu42, "--threads", "0", "--out", str(tmp_path / "o")])
-    assert err.value.code == 2
-    assert run(["pair", "--pair", mu42, "--threads", "4",
-                "--out", str(tmp_path / "o")]) == 0
+def test_threads_flag_validation(mu42, tmp_path, capsys):
+    # --threads was never read by any computation and is no longer accepted
+    for argv in (["pair", "--threads", "4"], ["report", "--threads", "1"]):
+        with pytest.raises(SystemExit) as err:
+            run([argv[0], "--pair", mu42, *argv[1:], "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 def _strict_constant(token):
@@ -278,9 +285,81 @@ def test_every_artifact_parses_back(mu42, tmp_path):
     (["completeness", "--level", "0"], "--level"),
     (["partition", "--level", "0"], "--level"),
     (["partition", "--draws", "0"], "--draws"),
+    (["partition", "--seed", "-1"], "--seed"),
+    (["report", "--draws", "0"], "--draws"),
+    (["spectrum", "--level", "0"], "--level"),
+    (["completeness", "--tol", "0"], "--tol"),
 ])
 def test_degenerate_flags_rejected(mu42, tmp_path, capsys, cmd, flag):
     with pytest.raises(SystemExit) as err:
         run([cmd[0], "--pair", mu42, *cmd[1:], "--out", str(tmp_path / "o")])
     assert err.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_partition_level_over_budget_exits_2(tmp_path, capsys):
+    # the level used to be lowered silently to the deepest one within the
+    # budget, passing with "level": 30 while partition.csv held only L=1..6
+    out = tmp_path / "o"
+    assert run(["partition", "--pair", str(ROOT / "demos" / "configs" / "mu42.json"),
+                "--level", "30", "--budget", "100", "--draws", "2", "--out", str(out)]) == 2
+    assert f"required: {2**30}" in capsys.readouterr().err
+    assert not (out / "partition.csv").exists()
+
+
+@pytest.mark.parametrize("pair_cfg, tree_cfg, field", [
+    ('{"kind": "constant", "b": 4.7, "d": 2}', None, "b must be"),
+    ('{"kind": "constant", "b": 4, "d": 2.5}', None, "d must be"),
+    (MU42, '[{"word": [1.5], "value": -1}]', "word[0] must be"),
+    (MU42, '[{"word": [1], "value": -0.5}]', "value must be"),
+])
+def test_non_integral_config_values_exit_2(tmp_path, capsys, pair_cfg, tree_cfg, field):
+    pair = tmp_path / "pair.json"
+    pair.write_text(pair_cfg)
+    argv = ["spectrum", "--pair", str(pair), "--out", str(tmp_path / "o")]
+    if tree_cfg is not None:
+        tree = tmp_path / "tree.json"
+        tree.write_text(tree_cfg)
+        argv += ["--tree", str(tree)]
+    assert run(argv) == 2
+    assert field in capsys.readouterr().err
+
+
+def _subcommand_flags() -> dict[str, dict[str, object]]:
+    """Per subcommand, the long flags it accepts and their defaults."""
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    return {name: {a.option_strings[-1]: a.default for a in p._actions
+                   if a.option_strings[-1] != "--help"}
+            for name, p in subparsers.items()}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    counts = {name: len(flags) for name, flags in _subcommand_flags().items()}
+    assert counts == {"pair": 3, "spectrum": 5, "orthogonality": 5, "partition": 9,
+                      "completeness": 7, "dimension": 4, "beurling": 5, "sample": 4,
+                      "report": 10}
+    assert sum(counts.values()) == 52
+
+
+def test_ignored_flag_exits_2(mu42, tmp_path, capsys):
+    filters = tmp_path / "filters.json"
+    filters.write_text('{"levels": [[[0.5, 0.0], [0.5, 0.0]]]}')
+    with pytest.raises(SystemExit) as err:
+        run(["completeness", "--pair", mu42, "--filters", str(filters),
+             "--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert "--filters" in capsys.readouterr().err
+
+
+def flag_table() -> str:
+    """The README's per-subcommand flag table, generated from the parser."""
+    lines = ["| subcommand | flags (default) |", "|---|---|"]
+    for name, flags in _subcommand_flags().items():
+        cells = [f"`{flag}`" if default is None else f"`{flag} {default}`"
+                 for flag, default in flags.items()]
+        lines.append(f"| `{name}` | {', '.join(cells)} |")
+    return "\n".join(lines)
+
+
+def test_readme_flag_table_matches_registry():
+    assert flag_table() in (ROOT / "README.md").read_text(), flag_table()

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -112,3 +113,16 @@ def test_config_round_trip():
             assert (pair.b(n), pair.d(n)) == (again.b(n), again.d(n))
     with pytest.raises(PairConstraintError, match="kind"):
         pair_from_config({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"kind": "constant", "b": 4.7, "d": 2}, "b"),
+    ({"kind": "constant", "b": 4, "d": "2"}, "d"),
+    ({"kind": "explicit", "b": [4, 8.5], "d": [2, 2]}, "b[1]"),
+    ({"kind": "explicit", "b": [4, 8], "d": [2.25, 2]}, "d[0]"),
+])
+def test_pair_config_rejects_non_integral_values(cfg, field):
+    # int() used to truncate 4.7 to 4 while the report echoed 4.7
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer"):
+        pair_from_config(cfg)
+    assert pair_from_config({"kind": "constant", "b": 4.0, "d": 2}) == constant_pair(4, 2)

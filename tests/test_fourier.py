@@ -164,10 +164,13 @@ def test_mu_hat_rejects_unreachable_frequencies():
     # a non-finite xi or tol, or a scale target past the double range, used
     # to loop forever in the truncation search
     pair = constant_pair(4, 2)
+    family = uniform_family(pair)
     for xi, tol in ((math.inf, 1e-10), (math.nan, 1e-10), (1e300, 1e-10),
                     (0.3, math.nan), (0.3, math.inf)):
         with pytest.raises(ValueError):
             mu_hat(pair, xi, tol)
+        with pytest.raises(ValueError):
+            phi_hat(family, xi, tol)
     assert mu_hat(pair, 1e290, 1e-10).levels > 400
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -230,3 +231,12 @@ def test_random_valid_tables_validate_and_nest(table):
         prev = cur
         for delta in [(0,) * level, (1,) + (0,) * (level - 1)]:
             assert lambda_of_word(tm, delta) in cur
+
+
+@pytest.mark.parametrize("entries, field", [
+    ([{"word": [1.5], "value": -1}], "entry 0 word[0]"),
+    ([{"word": [1], "value": -1}, {"word": [1, 1], "value": -1.2}], "entry 1 value"),
+])
+def test_tree_config_rejects_non_integral_values(entries, field):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer"):
+        tree_mapping_from_config(MU42, entries)

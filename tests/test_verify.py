@@ -10,6 +10,7 @@ from mpmath import mp, mpf, exp as mp_exp, pi as mp_pi
 from cantorspec import (BudgetExceededError, TreeMapping, canonical_tau,
                         completeness_Q, constant_pair,
                         dimension_targeting_pair, enumerate_level, mu_hat,
+                        mu_hat_exact_zero,
                         orthogonality_check, partition_identity,
                         partition_levels, uniform_family)
 from cantorspec.fourier import truncation_level
@@ -45,23 +46,41 @@ def test_orthogonality_rejects_duplicates():
         orthogonality_check([0, 0, 1], MU42)
 
 
+def pairwise_orthogonality(elements, pair):
+    """Oracle: the literal scan of every unordered pair with the exact zero test.
+
+    Returns (violation count, all violating pairs in sorted order).
+    """
+    elements = sorted(elements)
+    violations = [(x, y) for i, x in enumerate(elements) for y in elements[i + 1:]
+                  if not mu_hat_exact_zero(pair, y - x).is_zero]
+    return len(violations), violations
+
+
+def _assert_matches_oracle(elements, pair, cap):
+    count, violations = pairwise_orthogonality(elements, pair)
+    rep = orthogonality_check(elements, pair, violation_cap=cap)
+    assert rep.passed == (count == 0)
+    assert rep.violation_count == count
+    # the report lists the cap smallest violating pairs, whatever the scan order
+    assert rep.violations == tuple(violations[:cap])
+
+
 def test_grouped_equals_pairwise_on_spectra():
     for pair, level in ((MU42, 5), (MU93, 3)):
-        lev = enumerate_level(canonical_tau(pair), level)
-        a = orthogonality_check(lev, pair, method="pairwise")
-        b = orthogonality_check(lev, pair, method="grouped")
-        assert (a.passed, a.violation_count, a.violations) == (b.passed, b.violation_count, b.violations)
+        elements = enumerate_level(canonical_tau(pair), level).elements
+        _assert_matches_oracle(elements, pair, cap=256)
+    # a failing set with more violations than the cap
+    _assert_matches_oracle(list(range(40)), MU42, cap=5)
 
 
-@given(st.sets(st.integers(min_value=-5000, max_value=5000), min_size=2, max_size=40))
+@given(st.sets(st.integers(min_value=-5000, max_value=5000), min_size=2, max_size=40),
+       st.integers(min_value=0, max_value=12))
 @settings(deadline=None, max_examples=120)
-def test_grouped_equals_pairwise_random(elements):
+def test_grouped_equals_pairwise_random(elements, cap):
     for pair in (MU42, MU93):
-        a = orthogonality_check(elements, pair, method="pairwise", violation_cap=10**6)
-        b = orthogonality_check(elements, pair, method="grouped", violation_cap=10**6)
-        assert a.passed == b.passed
-        assert a.violation_count == b.violation_count
-        assert a.violations == b.violations
+        _assert_matches_oracle(elements, pair, cap=10**6)
+        _assert_matches_oracle(elements, pair, cap=cap)
 
 
 def test_canonical_orthogonal_for_all_pairs_tested():
@@ -70,7 +89,7 @@ def test_canonical_orthogonal_for_all_pairs_tested():
         for level in range(1, 6):
             lev = enumerate_level(canonical, level, budget=40000)
             if len(lev) > 4096:
-                rep = orthogonality_check(lev, pair, max_elements=40000, method="grouped")
+                rep = orthogonality_check(lev, pair, max_elements=40000)
             else:
                 rep = orthogonality_check(lev, pair)
             assert rep.passed, (pair.describe(), level)
