@@ -219,6 +219,8 @@ def _check_completeness(pair, tm, args):
 
 
 def _check_dimension(pair, tm, args):
+    if args.level < 2:  # the ratio sequence needs two terms
+        raise ConfigError(f"--level must be >= 2 for dimension, got {args.level}")
     formula = dim.hausdorff_dim_formula(pair, args.level)
     box_depth = _box_depth(pair, args.budget)
     box = dim.box_counting_dim(pair, box_depth, budget=args.budget)

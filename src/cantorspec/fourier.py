@@ -6,11 +6,11 @@ product and returns a certified radius bounding the discarded tail, derived
 from |H_m(eta) - 1| <= pi (m-1) |eta| and the geometric growth rho_{n+1} >=
 4 rho_n.  Integer frequencies admit an exact zero test by divisibility alone.
 
-Besides the complex kernel, :func:`eval_H_sq_array` gives the squared modulus
-|H_m|^2 in real arithmetic.  The level-expansion kernel of :mod:`.verify`
-multiplies these factors along the digit tree for the partition identity and
-the completeness sums; :func:`mu_hat` and :func:`mu_hat_array` evaluate the
-transform at single frequencies.
+Besides the complex kernel, :func:`eval_H_sq_array` gives |H_m|^2 in real
+arithmetic, which the level-expansion kernel of :mod:`.verify` multiplies along
+the digit tree, and :func:`log_H_sq_array` and :func:`log_H_sq_series` its
+logarithm, in which the completeness tail is summed; :func:`mu_hat` and
+:func:`mu_hat_array` evaluate the transform at single frequencies.
 """
 
 from __future__ import annotations
@@ -110,6 +110,42 @@ def eval_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:
         vals[at_integer] = 1.0
         k = np.arange(1, m).reshape(-1, 1)
         vals[near] = (1.0 + 2.0 * ((1.0 - k / m) * np.cos(2.0 * np.pi * k * s[near])).sum(axis=0)) / m
+    return vals
+
+
+_ZETA_OVER_J = np.array([  # zeta(2j)/j, j = 1..19
+    1.6449340668482264, 0.5411616168555691, 0.3391143539948164, 0.2510193390494861, 0.2001989150255636,
+    0.166707681092218, 0.14286589259072266, 0.12500191028242608, 0.11111153525480723, 0.10000009539620339,
+    0.09090911258640934, 0.08333333830068242, 0.07692307806935036, 0.07142857169466671, 0.06666666672875517,
+    0.06250000001455194, 0.05882352941518869, 0.055555555556363996, 0.0526315789475599])
+LOG_SERIES_THETA = 0.35
+
+
+def log_H_sq_series(ms, ts, y: np.ndarray) -> np.ndarray:
+    """sum_k log|H_{m_k}(t_k y / m_k)|^2 for 0 < t_k <= 1, |y| <= LOG_SERIES_THETA, as
+    one Horner polynomial in y^2 from log(sin(pi x) / (pi x)) = -sum_j zeta(2j)/j x^(2j).
+    Term j is at most (4 / (3 zeta(2))) zeta(2j)/j (m s)^(2j-2) times term 1, all of
+    one sign, so the terms past j = 19 are below 2^-60 of the sum:
+    (4 / (3 zeta(2))) zeta(40)/20 theta^38 / (1 - theta^2) = 2^-61.99."""
+    j2 = 2 * np.arange(1, len(_ZETA_OVER_J) + 1)
+    t = np.asarray(ts, dtype=float)[:, None]
+    c = 2.0 * _ZETA_OVER_J * (t ** j2 - (t / np.asarray(ms)[:, None]) ** j2).sum(axis=0)
+    z = y * y
+    acc = c[-1] * z
+    for cj in c[-2::-1]:
+        acc += cj
+        acc *= z
+    return -acc
+
+
+def log_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:
+    """log|H_m(x)|^2 over a float array, s = x mod 1: :func:`log_H_sq_series` where
+    |m s| <= LOG_SERIES_THETA, else 2 log(|sin(pi m s)| / (m |sin(pi s)|))."""
+    s = xs - np.round(xs)
+    small = np.abs(m * s) <= LOG_SERIES_THETA
+    safe = np.where(small, 0.5 / m, np.abs(s))
+    vals = 2.0 * np.log(np.abs(np.sin(np.pi * m * safe)) / (m * np.sin(np.pi * safe)))
+    vals[small] = log_H_sq_series([m], [1.0], m * s[small])
     return vals
 
 

@@ -15,10 +15,10 @@ squared factors so far and the partial label sum divided by d_n rho_n,
 reduced level by level in floating point.  Each G_n is 1-periodic, so the
 level-n factor at xi + lambda needs only that reduced sum: xi + lambda is
 never rounded and no large integer reaches numpy.  The per-level totals of
-the products are the partition sums for every level at once.  The
-completeness sum takes the prefix products of the words whose frequency is
-new at a level and continues each one along its zero-extension to the
-truncation depth of its batch.
+the products are the partition sums for every level at once.  Completeness
+multiplies each level-L node's product by one log-domain tail along its
+zero-extension, and reports Q_L through the gap 1 - Q_L, a sum of
+nonnegative terms by the partition identity.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import BudgetExceededError, ScalePair
-from .fourier import (TWO_PI, FilterFamily, _cap_float, _float_div, eval_filter,
-                      eval_H_sq_array, truncation_level, uniform_family)
+from .fourier import (LOG_SERIES_THETA, TWO_PI, FilterFamily, _cap_float, _float_div,
+                      eval_filter, eval_H_sq_array, log_H_sq_array, log_H_sq_series,
+                      truncation_level, uniform_family)
 from .spectra import (SpectrumLevel, TreeMapping, Word, validate_tree_mapping,
                       word_count)
 
@@ -167,33 +168,46 @@ def _node_index(scales: _Scales, word: Word) -> int | None:
     return index
 
 
+def _table_labels(tm: TreeMapping, scales: _Scales, level: int):
+    """Table (node indices, labels) arrays by word length k: among the level-k nodes
+    for k <= ``level``, and for a word delta 0^(k-level) the index of delta."""
+    table: dict[int, list[tuple[int, int]]] = {}
+    for word, value in tm.table.items():
+        n = min(len(word), level)
+        index = _node_index(scales, word[:n]) if n and not any(word[n:]) else None
+        if index is not None:
+            table.setdefault(len(word), []).append((index, value))
+    return {k: tuple(np.array(v) for v in zip(*entries)) for k, entries in table.items()}
+
+
+def _labels(tm: TreeMapping, scales: _Scales, level: int):
+    """Per level n = 1..``level``, tau over the level-n nodes in the order of
+    :func:`_node_index`: the last digit, or the table value."""
+    table = _table_labels(tm, scales.upto(level), level)
+    count = 1
+    for n in range(1, level + 1):
+        label = np.tile(np.arange(scales.d[n], dtype=float), count)
+        count *= scales.d[n]
+        if n in table:
+            label[table[n][0]] = table[n][1]
+        yield label
+
+
 def _expand(tm: TreeMapping, scales: _Scales, xi: float, level: int, filters: FilterFamily):
-    """Expand the digit tree to ``level``, yielding (w, u, label) per level n.
+    """Expand the digit tree to ``level``, yielding (w, u) per level n.
 
     Arrays run over the level-n nodes delta, in the order of
-    :func:`_node_index`.  ``label`` is tau(delta): the last digit, or the table
-    value for words in the mapping's table.  ``u`` is sigma_n / (d_n rho_n),
+    :func:`_node_index`.  ``u`` is sigma_n / (d_n rho_n),
     sigma_n = sum_{k<=n} tau(delta_1..delta_k) rho_k, reduced as
     u_n = (u_{n-1} / q_{n-1} + tau) / d_n.  ``w`` is
     prod_{k<=n} |G_k(xi / (d_k rho_k) + u_k)|^2, which equals the squared
     level-k factors at xi + lambda(delta) because lambda(delta) - sigma_k is a
     multiple of rho_{k+1} = q_k d_k rho_k and every G_k is 1-periodic.
     """
-    scales.upto(level)
-    table: dict[int, tuple[list[int], list[int]]] = {}
-    for word, value in tm.table.items():
-        index = _node_index(scales, word) if 0 < len(word) <= level else None
-        if index is not None:
-            table.setdefault(len(word), ([], []))
-            table[len(word)][0].append(index)
-            table[len(word)][1].append(value)
     w = np.ones(1)
     u = np.zeros(1)
-    for n in range(1, level + 1):
+    for n, label in enumerate(_labels(tm, scales, level), start=1):
         d = scales.d[n]
-        label = np.tile(np.arange(d, dtype=float), len(w))
-        if n in table:
-            label[table[n][0]] = table[n][1]
         u = (np.repeat(u / scales.q[n - 1], d) + label) / d
         args = _float_div(xi, d * scales.rho[n]) + u
         if filters.is_uniform(n):
@@ -202,7 +216,7 @@ def _expand(tm: TreeMapping, scales: _Scales, xi: float, level: int, filters: Fi
             g = eval_filter(np.asarray(filters.coefficients(n)), args)
             factors = g.real ** 2 + g.imag ** 2
         w = np.repeat(w, d) * factors
-        yield w, u, label
+        yield w, u
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +255,7 @@ def partition_levels(tm: TreeMapping, xi: float, level: int,
         filters = uniform_family(pair)
     xi = float(xi)
     results = []
-    for n, (w, _, _) in enumerate(_expand(tm, _Scales(pair), xi, level, filters), start=1):
+    for n, (w, _) in enumerate(_expand(tm, _Scales(pair), xi, level, filters), start=1):
         total = float(np.sum(w))
         results.append(PartitionResult(total=total, defect=abs(total - 1.0), level=n,
                                        xi=xi, terms=len(w)))
@@ -278,81 +292,66 @@ class CompletenessReport:
     l_max: int
     tol: float
     monotone: bool          # Q_{L+1} >= Q_L - 1e-12 at every grid point
-    bounded: bool           # Q_L <= 1 + certified slack everywhere
-    worst_gap: float        # max over the grid of 1 - Q_{L_max}
+    bounded: bool           # the direct sum of the terms <= 1 + certified slack
+    worst_gap: float        # max over the grid of the gap 1 - Q_{L_max}
     worst_gap_xi: float
-
-    def gaps(self) -> dict[float, float]:
-        return {r.xi: 1.0 - r.q for r in self.rows if r.level == self.l_max}
 
 
 _MONOTONE_SLACK = 1e-12
+_SLICE = 1 << 14
 
 
-def _fresh_nodes(tm: TreeMapping, scales: _Scales, n: int):
-    """Level-n nodes whose frequency is new at level n, and their tails.
-
-    lambda(delta 0) = lambda(delta), so the new frequencies at level n >= 2
-    are those of the words with delta_n != 0 (every word at n = 1).  Returns
-    the node indices and, per level k > n, the positions among them and the
-    labels of the table words delta 0^(k-n) on their zero-extensions.
-    """
-    d = scales.upto(n).d[n]
-    nodes = np.arange(word_count(tm.pair, n))
-    if n > 1:
-        nodes = nodes[nodes % d != 0]
-    tails: dict[int, tuple[list[int], list[int]]] = {}
-    for word, value in tm.table.items():
-        if len(word) <= n or value == 0 or any(word[n:]) or (n > 1 and word[n - 1] == 0):
-            continue
-        index = _node_index(scales, word[:n])
-        if index is not None:
-            tails.setdefault(len(word), ([], []))
-            tails[len(word)][0].append(int(np.searchsorted(nodes, index)))
-            tails[len(word)][1].append(value)
-    return nodes, tails
+def _frequencies(tm: TreeMapping, scales: _Scales, level: int):
+    """Per level-``level`` node delta, lambda of its zero-extension and the level
+    where it is new (the last n with delta_n != 0, or 1); and the labels past it."""
+    lam, fresh = np.zeros(1), np.ones(1, dtype=np.int8)
+    for n, label in enumerate(_labels(tm, scales, level), start=1):
+        lam = np.repeat(lam, scales.d[n]) + label * float(scales.rho[n])
+        fresh = np.repeat(fresh, scales.d[n])
+        fresh[np.arange(len(fresh)) % scales.d[n] != 0] = n
+    deep = {k: v for k, v in _table_labels(tm, scales, level).items() if k > level}
+    for k, (index, labels) in deep.items():
+        lam[index] += labels * float(scales.upto(k).rho[k])
+    return lam, fresh, deep
 
 
-def _fresh_terms(scales: _Scales, xi: float, tol: float, n: int, w, u, sigma, tails):
-    """|muhat(xi + lambda)|^2 and radii for the new frequencies of level n.
-
-    Each term continues from its level-n prefix product w along its
-    zero-extension to the depth N that :func:`truncation_level` picks for the
-    largest |xi + lambda| of the batch, the depth and radii of
-    :func:`mu_hat_array` on the same frequencies.
-    """
-    lam = sigma.copy()
-    for k, (positions, labels) in tails.items():
-        lam[positions] += np.asarray(labels, dtype=float) * float(scales.upto(k).rho[k])
-    x = xi + lam
-    depth, rho_next = truncation_level(scales.pair, float(np.max(np.abs(x))), tol)
-    scales.upto(depth)
-    terms = w.copy()
-    for k in range(n + 1, depth + 1):
+def _log_tail(scales: _Scales, xi: float, u, start: int, level: int, depth: int, deep):
+    """log prod_{level<k<=depth} |H_{d_k}(s_k)|^2 on the zero-extensions of the level
+    nodes from ``start`` on, reduced sums ``u``: explicit while table labels remain
+    or max |d_k s_k| > LOG_SERIES_THETA, then one series in s_k0 for the rest."""
+    log_t = np.zeros(len(u))
+    for k in range(level + 1, depth + 1):
         d = scales.d[k]
         u = u / scales.q[k - 1]
-        if k in tails:
-            u[tails[k][0]] += tails[k][1]
+        if k in deep:
+            index = deep[k][0] - start
+            inside = (index >= 0) & (index < len(u))
+            u[index[inside]] += deep[k][1][inside]
         u /= d
-        terms *= eval_H_sq_array(d, _float_div(xi, d * scales.rho[k]) + u)
-    radii = np.expm1(TWO_PI * np.abs(x) / _cap_float(rho_next))
-    return terms, radii
+        s = _float_div(xi, d * scales.rho[k]) + u
+        if k > max(deep, default=0) and d * float(np.max(np.abs(s))) <= LOG_SERIES_THETA:
+            ks = range(k, depth + 1)
+            return log_t + log_H_sq_series([scales.d[j] for j in ks],
+                                           [scales.rho[k] / scales.rho[j] for j in ks], d * s)
+        log_t += log_H_sq_array(d, s)
+    return log_t
 
 
 def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
                    tol: float = 1e-10, budget: int = 10**6) -> CompletenessReport:
     """Partial completeness sums Q_L(xi) for L = 1..l_max on a grid in [0, 1/2].
 
-    Each new frequency's |muhat(xi + lambda)|^2 is evaluated once with a
-    certified truncation radius; Q_L accumulates those nonnegative terms, so
-    the reported values are monotone in L by construction.  The certified
-    slack per row is sum over terms of 2 r |v| + r^2, an upper bound for how
-    far the reported Q may exceed the true partial sum.  The frequencies of a
-    mapping are distinct exactly when it passes
-    :func:`~cantorspec.spectra.validate_tree_mapping`; any other mapping is
-    rejected with a ValueError naming the offending word.  The tree is
-    expanded in a fixed order, one grid point at a time, so reports are
-    reproducible.
+    Lambda_{l_max} holds the frequencies of the zero-extensions of the
+    level-l_max nodes, so each term is w T: the node's product w from
+    :func:`_expand` and its tail T to the depth :func:`truncation_level` picks
+    for the grid point's largest |xi + lambda| (:func:`_log_tail`).  The gap
+    G_{l_max} = sum w (1 - T) is exact as sum w = 1, G_L = G_{L+1} + S_{L+1}
+    with S_n the sum of the terms new at level n, and Q_L = 1 - G_L is rounded
+    once, so Q is monotone by construction.  ``bounded`` checks the direct sum
+    sum_{n<=L} S_n <= 1 + slack, the certified slack summing 2 r |v| + r^2
+    with the radius r of :func:`mu_hat_array` at the depth for the terms new
+    at each level.  A mapping failing :func:`validate_tree_mapping` raises a
+    ValueError naming the word.  Grid points and slices run in a fixed order.
     """
     pair = tm.pair
     xis = [float(x) for x in xi_grid]
@@ -366,34 +365,37 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
         raise ValueError(f"tree mapping fails condition {issue.condition} at {issue.location}: "
                          f"{issue.message}; its frequencies need not be distinct")
     scales = _Scales(pair)
-    fresh = [_fresh_nodes(tm, scales, n) for n in range(1, l_max + 1)]
-    uniform = uniform_family(pair)
-
+    lam, fresh, deep = _frequencies(tm, scales, l_max)
+    lo, hi = np.full(l_max + 1, np.inf), np.full(l_max + 1, -np.inf)
+    np.minimum.at(lo, fresh, lam)
+    np.maximum.at(hi, fresh, lam)
     rows = []
-    monotone = True
-    bounded = True
-    worst_gap = -math.inf
-    worst_xi = xis[0] if xis else 0.0
+    monotone = bounded = True
+    worst_gap, worst_xi = -math.inf, (xis[0] if xis else 0.0)
     for x in xis:
-        q = 0.0
-        slack = 0.0
-        prev = 0.0
-        sigma = np.zeros(1)
-        for level, (w, u, label) in enumerate(_expand(tm, scales, x, l_max, uniform), start=1):
-            sigma = np.repeat(sigma, scales.d[level]) + label * float(scales.rho[level])
-            nodes, tails = fresh[level - 1]
-            terms, radii = _fresh_terms(scales, x, tol, level, w[nodes], u[nodes],
-                                        sigma[nodes], tails)
-            mods = np.sqrt(terms)
-            q += float(np.sum(terms))
-            slack += float(np.sum(2.0 * radii * mods + radii**2))
+        batches = [truncation_level(pair, max(abs(x + hi[n]), abs(x + lo[n])), tol)
+                   for n in range(1, l_max + 1)]
+        depth = max(n for n, _ in batches)
+        rho_next = np.array([1.0] + [_cap_float(r) for _, r in batches])
+        for w, u in _expand(tm, scales.upto(depth), x, l_max, uniform_family(pair)):
+            pass
+        gap, sums, slacks = 0.0, np.zeros(l_max + 1), np.zeros(l_max + 1)
+        for start in range(0, len(w), _SLICE):
+            part = slice(start, start + _SLICE)
+            log_t = _log_tail(scales, x, u[part], start, l_max, depth, deep)
+            terms = w[part] * np.exp(log_t)
+            gap += float(np.sum(w[part] * -np.expm1(log_t)))
+            radii = np.expm1(TWO_PI * np.abs(x + lam[part]) / rho_next[fresh[part]])
+            sums += np.bincount(fresh[part], terms, l_max + 1)
+            slacks += np.bincount(fresh[part], 2.0 * radii * np.sqrt(terms) + radii**2, l_max + 1)
+        # Q_L = 1 - G_L, G_L = G_{l_max} + sum_{n>L} S_n
+        qs = (1.0 - (gap + np.append(np.cumsum(sums[:1:-1])[::-1], 0.0))).tolist()
+        slacks = np.cumsum(slacks[1:])
+        bounded = bounded and bool(np.all(np.cumsum(sums[1:]) <= 1.0 + slacks))
+        for level, (q, slack, prev) in enumerate(zip(qs, slacks.tolist(), [0.0] + qs), start=1):
             ok = q >= prev - _MONOTONE_SLACK
             monotone = monotone and ok
-            if q > 1.0 + slack:
-                bounded = False
             rows.append(QRow(xi=x, level=level, q=q, certified_slack=slack, monotone_ok=ok))
-            prev = q
-        gap = 1.0 - q
         if gap > worst_gap:
             worst_gap, worst_xi = gap, x
     return CompletenessReport(rows=tuple(rows), l_max=l_max, tol=tol,

@@ -9,11 +9,15 @@ package: the kernel is summed term by term and the frequency set is expanded
 from its closed form, so the printed numbers are an independent reference.
 
 The printed worst-case gaps are frozen into tests/test_acceptance.py; rerun
-this script to regenerate them.
+this script to regenerate them.  With --deep it prints the gaps at L = 13, 14
+instead, to 20 significant digits, at the grid points with the smallest gaps.
 
-Usage:  python tests/oracles/completeness_gap_oracle.py   (takes a few minutes)
+Usage:  python tests/oracles/completeness_gap_oracle.py > completeness_gap_oracle.out
+        python tests/oracles/completeness_gap_oracle.py --deep > completeness_gap_oracle_deep.out
+(each takes a few minutes)
 """
 
+import sys
 import time
 
 from mpmath import mp, mpc, mpf, exp, pi
@@ -28,6 +32,8 @@ PRODUCT_LEVELS = 55
 
 GRID_POINTS = 33          # equispaced xi in [0, 1/2]
 EXTRA_XI = [mpf(3) / 10]  # off-grid point used by unit tests
+DEEP_LEVELS = (13, 14)
+DEEP_XI = [mpf(1) / 64, mpf(1) / 32, mpf(3) / 64]  # the smallest gaps of the grid
 
 
 def averaging_kernel(x):
@@ -44,12 +50,12 @@ def muhat(v):
     return acc
 
 
-def level_sets():
+def level_sets(l_max=L_MAX):
     """Frequency sets Lambda_L = {sum_n delta_n 4^(n-1) : delta in {0,1}^L}."""
     lams = []
-    for bits in range(1 << L_MAX):
+    for bits in range(1 << l_max):
         lam = 0
-        for k in range(L_MAX):
+        for k in range(l_max):
             if bits & (1 << k):
                 lam += B ** k
         lams.append(lam)
@@ -82,5 +88,16 @@ def main():
     print("# elapsed: %.1f s" % (time.time() - t0))
 
 
+def main_deep():
+    t0 = time.time()
+    lams = level_sets(max(DEEP_LEVELS))
+    print("# xi  followed by gap 1 - Q_L(xi) for L = %s" % ", ".join(map(str, DEEP_LEVELS)))
+    for xi in DEEP_XI:
+        terms = [abs(muhat(xi + lam)) ** 2 for lam in lams]
+        gaps = [1 - sum(t for lam, t in zip(lams, terms) if lam < B ** L) for L in DEEP_LEVELS]
+        print(mp.nstr(xi, 8), " ".join(mp.nstr(g, 20) for g in gaps))
+    print("# elapsed: %.1f s" % (time.time() - t0))
+
+
 if __name__ == "__main__":
-    main()
+    main_deep() if "--deep" in sys.argv[1:] else main()

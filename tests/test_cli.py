@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -305,6 +308,20 @@ def test_partition_level_over_budget_exits_2(tmp_path, capsys):
                 "--level", "30", "--budget", "100", "--draws", "2", "--out", str(out)]) == 2
     assert f"required: {2**30}" in capsys.readouterr().err
     assert not (out / "partition.csv").exists()
+
+
+def test_cli_import_does_not_load_mpmath():
+    # mpmath is a test extra; the series coefficients are literals
+    code = "import sys, cantorspec.cli; sys.exit('mpmath' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_dimension_level_1_exits_2_naming_the_flag(tmp_path, capsys):
+    # used to exit 2 with "n_max must be >= 2, got 1", naming no flag
+    assert run(["dimension", "--pair", str(ROOT / "demos" / "configs" / "mu42.json"),
+                "--level", "1", "--out", str(tmp_path / "o")]) == 2
+    assert "--level must be >= 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("pair_cfg, tree_cfg, field", [

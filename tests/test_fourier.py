@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from cantorspec import (FilterCertificationError, FilterFamily,
                         certificate_report, constant_pair,
@@ -12,6 +13,8 @@ from cantorspec import (FilterCertificationError, FilterFamily,
                         eval_H_sq_array, filter_family_from_config, mu_hat,
                         mu_hat_array,
                         mu_hat_exact_zero, phi_hat, qmf_check, uniform_family)
+from cantorspec.fourier import (LOG_SERIES_THETA, _ZETA_OVER_J, log_H_sq_array,
+                                log_H_sq_series)
 
 
 def kernel_by_summation(m, xi):
@@ -85,6 +88,79 @@ def test_eval_H_sq_array_matches_summation_oracle():
         want = [abs(kernel_by_summation(m, x)) ** 2 for x in xs]
         assert np.max(np.abs(got - want)) < 1e-13, m
         assert np.all(got[np.round(xs) == xs] == 1.0)
+
+
+def log_H_sq_mpmath(m, s):
+    """Oracle: log|H_m(s)|^2 from the closed form, s taken exactly, with 30
+    digits beyond the ~s^2 cancellation in the quotient."""
+    s = mp.mpf(s)
+    mp.dps = 30 + max(0, int(-2 * mp.log10(abs(s)))) if s else 30
+    return 2 * mp.log(abs(mp.sin(mp.pi * m * s)) / (m * abs(mp.sin(mp.pi * s))))
+
+
+def assert_log_kernel_close(m, s):
+    got = log_H_sq_array(m, np.array([s]))[0]
+    want = log_H_sq_mpmath(m, s)
+    assert abs(got - want) <= 1e-14 * abs(want), (m, s, got, want)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8, 9, 16])
+@pytest.mark.parametrize("s", [1e-12, 1e-6, 0.01, 0.1, 0.3, 0.49])
+def test_log_H_sq_array_matches_mpmath(m, s):
+    assert_log_kernel_close(m, s)
+    assert_log_kernel_close(m, -s)
+
+
+@given(st.sampled_from([2, 3, 4, 8, 9, 16]),
+       st.floats(min_value=-0.5, max_value=0.5, allow_nan=False).filter(lambda s: s != 0))
+@settings(deadline=None, max_examples=300)
+def test_log_H_sq_array_matches_mpmath_random(m, s):
+    # away from the zeros of sin(pi m s), where rounding m s alone moves the
+    # logarithm by more than 1e-14 of itself, and from s so small that the
+    # logarithm, about -3.3 (m^2 - 1) s^2, underflows the double range
+    ms = m * s
+    assume(abs(ms) <= LOG_SERIES_THETA or abs(ms - round(ms)) >= 0.05)
+    assume(abs(s) >= 1e-150)
+    assert_log_kernel_close(m, s)
+
+
+def test_log_H_sq_array_is_zero_at_integers():
+    assert np.all(log_H_sq_array(4, np.array([0.0, 1.0, -3.0])) == 0.0)
+
+
+@pytest.mark.parametrize("ms, ts", [
+    ([2] * 20, [8.0 ** -k for k in range(20)]),                    # (4, 2) past one level
+    ([3] * 12, [27.0 ** -k for k in range(12)]),                   # (9, 3)
+    ([4, 8, 16], [1.0, 1 / 16, 1 / 16 / 64]),                      # growing digit counts
+])
+def test_log_H_sq_series_sums_the_levels(ms, ts):
+    for y in (1e-9, 0.01, 0.2, LOG_SERIES_THETA):
+        got = log_H_sq_series(ms, ts, np.array([y, -y]))
+        want = sum(log_H_sq_mpmath(m, mp.mpf(t) * y / m) for m, t in zip(ms, ts))
+        assert np.all(np.abs(got - float(want)) <= 1e-14 * abs(want)), (y, got, want)
+
+
+def test_zeta_literals_match_mpmath():
+    # correctly rounded: within half an ulp
+    mp.dps = 40
+    for j, value in enumerate(_ZETA_OVER_J, start=1):
+        assert abs(mp.mpf(value) - mp.zeta(2 * j) / j) <= math.ulp(value) / 2, j
+
+
+def test_series_remainder_below_2_pow_60():
+    # the docstring's bound on the dropped terms j > J, relative to the sum
+    mp.dps = 40
+    big_j, theta = len(_ZETA_OVER_J), mp.mpf(LOG_SERIES_THETA)
+    bound = (4 / (3 * mp.zeta(2)) * mp.zeta(2 * big_j + 2) / (big_j + 1)
+             * theta ** (2 * big_j) / (1 - theta ** 2))
+    assert bound <= mp.mpf(2) ** -60
+    # and the remainder itself, at |m s| = theta, with the exact coefficients
+    for m in (2, 3, 16, 2 ** 20):
+        s = theta / m
+        exact = log_H_sq_mpmath(m, s)
+        series = -2 * sum(mp.zeta(2 * j) / j * ((m * s) ** (2 * j) - s ** (2 * j))
+                          for j in range(1, big_j + 1))
+        assert abs(series - exact) <= bound * abs(exact), m
 
 
 # ---------------------------------------------------------------------------

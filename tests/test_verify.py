@@ -13,6 +13,7 @@ from cantorspec import (BudgetExceededError, TreeMapping, canonical_tau,
                         mu_hat_exact_zero,
                         orthogonality_check, partition_identity,
                         partition_levels, uniform_family)
+from cantorspec import verify
 from cantorspec.fourier import truncation_level
 
 MU42 = constant_pair(4, 2)
@@ -307,10 +308,25 @@ def test_completeness_matches_scalar_sum(tm, xi, level):
         assert abs(row.certified_slack - slack) <= 1e-9 * slack + 1e-30, row.level
 
 
-# worst relative error of 1 - Q_L over the 33 x 12 oracle points, 5.7e-7
-# when pinned (5.3e-6 before the one-pass kernel); at the smallest gaps,
-# ~1.2e-10, one unit in the last place of Q is 9.4e-7
-ORACLE_REL_ERR_PIN = 2e-6
+@pytest.mark.parametrize("tm, xi, level, size", [
+    (STACKED82, 0.3, 1, 1),      # the labels past level 1 sit on node 1, in the second slice
+    (STACKED82, 0.05, 2, 2),     # the label past level 2 sits on node 2, in the second slice
+    (DEVIATED42, 0.125, 3, 3),
+])
+def test_completeness_slices_match_scalar_sum(monkeypatch, tm, xi, level, size):
+    monkeypatch.setattr(verify, "_SLICE", size)
+    rep = completeness_Q(tm, [xi], level, tol=1e-10)
+    for row, (q, slack) in zip(rep.rows, scalar_completeness(tm, xi, level, 1e-10)):
+        assert abs(row.q - q) <= 1e-14, (row.level, row.q, q)
+        assert abs(row.certified_slack - slack) <= 1e-9 * slack + 1e-30, row.level
+
+
+# worst relative error of 1 - Q_L over the 33 x 12 oracle points: 3.45e-7
+# since Q is rounded once from the gap (5.7e-7 with the direct sum, 5.3e-6
+# before the one-pass kernel).  Q < 1 is then within half an ulp, 2^-54, of
+# 1 - gap; at the smallest oracle gap, 1.177e-10, that is
+# 2^-54 / 1.177e-10 = 4.72e-7 relative
+ORACLE_REL_ERR_PIN = 5e-7
 
 
 def test_completeness_matches_oracle_file():
@@ -332,6 +348,25 @@ def test_completeness_matches_oracle_file():
         else:
             worst = max(worst, abs(gap - expected) / expected)
     assert worst <= ORACLE_REL_ERR_PIN
+
+
+def test_completeness_matches_deep_oracle():
+    # L = 13, 14 at the grid points with the smallest gaps, from
+    # completeness_gap_oracle.py --deep: within one rounding of Q, 2^-54, plus
+    # 1e-8 of the gap for the gap's own error
+    oracle = {}
+    path = Path(__file__).parent / "oracles" / "completeness_gap_oracle_deep.out"
+    for line in path.read_text().splitlines():
+        if line and not line.startswith("#"):
+            xi, *gaps = map(float, line.split())
+            oracle[xi] = gaps
+    assert sorted(oracle) == [1 / 64, 1 / 32, 3 / 64]
+    rep = completeness_Q(canonical_tau(MU42), sorted(oracle), 14, tol=1e-10)
+    deep = [row for row in rep.rows if row.level >= 13]
+    assert len(deep) == 6
+    for row in deep:
+        ref = oracle[row.xi][row.level - 13]
+        assert abs((1.0 - row.q) - ref) <= 2.0 ** -54 + 1e-8 * ref, (row.xi, row.level)
 
 
 def test_completeness_rejects_colliding_table():
