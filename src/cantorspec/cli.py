@@ -182,8 +182,7 @@ def _check_partition(pair, tm, args):
             return False, payload, artifacts
     rng = np.random.Generator(np.random.Philox(key=np.array([args.seed, 0], dtype=np.uint64)))
     xis = rng.random(args.draws)
-    per_xi = [partition_levels(tm, float(xi), args.level, filters=filters, budget=args.budget)
-              for xi in xis]
+    per_xi = partition_levels(tm, xis.tolist(), args.level, filters=filters, budget=args.budget)
     worst = max(res.defect for results in per_xi for res in results)
     artifacts.append(lambda out: _write_csv(
         out, "partition.csv", ["xi", "L", "sum", "defect"],

@@ -6,10 +6,14 @@ product and returns a certified radius bounding the discarded tail, derived
 from |H_m(eta) - 1| <= pi (m-1) |eta| and the geometric growth rho_{n+1} >=
 4 rho_n.  Integer frequencies admit an exact zero test by divisibility alone.
 
-Besides the complex kernel, :func:`eval_H_sq_array` gives |H_m|^2 in real
-arithmetic, which the level-expansion kernel of :mod:`.verify` multiplies along
-the digit tree, and :func:`log_H_sq_array` and :func:`log_H_sq_series` its
-logarithm, in which the completeness tail is summed; :func:`mu_hat` and
+Besides the complex kernel, :func:`eval_H_sq_tables` gives |H_m(a + u)|^2 in
+real arithmetic over an array u tabulated once (:func:`H_sq_tables`: the
+sines and cosines of pi u and pi m u), combining the tables with the sine and
+cosine of the scalar a by angle addition, so a call costs no per-entry sine
+or cosine.  The level-expansion kernel of :mod:`.verify` multiplies it along
+the digit tree; :func:`eval_H_sq_array` is the same kernel at a = 0.
+:func:`log_H_sq_array` and :func:`log_H_sq_series` give its logarithm, in
+which the completeness tail is summed; :func:`mu_hat` and
 :func:`mu_hat_array` evaluate the transform at single frequencies.
 """
 
@@ -91,18 +95,9 @@ def eval_H_array(m: int, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def eval_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:
-    """|H_m(x)|^2 = (sin(pi m s) / (m sin(pi s)))^2 over a float array, s = x mod 1.
-
-    Real arithmetic throughout, with the integer guard of :func:`eval_H_array`:
-    1 at integers, and in the guard band the literal finite sum of the squared
-    modulus, the Fejer form 1/m + (2/m) sum_{0<k<m} (1 - k/m) cos(2 pi k s).
-    For m = 2 the quotient is cos(pi s), which needs one cosine and no guard.
-    """
-    if m == 1:
-        return np.ones(np.shape(xs))
-    if m == 2:
-        return np.cos(np.pi * (xs - np.round(xs))) ** 2
+def _H_sq_direct(m: int, xs: np.ndarray) -> np.ndarray:
+    # |H_m(x)|^2 for m >= 3 from the closed form at each x, with the integer
+    # guard of eval_H_array: 1 at integers, the Fejer sum in the guard band
     s, at_integer, near = _integer_guard(m, xs)
     safe = s if at_integer is None else np.where(at_integer | near, 0.25, s)
     vals = (np.sin(np.pi * m * safe) / (m * np.sin(np.pi * safe))) ** 2
@@ -111,6 +106,83 @@ def eval_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:
         k = np.arange(1, m).reshape(-1, 1)
         vals[near] = (1.0 + 2.0 * ((1.0 - k / m) * np.cos(2.0 * np.pi * k * s[near])).sum(axis=0)) / m
     return vals
+
+
+# eval_H_sq_tables recomputes from a + u directly where |sin(pi (a + u))| is
+# below _CANCELLATION |sin(pi a)|, where the angle-addition sum would cancel,
+# or below _GUARD_SIN, which covers the integer guard band |s| < _INTEGER_GUARD
+_CANCELLATION = 4.0
+_GUARD_SIN = 4.0 * _INTEGER_GUARD
+
+
+@dataclass(frozen=True)
+class HSqTables:
+    """The argument-independent half of |H_m(a + u)|^2 over a float array u.
+
+    With u reduced to u - round(u), ``sin``/``cos`` tabulate pi u and, for
+    m >= 3, ``sin_m``/``cos_m`` tabulate pi m u and ``u`` keeps u for the
+    entries :func:`eval_H_sq_tables` recomputes.  Per call it then needs only
+    the sine and cosine of pi a (and of pi m a).
+    """
+
+    m: int
+    u: np.ndarray | None
+    sin: np.ndarray
+    cos: np.ndarray
+    sin_m: np.ndarray | None
+    cos_m: np.ndarray | None
+
+
+def H_sq_tables(m: int, us: np.ndarray) -> HSqTables:
+    """The tables of :class:`HSqTables` for the kernel H_m over ``us``."""
+    u = np.asarray(us, dtype=float)
+    u = u - np.round(u)
+    sin, cos = np.sin(np.pi * u), np.cos(np.pi * u)
+    if m < 3:
+        return HSqTables(m, None, sin, cos, None, None)
+    return HSqTables(m, u, sin, cos, np.sin(np.pi * m * u), np.cos(np.pi * m * u))
+
+
+def eval_H_sq_tables(t: HSqTables, a: float) -> np.ndarray:
+    """|H_m(a + u)|^2 over the tabulated u, by angle addition with the scalar a.
+
+    With s = a + u: for m = 2 the value is cos(pi s)^2, for m >= 3 it is
+    (sin(pi m s) / (m sin(pi s)))^2, both sines and the cosine expanded as
+    sin(x + y) = sin x cos y + cos x sin y over the tables.  Entries where
+    sin(pi s) is small against sin(pi a), or within the integer guard band,
+    take :func:`_H_sq_direct` at a + u: the closed form, 1 at integers and
+    the Fejer sum in the guard band.  No per-entry sine or cosine otherwise.
+    """
+    m = t.m
+    if m == 1:
+        return np.ones(np.shape(t.sin))
+    a = a - round(a)
+    sa, ca = math.sin(math.pi * a), math.cos(math.pi * a)
+    if m == 2:
+        vals = ca * t.cos
+        vals -= sa * t.sin
+        vals *= vals
+        return vals
+    ma = m * a
+    ma -= round(ma)
+    den = sa * t.cos + ca * t.sin
+    with np.errstate(divide="ignore", invalid="ignore"):  # den = 0 is recomputed below
+        vals = ((math.sin(math.pi * ma) * t.cos_m + math.cos(math.pi * ma) * t.sin_m) / (m * den)) ** 2
+    odd = np.abs(den) < max(_CANCELLATION * abs(sa), _GUARD_SIN)
+    if odd.any():
+        vals[odd] = _H_sq_direct(m, a + t.u[odd])
+    return vals
+
+
+def eval_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:
+    """|H_m(x)|^2 = (sin(pi m s) / (m sin(pi s)))^2 over a float array, s = x mod 1.
+
+    The table kernel :func:`eval_H_sq_tables` at a = 0: real arithmetic,
+    cos(pi s)^2 for m = 2, and the integer guard of :func:`eval_H_array`
+    (1 at integers, in the guard band the Fejer form
+    1/m + (2/m) sum_{0<k<m} (1 - k/m) cos(2 pi k s) of the squared modulus).
+    """
+    return eval_H_sq_tables(H_sq_tables(m, xs), 0.0)
 
 
 _ZETA_OVER_J = np.array([  # zeta(2j)/j, j = 1..19
@@ -207,17 +279,10 @@ def _cap_float(big: int) -> float:
     return float(big)
 
 
-def truncation_level(pair: ScalePair, xi: float, tol: float, tail: float = TWO_PI,
-                     levels: int = 1) -> tuple[int, int]:
-    """Least N >= levels with tail bound exp(tail |xi| / rho_{N+1}) - 1 <= tol.
-
-    Returns (N, rho_{N+1}).  ``tail`` is the constant of the truncated
-    product's tail: 2 pi for :func:`mu_hat`, 8 pi d0 / 3 for :func:`phi_hat`.
-    Uses rho_{N+1} >= 2 tail |xi| / tol, an integer comparison that implies
-    the bound via log1p(tol) >= tol/2 for tol <= 1.  Raises ValueError for a
-    non-finite xi or tol, and when 2 tail |xi| / tol overflows, where no
-    scale could be reached.
-    """
+def truncation_target(xi: float, tol: float, tail: float = TWO_PI) -> float:
+    """The scale 2 tail |xi| / min(tol, 1) that rho_{N+1} must reach in
+    :func:`truncation_level`.  Raises ValueError for a non-finite xi or tol,
+    and when the target overflows, where no scale could be reached."""
     if not math.isfinite(xi):
         raise ValueError(f"frequency xi must be finite, got {xi}")
     if not math.isfinite(tol) or tol <= 0:
@@ -226,6 +291,20 @@ def truncation_level(pair: ScalePair, xi: float, tol: float, tail: float = TWO_P
     if not math.isfinite(target):
         raise ValueError(f"|xi| = {abs(xi):.3e} at tol = {tol:.1e} needs a scale "
                          f"rho_(N+1) beyond the double range")
+    return target
+
+
+def truncation_level(pair: ScalePair, xi: float, tol: float, tail: float = TWO_PI,
+                     levels: int = 1) -> tuple[int, int]:
+    """Least N >= levels with tail bound exp(tail |xi| / rho_{N+1}) - 1 <= tol.
+
+    Returns (N, rho_{N+1}).  ``tail`` is the constant of the truncated
+    product's tail: 2 pi for :func:`mu_hat`, 8 pi d0 / 3 for :func:`phi_hat`.
+    Uses rho_{N+1} >= :func:`truncation_target`, an integer comparison that
+    implies the bound via log1p(tol) >= tol/2 for tol <= 1, and raises its
+    ValueErrors.
+    """
+    target = truncation_target(xi, tol, tail)
     n = 1
     rho_next = pair.b(1)
     while rho_next < target or n < levels:

@@ -51,23 +51,24 @@ class SampleSet:
         return len(self.values)
 
 
-def _digit_matrix(pair: ScalePair, count: int, depth: int, seed: int) -> np.ndarray:
-    """Digits[i, n-1] = j_n of sample i, from per-level keyed Philox streams."""
-    digits = np.empty((count, depth), dtype=np.int64)
+def _level_digits(pair: ScalePair, count: int, depth: int, seed: int):
+    """Yield, per level n = 1..depth, the digits j_n of every sample, drawn
+    from a Philox stream keyed by (seed, n)."""
     for n in range(1, depth + 1):
         gen = np.random.Generator(np.random.Philox(key=np.array([seed, n], dtype=np.uint64)))
-        digits[:, n - 1] = gen.integers(0, pair.d(n), size=count, dtype=np.int64)
-    return digits
+        yield gen.integers(0, pair.d(n), size=count, dtype=np.int64)
 
 
-def _accumulate(pair: ScalePair, digits: np.ndarray) -> np.ndarray:
-    values = np.zeros(digits.shape[0])
+def _accumulate(pair: ScalePair, count: int, levels) -> np.ndarray:
+    """sum_n j_n / (d_n rho_n) over the per-level digit arrays ``levels``,
+    one level at a time, so no count x depth digit matrix is ever held."""
+    values = np.zeros(count)
     rho_n = 1
-    for n in range(1, digits.shape[1] + 1):
+    for n, digits in enumerate(levels, start=1):
         scale = pair.d(n) * rho_n
         if scale.bit_length() > 1020:
             break  # weight underflows double precision entirely
-        values += digits[:, n - 1] * (1.0 / scale)
+        values += digits * (1.0 / scale)
         rho_n *= pair.b(n)
     return values
 
@@ -82,8 +83,7 @@ def sample_measure(pair: ScalePair, count: int, depth: int | None = None, seed: 
         depth = default_depth(pair)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    digits = _digit_matrix(pair, count, depth, seed)
-    values = _accumulate(pair, digits)
+    values = _accumulate(pair, count, _level_digits(pair, count, depth, seed))
     return SampleSet(values=values, pair=pair, depth=depth, seed=seed,
                      radius=truncation_radius(pair, depth))
 

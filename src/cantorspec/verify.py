@@ -9,11 +9,14 @@ roundoff scale.  Completeness is certified only as a trend: the partial sums
 Q_L(xi) = sum_{lambda in Lambda_L} |muhat(xi + lambda)|^2 increase with L and
 stay below 1 plus the accumulated certified evaluation slack.
 
-Both floating-point pillars run on one level-expansion kernel.  It expands
-the digit tree one level at a time and keeps, per node, the product of the
-squared factors so far and the partial label sum divided by d_n rho_n,
-reduced level by level in floating point.  Each G_n is 1-periodic, so the
-level-n factor at xi + lambda needs only that reduced sum: xi + lambda is
+Both floating-point pillars run on one digit tree (:class:`_Tree`), built
+once per check.  Per level n it holds the labels, the partial label sums
+divided by d_n rho_n, reduced level by level in floating point, and the
+xi-independent sine and cosine tables of :class:`~.fourier.HSqTables`.  Each
+G_n is 1-periodic, so the level-n factor at xi + lambda needs only that
+reduced sum, and xi enters the level only through the scalar
+a_n = xi / (d_n rho_n): each xi is one pass over the tree that combines the
+tables with the sine and cosine of pi a_n by angle addition.  xi + lambda is
 never rounded and no large integer reaches numpy.  The per-level totals of
 the products are the partition sums for every level at once.  Completeness
 multiplies each level-L node's product by one log-domain tail along its
@@ -23,6 +26,7 @@ nonnegative terms by the partition identity.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -31,9 +35,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import BudgetExceededError, ScalePair
-from .fourier import (LOG_SERIES_THETA, TWO_PI, FilterFamily, _cap_float, _float_div,
-                      eval_filter, eval_H_sq_array, log_H_sq_array, log_H_sq_series,
-                      truncation_level, uniform_family)
+from .fourier import (LOG_SERIES_THETA, TWO_PI, FilterFamily, H_sq_tables, HSqTables,
+                      _cap_float, _float_div, eval_filter, eval_H_sq_tables, log_H_sq_array,
+                      log_H_sq_series, truncation_target, uniform_family)
 from .spectra import (SpectrumLevel, TreeMapping, Word, validate_tree_mapping,
                       word_count)
 
@@ -155,6 +159,15 @@ class _Scales:
             self.rho.append(self.rho[k] * b)
         return self
 
+    def truncation(self, xi: float, tol: float) -> tuple[int, int]:
+        """(N, rho_{N+1}) of :func:`truncation_level` for the pair, by bisecting
+        the cached rho list, with the same ValueErrors."""
+        target = truncation_target(xi, tol)
+        while self.rho[-1] < target:
+            self.upto(len(self.d))
+        n = bisect.bisect_left(self.rho, target, lo=2) - 1
+        return n, self.rho[n + 1]
+
 
 def _node_index(scales: _Scales, word: Word) -> int | None:
     # position of word among the nodes of its level, the children of node i
@@ -193,30 +206,46 @@ def _labels(tm: TreeMapping, scales: _Scales, level: int):
         yield label
 
 
-def _expand(tm: TreeMapping, scales: _Scales, xi: float, level: int, filters: FilterFamily):
-    """Expand the digit tree to ``level``, yielding (w, u) per level n.
+class _Tree:
+    """The xi-independent digit tree of a tree mapping to ``level``, built once per check.
 
-    Arrays run over the level-n nodes delta, in the order of
-    :func:`_node_index`.  ``u`` is sigma_n / (d_n rho_n),
-    sigma_n = sum_{k<=n} tau(delta_1..delta_k) rho_k, reduced as
-    u_n = (u_{n-1} / q_{n-1} + tau) / d_n.  ``w`` is
-    prod_{k<=n} |G_k(xi / (d_k rho_k) + u_k)|^2, which equals the squared
-    level-k factors at xi + lambda(delta) because lambda(delta) - sigma_k is a
-    multiple of rho_{k+1} = q_k d_k rho_k and every G_k is 1-periodic.
+    Per level n, over the level-n nodes in the order of :func:`_node_index`,
+    ``labels`` holds tau and ``kernels`` the :class:`HSqTables` of H_{d_n} at
+    u_n = sigma_n / (d_n rho_n), sigma_n = sum_{k<=n} tau(delta_1..delta_k)
+    rho_k, or u_n itself on the explicit levels of ``filters``.  u_n is
+    reduced level by level as u_n = (u_{n-1} / q_{n-1} + tau) / d_n; ``u``
+    keeps u_level unreduced mod 1 for the completeness tail.
     """
-    w = np.ones(1)
-    u = np.zeros(1)
-    for n, label in enumerate(_labels(tm, scales, level), start=1):
-        d = scales.d[n]
-        u = (np.repeat(u / scales.q[n - 1], d) + label) / d
-        args = _float_div(xi, d * scales.rho[n]) + u
-        if filters.is_uniform(n):
-            factors = eval_H_sq_array(d, args)
-        else:
-            g = eval_filter(np.asarray(filters.coefficients(n)), args)
-            factors = g.real ** 2 + g.imag ** 2
-        w = np.repeat(w, d) * factors
-        yield w, u
+
+    def __init__(self, tm: TreeMapping, scales: _Scales, level: int, filters: FilterFamily):
+        self.scales = scales.upto(level)
+        self.filters = filters
+        self.labels, self.kernels = [], []
+        u = np.zeros(1)
+        for n, label in enumerate(_labels(tm, scales, level), start=1):
+            d = scales.d[n]
+            u = (np.repeat(u / scales.q[n - 1], d) + label) / d
+            self.labels.append(label)
+            self.kernels.append(H_sq_tables(d, u) if filters.is_uniform(n) else u)
+        self.u = u
+
+    def weights(self, xi: float):
+        """Yield, per level n, w = prod_{k<=n} |G_k(xi / (d_k rho_k) + u_k)|^2
+        over the level-n nodes.  These are the squared level-k factors at
+        xi + lambda(delta), because lambda(delta) - sigma_k is a multiple of
+        rho_{k+1} = q_k d_k rho_k and every G_k is 1-periodic; xi enters each
+        level only through the scalar xi / (d_k rho_k)."""
+        w = np.ones(1)
+        for n, kernel in enumerate(self.kernels, start=1):
+            d = self.scales.d[n]
+            a = _float_div(xi, d * self.scales.rho[n])
+            if isinstance(kernel, HSqTables):
+                factors = eval_H_sq_tables(kernel, a)
+            else:
+                g = eval_filter(np.asarray(self.filters.coefficients(n)), a + kernel)
+                factors = g.real ** 2 + g.imag ** 2
+            w = (w[:, None] * factors.reshape(-1, d)).ravel()  # np.repeat(w, d) * factors
+            yield w
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +270,30 @@ def _check_level(pair: ScalePair, level: int, budget: int):
             f"level {level} needs {count} words, over the budget of {budget}", required=count)
 
 
-def partition_levels(tm: TreeMapping, xi: float, level: int,
+def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
                      filters: FilterFamily | None = None,
-                     budget: int = 10**6) -> tuple[PartitionResult, ...]:
-    """Partition sums for every level 1..``level`` from one tree expansion.
+                     budget: int = 10**6) -> tuple[tuple[PartitionResult, ...], ...]:
+    """Partition sums for every level 1..``level`` at each xi of ``xis``.
 
-    The level-n sum is the total of the squared products over the level-n
-    words; see :func:`partition_identity`.
+    The digit tree is built once (:class:`_Tree`) and every xi takes one
+    pass over it; the level-n sum is the total of the squared products over
+    the level-n words, see :func:`partition_identity`.  Returns one tuple of
+    levels 1..``level`` per xi, in the order of ``xis``.
     """
     pair = tm.pair
     _check_level(pair, level, budget)
     if filters is None:
         filters = uniform_family(pair)
-    xi = float(xi)
+    tree = _Tree(tm, _Scales(pair), level, filters)
     results = []
-    for n, (w, _) in enumerate(_expand(tm, _Scales(pair), xi, level, filters), start=1):
-        total = float(np.sum(w))
-        results.append(PartitionResult(total=total, defect=abs(total - 1.0), level=n,
-                                       xi=xi, terms=len(w)))
+    for xi in xis:
+        xi = float(xi)
+        per_level = []
+        for n, w in enumerate(tree.weights(xi), start=1):
+            total = float(np.sum(w))
+            per_level.append(PartitionResult(total=total, defect=abs(total - 1.0), level=n,
+                                             xi=xi, terms=len(w)))
+        results.append(tuple(per_level))
     return tuple(results)
 
 
@@ -270,7 +305,7 @@ def partition_identity(tm: TreeMapping, xi: float, level: int,
     every xi and every valid mapping, and is evaluated here by direct
     summation over the word tree.
     """
-    return partition_levels(tm, xi, level, filters=filters, budget=budget)[-1]
+    return partition_levels(tm, [xi], level, filters=filters, budget=budget)[0][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +336,12 @@ _MONOTONE_SLACK = 1e-12
 _SLICE = 1 << 14
 
 
-def _frequencies(tm: TreeMapping, scales: _Scales, level: int):
+def _frequencies(tm: TreeMapping, tree: _Tree, level: int):
     """Per level-``level`` node delta, lambda of its zero-extension and the level
     where it is new (the last n with delta_n != 0, or 1); and the labels past it."""
+    scales = tree.scales
     lam, fresh = np.zeros(1), np.ones(1, dtype=np.int8)
-    for n, label in enumerate(_labels(tm, scales, level), start=1):
+    for n, label in enumerate(tree.labels, start=1):
         lam = np.repeat(lam, scales.d[n]) + label * float(scales.rho[n])
         fresh = np.repeat(fresh, scales.d[n])
         fresh[np.arange(len(fresh)) % scales.d[n] != 0] = n
@@ -342,9 +378,12 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     """Partial completeness sums Q_L(xi) for L = 1..l_max on a grid in [0, 1/2].
 
     Lambda_{l_max} holds the frequencies of the zero-extensions of the
-    level-l_max nodes, so each term is w T: the node's product w from
-    :func:`_expand` and its tail T to the depth :func:`truncation_level` picks
-    for the grid point's largest |xi + lambda| (:func:`_log_tail`).  The gap
+    level-l_max nodes, so each term is w T: the node's product w and its tail
+    T to the depth :func:`truncation_level` picks for the grid point's largest
+    |xi + lambda| (:func:`_log_tail`).  The digit tree (:class:`_Tree`) and the
+    frequencies are built once, before the grid loop; each grid point is one
+    angle-addition pass over the tree for w, and its depths come from the
+    cached scales (:meth:`_Scales.truncation`).  The gap
     G_{l_max} = sum w (1 - T) is exact as sum w = 1, G_L = G_{L+1} + S_{L+1}
     with S_n the sum of the terms new at level n, and Q_L = 1 - G_L is rounded
     once, so Q is monotone by construction.  ``bounded`` checks the direct sum
@@ -365,7 +404,8 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
         raise ValueError(f"tree mapping fails condition {issue.condition} at {issue.location}: "
                          f"{issue.message}; its frequencies need not be distinct")
     scales = _Scales(pair)
-    lam, fresh, deep = _frequencies(tm, scales, l_max)
+    tree = _Tree(tm, scales, l_max, uniform_family(pair))
+    lam, fresh, deep = _frequencies(tm, tree, l_max)
     lo, hi = np.full(l_max + 1, np.inf), np.full(l_max + 1, -np.inf)
     np.minimum.at(lo, fresh, lam)
     np.maximum.at(hi, fresh, lam)
@@ -373,16 +413,16 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     monotone = bounded = True
     worst_gap, worst_xi = -math.inf, (xis[0] if xis else 0.0)
     for x in xis:
-        batches = [truncation_level(pair, max(abs(x + hi[n]), abs(x + lo[n])), tol)
+        batches = [scales.truncation(max(abs(x + hi[n]), abs(x + lo[n])), tol)
                    for n in range(1, l_max + 1)]
         depth = max(n for n, _ in batches)
         rho_next = np.array([1.0] + [_cap_float(r) for _, r in batches])
-        for w, u in _expand(tm, scales.upto(depth), x, l_max, uniform_family(pair)):
+        for w in tree.weights(x):
             pass
         gap, sums, slacks = 0.0, np.zeros(l_max + 1), np.zeros(l_max + 1)
         for start in range(0, len(w), _SLICE):
             part = slice(start, start + _SLICE)
-            log_t = _log_tail(scales, x, u[part], start, l_max, depth, deep)
+            log_t = _log_tail(scales, x, tree.u[part], start, l_max, depth, deep)
             terms = w[part] * np.exp(log_t)
             gap += float(np.sum(w[part] * -np.expm1(log_t)))
             radii = np.expm1(TWO_PI * np.abs(x + lam[part]) / rho_next[fresh[part]])

@@ -13,8 +13,8 @@ from cantorspec import (FilterCertificationError, FilterFamily,
                         eval_H_sq_array, filter_family_from_config, mu_hat,
                         mu_hat_array,
                         mu_hat_exact_zero, phi_hat, qmf_check, uniform_family)
-from cantorspec.fourier import (LOG_SERIES_THETA, _ZETA_OVER_J, log_H_sq_array,
-                                log_H_sq_series)
+from cantorspec.fourier import (LOG_SERIES_THETA, _ZETA_OVER_J, H_sq_tables,
+                                eval_H_sq_tables, log_H_sq_array, log_H_sq_series)
 
 
 def kernel_by_summation(m, xi):
@@ -88,6 +88,82 @@ def test_eval_H_sq_array_matches_summation_oracle():
         want = [abs(kernel_by_summation(m, x)) ** 2 for x in xs]
         assert np.max(np.abs(got - want)) < 1e-13, m
         assert np.all(got[np.round(xs) == xs] == 1.0)
+
+
+def closed_form_H_sq(m, xs):
+    """Oracle: the closed form of |H_m|^2 that preceded the table kernel, one
+    sine pair per argument, the cosine at m = 2 and the Fejer sum in the guard band."""
+    if m == 2:
+        return np.cos(np.pi * (xs - np.round(xs))) ** 2
+    s = xs - np.round(xs)
+    dist = np.abs(s)
+    at_integer = dist < 1e-300
+    near = (dist < 1e-9) & ~at_integer
+    safe = np.where(at_integer | near, 0.25, s)
+    vals = (np.sin(np.pi * m * safe) / (m * np.sin(np.pi * safe))) ** 2
+    vals[at_integer] = 1.0
+    k = np.arange(1, m).reshape(-1, 1)
+    vals[near] = (1.0 + 2.0 * ((1.0 - k / m) * np.cos(2.0 * np.pi * k * s[near])).sum(axis=0)) / m
+    return vals
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 9, 16, 17, 64, 1024])
+def test_eval_H_sq_array_equals_closed_form_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    xs = np.concatenate([rng.uniform(-3, 3, size=2000), rng.integers(-64, 64, 200) / 128,
+                         [-2.0, 0.0, 1.0, 0.5, -0.5, 5e-324, -5e-324],
+                         [k + e for k in (0, 3) for e in (-2e-9, -1e-9, -1e-12, 1e-300, 5e-10, 1.1e-9)]])
+    assert np.array_equal(eval_H_sq_array(m, xs), closed_form_H_sq(m, xs))
+
+
+def H_sq_mpmath(m, a, u):
+    """Oracle: |H_m(s)|^2 at s = a + u, both taken exactly, and the unit its
+    error is measured in: 1 near the zeros of sin(pi m s) (|sin(pi m s)| < 1/2),
+    else f + |s f'(s)|, the value plus its change under a relative change of s."""
+    with mp.workdps(40):
+        s = mp.mpf(a) + mp.mpf(u)
+        s -= mp.nint(s)
+        if s == 0:
+            return 1.0, 1.0
+        num = mp.sin(mp.pi * m * s)
+        f = (num / (m * mp.sin(mp.pi * s))) ** 2
+        if abs(num) < 0.5:
+            return f, 1.0
+        dlog = 2 * mp.pi * s * (m * mp.cot(mp.pi * m * s) - mp.cot(mp.pi * s))
+        return f, f * (1 + abs(dlog))
+
+
+@st.composite
+def kernel_arguments(draw):
+    # a within half a period of the kernel's first zero, as xi / (d_n rho_n) is
+    # for xi in [0, 1/2]; u a reduced label sum j / (m q^k) of a digit tree
+    m = draw(st.sampled_from([2, 3, 4, 9, 16, 1024]))
+    a = draw(st.floats(min_value=-0.5 / m, max_value=0.5 / m))
+    den = m * draw(st.sampled_from([2, 3])) ** draw(st.integers(0, 8))
+    u = draw(st.one_of(st.sampled_from([0.0, 0.5, -0.5]),
+                       st.integers(-(den // 2), den // 2).map(lambda j: j / den)))
+    return m, a, u
+
+
+@given(kernel_arguments())
+@settings(deadline=None, max_examples=600)
+def test_table_kernel_as_accurate_as_closed_form(args):
+    m, a, u = args
+    got = eval_H_sq_tables(H_sq_tables(m, np.array([u])), a)[0]
+    closed = closed_form_H_sq(m, np.array([a + u]))[0]
+    want, unit = H_sq_mpmath(m, a, u)
+    err, closed_err = (float(abs(mp.mpf(v) - want) / unit) for v in (got, closed))
+    assert err <= closed_err + 4 * 2.0 ** -52, (m, a, u, err, closed_err)
+
+
+def test_table_kernel_guard_band_and_integers():
+    # a + u at an integer gives 1; within 1e-9 of one, the Fejer sum of the closed form
+    for m in (3, 9):
+        t = H_sq_tables(m, np.array([0.25, -0.25, 0.5, 0.0]))
+        a = -0.25 + 3e-10
+        assert eval_H_sq_tables(t, a)[0] == closed_form_H_sq(m, np.array([a + 0.25]))[0]
+        assert eval_H_sq_tables(t, 0.25)[1] == 1.0
+        assert eval_H_sq_tables(t, 1.0)[3] == 1.0
 
 
 def log_H_sq_mpmath(m, s):

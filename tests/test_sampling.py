@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,12 +24,53 @@ def test_default_depth_pushes_radius_below_target():
 
 def test_accumulate_degenerate_streams():
     zeros = np.zeros((5, 10), dtype=np.int64)
-    assert np.all(_accumulate(MU42, zeros) == 0.0)      # left endpoint
+    assert np.all(_accumulate(MU42, 5, zeros.T) == 0.0)      # left endpoint
     ones = np.ones((3, 26), dtype=np.int64)
-    got = _accumulate(MU42, ones)
+    got = _accumulate(MU42, 3, ones.T)
     exact = float(Fraction(2, 3) * (1 - Fraction(1, 4**26)))  # geometric series
     assert np.all(np.abs(got - exact) < 1e-15)
     assert got[0] == pytest.approx(2 / 3, abs=1e-14)
+
+
+def digit_matrix_values(pair, count, depth, seed):
+    """Oracle: every digit drawn into a count x depth matrix from the same
+    (seed, level)-keyed Philox streams, then summed column by column."""
+    digits = np.empty((count, depth), dtype=np.int64)
+    for n in range(1, depth + 1):
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, n], dtype=np.uint64)))
+        digits[:, n - 1] = gen.integers(0, pair.d(n), size=count, dtype=np.int64)
+    values = np.zeros(count)
+    rho_n = 1
+    for n in range(1, depth + 1):
+        scale = pair.d(n) * rho_n
+        if scale.bit_length() > 1020:
+            break
+        values += digits[:, n - 1] * (1.0 / scale)
+        rho_n *= pair.b(n)
+    return values
+
+
+@pytest.mark.parametrize("pair, depth", [(MU42, None), (MU93, None),
+                                         (dimension_targeting_pair(0.5), None),
+                                         (dimension_targeting_pair(0.25), 25)])
+def test_streamed_digits_match_digit_matrix(pair, depth):
+    # depth 25 on alpha = 1/4 passes d_n rho_n > 2^1020, where summation stops
+    for seed in (0, 7):
+        got = sample_measure(pair, 3001, depth=depth, seed=seed)
+        want = digit_matrix_values(pair, 3001, got.depth, seed)
+        assert np.array_equal(got.values, want)
+
+
+def test_sampling_holds_one_level_of_digits():
+    # a count x depth digit matrix alone would take depth = 26 arrays of count words
+    count = 200_000
+    tracemalloc.start()
+    try:
+        sample_measure(MU42, count, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * count
 
 
 def test_samples_stay_in_support_interval():

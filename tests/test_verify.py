@@ -14,7 +14,7 @@ from cantorspec import (BudgetExceededError, TreeMapping, canonical_tau,
                         orthogonality_check, partition_identity,
                         partition_levels, uniform_family)
 from cantorspec import verify
-from cantorspec.fourier import truncation_level
+from cantorspec.fourier import TWO_PI, truncation_level, truncation_target
 
 MU42 = constant_pair(4, 2)
 MU93 = constant_pair(9, 3)
@@ -184,11 +184,50 @@ def test_partition_levels_equal_per_level_identity():
              (canonical_tau(dimension_targeting_pair(0.5)), 0.37, 4),
              (TreeMapping(MU42, {(1,): -1, (1, 1): -1}), 0.05, 7)]
     for tm, xi, level in cases:
-        results = partition_levels(tm, xi, level)
+        (results,) = partition_levels(tm, [xi], level)
         assert [r.level for r in results] == list(range(1, level + 1))
         for r in results:
             assert r == partition_identity(tm, xi, r.level)
             assert r.defect <= 1e-13
+
+
+def test_partition_levels_of_many_xis_equal_one_call_per_xi():
+    table = TreeMapping(MU42, {(1,): -1, (1, 1): -1})
+    filters = uniform_family(MU93)
+    cases = [(canonical_tau(MU42), 8, None), (canonical_tau(MU93), 5, filters),
+             (canonical_tau(dimension_targeting_pair(0.5)), 4, None), (table, 7, None)]
+    xis = [0.0, 0.05, 0.3, 0.5, 0.71, 0.999]
+    for tm, level, fam in cases:
+        together = partition_levels(tm, xis, level, filters=fam)
+        assert together == tuple(partition_levels(tm, [xi], level, filters=fam)[0] for xi in xis)
+        assert [results[0].xi for results in together] == xis
+
+
+@pytest.mark.parametrize("pair", [MU42, MU93, dimension_targeting_pair(0.5),
+                                  dimension_targeting_pair(0.25)])
+def test_cached_truncation_depths_equal_truncation_level(pair):
+    rng = np.random.default_rng(17)
+    scales = verify._Scales(pair)  # shared, so later calls start from a grown cache
+    for _ in range(200):
+        x = float(10.0 ** rng.uniform(-3, 12)) * rng.choice([-1.0, 1.0])
+        tol = float(10.0 ** rng.uniform(-15, 0.5))
+        assert scales.truncation(x, tol) == truncation_level(pair, x, tol), (x, tol)
+    assert scales.truncation(0.0, 1e-10) == truncation_level(pair, 0.0, 1e-10)
+    for k in range(2, 8):
+        # a target exactly at the scale rho_k: the least N has rho_{N+1} = rho_k
+        rho_k, x = pair.rho(k), pair.rho(k) * 1e-10 / (2 * TWO_PI)
+        for _ in range(16):
+            if truncation_target(x, 1e-10) != rho_k:
+                x = math.nextafter(x, math.inf if truncation_target(x, 1e-10) < rho_k else 0.0)
+        assert truncation_target(x, 1e-10) == rho_k
+        assert scales.truncation(x, 1e-10) == truncation_level(pair, x, 1e-10) == (k - 1, rho_k)
+    for x, tol in [(math.inf, 1e-10), (math.nan, 1e-10), (0.3, 0.0), (0.3, math.nan),
+                   (1e300, 1e-300)]:
+        with pytest.raises(ValueError) as want:
+            truncation_level(pair, x, tol)
+        with pytest.raises(ValueError) as got:
+            scales.truncation(x, tol)
+        assert str(got.value) == str(want.value)
 
 
 def test_partition_budget():
