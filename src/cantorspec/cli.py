@@ -97,13 +97,41 @@ def _write_json(outdir: Path, name: str, payload: dict):
         fh.write("\n")
 
 
-def _write_csv(outdir: Path, name: str, header: list[str], rows: list[list]):
+def _write_csv(outdir: Path, name: str, header: list[str], rows):
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / name, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([str(c) if isinstance(c, int) else c for c in row])
+
+
+class _Column:
+    """The rows [v] of a one-column CSV over a float array, made a chunk at a
+    time as :func:`_write_csv` iterates them, with the length of a row list."""
+
+    _CHUNK = 1 << 16
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        for start in range(0, len(self.values), self._CHUNK):
+            for v in self.values[start:start + self._CHUNK].tolist():
+                yield [v]
+
+
+def _as_floats(values: list[int]) -> list[float] | None:
+    """Sorted integers as floats, or None when they or their span overflow a
+    float, or when they all round to one float (no axis can show them)."""
+    try:
+        xs = [float(v) for v in values]
+    except OverflowError:
+        return None
+    return xs if 0 < xs[-1] - xs[0] < math.inf else None
 
 
 def _write_svg(outdir: Path, name: str, content: str):
@@ -144,10 +172,10 @@ def _check_spectrum(pair, tm, args):
     elements = level.elements
     name = f"spectrum_L{args.level}"
     artifacts = [lambda out: _write_csv(out, f"{name}.csv", ["lambda"], [[v] for v in elements])]
-    if len(elements) >= 2 and abs(elements[-1]) < 2**52 and abs(elements[0]) < 2**52:
+    xs = _as_floats(elements) if len(elements) >= 2 else None
+    if xs is not None:
         artifacts.append(lambda out: _write_svg(out, f"{name}.svg", svgplot.scatter(
-            [float(v) for v in elements], list(range(len(elements))),
-            f"frequency set at level {args.level}", "lambda", "rank")))
+            xs, list(range(len(elements))), f"frequency set at level {args.level}", "lambda", "rank")))
     return not level.collisions, {
         "level": level.level,
         "count": len(elements),
@@ -279,7 +307,7 @@ def _check_sample(pair, tm, args):
         "mean": mean,
         "expected_mean": expected,
         "band_5sigma": band,
-    }, [lambda out: _write_csv(out, "samples.csv", ["x"], [[v] for v in samples.values.tolist()]),
+    }, [lambda out: _write_csv(out, "samples.csv", ["x"], _Column(samples.values)),
         write_histogram]
 
 

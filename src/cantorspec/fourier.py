@@ -8,12 +8,15 @@ from |H_m(eta) - 1| <= pi (m-1) |eta| and the geometric growth rho_{n+1} >=
 
 Besides the complex kernel, :func:`eval_H_sq_tables` gives |H_m(a + u)|^2 in
 real arithmetic over an array u tabulated once (:func:`H_sq_tables`: the
-sines and cosines of pi u and pi m u), combining the tables with the sine and
+sines and cosines of pi u and of pi m u, the latter from m u reduced mod 1),
+combining the tables with the sine and
 cosine of the scalar a by angle addition, so a call costs no per-entry sine
 or cosine.  The level-expansion kernel of :mod:`.verify` multiplies it along
 the digit tree; :func:`eval_H_sq_array` is the same kernel at a = 0.
 :func:`log_H_sq_array` and :func:`log_H_sq_series` give its logarithm, in
-which the completeness tail is summed; :func:`mu_hat` and
+which the completeness tail is summed, and :func:`log_series_taylor`
+tabulates the series once as a Taylor polynomial in a scalar shift of its
+argument, evaluated by :func:`eval_log_series_taylor`; :func:`mu_hat` and
 :func:`mu_hat_array` evaluate the transform at single frequencies.
 """
 
@@ -100,7 +103,9 @@ def _H_sq_direct(m: int, xs: np.ndarray) -> np.ndarray:
     # guard of eval_H_array: 1 at integers, the Fejer sum in the guard band
     s, at_integer, near = _integer_guard(m, xs)
     safe = s if at_integer is None else np.where(at_integer | near, 0.25, s)
-    vals = (np.sin(np.pi * m * safe) / (m * np.sin(np.pi * safe))) ** 2
+    ms = m * safe
+    ms -= np.round(ms)  # pi m s mod pi: the sign it drops cancels in the square
+    vals = (np.sin(np.pi * ms) / (m * np.sin(np.pi * safe))) ** 2
     if at_integer is not None:
         vals[at_integer] = 1.0
         k = np.arange(1, m).reshape(-1, 1)
@@ -120,9 +125,11 @@ class HSqTables:
     """The argument-independent half of |H_m(a + u)|^2 over a float array u.
 
     With u reduced to u - round(u), ``sin``/``cos`` tabulate pi u and, for
-    m >= 3, ``sin_m``/``cos_m`` tabulate pi m u and ``u`` keeps u for the
-    entries :func:`eval_H_sq_tables` recomputes.  Per call it then needs only
-    the sine and cosine of pi a (and of pi m a).
+    m >= 3, ``sin_m``/``cos_m`` tabulate pi v with v = m u - round(m u), and
+    ``u`` keeps u for the entries :func:`eval_H_sq_tables` recomputes.  The
+    reduction is exact for a power-of-two m, and the sign (-1)^round(m u) it
+    drops multiplies both m-tables, so it cancels in the square.  Per call the
+    kernel then needs only the sine and cosine of pi a (and of pi m a).
     """
 
     m: int
@@ -140,7 +147,9 @@ def H_sq_tables(m: int, us: np.ndarray) -> HSqTables:
     sin, cos = np.sin(np.pi * u), np.cos(np.pi * u)
     if m < 3:
         return HSqTables(m, None, sin, cos, None, None)
-    return HSqTables(m, u, sin, cos, np.sin(np.pi * m * u), np.cos(np.pi * m * u))
+    v = m * u
+    v -= np.round(v)
+    return HSqTables(m, u, sin, cos, np.sin(np.pi * v), np.cos(np.pi * v))
 
 
 def eval_H_sq_tables(t: HSqTables, a: float) -> np.ndarray:
@@ -193,21 +202,103 @@ _ZETA_OVER_J = np.array([  # zeta(2j)/j, j = 1..19
 LOG_SERIES_THETA = 0.35
 
 
+def log_series_coefficients(ms, ts) -> np.ndarray:
+    """c_1..c_19 of :func:`log_H_sq_series`, which is -sum_j c_j y^(2j):
+    c_j = 2 zeta(2j)/j sum_k (t_k^(2j) - (t_k / m_k)^(2j)), all >= 0."""
+    j2 = 2 * np.arange(1, len(_ZETA_OVER_J) + 1)
+    t = np.asarray(ts, dtype=float)[:, None]
+    return 2.0 * _ZETA_OVER_J * (t ** j2 - (t / np.asarray(ms)[:, None]) ** j2).sum(axis=0)
+
+
+def _horner(c, z):
+    # sum_j c_j z^j, j = 1..len(c), as z (c_1 + z (c_2 + ...))
+    acc = c[-1] * z
+    for cj in c[-2::-1]:
+        acc += cj
+        acc *= z
+    return acc
+
+
 def log_H_sq_series(ms, ts, y: np.ndarray) -> np.ndarray:
     """sum_k log|H_{m_k}(t_k y / m_k)|^2 for 0 < t_k <= 1, |y| <= LOG_SERIES_THETA, as
     one Horner polynomial in y^2 from log(sin(pi x) / (pi x)) = -sum_j zeta(2j)/j x^(2j).
     Term j is at most (4 / (3 zeta(2))) zeta(2j)/j (m s)^(2j-2) times term 1, all of
     one sign, so the terms past j = 19 are below 2^-60 of the sum:
     (4 / (3 zeta(2))) zeta(40)/20 theta^38 / (1 - theta^2) = 2^-61.99."""
-    j2 = 2 * np.arange(1, len(_ZETA_OVER_J) + 1)
-    t = np.asarray(ts, dtype=float)[:, None]
-    c = 2.0 * _ZETA_OVER_J * (t ** j2 - (t / np.asarray(ms)[:, None]) ** j2).sum(axis=0)
-    z = y * y
-    acc = c[-1] * z
-    for cj in c[-2::-1]:
-        acc += cj
-        acc *= z
-    return -acc
+    return -_horner(log_series_coefficients(ms, ts), y * y)
+
+
+_TAYLOR_TOL = 2.0 ** -60
+
+
+def log_series_remainder_bounds(c: np.ndarray, y0: np.ndarray, e: float) -> np.ndarray:
+    """Bounds B_p, p = 0..2J, on |R_p| / |F(y0 + eps)| over the entries y0 and |eps| <= e,
+    where F(y) = -sum_{j<=J} c_j y^(2j) with every c_j >= 0, and R_p is F(y0 + eps)
+    less its Taylor polynomial of degree p in eps at y0.
+
+    With Y = |y0| > 0 and r = e / Y < 1: |R_p| <= sum_j c_j sum_{i>p} C(2j, i) Y^(2j-i) e^i
+    and |F(y0 + eps)| >= c_1 (Y - e)^2 = c_1 Y^2 (1 - r)^2, so
+    B_p = (1 - r)^-2 sum_j (c_j / c_1) sum_{p<i<=2j} C(2j, i) e^i Y^(2j-2-i),
+    with Y^(2j-2-i) at the largest Y where the power is >= 0 and, for i = 2j-1, 2j,
+    written e^(2j-2) r^(i-2j+2) at the least Y (the largest r).  At y0 = 0 the
+    polynomial is F(eps) itself: |R_p| / |F| <= sum_{2j>p} (c_j / c_1) e^(2j-2).  If r >= 1
+    only B_2J = 0 is stated.  The bounds are evaluated in floating point, whose
+    relative error is far below the 2^-60 they are compared with."""
+    big_j = len(c)
+    ratio = np.asarray(c, dtype=float) / c[0]
+    terms = np.zeros(2 * big_j + 2)  # terms[i]: the part of the bound from degree i
+    y = np.abs(np.asarray(y0, dtype=float))
+    nonzero = y[y > 0]
+    if nonzero.size:
+        y_max, y_min = float(nonzero.max()), float(nonzero.min())
+        r = e / y_min
+        if r >= 1.0:
+            terms[1:-1] = math.inf
+        else:
+            for j in range(1, big_j + 1):
+                for i in range(1, 2 * j + 1):
+                    power = (e ** i * y_max ** (2 * j - 2 - i) if i <= 2 * j - 2
+                             else e ** (2 * j - 2) * r ** (i - 2 * j + 2))
+                    terms[i] += ratio[j - 1] * math.comb(2 * j, i) * power
+            terms /= (1.0 - r) ** 2
+    if np.any(y == 0):
+        zero = np.zeros_like(terms)
+        zero[2:-1:2] = ratio * e ** (2 * np.arange(big_j))
+        terms = np.maximum(terms, zero)
+    return np.cumsum(terms[::-1])[::-1][1:]  # B_p = sum_{i>p} terms[i]
+
+
+def log_series_taylor(ms, ts, y0: np.ndarray, e: float) -> np.ndarray:
+    """The Taylor coefficients A_0..A_p in eps of :func:`log_H_sq_series` at y0 + eps,
+    tabulated once over the array y0 for every |eps| <= e, as a (p + 1, len(y0)) array.
+
+    The series is F(y) = -sum_j c_j y^(2j) with c_j >= 0 (:func:`log_series_coefficients`),
+    so A_i = -y0^(i mod 2) sum_{j >= i/2} c_j C(2j, i) (y0^2)^(j - ceil(i/2)), a
+    polynomial in y0^2 with nonnegative coefficients (A_0 is the series at y0).  p is
+    the least degree whose bound of :func:`log_series_remainder_bounds` is at most 2^-60
+    of |F(y0 + eps)|; F has degree 2J = 38, so p <= 38 is always exact."""
+    c = log_series_coefficients(ms, ts)
+    degree = int(np.argmax(log_series_remainder_bounds(c, y0, e) <= _TAYLOR_TOL))
+    z = y0 * y0
+    rows = [-_horner(c, z)]
+    for i in range(1, degree + 1):
+        h = (i + 1) // 2
+        b = [float(c[j - 1]) * math.comb(2 * j, i) for j in range(h, len(c) + 1)]
+        acc = _horner(b[1:], z) + b[0] if len(b) > 1 else np.full_like(z, b[0])
+        if i % 2:
+            acc *= y0
+        rows.append(-acc)
+    return np.array(rows)
+
+
+def eval_log_series_taylor(coefficients: np.ndarray, eps: float) -> np.ndarray:
+    """:func:`log_H_sq_series` at y0 + eps from the tables of :func:`log_series_taylor`:
+    one Horner pass in the scalar eps, sum_i A_i eps^i."""
+    acc = coefficients[-1].copy()
+    for row in coefficients[-2::-1]:
+        acc *= eps
+        acc += row
+    return acc
 
 
 def log_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:

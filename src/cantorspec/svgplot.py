@@ -30,7 +30,7 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     start = math.ceil(lo / step) * step
     out = []
     t = start
-    while t <= hi + 1e-12 * step:
+    while t <= hi + 1e-12 * step and len(out) <= n:  # t + step == t once |t| > 2^53 step
         out.append(t)
         t += step
     return out or [lo, hi]

@@ -17,18 +17,27 @@ G_n is 1-periodic, so the level-n factor at xi + lambda needs only that
 reduced sum, and xi enters the level only through the scalar
 a_n = xi / (d_n rho_n): each xi is one pass over the tree that combines the
 tables with the sine and cosine of pi a_n by angle addition.  xi + lambda is
-never rounded and no large integer reaches numpy.  The per-level totals of
-the products are the partition sums for every level at once.  Completeness
-multiplies each level-L node's product by one log-domain tail along its
-zero-extension, and reports Q_L through the gap 1 - Q_L, a sum of
-nonnegative terms by the partition identity.
+never rounded and no large integer reaches numpy.  The nodes of a level are
+in digit-major order, node delta at sum_k delta_k d_1 ... d_{k-1}, so a
+level's products are one broadcast over contiguous rows, one row per last
+digit, and the words new at level n, those whose last nonzero digit is n,
+form one contiguous block.  The per-level totals of the products are the
+partition sums for every level at once.  Completeness multiplies each
+level-L node's product by one log-domain tail along its zero-extension,
+tabulated once per check: past the levels that must be summed explicitly,
+the tail depends on xi only through one scalar eps, as a short Taylor
+polynomial per node (:func:`_tail_tables`).  Q_L is reported through the gap
+1 - Q_L, a sum of nonnegative terms by the partition identity, and each
+level's block contributes scalar sums.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,8 +45,9 @@ import numpy as np
 
 from .core import BudgetExceededError, ScalePair
 from .fourier import (LOG_SERIES_THETA, TWO_PI, FilterFamily, H_sq_tables, HSqTables,
-                      _cap_float, _float_div, eval_filter, eval_H_sq_tables, log_H_sq_array,
-                      log_H_sq_series, truncation_target, uniform_family)
+                      _cap_float, _float_div, eval_filter, eval_H_sq_tables,
+                      eval_log_series_taylor, log_H_sq_array, log_series_taylor,
+                      truncation_target, uniform_family)
 from .spectra import (SpectrumLevel, TreeMapping, Word, validate_tree_mapping,
                       word_count)
 
@@ -170,14 +180,16 @@ class _Scales:
 
 
 def _node_index(scales: _Scales, word: Word) -> int | None:
-    # position of word among the nodes of its level, the children of node i
-    # being i*d_n + digit; None when a digit is out of range (no such node)
+    # position of word among the nodes of its level in digit-major order,
+    # sum_k delta_k P_{k-1} with P_k = d_1 ... d_k; None when a digit is out of
+    # range (no such node)
     scales.upto(len(word))
-    index = 0
+    index, size = 0, 1
     for n, digit in enumerate(word, start=1):
         if not 0 <= digit < scales.d[n]:
             return None
-        index = index * scales.d[n] + digit
+        index += digit * size
+        size *= scales.d[n]
     return index
 
 
@@ -199,7 +211,7 @@ def _labels(tm: TreeMapping, scales: _Scales, level: int):
     table = _table_labels(tm, scales.upto(level), level)
     count = 1
     for n in range(1, level + 1):
-        label = np.tile(np.arange(scales.d[n], dtype=float), count)
+        label = np.repeat(np.arange(scales.d[n], dtype=float), count)
         count *= scales.d[n]
         if n in table:
             label[table[n][0]] = table[n][1]
@@ -209,12 +221,17 @@ def _labels(tm: TreeMapping, scales: _Scales, level: int):
 class _Tree:
     """The xi-independent digit tree of a tree mapping to ``level``, built once per check.
 
-    Per level n, over the level-n nodes in the order of :func:`_node_index`,
-    ``labels`` holds tau and ``kernels`` the :class:`HSqTables` of H_{d_n} at
-    u_n = sigma_n / (d_n rho_n), sigma_n = sum_{k<=n} tau(delta_1..delta_k)
-    rho_k, or u_n itself on the explicit levels of ``filters``.  u_n is
-    reduced level by level as u_n = (u_{n-1} / q_{n-1} + tau) / d_n; ``u``
-    keeps u_level unreduced mod 1 for the completeness tail.
+    The level-n nodes are in digit-major order (:func:`_node_index`): node
+    delta sits at sum_k delta_k P_{k-1}, P_k = d_1 ... d_k, so the children
+    of the level-(n-1) nodes with last digit j fill the contiguous row
+    [j P_{n-1}, (j + 1) P_{n-1}), and the nodes whose last nonzero digit is
+    n (the words new at level n) fill [P_{n-1}, P_n).  Per level n, over
+    these nodes, ``labels`` holds tau and ``kernels`` the :class:`HSqTables`
+    of H_{d_n} at u_n = sigma_n / (d_n rho_n), sigma_n = sum_{k<=n}
+    tau(delta_1..delta_k) rho_k, or u_n itself on the explicit levels of
+    ``filters``.  u_n is reduced level by level as
+    u_n = (u_{n-1} / q_{n-1} + tau) / d_n; ``u`` keeps u_level unreduced mod 1
+    for the completeness tail tables, which free it.
     """
 
     def __init__(self, tm: TreeMapping, scales: _Scales, level: int, filters: FilterFamily):
@@ -224,7 +241,7 @@ class _Tree:
         u = np.zeros(1)
         for n, label in enumerate(_labels(tm, scales, level), start=1):
             d = scales.d[n]
-            u = (np.repeat(u / scales.q[n - 1], d) + label) / d
+            u = (np.tile(u / scales.q[n - 1], d) + label) / d
             self.labels.append(label)
             self.kernels.append(H_sq_tables(d, u) if filters.is_uniform(n) else u)
         self.u = u
@@ -244,7 +261,7 @@ class _Tree:
             else:
                 g = eval_filter(np.asarray(self.filters.coefficients(n)), a + kernel)
                 factors = g.real ** 2 + g.imag ** 2
-            w = (w[:, None] * factors.reshape(-1, d)).ravel()  # np.repeat(w, d) * factors
+            w = (factors.reshape(d, -1) * w).ravel()  # row j: the children with digit j
             yield w
 
 
@@ -337,39 +354,69 @@ _SLICE = 1 << 14
 
 
 def _frequencies(tm: TreeMapping, tree: _Tree, level: int):
-    """Per level-``level`` node delta, lambda of its zero-extension and the level
-    where it is new (the last n with delta_n != 0, or 1); and the labels past it."""
+    """Per level-``level`` node, lambda of its zero-extension; and the labels past it."""
     scales = tree.scales
-    lam, fresh = np.zeros(1), np.ones(1, dtype=np.int8)
+    lam = np.zeros(1)
     for n, label in enumerate(tree.labels, start=1):
-        lam = np.repeat(lam, scales.d[n]) + label * float(scales.rho[n])
-        fresh = np.repeat(fresh, scales.d[n])
-        fresh[np.arange(len(fresh)) % scales.d[n] != 0] = n
+        lam = np.tile(lam, scales.d[n]) + label * float(scales.rho[n])
     deep = {k: v for k, v in _table_labels(tm, scales, level).items() if k > level}
     for k, (index, labels) in deep.items():
         lam[index] += labels * float(scales.upto(k).rho[k])
-    return lam, fresh, deep
+    return lam, deep
 
 
-def _log_tail(scales: _Scales, xi: float, u, start: int, level: int, depth: int, deep):
-    """log prod_{level<k<=depth} |H_{d_k}(s_k)|^2 on the zero-extensions of the level
-    nodes from ``start`` on, reduced sums ``u``: explicit while table labels remain
-    or max |d_k s_k| > LOG_SERIES_THETA, then one series in s_k0 for the rest."""
-    log_t = np.zeros(len(u))
-    for k in range(level + 1, depth + 1):
+def _blocks(scales: _Scales, level: int) -> list[tuple[int, int]]:
+    """Per level n = 1..``level``, the nodes [P_{n-1}, P_n) of the level-``level``
+    nodes whose last nonzero digit is n ([0, P_1) for n = 1, the root included)."""
+    ends = list(itertools.accumulate(scales.d[1:level + 1], operator.mul))
+    return [(0, ends[0])] + list(zip(ends, ends[1:]))
+
+
+def _tail_tables(scales: _Scales, u, level: int, depth: int, xmax: float, deep):
+    """The xi-independent tables of the tail log prod_{level<k<=depth} |H_{d_k}(s_k)|^2,
+    s_k = xi / (d_k rho_k) + u_k, on the zero-extensions of the level nodes with
+    reduced sums ``u``, for every xi in [0, ``xmax``], one entry per slice of
+    ``_SLICE`` nodes.  An entry lists (k, u_k) for the explicit levels, those while
+    table labels remain or d_k (max |u_k| + xmax / (d_k rho_k)) > LOG_SERIES_THETA,
+    and then (k0, A) for the rest: A tabulates the Taylor coefficients in
+    eps = xi / rho_k0 of their series at y0 = d_k0 u_k0 (:func:`log_series_taylor`),
+    or None when the explicit levels reach ``depth``."""
+    tables = []
+    last_label = max(deep, default=0)
+    for start in range(0, len(u), _SLICE):
+        v, explicit, series = u[start:start + _SLICE], [], None
+        for k in range(level + 1, depth + 1):
+            d = scales.d[k]
+            v = v / scales.q[k - 1]
+            if k in deep:
+                index = deep[k][0] - start
+                inside = (index >= 0) & (index < len(v))
+                v[index[inside]] += deep[k][1][inside]
+            v /= d
+            bound = d * (float(np.max(np.abs(v))) + _float_div(xmax, d * scales.rho[k]))
+            if k > last_label and bound <= LOG_SERIES_THETA:
+                ks = range(k, depth + 1)
+                series = k, log_series_taylor([scales.d[j] for j in ks],
+                                              [scales.rho[k] / scales.rho[j] for j in ks],
+                                              d * v, _float_div(xmax, scales.rho[k]))
+                break
+            explicit.append((k, v))
+        tables.append((explicit, series))
+    return tables
+
+
+def _log_tail(scales: _Scales, table, xi: float, size: int):
+    """The tail log T of one slice of ``size`` nodes at xi from its entry of
+    :func:`_tail_tables`: one Horner pass in eps, plus the explicit levels."""
+    explicit, series = table
+    if series is None:
+        log_t = np.zeros(size)
+    else:
+        k0, coefficients = series
+        log_t = eval_log_series_taylor(coefficients, _float_div(xi, scales.rho[k0]))
+    for k, v in explicit:
         d = scales.d[k]
-        u = u / scales.q[k - 1]
-        if k in deep:
-            index = deep[k][0] - start
-            inside = (index >= 0) & (index < len(u))
-            u[index[inside]] += deep[k][1][inside]
-        u /= d
-        s = _float_div(xi, d * scales.rho[k]) + u
-        if k > max(deep, default=0) and d * float(np.max(np.abs(s))) <= LOG_SERIES_THETA:
-            ks = range(k, depth + 1)
-            return log_t + log_H_sq_series([scales.d[j] for j in ks],
-                                           [scales.rho[k] / scales.rho[j] for j in ks], d * s)
-        log_t += log_H_sq_array(d, s)
+        log_t += log_H_sq_array(d, _float_div(xi, d * scales.rho[k]) + v)
     return log_t
 
 
@@ -379,18 +426,25 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
 
     Lambda_{l_max} holds the frequencies of the zero-extensions of the
     level-l_max nodes, so each term is w T: the node's product w and its tail
-    T to the depth :func:`truncation_level` picks for the grid point's largest
-    |xi + lambda| (:func:`_log_tail`).  The digit tree (:class:`_Tree`) and the
-    frequencies are built once, before the grid loop; each grid point is one
-    angle-addition pass over the tree for w, and its depths come from the
-    cached scales (:meth:`_Scales.truncation`).  The gap
-    G_{l_max} = sum w (1 - T) is exact as sum w = 1, G_L = G_{L+1} + S_{L+1}
-    with S_n the sum of the terms new at level n, and Q_L = 1 - G_L is rounded
-    once, so Q is monotone by construction.  ``bounded`` checks the direct sum
-    sum_{n<=L} S_n <= 1 + slack, the certified slack summing 2 r |v| + r^2
-    with the radius r of :func:`mu_hat_array` at the depth for the terms new
-    at each level.  A mapping failing :func:`validate_tree_mapping` raises a
-    ValueError naming the word.  Grid points and slices run in a fixed order.
+    T.  In the digit-major order of :class:`_Tree` the terms new at level n
+    are the contiguous block [P_{n-1}, P_n) of the level-l_max nodes ([0, P_1)
+    for n = 1), so each block's extreme frequencies, truncation depth and
+    sums are scalars.  Everything that does not depend on xi is built once,
+    before the grid loop: the digit tree, the frequencies, and the tail
+    tables (:func:`_tail_tables`) to the deepest depth :func:`truncation_level`
+    picks for any grid point's block, with the series start fixed by the
+    grid's largest xi.  A deeper tail only shrinks the truncation error each
+    radius bounds.  Each grid point is then one angle-addition pass over the
+    tree for w, the explicit tail levels if any, and one Horner pass in the
+    scalar xi / rho_k0 (:func:`_log_tail`).  With g = w expm1(log T), the
+    gap G_{l_max} = -sum g is exact as sum w = 1, the terms are w + g,
+    G_L = G_{L+1} + S_{L+1} with S_n the sum of block n, and Q_L = 1 - G_L is
+    rounded once, so Q is monotone by construction.  ``bounded`` checks the
+    direct sum sum_{n<=L} S_n <= 1 + slack, the certified slack summing
+    2 r |v| + r^2 with the radius r of :func:`mu_hat_array` at the depth of
+    each block for that grid point.  A mapping failing
+    :func:`validate_tree_mapping` raises a ValueError naming the word.  Grid
+    points and slices run in a fixed order.
     """
     pair = tm.pair
     xis = [float(x) for x in xi_grid]
@@ -405,33 +459,45 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
                          f"{issue.message}; its frequencies need not be distinct")
     scales = _Scales(pair)
     tree = _Tree(tm, scales, l_max, uniform_family(pair))
-    lam, fresh, deep = _frequencies(tm, tree, l_max)
-    lo, hi = np.full(l_max + 1, np.inf), np.full(l_max + 1, -np.inf)
-    np.minimum.at(lo, fresh, lam)
-    np.maximum.at(hi, fresh, lam)
+    lam, deep = _frequencies(tm, tree, l_max)
+    blocks = _blocks(scales, l_max)
+    lo = [float(lam[a:b].min()) for a, b in blocks]
+    hi = [float(lam[a:b].max()) for a, b in blocks]
+    batches = [[scales.truncation(max(abs(x + h), abs(x + l)), tol) for l, h in zip(lo, hi)]
+               for x in xis]
+    depth = max((n for per_x in batches for n, _ in per_x), default=l_max)
+    tails = _tail_tables(scales, tree.u, l_max, depth, max(xis, default=0.0), deep)
+    tree.u = None
+    slices = []  # per slice: its bounds, the block of each segment and the segment starts
+    for start in range(0, len(lam), _SLICE):
+        stop = min(start + _SLICE, len(lam))
+        segments = [(n, max(a, start) - start, min(b, stop) - start)
+                    for n, (a, b) in enumerate(blocks) if a < stop and b > start]
+        slices.append((start, stop, segments, [n for n, _, _ in segments],
+                       [a for _, a, _ in segments]))
     rows = []
     monotone = bounded = True
     worst_gap, worst_xi = -math.inf, (xis[0] if xis else 0.0)
-    for x in xis:
-        batches = [scales.truncation(max(abs(x + hi[n]), abs(x + lo[n])), tol)
-                   for n in range(1, l_max + 1)]
-        depth = max(n for n, _ in batches)
-        rho_next = np.array([1.0] + [_cap_float(r) for _, r in batches])
+    for x, per_x in zip(xis, batches):
+        rho_next = [_cap_float(r) for _, r in per_x]
         for w in tree.weights(x):
             pass
-        gap, sums, slacks = 0.0, np.zeros(l_max + 1), np.zeros(l_max + 1)
-        for start in range(0, len(w), _SLICE):
-            part = slice(start, start + _SLICE)
-            log_t = _log_tail(scales, x, tree.u[part], start, l_max, depth, deep)
-            terms = w[part] * np.exp(log_t)
-            gap += float(np.sum(w[part] * -np.expm1(log_t)))
-            radii = np.expm1(TWO_PI * np.abs(x + lam[part]) / rho_next[fresh[part]])
-            sums += np.bincount(fresh[part], terms, l_max + 1)
-            slacks += np.bincount(fresh[part], 2.0 * radii * np.sqrt(terms) + radii**2, l_max + 1)
+        gap, sums, slacks = 0.0, np.zeros(l_max), np.zeros(l_max)
+        for (start, stop, segments, levels, offsets), table in zip(slices, tails):
+            part = w[start:stop]
+            g = part * np.expm1(_log_tail(scales, table, x, stop - start))
+            gap -= float(np.sum(g))
+            terms = part + g
+            radii = TWO_PI * np.abs(x + lam[start:stop])
+            for n, a, b in segments:
+                radii[a:b] /= rho_next[n]
+            radii = np.expm1(radii)
+            sums[levels] += np.add.reduceat(terms, offsets)
+            slacks[levels] += np.add.reduceat(2.0 * radii * np.sqrt(terms) + radii**2, offsets)
         # Q_L = 1 - G_L, G_L = G_{l_max} + sum_{n>L} S_n
-        qs = (1.0 - (gap + np.append(np.cumsum(sums[:1:-1])[::-1], 0.0))).tolist()
-        slacks = np.cumsum(slacks[1:])
-        bounded = bounded and bool(np.all(np.cumsum(sums[1:]) <= 1.0 + slacks))
+        qs = (1.0 - (gap + np.append(np.cumsum(sums[:0:-1])[::-1], 0.0))).tolist()
+        slacks = np.cumsum(slacks)
+        bounded = bounded and bool(np.all(np.cumsum(sums) <= 1.0 + slacks))
         for level, (q, slack, prev) in enumerate(zip(qs, slacks.tolist(), [0.0] + qs), start=1):
             ok = q >= prev - _MONOTONE_SLACK
             monotone = monotone and ok

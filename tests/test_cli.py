@@ -1,13 +1,16 @@
+import argparse
 import csv
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from cantorspec import canonical_tau, cli, constant_pair
 from cantorspec.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +73,30 @@ def test_spectrum_example(mu42, tmp_path):
     assert lines[0] == "lambda"
     assert lines[1:] == ["0", "1", "4", "5", "16", "17", "20", "21"]
     assert (out / "spectrum_L3.svg").exists()
+
+
+@pytest.mark.parametrize("b, table, plotted", [
+    (2**30, None, True),                   # Lambda_3 reaches 1 + 2^30 + 2^60, past 2^52
+    (2**600, None, False),                 # 1 + 2^600 + 2^1200: no float holds it
+    (4, [2**62, 2**62 + 2048], True),      # two floats an ulp apart: ticks must not stall
+    (4, [2**62, 2**62 + 1], False),        # one float: nothing to plot
+])
+def test_spectrum_plots_whenever_the_frequencies_fit_a_float(tmp_path, b, table, plotted):
+    cfg, tree = tmp_path / "pair.json", tmp_path / "tree.json"
+    cfg.write_text(json.dumps({"kind": "constant", "b": b, "d": 2}))
+    argv = ["spectrum", "--pair", str(cfg), "--out", str(tmp_path / "out")]
+    if table:  # level-1 labels, unvalidated by spectrum
+        tree.write_text(json.dumps([{"word": [d], "value": v} for d, v in enumerate(table)]))
+        argv += ["--tree", str(tree), "--level", "1"]
+    else:
+        argv += ["--level", "3"]
+    assert run(argv) == 0
+    elements = [int(v) for v in next((tmp_path / "out").glob("*.csv")).read_text().split()[1:]]
+    assert elements == (table or [0, 1, b, b + 1, b * b, b * b + 1, b * b + b, b * b + b + 1])
+    svgs = list((tmp_path / "out").glob("*.svg"))
+    assert len(svgs) == plotted
+    if plotted:
+        assert svgs[0].read_text().count("<circle") == len(elements)
 
 
 def test_spectrum_budget_exceeded(mu42, tmp_path):
@@ -183,6 +210,28 @@ def test_sample_subcommand(mu42, tmp_path):
     assert (out / "samples.csv").exists()
     assert (out / "histogram.csv").exists()
     assert (out / "histogram.svg").exists()
+
+
+def test_samples_csv_is_streamed(tmp_path):
+    # the same bytes as writing a list of one-element rows, without that list:
+    # the rows take a few chunk-sized lists, not one list per sample
+    count = 200_000
+    args = argparse.Namespace(count=count, seed=5)
+    pair = constant_pair(4, 2)
+    _, _, artifacts = cli._check_sample(pair, canonical_tau(pair), args)
+    write_samples = artifacts[0]
+    tracemalloc.start()
+    try:
+        write_samples(tmp_path / "streamed")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * count
+    values = cli.sampling.sample_measure(pair, count, seed=5).values
+    cli._write_csv(tmp_path / "listed", "samples.csv", ["x"], [[v] for v in values.tolist()])
+    streamed = (tmp_path / "streamed" / "samples.csv").read_bytes()
+    assert streamed == (tmp_path / "listed" / "samples.csv").read_bytes()
+    assert len(streamed.splitlines()) == count + 1
 
 
 def test_tree_flag(mu42, tmp_path):

@@ -14,7 +14,9 @@ from cantorspec import (FilterCertificationError, FilterFamily,
                         mu_hat_array,
                         mu_hat_exact_zero, phi_hat, qmf_check, uniform_family)
 from cantorspec.fourier import (LOG_SERIES_THETA, _ZETA_OVER_J, H_sq_tables,
-                                eval_H_sq_tables, log_H_sq_array, log_H_sq_series)
+                                eval_H_sq_tables, log_H_sq_array, log_H_sq_series,
+                                log_series_coefficients, log_series_remainder_bounds,
+                                log_series_taylor)
 
 
 def kernel_by_summation(m, xi):
@@ -92,7 +94,8 @@ def test_eval_H_sq_array_matches_summation_oracle():
 
 def closed_form_H_sq(m, xs):
     """Oracle: the closed form of |H_m|^2 that preceded the table kernel, one
-    sine pair per argument, the cosine at m = 2 and the Fejer sum in the guard band."""
+    sine pair per argument, the cosine at m = 2 and the Fejer sum in the guard
+    band; the numerator's angle pi m s is taken as pi (m s - round(m s))."""
     if m == 2:
         return np.cos(np.pi * (xs - np.round(xs))) ** 2
     s = xs - np.round(xs)
@@ -100,7 +103,8 @@ def closed_form_H_sq(m, xs):
     at_integer = dist < 1e-300
     near = (dist < 1e-9) & ~at_integer
     safe = np.where(at_integer | near, 0.25, s)
-    vals = (np.sin(np.pi * m * safe) / (m * np.sin(np.pi * safe))) ** 2
+    ms = m * safe
+    vals = (np.sin(np.pi * (ms - np.round(ms))) / (m * np.sin(np.pi * safe))) ** 2
     vals[at_integer] = 1.0
     k = np.arange(1, m).reshape(-1, 1)
     vals[near] = (1.0 + 2.0 * ((1.0 - k / m) * np.cos(2.0 * np.pi * k * s[near])).sum(axis=0)) / m
@@ -154,6 +158,34 @@ def test_table_kernel_as_accurate_as_closed_form(args):
     want, unit = H_sq_mpmath(m, a, u)
     err, closed_err = (float(abs(mp.mpf(v) - want) / unit) for v in (got, closed))
     assert err <= closed_err + 4 * 2.0 ** -52, (m, a, u, err, closed_err)
+
+
+@pytest.mark.parametrize("m", [3, 9, 16, 1024])
+def test_table_kernel_angles_on_tree_shaped_arguments(m):
+    # the m-tables hold the sine and cosine of pi m u up to one common sign,
+    # from m u reduced mod 1 (exactly for a power-of-two m), not of the rounded
+    # product fl(pi m) u, whose absolute error grows like m ulp; and the kernel
+    # is within 5 ulp in the unit of the kernel test (which weighs the error by
+    # the condition number, so there the rounded product looked as good)
+    rng = np.random.default_rng(m)
+    worst_angle = worst_kernel = 0.0
+    for q in (2, 3):
+        den = m * q ** rng.integers(0, 9, size=100)
+        us = rng.integers(-(den // 2), den // 2 + 1) / den
+        tables = H_sq_tables(m, us)
+        with mp.workdps(40):
+            for u, sin_m, cos_m in zip(us, tables.sin_m, tables.cos_m):
+                angle = mp.pi * m * mp.mpf(u)
+                err = min(max(abs(sign * sin_m - mp.sin(angle)), abs(sign * cos_m - mp.cos(angle)))
+                          for sign in (1, -1))
+                exact = m & (m - 1) == 0  # m u and its reduction are exact
+                worst_angle = max(worst_angle, float(err) / (1 if exact else 1 + math.pi * abs(m * u)))
+        for a in rng.uniform(-0.5 / m, 0.5 / m, size=3):
+            for u, got in zip(us, eval_H_sq_tables(tables, a)):
+                want, unit = H_sq_mpmath(m, a, u)
+                worst_kernel = max(worst_kernel, float(abs(mp.mpf(got) - want) / unit))
+    assert worst_angle <= 2.0 ** -52, worst_angle / 2.0 ** -52
+    assert worst_kernel <= 5 * 2.0 ** -52, worst_kernel / 2.0 ** -52
 
 
 def test_table_kernel_guard_band_and_integers():
@@ -237,6 +269,49 @@ def test_series_remainder_below_2_pow_60():
         series = -2 * sum(mp.zeta(2 * j) / j * ((m * s) ** (2 * j) - s ** (2 * j))
                           for j in range(1, big_j + 1))
         assert abs(series - exact) <= bound * abs(exact), m
+
+
+@st.composite
+def series_tables(draw):
+    # the series of a constant pair's levels k0.. (t_k = b^-k), entries y0 in
+    # [-theta, theta] with perhaps a zero, and e below the least nonzero |y0|
+    m, q = draw(st.sampled_from([2, 3, 4, 8])), draw(st.sampled_from([2, 3]))
+    ts = [float(m * q) ** -k for k in range(draw(st.integers(1, 20)))]
+    y0 = draw(st.lists(st.floats(-LOG_SERIES_THETA, LOG_SERIES_THETA), min_size=1, max_size=5))
+    nonzero = [abs(y) for y in y0 if y]
+    e = draw(st.floats(0.0, 0.9)) * min(nonzero) if nonzero else draw(st.floats(0.0, 0.1))
+    return [m] * len(ts), ts, np.array(y0), e
+
+
+@given(series_tables())
+@settings(deadline=None, max_examples=80)
+def test_log_series_remainder_bounds_hold(args):
+    # |F(y0 + eps) - sum_{i<=p} A_i eps^i| <= B_p |F(y0 + eps)| for every p, with
+    # F = -sum_j c_j y^(2j) and its Taylor coefficients A_i exact in mpmath; the
+    # tabulated A_0..A_p are these to rounding, and B_p <= 2^-60 at their degree.
+    # B_p is a float: below the double range it reads 0, hence the 1e-300
+    ms, ts, y0, e = args
+    c = log_series_coefficients(ms, ts)
+    bounds = log_series_remainder_bounds(c, y0, e)
+    table = log_series_taylor(ms, ts, y0, e)
+    degree = len(table) - 1
+    assert bounds[degree] <= 2.0 ** -60 and (degree == 0 or bounds[degree - 1] > 2.0 ** -60)
+    big = 2 * len(c)
+    with mp.workdps(50):
+        cs = [mp.mpf(float(v)) for v in c]
+        for k, y in enumerate(y0):
+            powers = [mp.mpf(y) ** n for n in range(big + 1)]
+            taylor = [-sum(cj * math.comb(2 * j, i) * powers[2 * j - i]
+                           for j, cj in enumerate(cs, start=1) if 2 * j >= i) for i in range(big + 1)]
+            for i in range(degree + 1):
+                assert abs(table[i][k] - taylor[i]) <= 1e-14 * abs(taylor[i]) + 1e-300, (i, k)
+            for eps in (mp.mpf(e), -mp.mpf(e), mp.mpf(e) / 3):
+                value = sum(cj * (powers[1] + eps) ** (2 * j) for j, cj in enumerate(cs, start=1))
+                remainder = mp.mpf(0)
+                for p in range(big, -1, -1):  # remainder = sum_{i>p} A_i eps^i
+                    if math.isfinite(bounds[p]):
+                        assert abs(remainder) <= (bounds[p] * (1 + 1e-12) + 1e-300) * value, (p, eps)
+                    remainder += taylor[p] * eps ** p
 
 
 # ---------------------------------------------------------------------------

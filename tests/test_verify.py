@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, exp as mp_exp, pi as mp_pi
 
-from cantorspec import (BudgetExceededError, TreeMapping, canonical_tau,
+from cantorspec import (BudgetExceededError, FilterFamily, TreeMapping, canonical_tau,
                         completeness_Q, constant_pair,
                         dimension_targeting_pair, enumerate_level, mu_hat,
                         mu_hat_exact_zero,
                         orthogonality_check, partition_identity,
-                        partition_levels, uniform_family)
+                        partition_levels, uniform_family, word_count)
 from cantorspec import verify
-from cantorspec.fourier import TWO_PI, truncation_level, truncation_target
+from cantorspec.fourier import (LOG_SERIES_THETA, TWO_PI, H_sq_tables, _float_div,
+                                eval_filter, eval_H_sq_tables, log_H_sq_array,
+                                log_H_sq_series, truncation_level, truncation_target)
 
 MU42 = constant_pair(4, 2)
 MU93 = constant_pair(9, 3)
@@ -417,3 +419,151 @@ def test_completeness_rejects_colliding_table():
     # a bad label below the requested depth is found through the zero-extension
     with pytest.raises(ValueError, match=r"word=\(1, 0\)"):
         completeness_Q(TreeMapping(MU42, {(1, 0): 1}), [0.25], 1)
+
+
+# ---------------------------------------------------------------------------
+# the digit-major tree and the tail tables against the child-major layout
+# ---------------------------------------------------------------------------
+
+def child_major_tree(tm, level):
+    """Oracle: the child-major digit tree that preceded the digit-major one, the
+    children of node i at i d_n + digit.  Returns the scales, u_n per level, and
+    per level-``level`` node lambda of its zero-extension and the level where it
+    is new; and the table labels past ``level`` by word length."""
+    scales = verify._Scales(tm.pair).upto(level)
+    table = {}
+    for word, value in tm.table.items():
+        n = min(len(word), level)
+        if not n or any(word[n:]) or any(not 0 <= e < scales.d[k] for k, e in enumerate(word[:n], 1)):
+            continue
+        index = 0
+        for k, digit in enumerate(word[:n], start=1):
+            index = index * scales.d[k] + digit
+        table.setdefault(len(word), []).append((index, value))
+    table = {k: tuple(np.array(v) for v in zip(*entries)) for k, entries in table.items()}
+    us, u, lam, fresh, count = [], np.zeros(1), np.zeros(1), np.ones(1, dtype=np.int8), 1
+    for n in range(1, level + 1):
+        d = scales.d[n]
+        label = np.tile(np.arange(d, dtype=float), count)
+        count *= d
+        if n in table:
+            label[table[n][0]] = table[n][1]
+        u = (np.repeat(u / scales.q[n - 1], d) + label) / d
+        us.append(u)
+        lam = np.repeat(lam, d) + label * float(scales.rho[n])
+        fresh = np.repeat(fresh, d)
+        fresh[np.arange(len(fresh)) % d != 0] = n
+    deep = {k: v for k, v in table.items() if k > level}
+    for k, (index, labels) in deep.items():
+        lam[index] += labels * float(scales.upto(k).rho[k])
+    return scales, us, lam, fresh, deep
+
+
+def child_major_weights(tm, level, xi, filters):
+    """Oracle: w per level on the child-major tree, w = np.repeat(w, d) * factors."""
+    scales, us, *_ = child_major_tree(tm, level)
+    w, out = np.ones(1), []
+    for n, u in enumerate(us, start=1):
+        d = scales.d[n]
+        a = _float_div(xi, d * scales.rho[n])
+        if filters.is_uniform(n):
+            factors = eval_H_sq_tables(H_sq_tables(d, u), a)
+        else:
+            g = eval_filter(np.asarray(filters.coefficients(n)), a + u)
+            factors = g.real ** 2 + g.imag ** 2
+        w = (w[:, None] * factors.reshape(-1, d)).ravel()
+        out.append(w)
+    return out
+
+
+def child_major_log_tail(scales, xi, u, start, level, depth, deep):
+    """Oracle: the per-xi tail that preceded the tail tables, log prod |H_{d_k}(s_k)|^2
+    over level < k <= depth: explicit while table labels remain or max |d_k s_k| >
+    LOG_SERIES_THETA, then one series in s_k0 for the rest, from scratch per xi."""
+    log_t = np.zeros(len(u))
+    for k in range(level + 1, depth + 1):
+        d = scales.d[k]
+        u = u / scales.q[k - 1]
+        if k in deep:
+            index = deep[k][0] - start
+            inside = (index >= 0) & (index < len(u))
+            u[index[inside]] += deep[k][1][inside]
+        u /= d
+        s = _float_div(xi, d * scales.rho[k]) + u
+        if k > max(deep, default=0) and d * float(np.max(np.abs(s))) <= LOG_SERIES_THETA:
+            ks = range(k, depth + 1)
+            return log_t + log_H_sq_series([scales.d[j] for j in ks],
+                                           [scales.rho[k] / scales.rho[j] for j in ks], d * s)
+        log_t += log_H_sq_array(d, s)
+    return log_t
+
+
+def to_digit_major(values, scales, level):
+    # child-major index sum_k delta_k d_{k+1}..d_L to digit-major sum_k delta_k P_{k-1}
+    return values.reshape([scales.d[n] for n in range(1, level + 1)]).transpose().ravel()
+
+
+# taps 0 and 3 at d = 2: a QMF filter other than H_2 (lag 3 is no multiple of 2)
+MODULATED42 = FilterFamily(MU42, explicit=((0.5, 0, 0, 0.5), (0.5, 0, 0, 0.5)), label="taps 0, 3")
+LAYOUT_CASES = [
+    (canonical_tau(MU42), 8, uniform_family(MU42)),
+    (canonical_tau(MU42), 6, MODULATED42),
+    (canonical_tau(MU93), 5, uniform_family(MU93)),
+    (canonical_tau(dimension_targeting_pair(0.5)), 4, uniform_family(dimension_targeting_pair(0.5))),
+    (DEVIATED42, 1, uniform_family(MU42)),    # the label of (1, 1) lies past the tree
+    (DEVIATED42, 5, MODULATED42),
+    (STACKED82, 1, uniform_family(STACKED82.pair)),
+]
+
+
+@pytest.mark.parametrize("tm, level, filters", LAYOUT_CASES)
+def test_digit_major_tree_is_the_child_major_tree_reordered(tm, level, filters):
+    # the weights of every level, bit for bit (so also as sorted arrays), and lambda
+    tree = verify._Tree(tm, verify._Scales(tm.pair), level, filters)
+    scales, _, lam, _, _ = child_major_tree(tm, level)
+    for xi in (0.0, 0.3, 0.5, 0.71):
+        old = child_major_weights(tm, level, xi, filters)
+        for n, w in enumerate(tree.weights(xi), start=1):
+            assert np.array_equal(w, to_digit_major(old[n - 1], scales, n)), (xi, n)
+            assert np.array_equal(np.sort(w), np.sort(old[n - 1]))
+    new_lam, _ = verify._frequencies(tm, tree, level)
+    assert np.array_equal(new_lam, to_digit_major(lam, scales, level))
+
+
+@pytest.mark.parametrize("tm, level, filters", LAYOUT_CASES)
+def test_fresh_blocks_are_the_child_major_fresh_levels(tm, level, filters):
+    # the words new at level n are the nodes [P_{n-1}, P_n) ([0, P_1) for n = 1)
+    scales, _, _, fresh, _ = child_major_tree(tm, level)
+    fresh = to_digit_major(fresh, scales, level)
+    blocks = verify._blocks(scales, level)
+    assert [a for a, _ in blocks[1:]] == [b for _, b in blocks[:-1]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == len(fresh)
+    for n, (a, b) in enumerate(blocks, start=1):
+        assert np.all(fresh[a:b] == n), n
+
+
+TAIL_PAIRS = {"mu42": canonical_tau(MU42), "mu93": canonical_tau(MU93),
+              "alpha_half": canonical_tau(dimension_targeting_pair(0.5)),
+              "alpha_quarter": canonical_tau(dimension_targeting_pair(0.25)),
+              "mu42+tree_deviation": DEVIATED42, "stacked82": STACKED82}
+
+
+@pytest.mark.parametrize("name, level", [
+    (name, level) for name, tm in TAIL_PAIRS.items() for level in (4, 8, 12, 16)
+    if word_count(tm.pair, level) <= 10**6] + [
+    ("mu42+tree_deviation", 1), ("stacked82", 1), ("stacked82", 2)])  # explicit levels
+def test_tail_tables_match_per_xi_log_tail(name, level):
+    # within 4 ulp relative of the per-xi tail at the same depth, on every node
+    tm, grid = TAIL_PAIRS[name], [0.0, 1 / 64, 0.3, 0.5]
+    scales, us, lam, _, deep = child_major_tree(tm, level)
+    tree = verify._Tree(tm, verify._Scales(tm.pair), level, uniform_family(tm.pair))
+    _, new_deep = verify._frequencies(tm, tree, level)
+    depth = scales.truncation(float(np.max(np.abs(lam))) + 0.5, 1e-10)[0]
+    tables = verify._tail_tables(tree.scales.upto(depth), tree.u, level, depth, max(grid), new_deep)
+    sizes = [min(verify._SLICE, len(lam) - start) for start in range(0, len(lam), verify._SLICE)]
+    for xi in grid:
+        got = np.concatenate([verify._log_tail(tree.scales, table, xi, size)
+                              for table, size in zip(tables, sizes)])
+        want = to_digit_major(child_major_log_tail(scales, xi, us[-1], 0, level, depth, deep),
+                              scales, level)
+        assert np.all(np.abs(got - want) <= 4 * 2.0 ** -52 * np.abs(want)), xi
