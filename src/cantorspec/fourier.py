@@ -104,7 +104,7 @@ def _H_sq_direct(m: int, xs: np.ndarray) -> np.ndarray:
     s, at_integer, near = _integer_guard(m, xs)
     safe = s if at_integer is None else np.where(at_integer | near, 0.25, s)
     ms = m * safe
-    ms -= np.round(ms)  # pi m s mod pi: the sign it drops cancels in the square
+    ms -= np.rint(ms)  # pi m s mod pi: the sign it drops cancels in the square
     vals = (np.sin(np.pi * ms) / (m * np.sin(np.pi * safe))) ** 2
     if at_integer is not None:
         vals[at_integer] = 1.0
@@ -148,7 +148,7 @@ def H_sq_tables(m: int, us: np.ndarray) -> HSqTables:
     if m < 3:
         return HSqTables(m, None, sin, cos, None, None)
     v = m * u
-    v -= np.round(v)
+    v -= np.rint(v)
     return HSqTables(m, u, sin, cos, np.sin(np.pi * v), np.cos(np.pi * v))
 
 

@@ -10,9 +10,9 @@ Q_L(xi) = sum_{lambda in Lambda_L} |muhat(xi + lambda)|^2 increase with L and
 stay below 1 plus the accumulated certified evaluation slack.
 
 Both floating-point pillars run on one digit tree (:class:`_Tree`), built
-once per check.  Per level n it holds the labels, the partial label sums
-divided by d_n rho_n, reduced level by level in floating point, and the
-xi-independent sine and cosine tables of :class:`~.fourier.HSqTables`.  Each
+once per check.  Per level n it holds the partial label sums divided by
+d_n rho_n, reduced level by level in floating point, and the xi-independent
+sine and cosine tables of :class:`~.fourier.HSqTables`.  Each
 G_n is 1-periodic, so the level-n factor at xi + lambda needs only that
 reduced sum, and xi enters the level only through the scalar
 a_n = xi / (d_n rho_n): each xi is one pass over the tree that combines the
@@ -226,23 +226,22 @@ class _Tree:
     of the level-(n-1) nodes with last digit j fill the contiguous row
     [j P_{n-1}, (j + 1) P_{n-1}), and the nodes whose last nonzero digit is
     n (the words new at level n) fill [P_{n-1}, P_n).  Per level n, over
-    these nodes, ``labels`` holds tau and ``kernels`` the :class:`HSqTables`
-    of H_{d_n} at u_n = sigma_n / (d_n rho_n), sigma_n = sum_{k<=n}
-    tau(delta_1..delta_k) rho_k, or u_n itself on the explicit levels of
-    ``filters``.  u_n is reduced level by level as
-    u_n = (u_{n-1} / q_{n-1} + tau) / d_n; ``u`` keeps u_level unreduced mod 1
-    for the completeness tail tables, which free it.
+    these nodes, ``kernels`` holds the :class:`HSqTables` of H_{d_n} at
+    u_n = sigma_n / (d_n rho_n), sigma_n = sum_{k<=n} tau(delta_1..delta_k)
+    rho_k, or u_n itself on the explicit levels of ``filters``.  u_n is
+    reduced level by level as u_n = (u_{n-1} / q_{n-1} + tau) / d_n; ``u``
+    keeps u_level unreduced mod 1 for the completeness tail tables, which
+    free it.
     """
 
     def __init__(self, tm: TreeMapping, scales: _Scales, level: int, filters: FilterFamily):
         self.scales = scales.upto(level)
         self.filters = filters
-        self.labels, self.kernels = [], []
+        self.kernels = []
         u = np.zeros(1)
         for n, label in enumerate(_labels(tm, scales, level), start=1):
             d = scales.d[n]
             u = (np.tile(u / scales.q[n - 1], d) + label) / d
-            self.labels.append(label)
             self.kernels.append(H_sq_tables(d, u) if filters.is_uniform(n) else u)
         self.u = u
 
@@ -353,11 +352,10 @@ _MONOTONE_SLACK = 1e-12
 _SLICE = 1 << 14
 
 
-def _frequencies(tm: TreeMapping, tree: _Tree, level: int):
+def _frequencies(tm: TreeMapping, scales: _Scales, level: int):
     """Per level-``level`` node, lambda of its zero-extension; and the labels past it."""
-    scales = tree.scales
     lam = np.zeros(1)
-    for n, label in enumerate(tree.labels, start=1):
+    for n, label in enumerate(_labels(tm, scales, level), start=1):
         lam = np.tile(lam, scales.d[n]) + label * float(scales.rho[n])
     deep = {k: v for k, v in _table_labels(tm, scales, level).items() if k > level}
     for k, (index, labels) in deep.items():
@@ -459,7 +457,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
                          f"{issue.message}; its frequencies need not be distinct")
     scales = _Scales(pair)
     tree = _Tree(tm, scales, l_max, uniform_family(pair))
-    lam, deep = _frequencies(tm, tree, l_max)
+    lam, deep = _frequencies(tm, scales, l_max)
     blocks = _blocks(scales, l_max)
     lo = [float(lam[a:b].min()) for a, b in blocks]
     hi = [float(lam[a:b].max()) for a, b in blocks]

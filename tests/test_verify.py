@@ -526,7 +526,7 @@ def test_digit_major_tree_is_the_child_major_tree_reordered(tm, level, filters):
         for n, w in enumerate(tree.weights(xi), start=1):
             assert np.array_equal(w, to_digit_major(old[n - 1], scales, n)), (xi, n)
             assert np.array_equal(np.sort(w), np.sort(old[n - 1]))
-    new_lam, _ = verify._frequencies(tm, tree, level)
+    new_lam, _ = verify._frequencies(tm, tree.scales, level)
     assert np.array_equal(new_lam, to_digit_major(lam, scales, level))
 
 
@@ -557,7 +557,7 @@ def test_tail_tables_match_per_xi_log_tail(name, level):
     tm, grid = TAIL_PAIRS[name], [0.0, 1 / 64, 0.3, 0.5]
     scales, us, lam, _, deep = child_major_tree(tm, level)
     tree = verify._Tree(tm, verify._Scales(tm.pair), level, uniform_family(tm.pair))
-    _, new_deep = verify._frequencies(tm, tree, level)
+    _, new_deep = verify._frequencies(tm, tree.scales, level)
     depth = scales.truncation(float(np.max(np.abs(lam))) + 0.5, 1e-10)[0]
     tables = verify._tail_tables(tree.scales.upto(depth), tree.u, level, depth, max(grid), new_deep)
     sizes = [min(verify._SLICE, len(lam) - start) for start in range(0, len(lam), verify._SLICE)]
