@@ -6,9 +6,9 @@ r_{n+1} |parent| separated by equal gaps, first child left-aligned, last
 right-aligned.  The ratios r_n are quotients of the tails
 sum_{j>=n} (d_j - 1)/(d_j rho_j), computed here as exact rationals from
 certified truncations.  The Hausdorff dimension is the liminf of
-sum ln d_j / sum ln(1/r_j); a box-count fit over the constructed intervals
-cross-checks it, and a windowed-count fit estimates the upper Beurling
-dimension of a frequency set.
+sum ln d_j / sum ln(1/r_j); a box-count fit of the level counts against the
+level lengths checks how steadily those partial ratios settle, and a
+windowed-count fit estimates the upper Beurling dimension of a frequency set.
 """
 
 from __future__ import annotations
@@ -97,10 +97,7 @@ class IntervalFamily:
         return right - left
 
 
-def build_intervals(pair: ScalePair, depth: int, budget: int = 10**6) -> IntervalFamily:
-    """Construct the interval family down to ``depth`` in exact arithmetic."""
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+def _check_interval_budget(pair: ScalePair, depth: int, budget: int):
     count = 1
     for n in range(1, depth + 1):
         count *= pair.d(n)
@@ -108,6 +105,13 @@ def build_intervals(pair: ScalePair, depth: int, budget: int = 10**6) -> Interva
             raise BudgetExceededError(
                 f"depth {depth} needs {count}+ intervals, over the budget of {budget}",
                 required=count)
+
+
+def build_intervals(pair: ScalePair, depth: int, budget: int = 10**6) -> IntervalFamily:
+    """Construct the interval family down to ``depth`` in exact arithmetic."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    _check_interval_budget(pair, depth, budget)
     ratios = gap_ratios(pair, depth) if depth else []
     levels = [(((), Fraction(0), Fraction(1)),)]
     for n in range(1, depth + 1):
@@ -185,22 +189,27 @@ def _least_squares(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, flo
 def box_counting_dim(pair: ScalePair, depth: int, budget: int = 10**6) -> BoxCountFit:
     """Log-log slope of interval count against inverse interval length.
 
-    Counts and lengths are read off the constructed family rather than from
-    the defining products, so this is an independent cross-check of the
-    dimension formula.  Needs at least 2 levels for a fit.
+    The level-n intervals of :func:`build_intervals` number d_1 ... d_n and
+    each has length r_1 ... r_n (exact), so the fit reads these products
+    directly, under the same interval budget, without building the family.
+    It shares the gap ratios of :func:`hausdorff_dim_formula` and so is no
+    independent check of them: it shows how steadily the per-level ratio of
+    the logarithms settles.  Needs at least 2 levels for a fit.
     """
     if depth < 2:
         raise ValueError(f"depth must be >= 2 for a slope fit, got {depth}")
-    family = build_intervals(pair, depth, budget=budget)
+    _check_interval_budget(pair, depth, budget)
     xs = []
     ys = []
-    for n in range(1, depth + 1):
-        length = family.length(n)
+    length, count = Fraction(1), 1
+    for n, r in enumerate(gap_ratios(pair, depth), start=1):
+        length *= r
+        count *= pair.d(n)
         xs.append(-_log_fraction(length))          # log(1/length)
-        ys.append(math.log(len(family.intervals(n))))
+        ys.append(math.log(count))
     slope, residual = _least_squares(xs, ys)
     return BoxCountFit(slope=slope, residual=residual, levels_used=depth,
-                       interval_count=len(family.intervals(depth)))
+                       interval_count=count)
 
 
 @dataclass(frozen=True)

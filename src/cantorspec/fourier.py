@@ -9,9 +9,11 @@ from |H_m(eta) - 1| <= pi (m-1) |eta| and the geometric growth rho_{n+1} >=
 Besides the complex kernel, :func:`eval_H_sq_tables` gives |H_m(a + u)|^2 in
 real arithmetic over an array u tabulated once (:func:`H_sq_tables`: the
 sines and cosines of pi u and of pi m u, the latter from m u reduced mod 1),
-combining the tables with the sine and
-cosine of the scalar a by angle addition, so a call costs no per-entry sine
-or cosine.  The level-expansion kernel of :mod:`.verify` multiplies it along
+one row per scalar a of a sequence, combining the tables with the sine and
+cosine of each a by angle addition, so a call costs no per-entry sine or
+cosine.  Within 1e-9 of an integer it takes the series
+1 - (m^2 - 1)(pi s)^2 / 3 entry by entry, so no value depends on the rest of
+the call.  The level-expansion kernel of :mod:`.verify` multiplies it along
 the digit tree; :func:`eval_H_sq_array` is the same kernel at a = 0.
 :func:`log_H_sq_array` and :func:`log_H_sq_series` give its logarithm, in
 which the completeness tail is summed, and :func:`log_series_taylor`
@@ -25,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,9 +36,12 @@ from .core import ScalePair
 TWO_PI = 2.0 * math.pi
 
 # Distance to the nearest integer below which the closed form of H_m is
-# abandoned for the literal m-term sum (removable singularity).  The sum
-# costs O(m), so it is only used for moderate m; for larger m the closed
-# form is already well-conditioned at any representable nonzero distance.
+# abandoned (removable singularity): for the literal m-term sum in eval_H and
+# eval_H_array, and for the series 1 - (m^2 - 1)(pi s)^2 / 3 of |H_m|^2 in
+# _H_sq_direct, whose remainder stays below 1.3e-21 up to _SERIES_MAX_TAPS.
+# The sum costs O(m) and the series' remainder grows like m^4, so both are
+# only used for moderate m; for larger m the closed form is already
+# well-conditioned at any representable nonzero distance.
 _INTEGER_GUARD = 1e-9
 _SERIES_MAX_TAPS = 4096
 _ZERO_CLAMP = 1e-300
@@ -100,7 +106,12 @@ def eval_H_array(m: int, xs: np.ndarray) -> np.ndarray:
 
 def _H_sq_direct(m: int, xs: np.ndarray) -> np.ndarray:
     # |H_m(x)|^2 for m >= 3 from the closed form at each x, with the integer
-    # guard of eval_H_array: 1 at integers, the Fejer sum in the guard band
+    # guard of eval_H_array: 1 at integers, and in the guard band |s| <
+    # _INTEGER_GUARD the series 1 - (m^2 - 1)(pi s)^2 / 3 of the Fejer form
+    # 1/m + (2/m) sum_{0<k<m} (1 - k/m) cos(2 pi k s).  With 0 <= 1 - x^2/2 -
+    # cos x <= x^4/24 per term, the whole remainder lies in
+    # [0, (m^2 - 1)(2 m^2 - 3)(pi s)^4 / 45], below 1.3e-21 for m <= 4096, and
+    # each entry is computed on its own, whatever else shares the call
     s, at_integer, near = _integer_guard(m, xs)
     safe = s if at_integer is None else np.where(at_integer | near, 0.25, s)
     ms = m * safe
@@ -108,8 +119,7 @@ def _H_sq_direct(m: int, xs: np.ndarray) -> np.ndarray:
     vals = (np.sin(np.pi * ms) / (m * np.sin(np.pi * safe))) ** 2
     if at_integer is not None:
         vals[at_integer] = 1.0
-        k = np.arange(1, m).reshape(-1, 1)
-        vals[near] = (1.0 + 2.0 * ((1.0 - k / m) * np.cos(2.0 * np.pi * k * s[near])).sum(axis=0)) / m
+        vals[near] = 1.0 - (m * m - 1) * (np.pi * s[near]) ** 2 / 3.0
     return vals
 
 
@@ -130,6 +140,7 @@ class HSqTables:
     reduction is exact for a power-of-two m, and the sign (-1)^round(m u) it
     drops multiplies both m-tables, so it cancels in the square.  Per call the
     kernel then needs only the sine and cosine of pi a (and of pi m a).
+    Indexing with a slice gives the tables of those entries, as views.
     """
 
     m: int
@@ -138,6 +149,12 @@ class HSqTables:
     cos: np.ndarray
     sin_m: np.ndarray | None
     cos_m: np.ndarray | None
+
+    def __getitem__(self, index: slice) -> "HSqTables":
+        def cut(table):
+            return None if table is None else table[index]
+        return HSqTables(self.m, cut(self.u), self.sin[index], self.cos[index],
+                         cut(self.sin_m), cut(self.cos_m))
 
 
 def H_sq_tables(m: int, us: np.ndarray) -> HSqTables:
@@ -152,34 +169,42 @@ def H_sq_tables(m: int, us: np.ndarray) -> HSqTables:
     return HSqTables(m, u, sin, cos, np.sin(np.pi * v), np.cos(np.pi * v))
 
 
-def eval_H_sq_tables(t: HSqTables, a: float) -> np.ndarray:
-    """|H_m(a + u)|^2 over the tabulated u, by angle addition with the scalar a.
+def _sin_cos_columns(xs: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    # sin(pi x) and cos(pi x) per scalar x, as columns against a table row
+    return (np.array([[math.sin(math.pi * x)] for x in xs]),
+            np.array([[math.cos(math.pi * x)] for x in xs]))
 
-    With s = a + u: for m = 2 the value is cos(pi s)^2, for m >= 3 it is
+
+def eval_H_sq_tables(t: HSqTables, a: Sequence[float]) -> np.ndarray:
+    """|H_m(a_r + u)|^2 over the tabulated u, one row per scalar a_r of the sequence ``a``.
+
+    With s = a_r + u: for m = 2 the value is cos(pi s)^2, for m >= 3 it is
     (sin(pi m s) / (m sin(pi s)))^2, both sines and the cosine expanded as
     sin(x + y) = sin x cos y + cos x sin y over the tables.  Entries where
-    sin(pi s) is small against sin(pi a), or within the integer guard band,
-    take :func:`_H_sq_direct` at a + u: the closed form, 1 at integers and
-    the Fejer sum in the guard band.  No per-entry sine or cosine otherwise.
+    sin(pi s) is small against sin(pi a_r), or within the integer guard band,
+    take :func:`_H_sq_direct` at a_r + u: the closed form, 1 at integers and
+    the series of the Fejer form in the guard band.  No per-entry sine or
+    cosine otherwise.  Every entry is elementwise in its own a_r and u, so a
+    row's bits do not depend on the other rows of the call.
     """
     m = t.m
     if m == 1:
-        return np.ones(np.shape(t.sin))
-    a = a - round(a)
-    sa, ca = math.sin(math.pi * a), math.cos(math.pi * a)
+        return np.ones((len(a), len(t.sin)))
+    a = [x - round(x) for x in a]
+    sa, ca = _sin_cos_columns(a)
     if m == 2:
         vals = ca * t.cos
         vals -= sa * t.sin
         vals *= vals
         return vals
-    ma = m * a
-    ma -= round(ma)
+    sma, cma = _sin_cos_columns([m * x - round(m * x) for x in a])
     den = sa * t.cos + ca * t.sin
     with np.errstate(divide="ignore", invalid="ignore"):  # den = 0 is recomputed below
-        vals = ((math.sin(math.pi * ma) * t.cos_m + math.cos(math.pi * ma) * t.sin_m) / (m * den)) ** 2
-    odd = np.abs(den) < max(_CANCELLATION * abs(sa), _GUARD_SIN)
+        vals = ((sma * t.cos_m + cma * t.sin_m) / (m * den)) ** 2
+    odd = np.abs(den) < np.maximum(_CANCELLATION * np.abs(sa), _GUARD_SIN)
     if odd.any():
-        vals[odd] = _H_sq_direct(m, a + t.u[odd])
+        rows, cols = np.nonzero(odd)
+        vals[rows, cols] = _H_sq_direct(m, np.array(a)[rows] + t.u[cols])
     return vals
 
 
@@ -188,10 +213,11 @@ def eval_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:
 
     The table kernel :func:`eval_H_sq_tables` at a = 0: real arithmetic,
     cos(pi s)^2 for m = 2, and the integer guard of :func:`eval_H_array`
-    (1 at integers, in the guard band the Fejer form
-    1/m + (2/m) sum_{0<k<m} (1 - k/m) cos(2 pi k s) of the squared modulus).
+    (1 at integers, in the guard band the series 1 - (m^2 - 1)(pi s)^2 / 3 of
+    the Fejer form 1/m + (2/m) sum_{0<k<m} (1 - k/m) cos(2 pi k s) of the
+    squared modulus, see :func:`_H_sq_direct`).
     """
-    return eval_H_sq_tables(H_sq_tables(m, xs), 0.0)
+    return eval_H_sq_tables(H_sq_tables(m, xs), [0.0])[0]
 
 
 _ZETA_OVER_J = np.array([  # zeta(2j)/j, j = 1..19

@@ -15,20 +15,27 @@ d_n rho_n, reduced level by level in floating point, and the xi-independent
 sine and cosine tables of :class:`~.fourier.HSqTables`.  Each
 G_n is 1-periodic, so the level-n factor at xi + lambda needs only that
 reduced sum, and xi enters the level only through the scalar
-a_n = xi / (d_n rho_n): each xi is one pass over the tree that combines the
-tables with the sine and cosine of pi a_n by angle addition.  xi + lambda is
-never rounded and no large integer reaches numpy.  The nodes of a level are
-in digit-major order, node delta at sum_k delta_k d_1 ... d_{k-1}, so a
-level's products are one broadcast over contiguous rows, one row per last
-digit, and the words new at level n, those whose last nonzero digit is n,
-form one contiguous block.  The per-level totals of the products are the
-partition sums for every level at once.  Completeness multiplies each
-level-L node's product by one log-domain tail along its zero-extension,
-tabulated once per check: past the levels that must be summed explicitly,
-the tail depends on xi only through one scalar eps, as a short Taylor
-polynomial per node (:func:`_tail_tables`).  Q_L is reported through the gap
-1 - Q_L, a sum of nonnegative terms by the partition identity, and each
-level's block contributes scalar sums.
+a_n = xi / (d_n rho_n), whose sine and cosine are combined with the tables
+by angle addition.  xi + lambda is never rounded and no large integer
+reaches numpy.  The nodes of a level are in digit-major order, node delta at
+sum_k delta_k d_1 ... d_{k-1}, so a level's products are one broadcast over
+contiguous rows, one row per last digit, and the words new at level n,
+those whose last nonzero digit is n, form one contiguous block.
+
+The products of many xi are walked depth first in tiles (:meth:`_Tree.tiles`):
+blocks of xi rows by level-n nodes of at most ``_SLICE`` = 2^14 entries, or
+one row where a level alone is larger.  A shallow level thus takes many xi
+per numpy call, and a deep one stays in cache with its tables.  The row
+totals of the tiles are the partition sums for every level.  Completeness
+walks the tiles only to level L - 1 and forms the level-L products one slice
+of ``_SLICE`` nodes at a time (:meth:`_Tree.slice_products`), multiplying
+each into one log-domain tail along its zero-extension and summing it while
+the slice is in cache; no level-L array is built.  The tail is tabulated
+once per check: past the levels that must be summed explicitly, it depends
+on xi only through one scalar eps, as a short Taylor polynomial per node
+(:func:`_tail_tables`).  Q_L is reported through the gap 1 - Q_L, a sum of
+nonnegative terms by the partition identity, and each level's block
+contributes scalar sums.
 """
 
 from __future__ import annotations
@@ -218,6 +225,24 @@ def _labels(tm: TreeMapping, scales: _Scales, level: int):
         yield label
 
 
+def _row_pieces(start: int, stop: int, width: int) -> list[tuple[int, int, int, int]]:
+    """The nodes [start, stop) of a level whose parents' level has ``width`` nodes,
+    as pieces (a, b, lo, hi): the nodes start + [a, b) are whole rows of children
+    of the parents [lo, hi), or one part of a row.  A slice that straddles a row
+    boundary is split there, and whole rows between form one piece."""
+    pieces, k = [], start
+    while k < stop:
+        lo = k % width
+        if lo or stop - k < width:  # one part of a row
+            end = min(stop, k - lo + width)
+            pieces.append((k - start, end - start, lo, lo + end - k))
+        else:  # whole rows
+            end = k + (stop - k) // width * width
+            pieces.append((k - start, end - start, 0, width))
+        k = end
+    return pieces
+
+
 class _Tree:
     """The xi-independent digit tree of a tree mapping to ``level``, built once per check.
 
@@ -231,37 +256,87 @@ class _Tree:
     rho_k, or u_n itself on the explicit levels of ``filters``.  u_n is
     reduced level by level as u_n = (u_{n-1} / q_{n-1} + tau) / d_n; ``u``
     keeps u_level unreduced mod 1 for the completeness tail tables, which
-    free it.
+    free it.  ``size[n]`` is P_n.
+
+    The products over many xi are walked in tiles (:meth:`tiles`): blocks of
+    xi rows by level-n nodes of at most ``_SLICE`` entries, or one row where
+    P_n alone exceeds it, so that a tile and its tables stay in cache while
+    the shallow levels still take many xi per numpy call.
     """
 
     def __init__(self, tm: TreeMapping, scales: _Scales, level: int, filters: FilterFamily):
         self.scales = scales.upto(level)
         self.filters = filters
         self.kernels = []
+        self.size = [1]
         u = np.zeros(1)
         for n, label in enumerate(_labels(tm, scales, level), start=1):
             d = scales.d[n]
             u = (np.tile(u / scales.q[n - 1], d) + label) / d
             self.kernels.append(H_sq_tables(d, u) if filters.is_uniform(n) else u)
+            self.size.append(len(u))
         self.u = u
 
-    def weights(self, xi: float):
-        """Yield, per level n, w = prod_{k<=n} |G_k(xi / (d_k rho_k) + u_k)|^2
-        over the level-n nodes.  These are the squared level-k factors at
-        xi + lambda(delta), because lambda(delta) - sigma_k is a multiple of
-        rho_{k+1} = q_k d_k rho_k and every G_k is 1-periodic; xi enters each
-        level only through the scalar xi / (d_k rho_k)."""
-        w = np.ones(1)
-        for n, kernel in enumerate(self.kernels, start=1):
-            d = self.scales.d[n]
-            a = _float_div(xi, d * self.scales.rho[n])
-            if isinstance(kernel, HSqTables):
-                factors = eval_H_sq_tables(kernel, a)
+    def factors(self, n: int, xis: Sequence[float], nodes: slice = slice(None)) -> np.ndarray:
+        """|G_n(xi / (d_n rho_n) + u_n)|^2 over the level-n nodes ``nodes``, one row per xi.
+
+        These are the squared level-n factors at xi + lambda(delta), because
+        lambda(delta) - sigma_n is a multiple of rho_{n+1} = q_n d_n rho_n and
+        G_n is 1-periodic; xi enters only through the scalar xi / (d_n rho_n).
+        An explicit filter level is evaluated one row per call, since the bits
+        of :func:`eval_filter` depend on the shape of its call."""
+        scale = self.scales.d[n] * self.scales.rho[n]
+        a = [_float_div(x, scale) for x in xis]
+        kernel = self.kernels[n - 1]
+        if isinstance(kernel, HSqTables):
+            return eval_H_sq_tables(kernel[nodes], a)
+        g, u = np.asarray(self.filters.coefficients(n)), kernel[nodes]
+        values = np.empty((len(a), len(u)))
+        for row, x in zip(values, a):
+            f = eval_filter(g, x + u)
+            np.add(f.real ** 2, f.imag ** 2, out=row)
+        return values
+
+    def tiles(self, xis: Sequence[float], upto: int):
+        """Yield (n, rows, w) for the levels n = 0..``upto``, depth first.
+
+        ``rows`` is a range of indices into ``xis`` and w[i] holds
+        prod_{k<=n} |G_k(xi / (d_k rho_k) + u_k)|^2 over the level-n nodes at
+        xi = xis[rows[i]]: the parent's product times :meth:`factors`, one
+        broadcast over the d_n contiguous rows of children.  A tile has at
+        most ``_SLICE`` entries, or one row when P_n exceeds ``_SLICE``;
+        a tile's rows are split into tiles of the next level as P_n grows, and
+        the tiles of one level come in the order of ``xis``, a list of floats."""
+        stack = [(0, 0, len(xis), None)] if xis else []  # (level, rows [lo, hi), parent tile)
+        while stack:
+            n, lo, hi, parent = stack.pop()
+            step = max(1, _SLICE // self.size[n])
+            if hi - lo > step:  # split the rows, first rows on top
+                for i in reversed(range(lo, hi, step)):
+                    j = min(i + step, hi)
+                    stack.append((n, i, j, None if n == 0 else parent[i - lo:j - lo]))
+                continue
+            if n == 0:
+                w = np.ones((hi - lo, 1))
             else:
-                g = eval_filter(np.asarray(self.filters.coefficients(n)), a + kernel)
-                factors = g.real ** 2 + g.imag ** 2
-            w = (factors.reshape(d, -1) * w).ravel()  # row j: the children with digit j
-            yield w
+                w = self.factors(n, xis[lo:hi])
+                children = w.reshape(hi - lo, self.scales.d[n], -1)
+                children *= parent[:, None, :]  # row j: the children with digit j
+            yield n, range(lo, hi), w
+            if n < upto:
+                stack.append((n + 1, lo, hi, w))
+
+    def slice_products(self, n: int, xi: float, parent: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """The level-n products over the nodes [start, stop) at xi, from the
+        level-(n-1) products ``parent`` at xi: :meth:`factors` on those nodes
+        times their parents' entries, split where the nodes cross a row of
+        children (:func:`_row_pieces`).  The entries of :meth:`tiles`, bit for
+        bit, with no level-n array beyond the slice."""
+        part = self.factors(n, [xi], slice(start, stop))[0]
+        for a, b, lo, hi in _row_pieces(start, stop, self.size[n - 1]):
+            children = part[a:b].reshape(-1, hi - lo)
+            children *= parent[lo:hi]
+        return part
 
 
 # ---------------------------------------------------------------------------
@@ -291,26 +366,28 @@ def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
                      budget: int = 10**6) -> tuple[tuple[PartitionResult, ...], ...]:
     """Partition sums for every level 1..``level`` at each xi of ``xis``.
 
-    The digit tree is built once (:class:`_Tree`) and every xi takes one
-    pass over it; the level-n sum is the total of the squared products over
-    the level-n words, see :func:`partition_identity`.  Returns one tuple of
-    levels 1..``level`` per xi, in the order of ``xis``.
+    The digit tree is built once (:class:`_Tree`) and all of ``xis`` walk it
+    in tiles (:meth:`_Tree.tiles`); the level-n sum at xi is the total of
+    the squared products over the level-n words, see
+    :func:`partition_identity`, taken as ``np.sum`` of that xi's row alone,
+    so it does not depend on the other xi.  Returns one tuple of levels
+    1..``level`` per xi, in the order of ``xis``.
     """
     pair = tm.pair
     _check_level(pair, level, budget)
     if filters is None:
         filters = uniform_family(pair)
     tree = _Tree(tm, _Scales(pair), level, filters)
-    results = []
-    for xi in xis:
-        xi = float(xi)
-        per_level = []
-        for n, w in enumerate(tree.weights(xi), start=1):
-            total = float(np.sum(w))
-            per_level.append(PartitionResult(total=total, defect=abs(total - 1.0), level=n,
-                                             xi=xi, terms=len(w)))
-        results.append(tuple(per_level))
-    return tuple(results)
+    xis = [float(xi) for xi in xis]
+    totals = [[0.0] * level for _ in xis]
+    for n, rows, w in tree.tiles(xis, level):
+        if n:
+            for i, row in zip(rows, w):
+                totals[i][n - 1] = float(np.sum(row))  # a 1-D sum, as per xi
+    return tuple(tuple(PartitionResult(total=total, defect=abs(total - 1.0), level=n, xi=xi,
+                                       terms=tree.size[n])
+                       for n, total in enumerate(per_xi, start=1))
+                 for xi, per_xi in zip(xis, totals))
 
 
 def partition_identity(tm: TreeMapping, xi: float, level: int,
@@ -432,9 +509,12 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     tables (:func:`_tail_tables`) to the deepest depth :func:`truncation_level`
     picks for any grid point's block, with the series start fixed by the
     grid's largest xi.  A deeper tail only shrinks the truncation error each
-    radius bounds.  Each grid point is then one angle-addition pass over the
-    tree for w, the explicit tail levels if any, and one Horner pass in the
-    scalar xi / rho_k0 (:func:`_log_tail`).  With g = w expm1(log T), the
+    radius bounds.  The grid walks the tree in tiles to level l_max - 1
+    (:meth:`_Tree.tiles`); per grid point, each slice of ``_SLICE`` level-l_max
+    nodes then gets its products w from its parents' entries
+    (:meth:`_Tree.slice_products`), the explicit tail levels if any, and one
+    Horner pass in the scalar xi / rho_k0 (:func:`_log_tail`), and is summed
+    before the next slice is formed.  With g = w expm1(log T), the
     gap G_{l_max} = -sum g is exact as sum w = 1, the terms are w + g,
     G_L = G_{L+1} + S_{L+1} with S_n the sum of block n, and Q_L = 1 - G_L is
     rounded once, so Q is monotone by construction.  ``bounded`` checks the
@@ -476,32 +556,40 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     rows = []
     monotone = bounded = True
     worst_gap, worst_xi = -math.inf, (xis[0] if xis else 0.0)
-    for x, per_x in zip(xis, batches):
-        rho_next = [_cap_float(r) for _, r in per_x]
-        for w in tree.weights(x):
-            pass
-        gap, sums, slacks = 0.0, np.zeros(l_max), np.zeros(l_max)
-        for (start, stop, segments, levels, offsets), table in zip(slices, tails):
-            part = w[start:stop]
-            g = part * np.expm1(_log_tail(scales, table, x, stop - start))
-            gap -= float(np.sum(g))
-            terms = part + g
-            radii = TWO_PI * np.abs(x + lam[start:stop])
-            for n, a, b in segments:
-                radii[a:b] /= rho_next[n]
-            radii = np.expm1(radii)
-            sums[levels] += np.add.reduceat(terms, offsets)
-            slacks[levels] += np.add.reduceat(2.0 * radii * np.sqrt(terms) + radii**2, offsets)
-        # Q_L = 1 - G_L, G_L = G_{l_max} + sum_{n>L} S_n
-        qs = (1.0 - (gap + np.append(np.cumsum(sums[:0:-1])[::-1], 0.0))).tolist()
-        slacks = np.cumsum(slacks)
-        bounded = bounded and bool(np.all(np.cumsum(sums) <= 1.0 + slacks))
-        for level, (q, slack, prev) in enumerate(zip(qs, slacks.tolist(), [0.0] + qs), start=1):
-            ok = q >= prev - _MONOTONE_SLACK
-            monotone = monotone and ok
-            rows.append(QRow(xi=x, level=level, q=q, certified_slack=slack, monotone_ok=ok))
-        if gap > worst_gap:
-            worst_gap, worst_xi = gap, x
+    last = ((tile_rows, tile) for n, tile_rows, tile in tree.tiles(xis, l_max - 1) if n == l_max - 1)
+    for tile_rows, tile in last:
+        for i, parent in zip(tile_rows, tile):
+            x, rho_next = xis[i], [_cap_float(r) for _, r in batches[i]]
+            gap, sums, slacks = 0.0, np.zeros(l_max), np.zeros(l_max)
+            for (start, stop, segments, levels, offsets), table in zip(slices, tails):
+                # in place, in the operation order of w + w expm1(log T) and 2 r sqrt(t) + r^2
+                terms = tree.slice_products(l_max, x, parent, start, stop)
+                g = _log_tail(scales, table, x, stop - start)
+                np.expm1(g, out=g)
+                g *= terms
+                gap -= float(np.sum(g))
+                terms += g
+                radii = np.abs(x + lam[start:stop])
+                radii *= TWO_PI
+                for n, a, b in segments:
+                    radii[a:b] /= rho_next[n]
+                np.expm1(radii, out=radii)
+                sums[levels] += np.add.reduceat(terms, offsets)
+                slack_terms = radii * 2.0
+                slack_terms *= np.sqrt(terms)
+                radii *= radii
+                slack_terms += radii
+                slacks[levels] += np.add.reduceat(slack_terms, offsets)
+            # Q_L = 1 - G_L, G_L = G_{l_max} + sum_{n>L} S_n
+            qs = (1.0 - (gap + np.append(np.cumsum(sums[:0:-1])[::-1], 0.0))).tolist()
+            slacks = np.cumsum(slacks)
+            bounded = bounded and bool(np.all(np.cumsum(sums) <= 1.0 + slacks))
+            for level, (q, slack, prev) in enumerate(zip(qs, slacks.tolist(), [0.0] + qs), start=1):
+                ok = q >= prev - _MONOTONE_SLACK
+                monotone = monotone and ok
+                rows.append(QRow(xi=x, level=level, q=q, certified_slack=slack, monotone_ok=ok))
+            if gap > worst_gap:
+                worst_gap, worst_xi = gap, x
     return CompletenessReport(rows=tuple(rows), l_max=l_max, tol=tol,
                               monotone=monotone, bounded=bounded,
                               worst_gap=worst_gap, worst_gap_xi=worst_xi)

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from cantorspec import (TreeMapping, beurling_upper_dim,
+from cantorspec import (BudgetExceededError, TreeMapping, beurling_upper_dim,
                         beurling_vs_hausdorff, box_counting_dim,
                         build_intervals, canonical_tau, constant_pair,
                         dimension_targeting_pair, enumerate_level, gap_ratios,
                         hausdorff_dim_formula, rescale_constant, rho)
+from cantorspec.dimension import _least_squares
 
 MU42 = constant_pair(4, 2)
 MU82 = constant_pair(8, 2)
@@ -122,6 +123,31 @@ def test_box_counting_examples():
     assert fit.interval_count == 1024 and fit.residual < 1e-9
     with pytest.raises(ValueError):
         box_counting_dim(MU42, 1)
+
+
+def family_box_fit(pair, depth):
+    """Oracle: the box-count fit read off the constructed interval family, the
+    length of a level-n interval and the number of them."""
+    family = build_intervals(pair, depth)
+    xs = [-math.log(family.length(n).numerator) + math.log(family.length(n).denominator)
+          for n in range(1, depth + 1)]
+    ys = [math.log(len(family.intervals(n))) for n in range(1, depth + 1)]
+    return _least_squares(xs, ys), len(family.intervals(depth))
+
+
+@pytest.mark.parametrize("pair, depth", [
+    (MU42, 10), (MU93, 6), (MU82, 8), (dimension_targeting_pair(0.5), 4),
+    (dimension_targeting_pair(0.25), 4), (constant_pair(16, 4), 5), (MU42, 2)])
+def test_box_counting_equals_the_interval_family_fit(pair, depth):
+    (slope, residual), count = family_box_fit(pair, depth)
+    fit = box_counting_dim(pair, depth)
+    assert (fit.slope, fit.residual, fit.interval_count) == (slope, residual, count)
+
+
+def test_box_counting_keeps_the_interval_budget():
+    with pytest.raises(BudgetExceededError) as err:
+        box_counting_dim(MU42, 12, budget=1000)
+    assert err.value.required == 1024
 
 
 def window_count_oracle(elements, h):

@@ -13,7 +13,7 @@ from cantorspec import (FilterCertificationError, FilterFamily,
                         eval_H_sq_array, filter_family_from_config, mu_hat,
                         mu_hat_array,
                         mu_hat_exact_zero, phi_hat, qmf_check, uniform_family)
-from cantorspec.fourier import (LOG_SERIES_THETA, _ZETA_OVER_J, H_sq_tables,
+from cantorspec.fourier import (LOG_SERIES_THETA, _ZETA_OVER_J, H_sq_tables, _H_sq_direct,
                                 eval_H_sq_tables, log_H_sq_array, log_H_sq_series,
                                 log_series_coefficients, log_series_remainder_bounds,
                                 log_series_taylor)
@@ -81,7 +81,7 @@ def test_eval_H_array_matches_scalar():
 
 
 def test_eval_H_sq_array_matches_summation_oracle():
-    # closed form, the cosine form at m = 2, and the Fejer sum in the guard band
+    # closed form, the cosine form at m = 2, and the series in the guard band
     rng = np.random.default_rng(4)
     xs = np.concatenate([rng.uniform(-3, 3, size=200), [-2.0, 0.0, 1.0, 0.5, -0.5],
                          [k + e for k in (0, 3) for e in (-2e-9, -1e-12, 1e-300, 5e-10)]])
@@ -94,8 +94,9 @@ def test_eval_H_sq_array_matches_summation_oracle():
 
 def closed_form_H_sq(m, xs):
     """Oracle: the closed form of |H_m|^2 that preceded the table kernel, one
-    sine pair per argument, the cosine at m = 2 and the Fejer sum in the guard
-    band; the numerator's angle pi m s is taken as pi (m s - round(m s))."""
+    sine pair per argument, the cosine at m = 2 and in the guard band the
+    series 1 - (m^2 - 1)(pi s)^2 / 3 of the Fejer sum; the numerator's angle
+    pi m s is taken as pi (m s - round(m s))."""
     if m == 2:
         return np.cos(np.pi * (xs - np.round(xs))) ** 2
     s = xs - np.round(xs)
@@ -106,8 +107,7 @@ def closed_form_H_sq(m, xs):
     ms = m * safe
     vals = (np.sin(np.pi * (ms - np.round(ms))) / (m * np.sin(np.pi * safe))) ** 2
     vals[at_integer] = 1.0
-    k = np.arange(1, m).reshape(-1, 1)
-    vals[near] = (1.0 + 2.0 * ((1.0 - k / m) * np.cos(2.0 * np.pi * k * s[near])).sum(axis=0)) / m
+    vals[near] = 1.0 - (m * m - 1) * (np.pi * s[near]) ** 2 / 3.0
     return vals
 
 
@@ -153,7 +153,7 @@ def kernel_arguments(draw):
 @settings(deadline=None, max_examples=600)
 def test_table_kernel_as_accurate_as_closed_form(args):
     m, a, u = args
-    got = eval_H_sq_tables(H_sq_tables(m, np.array([u])), a)[0]
+    got = eval_H_sq_tables(H_sq_tables(m, np.array([u])), [a])[0, 0]
     closed = closed_form_H_sq(m, np.array([a + u]))[0]
     want, unit = H_sq_mpmath(m, a, u)
     err, closed_err = (float(abs(mp.mpf(v) - want) / unit) for v in (got, closed))
@@ -181,7 +181,7 @@ def test_table_kernel_angles_on_tree_shaped_arguments(m):
                 exact = m & (m - 1) == 0  # m u and its reduction are exact
                 worst_angle = max(worst_angle, float(err) / (1 if exact else 1 + math.pi * abs(m * u)))
         for a in rng.uniform(-0.5 / m, 0.5 / m, size=3):
-            for u, got in zip(us, eval_H_sq_tables(tables, a)):
+            for u, got in zip(us, eval_H_sq_tables(tables, [a])[0]):
                 want, unit = H_sq_mpmath(m, a, u)
                 worst_kernel = max(worst_kernel, float(abs(mp.mpf(got) - want) / unit))
     assert worst_angle <= 2.0 ** -52, worst_angle / 2.0 ** -52
@@ -189,13 +189,54 @@ def test_table_kernel_angles_on_tree_shaped_arguments(m):
 
 
 def test_table_kernel_guard_band_and_integers():
-    # a + u at an integer gives 1; within 1e-9 of one, the Fejer sum of the closed form
+    # a + u at an integer gives 1; within 1e-9 of one, the series of the closed form
     for m in (3, 9):
         t = H_sq_tables(m, np.array([0.25, -0.25, 0.5, 0.0]))
         a = -0.25 + 3e-10
-        assert eval_H_sq_tables(t, a)[0] == closed_form_H_sq(m, np.array([a + 0.25]))[0]
-        assert eval_H_sq_tables(t, 0.25)[1] == 1.0
-        assert eval_H_sq_tables(t, 1.0)[3] == 1.0
+        assert eval_H_sq_tables(t, [a])[0, 0] == closed_form_H_sq(m, np.array([a + 0.25]))[0]
+        assert eval_H_sq_tables(t, [0.25])[0, 1] == 1.0
+        assert eval_H_sq_tables(t, [1.0])[0, 3] == 1.0
+
+
+@pytest.mark.parametrize("m", [3, 9, 32, 1024, 4096])
+def test_guard_band_series_within_one_ulp_of_mpmath(m):
+    # 1 - (m^2 - 1)(pi s)^2 / 3 for 0 < |s| < 1e-9: the remainder is below
+    # 1.3e-21, so the value is within rounding of the exact |H_m(s)|^2
+    rng = np.random.default_rng(m)
+    s = np.concatenate([rng.uniform(-1e-9, 1e-9, size=60), 10.0 ** rng.uniform(-300, -9, size=20),
+                        [math.nextafter(1e-9, 0.0), -math.nextafter(1e-9, 0.0), 1e-299]])
+    got = _H_sq_direct(m, s)
+    with mp.workdps(50):
+        for x, v in zip(s, got):
+            x = mp.mpf(x)
+            want = (mp.sin(mp.pi * m * x) / (m * mp.sin(mp.pi * x))) ** 2
+            assert abs(mp.mpf(v) - want) <= math.ulp(float(want)), (m, x, v)
+
+
+@pytest.mark.parametrize("m", [3, 9, 16, 32, 1024])
+def test_direct_kernel_entries_do_not_depend_on_the_call(m):
+    # the guard band, the integers and the closed form, each entry alone
+    rng = np.random.default_rng(m)
+    xs = np.concatenate([k + rng.uniform(-1e-9, 1e-9, size=40) for k in (0, 2)]
+                        + [rng.uniform(-3, 3, size=40), [0.0, 1.0, 1e-300, 0.5]])
+    batch = _H_sq_direct(m, xs)
+    for i in range(len(xs)):
+        assert batch[i] == _H_sq_direct(m, xs[i:i + 1])[0], (m, xs[i])
+
+
+def test_table_kernel_rows_equal_one_call_per_row():
+    # one row per scalar a, each row bit for bit the call with that a alone
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3, 9, 1024):
+        us = np.concatenate([rng.integers(-64, 64, 300) / (2 * m), rng.uniform(-0.5, 0.5, 100)])
+        t = H_sq_tables(m, us)
+        a = [0.0, 1e-12, -0.25 + 3e-10, 0.37, 0.5 / m, -0.3 / m, 2.25]
+        rows = eval_H_sq_tables(t, a)
+        assert rows.shape == (len(a), len(us))
+        for x, row in zip(a, rows):
+            assert np.array_equal(row, eval_H_sq_tables(t, [x])[0]), (m, x)
+        part = eval_H_sq_tables(t[100:250], a)
+        assert np.array_equal(part, rows[:, 100:250])
 
 
 def log_H_sq_mpmath(m, s):

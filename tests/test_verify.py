@@ -193,16 +193,20 @@ def test_partition_levels_equal_per_level_identity():
             assert r.defect <= 1e-13
 
 
-def test_partition_levels_of_many_xis_equal_one_call_per_xi():
+def test_partition_levels_of_many_xis_equal_one_call_per_xi(monkeypatch):
+    # also with tiles of 1, 7 and 64 entries, which split the xi rows early
     table = TreeMapping(MU42, {(1,): -1, (1, 1): -1})
     filters = uniform_family(MU93)
     cases = [(canonical_tau(MU42), 8, None), (canonical_tau(MU93), 5, filters),
              (canonical_tau(dimension_targeting_pair(0.5)), 4, None), (table, 7, None)]
     xis = [0.0, 0.05, 0.3, 0.5, 0.71, 0.999]
-    for tm, level, fam in cases:
-        together = partition_levels(tm, xis, level, filters=fam)
-        assert together == tuple(partition_levels(tm, [xi], level, filters=fam)[0] for xi in xis)
-        assert [results[0].xi for results in together] == xis
+    for size in (verify._SLICE, 1, 7, 64):
+        monkeypatch.setattr(verify, "_SLICE", size)
+        for tm, level, fam in cases:
+            together = partition_levels(tm, xis, level, filters=fam)
+            assert together == tuple(partition_levels(tm, [xi], level, filters=fam)[0] for xi in xis)
+            assert [results[0].xi for results in together] == xis
+            assert partition_levels(tm, [], level, filters=fam) == ()
 
 
 @pytest.mark.parametrize("pair", [MU42, MU93, dimension_targeting_pair(0.5),
@@ -353,6 +357,9 @@ def test_completeness_matches_scalar_sum(tm, xi, level):
     (STACKED82, 0.3, 1, 1),      # the labels past level 1 sit on node 1, in the second slice
     (STACKED82, 0.05, 2, 2),     # the label past level 2 sits on node 2, in the second slice
     (DEVIATED42, 0.125, 3, 3),
+    (canonical_tau(MU93), 0.17, 3, 4),   # rows of 9 nodes straddle slices of 4
+    (canonical_tau(MU93), 0.41, 4, 10),  # rows of 27 nodes straddle slices of 10
+    (canonical_tau(MU93), 0.5, 2, 2),    # rows of 3 nodes straddle slices of 2
 ])
 def test_completeness_slices_match_scalar_sum(monkeypatch, tm, xi, level, size):
     monkeypatch.setattr(verify, "_SLICE", size)
@@ -467,7 +474,7 @@ def child_major_weights(tm, level, xi, filters):
         d = scales.d[n]
         a = _float_div(xi, d * scales.rho[n])
         if filters.is_uniform(n):
-            factors = eval_H_sq_tables(H_sq_tables(d, u), a)
+            factors = eval_H_sq_tables(H_sq_tables(d, u), [a])[0]
         else:
             g = eval_filter(np.asarray(filters.coefficients(n)), a + u)
             factors = g.real ** 2 + g.imag ** 2
@@ -516,18 +523,112 @@ LAYOUT_CASES = [
 ]
 
 
+TILE_XIS = [0.0, 0.3, 0.5, 0.71, 0.05, 0.999]
+
+
 @pytest.mark.parametrize("tm, level, filters", LAYOUT_CASES)
-def test_digit_major_tree_is_the_child_major_tree_reordered(tm, level, filters):
-    # the weights of every level, bit for bit (so also as sorted arrays), and lambda
+def test_digit_major_tree_is_the_child_major_tree_reordered(monkeypatch, tm, level, filters):
+    # every row of every tile is the child-major product of its xi, reordered,
+    # bit for bit (so also as sorted arrays), also with tiles of 1, 7 and 64
+    # entries; and lambda
     tree = verify._Tree(tm, verify._Scales(tm.pair), level, filters)
     scales, _, lam, _, _ = child_major_tree(tm, level)
-    for xi in (0.0, 0.3, 0.5, 0.71):
-        old = child_major_weights(tm, level, xi, filters)
-        for n, w in enumerate(tree.weights(xi), start=1):
-            assert np.array_equal(w, to_digit_major(old[n - 1], scales, n)), (xi, n)
-            assert np.array_equal(np.sort(w), np.sort(old[n - 1]))
+    old = [child_major_weights(tm, level, xi, filters) for xi in TILE_XIS]
+    for size in (verify._SLICE, 1, 7, 64):
+        monkeypatch.setattr(verify, "_SLICE", size)
+        seen = set()
+        for n, rows, w in tree.tiles(TILE_XIS, level):
+            assert w.shape == (len(rows), tree.size[n])
+            for i, row in zip(rows, w):
+                want = np.ones(1) if n == 0 else to_digit_major(old[i][n - 1], scales, n)
+                assert np.array_equal(row, want), (size, TILE_XIS[i], n)
+                assert np.array_equal(np.sort(row), np.sort(want))
+                seen.add((i, n))
+        assert seen == {(i, n) for i in range(len(TILE_XIS)) for n in range(level + 1)}
     new_lam, _ = verify._frequencies(tm, tree.scales, level)
     assert np.array_equal(new_lam, to_digit_major(lam, scales, level))
+
+
+@pytest.mark.parametrize("size", [None, 1, 7, 64, 100])
+@pytest.mark.parametrize("tm, level", [(canonical_tau(MU42), 8), (canonical_tau(MU93), 5),
+                                       (canonical_tau(dimension_targeting_pair(0.5)), 4)])
+def test_tiles_stay_within_the_slice(monkeypatch, tm, level, size):
+    # at most _SLICE entries or one row; each level's tiles cover the xis once, in order
+    if size is not None:
+        monkeypatch.setattr(verify, "_SLICE", size)
+    xis = [0.01 * k for k in range(40)]
+    tree = verify._Tree(tm, verify._Scales(tm.pair), level, uniform_family(tm.pair))
+    by_level = {}
+    for n, rows, w in tree.tiles(xis, level):
+        assert w.size <= verify._SLICE or len(rows) == 1, (n, len(rows), w.size)
+        by_level.setdefault(n, []).extend(rows)
+    assert by_level == {n: list(range(len(xis))) for n in range(level + 1)}
+
+
+def test_tiles_batch_the_shallow_levels():
+    # one tile for all 50 xis while 50 P_n fits in _SLICE, then at most
+    # _SLICE / P_n rows per tile, and one row from P_n = _SLICE on
+    xis = [0.01 * k for k in range(50)]
+    tree = verify._Tree(canonical_tau(MU42), verify._Scales(MU42), 14, uniform_family(MU42))
+    widths = {}
+    for n, rows, w in tree.tiles(xis, 14):
+        assert len(rows) <= min(50, verify._SLICE // 2 ** n), n
+        widths.setdefault(n, []).append(len(rows))
+    assert widths[8] == [50] and widths[9] == [32, 18] and widths[14] == [1] * 50
+    assert all(ws[0] == min(50, verify._SLICE // 2 ** n) for n, ws in widths.items())
+
+
+@pytest.mark.parametrize("tm, level", [(canonical_tau(MU42), 8), (canonical_tau(MU93), 5),
+                                       (DEVIATED42, 8)])
+def test_partition_totals_are_the_one_dimensional_sums(tm, level):
+    # P_n < 8, 8 <= P_n <= 128 and P_n > 128 all occur; each total is np.sum of
+    # the level's products of that xi as one 1-D array
+    filters = uniform_family(tm.pair)
+    scales = verify._Scales(tm.pair).upto(level)
+    sizes = [math.prod(scales.d[1:n + 1]) for n in range(1, level + 1)]
+    assert min(sizes) < 8 and any(8 <= p <= 128 for p in sizes) and max(sizes) > 128
+    xis = [0.0, 0.3, 0.71, 0.999]
+    for xi, results in zip(xis, partition_levels(tm, xis, level)):
+        old = child_major_weights(tm, level, xi, filters)
+        for r, w in zip(results, old):
+            assert r.total == float(np.sum(to_digit_major(w, scales, r.level))), (xi, r.level)
+            assert r.terms == len(w)
+
+
+@pytest.mark.parametrize("start, stop, width", [
+    (0, 27, 9), (4, 11, 9), (7, 8, 9), (0, 5, 9), (3, 30, 9), (0, 16384, 19683),
+    (16384, 32768, 19683), (49152, 59049, 19683), (0, 4, 1), (2, 3, 1)])
+def test_row_pieces_tile_the_slice(start, stop, width):
+    # the pieces cover [start, stop) in order, each within one row or whole rows
+    pieces = verify._row_pieces(start, stop, width)
+    assert [a for a, _, _, _ in pieces] == [0] + [b for _, b, _, _ in pieces[:-1]]
+    assert pieces[-1][1] == stop - start
+    for a, b, lo, hi in pieces:
+        assert (start + a) % width == lo and (b - a) % (hi - lo) == 0
+        assert hi - lo == b - a or (lo, hi) == (0, width)
+        assert hi <= width
+
+
+@pytest.mark.parametrize("tm, level, size", [
+    (canonical_tau(MU93), 10, None),   # rows of 3^9 = 19683 nodes straddle the 2^14-node slices
+    (canonical_tau(MU93), 4, 10),
+    (canonical_tau(MU42), 6, 24),
+    (DEVIATED42, 5, 3),
+])
+def test_slice_products_equal_the_tile_rows(monkeypatch, tm, level, size):
+    if size is not None:
+        monkeypatch.setattr(verify, "_SLICE", size)
+    xis = [0.0, 0.17, 0.5]
+    tree = verify._Tree(tm, verify._Scales(tm.pair), level, uniform_family(tm.pair))
+    rows = {}
+    for n, tile_rows, w in tree.tiles(xis, level):
+        for i, row in zip(tile_rows, w):
+            rows[i, n] = row
+    for i, xi in enumerate(xis):
+        parts = [tree.slice_products(level, xi, rows[i, level - 1], start, min(start + verify._SLICE,
+                                                                               tree.size[level]))
+                 for start in range(0, tree.size[level], verify._SLICE)]
+        assert np.array_equal(np.concatenate(parts), rows[i, level]), xi
 
 
 @pytest.mark.parametrize("tm, level, filters", LAYOUT_CASES)
