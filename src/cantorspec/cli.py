@@ -395,7 +395,9 @@ _CHECKS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; with ``command``, the flags of that
+    subcommand only, the others listed by name with no flags."""
     parser = argparse.ArgumentParser(
         prog="cantorspec",
         description="Exact and certified-numeric verification for spectra of "
@@ -403,6 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, entry in _CHECKS.items():
         p = sub.add_parser(name)
+        if command is not None and name != command:
+            continue
         p.add_argument("--pair", required=True, help="pair configuration JSON")
         for flag, default in entry["flags"].items():
             kind, text = _FLAGS[flag]
@@ -430,7 +434,9 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the subcommand comes first; anything else gets the full parser and its error
+    args = build_parser(argv[0] if argv and argv[0] in _CHECKS else None).parse_args(argv)
     try:
         return _run(args)
     except BudgetExceededError as exc:

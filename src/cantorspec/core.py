@@ -9,7 +9,6 @@ ratio 4 and are kept as exact Python integers throughout: rho_n overflows
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -119,7 +118,7 @@ def _alpha_rule(alpha: Fraction, n: int) -> tuple[int, int]:
         return 1 << (3 * n * n), 1 << n
     if alpha == 1:
         return 1 << (3 * n), 1 << (3 * n - 1)
-    kb = max(n + 1, math.ceil(Fraction(n) / alpha))
+    kb = max(n + 1, -(-n * alpha.denominator // alpha.numerator))  # ceil(n / alpha)
     return 1 << kb, 1 << n
 
 

@@ -98,9 +98,10 @@ def eval_H_array(m: int, xs: np.ndarray) -> np.ndarray:
     vals = np.exp(-1j * np.pi * (m - 1) * safe) * np.sin(np.pi * m * safe) / (m * np.sin(np.pi * safe))
     if at_integer is not None:
         vals[at_integer] = 1.0
-        sn = s[near]
-        j = np.arange(m).reshape(-1, 1)
-        vals[near] = np.exp(-2j * np.pi * j * sn).sum(axis=0) / m
+        # one row of m terms per entry, summed on its own whatever else shares the call
+        sn = s[near].reshape(-1, 1)
+        j = np.arange(m)
+        vals[near] = np.exp(-2j * np.pi * j * sn).sum(axis=1) / m
     return vals
 
 
@@ -183,9 +184,12 @@ def eval_H_sq_tables(t: HSqTables, a: Sequence[float]) -> np.ndarray:
     sin(x + y) = sin x cos y + cos x sin y over the tables.  Entries where
     sin(pi s) is small against sin(pi a_r), or within the integer guard band,
     take :func:`_H_sq_direct` at a_r + u: the closed form, 1 at integers and
-    the series of the Fejer form in the guard band.  No per-entry sine or
-    cosine otherwise.  Every entry is elementwise in its own a_r and u, so a
-    row's bits do not depend on the other rows of the call.
+    the series of the Fejer form in the guard band; their (row, column) pairs
+    come from one ``np.flatnonzero`` of the mask, divided by the row length.
+    No per-entry sine or cosine otherwise.  Every entry is elementwise in its
+    own a_r and u, so a row's bits do not depend on the other rows of the
+    call: a block of grid rows, as the completeness sum passes, gives each
+    row the bits of a call with that a_r alone.
     """
     m = t.m
     if m == 1:
@@ -203,7 +207,7 @@ def eval_H_sq_tables(t: HSqTables, a: Sequence[float]) -> np.ndarray:
         vals = ((sma * t.cos_m + cma * t.sin_m) / (m * den)) ** 2
     odd = np.abs(den) < np.maximum(_CANCELLATION * np.abs(sa), _GUARD_SIN)
     if odd.any():
-        rows, cols = np.nonzero(odd)
+        rows, cols = np.divmod(np.flatnonzero(odd), odd.shape[1])
         vals[rows, cols] = _H_sq_direct(m, np.array(a)[rows] + t.u[cols])
     return vals
 
@@ -317,13 +321,17 @@ def log_series_taylor(ms, ts, y0: np.ndarray, e: float) -> np.ndarray:
     return np.array(rows)
 
 
-def eval_log_series_taylor(coefficients: np.ndarray, eps: float) -> np.ndarray:
+def eval_log_series_taylor(coefficients: np.ndarray, eps) -> np.ndarray:
     """:func:`log_H_sq_series` at y0 + eps from the tables of :func:`log_series_taylor`:
-    one Horner pass in the scalar eps, sum_i A_i eps^i."""
-    acc = coefficients[-1].copy()
-    for row in coefficients[-2::-1]:
-        acc *= eps
+    one Horner pass in eps, sum_i A_i eps^i, for a scalar eps or one row per entry
+    of a column of eps."""
+    if len(coefficients) == 1:
+        return coefficients[0] * np.ones_like(eps)  # exact: a copy, broadcast against eps
+    acc = coefficients[-1] * eps
+    for row in coefficients[-2:0:-1]:
         acc += row
+        acc *= eps
+    acc += coefficients[0]
     return acc
 
 

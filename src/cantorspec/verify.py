@@ -27,10 +27,14 @@ blocks of xi rows by level-n nodes of at most ``_SLICE`` = 2^14 entries, or
 one row where a level alone is larger.  A shallow level thus takes many xi
 per numpy call, and a deep one stays in cache with its tables.  The row
 totals of the tiles are the partition sums for every level.  Completeness
-walks the tiles only to level L - 1 and forms the level-L products one slice
-of ``_SLICE`` nodes at a time (:meth:`_Tree.slice_products`), multiplying
-each into one log-domain tail along its zero-extension and summing it while
-the slice is in cache; no level-L array is built.  The tail is tabulated
+walks the tiles only to level L - 1 and forms the level-L products in blocks
+of grid rows by a slice of nodes, at most ``_SLICE`` entries, the rule of the
+tiles: one row of ``_SLICE`` nodes where P_L exceeds it, else the whole level
+for as many rows as fit (:meth:`_Tree.slice_products`).  Each block is
+multiplied into one log-domain tail along its zero-extensions and summed
+while it is in cache; no level-L array is built.  Every entry stays
+elementwise in its own row and every row total a 1-D pairwise sum, so a row's
+bits do not depend on the block it shares.  The tail is tabulated
 once per check: past the levels that must be summed explicitly, it depends
 on xi only through one scalar eps, as a short Taylor polynomial per node
 (:func:`_tail_tables`).  Q_L is reported through the gap 1 - Q_L, a sum of
@@ -310,7 +314,7 @@ class _Tree:
         stack = [(0, 0, len(xis), None)] if xis else []  # (level, rows [lo, hi), parent tile)
         while stack:
             n, lo, hi, parent = stack.pop()
-            step = max(1, _SLICE // self.size[n])
+            step = self.rows_per_tile(n)
             if hi - lo > step:  # split the rows, first rows on top
                 for i in reversed(range(lo, hi, step)):
                     j = min(i + step, hi)
@@ -326,16 +330,22 @@ class _Tree:
             if n < upto:
                 stack.append((n + 1, lo, hi, w))
 
-    def slice_products(self, n: int, xi: float, parent: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """The level-n products over the nodes [start, stop) at xi, from the
-        level-(n-1) products ``parent`` at xi: :meth:`factors` on those nodes
-        times their parents' entries, split where the nodes cross a row of
-        children (:func:`_row_pieces`).  The entries of :meth:`tiles`, bit for
-        bit, with no level-n array beyond the slice."""
-        part = self.factors(n, [xi], slice(start, stop))[0]
+    def rows_per_tile(self, n: int) -> int:
+        """The xi rows of a level-n tile: as many as fit ``_SLICE`` entries, at least one."""
+        return max(1, _SLICE // self.size[n])
+
+    def slice_products(self, n: int, xis: Sequence[float], parents: np.ndarray,
+                       start: int, stop: int) -> np.ndarray:
+        """The level-n products over the nodes [start, stop), one row per xi of
+        ``xis``, from the level-(n-1) products ``parents``, one row per xi:
+        :meth:`factors` on those nodes times their parents' entries, split
+        where the nodes cross a row of children (:func:`_row_pieces`).  The
+        entries of :meth:`tiles`, bit for bit, with no level-n array beyond
+        the block."""
+        part = self.factors(n, xis, slice(start, stop))
         for a, b, lo, hi in _row_pieces(start, stop, self.size[n - 1]):
-            children = part[a:b].reshape(-1, hi - lo)
-            children *= parent[lo:hi]
+            children = part[:, a:b].reshape(len(part), -1, hi - lo)  # a view: splits the last axis
+            children *= parents[:, None, lo:hi]
         return part
 
 
@@ -369,9 +379,9 @@ def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
     The digit tree is built once (:class:`_Tree`) and all of ``xis`` walk it
     in tiles (:meth:`_Tree.tiles`); the level-n sum at xi is the total of
     the squared products over the level-n words, see
-    :func:`partition_identity`, taken as ``np.sum`` of that xi's row alone,
-    so it does not depend on the other xi.  Returns one tuple of levels
-    1..``level`` per xi, in the order of ``xis``.
+    :func:`partition_identity`, taken as one ``sum(axis=1)`` per tile, which
+    sums each row as a 1-D array, so it does not depend on the other xi.
+    Returns one tuple of levels 1..``level`` per xi, in the order of ``xis``.
     """
     pair = tm.pair
     _check_level(pair, level, budget)
@@ -379,11 +389,11 @@ def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
         filters = uniform_family(pair)
     tree = _Tree(tm, _Scales(pair), level, filters)
     xis = [float(xi) for xi in xis]
-    totals = [[0.0] * level for _ in xis]
+    totals = np.zeros((len(xis), level))
     for n, rows, w in tree.tiles(xis, level):
         if n:
-            for i, row in zip(rows, w):
-                totals[i][n - 1] = float(np.sum(row))  # a 1-D sum, as per xi
+            totals[rows.start:rows.stop, n - 1] = w.sum(axis=1)  # per row a 1-D sum, as per xi
+    totals = totals.tolist()
     return tuple(tuple(PartitionResult(total=total, defect=abs(total - 1.0), level=n, xi=xi,
                                        terms=tree.size[n])
                        for n, total in enumerate(per_xi, start=1))
@@ -480,19 +490,26 @@ def _tail_tables(scales: _Scales, u, level: int, depth: int, xmax: float, deep):
     return tables
 
 
-def _log_tail(scales: _Scales, table, xi: float, size: int):
-    """The tail log T of one slice of ``size`` nodes at xi from its entry of
-    :func:`_tail_tables`: one Horner pass in eps, plus the explicit levels."""
+def _log_tail(scales: _Scales, table, xis: Sequence[float], size: int):
+    """The tail log T of one slice of ``size`` nodes from its entry of
+    :func:`_tail_tables`, one row per xi of ``xis``: one Horner pass in the
+    column of eps, plus the explicit levels."""
     explicit, series = table
     if series is None:
-        log_t = np.zeros(size)
+        log_t = np.zeros((len(xis), size))
     else:
         k0, coefficients = series
-        log_t = eval_log_series_taylor(coefficients, _float_div(xi, scales.rho[k0]))
+        # coefficient rows of shape (1, size): a one-row block then adds arrays of its own shape
+        log_t = eval_log_series_taylor(coefficients[:, None], _column(xis, scales.rho[k0]))
     for k, v in explicit:
         d = scales.d[k]
-        log_t += log_H_sq_array(d, _float_div(xi, d * scales.rho[k]) + v)
+        log_t += log_H_sq_array(d, _column(xis, d * scales.rho[k]) + v)
     return log_t
+
+
+def _column(xis: Sequence[float], big: int) -> np.ndarray:
+    # xi / big per xi, as a column against a row of nodes
+    return np.array([_float_div(x, big) for x in xis])[:, None]
 
 
 def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
@@ -510,11 +527,15 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     picks for any grid point's block, with the series start fixed by the
     grid's largest xi.  A deeper tail only shrinks the truncation error each
     radius bounds.  The grid walks the tree in tiles to level l_max - 1
-    (:meth:`_Tree.tiles`); per grid point, each slice of ``_SLICE`` level-l_max
-    nodes then gets its products w from its parents' entries
-    (:meth:`_Tree.slice_products`), the explicit tail levels if any, and one
-    Horner pass in the scalar xi / rho_k0 (:func:`_log_tail`), and is summed
-    before the next slice is formed.  With g = w expm1(log T), the
+    (:meth:`_Tree.tiles`); the level-l_max nodes then run in blocks of
+    max(1, ``_SLICE`` // P_{l_max}) grid rows (:meth:`_Tree.rows_per_tile`)
+    by one slice of ``_SLICE`` nodes.  A block gets its products w from its
+    parents' entries (:meth:`_Tree.slice_products`), the explicit tail levels
+    if any, and one Horner pass in the column of xi / rho_k0
+    (:func:`_log_tail`), and is summed before the next block is formed: the
+    gap is one ``sum(axis=1)``, the block sums and slacks one
+    ``np.add.reduceat`` along the rows, and each row's radii divide by that
+    row's own rho_{N+1}.  With g = w expm1(log T), the
     gap G_{l_max} = -sum g is exact as sum w = 1, the terms are w + g,
     G_L = G_{L+1} + S_{L+1} with S_n the sum of block n, and Q_L = 1 - G_L is
     rounded once, so Q is monotone by construction.  ``bounded`` checks the
@@ -522,7 +543,8 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     2 r |v| + r^2 with the radius r of :func:`mu_hat_array` at the depth of
     each block for that grid point.  A mapping failing
     :func:`validate_tree_mapping` raises a ValueError naming the word.  Grid
-    points and slices run in a fixed order.
+    points and slices run in a fixed order, and a row's values do not depend
+    on the rows that share its block.
     """
     pair = tm.pair
     xis = [float(x) for x in xi_grid]
@@ -546,50 +568,57 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     depth = max((n for per_x in batches for n, _ in per_x), default=l_max)
     tails = _tail_tables(scales, tree.u, l_max, depth, max(xis, default=0.0), deep)
     tree.u = None
-    slices = []  # per slice: its bounds, the block of each segment and the segment starts
+    slices = []  # per slice: its bounds, the block of each segment, their range and the segment starts
     for start in range(0, len(lam), _SLICE):
         stop = min(start + _SLICE, len(lam))
         segments = [(n, max(a, start) - start, min(b, stop) - start)
                     for n, (a, b) in enumerate(blocks) if a < stop and b > start]
-        slices.append((start, stop, segments, [n for n, _, _ in segments],
+        slices.append((start, stop, segments, slice(segments[0][0], segments[-1][0] + 1),
                        [a for _, a, _ in segments]))
     rows = []
     monotone = bounded = True
     worst_gap, worst_xi = -math.inf, (xis[0] if xis else 0.0)
+    step = tree.rows_per_tile(l_max)
     last = ((tile_rows, tile) for n, tile_rows, tile in tree.tiles(xis, l_max - 1) if n == l_max - 1)
-    for tile_rows, tile in last:
-        for i, parent in zip(tile_rows, tile):
-            x, rho_next = xis[i], [_cap_float(r) for _, r in batches[i]]
-            gap, sums, slacks = 0.0, np.zeros(l_max), np.zeros(l_max)
-            for (start, stop, segments, levels, offsets), table in zip(slices, tails):
-                # in place, in the operation order of w + w expm1(log T) and 2 r sqrt(t) + r^2
-                terms = tree.slice_products(l_max, x, parent, start, stop)
-                g = _log_tail(scales, table, x, stop - start)
-                np.expm1(g, out=g)
-                g *= terms
-                gap -= float(np.sum(g))
-                terms += g
-                radii = np.abs(x + lam[start:stop])
-                radii *= TWO_PI
-                for n, a, b in segments:
-                    radii[a:b] /= rho_next[n]
-                np.expm1(radii, out=radii)
-                sums[levels] += np.add.reduceat(terms, offsets)
-                slack_terms = radii * 2.0
-                slack_terms *= np.sqrt(terms)
-                radii *= radii
-                slack_terms += radii
-                slacks[levels] += np.add.reduceat(slack_terms, offsets)
-            # Q_L = 1 - G_L, G_L = G_{l_max} + sum_{n>L} S_n
-            qs = (1.0 - (gap + np.append(np.cumsum(sums[:0:-1])[::-1], 0.0))).tolist()
-            slacks = np.cumsum(slacks)
-            bounded = bounded and bool(np.all(np.cumsum(sums) <= 1.0 + slacks))
-            for level, (q, slack, prev) in enumerate(zip(qs, slacks.tolist(), [0.0] + qs), start=1):
+    row_blocks = ((tile_rows[j:j + step], tile[j:j + step])
+                  for tile_rows, tile in last for j in range(0, len(tile_rows), step))
+    for block, parents in row_blocks:
+        x = [xis[i] for i in block]
+        column = np.array(x)[:, None]
+        rho_next = np.array([[_cap_float(r) for _, r in batches[i]] for i in block])
+        gaps, sums, slacks = np.zeros(len(x)), np.zeros((len(x), l_max)), np.zeros((len(x), l_max))
+        for (start, stop, segments, levels, offsets), table in zip(slices, tails):
+            # in place, in the operation order of w + w expm1(log T) and 2 r sqrt(t) + r^2
+            terms = tree.slice_products(l_max, x, parents, start, stop)
+            g = _log_tail(scales, table, x, stop - start)
+            np.expm1(g, out=g)
+            g *= terms
+            gaps -= g.sum(axis=1)
+            terms += g
+            radii = np.abs(column + lam[start:stop])
+            radii *= TWO_PI
+            for n, a, b in segments:
+                radii[:, a:b] /= rho_next[:, n:n + 1]
+            np.expm1(radii, out=radii)
+            sums[:, levels] += np.add.reduceat(terms, offsets, axis=1)
+            slack_terms = radii * 2.0
+            slack_terms *= np.sqrt(terms)
+            radii *= radii
+            slack_terms += radii
+            slacks[:, levels] += np.add.reduceat(slack_terms, offsets, axis=1)
+        # Q_L = 1 - G_L, G_L = G_{l_max} + sum_{n>L} S_n
+        later = np.zeros((len(x), l_max))
+        later[:, :-1] = np.cumsum(sums[:, :0:-1], axis=1)[:, ::-1]
+        qs = (1.0 - (gaps[:, None] + later)).tolist()
+        slacks = np.cumsum(slacks, axis=1)
+        bounded = bounded and bool(np.all(np.cumsum(sums, axis=1) <= 1.0 + slacks))
+        for xi, gap, q_row, slack_row in zip(x, gaps.tolist(), qs, slacks.tolist()):
+            for level, (q, slack, prev) in enumerate(zip(q_row, slack_row, [0.0] + q_row), start=1):
                 ok = q >= prev - _MONOTONE_SLACK
                 monotone = monotone and ok
-                rows.append(QRow(xi=x, level=level, q=q, certified_slack=slack, monotone_ok=ok))
+                rows.append(QRow(xi=xi, level=level, q=q, certified_slack=slack, monotone_ok=ok))
             if gap > worst_gap:
-                worst_gap, worst_xi = gap, x
+                worst_gap, worst_xi = gap, xi
     return CompletenessReport(rows=tuple(rows), l_max=l_max, tol=tol,
                               monotone=monotone, bounded=bounded,
                               worst_gap=worst_gap, worst_gap_xi=worst_xi)

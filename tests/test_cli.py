@@ -66,6 +66,41 @@ def test_unknown_subcommand_exits_2(mu42):
     assert err.value.code == 2
 
 
+def _exit(parse, argv, capsys):
+    # (exit code, stdout, stderr) of a parse that exits
+    with pytest.raises(SystemExit) as err:
+        parse(argv)
+    out, errtext = capsys.readouterr()
+    return err.value.code, out, errtext
+
+
+@pytest.mark.parametrize("name", list(cli._CHECKS))
+def test_subcommand_help_matches_the_full_parser(name, capsys):
+    # main builds the flags of the invoked subcommand only
+    assert _exit(main, [name, "--help"], capsys) == _exit(build_parser().parse_args,
+                                                          [name, "--help"], capsys)
+    flags = [a.dest for a in build_parser(name)._subparsers._group_actions[0].choices[name]._actions]
+    assert set(flags) == {"help", "pair", "out", *cli._CHECKS[name]["flags"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["frobnicate", "--pair", "x.json"],                 # unknown subcommand
+    ["--level", "3", "partition", "--pair", "x.json"],  # a flag before the subcommand
+    ["partition", "--pair", "x.json", "--grid", "4"],   # a flag of another subcommand
+    ["partition", "--pair", "x.json", "--frob"],        # an unknown flag
+    ["completeness", "--pair", "x.json", "--level", "0"],  # an invalid value
+    ["completeness", "--pair", "x.json", "--tol", "nan"],
+    ["sample", "--pair", "x.json", "--count", "many"],
+    ["report"],                                         # a required flag missing
+    [],
+    ["--help"],
+])
+def test_usage_errors_match_the_full_parser(argv, capsys):
+    got = _exit(main, argv, capsys)
+    assert got == _exit(build_parser().parse_args, argv, capsys)
+    assert got[0] in (0, 2)
+
+
 def test_spectrum_example(mu42, tmp_path):
     out = tmp_path / "out"
     assert run(["spectrum", "--pair", mu42, "--level", "3", "--out", str(out)]) == 0

@@ -3,10 +3,13 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cantorspec import (PairConstraintError, constant_pair,
                         dimension_targeting_pair, explicit_pair,
                         pair_from_config, pair_to_config, rho, validate_pair)
+from cantorspec import core
 
 
 def test_rho_examples():
@@ -66,6 +69,21 @@ def test_alpha_ratio_within_1_over_n(alpha):
         ratio = math.log(pair.d(n)) / math.log(pair.b(n))
         assert abs(ratio - float(alpha)) <= 1.0 / n + 1e-12
         assert pair.b(n) % pair.d(n) == 0 and pair.b(n) // pair.d(n) >= 2
+
+
+@given(st.integers(2, 1000).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))),
+       st.integers(1, 500))
+def test_alpha_rule_scales_equal_the_fraction_ceiling(pq, n):
+    # b_n = 2^max(n + 1, ceil(n / alpha)) with the ceiling in integers, as
+    # math.ceil of the exact Fraction quotient
+    alpha = Fraction(*pq)
+    assert core._alpha_rule(alpha, n) == (1 << max(n + 1, math.ceil(Fraction(n) / alpha)), 1 << n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 500])
+def test_alpha_rule_endpoints(n):
+    assert core._alpha_rule(Fraction(0), n) == (1 << (3 * n * n), 1 << n)
+    assert core._alpha_rule(Fraction(1), n) == (1 << (3 * n), 1 << (3 * n - 1))
 
 
 def test_alpha_ratio_limits():

@@ -15,8 +15,8 @@ from cantorspec import (FilterCertificationError, FilterFamily,
                         mu_hat_exact_zero, phi_hat, qmf_check, uniform_family)
 from cantorspec.fourier import (LOG_SERIES_THETA, _ZETA_OVER_J, H_sq_tables, _H_sq_direct,
                                 eval_H_sq_tables, log_H_sq_array, log_H_sq_series,
-                                log_series_coefficients, log_series_remainder_bounds,
-                                log_series_taylor)
+                                eval_log_series_taylor, log_series_coefficients,
+                                log_series_remainder_bounds, log_series_taylor)
 
 
 def kernel_by_summation(m, xi):
@@ -224,6 +224,32 @@ def test_direct_kernel_entries_do_not_depend_on_the_call(m):
         assert batch[i] == _H_sq_direct(m, xs[i:i + 1])[0], (m, xs[i])
 
 
+@pytest.mark.parametrize("m", [3, 9, 32, 1024])
+def test_eval_H_array_entries_do_not_depend_on_the_call(m):
+    # the literal m-term sum of the guard band is summed per entry
+    rng = np.random.default_rng(m)
+    xs = np.concatenate([k + rng.uniform(-1e-9, 1e-9, size=40) for k in (0, 2)]
+                        + [rng.uniform(-3, 3, size=40), [0.0, 1.0, 1e-300, 0.5]])
+    batch = eval_H_array(m, xs)
+    for i in range(len(xs)):
+        assert batch[i] == eval_H_array(m, xs[i:i + 1])[0], (m, xs[i])
+
+
+@pytest.mark.parametrize("m", [3, 9, 1024])
+def test_table_kernel_recomputes_the_entries_where_they_sit(m):
+    # row 0 (a = 0) recomputes only in the integer guard band, row 1 within
+    # about 4e-6 of -a and row 2 within about 0.012 of -a, so the recomputed
+    # entries are (0, 1), (1, 1), (1, 2), (2, 1), (2, 2) and (2, 3) of a 3 x 6 call
+    a = [0.0, 1e-6, 3e-3]
+    us = np.array([0.2, 5e-10, -1e-6 + 1e-13, -0.005, 0.31, -0.4])
+    rows = eval_H_sq_tables(H_sq_tables(m, us), a)
+    for r, c in [(0, 1), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]:
+        assert rows[r, c] == _H_sq_direct(m, np.array([a[r] + us[c]]))[0], (m, r, c)
+    for r, x in enumerate(a):
+        for c, u in enumerate(us):
+            assert rows[r, c] == eval_H_sq_tables(H_sq_tables(m, [u]), [x])[0, 0], (m, r, c)
+
+
 def test_table_kernel_rows_equal_one_call_per_row():
     # one row per scalar a, each row bit for bit the call with that a alone
     rng = np.random.default_rng(5)
@@ -310,6 +336,25 @@ def test_series_remainder_below_2_pow_60():
         series = -2 * sum(mp.zeta(2 * j) / j * ((m * s) ** (2 * j) - s ** (2 * j))
                           for j in range(1, big_j + 1))
         assert abs(series - exact) <= bound * abs(exact), m
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 5])
+def test_eval_log_series_taylor_is_one_horner_pass_per_entry(degree):
+    # bit for bit the scalar Horner pass A_p, then acc eps + A_i, for a scalar
+    # eps and for each row of a column of eps; degree 0 returns A_0 itself
+    rng = np.random.default_rng(degree)
+    table = rng.uniform(-1, 1, size=(degree + 1, 7))
+    table[:, 0] = -0.0
+    eps = [0.0, 0.013, -0.2]
+    by_column = eval_log_series_taylor(table, np.array(eps)[:, None])
+    assert by_column.shape == (3, 7)
+    for x, row in zip(eps, by_column):
+        for got in (row, eval_log_series_taylor(table, x)):
+            for k, value in enumerate(got):
+                want = table[-1, k]
+                for coefficient in table[-2::-1, k]:
+                    want = want * x + coefficient
+                assert value == want and math.copysign(1, value) == math.copysign(1, want), (x, k)
 
 
 @st.composite

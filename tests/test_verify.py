@@ -369,6 +369,47 @@ def test_completeness_slices_match_scalar_sum(monkeypatch, tm, xi, level, size):
         assert abs(row.certified_slack - slack) <= 1e-9 * slack + 1e-30, row.level
 
 
+ALPHA_QUARTER = canonical_tau(dimension_targeting_pair(0.25))
+
+
+@pytest.mark.parametrize("tm, level, size", [
+    (canonical_tau(MU42), 12, None),   # blocks of 4 rows
+    (canonical_tau(MU42), 1, None),
+    (canonical_tau(MU93), 8, None),    # blocks of 2 rows
+    (canonical_tau(MU93), 10, None),   # one row; rows of 19683 nodes straddle the slices
+    (ALPHA_QUARTER, 4, None),          # blocks of 16 rows
+    (DEVIATED42, 12, None),
+    (canonical_tau(MU42), 5, 64),      # blocks of 2 rows
+    (canonical_tau(MU42), 12, 64),
+    (canonical_tau(MU93), 3, 64),      # blocks of 2 rows of 27 nodes
+    (canonical_tau(MU93), 8, 64),
+    (ALPHA_QUARTER, 4, 64),
+    (DEVIATED42, 8, 64),
+    (canonical_tau(MU42), 1, 7),       # blocks of 3 rows
+    (canonical_tau(MU42), 8, 7),
+    (canonical_tau(MU93), 5, 7),
+    (ALPHA_QUARTER, 4, 7),
+    (DEVIATED42, 8, 7),
+    (canonical_tau(MU42), 8, 1),
+    (canonical_tau(MU93), 4, 1),
+    (ALPHA_QUARTER, 3, 1),
+    (DEVIATED42, 6, 1),
+])
+def test_completeness_rows_equal_one_row_at_a_time(monkeypatch, tm, level, size):
+    # the last level runs in blocks of grid rows; each row's Q, slacks and
+    # verdicts are those of the same call walked one row at a time, bit for
+    # bit.  (One call per grid point is not the reference: the tail's depth
+    # and series start follow the grid's largest xi, which moves a slack of
+    # mu42 at L = 1 by one ulp.)
+    if size is not None:
+        monkeypatch.setattr(verify, "_SLICE", size)
+    points = {None: 33, 64: 9, 7: 5, 1: 3}[size]
+    grid = [0.5 * j / (points - 1) for j in range(points)]
+    rep = completeness_Q(tm, grid, level, tol=1e-10)
+    monkeypatch.setattr(verify._Tree, "rows_per_tile", lambda self, n: 1)
+    assert rep == completeness_Q(tm, grid, level, tol=1e-10)
+
+
 # worst relative error of 1 - Q_L over the 33 x 12 oracle points: 3.45e-7
 # since Q is rounded once from the gap (5.7e-7 with the direct sum, 5.3e-6
 # before the one-pass kernel).  Q < 1 is then within half an ulp, 2^-54, of
@@ -624,11 +665,13 @@ def test_slice_products_equal_the_tile_rows(monkeypatch, tm, level, size):
     for n, tile_rows, w in tree.tiles(xis, level):
         for i, row in zip(tile_rows, w):
             rows[i, n] = row
-    for i, xi in enumerate(xis):
-        parts = [tree.slice_products(level, xi, rows[i, level - 1], start, min(start + verify._SLICE,
-                                                                               tree.size[level]))
+    for block in ([0], [1, 2], [2, 0, 1]):  # one row, and blocks of rows in any order
+        parents = np.array([rows[i, level - 1] for i in block])
+        parts = [tree.slice_products(level, [xis[i] for i in block], parents, start,
+                                     min(start + verify._SLICE, tree.size[level]))
                  for start in range(0, tree.size[level], verify._SLICE)]
-        assert np.array_equal(np.concatenate(parts), rows[i, level]), xi
+        assert np.array_equal(np.concatenate(parts, axis=1),
+                              np.array([rows[i, level] for i in block])), block
 
 
 @pytest.mark.parametrize("tm, level, filters", LAYOUT_CASES)
@@ -662,9 +705,9 @@ def test_tail_tables_match_per_xi_log_tail(name, level):
     depth = scales.truncation(float(np.max(np.abs(lam))) + 0.5, 1e-10)[0]
     tables = verify._tail_tables(tree.scales.upto(depth), tree.u, level, depth, max(grid), new_deep)
     sizes = [min(verify._SLICE, len(lam) - start) for start in range(0, len(lam), verify._SLICE)]
-    for xi in grid:
-        got = np.concatenate([verify._log_tail(tree.scales, table, xi, size)
-                              for table, size in zip(tables, sizes)])
+    block = np.concatenate([verify._log_tail(tree.scales, table, grid, size)
+                            for table, size in zip(tables, sizes)], axis=1)
+    for xi, got in zip(grid, block):
         want = to_digit_major(child_major_log_tail(scales, xi, us[-1], 0, level, depth, deep),
                               scales, level)
         assert np.all(np.abs(got - want) <= 4 * 2.0 ** -52 * np.abs(want)), xi
