@@ -102,8 +102,7 @@ def _write_csv(outdir: Path, name: str, header: list[str], rows):
     with open(outdir / name, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([str(c) if isinstance(c, int) else c for c in row])
+        writer.writerows(rows)
 
 
 class _Column:

@@ -39,7 +39,14 @@ once per check: past the levels that must be summed explicitly, it depends
 on xi only through one scalar eps, as a short Taylor polynomial per node
 (:func:`_tail_tables`).  Q_L is reported through the gap 1 - Q_L, a sum of
 nonnegative terms by the partition identity, and each level's block
-contributes scalar sums.
+contributes scalar sums.  The certified slack of Q_L is two more row sums
+per block over its terms t, A = sum |xi + lambda| sqrt(t) and
+B = sum (xi + lambda)^2, with the radius applied once per block.  The
+truncation depth keeps z = c |xi + lambda| <= c a_max <= min(tol, 1) / 2,
+with c = 2 pi / rho_{N+1} and a_max the block's largest |xi + lambda|, and
+expm1(z) <= z (1 + z) for z <= 1.  So k c (2 A + k c B), k = 1 + c a_max,
+bounds the sum of the per-term 2 r sqrt(t) + r^2, r = expm1(z), and
+exceeds it at most k^2 <= (1 + tol/2)^2 times.
 """
 
 from __future__ import annotations
@@ -533,18 +540,27 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     parents' entries (:meth:`_Tree.slice_products`), the explicit tail levels
     if any, and one Horner pass in the column of xi / rho_k0
     (:func:`_log_tail`), and is summed before the next block is formed: the
-    gap is one ``sum(axis=1)``, the block sums and slacks one
-    ``np.add.reduceat`` along the rows, and each row's radii divide by that
-    row's own rho_{N+1}.  With g = w expm1(log T), the
-    gap G_{l_max} = -sum g is exact as sum w = 1, the terms are w + g,
+    gap is one ``sum(axis=1)``, and the block sums S and the two slack sums
+    A = sum |xi + lambda| sqrt(t) and B = sum (xi + lambda)^2 are each one
+    ``np.add.reduceat`` along the rows.  With g = w expm1(log T), the
+    gap G_{l_max} = -sum g is exact as sum w = 1, the terms are t = w + g,
     G_L = G_{L+1} + S_{L+1} with S_n the sum of block n, and Q_L = 1 - G_L is
     rounded once, so Q is monotone by construction.  ``bounded`` checks the
-    direct sum sum_{n<=L} S_n <= 1 + slack, the certified slack summing
-    2 r |v| + r^2 with the radius r of :func:`mu_hat_array` at the depth of
-    each block for that grid point.  A mapping failing
-    :func:`validate_tree_mapping` raises a ValueError naming the word.  Grid
-    points and slices run in a fixed order, and a row's values do not depend
-    on the rows that share its block.
+    direct sum sum_{n<=L} S_n <= 1 + slack.  The certified slack bounds the
+    sum of 2 r sqrt(t) + r^2 over the terms, r = expm1(z) the radius of
+    :func:`mu_hat_array` at the depth of each block for that grid point,
+    z = c |xi + lambda| and c = 2 pi / rho_{N+1}.  That depth keeps
+    z <= c a_max <= min(tol, 1) / 2, a_max the block's largest
+    |xi + lambda|, and expm1(z) <= z (1 + z) for z <= 1, so with
+    k = 1 + c a_max the radius is applied once per (row, block) as
+    k c (2 A + k c B): at least the per-term sum, and at most k^2, about
+    1 + tol, times it.  A mapping failing :func:`validate_tree_mapping`
+    raises a ValueError naming the word.  Grid points and slices run in a
+    fixed order, and a row's values do not depend on the rows that share its
+    block.  They do depend on the rest of the grid: its largest xi sets the
+    tail depth and the series start of the tail tables, which move the tail
+    T, and with it Q and the slack, in the last bits, so a row of a one-point
+    call can differ by an ulp from the same xi's row in a larger grid.
     """
     pair = tm.pair
     xis = [float(x) for x in xi_grid]
@@ -563,18 +579,18 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     blocks = _blocks(scales, l_max)
     lo = [float(lam[a:b].min()) for a, b in blocks]
     hi = [float(lam[a:b].max()) for a, b in blocks]
-    batches = [[scales.truncation(max(abs(x + h), abs(x + l)), tol) for l, h in zip(lo, hi)]
-               for x in xis]
+    reach = [[max(abs(x + h), abs(x + l)) for l, h in zip(lo, hi)] for x in xis]
+    batches = [[scales.truncation(a, tol) for a in per_x] for per_x in reach]
     depth = max((n for per_x in batches for n, _ in per_x), default=l_max)
     tails = _tail_tables(scales, tree.u, l_max, depth, max(xis, default=0.0), deep)
     tree.u = None
-    slices = []  # per slice: its bounds, the block of each segment, their range and the segment starts
+    slices = []  # per slice: its bounds, the range of blocks it meets and their starts in it
     for start in range(0, len(lam), _SLICE):
         stop = min(start + _SLICE, len(lam))
-        segments = [(n, max(a, start) - start, min(b, stop) - start)
+        segments = [(n, max(a, start) - start)
                     for n, (a, b) in enumerate(blocks) if a < stop and b > start]
-        slices.append((start, stop, segments, slice(segments[0][0], segments[-1][0] + 1),
-                       [a for _, a, _ in segments]))
+        slices.append((start, stop, slice(segments[0][0], segments[-1][0] + 1),
+                       [a for _, a in segments]))
     rows = []
     monotone = bounded = True
     worst_gap, worst_xi = -math.inf, (xis[0] if xis else 0.0)
@@ -585,32 +601,33 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     for block, parents in row_blocks:
         x = [xis[i] for i in block]
         column = np.array(x)[:, None]
-        rho_next = np.array([[_cap_float(r) for _, r in batches[i]] for i in block])
-        gaps, sums, slacks = np.zeros(len(x)), np.zeros((len(x), l_max)), np.zeros((len(x), l_max))
-        for (start, stop, segments, levels, offsets), table in zip(slices, tails):
-            # in place, in the operation order of w + w expm1(log T) and 2 r sqrt(t) + r^2
+        # k c per (row, block), c = 2 pi / rho_{N+1} and k = 1 + c a_max
+        c = TWO_PI / np.array([[_cap_float(r) for _, r in batches[i]] for i in block])
+        kc = c * (1.0 + c * np.array([reach[i] for i in block]))
+        gaps = np.zeros(len(x))
+        sums, lin, sq = (np.zeros((len(x), l_max)) for _ in range(3))
+        for (start, stop, levels, offsets), table in zip(slices, tails):
+            # in place, in the operation order of w + w expm1(log T)
             terms = tree.slice_products(l_max, x, parents, start, stop)
             g = _log_tail(scales, table, x, stop - start)
             np.expm1(g, out=g)
             g *= terms
             gaps -= g.sum(axis=1)
             terms += g
-            radii = np.abs(column + lam[start:stop])
-            radii *= TWO_PI
-            for n, a, b in segments:
-                radii[:, a:b] /= rho_next[:, n:n + 1]
-            np.expm1(radii, out=radii)
             sums[:, levels] += np.add.reduceat(terms, offsets, axis=1)
-            slack_terms = radii * 2.0
-            slack_terms *= np.sqrt(terms)
-            radii *= radii
-            slack_terms += radii
-            slacks[:, levels] += np.add.reduceat(slack_terms, offsets, axis=1)
+            v = np.add(column, lam[start:stop])
+            np.abs(v, out=v)
+            np.sqrt(terms, out=terms)
+            terms *= v
+            lin[:, levels] += np.add.reduceat(terms, offsets, axis=1)
+            v *= v
+            sq[:, levels] += np.add.reduceat(v, offsets, axis=1)
         # Q_L = 1 - G_L, G_L = G_{l_max} + sum_{n>L} S_n
         later = np.zeros((len(x), l_max))
         later[:, :-1] = np.cumsum(sums[:, :0:-1], axis=1)[:, ::-1]
         qs = (1.0 - (gaps[:, None] + later)).tolist()
-        slacks = np.cumsum(slacks, axis=1)
+        # sum 2 r sqrt(t) + r^2 <= k c (2 sum |v| sqrt(t) + k c sum v^2)
+        slacks = np.cumsum(kc * (2.0 * lin + kc * sq), axis=1)
         bounded = bounded and bool(np.all(np.cumsum(sums, axis=1) <= 1.0 + slacks))
         for xi, gap, q_row, slack_row in zip(x, gaps.tolist(), qs, slacks.tolist()):
             for level, (q, slack, prev) in enumerate(zip(q_row, slack_row, [0.0] + q_row), start=1):

@@ -336,6 +336,15 @@ def scalar_completeness(tm, xi, level, tol):
     return rows
 
 
+def assert_slack_bounds_scalar_sum(got, slack, tol):
+    # completeness_Q's per-block slack k c (2 A + k c B), k = 1 + c a_max,
+    # dominates the per-term sum of 2 r |muhat| + r^2 (expm1(z) <= z (1 + z)
+    # for z <= 1) and exceeds it by about tol relative at most, as the
+    # truncation keeps c a_max <= tol / 2; below it only by rounding
+    assert got >= slack * (1.0 - 1e-14), (got, slack)
+    assert got <= slack * (1.0 + tol), (got, slack)
+
+
 @pytest.mark.parametrize("tm, xi, level", [
     (canonical_tau(MU42), 0.3, 6),
     (canonical_tau(MU42), 0.0, 4),
@@ -351,6 +360,7 @@ def test_completeness_matches_scalar_sum(tm, xi, level):
     for row, (q, slack) in zip(rep.rows, scalar_completeness(tm, xi, level, 1e-10)):
         assert abs(row.q - q) <= 1e-14, (row.level, row.q, q)
         assert abs(row.certified_slack - slack) <= 1e-9 * slack + 1e-30, row.level
+        assert_slack_bounds_scalar_sum(row.certified_slack, slack, 1e-10)
 
 
 @pytest.mark.parametrize("tm, xi, level, size", [
@@ -367,6 +377,7 @@ def test_completeness_slices_match_scalar_sum(monkeypatch, tm, xi, level, size):
     for row, (q, slack) in zip(rep.rows, scalar_completeness(tm, xi, level, 1e-10)):
         assert abs(row.q - q) <= 1e-14, (row.level, row.q, q)
         assert abs(row.certified_slack - slack) <= 1e-9 * slack + 1e-30, row.level
+        assert_slack_bounds_scalar_sum(row.certified_slack, slack, 1e-10)
 
 
 ALPHA_QUARTER = canonical_tau(dimension_targeting_pair(0.25))
