@@ -20,14 +20,20 @@ by angle addition.  xi + lambda is never rounded and no large integer
 reaches numpy.  The nodes of a level are in digit-major order, node delta at
 sum_k delta_k d_1 ... d_{k-1}, so a level's products are one broadcast over
 contiguous rows, one row per last digit, and the words new at level n,
-those whose last nonzero digit is n, form one contiguous block.
+those whose last nonzero digit is n, form one contiguous block.  A uniform
+level with composite d_n = f_1 ... f_r (primes, ascending) runs as r tree
+sub-levels, one per prime: H_{ab}(s) = H_a(s) H_b(a s) splits |H_{d_n}|^2
+into prod_j |H_{f_j}|^2, and sub-level j adds the j-th mixed-radix digit of
+delta_n.  The d_n = 2^n of the alpha pairs thus run only H_2, cos^2 without
+a division; a prime d_n is one sub-level, the level itself.
 
 The products of many xi are walked depth first in tiles (:meth:`_Tree.tiles`):
-blocks of xi rows by level-n nodes of at most ``_SLICE`` = 2^14 entries, or
+blocks of xi rows by tree-level nodes of at most ``_SLICE`` = 2^14 entries, or
 one row where a level alone is larger.  A shallow level thus takes many xi
 per numpy call, and a deep one stays in cache with its tables.  The row
-totals of the tiles are the partition sums for every level.  Completeness
-walks the tiles only to level L - 1 and forms the level-L products in blocks
+totals of the tiles that end a level are the partition sums for every level.
+Completeness walks the tiles to the tree level before the last sub-level of
+level L and forms that sub-level's products, the level-L products, in blocks
 of grid rows by a slice of nodes, at most ``_SLICE`` entries, the rule of the
 tiles: one row of ``_SLICE`` nodes where P_L exceeds it, else the whole level
 for as many rows as fit (:meth:`_Tree.slice_products`).  Each block is
@@ -223,13 +229,18 @@ def _table_labels(tm: TreeMapping, scales: _Scales, level: int):
     return {k: tuple(np.array(v) for v in zip(*entries)) for k, entries in table.items()}
 
 
+def _digits(d: int, count: int) -> np.ndarray:
+    # the last digit 0..d-1 of each of d count nodes in digit-major order, as floats
+    return np.repeat(np.arange(d, dtype=float), count)
+
+
 def _labels(tm: TreeMapping, scales: _Scales, level: int):
     """Per level n = 1..``level``, tau over the level-n nodes in the order of
     :func:`_node_index`: the last digit, or the table value."""
     table = _table_labels(tm, scales.upto(level), level)
     count = 1
     for n in range(1, level + 1):
-        label = np.repeat(np.arange(scales.d[n], dtype=float), count)
+        label = _digits(scales.d[n], count)
         count *= scales.d[n]
         if n in table:
             label[table[n][0]] = table[n][1]
@@ -254,6 +265,19 @@ def _row_pieces(start: int, stop: int, width: int) -> list[tuple[int, int, int, 
     return pieces
 
 
+def _prime_factors(d: int) -> list[int]:
+    """The prime factors of d >= 1 in ascending order, with multiplicity; [1] for d = 1."""
+    factors, p = [], 2
+    while p * p <= d:
+        while d % p == 0:
+            factors.append(p)
+            d //= p
+        p += 1
+    if d > 1 or not factors:
+        factors.append(d)
+    return factors
+
+
 class _Tree:
     """The xi-independent digit tree of a tree mapping to ``level``, built once per check.
 
@@ -261,47 +285,77 @@ class _Tree:
     delta sits at sum_k delta_k P_{k-1}, P_k = d_1 ... d_k, so the children
     of the level-(n-1) nodes with last digit j fill the contiguous row
     [j P_{n-1}, (j + 1) P_{n-1}), and the nodes whose last nonzero digit is
-    n (the words new at level n) fill [P_{n-1}, P_n).  Per level n, over
-    these nodes, ``kernels`` holds the :class:`HSqTables` of H_{d_n} at
-    u_n = sigma_n / (d_n rho_n), sigma_n = sum_{k<=n} tau(delta_1..delta_k)
-    rho_k, or u_n itself on the explicit levels of ``filters``.  u_n is
-    reduced level by level as u_n = (u_{n-1} / q_{n-1} + tau) / d_n; ``u``
-    keeps u_level unreduced mod 1 for the completeness tail tables, which
-    free it.  ``size[n]`` is P_n.
+    n (the words new at level n) fill [P_{n-1}, P_n).  The level-n factor is
+    |H_{d_n}(s)|^2 at s = xi / (d_n rho_n) + u_n, u_n = sigma_n / (d_n rho_n),
+    sigma_n = sum_{k<=n} tau(delta_1..delta_k) rho_k, reduced level by level
+    as u_n = (u_{n-1} / q_{n-1} + tau) / d_n.
+
+    A uniform level runs as one tree sub-level per prime factor of
+    d_n = f_1 ... f_r, ascending, D_j = f_1 ... f_j.  H_{ab}(s) = H_a(s) H_b(a s)
+    gives |H_{d_n}(s)|^2 = prod_j |H_{f_j}(s_j)|^2 with s_j = (d_n / D_j) s
+    mod 1, and d_n s = xi / rho_n + u_{n-1} / q_{n-1} + tau with tau
+    congruent to delta_n mod d_n, so s_j = (xi / rho_n + u_{n-1} / q_{n-1}
+    + (delta_n mod D_j)) / D_j: sub-level j has D_j P_{n-1} nodes, the new
+    sub-digit in contiguous rows, and argument xi / (D_j rho_n).  Its last
+    sub-level, D_r = d_n, is the whole level with the full label tau.  A power
+    of two thus runs only H_2, cos^2 without division or cancellation guard,
+    and a prime d_n is one sub-level, the level itself, with its arithmetic
+    unchanged.  An explicit level of ``filters``, or a level whose table
+    labels are not all congruent to their last digit mod d_n (a mapping that
+    fails :func:`validate_tree_mapping`), stays one level.
+
+    Per tree level t, ``radix[t]`` is its digit count, ``scale[t]`` the
+    integer D_j rho_n that xi is divided by, ``size[t]`` its node count and
+    ``kernels[t - 1]`` its :class:`HSqTables`, or (coefficients, u_n) on an
+    explicit level; ``ends[n]`` is the tree level that ends level n, where
+    size is P_n.  ``u`` keeps u_level unreduced mod 1 for the completeness
+    tail tables, which free it.
 
     The products over many xi are walked in tiles (:meth:`tiles`): blocks of
-    xi rows by level-n nodes of at most ``_SLICE`` entries, or one row where
-    P_n alone exceeds it, so that a tile and its tables stay in cache while
+    xi rows by tree-level nodes of at most ``_SLICE`` entries, or one row where
+    a level alone exceeds it, so that a tile and its tables stay in cache while
     the shallow levels still take many xi per numpy call.
     """
 
     def __init__(self, tm: TreeMapping, scales: _Scales, level: int, filters: FilterFamily):
         self.scales = scales.upto(level)
-        self.filters = filters
         self.kernels = []
-        self.size = [1]
+        self.radix, self.scale, self.size, self.ends = [1], [1], [1], [0]
         u = np.zeros(1)
         for n, label in enumerate(_labels(tm, scales, level), start=1):
-            d = scales.d[n]
-            u = (np.tile(u / scales.q[n - 1], d) + label) / d
-            self.kernels.append(H_sq_tables(d, u) if filters.is_uniform(n) else u)
-            self.size.append(len(u))
+            d, parents = scales.d[n], len(u)
+            w, uniform = u / scales.q[n - 1], filters.is_uniform(n)
+            primes = _prime_factors(d) if uniform else [d]
+            if len(primes) > 1 and not np.array_equal(np.mod(label, d), _digits(d, parents)):
+                primes = [d]  # a label off its digit's class mod d_n: the split would not hold
+            sub = 1
+            for f in primes:
+                sub *= f
+                u = (np.tile(w, sub) + (label if sub == d else _digits(sub, parents))) / sub
+                self.kernels.append(H_sq_tables(f, u) if uniform
+                                    else (np.asarray(filters.coefficients(n)), u))
+                self.radix.append(f)
+                self.scale.append(sub * scales.rho[n])
+                self.size.append(len(u))
+            self.ends.append(len(self.size) - 1)
         self.u = u
 
-    def factors(self, n: int, xis: Sequence[float], nodes: slice = slice(None)) -> np.ndarray:
-        """|G_n(xi / (d_n rho_n) + u_n)|^2 over the level-n nodes ``nodes``, one row per xi.
+    def factors(self, t: int, xis: Sequence[float], nodes: slice = slice(None)) -> np.ndarray:
+        """The tree-level-t factors over its nodes ``nodes``, one row per xi.
 
-        These are the squared level-n factors at xi + lambda(delta), because
-        lambda(delta) - sigma_n is a multiple of rho_{n+1} = q_n d_n rho_n and
-        G_n is 1-periodic; xi enters only through the scalar xi / (d_n rho_n).
-        An explicit filter level is evaluated one row per call, since the bits
-        of :func:`eval_filter` depend on the shape of its call."""
-        scale = self.scales.d[n] * self.scales.rho[n]
-        a = [_float_div(x, scale) for x in xis]
-        kernel = self.kernels[n - 1]
+        On a sub-level with D_j = ``scale[t]`` / rho_n these are
+        |H_{f_j}(xi / (D_j rho_n) + u)|^2 over its tabulated u; over all the
+        sub-levels of level n they multiply to the squared level-n factors at
+        xi + lambda(delta), because lambda(delta) - sigma_n is a multiple of
+        rho_{n+1} = q_n d_n rho_n and G_n is 1-periodic: xi enters only through
+        the scalar xi / ``scale[t]``.  An explicit filter level is evaluated
+        one row per call, since the bits of :func:`eval_filter` depend on the
+        shape of its call."""
+        a = [_float_div(x, self.scale[t]) for x in xis]
+        kernel = self.kernels[t - 1]
         if isinstance(kernel, HSqTables):
             return eval_H_sq_tables(kernel[nodes], a)
-        g, u = np.asarray(self.filters.coefficients(n)), kernel[nodes]
+        g, u = kernel[0], kernel[1][nodes]
         values = np.empty((len(a), len(u)))
         for row, x in zip(values, a):
             f = eval_filter(g, x + u)
@@ -309,48 +363,50 @@ class _Tree:
         return values
 
     def tiles(self, xis: Sequence[float], upto: int):
-        """Yield (n, rows, w) for the levels n = 0..``upto``, depth first.
+        """Yield (t, rows, w) for the tree levels t = 0..``upto``, depth first.
 
-        ``rows`` is a range of indices into ``xis`` and w[i] holds
-        prod_{k<=n} |G_k(xi / (d_k rho_k) + u_k)|^2 over the level-n nodes at
-        xi = xis[rows[i]]: the parent's product times :meth:`factors`, one
-        broadcast over the d_n contiguous rows of children.  A tile has at
-        most ``_SLICE`` entries, or one row when P_n exceeds ``_SLICE``;
-        a tile's rows are split into tiles of the next level as P_n grows, and
-        the tiles of one level come in the order of ``xis``, a list of floats."""
-        stack = [(0, 0, len(xis), None)] if xis else []  # (level, rows [lo, hi), parent tile)
+        ``rows`` is a range of indices into ``xis`` and w[i] holds the product
+        of the :meth:`factors` of tree levels 1..t over the tree-level-t nodes
+        at xi = xis[rows[i]]: the parent's product times :meth:`factors`, one
+        broadcast over the ``radix[t]`` contiguous rows of children.  At
+        t = ``ends[n]`` that is prod_{k<=n} |G_k(xi / (d_k rho_k) + u_k)|^2
+        over the level-n nodes.  A tile has at most ``_SLICE`` entries, or one
+        row when ``size[t]`` exceeds ``_SLICE``; a tile's rows are split into
+        tiles of the next tree level as the size grows, and the tiles of one
+        tree level come in the order of ``xis``, a list of floats."""
+        stack = [(0, 0, len(xis), None)] if xis else []  # (tree level, rows [lo, hi), parent tile)
         while stack:
-            n, lo, hi, parent = stack.pop()
-            step = self.rows_per_tile(n)
+            t, lo, hi, parent = stack.pop()
+            step = self.rows_per_tile(t)
             if hi - lo > step:  # split the rows, first rows on top
                 for i in reversed(range(lo, hi, step)):
                     j = min(i + step, hi)
-                    stack.append((n, i, j, None if n == 0 else parent[i - lo:j - lo]))
+                    stack.append((t, i, j, None if t == 0 else parent[i - lo:j - lo]))
                 continue
-            if n == 0:
+            if t == 0:
                 w = np.ones((hi - lo, 1))
             else:
-                w = self.factors(n, xis[lo:hi])
-                children = w.reshape(hi - lo, self.scales.d[n], -1)
+                w = self.factors(t, xis[lo:hi])
+                children = w.reshape(hi - lo, self.radix[t], -1)
                 children *= parent[:, None, :]  # row j: the children with digit j
-            yield n, range(lo, hi), w
-            if n < upto:
-                stack.append((n + 1, lo, hi, w))
+            yield t, range(lo, hi), w
+            if t < upto:
+                stack.append((t + 1, lo, hi, w))
 
-    def rows_per_tile(self, n: int) -> int:
-        """The xi rows of a level-n tile: as many as fit ``_SLICE`` entries, at least one."""
-        return max(1, _SLICE // self.size[n])
+    def rows_per_tile(self, t: int) -> int:
+        """The xi rows of a tree-level-t tile: as many as fit ``_SLICE`` entries, at least one."""
+        return max(1, _SLICE // self.size[t])
 
-    def slice_products(self, n: int, xis: Sequence[float], parents: np.ndarray,
+    def slice_products(self, t: int, xis: Sequence[float], parents: np.ndarray,
                        start: int, stop: int) -> np.ndarray:
-        """The level-n products over the nodes [start, stop), one row per xi of
-        ``xis``, from the level-(n-1) products ``parents``, one row per xi:
-        :meth:`factors` on those nodes times their parents' entries, split
-        where the nodes cross a row of children (:func:`_row_pieces`).  The
-        entries of :meth:`tiles`, bit for bit, with no level-n array beyond
-        the block."""
-        part = self.factors(n, xis, slice(start, stop))
-        for a, b, lo, hi in _row_pieces(start, stop, self.size[n - 1]):
+        """The tree-level-t products over the nodes [start, stop), one row per
+        xi of ``xis``, from the tree-level-(t-1) products ``parents``, one row
+        per xi: :meth:`factors` on those nodes times their parents' entries,
+        split where the nodes cross a row of children (:func:`_row_pieces`).
+        The entries of :meth:`tiles`, bit for bit, with no tree-level-t array
+        beyond the block."""
+        part = self.factors(t, xis, slice(start, stop))
+        for a, b, lo, hi in _row_pieces(start, stop, self.size[t - 1]):
             children = part[:, a:b].reshape(len(part), -1, hi - lo)  # a view: splits the last axis
             children *= parents[:, None, lo:hi]
         return part
@@ -386,8 +442,9 @@ def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
     The digit tree is built once (:class:`_Tree`) and all of ``xis`` walk it
     in tiles (:meth:`_Tree.tiles`); the level-n sum at xi is the total of
     the squared products over the level-n words, see
-    :func:`partition_identity`, taken as one ``sum(axis=1)`` per tile, which
-    sums each row as a 1-D array, so it does not depend on the other xi.
+    :func:`partition_identity`, taken at the tree level that ends level n as
+    one ``sum(axis=1)`` per tile, which sums each row as a 1-D array, so it
+    does not depend on the other xi.
     Returns one tuple of levels 1..``level`` per xi, in the order of ``xis``.
     """
     pair = tm.pair
@@ -397,12 +454,13 @@ def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
     tree = _Tree(tm, _Scales(pair), level, filters)
     xis = [float(xi) for xi in xis]
     totals = np.zeros((len(xis), level))
-    for n, rows, w in tree.tiles(xis, level):
-        if n:
-            totals[rows.start:rows.stop, n - 1] = w.sum(axis=1)  # per row a 1-D sum, as per xi
+    column = {t: n - 1 for n, t in enumerate(tree.ends) if n}
+    for t, rows, w in tree.tiles(xis, tree.ends[level]):
+        if t in column:
+            totals[rows.start:rows.stop, column[t]] = w.sum(axis=1)  # per row a 1-D sum, as per xi
     totals = totals.tolist()
     return tuple(tuple(PartitionResult(total=total, defect=abs(total - 1.0), level=n, xi=xi,
-                                       terms=tree.size[n])
+                                       terms=tree.size[tree.ends[n]])
                        for n, total in enumerate(per_xi, start=1))
                  for xi, per_xi in zip(xis, totals))
 
@@ -531,10 +589,12 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     sums are scalars.  Everything that does not depend on xi is built once,
     before the grid loop: the digit tree, the frequencies, and the tail
     tables (:func:`_tail_tables`) to the deepest depth :func:`truncation_level`
-    picks for any grid point's block, with the series start fixed by the
-    grid's largest xi.  A deeper tail only shrinks the truncation error each
-    radius bounds.  The grid walks the tree in tiles to level l_max - 1
-    (:meth:`_Tree.tiles`); the level-l_max nodes then run in blocks of
+    picks for a block at any xi in [0, 1/2] (|xi + lambda| is convex in xi,
+    so at xi = 0 or 1/2), with the series start fixed for xi up to 1/2.  A
+    deeper tail only shrinks the truncation error each radius bounds.  The
+    grid walks the tree in tiles (:meth:`_Tree.tiles`) to the tree level
+    before the last sub-level of level l_max, level l_max - 1 where d_{l_max}
+    is prime; the level-l_max nodes then run in blocks of
     max(1, ``_SLICE`` // P_{l_max}) grid rows (:meth:`_Tree.rows_per_tile`)
     by one slice of ``_SLICE`` nodes.  A block gets its products w from its
     parents' entries (:meth:`_Tree.slice_products`), the explicit tail levels
@@ -556,11 +616,9 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     k c (2 A + k c B): at least the per-term sum, and at most k^2, about
     1 + tol, times it.  A mapping failing :func:`validate_tree_mapping`
     raises a ValueError naming the word.  Grid points and slices run in a
-    fixed order, and a row's values do not depend on the rows that share its
-    block.  They do depend on the rest of the grid: its largest xi sets the
-    tail depth and the series start of the tail tables, which move the tail
-    T, and with it Q and the slack, in the last bits, so a row of a one-point
-    call can differ by an ulp from the same xi's row in a larger grid.
+    fixed order, and a row's values depend neither on the rows that share its
+    block nor on the rest of the grid: a one-point call gives that xi's rows
+    bit for bit.
     """
     pair = tm.pair
     xis = [float(x) for x in xi_grid]
@@ -581,8 +639,10 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     hi = [float(lam[a:b].max()) for a, b in blocks]
     reach = [[max(abs(x + h), abs(x + l)) for l, h in zip(lo, hi)] for x in xis]
     batches = [[scales.truncation(a, tol) for a in per_x] for per_x in reach]
-    depth = max((n for per_x in batches for n, _ in per_x), default=l_max)
-    tails = _tail_tables(scales, tree.u, l_max, depth, max(xis, default=0.0), deep)
+    # the deepest truncation any xi in [0, 1/2] needs: |xi + lambda| is convex in xi
+    depth = max(scales.truncation(max(abs(l), abs(h), abs(0.5 + l), abs(0.5 + h)), tol)[0]
+                for l, h in zip(lo, hi))
+    tails = _tail_tables(scales, tree.u, l_max, depth, 0.5, deep)
     tree.u = None
     slices = []  # per slice: its bounds, the range of blocks it meets and their starts in it
     for start in range(0, len(lam), _SLICE):
@@ -594,8 +654,9 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     rows = []
     monotone = bounded = True
     worst_gap, worst_xi = -math.inf, (xis[0] if xis else 0.0)
-    step = tree.rows_per_tile(l_max)
-    last = ((tile_rows, tile) for n, tile_rows, tile in tree.tiles(xis, l_max - 1) if n == l_max - 1)
+    end = tree.ends[l_max]  # the last sub-level of level l_max, formed in slices below
+    step = tree.rows_per_tile(end)
+    last = ((tile_rows, tile) for t, tile_rows, tile in tree.tiles(xis, end - 1) if t == end - 1)
     row_blocks = ((tile_rows[j:j + step], tile[j:j + step])
                   for tile_rows, tile in last for j in range(0, len(tile_rows), step))
     for block, parents in row_blocks:
@@ -608,7 +669,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
         sums, lin, sq = (np.zeros((len(x), l_max)) for _ in range(3))
         for (start, stop, levels, offsets), table in zip(slices, tails):
             # in place, in the operation order of w + w expm1(log T)
-            terms = tree.slice_products(l_max, x, parents, start, stop)
+            terms = tree.slice_products(end, x, parents, start, stop)
             g = _log_tail(scales, table, x, stop - start)
             np.expm1(g, out=g)
             g *= terms

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf, exp as mp_exp, pi as mp_pi
+from mpmath import mp, mpf, exp as mp_exp, pi as mp_pi, sinpi as mp_sinpi
 
 from cantorspec import (BudgetExceededError, FilterFamily, TreeMapping, canonical_tau,
                         completeness_Q, constant_pair,
-                        dimension_targeting_pair, enumerate_level, mu_hat,
+                        dimension_targeting_pair, explicit_pair, enumerate_level, mu_hat,
                         mu_hat_exact_zero,
                         orthogonality_check, partition_identity,
                         partition_levels, uniform_family, word_count)
@@ -408,10 +408,7 @@ ALPHA_QUARTER = canonical_tau(dimension_targeting_pair(0.25))
 ])
 def test_completeness_rows_equal_one_row_at_a_time(monkeypatch, tm, level, size):
     # the last level runs in blocks of grid rows; each row's Q, slacks and
-    # verdicts are those of the same call walked one row at a time, bit for
-    # bit.  (One call per grid point is not the reference: the tail's depth
-    # and series start follow the grid's largest xi, which moves a slack of
-    # mu42 at L = 1 by one ulp.)
+    # verdicts are those of the same call walked one row at a time, bit for bit
     if size is not None:
         monkeypatch.setattr(verify, "_SLICE", size)
     points = {None: 33, 64: 9, 7: 5, 1: 3}[size]
@@ -419,6 +416,18 @@ def test_completeness_rows_equal_one_row_at_a_time(monkeypatch, tm, level, size)
     rep = completeness_Q(tm, grid, level, tol=1e-10)
     monkeypatch.setattr(verify._Tree, "rows_per_tile", lambda self, n: 1)
     assert rep == completeness_Q(tm, grid, level, tol=1e-10)
+
+
+@pytest.mark.parametrize("tm, level", [
+    (canonical_tau(MU42), 1),    # a tail depth taken from the grid moves two of its slacks by an ulp
+    (canonical_tau(MU42), 8), (canonical_tau(MU93), 6), (ALPHA_QUARTER, 4), (DEVIATED42, 5)])
+def test_completeness_rows_do_not_depend_on_the_grid(tm, level):
+    # the tail depth and series start follow [0, 1/2], not the grid: a one-point
+    # call gives each xi the rows it has in the grid, bit for bit
+    grid = [j / 64 for j in range(33)]
+    rows = completeness_Q(tm, grid, level, tol=1e-10).rows
+    for k, xi in enumerate(grid):
+        assert completeness_Q(tm, [xi], level, tol=1e-10).rows == rows[k * level:(k + 1) * level], xi
 
 
 # worst relative error of 1 - Q_L over the 33 x 12 oracle points: 3.45e-7
@@ -580,41 +589,106 @@ TILE_XIS = [0.0, 0.3, 0.5, 0.71, 0.05, 0.999]
 
 @pytest.mark.parametrize("tm, level, filters", LAYOUT_CASES)
 def test_digit_major_tree_is_the_child_major_tree_reordered(monkeypatch, tm, level, filters):
-    # every row of every tile is the child-major product of its xi, reordered,
-    # bit for bit (so also as sorted arrays), also with tiles of 1, 7 and 64
-    # entries; and lambda
+    # every row of every tile that ends a level is the child-major product of
+    # its xi, reordered, bit for bit (so also as sorted arrays) where d_n is
+    # prime, also with tiles of 1, 7 and 64 entries; and lambda.  The alpha
+    # pair's d_n = 2^n run as n sub-levels of H_2, whose products differ from
+    # the closed form of H_{2^n} by rounding: within 8 ulp(1) absolute (3 seen)
     tree = verify._Tree(tm, verify._Scales(tm.pair), level, filters)
     scales, _, lam, _, _ = child_major_tree(tm, level)
     old = [child_major_weights(tm, level, xi, filters) for xi in TILE_XIS]
+    prime = all(tree.ends[n] == n for n in range(level + 1))
     for size in (verify._SLICE, 1, 7, 64):
         monkeypatch.setattr(verify, "_SLICE", size)
         seen = set()
-        for n, rows, w in tree.tiles(TILE_XIS, level):
-            assert w.shape == (len(rows), tree.size[n])
+        for t, rows, w in tree.tiles(TILE_XIS, tree.ends[level]):
+            assert w.shape == (len(rows), tree.size[t])
+            seen.update((i, t) for i in rows)
+            if t not in tree.ends:
+                continue
+            n = tree.ends.index(t)
             for i, row in zip(rows, w):
                 want = np.ones(1) if n == 0 else to_digit_major(old[i][n - 1], scales, n)
-                assert np.array_equal(row, want), (size, TILE_XIS[i], n)
-                assert np.array_equal(np.sort(row), np.sort(want))
-                seen.add((i, n))
-        assert seen == {(i, n) for i in range(len(TILE_XIS)) for n in range(level + 1)}
+                if prime:
+                    assert np.array_equal(row, want), (size, TILE_XIS[i], n)
+                    assert np.array_equal(np.sort(row), np.sort(want))
+                else:
+                    assert np.max(np.abs(row - want)) <= 8 * 2.0 ** -52, (size, TILE_XIS[i], n)
+        assert seen == {(i, t) for i in range(len(TILE_XIS)) for t in range(tree.ends[level] + 1)}
     new_lam, _ = verify._frequencies(tm, tree.scales, level)
     assert np.array_equal(new_lam, to_digit_major(lam, scales, level))
+
+
+def mp_level_products(pair, xi, level):
+    """Oracle: per level n, prod_{k<=n} |H_{d_k}((xi + sigma_k) / (d_k rho_k))|^2 over the
+    level-n nodes in digit-major order, canonical labels, in 40-digit mpmath."""
+    def h_sq(d, s):
+        den = mp_sinpi(s)
+        return mpf(1) if den == 0 else (mp_sinpi(d * s) / (d * den)) ** 2
+
+    with mp.workdps(40):
+        sigma, w, rho, out = [0], [mpf(1)], 1, []
+        for n in range(1, level + 1):
+            d = pair.d(n)
+            w = [p * h_sq(d, (mpf(xi) + s + j * rho) / (d * rho))
+                 for j in range(d) for s, p in zip(sigma, w)]
+            sigma = [s + j * rho for j in range(d) for s in sigma]
+            rho *= pair.b(n)
+            out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("pair, level", [
+    (dimension_targeting_pair(0.5), 4), (dimension_targeting_pair(0.25), 4),
+    (dimension_targeting_pair(1), 2),     # d_2 = 32: five sub-levels of H_2
+    (explicit_pair([12], [6]), 3),        # d_n = 6: H_2, then H_3 over twice the nodes
+])
+def test_sub_level_products_match_mpmath(pair, level):
+    # the products of the sub-levels of a composite d_n are as close to the
+    # exact level products as the closed form of H_{d_n}, up to 2 ulp(1)
+    tm, filters = canonical_tau(pair), uniform_family(pair)
+    tree = verify._Tree(tm, verify._Scales(pair), level, filters)
+    scales = verify._Scales(pair).upto(level)
+    assert tree.ends[level] > level
+    for xi in TILE_XIS:
+        closed = child_major_weights(tm, level, xi, filters)
+        exact = mp_level_products(pair, xi, level)
+        for t, _, (w,) in tree.tiles([xi], tree.ends[level]):
+            if t not in tree.ends[1:]:
+                continue
+            n = tree.ends.index(t)
+            with mp.workdps(40):
+                for got, old, want in zip(w, to_digit_major(closed[n - 1], scales, n), exact[n - 1]):
+                    err, old_err = abs(mpf(float(got)) - want), abs(mpf(float(old)) - want)
+                    assert err <= old_err + 2 * mpf(2) ** -52, (xi, n, float(err), float(old_err))
+
+
+def test_off_class_labels_keep_their_level_whole():
+    # tau(1) = 2 is not 1 mod d_1 = 6 (a mapping validate_tree_mapping rejects,
+    # which partition still takes): level 1 stays one level, with the closed
+    # form's totals bit for bit, while level 2 splits as 2 * 3
+    tm = TreeMapping(explicit_pair([12], [6]), {(1,): 2})
+    tree = verify._Tree(tm, verify._Scales(tm.pair), 2, uniform_family(tm.pair))
+    assert tree.ends == [0, 1, 3] and tree.radix == [1, 6, 2, 3]
+    for xi, (result,) in zip(TILE_XIS, partition_levels(tm, TILE_XIS, 1)):
+        assert result.total == float(np.sum(child_major_weights(tm, 1, xi, uniform_family(tm.pair))[0]))
 
 
 @pytest.mark.parametrize("size", [None, 1, 7, 64, 100])
 @pytest.mark.parametrize("tm, level", [(canonical_tau(MU42), 8), (canonical_tau(MU93), 5),
                                        (canonical_tau(dimension_targeting_pair(0.5)), 4)])
 def test_tiles_stay_within_the_slice(monkeypatch, tm, level, size):
-    # at most _SLICE entries or one row; each level's tiles cover the xis once, in order
+    # at most _SLICE entries or one row; each tree level's tiles cover the xis once, in
+    # order (the alpha pair's level n is n sub-levels)
     if size is not None:
         monkeypatch.setattr(verify, "_SLICE", size)
     xis = [0.01 * k for k in range(40)]
     tree = verify._Tree(tm, verify._Scales(tm.pair), level, uniform_family(tm.pair))
     by_level = {}
-    for n, rows, w in tree.tiles(xis, level):
-        assert w.size <= verify._SLICE or len(rows) == 1, (n, len(rows), w.size)
-        by_level.setdefault(n, []).extend(rows)
-    assert by_level == {n: list(range(len(xis))) for n in range(level + 1)}
+    for t, rows, w in tree.tiles(xis, tree.ends[level]):
+        assert w.size <= verify._SLICE or len(rows) == 1, (t, len(rows), w.size)
+        by_level.setdefault(t, []).extend(rows)
+    assert by_level == {t: list(range(len(xis))) for t in range(tree.ends[level] + 1)}
 
 
 def test_tiles_batch_the_shallow_levels():
