@@ -208,12 +208,12 @@ def _check_partition(pair, tm, args):
         if not cert.ok:
             return False, payload, artifacts
     rng = np.random.Generator(np.random.Philox(key=np.array([args.seed, 0], dtype=np.uint64)))
-    xis = rng.random(args.draws)
-    per_xi = partition_levels(tm, xis.tolist(), args.level, filters=filters, budget=args.budget)
+    xis = rng.random(args.draws).tolist()
+    per_xi = partition_levels(tm, xis, args.level, filters=filters, budget=args.budget)
     worst = max(res.defect for results in per_xi for res in results)
     artifacts.append(lambda out: _write_csv(
         out, "partition.csv", ["xi", "L", "sum", "defect"],
-        [[repr(float(xi)), results[n].level, repr(results[n].total), repr(results[n].defect)]
+        [[xi, results[n].level, results[n].total, results[n].defect]
          for n in range(args.level) for xi, results in zip(xis, per_xi)]))
     payload.update(worst_defect=worst, tolerance=args.tol)
     return worst <= args.tol, payload, artifacts
@@ -236,8 +236,7 @@ def _check_completeness(pair, tm, args):
     }, [
         lambda out: _write_csv(
             out, "completeness.csv", ["xi", "L", "Q", "certified_slack", "monotone_ok"],
-            [[repr(r.xi), r.level, repr(r.q), repr(r.certified_slack), r.monotone_ok]
-             for r in report.rows]),
+            [[r.xi, r.level, r.q, r.certified_slack, r.monotone_ok] for r in report.rows]),
         lambda out: _write_svg(out, "completeness.svg", svgplot.line_chart(
             [curve(x) for x in (grid[0], grid[len(grid) // 2], grid[-1])],
             "completeness trend Q_L(xi)", "L", "Q")),
@@ -394,25 +393,31 @@ _CHECKS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand; with ``command``, the flags of that
-    subcommand only, the others listed by name with no flags."""
+def _add_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    parser.add_argument("--pair", required=True, help="pair configuration JSON")
+    for flag, default in _CHECKS[name]["flags"].items():
+        kind, text = _FLAGS[flag]
+        parser.add_argument(f"--{flag}", type=kind, default=default,
+                            help=f"{text} (default: %(default)s)")
+    parser.add_argument("--out", default="out", help="output directory for artifacts")
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="cantorspec",
         description="Exact and certified-numeric verification for spectra of "
                     "Riesz product measures on homogeneous Cantor sets.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, entry in _CHECKS.items():
-        p = sub.add_parser(name)
-        if command is not None and name != command:
-            continue
-        p.add_argument("--pair", required=True, help="pair configuration JSON")
-        for flag, default in entry["flags"].items():
-            kind, text = _FLAGS[flag]
-            p.add_argument(f"--{flag}", type=kind, default=default,
-                           help=f"{text} (default: %(default)s)")
-        p.add_argument("--out", default="out", help="output directory for artifacts")
+    for name in _CHECKS:
+        _add_flags(sub.add_parser(name), name)
     return parser
+
+
+def subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand ``name``'s parser alone: its subparser's usage, help and errors."""
+    return _add_flags(argparse.ArgumentParser(prog=f"cantorspec {name}"), name)
 
 
 def _run(args) -> int:
@@ -434,8 +439,13 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the subcommand comes first; anything else gets the full parser and its error
-    args = build_parser(argv[0] if argv and argv[0] in _CHECKS else None).parse_args(argv)
+    name = argv[0] if argv else None
+    if name in _CHECKS:
+        args, extra = subcommand_parser(name).parse_known_args(
+            argv[1:], argparse.Namespace(command=name))
+    if name not in _CHECKS or extra:
+        # no subcommand first, or flags it does not know: the full parser's error
+        args = build_parser().parse_args(argv)
     try:
         return _run(args)
     except BudgetExceededError as exc:

@@ -9,6 +9,7 @@ ratio 4 and are kept as exact Python integers throughout: rho_n overflows
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -114,22 +115,24 @@ def _alpha_rule(alpha: Fraction, n: int) -> tuple[int, int]:
     chosen steep enough that the cumulative ratio
     sum_{j<=N} ln d_j / sum_{j<=N} ln b_j is within 0.02 of alpha by N = 40.
     """
-    if alpha == 0:
+    return _dyadic_rule(alpha.numerator, alpha.denominator, n)
+
+
+@functools.lru_cache(maxsize=4096)
+def _dyadic_rule(p: int, q: int, n: int) -> tuple[int, int]:
+    # cached on alpha = p/q as integers: hashing a Fraction costs more than the rule
+    if p == 0:
         return 1 << (3 * n * n), 1 << n
-    if alpha == 1:
+    if p == q:
         return 1 << (3 * n), 1 << (3 * n - 1)
-    kb = max(n + 1, -(-n * alpha.denominator // alpha.numerator))  # ceil(n / alpha)
-    return 1 << kb, 1 << n
+    return 1 << max(n + 1, -(-n * q // p)), 1 << n  # b_n = 2^max(n + 1, ceil(n / alpha))
 
 
 def rho(pair: ScalePair, n: int) -> int:
     """The exact scale rho_n = prod_{j<n} b_j; rho(pair, 1) == 1."""
     if n < 1:
         raise ValueError(f"level index must be >= 1, got {n}")
-    acc = 1
-    for j in range(1, n):
-        acc *= pair.b(j)
-    return acc
+    return pair.rho_list(n - 1)[-1]
 
 
 def _check_level(b: int, d: int, n: int) -> Issue | None:

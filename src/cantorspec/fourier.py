@@ -172,8 +172,7 @@ def H_sq_tables(m: int, us: np.ndarray) -> HSqTables:
 
 def _sin_cos_columns(xs: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     # sin(pi x) and cos(pi x) per scalar x, as columns against a table row
-    return (np.array([[math.sin(math.pi * x)] for x in xs]),
-            np.array([[math.cos(math.pi * x)] for x in xs]))
+    return tuple(np.array([f(math.pi * x) for x in xs])[:, None] for f in (math.sin, math.cos))
 
 
 def eval_H_sq_tables(t: HSqTables, a: Sequence[float]) -> np.ndarray:
@@ -276,21 +275,22 @@ def log_series_remainder_bounds(c: np.ndarray, y0: np.ndarray, e: float) -> np.n
     relative error is far below the 2^-60 they are compared with."""
     big_j = len(c)
     ratio = np.asarray(c, dtype=float) / c[0]
-    terms = np.zeros(2 * big_j + 2)  # terms[i]: the part of the bound from degree i
+    terms = [0.0] * (2 * big_j + 2)  # terms[i]: the part of the bound from degree i
     y = np.abs(np.asarray(y0, dtype=float))
     nonzero = y[y > 0]
     if nonzero.size:
         y_max, y_min = float(nonzero.max()), float(nonzero.min())
         r = e / y_min
         if r >= 1.0:
-            terms[1:-1] = math.inf
+            terms[1:-1] = [math.inf] * (2 * big_j)
         else:
-            for j in range(1, big_j + 1):
+            e_pow, y_pow = ([x ** k for k in range(2 * big_j + 1)] for x in (e, y_max))
+            for j, c_j in enumerate(ratio.tolist(), start=1):
                 for i in range(1, 2 * j + 1):
-                    power = (e ** i * y_max ** (2 * j - 2 - i) if i <= 2 * j - 2
-                             else e ** (2 * j - 2) * r ** (i - 2 * j + 2))
-                    terms[i] += ratio[j - 1] * math.comb(2 * j, i) * power
-            terms /= (1.0 - r) ** 2
+                    power = (e_pow[i] * y_pow[2 * j - 2 - i] if i <= 2 * j - 2
+                             else e_pow[2 * j - 2] * r ** (i - 2 * j + 2))
+                    terms[i] += c_j * math.comb(2 * j, i) * power
+            terms = [t / (1.0 - r) ** 2 for t in terms]
     if np.any(y == 0):
         zero = np.zeros_like(terms)
         zero[2:-1:2] = ratio * e ** (2 * np.arange(big_j))

@@ -97,53 +97,40 @@ def _elements_of(level_or_elements) -> list[int]:
 
 
 def _grouped_orthogonality(elements: list[int], pair: ScalePair, cap: int):
-    """Residue-tree equivalent of the all-pairs divisibility scan.
+    """Level-synchronous equivalent of the all-pairs divisibility scan.
 
-    For two frequencies with difference nu and first undecided level n (all
-    earlier levels gave d_k | nu/rho_k and b_k | nu/rho_k), write u =
-    (x - y)/rho_n.  The transform vanishes at nu iff d_n does not divide u
-    (witness at level n) or b_n | u and a later level witnesses.  If d_n | u
-    but b_n does not divide u, no level at all can witness and the pair
-    violates orthogonality.  Grouping by residues mod b_n classifies every
-    pair at once, and same-residue groups recurse on u // b_n; differences
-    shrink by a factor b_n >= 4 per level, so the recursion terminates.
-    Exact integer arithmetic throughout.  Returns the ``cap`` smallest
-    violating pairs, sorted, and the count of all of them: the verdict and
-    violation list of the literal per-pair scan, independent of the order in
-    which the recursion meets the pairs.
+    The transform vanishes at x - y iff some level n has x = y mod rho_n but
+    not mod d_n rho_n (:func:`mu_hat_exact_zero`).  So a pair no lower level
+    witnesses violates at level n iff x = y mod d_n rho_n but not mod
+    rho_{n+1}, and stays undecided iff x = y mod both.  Each level splits the
+    live elements into classes mod the lcm of these and the last level's
+    moduli (rho_{n+1} for admissible pairs); classes equal mod the lcm of
+    d_n rho_n and the last modulus violate pairwise, and classes of two or
+    more stay live.  Exact integers.  Returns the ``cap`` smallest violating
+    pairs, sorted, and the count of all of them.
     """
-    largest_first = []  # the cap smallest violations so far, as a max-heap of negated pairs
-    count = 0
-
-    def recurse(values: list[tuple[int, int]], n: int):
-        # values: (current residue-reduced value, original frequency)
-        nonlocal count
-        if len(values) < 2:
-            return
-        b_n, d_n = pair.b(n), pair.d(n)
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for v, orig in values:
-            groups.setdefault(v % b_n, []).append((v, orig))
-        residues = sorted(groups)
-        for i, r in enumerate(residues):
-            for r2 in residues[i + 1:]:
-                if (r2 - r) % d_n == 0:
-                    # d_n | u but b_n does not divide u: no vanishing level exists
-                    for _, x in groups[r]:
-                        for _, y in groups[r2]:
-                            count += 1
-                            key = (-min(x, y), -max(x, y))
-                            if len(largest_first) < cap:
-                                heapq.heappush(largest_first, key)
-                            elif largest_first and key > largest_first[0]:
-                                heapq.heapreplace(largest_first, key)
-        for r in residues:
-            grp = groups[r]
-            if len(grp) > 1:
-                recurse([(v // b_n, orig) for v, orig in grp], n + 1)
-
-    recurse([(x, x) for x in elements], 1)
-    return sorted((-a, -b) for a, b in largest_first), count
+    violating = []  # (xs, ys): each x in xs and y in ys violate
+    live, rho, step, n = elements, 1, 1, 1
+    while len(live) > 1:
+        b_n = pair.b(n)
+        if b_n == 1 and n >= len(pair.b_prefix):
+            raise ValueError(f"b_n = 1 from level {n} on: no level separates the frequencies")
+        coarse = math.lcm(step, pair.d(n) * rho)  # d_n rho_n for every admissible pair
+        rho *= b_n
+        step = math.lcm(coarse, rho)
+        classes: dict[int, list[int]] = {}
+        for x in live:
+            classes.setdefault(x % step, []).append(x)
+        if len({r % coarse for r in classes}) < len(classes):
+            buckets: dict[int, list[list[int]]] = {}
+            for r, members in classes.items():
+                buckets.setdefault(r % coarse, []).append(members)
+            violating += [(xs, ys) for bucket in buckets.values()
+                          for i, xs in enumerate(bucket) for ys in bucket[i + 1:]]
+        live = [x for members in classes.values() if len(members) > 1 for x in members]
+        n += 1
+    pairs = ((x, y) if x < y else (y, x) for xs, ys in violating for x in xs for y in ys)
+    return heapq.nsmallest(cap, pairs), sum(len(xs) * len(ys) for xs, ys in violating)
 
 
 def orthogonality_check(level_or_elements, pair: ScalePair, max_elements: int = 4096,
@@ -152,8 +139,8 @@ def orthogonality_check(level_or_elements, pair: ScalePair, max_elements: int = 
 
     Every unordered pair of distinct frequencies must have its difference
     annihilated by the transform (see :func:`mu_hat_exact_zero`).  The pairs
-    are classified by the residue tree of :func:`_grouped_orthogonality`,
-    which is linear in the set size per level; no floating point.
+    are classified level by level by :func:`_grouped_orthogonality`, which is
+    linear in the set size per level; no floating point.
     """
     elements = _elements_of(level_or_elements)
     m = len(elements)

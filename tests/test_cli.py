@@ -76,11 +76,19 @@ def _exit(parse, argv, capsys):
 
 @pytest.mark.parametrize("name", list(cli._CHECKS))
 def test_subcommand_help_matches_the_full_parser(name, capsys):
-    # main builds the flags of the invoked subcommand only
+    # main parses with the invoked subcommand's own parser
     assert _exit(main, [name, "--help"], capsys) == _exit(build_parser().parse_args,
                                                           [name, "--help"], capsys)
-    flags = [a.dest for a in build_parser(name)._subparsers._group_actions[0].choices[name]._actions]
+    flags = [a.dest for a in cli.subcommand_parser(name)._actions]
     assert set(flags) == {"help", "pair", "out", *cli._CHECKS[name]["flags"]}
+
+
+def test_valid_call_never_builds_the_full_parser(mu42, tmp_path, monkeypatch):
+    def full_parser():
+        raise AssertionError("main built the parser of every subcommand")
+    monkeypatch.setattr(cli, "build_parser", full_parser)
+    assert run(["pair", "--pair", mu42, "--level=3", "--out", str(tmp_path / "o")]) == 0
+    assert run(["spectrum", "--pair", mu42, "--level", "2", "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -269,8 +269,8 @@ def log_H_sq_mpmath(m, s):
     """Oracle: log|H_m(s)|^2 from the closed form, s taken exactly, with 30
     digits beyond the ~s^2 cancellation in the quotient."""
     s = mp.mpf(s)
-    mp.dps = 30 + max(0, int(-2 * mp.log10(abs(s)))) if s else 30
-    return 2 * mp.log(abs(mp.sin(mp.pi * m * s)) / (m * abs(mp.sin(mp.pi * s))))
+    with mp.workdps(30 + max(0, int(-2 * mp.log10(abs(s)))) if s else 30):
+        return 2 * mp.log(abs(mp.sin(mp.pi * m * s)) / (m * abs(mp.sin(mp.pi * s))))
 
 
 def assert_log_kernel_close(m, s):
@@ -311,31 +311,32 @@ def test_log_H_sq_array_is_zero_at_integers():
 def test_log_H_sq_series_sums_the_levels(ms, ts):
     for y in (1e-9, 0.01, 0.2, LOG_SERIES_THETA):
         got = log_H_sq_series(ms, ts, np.array([y, -y]))
-        want = sum(log_H_sq_mpmath(m, mp.mpf(t) * y / m) for m, t in zip(ms, ts))
+        with mp.workdps(30):
+            want = sum(log_H_sq_mpmath(m, mp.mpf(t) * y / m) for m, t in zip(ms, ts))
         assert np.all(np.abs(got - float(want)) <= 1e-14 * abs(want)), (y, got, want)
 
 
 def test_zeta_literals_match_mpmath():
     # correctly rounded: within half an ulp
-    mp.dps = 40
-    for j, value in enumerate(_ZETA_OVER_J, start=1):
-        assert abs(mp.mpf(value) - mp.zeta(2 * j) / j) <= math.ulp(value) / 2, j
+    with mp.workdps(40):
+        for j, value in enumerate(_ZETA_OVER_J, start=1):
+            assert abs(mp.mpf(value) - mp.zeta(2 * j) / j) <= math.ulp(value) / 2, j
 
 
 def test_series_remainder_below_2_pow_60():
     # the docstring's bound on the dropped terms j > J, relative to the sum
-    mp.dps = 40
-    big_j, theta = len(_ZETA_OVER_J), mp.mpf(LOG_SERIES_THETA)
-    bound = (4 / (3 * mp.zeta(2)) * mp.zeta(2 * big_j + 2) / (big_j + 1)
-             * theta ** (2 * big_j) / (1 - theta ** 2))
-    assert bound <= mp.mpf(2) ** -60
-    # and the remainder itself, at |m s| = theta, with the exact coefficients
-    for m in (2, 3, 16, 2 ** 20):
-        s = theta / m
-        exact = log_H_sq_mpmath(m, s)
-        series = -2 * sum(mp.zeta(2 * j) / j * ((m * s) ** (2 * j) - s ** (2 * j))
-                          for j in range(1, big_j + 1))
-        assert abs(series - exact) <= bound * abs(exact), m
+    with mp.workdps(40):
+        big_j, theta = len(_ZETA_OVER_J), mp.mpf(LOG_SERIES_THETA)
+        bound = (4 / (3 * mp.zeta(2)) * mp.zeta(2 * big_j + 2) / (big_j + 1)
+                 * theta ** (2 * big_j) / (1 - theta ** 2))
+        assert bound <= mp.mpf(2) ** -60
+        # and the remainder itself, at |m s| = theta, with the exact coefficients
+        for m in (2, 3, 16, 2 ** 20):
+            s = theta / m
+            exact = log_H_sq_mpmath(m, s)
+            series = -2 * sum(mp.zeta(2 * j) / j * ((m * s) ** (2 * j) - s ** (2 * j))
+                              for j in range(1, big_j + 1))
+            assert abs(series - exact) <= bound * abs(exact), m
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 5])

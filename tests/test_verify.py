@@ -60,21 +60,42 @@ def pairwise_orthogonality(elements, pair):
     return len(violations), violations
 
 
-def _assert_matches_oracle(elements, pair, cap):
+def _assert_matches_oracle(elements, pair, caps):
     count, violations = pairwise_orthogonality(elements, pair)
-    rep = orthogonality_check(elements, pair, violation_cap=cap)
-    assert rep.passed == (count == 0)
-    assert rep.violation_count == count
-    # the report lists the cap smallest violating pairs, whatever the scan order
-    assert rep.violations == tuple(violations[:cap])
+    for cap in caps:
+        rep = orthogonality_check(elements, pair, violation_cap=cap)
+        assert rep.passed == (count == 0)
+        assert rep.violation_count == count
+        # the report lists the cap smallest violating pairs, whatever the scan order
+        assert rep.violations == tuple(violations[:cap])
+
+
+CAPS = (0, 1, 5, 256)
 
 
 def test_grouped_equals_pairwise_on_spectra():
-    for pair, level in ((MU42, 5), (MU93, 3)):
+    alpha = dimension_targeting_pair(0.5)
+    for pair, level in ((MU42, 5), (MU93, 3), (alpha, 3)):
         elements = enumerate_level(canonical_tau(pair), level).elements
-        _assert_matches_oracle(elements, pair, cap=256)
-    # a failing set with more violations than the cap
-    _assert_matches_oracle(list(range(40)), MU42, cap=5)
+        _assert_matches_oracle(elements, pair, CAPS)
+        # sums of two labels: a set that fails, with violations at several levels
+        _assert_matches_oracle(sorted({x + 3 * y for x in elements[:6] for y in elements[:6]}),
+                               pair, CAPS)
+    # sets dense in violations, with more of them than every cap
+    _assert_matches_oracle(list(range(40)), MU42, CAPS)
+    _assert_matches_oracle(list(range(0, 1024, 16)), alpha, CAPS)  # 1568 of 2016 pairs
+
+
+def test_grouped_equals_pairwise_on_inadmissible_pairs():
+    # d_n not dividing b_n: classes equal mod rho_{n+1} differ mod d_n rho_n
+    elements = list(range(-60, 61))
+    for b, d in (([6], [4]), ([4, 5], [2, 2]), ([2, 3, 7], [3, 2, 5])):
+        _assert_matches_oracle(elements, explicit_pair(b, d), CAPS)
+
+
+def test_orthogonality_rejects_pairs_that_never_separate():
+    with pytest.raises(ValueError, match="b_n = 1"):
+        orthogonality_check([0, 4], explicit_pair([4, 1], [2, 1]))
 
 
 @given(st.sets(st.integers(min_value=-5000, max_value=5000), min_size=2, max_size=40),
@@ -82,8 +103,7 @@ def test_grouped_equals_pairwise_on_spectra():
 @settings(deadline=None, max_examples=120)
 def test_grouped_equals_pairwise_random(elements, cap):
     for pair in (MU42, MU93):
-        _assert_matches_oracle(elements, pair, cap=10**6)
-        _assert_matches_oracle(elements, pair, cap=cap)
+        _assert_matches_oracle(elements, pair, (10**6, cap))
 
 
 def test_canonical_orthogonal_for_all_pairs_tested():
@@ -104,7 +124,6 @@ def test_canonical_orthogonal_for_all_pairs_tested():
 
 def mp_partition_defect(pair, xi, level):
     """Independent high-precision oracle for the level-L partition sum."""
-    mp.dps = 30
     rhos = [1]
     for n in range(1, level + 1):
         rhos.append(rhos[-1] * pair.b(n))
@@ -112,19 +131,20 @@ def mp_partition_defect(pair, xi, level):
     def kernel(d, x):
         return sum(mp_exp(-2j * mp_pi * j * x) for j in range(d)) / d
 
-    total = mpf(0)
-    stack = [(0, mpf(1), 0)]  # (level, weight, head sum)
-    while stack:
-        n, w, sigma = stack.pop()
-        if n == level:
-            total += w
-            continue
-        d = pair.d(n + 1)
-        for dig in range(d):
-            s = sigma + dig * rhos[n]
-            f = kernel(d, (mpf(xi) + s) / (d * rhos[n]))
-            stack.append((n + 1, w * abs(f) ** 2, s))
-    return abs(total - 1)
+    with mp.workdps(30):
+        total = mpf(0)
+        stack = [(0, mpf(1), 0)]  # (level, weight, head sum)
+        while stack:
+            n, w, sigma = stack.pop()
+            if n == level:
+                total += w
+                continue
+            d = pair.d(n + 1)
+            for dig in range(d):
+                s = sigma + dig * rhos[n]
+                f = kernel(d, (mpf(xi) + s) / (d * rhos[n]))
+                stack.append((n + 1, w * abs(f) ** 2, s))
+        return abs(total - 1)
 
 
 def test_partition_examples():
