@@ -48,6 +48,18 @@ def _tail_numerators(pair: ScalePair, n_max: int, rel_tol: float = 1e-15) -> tup
         m += 8
 
 
+def _ratio_numerators(pair: ScalePair, n_max: int, rel_tol: float = 1e-15) -> list[int]:
+    """U_1..U_{n_max+1} of :func:`_tail_numerators`, so that r_n = U_{n+1}/U_n,
+    after checking r_n d_n <= 1 as U_{n+1} d_n <= U_n in integers."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    u, _, _ = _tail_numerators(pair, n_max, rel_tol)
+    for n in range(1, n_max + 1):
+        if u[n] * pair.d(n) > u[n - 1]:
+            raise AssertionError(f"r_{n} d_{n} > 1; inadmissible pair slipped through")
+    return u
+
+
 def gap_ratios(pair: ScalePair, n_max: int, rel_tol: float = 1e-15) -> list[Fraction]:
     """Ratios r_1..r_{n_max} as exact rationals of certified truncations.
 
@@ -55,16 +67,8 @@ def gap_ratios(pair: ScalePair, n_max: int, rel_tol: float = 1e-15) -> list[Frac
     untruncated ratio (the shared omitted tail only lowers the quotient), and
     r_n d_n <= 1 holds for every returned ratio.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    u, _, _ = _tail_numerators(pair, n_max, rel_tol)
-    ratios = []
-    for n in range(1, n_max + 1):
-        r = Fraction(u[n], u[n - 1])
-        if r * pair.d(n) > 1:
-            raise AssertionError(f"r_{n} d_{n} > 1; inadmissible pair slipped through")
-        ratios.append(r)
-    return ratios
+    u = _ratio_numerators(pair, n_max, rel_tol)
+    return [Fraction(u[n], u[n - 1]) for n in range(1, n_max + 1)]
 
 
 def rescale_constant(pair: ScalePair, rel_tol: float = 1e-15) -> Fraction:
@@ -139,9 +143,15 @@ class DimensionFormula:
     n_max: int
 
 
-def _log_fraction(fr: Fraction) -> float:
-    # log of a positive rational with huge terms, via integer logs
-    return math.log(fr.numerator) - math.log(fr.denominator)
+def _log_quotient(x: int, y: int) -> float:
+    # ln(x / y) for integers x >= y > 0 from the correctly rounded quotient, within
+    # about an ulp and with no gcd; the difference of ln x and ln y, each rounded
+    # near ln x, would cancel.  Past the float range that difference exceeds 709,
+    # so its rounding stays a few ulp of it
+    try:
+        return math.log(x / y)
+    except OverflowError:
+        return math.log(x) - math.log(y)
 
 
 def hausdorff_dim_formula(pair: ScalePair, n_max: int) -> DimensionFormula:
@@ -149,17 +159,18 @@ def hausdorff_dim_formula(pair: ScalePair, n_max: int) -> DimensionFormula:
 
     A true liminf is not computable from finitely many levels; the infimum
     over N in [n_max/2, n_max] is reported as its proxy and stabilizes
-    whenever the level ratios converge.
+    whenever the level ratios converge.  Each ln(1/r_n) = ln(U_n / U_{n+1}) is
+    taken from the integers of :func:`gap_ratios`, with no rational reduced.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    ratios = gap_ratios(pair, n_max)
+    u = _ratio_numerators(pair, n_max)
     num = 0.0
     den = 0.0
     partials = []
     for n in range(1, n_max + 1):
         num += math.log(pair.d(n))
-        den += -_log_fraction(ratios[n - 1])
+        den += _log_quotient(u[n - 1], u[n])  # ln(1/r_n)
         if n >= 2:
             partials.append((n, num / den))
     window_start = max(2, n_max // 2)
@@ -190,7 +201,8 @@ def box_counting_dim(pair: ScalePair, depth: int, budget: int = 10**6) -> BoxCou
     """Log-log slope of interval count against inverse interval length.
 
     The level-n intervals of :func:`build_intervals` number d_1 ... d_n and
-    each has length r_1 ... r_n (exact), so the fit reads these products
+    each has length r_1 ... r_n = U_{n+1}/U_1 (exact, the tail numerators of
+    :func:`gap_ratios`), so the fit reads the logarithms of these quotients
     directly, under the same interval budget, without building the family.
     It shares the gap ratios of :func:`hausdorff_dim_formula` and so is no
     independent check of them: it shows how steadily the per-level ratio of
@@ -201,11 +213,11 @@ def box_counting_dim(pair: ScalePair, depth: int, budget: int = 10**6) -> BoxCou
     _check_interval_budget(pair, depth, budget)
     xs = []
     ys = []
-    length, count = Fraction(1), 1
-    for n, r in enumerate(gap_ratios(pair, depth), start=1):
-        length *= r
+    u = _ratio_numerators(pair, depth)
+    count = 1
+    for n in range(1, depth + 1):
         count *= pair.d(n)
-        xs.append(-_log_fraction(length))          # log(1/length)
+        xs.append(_log_quotient(u[0], u[n]))  # log(1/length), length = r_1 ... r_n = U_{n+1}/U_1
         ys.append(math.log(count))
     slope, residual = _least_squares(xs, ys)
     return BoxCountFit(slope=slope, residual=residual, levels_used=depth,

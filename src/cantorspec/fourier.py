@@ -8,13 +8,17 @@ from |H_m(eta) - 1| <= pi (m-1) |eta| and the geometric growth rho_{n+1} >=
 
 Besides the complex kernel, :func:`eval_H_sq_tables` gives |H_m(a + u)|^2 in
 real arithmetic over an array u tabulated once (:func:`H_sq_tables`: the
-sines and cosines of pi u and of pi m u, the latter from m u reduced mod 1),
-one row per scalar a of a sequence, combining the tables with the sine and
-cosine of each a by angle addition, so a call costs no per-entry sine or
-cosine.  Within 1e-9 of an integer it takes the series
-1 - (m^2 - 1)(pi s)^2 / 3 entry by entry, so no value depends on the rest of
-the call.  The level-expansion kernel of :mod:`.verify` multiplies it along
-the digit tree; :func:`eval_H_sq_array` is the same kernel at a = 0.
+sines and cosines of pi u for m = 2, of 2 pi u for m = 3, and for any other
+m of pi u and of pi m u, the latter from m u reduced mod 1), one row per
+scalar a of a sequence, combining the tables with the sine and cosine of
+each a by angle addition, so a call costs no per-entry sine or cosine.  For
+m = 2 and m = 3 the kernel is a polynomial in one cosine, cos(pi s)^2 and
+((1 + 2 cos(2 pi s)) / 3)^2, with no division and so no singularity; for
+m >= 4 it is the quotient of sines, and within 1e-9 of an integer it takes
+the series 1 - (m^2 - 1)(pi s)^2 / 3 entry by entry, so no value depends on
+the rest of the call.  The level-expansion kernel of :mod:`.verify`
+multiplies it along the digit tree; :func:`eval_H_sq_array` is the same
+kernel at a = 0.
 :func:`log_H_sq_array` and :func:`log_H_sq_series` give its logarithm, in
 which the completeness tail is summed, and :func:`log_series_taylor`
 tabulates the series once as a Taylor polynomial in a scalar shift of its
@@ -124,24 +128,31 @@ def _H_sq_direct(m: int, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-# eval_H_sq_tables recomputes from a + u directly where |sin(pi (a + u))| is
-# below _CANCELLATION |sin(pi a)|, where the angle-addition sum would cancel,
-# or below _GUARD_SIN, which covers the integer guard band |s| < _INTEGER_GUARD
+# for m >= 4, eval_H_sq_tables recomputes from a + u directly where
+# |sin(pi (a + u))| is below _CANCELLATION |sin(pi a)|, where the angle-addition
+# sum would cancel, or below _GUARD_SIN, which covers the integer guard band
+# |s| < _INTEGER_GUARD
 _CANCELLATION = 4.0
 _GUARD_SIN = 4.0 * _INTEGER_GUARD
+
+# the signs of sin and cos of x + q pi / 2 against sin/cos of x, q = 0..3, with
+# the two swapped for odd q
+_QUARTER_TURN_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
 
 
 @dataclass(frozen=True)
 class HSqTables:
     """The argument-independent half of |H_m(a + u)|^2 over a float array u.
 
-    With u reduced to u - round(u), ``sin``/``cos`` tabulate pi u and, for
-    m >= 3, ``sin_m``/``cos_m`` tabulate pi v with v = m u - round(m u), and
-    ``u`` keeps u for the entries :func:`eval_H_sq_tables` recomputes.  The
+    With u reduced to u - round(u), ``sin``/``cos`` tabulate the angle
+    pi u for m = 2 and 2 pi u for m = 3, the angles of the cosine forms of
+    :func:`eval_H_sq_tables`.  For any other m >= 4 they tabulate pi u,
+    ``sin_m``/``cos_m`` tabulate pi v with v = m u - round(m u), and ``u``
+    keeps u for the entries :func:`eval_H_sq_tables` recomputes; the
     reduction is exact for a power-of-two m, and the sign (-1)^round(m u) it
     drops multiplies both m-tables, so it cancels in the square.  Per call the
-    kernel then needs only the sine and cosine of pi a (and of pi m a).
-    Indexing with a slice gives the tables of those entries, as views.
+    kernel then needs only the sine and cosine of the same angle of a (and,
+    for m >= 4, of pi m a).
     """
 
     m: int
@@ -151,17 +162,27 @@ class HSqTables:
     sin_m: np.ndarray | None
     cos_m: np.ndarray | None
 
-    def __getitem__(self, index: slice) -> "HSqTables":
-        def cut(table):
-            return None if table is None else table[index]
-        return HSqTables(self.m, cut(self.u), self.sin[index], self.cos[index],
-                         cut(self.sin_m), cut(self.cos_m))
+
+def _sin_cos_two_pi(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # sin and cos of 2 pi u for |u| <= 1/2, within one ulp of 1: u less its
+    # nearest quarter k / 4 is exact and at most 1/8, so the angle np.sin and
+    # np.cos see is at most pi / 4, and the k quarter turns swap and negate
+    # them exactly
+    k = np.rint(4.0 * u)
+    r = TWO_PI * (u - 0.25 * k)
+    sin, cos = np.sin(r), np.cos(r)
+    q = k.astype(np.int64) % 4
+    odd = q % 2 == 1
+    return (np.where(odd, cos, sin) * _QUARTER_TURN_SIGNS[0][q],
+            np.where(odd, sin, cos) * _QUARTER_TURN_SIGNS[1][q])
 
 
 def H_sq_tables(m: int, us: np.ndarray) -> HSqTables:
     """The tables of :class:`HSqTables` for the kernel H_m over ``us``."""
     u = np.asarray(us, dtype=float)
     u = u - np.round(u)
+    if m == 3:
+        return HSqTables(m, None, *_sin_cos_two_pi(u), None, None)
     sin, cos = np.sin(np.pi * u), np.cos(np.pi * u)
     if m < 3:
         return HSqTables(m, None, sin, cos, None, None)
@@ -170,44 +191,64 @@ def H_sq_tables(m: int, us: np.ndarray) -> HSqTables:
     return HSqTables(m, u, sin, cos, np.sin(np.pi * v), np.cos(np.pi * v))
 
 
-def _sin_cos_columns(xs: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    # sin(pi x) and cos(pi x) per scalar x, as columns against a table row
-    return tuple(np.array([f(math.pi * x) for x in xs])[:, None] for f in (math.sin, math.cos))
+def _columns(rows: list[tuple[float, ...]]) -> list[np.ndarray]:
+    # one array of the per-row scalars, and its columns against a table row
+    values = np.array(rows)
+    return [values[:, j:j + 1] for j in range(values.shape[1])]
 
 
-def eval_H_sq_tables(t: HSqTables, a: Sequence[float]) -> np.ndarray:
-    """|H_m(a_r + u)|^2 over the tabulated u, one row per scalar a_r of the sequence ``a``.
+def eval_H_sq_tables(t: HSqTables, a: Sequence[float], nodes: slice = slice(None)) -> np.ndarray:
+    """|H_m(a_r + u)|^2 over the tabulated u of the entries ``nodes``, one row
+    per scalar a_r of the sequence ``a``.
 
-    With s = a_r + u: for m = 2 the value is cos(pi s)^2, for m >= 3 it is
-    (sin(pi m s) / (m sin(pi s)))^2, both sines and the cosine expanded as
-    sin(x + y) = sin x cos y + cos x sin y over the tables.  Entries where
-    sin(pi s) is small against sin(pi a_r), or within the integer guard band,
-    take :func:`_H_sq_direct` at a_r + u: the closed form, 1 at integers and
-    the series of the Fejer form in the guard band; their (row, column) pairs
+    With s = a_r + u and every angle expanded by angle addition over the
+    tables (sin(x + y) = sin x cos y + cos x sin y, cos(x + y) =
+    cos x cos y - sin x sin y), no entry takes a sine, a cosine or a division:
+    for m = 2 the value is cos(pi s)^2, and for m = 3 it is
+    ((1 + 2 cos(2 pi s)) / 3)^2, the square of the real e^{2 pi i s} H_3(s),
+    with 2 cos(2 pi s) clamped to at most 2: the value is at most 1, and
+    exactly 1 at a_r = 0 with u integral.  For any other m >= 4 it is
+    (sin(pi m s) / (m sin(pi s)))^2, and entries where sin(pi s) is small
+    against sin(pi a_r), or within the integer guard band, take
+    :func:`_H_sq_direct` at a_r + u: the closed form, 1 at integers and the
+    series of the Fejer form in the guard band; their (row, column) pairs
     come from one ``np.flatnonzero`` of the mask, divided by the row length.
-    No per-entry sine or cosine otherwise.  Every entry is elementwise in its
-    own a_r and u, so a row's bits do not depend on the other rows of the
-    call: a block of grid rows, as the completeness sum passes, gives each
-    row the bits of a call with that a_r alone.
+    Every entry is elementwise in its own a_r and u, so a row's bits do not
+    depend on the other rows of the call: a block of grid rows, as the
+    completeness sum passes, gives each row the bits of a call with that a_r
+    alone.  ``nodes`` slices the tables as views.
     """
     m = t.m
+    sin, cos = t.sin[nodes], t.cos[nodes]
     if m == 1:
-        return np.ones((len(a), len(t.sin)))
+        return np.ones((len(a), len(sin)))
     a = [x - round(x) for x in a]
-    sa, ca = _sin_cos_columns(a)
     if m == 2:
-        vals = ca * t.cos
-        vals -= sa * t.sin
+        sa, ca = _columns([(math.sin(p), math.cos(p)) for p in (math.pi * x for x in a)])
+        vals = ca * cos
+        vals -= sa * sin
         vals *= vals
         return vals
-    sma, cma = _sin_cos_columns([m * x - round(m * x) for x in a])
-    den = sa * t.cos + ca * t.sin
+    if m == 3:
+        # twice the sine and cosine of 2 pi a: the sum below is 2 cos(2 pi s)
+        sa, ca = _columns([(2.0 * math.sin(p), 2.0 * math.cos(p)) for p in (TWO_PI * x for x in a)])
+        vals = ca * cos
+        vals -= sa * sin
+        np.minimum(vals, 2.0, out=vals)
+        vals += 1.0
+        vals /= 3.0
+        vals *= vals
+        return vals
+    sa, ca, sma, cma = _columns([(math.sin(p), math.cos(p), math.sin(q), math.cos(q))
+                                 for p, q in ((math.pi * x, math.pi * (m * x - round(m * x)))
+                                              for x in a)])
+    den = sa * cos + ca * sin
     with np.errstate(divide="ignore", invalid="ignore"):  # den = 0 is recomputed below
-        vals = ((sma * t.cos_m + cma * t.sin_m) / (m * den)) ** 2
+        vals = ((sma * t.cos_m[nodes] + cma * t.sin_m[nodes]) / (m * den)) ** 2
     odd = np.abs(den) < np.maximum(_CANCELLATION * np.abs(sa), _GUARD_SIN)
     if odd.any():
         rows, cols = np.divmod(np.flatnonzero(odd), odd.shape[1])
-        vals[rows, cols] = _H_sq_direct(m, np.array(a)[rows] + t.u[cols])
+        vals[rows, cols] = _H_sq_direct(m, np.array(a)[rows] + t.u[nodes][cols])
     return vals
 
 
@@ -215,10 +256,11 @@ def eval_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:
     """|H_m(x)|^2 = (sin(pi m s) / (m sin(pi s)))^2 over a float array, s = x mod 1.
 
     The table kernel :func:`eval_H_sq_tables` at a = 0: real arithmetic,
-    cos(pi s)^2 for m = 2, and the integer guard of :func:`eval_H_array`
-    (1 at integers, in the guard band the series 1 - (m^2 - 1)(pi s)^2 / 3 of
-    the Fejer form 1/m + (2/m) sum_{0<k<m} (1 - k/m) cos(2 pi k s) of the
-    squared modulus, see :func:`_H_sq_direct`).
+    cos(pi s)^2 for m = 2, ((1 + 2 cos(2 pi s)) / 3)^2 for m = 3, and for
+    m >= 4 the integer guard of :func:`eval_H_array` (1 at integers, in the
+    guard band the series 1 - (m^2 - 1)(pi s)^2 / 3 of the Fejer form
+    1/m + (2/m) sum_{0<k<m} (1 - k/m) cos(2 pi k s) of the squared modulus,
+    see :func:`_H_sq_direct`).
     """
     return eval_H_sq_tables(H_sq_tables(m, xs), [0.0])[0]
 

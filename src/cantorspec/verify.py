@@ -24,8 +24,11 @@ those whose last nonzero digit is n, form one contiguous block.  A uniform
 level with composite d_n = f_1 ... f_r (primes, ascending) runs as r tree
 sub-levels, one per prime: H_{ab}(s) = H_a(s) H_b(a s) splits |H_{d_n}|^2
 into prod_j |H_{f_j}|^2, and sub-level j adds the j-th mixed-radix digit of
-delta_n.  The d_n = 2^n of the alpha pairs thus run only H_2, cos^2 without
-a division; a prime d_n is one sub-level, the level itself.
+delta_n.  A sub-level with f_j = 2 or 3 is a polynomial in one cosine,
+cos^2(pi s) or ((1 + 2 cos(2 pi s)) / 3)^2, with no division and no
+cancellation guard: the d_n = 2^n of the alpha pairs run only H_2, and
+mu93's d_n = 3 only H_3.  A prime d_n is one sub-level, the level itself;
+primes from 5 on take the quotient of sines with its guard.
 
 The products of many xi are walked depth first in tiles (:meth:`_Tree.tiles`):
 blocks of xi rows by tree-level nodes of at most ``_SLICE`` = 2^14 entries, or
@@ -285,9 +288,10 @@ class _Tree:
     + (delta_n mod D_j)) / D_j: sub-level j has D_j P_{n-1} nodes, the new
     sub-digit in contiguous rows, and argument xi / (D_j rho_n).  Its last
     sub-level, D_r = d_n, is the whole level with the full label tau.  A power
-    of two thus runs only H_2, cos^2 without division or cancellation guard,
-    and a prime d_n is one sub-level, the level itself, with its arithmetic
-    unchanged.  An explicit level of ``filters``, or a level whose table
+    of two thus runs only H_2, and a power of three only H_3, each a cosine
+    form without division or cancellation guard
+    (:func:`~.fourier.eval_H_sq_tables`), and a prime d_n is one sub-level,
+    the level itself.  An explicit level of ``filters``, or a level whose table
     labels are not all congruent to their last digit mod d_n (a mapping that
     fails :func:`validate_tree_mapping`), stays one level.
 
@@ -335,13 +339,13 @@ class _Tree:
         sub-levels of level n they multiply to the squared level-n factors at
         xi + lambda(delta), because lambda(delta) - sigma_n is a multiple of
         rho_{n+1} = q_n d_n rho_n and G_n is 1-periodic: xi enters only through
-        the scalar xi / ``scale[t]``.  An explicit filter level is evaluated
-        one row per call, since the bits of :func:`eval_filter` depend on the
-        shape of its call."""
+        the scalar xi / ``scale[t]``, and ``nodes`` slices the tables as
+        views.  An explicit filter level is evaluated one row per call, since
+        the bits of :func:`eval_filter` depend on the shape of its call."""
         a = [_float_div(x, self.scale[t]) for x in xis]
         kernel = self.kernels[t - 1]
         if isinstance(kernel, HSqTables):
-            return eval_H_sq_tables(kernel[nodes], a)
+            return eval_H_sq_tables(kernel, a, nodes)
         g, u = kernel[0], kernel[1][nodes]
         values = np.empty((len(a), len(u)))
         for row, x in zip(values, a):

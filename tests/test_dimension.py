@@ -2,13 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from cantorspec import (BudgetExceededError, TreeMapping, beurling_upper_dim,
                         beurling_vs_hausdorff, box_counting_dim,
                         build_intervals, canonical_tau, constant_pair,
                         dimension_targeting_pair, enumerate_level, gap_ratios,
                         hausdorff_dim_formula, rescale_constant, rho)
-from cantorspec.dimension import _least_squares
+from cantorspec.dimension import _least_squares, _log_quotient, _tail_numerators
 
 MU42 = constant_pair(4, 2)
 MU82 = constant_pair(8, 2)
@@ -29,6 +30,27 @@ def test_gap_ratios_constant_pairs(b, d):
     for n, r in enumerate(gap_ratios(pair, 10), start=1):
         assert abs(r / oracle - 1) < Fraction(1, 10**15)
         assert r * d <= 1
+
+
+@pytest.mark.parametrize("pair", [dimension_targeting_pair(0.5), dimension_targeting_pair(0.25),
+                                  constant_pair(8, 2)])
+def test_log_ratios_within_an_ulp_of_mpmath(pair):
+    # ln(1/r_n) = ln(U_n / U_{n+1}) from the correctly rounded integer quotient;
+    # the alpha pairs' numerators reach about 4,000 bits, where the difference
+    # of the two logarithms would be off by up to 2,000 ulp
+    u, _, _ = _tail_numerators(pair, 40)
+    with mp.workdps(60):
+        for x, y in zip(u, u[1:]):
+            want = mp.log(mp.mpf(x)) - mp.log(mp.mpf(y))
+            assert abs(_log_quotient(x, y) - want) <= math.ulp(float(want))
+
+
+def test_log_quotient_past_the_float_range():
+    # a quotient above the float range takes the difference of the logarithms
+    x, y = 3 * 2**1100 + 12345, 7
+    with mp.workdps(60):
+        want = mp.log(mp.mpf(x)) - mp.log(mp.mpf(y))
+    assert abs(_log_quotient(x, y) - want) <= 4 * math.ulp(float(want))
 
 
 def test_gap_ratio_times_b_tends_to_one():
@@ -127,9 +149,10 @@ def test_box_counting_examples():
 
 def family_box_fit(pair, depth):
     """Oracle: the box-count fit read off the constructed interval family, the
-    length of a level-n interval and the number of them."""
+    length of a level-n interval and the number of them; log(1/length) is the
+    log of the correctly rounded quotient of its denominator and numerator."""
     family = build_intervals(pair, depth)
-    xs = [-math.log(family.length(n).numerator) + math.log(family.length(n).denominator)
+    xs = [math.log(family.length(n).denominator / family.length(n).numerator)
           for n in range(1, depth + 1)]
     ys = [math.log(len(family.intervals(n))) for n in range(1, depth + 1)]
     return _least_squares(xs, ys), len(family.intervals(depth))

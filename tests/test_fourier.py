@@ -111,13 +111,41 @@ def closed_form_H_sq(m, xs):
     return vals
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 9, 16, 17, 64, 1024])
-def test_eval_H_sq_array_equals_closed_form_bit_for_bit(m):
+def closed_form_arguments(m):
     rng = np.random.default_rng(m)
-    xs = np.concatenate([rng.uniform(-3, 3, size=2000), rng.integers(-64, 64, 200) / 128,
-                         [-2.0, 0.0, 1.0, 0.5, -0.5, 5e-324, -5e-324],
-                         [k + e for k in (0, 3) for e in (-2e-9, -1e-9, -1e-12, 1e-300, 5e-10, 1.1e-9)]])
+    return np.concatenate([rng.uniform(-3, 3, size=2000), rng.integers(-64, 64, 200) / 128,
+                           [-2.0, 0.0, 1.0, 0.5, -0.5, 5e-324, -5e-324],
+                           [k + e for k in (0, 3) for e in (-2e-9, -1e-9, -1e-12, 1e-300, 5e-10, 1.1e-9)]])
+
+
+@pytest.mark.parametrize("m", [2, 4, 5, 9, 16, 17, 64, 1024])
+def test_eval_H_sq_array_equals_closed_form_bit_for_bit(m):
+    xs = closed_form_arguments(m)
     assert np.array_equal(eval_H_sq_array(m, xs), closed_form_H_sq(m, xs))
+
+
+def assert_cosine_form_accurate(a, us, rows):
+    """The m = 3 kernel ``rows`` at s = a_r + u: exactly 1 at a_r = 0 with u
+    an integer, within 2 ulp of mpmath at any other integer and in the guard
+    band |s| < 1e-9 (where the closed form took its series, within 1 ulp), and
+    within 5 ulp in the unit of :func:`H_sq_mpmath` elsewhere."""
+    for x, row in zip(a, rows):
+        for u, got in zip(us, row):
+            s = mp.mpf(x) + mp.mpf(u)
+            s -= mp.nint(s)
+            want, unit = H_sq_mpmath(3, x, u)
+            if s == 0 and x == round(x):
+                assert got == 1.0, (x, u, got)
+            elif abs(s) < 1e-9:
+                assert abs(mp.mpf(got) - want) <= 2 * math.ulp(float(want)), (x, u, got)
+            else:
+                assert abs(mp.mpf(got) - want) <= 5 * 2.0 ** -52 * unit, (x, u, got)
+
+
+def test_eval_H_sq_array_cosine_form_at_m3():
+    # ((1 + 2 cos 2 pi s) / 3)^2 with no division, on the arguments of the closed-form check
+    xs = closed_form_arguments(3)
+    assert_cosine_form_accurate([0.0], xs, [eval_H_sq_array(3, xs)])
 
 
 def H_sq_mpmath(m, a, u):
@@ -160,7 +188,7 @@ def test_table_kernel_as_accurate_as_closed_form(args):
     assert err <= closed_err + 4 * 2.0 ** -52, (m, a, u, err, closed_err)
 
 
-@pytest.mark.parametrize("m", [3, 9, 16, 1024])
+@pytest.mark.parametrize("m", [9, 16, 1024])
 def test_table_kernel_angles_on_tree_shaped_arguments(m):
     # the m-tables hold the sine and cosine of pi m u up to one common sign,
     # from m u reduced mod 1 (exactly for a power-of-two m), not of the rounded
@@ -180,6 +208,30 @@ def test_table_kernel_angles_on_tree_shaped_arguments(m):
                           for sign in (1, -1))
                 exact = m & (m - 1) == 0  # m u and its reduction are exact
                 worst_angle = max(worst_angle, float(err) / (1 if exact else 1 + math.pi * abs(m * u)))
+        for a in rng.uniform(-0.5 / m, 0.5 / m, size=3):
+            for u, got in zip(us, eval_H_sq_tables(tables, [a])[0]):
+                want, unit = H_sq_mpmath(m, a, u)
+                worst_kernel = max(worst_kernel, float(abs(mp.mpf(got) - want) / unit))
+    assert worst_angle <= 2.0 ** -52, worst_angle / 2.0 ** -52
+    assert worst_kernel <= 5 * 2.0 ** -52, worst_kernel / 2.0 ** -52
+
+
+def test_cosine_form_angles_on_tree_shaped_arguments():
+    # at m = 3 the tables hold the sine and cosine of 2 pi u within one ulp of
+    # 1 (the angle is reduced by exact quarter turns first), and the kernel
+    # is within 5 ulp in the unit of the kernel test
+    m = 3
+    rng = np.random.default_rng(m)
+    worst_angle = worst_kernel = 0.0
+    for q in (2, 3):
+        den = m * q ** rng.integers(0, 9, size=100)
+        us = np.concatenate([rng.integers(-(den // 2), den // 2 + 1) / den, [0.5, -0.5, 0.25, -0.125]])
+        tables = H_sq_tables(m, us)
+        with mp.workdps(40):
+            for u, sin, cos in zip(us, tables.sin, tables.cos):
+                angle = 2 * mp.pi * mp.mpf(u)
+                err = max(abs(sin - mp.sin(angle)), abs(cos - mp.cos(angle)))
+                worst_angle = max(worst_angle, float(err))
         for a in rng.uniform(-0.5 / m, 0.5 / m, size=3):
             for u, got in zip(us, eval_H_sq_tables(tables, [a])[0]):
                 want, unit = H_sq_mpmath(m, a, u)
@@ -235,7 +287,7 @@ def test_eval_H_array_entries_do_not_depend_on_the_call(m):
         assert batch[i] == eval_H_array(m, xs[i:i + 1])[0], (m, xs[i])
 
 
-@pytest.mark.parametrize("m", [3, 9, 1024])
+@pytest.mark.parametrize("m", [9, 1024])
 def test_table_kernel_recomputes_the_entries_where_they_sit(m):
     # row 0 (a = 0) recomputes only in the integer guard band, row 1 within
     # about 4e-6 of -a and row 2 within about 0.012 of -a, so the recomputed
@@ -250,6 +302,29 @@ def test_table_kernel_recomputes_the_entries_where_they_sit(m):
             assert rows[r, c] == eval_H_sq_tables(H_sq_tables(m, [u]), [x])[0, 0], (m, r, c)
 
 
+def test_cosine_form_at_integers_and_in_the_guard_band():
+    # m = 3 recomputes nothing: on the arguments where the closed form
+    # recomputes entries, and on a + u at or within 1e-9 of an integer for a
+    # across the range xi / (3 rho_n) takes, the kernel is 1 at integers where
+    # a = 0 or the quarter turns make every sine and cosine exact, and within
+    # 2 ulp of mpmath in the band, each entry as in a call of its own
+    rng = np.random.default_rng(3)
+    a = [0.0, 1e-6, 3e-3, 0.25, 1.0]
+    us = np.array([0.2, 5e-10, -1e-6 + 1e-13, -0.005, 0.31, -0.4, 0.0, -0.25])
+    rows = eval_H_sq_tables(H_sq_tables(3, us), a)
+    assert rows[0, 6] == rows[3, 7] == rows[4, 6] == 1.0
+    assert_cosine_form_accurate(a, us, rows)
+    for r, x in enumerate(a):
+        for c, u in enumerate(us):
+            assert rows[r, c] == eval_H_sq_tables(H_sq_tables(3, [u]), [x])[0, 0], (r, c)
+    a = rng.uniform(-1 / 6, 1 / 6, size=300)
+    e = rng.uniform(-1e-9, 1e-9, size=300) * rng.choice([1.0, 1e-3, 1e-6], size=300)
+    us = -a + np.where(np.arange(300) < 50, 0.0, e)  # the first 50 at an integer
+    band = [eval_H_sq_tables(H_sq_tables(3, [u]), [x])[0] for x, u in zip(a, us)]
+    for x, u, row in zip(a, us, band):
+        assert_cosine_form_accurate([x], [u], [row])
+
+
 def test_table_kernel_rows_equal_one_call_per_row():
     # one row per scalar a, each row bit for bit the call with that a alone
     rng = np.random.default_rng(5)
@@ -261,7 +336,7 @@ def test_table_kernel_rows_equal_one_call_per_row():
         assert rows.shape == (len(a), len(us))
         for x, row in zip(a, rows):
             assert np.array_equal(row, eval_H_sq_tables(t, [x])[0]), (m, x)
-        part = eval_H_sq_tables(t[100:250], a)
+        part = eval_H_sq_tables(t, a, slice(100, 250))
         assert np.array_equal(part, rows[:, 100:250])
 
 

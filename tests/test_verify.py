@@ -178,6 +178,16 @@ def test_partition_random_draws():
         assert partition_identity(alpha, xi, int(rng.integers(1, 5))).defect <= 1e-9
 
 
+def test_partition_defect_of_the_cosine_form_stays_at_roundoff():
+    # mu93 runs only H_3 sub-levels, ((1 + 2 cos 2 pi s) / 3)^2; the draws of
+    # `partition --level 8 --draws 50` at seed 1 keep every level's defect
+    # within a few ulp of 1 (worst 8.9e-16 for the cosine form, 1.8e-15 for
+    # the quotient of sines it replaced)
+    rng = np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64)))
+    per_xi = partition_levels(canonical_tau(MU93), rng.random(50).tolist(), 8)
+    assert max(res.defect for levels in per_xi for res in levels) <= 4e-15
+
+
 def test_partition_alpha_pair_depth_six():
     alpha = canonical_tau(dimension_targeting_pair(0.5))
     res = partition_identity(alpha, 0.37, 6, budget=3 * 10**6)
