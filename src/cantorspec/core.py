@@ -9,6 +9,7 @@ ratio 4 and are kept as exact Python integers throughout: rho_n overflows
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -133,6 +134,45 @@ def rho(pair: ScalePair, n: int) -> int:
     if n < 1:
         raise ValueError(f"level index must be >= 1, got {n}")
     return pair.rho_list(n - 1)[-1]
+
+
+def check_growth(pair: ScalePair, n: int, b_n: int):
+    """ValueError when b_n = 1 is the entry that repeats from level n on,
+    where the scales rho_n stop growing."""
+    if b_n == 1 and n >= len(pair.b_prefix):
+        raise ValueError(f"b_n = 1 from level {n} on: the scales rho_n stop growing")
+
+
+class _Scales:
+    """d_n, q_n = b_n / d_n and rho_n of a pair, 1-indexed, extended on demand."""
+
+    def __init__(self, pair: ScalePair):
+        self.pair = pair
+        self.d = [0]
+        self.q = [1]  # q_0 divides u_0 = 0
+        self.rho = [0, 1]
+
+    def upto(self, n: int) -> "_Scales":
+        while len(self.d) <= n:
+            k = len(self.d)
+            d, b = self.pair.d(k), self.pair.b(k)
+            self.d.append(d)
+            self.q.append(b // d)
+            self.rho.append(self.rho[k] * b)
+        return self
+
+    def reach(self, target: float, levels: int = 1) -> tuple[int, int]:
+        """(N, rho_{N+1}) for the least N >= max(levels, 1) with rho_{N+1} >= target,
+        by bisecting the cached rho list; a ValueError of :func:`check_growth`
+        where the list must grow past a repeating b_n = 1."""
+        levels = max(levels, 1)
+        self.upto(levels)
+        while self.rho[-1] < target:
+            n = len(self.d)
+            self.upto(n)
+            check_growth(self.pair, n, self.rho[n + 1] // self.rho[n])
+        n = bisect.bisect_left(self.rho, target, lo=levels + 1) - 1
+        return n, self.rho[n + 1]
 
 
 def _check_level(b: int, d: int, n: int) -> Issue | None:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import BudgetExceededError, ScalePair
-from .spectra import SpectrumLevel, TreeMapping, enumerate_level
+from .spectra import TreeMapping, _elements_of, enumerate_level
 
 
 def _tail_numerators(pair: ScalePair, n_max: int, rel_tol: float = 1e-15) -> tuple[list[int], int, int]:
@@ -32,8 +32,13 @@ def _tail_numerators(pair: ScalePair, n_max: int, rel_tol: float = 1e-15) -> tup
     over the common denominator rho_{M+1}.  M is grown until the omitted tail
     (< 2/rho_{M+1} by geometric domination) is below rel_tol relative to the
     smallest tail used, i.e. until U_{n_max+1} >= 2/rel_tol.
-    Returns (U_1..U_{n_max+1}, rho_{M+1}, M).
+    Returns (U_1..U_{n_max+1}, rho_{M+1}, M).  A ValueError when the entry
+    that repeats has b = 1 or d = 1: the tails then never shrink, or vanish.
     """
+    if pair.b_prefix and 1 in (pair.b_prefix[-1], pair.d_prefix[-1]):
+        n = len(pair.b_prefix)
+        raise ValueError(f"b_n = {pair.b(n)}, d_n = {pair.d(n)} from level {n} on: "
+                         f"the interval model needs b_n, d_n >= 2")
     need = math.ceil(2.0 / rel_tol)
     m = n_max + 4
     while True:
@@ -238,10 +243,7 @@ def beurling_upper_dim(level_or_elements, window_grid: Sequence[float] | None = 
     against log h.  A finite-window heuristic for a limsup: evidence, not
     proof.
     """
-    if isinstance(level_or_elements, SpectrumLevel):
-        elements = list(level_or_elements.elements)
-    else:
-        elements = sorted(int(x) for x in level_or_elements)
+    elements = _elements_of(level_or_elements)
     if not elements:
         raise ValueError("empty frequency set")
     span = elements[-1] - elements[0]

@@ -1,10 +1,16 @@
 """Averaging kernels H_m, QMF filter families, and the product transform.
 
 The transform of the measure attached to a pair (B, D) is the infinite
-product of kernels H_{d_n}(xi / (d_n rho_n)).  Evaluation truncates the
-product and returns a certified radius bounding the discarded tail, derived
-from |H_m(eta) - 1| <= pi (m-1) |eta| and the geometric growth rho_{n+1} >=
-4 rho_n.  Integer frequencies admit an exact zero test by divisibility alone.
+product of kernels H_{d_n}(xi / (d_n rho_n)).  There is one complex kernel,
+:func:`eval_H_array` (:func:`eval_H` is it at one argument), and one
+truncated product, :func:`_truncated_product`: over a float array, to the
+depth :func:`truncation_level` picks for the largest |xi|, with a certified
+radius per entry bounding the discarded tail, derived from
+|H_m(eta) - 1| <= pi (m-1) |eta| and the geometric growth rho_{n+1} >=
+4 rho_n.  :func:`mu_hat_array` is that product, :func:`mu_hat` the product
+at one frequency, and :func:`phi_hat` the product of a certified filter
+family, whose explicit levels take :func:`eval_filter`.  Integer frequencies
+admit an exact zero test by divisibility alone.
 
 Besides the complex kernel, :func:`eval_H_sq_tables` gives |H_m(a + u)|^2 in
 real arithmetic over an array u tabulated once (:func:`H_sq_tables`: the
@@ -22,25 +28,22 @@ kernel at a = 0.
 :func:`log_H_sq_array` and :func:`log_H_sq_series` give its logarithm, in
 which the completeness tail is summed, and :func:`log_series_taylor`
 tabulates the series once as a Taylor polynomial in a scalar shift of its
-argument, evaluated by :func:`eval_log_series_taylor`; :func:`mu_hat` and
-:func:`mu_hat_array` evaluate the transform at single frequencies.
+argument, evaluated by :func:`eval_log_series_taylor`.
 """
-
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import ScalePair
+from .core import ScalePair, _Scales
 
 TWO_PI = 2.0 * math.pi
 
 # Distance to the nearest integer below which the closed form of H_m is
-# abandoned (removable singularity): for the literal m-term sum in eval_H and
+# abandoned (removable singularity): for the literal m-term sum in
 # eval_H_array, and for the series 1 - (m^2 - 1)(pi s)^2 / 3 of |H_m|^2 in
 # _H_sq_direct, whose remainder stays below 1.3e-21 up to _SERIES_MAX_TAPS.
 # The sum costs O(m) and the series' remainder grows like m^4, so both are
@@ -56,32 +59,14 @@ class FilterCertificationError(ValueError):
 
 
 def eval_H(m: int, xi: float) -> complex:
-    """The kernel H_m(xi) = (1/m) sum_{j<m} e^{-2 pi i j xi}.
-
-    Uses the Dirichlet closed form e^{-pi i (m-1) xi} sin(pi m xi) /
-    (m sin(pi xi)) away from integers; within 1e-9 of an integer the finite
-    sum is evaluated literally, which is stable there and resolves the
-    removable singularity (value 1 at integers).
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m == 1:
-        return 1.0 + 0.0j
-    # reduce to the signed distance from the nearest integer: fmod is exact,
-    # and t - round(t) is exact by Sterbenz, so no precision is lost before
-    # the sines see their arguments
-    t = math.fmod(xi, 1.0)
-    s = t - round(t)
-    if abs(s) < _ZERO_CLAMP:
-        return 1.0 + 0.0j  # at (or below double resolution of) an integer
-    if abs(s) < _INTEGER_GUARD and m <= _SERIES_MAX_TAPS:
-        return sum(cmath.exp(-2j * math.pi * j * s) for j in range(m)) / m
-    return cmath.exp(-1j * math.pi * (m - 1) * s) * math.sin(math.pi * m * s) / (m * math.sin(math.pi * s))
+    """The kernel H_m(xi) = (1/m) sum_{j<m} e^{-2 pi i j xi}: :func:`eval_H_array`
+    at the one argument xi."""
+    return complex(eval_H_array(m, np.array([float(xi)]))[0])
 
 
 def _integer_guard(m: int, xs: np.ndarray):
-    # signed distance s of each x to its nearest integer, exact like eval_H's
-    # reduction; then the masks of the entries at an integer and of those in
+    # signed distance s of each x to its nearest integer, exact (x - round(x)
+    # by Sterbenz); then the masks of the entries at an integer and of those in
     # the guard band where the literal m-term sum replaces the closed form,
     # both None when no entry is within _INTEGER_GUARD of an integer
     s = xs - np.round(xs)
@@ -94,7 +79,16 @@ def _integer_guard(m: int, xs: np.ndarray):
 
 
 def eval_H_array(m: int, xs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`eval_H` over a float array."""
+    """The kernel H_m(x) = (1/m) sum_{j<m} e^{-2 pi i j x} over a float array.
+
+    Uses the Dirichlet closed form e^{-pi i (m-1) s} sin(pi m s) /
+    (m sin(pi s)) at the signed distance s of x to its nearest integer; within
+    1e-9 of an integer the finite sum is evaluated literally, one row of m
+    terms per entry, which is stable there and resolves the removable
+    singularity (value 1 at integers).
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     if m == 1:
         return np.ones_like(xs, dtype=complex)
     s, at_integer, near = _integer_guard(m, xs)
@@ -469,35 +463,52 @@ def truncation_level(pair: ScalePair, xi: float, tol: float, tail: float = TWO_P
     product's tail: 2 pi for :func:`mu_hat`, 8 pi d0 / 3 for :func:`phi_hat`.
     Uses rho_{N+1} >= :func:`truncation_target`, an integer comparison that
     implies the bound via log1p(tol) >= tol/2 for tol <= 1, and raises its
-    ValueErrors.
+    ValueErrors; the search is :meth:`~.core._Scales.reach`.
     """
-    target = truncation_target(xi, tol, tail)
-    n = 1
-    rho_next = pair.b(1)
-    while rho_next < target or n < levels:
-        n += 1
-        rho_next *= pair.b(n)
-    return n, rho_next
+    return _Scales(pair).reach(truncation_target(xi, tol, tail), levels)
+
+
+def _uniform_factor(n: int, d: int, args: np.ndarray) -> np.ndarray:
+    return eval_H_array(d, args)
+
+
+def _truncated_product(pair: ScalePair, xs, tol: float, tail: float = TWO_PI, levels: int = 1,
+                       factor=_uniform_factor) -> tuple[np.ndarray, np.ndarray, int]:
+    """(values, radii, N): prod_{n<=N} factor(n, d_n, xs / (d_n rho_n)) over a
+    float array, N the :func:`truncation_level` of the largest |x| with the
+    tail constant ``tail``, and the radii expm1(tail |x| / rho_{N+1}).  A
+    level whose d_n rho_n passes 2^1020 ends the product: its arguments are
+    below double resolution."""
+    xs = np.asarray(xs, dtype=float)
+    xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
+    n_levels, rho_next = truncation_level(pair, xmax, tol, tail, levels)
+    values = np.ones(xs.shape, dtype=complex)
+    rho_n = 1
+    for n in range(1, n_levels + 1):
+        d = pair.d(n)
+        scale = d * rho_n
+        if scale.bit_length() > 1020:
+            break
+        values *= factor(n, d, xs / float(scale))
+        rho_n *= pair.b(n)
+    radii = np.expm1(tail * np.abs(xs) / _cap_float(rho_next))
+    return values, radii, n_levels
+
+
+def _at_one(values: np.ndarray, radii: np.ndarray, n_levels: int) -> TruncatedValue:
+    return TruncatedValue(value=complex(values[0]), radius=float(radii[0]), levels=n_levels)
 
 
 def mu_hat(pair: ScalePair, xi: float, tol: float = 1e-10, levels: int | None = None) -> TruncatedValue:
-    """Product transform at xi, truncated with a certified error radius.
+    """Product transform at xi, truncated with a certified error radius:
+    :func:`mu_hat_array` at the one argument xi, at least ``levels`` deep.
 
     The radius expm1(2 pi |xi| / rho_{N+1}) dominates the true truncation
     error: |H_m(eta) - 1| <= pi (m-1) |eta| gives per-level defects
     <= pi |xi| / rho_n, the geometric sum of which is <= 2 pi |xi| / rho_{N+1},
     and |prod(1 + eps_n) - 1| <= exp(sum |eps_n|) - 1.
     """
-    n_levels, rho_next = truncation_level(pair, xi, tol, levels=levels or 1)
-    value = 1.0 + 0.0j
-    rho_n = 1
-    for n in range(1, n_levels + 1):
-        d = pair.d(n)
-        arg = _float_div(xi, d * rho_n)
-        value *= eval_H(d, arg)
-        rho_n *= pair.b(n)
-    radius = math.expm1(TWO_PI * abs(xi) / _cap_float(rho_next))
-    return TruncatedValue(value=value, radius=radius, levels=n_levels)
+    return _at_one(*_truncated_product(pair, [xi], tol, levels=levels or 1))
 
 
 def mu_hat_array(pair: ScalePair, xs: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, int]:
@@ -506,20 +517,7 @@ def mu_hat_array(pair: ScalePair, xs: np.ndarray, tol: float = 1e-10) -> tuple[n
     Truncation depth is chosen for the largest |x| in the batch, so every
     entry's radius bound is sound.  Returns (values, radii, levels).
     """
-    xs = np.asarray(xs, dtype=float)
-    xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
-    n_levels, rho_next = truncation_level(pair, xmax, tol)
-    values = np.ones(xs.shape, dtype=complex)
-    rho_n = 1
-    for n in range(1, n_levels + 1):
-        d = pair.d(n)
-        scale = d * rho_n
-        if scale.bit_length() > 1020:
-            break
-        values *= eval_H_array(d, xs / float(scale))
-        rho_n *= pair.b(n)
-    radii = np.expm1(TWO_PI * np.abs(xs) / _cap_float(rho_next))
-    return values, radii, n_levels
+    return _truncated_product(pair, xs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -716,21 +714,15 @@ def phi_hat(filters: FilterFamily, xi: float, tol: float = 1e-10,
     """
     pair = filters.pair
     coeff = 8.0 * math.pi * filters.d0 / 3.0
-    n_levels, rho_next = truncation_level(pair, xi, tol, tail=coeff, levels=levels or 1)
+    n_levels, _ = truncation_level(pair, xi, tol, tail=coeff, levels=levels or 1)
     if certificate is None or certificate.depth < n_levels:
         certificate = filters.certify(n_levels)
     if not certificate.ok:
         raise FilterCertificationError("; ".join(certificate.messages))
-    value = 1.0 + 0.0j
-    rho_n = 1
-    for n in range(1, n_levels + 1):
-        d = pair.d(n)
-        g = filters.coefficients(n)
-        arg = _float_div(xi, d * rho_n)
+
+    def factor(n: int, d: int, args: np.ndarray) -> np.ndarray:
         if filters.is_uniform(n):
-            value *= eval_H(d, arg)
-        else:
-            value *= complex(eval_filter(np.asarray(g), np.array([arg]))[0])
-        rho_n *= pair.b(n)
-    radius = math.expm1(coeff * abs(xi) / _cap_float(rho_next))
-    return TruncatedValue(value=value, radius=radius, levels=n_levels)
+            return eval_H_array(d, args)
+        return eval_filter(np.asarray(filters.coefficients(n)), args)
+
+    return _at_one(*_truncated_product(pair, [xi], tol, coeff, n_levels, factor))

@@ -16,19 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ScalePair
+from .core import ScalePair, _Scales
 from .dimension import rescale_constant
 
 
 def default_depth(pair: ScalePair, radius_target: float = 1e-15) -> int:
     """Smallest depth whose truncation radius bound 2/rho_{depth+1} is below target."""
-    need = math.ceil(2.0 / radius_target)
-    depth = 1
-    rho_next = pair.b(1)
-    while rho_next < need:
-        depth += 1
-        rho_next *= pair.b(depth)
-    return depth
+    return _Scales(pair).reach(math.ceil(2.0 / radius_target))[0]
 
 
 def truncation_radius(pair: ScalePair, depth: int) -> float:

@@ -8,16 +8,20 @@ makes the root/zero-branch condition and the eventual-zero condition
 structural and leaves only the congruence/range condition to check.
 
 The level-L frequency set collects lambda(delta) = sum_n tau(.)*rho_n over
-all words delta of length L, as exact integers.
+all words delta of length L, as exact integers.  The words of a level are
+kept in digit-major order: word delta is node sum_k delta_k P_{k-1},
+P_k = d_1 ... d_k (:func:`_node_index`), so the nodes below a prefix of
+length k form one strided set of step P_k.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import BudgetExceededError, Issue, ScalePair, ValidationReport, exact_int
+from .core import BudgetExceededError, Issue, ScalePair, ValidationReport, _Scales, exact_int
 
 Word = tuple[int, ...]
 
@@ -155,49 +159,70 @@ def word_count(pair: ScalePair, level: int) -> int:
     return count
 
 
-def enumerate_level(tm: TreeMapping, level: int, budget: int = 10**6) -> SpectrumLevel:
-    """All frequencies lambda(delta) for words delta of length ``level``.
-
-    Distinct words mapping to the same frequency are deduplicated but
-    reported as collisions: a repeated frequency witnesses non-orthogonality
-    and must surface rather than vanish silently.
-    """
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    pair = tm.pair
+def check_word_budget(pair: ScalePair, level: int, budget: int, least: int):
+    """ValueError for a level below ``least``; BudgetExceededError when its
+    words number more than ``budget``."""
+    if level < least:
+        raise ValueError(f"level must be >= {least}, got {level}")
     count = word_count(pair, level)
     if count > budget:
         raise BudgetExceededError(
             f"level {level} needs {count} words, over the budget of {budget}", required=count)
-    rho = pair.rho_list(max(level, tm.table_depth))
-    if not tm.table:
-        # Canonical labels depend only on the digit, so partial sums expand
-        # level by level without any per-word table walk.
-        sums = [0]
-        for n in range(1, level + 1):
-            rho_n = rho[n - 1]
-            sums = [s + dig * rho_n for s in sums for dig in range(pair.d(n))]
-        values = sums
-    else:
-        values = []
-        tail_depth = tm.table_depth
 
-        def extend(word: Word, partial: int, n: int):
-            if n > level:
-                # zero-extension tail: only table entries can contribute
-                total = partial
-                probe = word
-                for k in range(level + 1, tail_depth + 1):
-                    probe = probe + (0,)
-                    total += tm.tau(probe) * rho[k - 1]
-                values.append(total)
-                return
-            rho_n = rho[n - 1]
-            for dig in range(pair.d(n)):
-                w = word + (dig,)
-                extend(w, partial + tm.tau(w) * rho_n, n + 1)
 
-        extend((), 0, 1)
+def _elements_of(level_or_elements) -> list[int]:
+    """The sorted integers of a :class:`SpectrumLevel` or of an iterable."""
+    if isinstance(level_or_elements, SpectrumLevel):
+        return list(level_or_elements.elements)
+    return sorted(int(x) for x in level_or_elements)
+
+
+def _node_index(scales: _Scales, word: Word) -> int | None:
+    """Position of ``word`` among the nodes of its level in digit-major order,
+    sum_k delta_k P_{k-1} with P_k = d_1 ... d_k; None when a digit is out of
+    range (no such node)."""
+    scales.upto(len(word))
+    index, size = 0, 1
+    for n, digit in enumerate(word, start=1):
+        if not 0 <= digit < scales.d[n]:
+            return None
+        index += digit * size
+        size *= scales.d[n]
+    return index
+
+
+def _table_nodes(tm: TreeMapping, scales: _Scales, level: int):
+    """Yield (word, node, value) per table word that labels a restriction of
+    a level-``level`` word's zero-extension: node is the index of the word's
+    first min(k, ``level``) digits, k its length, among the nodes of that
+    level.  Words with a digit out of range, and longer words not zero past
+    ``level``, label nothing and are skipped."""
+    for word, value in tm.table.items():
+        n = min(len(word), level)
+        index = _node_index(scales, word[:n]) if word and not any(word[n:]) else None
+        if index is not None:
+            yield word, index, value
+
+
+def enumerate_level(tm: TreeMapping, level: int, budget: int = 10**6) -> SpectrumLevel:
+    """All frequencies lambda(delta) for words delta of length ``level``.
+
+    The canonical sums sum_n delta_n rho_n are built digit-major, and a table
+    word of length k then moves every node below its first min(k, ``level``)
+    digits, a strided set, by (tau - last digit) rho_k.  Distinct words
+    mapping to the same frequency are deduplicated but reported as
+    collisions: a repeated frequency witnesses non-orthogonality and must
+    surface rather than vanish silently.
+    """
+    check_word_budget(tm.pair, level, budget, least=0)
+    scales = _Scales(tm.pair).upto(max(level, tm.table_depth))
+    values = [0]
+    for n in range(1, level + 1):
+        values = [v + digit * scales.rho[n] for digit in range(scales.d[n]) for v in values]
+    for word, start, value in _table_nodes(tm, scales, level):
+        step = math.prod(scales.d[1:min(len(word), level) + 1])
+        shift = (value - word[-1]) * scales.rho[len(word)]
+        values[start::step] = [v + shift for v in values[start::step]]
     seen: dict[int, int] = {}
     for v in values:
         seen[v] = seen.get(v, 0) + 1

@@ -60,23 +60,22 @@ exceeds it at most k^2 <= (1 + tol/2)^2 times.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import BudgetExceededError, ScalePair
+from .core import BudgetExceededError, ScalePair, _Scales, check_growth
 from .fourier import (LOG_SERIES_THETA, TWO_PI, FilterFamily, H_sq_tables, HSqTables,
                       _cap_float, _float_div, eval_filter, eval_H_sq_tables,
                       eval_log_series_taylor, log_H_sq_array, log_series_taylor,
                       truncation_target, uniform_family)
-from .spectra import (SpectrumLevel, TreeMapping, Word, validate_tree_mapping,
-                      word_count)
+from .spectra import (TreeMapping, _elements_of, _table_nodes, check_word_budget,
+                      validate_tree_mapping)
 
 # perfbench/tracing.py wraps these names in this module as well as where they
 # are defined, so they stay bound here although nothing below calls them.
@@ -91,12 +90,6 @@ class OrthogonalityReport:
     pair_count: int
     violations: tuple[tuple[int, int], ...]  # the smallest violation_cap, sorted
     violation_count: int
-
-
-def _elements_of(level_or_elements) -> list[int]:
-    if isinstance(level_or_elements, SpectrumLevel):
-        return list(level_or_elements.elements)
-    return sorted(int(x) for x in level_or_elements)
 
 
 def _grouped_orthogonality(elements: list[int], pair: ScalePair, cap: int):
@@ -116,8 +109,7 @@ def _grouped_orthogonality(elements: list[int], pair: ScalePair, cap: int):
     live, rho, step, n = elements, 1, 1, 1
     while len(live) > 1:
         b_n = pair.b(n)
-        if b_n == 1 and n >= len(pair.b_prefix):
-            raise ValueError(f"b_n = 1 from level {n} on: no level separates the frequencies")
+        check_growth(pair, n, b_n)  # else no level separates the frequencies
         coarse = math.lcm(step, pair.d(n) * rho)  # d_n rho_n for every admissible pair
         rho *= b_n
         step = math.lcm(coarse, rho)
@@ -165,57 +157,13 @@ def orthogonality_check(level_or_elements, pair: ScalePair, max_elements: int = 
 # Level expansion
 # ---------------------------------------------------------------------------
 
-class _Scales:
-    """d_n, q_n = b_n / d_n and rho_n of a pair, 1-indexed, extended on demand."""
-
-    def __init__(self, pair: ScalePair):
-        self.pair = pair
-        self.d = [0]
-        self.q = [1]  # q_0 divides u_0 = 0
-        self.rho = [0, 1]
-
-    def upto(self, n: int) -> "_Scales":
-        while len(self.d) <= n:
-            k = len(self.d)
-            d, b = self.pair.d(k), self.pair.b(k)
-            self.d.append(d)
-            self.q.append(b // d)
-            self.rho.append(self.rho[k] * b)
-        return self
-
-    def truncation(self, xi: float, tol: float) -> tuple[int, int]:
-        """(N, rho_{N+1}) of :func:`truncation_level` for the pair, by bisecting
-        the cached rho list, with the same ValueErrors."""
-        target = truncation_target(xi, tol)
-        while self.rho[-1] < target:
-            self.upto(len(self.d))
-        n = bisect.bisect_left(self.rho, target, lo=2) - 1
-        return n, self.rho[n + 1]
-
-
-def _node_index(scales: _Scales, word: Word) -> int | None:
-    # position of word among the nodes of its level in digit-major order,
-    # sum_k delta_k P_{k-1} with P_k = d_1 ... d_k; None when a digit is out of
-    # range (no such node)
-    scales.upto(len(word))
-    index, size = 0, 1
-    for n, digit in enumerate(word, start=1):
-        if not 0 <= digit < scales.d[n]:
-            return None
-        index += digit * size
-        size *= scales.d[n]
-    return index
-
-
 def _table_labels(tm: TreeMapping, scales: _Scales, level: int):
     """Table (node indices, labels) arrays by word length k: among the level-k nodes
-    for k <= ``level``, and for a word delta 0^(k-level) the index of delta."""
+    for k <= ``level``, and for a word delta 0^(k-level) the index of delta
+    (:func:`~.spectra._table_nodes`)."""
     table: dict[int, list[tuple[int, int]]] = {}
-    for word, value in tm.table.items():
-        n = min(len(word), level)
-        index = _node_index(scales, word[:n]) if n and not any(word[n:]) else None
-        if index is not None:
-            table.setdefault(len(word), []).append((index, value))
+    for word, index, value in _table_nodes(tm, scales, level):
+        table.setdefault(len(word), []).append((index, value))
     return {k: tuple(np.array(v) for v in zip(*entries)) for k, entries in table.items()}
 
 
@@ -226,7 +174,7 @@ def _digits(d: int, count: int) -> np.ndarray:
 
 def _labels(tm: TreeMapping, scales: _Scales, level: int):
     """Per level n = 1..``level``, tau over the level-n nodes in the order of
-    :func:`_node_index`: the last digit, or the table value."""
+    :func:`~.spectra._node_index`: the last digit, or the table value."""
     table = _table_labels(tm, scales.upto(level), level)
     count = 1
     for n in range(1, level + 1):
@@ -271,7 +219,7 @@ def _prime_factors(d: int) -> list[int]:
 class _Tree:
     """The xi-independent digit tree of a tree mapping to ``level``, built once per check.
 
-    The level-n nodes are in digit-major order (:func:`_node_index`): node
+    The level-n nodes are in digit-major order (:func:`~.spectra._node_index`): node
     delta sits at sum_k delta_k P_{k-1}, P_k = d_1 ... d_k, so the children
     of the level-(n-1) nodes with last digit j fill the contiguous row
     [j P_{n-1}, (j + 1) P_{n-1}), and the nodes whose last nonzero digit is
@@ -416,15 +364,6 @@ class PartitionResult:
     terms: int
 
 
-def _check_level(pair: ScalePair, level: int, budget: int):
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    count = word_count(pair, level)
-    if count > budget:
-        raise BudgetExceededError(
-            f"level {level} needs {count} words, over the budget of {budget}", required=count)
-
-
 def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
                      filters: FilterFamily | None = None,
                      budget: int = 10**6) -> tuple[tuple[PartitionResult, ...], ...]:
@@ -439,7 +378,7 @@ def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
     Returns one tuple of levels 1..``level`` per xi, in the order of ``xis``.
     """
     pair = tm.pair
-    _check_level(pair, level, budget)
+    check_word_budget(pair, level, budget, least=1)
     if filters is None:
         filters = uniform_family(pair)
     tree = _Tree(tm, _Scales(pair), level, filters)
@@ -616,7 +555,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     for x in xis:
         if not 0.0 <= x <= 0.5:
             raise ValueError(f"grid point {x} outside [0, 1/2]")
-    _check_level(pair, l_max, budget)
+    check_word_budget(pair, l_max, budget, least=1)
     validation = validate_tree_mapping(tm, max(l_max, tm.table_depth))
     if not validation.ok:
         issue = validation.issues[0]
@@ -624,14 +563,17 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
                          f"{issue.message}; its frequencies need not be distinct")
     scales = _Scales(pair)
     tree = _Tree(tm, scales, l_max, uniform_family(pair))
+    if 1 in scales.d[2:l_max + 1]:  # no words new at that level: an empty block
+        raise ValueError(f"d_{scales.d.index(1, 2)} = 1: completeness needs d_n >= 2")
     lam, deep = _frequencies(tm, scales, l_max)
     blocks = _blocks(scales, l_max)
     lo = [float(lam[a:b].min()) for a, b in blocks]
     hi = [float(lam[a:b].max()) for a, b in blocks]
     reach = [[max(abs(x + h), abs(x + l)) for l, h in zip(lo, hi)] for x in xis]
-    batches = [[scales.truncation(a, tol) for a in per_x] for per_x in reach]
+    batches = [[scales.reach(truncation_target(a, tol)) for a in per_x] for per_x in reach]
     # the deepest truncation any xi in [0, 1/2] needs: |xi + lambda| is convex in xi
-    depth = max(scales.truncation(max(abs(l), abs(h), abs(0.5 + l), abs(0.5 + h)), tol)[0]
+    depth = max(scales.reach(truncation_target(max(abs(l), abs(h), abs(0.5 + l), abs(0.5 + h)),
+                                               tol))[0]
                 for l, h in zip(lo, hi))
     tails = _tail_tables(scales, tree.u, l_max, depth, 0.5, deep)
     tree.u = None

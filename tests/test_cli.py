@@ -472,3 +472,14 @@ def flag_table() -> str:
 
 def test_readme_flag_table_matches_registry():
     assert flag_table() in (ROOT / "README.md").read_text(), flag_table()
+
+
+@pytest.mark.parametrize("pair_cfg", ['{"kind": "explicit", "b": [4, 1], "d": [2, 1]}',
+                                      '{"kind": "explicit", "b": [4, 4], "d": [2, 1]}'])
+@pytest.mark.parametrize("cmd", ["completeness", "sample", "dimension", "beurling"])
+def test_repeating_b_or_d_of_one_exits_2(tmp_path, capsys, pair_cfg, cmd):
+    # these ran until killed: rho_n or the gap-ratio tails stopped changing
+    path = tmp_path / "pair.json"
+    path.write_text(pair_cfg)
+    assert run([cmd, "--pair", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -73,11 +73,22 @@ def test_eval_H_near_integer_guard():
 
 
 def test_eval_H_array_matches_scalar():
+    # the summation oracle at the exact reduction x - round(x), where its
+    # angles stay below pi m
     xs = np.array([-2.3, -1.0, 0.0, 1e-12, 0.25, 0.5, 0.999999999, 7.75])
     for m in (2, 3, 6):
         vec = eval_H_array(m, xs)
         for x, v in zip(xs, vec):
-            assert v == pytest.approx(eval_H(m, x), abs=1e-14)
+            assert v == pytest.approx(kernel_by_summation(m, x - round(x)), abs=1e-14)
+            assert eval_H(m, x) == v
+
+
+def test_eval_H_array_rejects_m_below_one():
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            eval_H_array(m, np.array([0.3]))
+        with pytest.raises(ValueError):
+            eval_H(m, 0.3)
 
 
 def test_eval_H_sq_array_matches_summation_oracle():
@@ -573,6 +584,14 @@ def test_mu_hat_array_matches_scalar():
         # paths agree within the scalar evaluation's own certified radius
         assert abs(v - single.value) <= single.radius + 1e-13
         assert r >= abs(v - brute_force_transform(pair, float(x)))
+    # the scalar path is the batch at one argument, bit for bit
+    for p in (pair, constant_pair(9, 3), dimension_targeting_pair(0.25)):
+        for x in xs:
+            single = mu_hat(p, float(x), 1e-10)
+            values, radii, levels = mu_hat_array(p, [x], tol=1e-10)
+            assert np.array([single.value]).tobytes() == values.tobytes()
+            assert np.array([single.radius]).tobytes() == radii.tobytes()
+            assert single.levels == levels
 
 
 def test_exact_zero_examples():

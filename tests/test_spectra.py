@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from cantorspec import (BudgetExceededError, TreeMapping, canonical_tau,
                         check_growth_conditions, constant_pair,
                         dimension_targeting_pair, enumerate_level,
-                        lambda_of_word, rho, tree_mapping_from_config,
-                        validate_tree_mapping, word_count)
+                        explicit_pair, lambda_of_word, rho,
+                        tree_mapping_from_config, validate_tree_mapping,
+                        word_count)
 
 MU42 = constant_pair(4, 2)
 MU82 = constant_pair(8, 2)
@@ -240,3 +242,37 @@ def test_random_valid_tables_validate_and_nest(table):
 def test_tree_config_rejects_non_integral_values(entries, field):
     with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer"):
         tree_mapping_from_config(MU42, entries)
+
+
+ORACLE_PAIRS = (MU42, MU93, dimension_targeting_pair(0.5), explicit_pair([4, 9, 8], [2, 3, 2]))
+
+
+@st.composite
+def arbitrary_tables(draw):
+    """A mapping over one of ``ORACLE_PAIRS`` and a level 0..3: table words of
+    length up to two past the level, often zero past it, digits up to d_k
+    (one out of range), labels congruent to the last digit or not at all."""
+    pair = draw(st.sampled_from(ORACLE_PAIRS))
+    level = draw(st.integers(0, 3))
+    table = {}
+    for _ in range(draw(st.integers(0, 8))):
+        n = draw(st.integers(0, level + 2))
+        word = [draw(st.integers(0, pair.d(k))) for k in range(1, n + 1)]
+        if draw(st.booleans()):
+            word[level:] = [0] * len(word[level:])  # a zero-extension of a level word
+        last = word[-1] if word else 0
+        congruent = last + pair.d(max(n, 1)) * draw(st.integers(-2, 2))
+        table[tuple(word)] = draw(st.sampled_from([congruent, draw(st.integers(-9, 9))]))
+    return TreeMapping(pair, table), level
+
+
+@given(arbitrary_tables())
+@settings(deadline=None, max_examples=300)
+def test_enumerate_level_matches_per_word_oracle(case):
+    # the multiset of lambda_of_word over every word of the level: elements and collisions
+    tm, level = case
+    words = itertools.product(*(range(tm.pair.d(k)) for k in range(1, level + 1)))
+    counts = Counter(lambda_of_word(tm, word) for word in words)
+    got = enumerate_level(tm, level)
+    assert got.elements == tuple(sorted(counts))
+    assert got.collisions == tuple(sorted((v, c) for v, c in counts.items() if c > 1))

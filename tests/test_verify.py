@@ -13,7 +13,7 @@ from cantorspec import (BudgetExceededError, FilterFamily, TreeMapping, canonica
                         mu_hat_exact_zero,
                         orthogonality_check, partition_identity,
                         partition_levels, uniform_family, word_count)
-from cantorspec import verify
+from cantorspec import default_depth, exact_mean, hausdorff_dim_formula, sample_measure, verify
 from cantorspec.fourier import (LOG_SERIES_THETA, TWO_PI, H_sq_tables, _float_div,
                                 eval_filter, eval_H_sq_tables, log_H_sq_array,
                                 log_H_sq_series, truncation_level, truncation_target)
@@ -239,6 +239,17 @@ def test_partition_levels_of_many_xis_equal_one_call_per_xi(monkeypatch):
             assert partition_levels(tm, [], level, filters=fam) == ()
 
 
+def linear_truncation_level(pair, xi, tol, tail=TWO_PI, levels=1):
+    """Oracle: the least N >= levels with rho_{N+1} >= the target, by the
+    linear scan over the scales that the cached bisection replaced."""
+    target = truncation_target(xi, tol, tail)
+    n, rho_next = 1, pair.b(1)
+    while rho_next < target or n < levels:
+        n += 1
+        rho_next *= pair.b(n)
+    return n, rho_next
+
+
 @pytest.mark.parametrize("pair", [MU42, MU93, dimension_targeting_pair(0.5),
                                   dimension_targeting_pair(0.25)])
 def test_cached_truncation_depths_equal_truncation_level(pair):
@@ -247,8 +258,12 @@ def test_cached_truncation_depths_equal_truncation_level(pair):
     for _ in range(200):
         x = float(10.0 ** rng.uniform(-3, 12)) * rng.choice([-1.0, 1.0])
         tol = float(10.0 ** rng.uniform(-15, 0.5))
-        assert scales.truncation(x, tol) == truncation_level(pair, x, tol), (x, tol)
-    assert scales.truncation(0.0, 1e-10) == truncation_level(pair, 0.0, 1e-10)
+        levels = int(rng.integers(0, 12))
+        want = linear_truncation_level(pair, x, tol)
+        assert scales.reach(truncation_target(x, tol)) == truncation_level(pair, x, tol) == want
+        assert (truncation_level(pair, x, tol, tail=3.0, levels=levels)
+                == linear_truncation_level(pair, x, tol, tail=3.0, levels=levels)), (x, tol, levels)
+    assert scales.reach(truncation_target(0.0, 1e-10)) == linear_truncation_level(pair, 0.0, 1e-10)
     for k in range(2, 8):
         # a target exactly at the scale rho_k: the least N has rho_{N+1} = rho_k
         rho_k, x = pair.rho(k), pair.rho(k) * 1e-10 / (2 * TWO_PI)
@@ -256,14 +271,12 @@ def test_cached_truncation_depths_equal_truncation_level(pair):
             if truncation_target(x, 1e-10) != rho_k:
                 x = math.nextafter(x, math.inf if truncation_target(x, 1e-10) < rho_k else 0.0)
         assert truncation_target(x, 1e-10) == rho_k
-        assert scales.truncation(x, 1e-10) == truncation_level(pair, x, 1e-10) == (k - 1, rho_k)
+        assert (scales.reach(truncation_target(x, 1e-10)) == truncation_level(pair, x, 1e-10)
+                == linear_truncation_level(pair, x, 1e-10) == (k - 1, rho_k))
     for x, tol in [(math.inf, 1e-10), (math.nan, 1e-10), (0.3, 0.0), (0.3, math.nan),
                    (1e300, 1e-300)]:
-        with pytest.raises(ValueError) as want:
+        with pytest.raises(ValueError):
             truncation_level(pair, x, tol)
-        with pytest.raises(ValueError) as got:
-            scales.truncation(x, tol)
-        assert str(got.value) == str(want.value)
 
 
 def test_partition_budget():
@@ -817,7 +830,7 @@ def test_tail_tables_match_per_xi_log_tail(name, level):
     scales, us, lam, _, deep = child_major_tree(tm, level)
     tree = verify._Tree(tm, verify._Scales(tm.pair), level, uniform_family(tm.pair))
     _, new_deep = verify._frequencies(tm, tree.scales, level)
-    depth = scales.truncation(float(np.max(np.abs(lam))) + 0.5, 1e-10)[0]
+    depth = scales.reach(truncation_target(float(np.max(np.abs(lam))) + 0.5, 1e-10))[0]
     tables = verify._tail_tables(tree.scales.upto(depth), tree.u, level, depth, max(grid), new_deep)
     sizes = [min(verify._SLICE, len(lam) - start) for start in range(0, len(lam), verify._SLICE)]
     block = np.concatenate([verify._log_tail(tree.scales, table, grid, size)
@@ -826,3 +839,25 @@ def test_tail_tables_match_per_xi_log_tail(name, level):
         want = to_digit_major(child_major_log_tail(scales, xi, us[-1], 0, level, depth, deep),
                               scales, level)
         assert np.all(np.abs(got - want) <= 4 * 2.0 ** -52 * np.abs(want)), xi
+
+
+@pytest.mark.parametrize("b, d", [([4, 1], [2, 1]), ([4, 4], [2, 1])])
+def test_a_repeating_b_or_d_of_one_raises(b, d):
+    # the scale search ran forever once rho_n stopped growing (b = 1), and the
+    # gap-ratio tails once they stopped shrinking or vanished (b or d = 1);
+    # completeness_Q failed on the empty block of level 2 with numpy's message
+    pair = explicit_pair(b, d)
+    with pytest.raises(ValueError, match="d_2 = 1"):
+        completeness_Q(canonical_tau(pair), [0.0, 0.25, 0.5], 12)
+    with pytest.raises(ValueError, match="from level 2 on"):
+        hausdorff_dim_formula(pair, 40)
+    with pytest.raises(ValueError, match="from level 2 on"):
+        exact_mean(pair)
+    if b[-1] == 1:
+        for call in (lambda: sample_measure(pair, 10), lambda: default_depth(pair),
+                     lambda: mu_hat(pair, 0.3, 1e-10), lambda: truncation_level(pair, 0.3, 1e-10)):
+            with pytest.raises(ValueError, match="b_n = 1 from level 2 on"):
+                call()
+        assert truncation_level(pair, 0.0, 1e-10) == (1, 4)  # reached before rho_n stops
+    else:
+        assert default_depth(pair) == 26
