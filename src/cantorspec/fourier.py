@@ -477,8 +477,8 @@ def _truncated_product(pair: ScalePair, xs, tol: float, tail: float = TWO_PI, le
     """(values, radii, N): prod_{n<=N} factor(n, d_n, xs / (d_n rho_n)) over a
     float array, N the :func:`truncation_level` of the largest |x| with the
     tail constant ``tail``, and the radii expm1(tail |x| / rho_{N+1}).  A
-    level whose d_n rho_n passes 2^1020 ends the product: its arguments are
-    below double resolution."""
+    level whose d_n rho_n passes 2^1020, which no float divides by, ends the
+    product."""
     xs = np.asarray(xs, dtype=float)
     xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
     n_levels, rho_next = truncation_level(pair, xmax, tol, tail, levels)
