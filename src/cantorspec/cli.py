@@ -224,9 +224,10 @@ def _check_completeness(pair, tm, args):
     grid = [0.5 * j / args.grid for j in range(args.grid + 1)]
     report = completeness_Q(tm, grid, args.level, tol=args.tol, budget=args.budget)
 
-    def curve(x):
-        pts = [(r.level, r.q) for r in report.rows if r.xi == x]
-        return f"xi={x:g}", [p[0] for p in pts], [p[1] for p in pts]
+    def curve(k):
+        # the rows of grid point k: levels 1..L, in the order of the grid
+        rows = report.rows[k * args.level:(k + 1) * args.level]
+        return f"xi={grid[k]:g}", [r.level for r in rows], [r.q for r in rows]
 
     return report.monotone and report.bounded, {
         "monotone": report.monotone,
@@ -235,10 +236,9 @@ def _check_completeness(pair, tm, args):
         "worst_gap_xi": report.worst_gap_xi,
     }, [
         lambda out: _write_csv(
-            out, "completeness.csv", ["xi", "L", "Q", "certified_slack", "monotone_ok"],
-            [[r.xi, r.level, r.q, r.certified_slack, r.monotone_ok] for r in report.rows]),
+            out, "completeness.csv", ["xi", "L", "Q", "certified_slack", "monotone_ok"], report.rows),
         lambda out: _write_svg(out, "completeness.svg", svgplot.line_chart(
-            [curve(x) for x in (grid[0], grid[len(grid) // 2], grid[-1])],
+            [curve(k) for k in (0, len(grid) // 2, len(grid) - 1)],
             "completeness trend Q_L(xi)", "L", "Q")),
     ]
 

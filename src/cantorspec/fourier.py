@@ -16,13 +16,14 @@ Besides the complex kernel, :func:`eval_H_sq_tables` gives |H_m(a + u)|^2 in
 real arithmetic over an array u tabulated once (:func:`H_sq_tables`: the
 sines and cosines of pi u for m = 2, of 2 pi u for m = 3, and for any other
 m of pi u and of pi m u, the latter from m u reduced mod 1), one row per
-scalar a of a sequence, combining the tables with the sine and cosine of
+scalar a of an array, combining the tables with the sine and cosine of
 each a by angle addition, so a call costs no per-entry sine or cosine.  For
 m = 2 and m = 3 the kernel is a polynomial in one cosine, cos(pi s)^2 and
 ((1 + 2 cos(2 pi s)) / 3)^2, with no division and so no singularity; for
-m >= 4 it is the quotient of sines, and within 1e-9 of an integer it takes
-the series 1 - (m^2 - 1)(pi s)^2 / 3 entry by entry, so no value depends on
-the rest of the call.  The level-expansion kernel of :mod:`.verify`
+m >= 4 it is the quotient of sines, recomputed from a + u where the
+angle-addition sum for sin(pi s) cancels, and within 1e-9 of an integer it
+takes the series 1 - (m^2 - 1)(pi s)^2 / 3 entry by entry, so no value
+depends on the rest of the call.  The level-expansion kernel of :mod:`.verify`
 multiplies it along the digit tree; :func:`eval_H_sq_array` is the same
 kernel at a = 0.
 :func:`log_H_sq_array` and :func:`log_H_sq_series` give its logarithm, in
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -122,9 +122,10 @@ def _H_sq_direct(m: int, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-# for m >= 4, eval_H_sq_tables recomputes from a + u directly where
-# |sin(pi (a + u))| is below _CANCELLATION |sin(pi a)|, where the angle-addition
-# sum would cancel, or below _GUARD_SIN, which covers the integer guard band
+# for m >= 4, eval_H_sq_tables recomputes from a + u directly where the
+# angle-addition sum sin(pi a) cos(pi u) + cos(pi a) sin(pi u) cancels, its
+# terms' moduli adding to more than _CANCELLATION times its own, or where its
+# modulus is below _GUARD_SIN, which covers the integer guard band
 # |s| < _INTEGER_GUARD
 _CANCELLATION = 4.0
 _GUARD_SIN = 4.0 * _INTEGER_GUARD
@@ -185,15 +186,9 @@ def H_sq_tables(m: int, us: np.ndarray) -> HSqTables:
     return HSqTables(m, u, sin, cos, np.sin(np.pi * v), np.cos(np.pi * v))
 
 
-def _columns(rows: list[tuple[float, ...]]) -> list[np.ndarray]:
-    # one array of the per-row scalars, and its columns against a table row
-    values = np.array(rows)
-    return [values[:, j:j + 1] for j in range(values.shape[1])]
-
-
-def eval_H_sq_tables(t: HSqTables, a: Sequence[float], nodes: slice = slice(None)) -> np.ndarray:
+def eval_H_sq_tables(t: HSqTables, a, nodes: slice = slice(None)) -> np.ndarray:
     """|H_m(a_r + u)|^2 over the tabulated u of the entries ``nodes``, one row
-    per scalar a_r of the sequence ``a``.
+    per scalar a_r of ``a``, a float array or a sequence of floats.
 
     With s = a_r + u and every angle expanded by angle addition over the
     tables (sin(x + y) = sin x cos y + cos x sin y, cos(x + y) =
@@ -202,47 +197,56 @@ def eval_H_sq_tables(t: HSqTables, a: Sequence[float], nodes: slice = slice(None
     ((1 + 2 cos(2 pi s)) / 3)^2, the square of the real e^{2 pi i s} H_3(s),
     with 2 cos(2 pi s) clamped to at most 2: the value is at most 1, and
     exactly 1 at a_r = 0 with u integral.  For any other m >= 4 it is
-    (sin(pi m s) / (m sin(pi s)))^2, and entries where sin(pi s) is small
-    against sin(pi a_r), or within the integer guard band, take
-    :func:`_H_sq_direct` at a_r + u: the closed form, 1 at integers and the
-    series of the Fejer form in the guard band; their (row, column) pairs
-    come from one ``np.flatnonzero`` of the mask, divided by the row length.
-    Every entry is elementwise in its own a_r and u, so a row's bits do not
-    depend on the other rows of the call: a block of grid rows, as the
-    completeness sum passes, gives each row the bits of a call with that a_r
-    alone.  ``nodes`` slices the tables as views.
+    (sin(pi m s) / (m sin(pi s)))^2, and entries where the angle-addition sum
+    for sin(pi s) cancels (its two terms' moduli add to more than
+    ``_CANCELLATION`` times its own), or where it is within the integer guard
+    band, take :func:`_H_sq_direct` at a_r + u: the closed form, 1 at
+    integers and the series of the Fejer form in the guard band; their (row,
+    column) pairs come from one ``np.flatnonzero`` of the mask, divided by the
+    row length.  The per-row scalars, a_r - round(a_r) and the sines and
+    cosines of its angles, are formed as one column of numpy operations, the
+    IEEE operations of the scalar form.  Every entry is elementwise in its own
+    a_r and u, so a row's bits do not depend on the other rows of the call: a
+    block of grid rows, as the completeness sum passes, gives each row the
+    bits of a call with that a_r alone.  ``nodes`` slices the tables as views.
     """
     m = t.m
     sin, cos = t.sin[nodes], t.cos[nodes]
+    a = np.asarray(a, dtype=float)
     if m == 1:
         return np.ones((len(a), len(sin)))
-    a = [x - round(x) for x in a]
+    a = (a - np.rint(a))[:, None]
     if m == 2:
-        sa, ca = _columns([(math.sin(p), math.cos(p)) for p in (math.pi * x for x in a)])
-        vals = ca * cos
-        vals -= sa * sin
+        p = np.pi * a
+        vals = np.cos(p) * cos
+        vals -= np.sin(p) * sin
         vals *= vals
         return vals
     if m == 3:
         # twice the sine and cosine of 2 pi a: the sum below is 2 cos(2 pi s)
-        sa, ca = _columns([(2.0 * math.sin(p), 2.0 * math.cos(p)) for p in (TWO_PI * x for x in a)])
-        vals = ca * cos
-        vals -= sa * sin
+        p = TWO_PI * a
+        vals = (2.0 * np.cos(p)) * cos
+        vals -= (2.0 * np.sin(p)) * sin
         np.minimum(vals, 2.0, out=vals)
         vals += 1.0
         vals /= 3.0
         vals *= vals
         return vals
-    sa, ca, sma, cma = _columns([(math.sin(p), math.cos(p), math.sin(q), math.cos(q))
-                                 for p, q in ((math.pi * x, math.pi * (m * x - round(m * x)))
-                                              for x in a)])
-    den = sa * cos + ca * sin
+    p, ma = np.pi * a, m * a
+    q = np.pi * (ma - np.rint(ma))
+    sin_cos, cos_sin = np.sin(p) * cos, np.cos(p) * sin
+    den = sin_cos + cos_sin
     with np.errstate(divide="ignore", invalid="ignore"):  # den = 0 is recomputed below
-        vals = ((sma * t.cos_m[nodes] + cma * t.sin_m[nodes]) / (m * den)) ** 2
-    odd = np.abs(den) < np.maximum(_CANCELLATION * np.abs(sa), _GUARD_SIN)
+        vals = ((np.sin(q) * t.cos_m[nodes] + np.cos(q) * t.sin_m[nodes]) / (m * den)) ** 2
+    size = np.abs(den)
+    np.abs(sin_cos, out=sin_cos)
+    np.abs(cos_sin, out=cos_sin)
+    sin_cos += cos_sin
+    odd = sin_cos > _CANCELLATION * size
+    odd |= size < _GUARD_SIN
     if odd.any():
         rows, cols = np.divmod(np.flatnonzero(odd), odd.shape[1])
-        vals[rows, cols] = _H_sq_direct(m, np.array(a)[rows] + t.u[nodes][cols])
+        vals[rows, cols] = _H_sq_direct(m, a[rows, 0] + t.u[nodes][cols])
     return vals
 
 
@@ -296,6 +300,23 @@ def log_H_sq_series(ms, ts, y: np.ndarray) -> np.ndarray:
 _TAYLOR_TOL = 2.0 ** -60
 
 
+def _remainder_tables(big_j: int):
+    # for log_series_remainder_bounds: C(2j, i) for j = 1..J (rows) and i = 0..2J+1,
+    # and the two factors of power_ji as indices into (e^0..e^2J, Y^0..Y^2J, 1, r, r^2, 0):
+    # e^i Y^(2j-2-i) for 0 < i <= 2j-2, e^(2j-2) r^(i-2j+2) for i = 2j-1, 2j, else 0
+    j, i = np.arange(1, big_j + 1)[:, None], np.arange(2 * big_j + 2)
+    powers, zero = 2 * big_j + 1, 4 * big_j + 5
+    low, top = (i >= 1) & (i <= 2 * j - 2), (i >= 2 * j - 1) & (i <= 2 * j)
+    first = np.where(low, i, np.where(top, 2 * j - 2, zero))
+    second = np.where(low, powers + 2 * j - 2 - i, np.where(top, 2 * powers + i - 2 * j + 2, zero))
+    binomials = np.array([[math.comb(2 * k, n) for n in range(2 * big_j + 2)]
+                          for k in range(1, big_j + 1)], dtype=float)
+    return binomials, first, second
+
+
+_REMAINDER_TABLES = _remainder_tables(len(_ZETA_OVER_J))
+
+
 def log_series_remainder_bounds(c: np.ndarray, y0: np.ndarray, e: float) -> np.ndarray:
     """Bounds B_p, p = 0..2J, on |R_p| / |F(y0 + eps)| over the entries y0 and |eps| <= e,
     where F(y) = -sum_{j<=J} c_j y^(2j) with every c_j >= 0, and R_p is F(y0 + eps)
@@ -311,22 +332,23 @@ def log_series_remainder_bounds(c: np.ndarray, y0: np.ndarray, e: float) -> np.n
     relative error is far below the 2^-60 they are compared with."""
     big_j = len(c)
     ratio = np.asarray(c, dtype=float) / c[0]
-    terms = [0.0] * (2 * big_j + 2)  # terms[i]: the part of the bound from degree i
+    terms = np.zeros(2 * big_j + 2)  # terms[i]: the part of the bound from degree i
     y = np.abs(np.asarray(y0, dtype=float))
     nonzero = y[y > 0]
     if nonzero.size:
         y_max, y_min = float(nonzero.max()), float(nonzero.min())
         r = e / y_min
         if r >= 1.0:
-            terms[1:-1] = [math.inf] * (2 * big_j)
+            terms[1:-1] = math.inf
         else:
-            e_pow, y_pow = ([x ** k for k in range(2 * big_j + 1)] for x in (e, y_max))
-            for j, c_j in enumerate(ratio.tolist(), start=1):
-                for i in range(1, 2 * j + 1):
-                    power = (e_pow[i] * y_pow[2 * j - 2 - i] if i <= 2 * j - 2
-                             else e_pow[2 * j - 2] * r ** (i - 2 * j + 2))
-                    terms[i] += c_j * math.comb(2 * j, i) * power
-            terms = [t / (1.0 - r) ** 2 for t in terms]
+            # c_j C(2j, i) power_ji summed over j one row after another: the
+            # scalar sums, bit for bit
+            binomials, first, second = _REMAINDER_TABLES
+            factors = np.array([*(x ** k for x in (e, y_max) for k in range(2 * big_j + 1)),
+                                1.0, r, r ** 2, 0.0])
+            table = ratio[:, None] * binomials
+            table *= factors[first] * factors[second]
+            terms = np.add.reduce(table, axis=0) / (1.0 - r) ** 2
     if np.any(y == 0):
         zero = np.zeros_like(terms)
         zero[2:-1:2] = ratio * e ** (2 * np.arange(big_j))
@@ -424,12 +446,13 @@ class TruncatedValue:
         return abs(self.value)
 
 
-def _float_div(x: float, big: int) -> float:
-    # x / big without OverflowError when big exceeds float range; the result
-    # underflows to 0 exactly when the factor is 1 at double resolution.
+def _float_div(x, big: int):
+    # x / big for a float or a float array, without OverflowError when big
+    # exceeds float range; the result underflows to 0 exactly when the factor
+    # is 1 at double resolution.  float(big) is the rounding x / big applies
     if big.bit_length() > 1020:
-        return 0.0
-    return x / big
+        return x * 0.0
+    return x / float(big)
 
 
 def _cap_float(big: int) -> float:
@@ -440,17 +463,18 @@ def _cap_float(big: int) -> float:
     return float(big)
 
 
-def truncation_target(xi: float, tol: float, tail: float = TWO_PI) -> float:
+def truncation_target(xi, tol: float, tail: float = TWO_PI):
     """The scale 2 tail |xi| / min(tol, 1) that rho_{N+1} must reach in
-    :func:`truncation_level`.  Raises ValueError for a non-finite xi or tol,
-    and when the target overflows, where no scale could be reached."""
-    if not math.isfinite(xi):
+    :func:`truncation_level`, for a float xi or entry by entry over a float
+    array.  Raises ValueError for a non-finite xi or tol, and when a target
+    overflows, where no scale could be reached."""
+    if not np.isfinite(xi).all():
         raise ValueError(f"frequency xi must be finite, got {xi}")
     if not math.isfinite(tol) or tol <= 0:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     target = 2.0 * tail * abs(xi) / min(tol, 1.0)
-    if not math.isfinite(target):
-        raise ValueError(f"|xi| = {abs(xi):.3e} at tol = {tol:.1e} needs a scale "
+    if not np.isfinite(target).all():
+        raise ValueError(f"|xi| = {np.max(abs(xi)):.3e} at tol = {tol:.1e} needs a scale "
                          f"rho_(N+1) beyond the double range")
     return target
 

@@ -48,14 +48,26 @@ once per check: past the levels that must be summed explicitly, it depends
 on xi only through one scalar eps, as a short Taylor polynomial per node
 (:func:`_tail_tables`).  Q_L is reported through the gap 1 - Q_L, a sum of
 nonnegative terms by the partition identity, and each level's block
-contributes scalar sums.  The certified slack of Q_L is two more row sums
-per block over its terms t, A = sum |xi + lambda| sqrt(t) and
+contributes scalar sums.  The certified slack of Q_L takes two sums per
+block over its terms t, A = sum |xi + lambda| sqrt(t) and
 B = sum (xi + lambda)^2, with the radius applied once per block.  The
 truncation depth keeps z = c |xi + lambda| <= c a_max <= min(tol, 1) / 2,
 with c = 2 pi / rho_{N+1} and a_max the block's largest |xi + lambda|, and
 expm1(z) <= z (1 + z) for z <= 1.  So k c (2 A + k c B), k = 1 + c a_max,
 bounds the sum of the per-term 2 r sqrt(t) + r^2, r = expm1(z), and
-exceeds it at most k^2 <= (1 + tol/2)^2 times.
+exceeds it at most k^2 <= (1 + tol/2)^2 times.  Both sums come from moments:
+lambda is an integer and xi lies in [0, 1/2], so xi + lambda has the sign
+sigma of lambda (+1 at lambda = 0) and |xi + lambda| = |lambda| + sigma xi
+exactly.  Hence A = sum |lambda| sqrt(t) + xi sum sigma sqrt(t), two row
+sums per block, and B = N xi^2 + 2 xi sum lambda + sum lambda^2 over the
+block's N frequencies, whose moments do not depend on xi and are summed
+once per check.  The forms differ from the direct sums only in rounding.
+
+Everything per grid point is an array pass: the truncation depths of every
+(xi, block) are one ``np.searchsorted`` over the cached rho
+(:func:`_reach_floats`), the gaps and block sums accumulate in (grid x
+level) arrays during the walk, and Q, the slack and the verdicts are formed
+from them once, after it.
 """
 
 from __future__ import annotations
@@ -65,7 +77,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -279,8 +291,9 @@ class _Tree:
             self.ends.append(len(self.size) - 1)
         self.u = u
 
-    def factors(self, t: int, xis: Sequence[float], nodes: slice = slice(None)) -> np.ndarray:
-        """The tree-level-t factors over its nodes ``nodes``, one row per xi.
+    def factors(self, t: int, xis, nodes: slice = slice(None)) -> np.ndarray:
+        """The tree-level-t factors over its nodes ``nodes``, one row per xi of
+        ``xis``, a float array or a sequence of floats.
 
         On a sub-level with D_j = ``scale[t]`` / rho_n these are
         |H_{f_j}(xi / (D_j rho_n) + u)|^2 over its tabulated u; over all the
@@ -288,9 +301,11 @@ class _Tree:
         xi + lambda(delta), because lambda(delta) - sigma_n is a multiple of
         rho_{n+1} = q_n d_n rho_n and G_n is 1-periodic: xi enters only through
         the scalar xi / ``scale[t]``, and ``nodes`` slices the tables as
-        views.  An explicit filter level is evaluated one row per call, since
-        the bits of :func:`eval_filter` depend on the shape of its call."""
-        a = [_float_div(x, self.scale[t]) for x in xis]
+        views.  The scalars xi / ``scale[t]`` are one array division, each
+        entry the rounding of the scalar one.  An explicit filter level is
+        evaluated one row per call, since the bits of :func:`eval_filter`
+        depend on the shape of its call."""
+        a = _float_div(np.asarray(xis, dtype=float), self.scale[t])
         kernel = self.kernels[t - 1]
         if isinstance(kernel, HSqTables):
             return eval_H_sq_tables(kernel, a, nodes)
@@ -301,7 +316,7 @@ class _Tree:
             np.add(f.real ** 2, f.imag ** 2, out=row)
         return values
 
-    def tiles(self, xis: Sequence[float], upto: int):
+    def tiles(self, xis, upto: int):
         """Yield (t, rows, w) for the tree levels t = 0..``upto``, depth first.
 
         ``rows`` is a range of indices into ``xis`` and w[i] holds the product
@@ -312,8 +327,9 @@ class _Tree:
         over the level-n nodes.  A tile has at most ``_SLICE`` entries, or one
         row when ``size[t]`` exceeds ``_SLICE``; a tile's rows are split into
         tiles of the next tree level as the size grows, and the tiles of one
-        tree level come in the order of ``xis``, a list of floats."""
-        stack = [(0, 0, len(xis), None)] if xis else []  # (tree level, rows [lo, hi), parent tile)
+        tree level come in the order of ``xis``, a float array or a sequence of floats."""
+        xis = np.asarray(xis, dtype=float)
+        stack = [(0, 0, len(xis), None)] if len(xis) else []  # (tree level, rows [lo, hi), parent tile)
         while stack:
             t, lo, hi, parent = stack.pop()
             step = self.rows_per_tile(t)
@@ -336,7 +352,7 @@ class _Tree:
         """The xi rows of a tree-level-t tile: as many as fit ``_SLICE`` entries, at least one."""
         return max(1, _SLICE // self.size[t])
 
-    def slice_products(self, t: int, xis: Sequence[float], parents: np.ndarray,
+    def slice_products(self, t: int, xis, parents: np.ndarray,
                        start: int, stop: int) -> np.ndarray:
         """The tree-level-t products over the nodes [start, stop), one row per
         xi of ``xis``, from the tree-level-(t-1) products ``parents``, one row
@@ -355,8 +371,7 @@ class _Tree:
 # Partition identity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(NamedTuple):
     total: float
     defect: float
     level: int
@@ -382,17 +397,16 @@ def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
     if filters is None:
         filters = uniform_family(pair)
     tree = _Tree(tm, _Scales(pair), level, filters)
-    xis = [float(xi) for xi in xis]
+    xis = np.array(xis, dtype=float)
     totals = np.zeros((len(xis), level))
     column = {t: n - 1 for n, t in enumerate(tree.ends) if n}
     for t, rows, w in tree.tiles(xis, tree.ends[level]):
         if t in column:
             totals[rows.start:rows.stop, column[t]] = w.sum(axis=1)  # per row a 1-D sum, as per xi
-    totals = totals.tolist()
-    return tuple(tuple(PartitionResult(total=total, defect=abs(total - 1.0), level=n, xi=xi,
-                                       terms=tree.size[tree.ends[n]])
-                       for n, total in enumerate(per_xi, start=1))
-                 for xi, per_xi in zip(xis, totals))
+    terms = [tree.size[t] for t in tree.ends[1:]]
+    return tuple(tuple(PartitionResult(total, abs(total - 1.0), n, xi, count)
+                       for n, total, count in zip(range(1, level + 1), per_xi, terms))
+                 for xi, per_xi in zip(xis.tolist(), totals.tolist()))
 
 
 def partition_identity(tm: TreeMapping, xi: float, level: int,
@@ -410,8 +424,7 @@ def partition_identity(tm: TreeMapping, xi: float, level: int,
 # Completeness trend
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QRow:
+class QRow(NamedTuple):
     xi: float
     level: int
     q: float
@@ -502,9 +515,30 @@ def _log_tail(scales: _Scales, table, xis: Sequence[float], size: int):
     return log_t
 
 
-def _column(xis: Sequence[float], big: int) -> np.ndarray:
+def _column(xis, big: int) -> np.ndarray:
     # xi / big per xi, as a column against a row of nodes
-    return np.array([_float_div(x, big) for x in xis])[:, None]
+    return _float_div(np.asarray(xis, dtype=float), big)[:, None]
+
+
+def _reach_floats(scales: _Scales, targets: np.ndarray) -> np.ndarray:
+    """rho_{N+1} of :meth:`~.core._Scales.reach` at each entry of the float array
+    ``targets``, as :func:`~.fourier._cap_float`, from one ``np.searchsorted`` over
+    the cached rho, which must already reach every target.  float(rho) < target
+    implies rho < target and float(rho) > target implies rho > target, so only
+    where float(rho) equals a target does the exact integer comparison decide."""
+    rho = scales.rho[2:]  # rho_2, ...: N >= 1
+    exact = np.array([_float_or_inf(r) for r in rho])
+    index = np.searchsorted(exact, targets)
+    for k in np.flatnonzero(exact[index] == targets):
+        index.flat[k] = scales.reach(float(targets.flat[k]))[0] - 1
+    return np.array([_cap_float(r) for r in rho])[index]
+
+
+def _float_or_inf(r: int) -> float:
+    try:
+        return float(r)
+    except OverflowError:  # past the largest double, above every finite target
+        return math.inf
 
 
 def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
@@ -517,38 +551,49 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     are the contiguous block [P_{n-1}, P_n) of the level-l_max nodes ([0, P_1)
     for n = 1), so each block's extreme frequencies, truncation depth and
     sums are scalars.  Everything that does not depend on xi is built once,
-    before the grid loop: the digit tree, the frequencies, and the tail
-    tables (:func:`_tail_tables`) to the deepest depth :func:`truncation_level`
+    before the grid loop: the digit tree, the frequencies and the moments
+    sum lambda and sum lambda^2 of each block, and the tail tables
+    (:func:`_tail_tables`) to the deepest depth :func:`truncation_level`
     picks for a block at any xi in [0, 1/2] (|xi + lambda| is convex in xi,
     so at xi = 0 or 1/2), with the series start fixed for xi up to 1/2.  A
     deeper tail only shrinks the truncation error each radius bounds.  The
-    grid walks the tree in tiles (:meth:`_Tree.tiles`) to the tree level
-    before the last sub-level of level l_max, level l_max - 1 where d_{l_max}
-    is prime; the level-l_max nodes then run in blocks of
-    max(1, ``_SLICE`` // P_{l_max}) grid rows (:meth:`_Tree.rows_per_tile`)
-    by one slice of ``_SLICE`` nodes.  A block gets its products w from its
-    parents' entries (:meth:`_Tree.slice_products`), the explicit tail levels
-    if any, and one Horner pass in the column of xi / rho_k0
-    (:func:`_log_tail`), and is summed before the next block is formed: the
-    gap is one ``sum(axis=1)``, and the block sums S and the two slack sums
-    A = sum |xi + lambda| sqrt(t) and B = sum (xi + lambda)^2 are each one
-    ``np.add.reduceat`` along the rows.  With g = w expm1(log T), the
-    gap G_{l_max} = -sum g is exact as sum w = 1, the terms are t = w + g,
-    G_L = G_{L+1} + S_{L+1} with S_n the sum of block n, and Q_L = 1 - G_L is
-    rounded once, so Q is monotone by construction.  ``bounded`` checks the
-    direct sum sum_{n<=L} S_n <= 1 + slack.  The certified slack bounds the
-    sum of 2 r sqrt(t) + r^2 over the terms, r = expm1(z) the radius of
-    :func:`mu_hat_array` at the depth of each block for that grid point,
-    z = c |xi + lambda| and c = 2 pi / rho_{N+1}.  That depth keeps
-    z <= c a_max <= min(tol, 1) / 2, a_max the block's largest
-    |xi + lambda|, and expm1(z) <= z (1 + z) for z <= 1, so with
+    depth of every (grid point, block) is one ``np.searchsorted`` over the
+    cached rho (:func:`_reach_floats`).  The grid walks the tree in tiles
+    (:meth:`_Tree.tiles`) to the tree level before the last sub-level of
+    level l_max, level l_max - 1 where d_{l_max} is prime; the level-l_max
+    nodes then run in blocks of max(1, ``_SLICE`` // P_{l_max}) grid rows
+    (:meth:`_Tree.rows_per_tile`) by one slice of ``_SLICE`` nodes.  A block
+    gets its products w from its parents' entries
+    (:meth:`_Tree.slice_products`), the explicit tail levels if any, and one
+    Horner pass in the column of xi / rho_k0 (:func:`_log_tail`), and is
+    summed before the next block is formed: the gap is one ``sum(axis=1)``,
+    and the block sums S and the two slack sums sum |lambda| sqrt(t) and
+    sum sigma sqrt(t), sigma the sign of lambda, are each one
+    ``np.add.reduceat`` along the rows, accumulated in (grid x level)
+    arrays.  With g = w expm1(log T), the gap G_{l_max} = -sum g is exact as
+    sum w = 1, the terms are t = w + g, G_L = G_{L+1} + S_{L+1} with S_n the
+    sum of block n, and Q_L = 1 - G_L is rounded once, so Q is monotone by
+    construction; Q, the slack and the verdicts are formed once, after the
+    walk.  ``bounded`` checks the direct sum sum_{n<=L} S_n <= 1 + slack.
+    The certified slack bounds the sum of 2 r sqrt(t) + r^2 over the terms,
+    r = expm1(z) the radius of :func:`mu_hat_array` at the depth of each
+    block for that grid point, z = c |xi + lambda| and c = 2 pi / rho_{N+1}.
+    That depth keeps z <= c a_max <= min(tol, 1) / 2, a_max the block's
+    largest |xi + lambda|, and expm1(z) <= z (1 + z) for z <= 1, so with
     k = 1 + c a_max the radius is applied once per (row, block) as
     k c (2 A + k c B): at least the per-term sum, and at most k^2, about
-    1 + tol, times it.  A mapping failing :func:`validate_tree_mapping`
-    raises a ValueError naming the word.  Grid points and slices run in a
-    fixed order, and a row's values depend neither on the rows that share its
-    block nor on the rest of the grid: a one-point call gives that xi's rows
-    bit for bit.
+    1 + tol, times it.  A = sum |xi + lambda| sqrt(t) and
+    B = sum (xi + lambda)^2 come from the sums above: lambda is an integer and
+    0 <= xi <= 1/2, so |xi + lambda| = |lambda| + sigma xi exactly (sigma = +1
+    at lambda = 0), A = sum |lambda| sqrt(t) + xi sum sigma sqrt(t) and
+    B = N xi^2 + 2 xi sum lambda + sum lambda^2 over the block's N terms,
+    equal to the direct sums but for rounding.  A mapping failing
+    :func:`validate_tree_mapping` raises a ValueError naming the word.  Grid
+    points and slices run in a fixed order, and a row's values depend neither
+    on the rows that share its block nor on the rest of the grid: a one-point
+    call gives that xi's rows bit for bit.  An empty grid gives no rows, both
+    verdicts true and a worst gap of -inf at xi = 0; of tied worst gaps the
+    first grid point is reported.
     """
     pair = tm.pair
     xis = [float(x) for x in xi_grid]
@@ -567,16 +612,24 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
         raise ValueError(f"d_{scales.d.index(1, 2)} = 1: completeness needs d_n >= 2")
     lam, deep = _frequencies(tm, scales, l_max)
     blocks = _blocks(scales, l_max)
-    lo = [float(lam[a:b].min()) for a, b in blocks]
-    hi = [float(lam[a:b].max()) for a, b in blocks]
-    reach = [[max(abs(x + h), abs(x + l)) for l, h in zip(lo, hi)] for x in xis]
-    batches = [[scales.reach(truncation_target(a, tol)) for a in per_x] for per_x in reach]
+    starts = [a for a, _ in blocks]
+    lo, hi = np.minimum.reduceat(lam, starts), np.maximum.reduceat(lam, starts)
     # the deepest truncation any xi in [0, 1/2] needs: |xi + lambda| is convex in xi
     depth = max(scales.reach(truncation_target(max(abs(l), abs(h), abs(0.5 + l), abs(0.5 + h)),
                                                tol))[0]
-                for l, h in zip(lo, hi))
+                for l, h in zip(lo.tolist(), hi.tolist()))
     tails = _tail_tables(scales, tree.u, l_max, depth, 0.5, deep)
     tree.u = None
+    # per (grid point, block): a_max, and k c with c = 2 pi / rho_{N+1} and k = 1 + c a_max;
+    # every target is within the depth above, so the rho list reaches it
+    x = np.array(xis)
+    column = x[:, None]
+    reach = np.maximum(np.abs(column + hi), np.abs(column + lo))
+    c = TWO_PI / _reach_floats(scales, truncation_target(reach, tol))
+    kc = c * (1.0 + c * reach)
+    # the xi-free moments of B = sum (xi + lambda)^2 = N xi^2 + 2 xi sum lambda + sum lambda^2
+    count = np.diff([*starts, len(lam)])
+    sum_lam, sum_sq = np.add.reduceat(lam, starts), np.add.reduceat(lam * lam, starts)
     slices = []  # per slice: its bounds, the range of blocks it meets and their starts in it
     for start in range(0, len(lam), _SLICE):
         stop = min(start + _SLICE, len(lam))
@@ -584,52 +637,49 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
                     for n, (a, b) in enumerate(blocks) if a < stop and b > start]
         slices.append((start, stop, slice(segments[0][0], segments[-1][0] + 1),
                        [a for _, a in segments]))
-    rows = []
-    monotone = bounded = True
-    worst_gap, worst_xi = -math.inf, (xis[0] if xis else 0.0)
+    # per grid point: the gap G_{l_max}, and per block the sums S of t, of
+    # sigma sqrt(t) and of |lambda| sqrt(t), sigma the sign of lambda
+    gaps = np.zeros(len(x))
+    sums, signed, lin = (np.zeros((len(x), l_max)) for _ in range(3))
     end = tree.ends[l_max]  # the last sub-level of level l_max, formed in slices below
     step = tree.rows_per_tile(end)
-    last = ((tile_rows, tile) for t, tile_rows, tile in tree.tiles(xis, end - 1) if t == end - 1)
-    row_blocks = ((tile_rows[j:j + step], tile[j:j + step])
-                  for tile_rows, tile in last for j in range(0, len(tile_rows), step))
-    for block, parents in row_blocks:
-        x = [xis[i] for i in block]
-        column = np.array(x)[:, None]
-        # k c per (row, block), c = 2 pi / rho_{N+1} and k = 1 + c a_max
-        c = TWO_PI / np.array([[_cap_float(r) for _, r in batches[i]] for i in block])
-        kc = c * (1.0 + c * np.array([reach[i] for i in block]))
-        gaps = np.zeros(len(x))
-        sums, lin, sq = (np.zeros((len(x), l_max)) for _ in range(3))
-        for (start, stop, levels, offsets), table in zip(slices, tails):
-            # in place, in the operation order of w + w expm1(log T)
-            terms = tree.slice_products(end, x, parents, start, stop)
-            g = _log_tail(scales, table, x, stop - start)
-            np.expm1(g, out=g)
-            g *= terms
-            gaps -= g.sum(axis=1)
-            terms += g
-            sums[:, levels] += np.add.reduceat(terms, offsets, axis=1)
-            v = np.add(column, lam[start:stop])
-            np.abs(v, out=v)
-            np.sqrt(terms, out=terms)
-            terms *= v
-            lin[:, levels] += np.add.reduceat(terms, offsets, axis=1)
-            v *= v
-            sq[:, levels] += np.add.reduceat(v, offsets, axis=1)
-        # Q_L = 1 - G_L, G_L = G_{l_max} + sum_{n>L} S_n
-        later = np.zeros((len(x), l_max))
-        later[:, :-1] = np.cumsum(sums[:, :0:-1], axis=1)[:, ::-1]
-        qs = (1.0 - (gaps[:, None] + later)).tolist()
-        # sum 2 r sqrt(t) + r^2 <= k c (2 sum |v| sqrt(t) + k c sum v^2)
-        slacks = np.cumsum(kc * (2.0 * lin + kc * sq), axis=1)
-        bounded = bounded and bool(np.all(np.cumsum(sums, axis=1) <= 1.0 + slacks))
-        for xi, gap, q_row, slack_row in zip(x, gaps.tolist(), qs, slacks.tolist()):
-            for level, (q, slack, prev) in enumerate(zip(q_row, slack_row, [0.0] + q_row), start=1):
-                ok = q >= prev - _MONOTONE_SLACK
-                monotone = monotone and ok
-                rows.append(QRow(xi=xi, level=level, q=q, certified_slack=slack, monotone_ok=ok))
-            if gap > worst_gap:
-                worst_gap, worst_xi = gap, xi
-    return CompletenessReport(rows=tuple(rows), l_max=l_max, tol=tol,
-                              monotone=monotone, bounded=bounded,
-                              worst_gap=worst_gap, worst_gap_xi=worst_xi)
+    for t, tile_rows, tile in tree.tiles(x, end - 1):
+        if t < end - 1:
+            continue
+        for j in range(0, len(tile_rows), step):
+            span = slice(tile_rows.start + j, min(tile_rows.start + j + step, tile_rows.stop))
+            parents, block_x = tile[j:j + step], x[span]
+            for (start, stop, levels, offsets), table in zip(slices, tails):
+                # in place, in the operation order of w + w expm1(log T)
+                terms = tree.slice_products(end, block_x, parents, start, stop)
+                g = _log_tail(scales, table, block_x, stop - start)
+                np.expm1(g, out=g)
+                g *= terms
+                gaps[span] -= g.sum(axis=1)
+                terms += g
+                sums[span, levels] += np.add.reduceat(terms, offsets, axis=1)
+                np.sqrt(terms, out=terms)
+                # lambda = 0 is +0.0 (sums from +0.0 never give -0.0), so sigma = +1 there
+                np.copysign(terms, lam[start:stop], out=terms)
+                signed[span, levels] += np.add.reduceat(terms, offsets, axis=1)
+                terms *= lam[start:stop]
+                lin[span, levels] += np.add.reduceat(terms, offsets, axis=1)
+    # Q_L = 1 - G_L, G_L = G_{l_max} + sum_{n>L} S_n
+    later = np.zeros((len(x), l_max))
+    later[:, :-1] = np.cumsum(sums[:, :0:-1], axis=1)[:, ::-1]
+    q = 1.0 - (gaps[:, None] + later)
+    # sum 2 r sqrt(t) + r^2 <= k c (2 A + k c B), A = sum |xi + lambda| sqrt(t)
+    # = sum |lambda| sqrt(t) + xi sum sigma sqrt(t) and B from the moments
+    lin += column * signed
+    slack = np.cumsum(kc * (2.0 * lin + kc * (column * (count * column + 2.0 * sum_lam) + sum_sq)),
+                      axis=1)
+    prev = np.zeros_like(q)
+    prev[:, 1:] = q[:, :-1]
+    ok = q >= prev - _MONOTONE_SLACK
+    rows = tuple(map(QRow, np.repeat(x, l_max).tolist(), list(range(1, l_max + 1)) * len(x),
+                     q.ravel().tolist(), slack.ravel().tolist(), ok.ravel().tolist()))
+    worst = int(np.argmax(gaps)) if len(x) else None  # the first xi of the largest gap
+    return CompletenessReport(rows=rows, l_max=l_max, tol=tol, monotone=bool(ok.all()),
+                              bounded=bool(np.all(np.cumsum(sums, axis=1) <= 1.0 + slack)),
+                              worst_gap=-math.inf if worst is None else float(gaps[worst]),
+                              worst_gap_xi=0.0 if worst is None else xis[worst])

@@ -13,6 +13,7 @@ from cantorspec import (FilterCertificationError, FilterFamily,
                         eval_H_sq_array, filter_family_from_config, mu_hat,
                         mu_hat_array,
                         mu_hat_exact_zero, phi_hat, qmf_check, uniform_family)
+from cantorspec import fourier
 from cantorspec.fourier import (LOG_SERIES_THETA, _ZETA_OVER_J, H_sq_tables, _H_sq_direct,
                                 eval_H_sq_tables, log_H_sq_array, log_H_sq_series,
                                 eval_log_series_taylor, log_series_coefficients,
@@ -300,13 +301,26 @@ def test_eval_H_array_entries_do_not_depend_on_the_call(m):
 
 @pytest.mark.parametrize("m", [9, 1024])
 def test_table_kernel_recomputes_the_entries_where_they_sit(m):
-    # row 0 (a = 0) recomputes only in the integer guard band, row 1 within
-    # about 4e-6 of -a and row 2 within about 0.012 of -a, so the recomputed
-    # entries are (0, 1), (1, 1), (1, 2), (2, 1), (2, 2) and (2, 3) of a 3 x 6 call
+    # an entry recomputes where sin(pi a) cos(pi u) + cos(pi a) sin(pi u)
+    # cancels, its terms' moduli adding to more than 4 times its own, or lies
+    # in the integer guard band: (0, 1) in the band at a = 0, (1, 2) at
+    # s = 1e-13 and (2, 6) at s = -5e-4 against |a| + |u| = 6.5e-3; a and u of
+    # one sign, as at (1, 1) and (2, 1), never cancel, and (2, 3), whose terms
+    # add to 3.9996 times the sum, stays with angle addition
     a = [0.0, 1e-6, 3e-3]
-    us = np.array([0.2, 5e-10, -1e-6 + 1e-13, -0.005, 0.31, -0.4])
-    rows = eval_H_sq_tables(H_sq_tables(m, us), a)
-    for r, c in [(0, 1), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]:
+    us = np.array([0.2, 5e-10, -1e-6 + 1e-13, -0.005, 0.31, -0.4, -0.0035])
+    calls = []
+
+    def direct(m, xs):
+        calls.append(xs)
+        return _H_sq_direct(m, xs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fourier, "_H_sq_direct", direct)
+        rows = eval_H_sq_tables(H_sq_tables(m, us), a)
+    recomputed = [(0, 1), (1, 2), (2, 6)]
+    assert len(calls) == 1 and list(calls[0]) == [a[r] + us[c] for r, c in recomputed]
+    for r, c in recomputed:
         assert rows[r, c] == _H_sq_direct(m, np.array([a[r] + us[c]]))[0], (m, r, c)
     for r, x in enumerate(a):
         for c, u in enumerate(us):
@@ -349,6 +363,49 @@ def test_table_kernel_rows_equal_one_call_per_row():
             assert np.array_equal(row, eval_H_sq_tables(t, [x])[0]), (m, x)
         part = eval_H_sq_tables(t, a, slice(100, 250))
         assert np.array_equal(part, rows[:, 100:250])
+
+
+def test_table_kernel_array_argument_equals_list_and_rows():
+    # a as a float array: the list call and the one-row calls, bit for bit,
+    # for the cosine forms and the quotient of sines, prime and composite m
+    rng = np.random.default_rng(6)
+    for m in (1, 2, 3, 5, 6):
+        us = np.concatenate([rng.integers(-64, 64, 200) / (2 * m), rng.uniform(-0.5, 0.5, 50)])
+        t = H_sq_tables(m, us)
+        a = [0.0, -0.0, 1e-12, -0.25 + 3e-10, 0.37, 0.5 / m, -0.3 / m, 2.25, 1.5]
+        rows = eval_H_sq_tables(t, np.array(a))
+        assert np.array_equal(rows, eval_H_sq_tables(t, a)), m
+        for x, row in zip(a, rows):
+            assert np.array_equal(row, eval_H_sq_tables(t, [x])[0]), (m, x)
+
+
+def test_quotient_kernel_recomputes_only_where_the_sum_cancels(monkeypatch):
+    # the u = 0 node has sin(pi s) = sin(pi a) exactly and nothing to cancel, and
+    # a and u of one sign add without cancellation: a partition of
+    # constant_pair(25, 5) at L = 5 over 50 draws recomputes 18 entries in one of
+    # its 16 kernel calls (every call recomputed while |den| < 4 |sin(pi a)|
+    # flagged the u = 0 node), and the entries angle addition now keeps are as
+    # accurate as the closed form, as in the kernel test above
+    from cantorspec import verify
+    from cantorspec.spectra import canonical_tau
+    direct, kernel, recomputed, calls = fourier._H_sq_direct, verify.eval_H_sq_tables, [], []
+    monkeypatch.setattr(fourier, "_H_sq_direct", lambda m, xs: recomputed.append(len(xs)) or direct(m, xs))
+    monkeypatch.setattr(verify, "eval_H_sq_tables", lambda *args: calls.append(1) or kernel(*args))
+    pair = constant_pair(25, 5)
+    xis = np.random.default_rng(0).uniform(0.0, 1.0, 50)
+    verify.partition_levels(canonical_tau(pair), list(xis), 5)
+    assert len(calls) == 16 and recomputed == [18]
+    monkeypatch.undo()
+    tree = verify._Tree(canonical_tau(pair), verify._Scales(pair), 3, uniform_family(pair))
+    for t in (1, 2, 3):
+        tables = tree.kernels[t - 1]
+        for xi in xis[:3]:
+            a = xi / tree.scale[t]
+            for u, got in zip(tables.u, eval_H_sq_tables(tables, [a])[0]):
+                closed = closed_form_H_sq(5, np.array([a + u]))[0]
+                want, unit = H_sq_mpmath(5, a, u)
+                err, closed_err = (float(abs(mp.mpf(v) - want) / unit) for v in (got, closed))
+                assert err <= closed_err + 4 * 2.0 ** -52, (t, a, u, err, closed_err)
 
 
 def log_H_sq_mpmath(m, s):
@@ -454,6 +511,44 @@ def series_tables(draw):
     nonzero = [abs(y) for y in y0 if y]
     e = draw(st.floats(0.0, 0.9)) * min(nonzero) if nonzero else draw(st.floats(0.0, 0.1))
     return [m] * len(ts), ts, np.array(y0), e
+
+
+def remainder_bounds_by_loop(c, y0, e):
+    """Oracle: the bounds of log_series_remainder_bounds from its scalar double
+    loop over j and the degrees i <= 2j, the terms of one i added in order of j."""
+    big_j = len(c)
+    ratio = np.asarray(c, dtype=float) / c[0]
+    terms = [0.0] * (2 * big_j + 2)
+    y = np.abs(np.asarray(y0, dtype=float))
+    nonzero = y[y > 0]
+    if nonzero.size:
+        y_max, y_min = float(nonzero.max()), float(nonzero.min())
+        r = e / y_min
+        if r >= 1.0:
+            terms[1:-1] = [math.inf] * (2 * big_j)
+        else:
+            e_pow, y_pow = ([x ** k for k in range(2 * big_j + 1)] for x in (e, y_max))
+            for j, c_j in enumerate(ratio.tolist(), start=1):
+                for i in range(1, 2 * j + 1):
+                    power = (e_pow[i] * y_pow[2 * j - 2 - i] if i <= 2 * j - 2
+                             else e_pow[2 * j - 2] * r ** (i - 2 * j + 2))
+                    terms[i] += c_j * math.comb(2 * j, i) * power
+            terms = [t / (1.0 - r) ** 2 for t in terms]
+    if np.any(y == 0):
+        zero = np.zeros_like(terms)
+        zero[2:-1:2] = ratio * e ** (2 * np.arange(big_j))
+        terms = np.maximum(terms, zero)
+    return np.cumsum(terms[::-1])[::-1][1:]
+
+
+@given(series_tables())
+@settings(deadline=None, max_examples=200)
+def test_log_series_remainder_bounds_equal_the_scalar_loop(args):
+    # the term table summed along j row after row is the loop, bit for bit,
+    # and so is every Taylor degree chosen from it
+    ms, ts, y0, e = args
+    c = log_series_coefficients(ms, ts)
+    assert np.array_equal(log_series_remainder_bounds(c, y0, e), remainder_bounds_by_loop(c, y0, e))
 
 
 @given(series_tables())

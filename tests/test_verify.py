@@ -14,7 +14,7 @@ from cantorspec import (BudgetExceededError, FilterFamily, TreeMapping, canonica
                         orthogonality_check, partition_identity,
                         partition_levels, uniform_family, word_count)
 from cantorspec import default_depth, exact_mean, hausdorff_dim_formula, sample_measure, verify
-from cantorspec.fourier import (LOG_SERIES_THETA, TWO_PI, H_sq_tables, _float_div,
+from cantorspec.fourier import (LOG_SERIES_THETA, TWO_PI, H_sq_tables, _H_sq_direct, _float_div,
                                 eval_filter, eval_H_sq_tables, log_H_sq_array,
                                 log_H_sq_series, truncation_level, truncation_target)
 
@@ -279,6 +279,23 @@ def test_cached_truncation_depths_equal_truncation_level(pair):
             truncation_level(pair, x, tol)
 
 
+@pytest.mark.parametrize("pair", [MU42, MU93, dimension_targeting_pair(0.5),
+                                  dimension_targeting_pair(0.25), explicit_pair([2 * 10**20 + 2], [2])])
+def test_reach_floats_equal_the_scalar_search(pair):
+    # one searchsorted over float(rho) per grid of targets gives the rho_{N+1} of
+    # the exact search, also at targets equal to a rounded float(rho_k), where the
+    # integer comparison decides, and their neighbours
+    scales = verify._Scales(pair).upto(12)
+    near = [float(r) for r in scales.rho[2:13]]
+    targets = np.array(near + [math.nextafter(t, math.inf) for t in near]
+                       + [math.nextafter(t, 0.0) for t in near] + [0.0, 1.0, 0.5])
+    targets = np.concatenate([targets, 10.0 ** np.random.default_rng(3).uniform(-3, 18, 40)])
+    targets = targets[targets <= near[-1]].reshape(-1, 1)
+    got = verify._reach_floats(scales, targets)
+    assert got.shape == targets.shape
+    assert got.ravel().tolist() == [float(scales.reach(t)[1]) for t in targets.ravel().tolist()]
+
+
 def test_partition_budget():
     with pytest.raises(BudgetExceededError):
         partition_identity(canonical_tau(MU42), 0.5, 21)
@@ -521,6 +538,22 @@ def test_completeness_matches_deep_oracle():
         assert abs((1.0 - row.q) - ref) <= 2.0 ** -54 + 1e-8 * ref, (row.xi, row.level)
 
 
+def test_completeness_of_an_empty_grid():
+    # nothing to check: no rows, both verdicts true and the worst gap -inf at xi = 0
+    rep = completeness_Q(canonical_tau(MU42), [], 4)
+    assert rep == verify.CompletenessReport(rows=(), l_max=4, tol=1e-10, monotone=True,
+                                            bounded=True, worst_gap=-math.inf, worst_gap_xi=0.0)
+
+
+@pytest.mark.parametrize("grid", [[-0.0, 0.0], [0.0, -0.0]])
+def test_completeness_worst_gap_keeps_the_first_xi_of_a_tie(grid):
+    # -0.0 and 0.0 have one gap; the first of them in the grid is reported
+    rep = completeness_Q(canonical_tau(MU42), grid, 5)
+    alone = [completeness_Q(canonical_tau(MU42), [x], 5).worst_gap for x in grid]
+    assert alone[0] == alone[1] == rep.worst_gap
+    assert math.copysign(1.0, rep.worst_gap_xi) == math.copysign(1.0, grid[0])
+
+
 def test_completeness_rejects_colliding_table():
     # tau(1) = 0 gives the word (1) the frequency of (0): lambda repeats
     colliding = TreeMapping(MU42, {(1,): 0})
@@ -570,14 +603,18 @@ def child_major_tree(tm, level):
     return scales, us, lam, fresh, deep
 
 
-def child_major_weights(tm, level, xi, filters):
-    """Oracle: w per level on the child-major tree, w = np.repeat(w, d) * factors."""
+def child_major_weights(tm, level, xi, filters, direct=False):
+    """Oracle: w per level on the child-major tree, w = np.repeat(w, d) * factors;
+    with ``direct``, the quotient of sines (d >= 4) from the closed form at each
+    a + u (:func:`_H_sq_direct`) instead of the table kernel."""
     scales, us, *_ = child_major_tree(tm, level)
     w, out = np.ones(1), []
     for n, u in enumerate(us, start=1):
         d = scales.d[n]
         a = _float_div(xi, d * scales.rho[n])
-        if filters.is_uniform(n):
+        if filters.is_uniform(n) and direct and d >= 4:
+            factors = _H_sq_direct(d, a + u)
+        elif filters.is_uniform(n):
             factors = eval_H_sq_tables(H_sq_tables(d, u), [a])[0]
         else:
             g = eval_filter(np.asarray(filters.coefficients(n)), a + u)
@@ -688,13 +725,15 @@ def mp_level_products(pair, xi, level):
 ])
 def test_sub_level_products_match_mpmath(pair, level):
     # the products of the sub-levels of a composite d_n are as close to the
-    # exact level products as the closed form of H_{d_n}, up to 2 ulp(1)
+    # exact level products as the closed form of H_{d_n} at each argument, up
+    # to 2 ulp(1); the closed form is taken directly, not through the table
+    # kernel, whose choice of the entries it recomputes so moves with its rule
     tm, filters = canonical_tau(pair), uniform_family(pair)
     tree = verify._Tree(tm, verify._Scales(pair), level, filters)
     scales = verify._Scales(pair).upto(level)
     assert tree.ends[level] > level
     for xi in TILE_XIS:
-        closed = child_major_weights(tm, level, xi, filters)
+        closed = child_major_weights(tm, level, xi, filters, direct=True)
         exact = mp_level_products(pair, xi, level)
         for t, _, (w,) in tree.tiles([xi], tree.ends[level]):
             if t not in tree.ends[1:]:
