@@ -498,7 +498,7 @@ def _tail_tables(scales: _Scales, u, level: int, depth: int, xmax: float, deep):
     return tables
 
 
-def _log_tail(scales: _Scales, table, xis: Sequence[float], size: int):
+def _log_tail(scales: _Scales, table, xis: np.ndarray, size: int):
     """The tail log T of one slice of ``size`` nodes from its entry of
     :func:`_tail_tables`, one row per xi of ``xis``: one Horner pass in the
     column of eps, plus the explicit levels."""
