@@ -275,6 +275,8 @@ def _check_dimension(pair, tm, args):
 
 
 def _check_beurling(pair, tm, args):
+    if args.level < 3:  # the slope needs two windows, rho_2 / 2 and rho_3 / 2
+        raise ConfigError(f"--level must be >= 3 for beurling, got {args.level}")
     comparison = dim.beurling_vs_hausdorff(tm, args.level, budget=args.budget)
     return comparison.passed, {
         "beurling_estimate": comparison.beurling,

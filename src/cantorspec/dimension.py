@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BudgetExceededError, ScalePair
-from .spectra import TreeMapping, _elements_of, enumerate_level
+from .core import ScalePair
+from .spectra import TreeMapping, _elements_of, check_word_budget, enumerate_level
 
 
 def _tail_numerators(pair: ScalePair, n_max: int, rel_tol: float = 1e-15) -> tuple[list[int], int, int]:
@@ -106,21 +106,11 @@ class IntervalFamily:
         return right - left
 
 
-def _check_interval_budget(pair: ScalePair, depth: int, budget: int):
-    count = 1
-    for n in range(1, depth + 1):
-        count *= pair.d(n)
-        if count > budget:
-            raise BudgetExceededError(
-                f"depth {depth} needs {count}+ intervals, over the budget of {budget}",
-                required=count)
-
-
 def build_intervals(pair: ScalePair, depth: int, budget: int = 10**6) -> IntervalFamily:
     """Construct the interval family down to ``depth`` in exact arithmetic."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    _check_interval_budget(pair, depth, budget)
+    check_word_budget(pair, depth, budget, least=0)
     ratios = gap_ratios(pair, depth) if depth else []
     levels = [(((), Fraction(0), Fraction(1)),)]
     for n in range(1, depth + 1):
@@ -215,7 +205,7 @@ def box_counting_dim(pair: ScalePair, depth: int, budget: int = 10**6) -> BoxCou
     """
     if depth < 2:
         raise ValueError(f"depth must be >= 2 for a slope fit, got {depth}")
-    _check_interval_budget(pair, depth, budget)
+    check_word_budget(pair, depth, budget, least=0)
     xs = []
     ys = []
     u = _ratio_numerators(pair, depth)
@@ -289,13 +279,18 @@ def beurling_vs_hausdorff(tm: TreeMapping, level: int, n_max: int = 40,
                           slack: float = 0.1, budget: int = 10**6) -> DimensionComparison:
     """Check the counting estimate against the formula value plus slack.
 
-    The window grid is tied to the scales (h_j = rho_j / 2), where the
-    windowed counts of canonical spectra are exactly the level cardinalities.
+    The window grid is tied to the scales (h_j = rho_j / 2 for 2 <= j <= level,
+    below 2^500), where the windowed counts of canonical spectra are exactly
+    the level cardinalities.  A ValueError when it holds fewer than two
+    windows, which leave no slope to fit.
     """
     pair = tm.pair
-    lev = enumerate_level(tm, level, budget=budget)
     rho = pair.rho_list(level)
     grid = [rho[j] / 2.0 for j in range(1, level) if rho[j].bit_length() < 500]
+    if len(grid) < 2:
+        raise ValueError(f"level {level} gives {len(grid)} scale window(s) rho_j / 2, "
+                         f"and a slope needs at least 2")
+    lev = enumerate_level(tm, level, budget=budget)
     est = beurling_upper_dim(lev, window_grid=grid)
     formula = hausdorff_dim_formula(pair, n_max).liminf_proxy
     return DimensionComparison(beurling=est.slope, hausdorff=formula, slack=slack,

@@ -13,19 +13,16 @@ family, whose explicit levels take :func:`eval_filter`.  Integer frequencies
 admit an exact zero test by divisibility alone.
 
 Besides the complex kernel, :func:`eval_H_sq_tables` gives |H_m(a + u)|^2 in
-real arithmetic over an array u tabulated once (:func:`H_sq_tables`: the
-sines and cosines of pi u for m = 2, of 2 pi u for m = 3, and for any other
-m of pi u and of pi m u, the latter from m u reduced mod 1), one row per
-scalar a of an array, combining the tables with the sine and cosine of
-each a by angle addition, so a call costs no per-entry sine or cosine.  For
-m = 2 and m = 3 the kernel is a polynomial in one cosine, cos(pi s)^2 and
-((1 + 2 cos(2 pi s)) / 3)^2, with no division and so no singularity; for
-m >= 4 it is the quotient of sines, recomputed from a + u where the
-angle-addition sum for sin(pi s) cancels, and within 1e-9 of an integer it
-takes the series 1 - (m^2 - 1)(pi s)^2 / 3 entry by entry, so no value
-depends on the rest of the call.  The level-expansion kernel of :mod:`.verify`
-multiplies it along the digit tree; :func:`eval_H_sq_array` is the same
-kernel at a = 0.
+real arithmetic over an array u tabulated once (:func:`H_sq_tables`), one row
+per scalar a of an array.  The rule is one: for m = 2 and m = 3 the kernel is
+a polynomial in one cosine, cos(pi s)^2 and ((1 + 2 cos(2 pi s)) / 3)^2,
+combined from sine and cosine tables of u and of a by angle addition, with
+no per-entry sine or cosine, no division and so no singularity; for every
+other m it is the closed form :func:`_H_sq_direct` at a + u, whose integer
+guard takes 1 at integers and the series 1 - (m^2 - 1)(pi s)^2 / 3 within
+1e-9 of one, entry by entry, so no value depends on the rest of the call.
+The level-expansion kernel of :mod:`.verify` multiplies it along the digit
+tree; :func:`eval_H_sq_array` is the same kernel at a = 0.
 :func:`log_H_sq_array` and :func:`log_H_sq_series` give its logarithm, in
 which the completeness tail is summed, and :func:`log_series_taylor`
 tabulates the series once as a Taylor polynomial in a scalar shift of its
@@ -104,9 +101,9 @@ def eval_H_array(m: int, xs: np.ndarray) -> np.ndarray:
 
 
 def _H_sq_direct(m: int, xs: np.ndarray) -> np.ndarray:
-    # |H_m(x)|^2 for m >= 3 from the closed form at each x, with the integer
-    # guard of eval_H_array: 1 at integers, and in the guard band |s| <
-    # _INTEGER_GUARD the series 1 - (m^2 - 1)(pi s)^2 / 3 of the Fejer form
+    # |H_m(x)|^2 from the closed form at each x, with the integer guard of
+    # eval_H_array: 1 at integers, and in the guard band |s| < _INTEGER_GUARD
+    # the series 1 - (m^2 - 1)(pi s)^2 / 3 of the Fejer form
     # 1/m + (2/m) sum_{0<k<m} (1 - k/m) cos(2 pi k s).  With 0 <= 1 - x^2/2 -
     # cos x <= x^4/24 per term, the whole remainder lies in
     # [0, (m^2 - 1)(2 m^2 - 3)(pi s)^4 / 45], below 1.3e-21 for m <= 4096, and
@@ -122,14 +119,6 @@ def _H_sq_direct(m: int, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-# for m >= 4, eval_H_sq_tables recomputes from a + u directly where the
-# angle-addition sum sin(pi a) cos(pi u) + cos(pi a) sin(pi u) cancels, its
-# terms' moduli adding to more than _CANCELLATION times its own, or where its
-# modulus is below _GUARD_SIN, which covers the integer guard band
-# |s| < _INTEGER_GUARD
-_CANCELLATION = 4.0
-_GUARD_SIN = 4.0 * _INTEGER_GUARD
-
 # the signs of sin and cos of x + q pi / 2 against sin/cos of x, q = 0..3, with
 # the two swapped for odd q
 _QUARTER_TURN_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
@@ -137,25 +126,19 @@ _QUARTER_TURN_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
 
 @dataclass(frozen=True)
 class HSqTables:
-    """The argument-independent half of |H_m(a + u)|^2 over a float array u.
+    """The argument-independent half of |H_m(a + u)|^2 over a float array u,
+    reduced to u - round(u).
 
-    With u reduced to u - round(u), ``sin``/``cos`` tabulate the angle
-    pi u for m = 2 and 2 pi u for m = 3, the angles of the cosine forms of
-    :func:`eval_H_sq_tables`.  For any other m >= 4 they tabulate pi u,
-    ``sin_m``/``cos_m`` tabulate pi v with v = m u - round(m u), and ``u``
-    keeps u for the entries :func:`eval_H_sq_tables` recomputes; the
-    reduction is exact for a power-of-two m, and the sign (-1)^round(m u) it
-    drops multiplies both m-tables, so it cancels in the square.  Per call the
-    kernel then needs only the sine and cosine of the same angle of a (and,
-    for m >= 4, of pi m a).
+    For m = 2 and m = 3, ``sin``/``cos`` tabulate the angle of the cosine
+    forms of :func:`eval_H_sq_tables`, pi u and 2 pi u, so per call the kernel
+    needs only the sine and cosine of that angle of a.  For every other m,
+    ``u`` keeps u itself, where the closed form is taken at a + u.
     """
 
     m: int
     u: np.ndarray | None
-    sin: np.ndarray
-    cos: np.ndarray
-    sin_m: np.ndarray | None
-    cos_m: np.ndarray | None
+    sin: np.ndarray | None
+    cos: np.ndarray | None
 
 
 def _sin_cos_two_pi(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,78 +159,53 @@ def H_sq_tables(m: int, us: np.ndarray) -> HSqTables:
     """The tables of :class:`HSqTables` for the kernel H_m over ``us``."""
     u = np.asarray(us, dtype=float)
     u = u - np.round(u)
+    if m == 2:
+        return HSqTables(m, None, np.sin(np.pi * u), np.cos(np.pi * u))
     if m == 3:
-        return HSqTables(m, None, *_sin_cos_two_pi(u), None, None)
-    sin, cos = np.sin(np.pi * u), np.cos(np.pi * u)
-    if m < 3:
-        return HSqTables(m, None, sin, cos, None, None)
-    v = m * u
-    v -= np.rint(v)
-    return HSqTables(m, u, sin, cos, np.sin(np.pi * v), np.cos(np.pi * v))
+        return HSqTables(m, None, *_sin_cos_two_pi(u))
+    return HSqTables(m, u, None, None)
 
 
 def eval_H_sq_tables(t: HSqTables, a, nodes: slice = slice(None)) -> np.ndarray:
     """|H_m(a_r + u)|^2 over the tabulated u of the entries ``nodes``, one row
     per scalar a_r of ``a``, a float array or a sequence of floats.
 
-    With s = a_r + u and every angle expanded by angle addition over the
-    tables (sin(x + y) = sin x cos y + cos x sin y, cos(x + y) =
-    cos x cos y - sin x sin y), no entry takes a sine, a cosine or a division:
-    for m = 2 the value is cos(pi s)^2, and for m = 3 it is
+    With s = a_r + u, for m = 2 the value is cos(pi s)^2, and for m = 3 it is
     ((1 + 2 cos(2 pi s)) / 3)^2, the square of the real e^{2 pi i s} H_3(s),
     with 2 cos(2 pi s) clamped to at most 2: the value is at most 1, and
-    exactly 1 at a_r = 0 with u integral.  For any other m >= 4 it is
-    (sin(pi m s) / (m sin(pi s)))^2, and entries where the angle-addition sum
-    for sin(pi s) cancels (its two terms' moduli add to more than
-    ``_CANCELLATION`` times its own), or where it is within the integer guard
-    band, take :func:`_H_sq_direct` at a_r + u: the closed form, 1 at
-    integers and the series of the Fejer form in the guard band; their (row,
-    column) pairs come from one ``np.flatnonzero`` of the mask, divided by the
-    row length.  The per-row scalars, a_r - round(a_r) and the sines and
-    cosines of its angles, are formed as one column of numpy operations, the
-    IEEE operations of the scalar form.  Every entry is elementwise in its own
-    a_r and u, so a row's bits do not depend on the other rows of the call: a
-    block of grid rows, as the completeness sum passes, gives each row the
-    bits of a call with that a_r alone.  ``nodes`` slices the tables as views.
+    exactly 1 at a_r = 0 with u integral.  Both expand the angle by angle
+    addition over the tables (cos(x + y) = cos x cos y - sin x sin y), so no
+    entry takes a sine, a cosine or a division.  For every other m it is
+    :func:`_H_sq_direct` at a_r - round(a_r) + u: the closed form, 1 at
+    integers and the series of the Fejer form in the guard band (exactly 1
+    throughout for m = 1).  The per-row scalars, a_r - round(a_r) and for the
+    cosine forms the sine and cosine of its angle, are formed as one column of
+    numpy operations, the IEEE operations of the scalar form.  Every entry is
+    elementwise in its own a_r and u, so a row's bits do not depend on the
+    other rows of the call: a block of grid rows, as the completeness sum
+    passes, gives each row the bits of a call with that a_r alone.  ``nodes``
+    slices the tables as views.
     """
     m = t.m
-    sin, cos = t.sin[nodes], t.cos[nodes]
     a = np.asarray(a, dtype=float)
-    if m == 1:
-        return np.ones((len(a), len(sin)))
     a = (a - np.rint(a))[:, None]
     if m == 2:
         p = np.pi * a
-        vals = np.cos(p) * cos
-        vals -= np.sin(p) * sin
+        vals = np.cos(p) * t.cos[nodes]
+        vals -= np.sin(p) * t.sin[nodes]
         vals *= vals
         return vals
     if m == 3:
         # twice the sine and cosine of 2 pi a: the sum below is 2 cos(2 pi s)
         p = TWO_PI * a
-        vals = (2.0 * np.cos(p)) * cos
-        vals -= (2.0 * np.sin(p)) * sin
+        vals = (2.0 * np.cos(p)) * t.cos[nodes]
+        vals -= (2.0 * np.sin(p)) * t.sin[nodes]
         np.minimum(vals, 2.0, out=vals)
         vals += 1.0
         vals /= 3.0
         vals *= vals
         return vals
-    p, ma = np.pi * a, m * a
-    q = np.pi * (ma - np.rint(ma))
-    sin_cos, cos_sin = np.sin(p) * cos, np.cos(p) * sin
-    den = sin_cos + cos_sin
-    with np.errstate(divide="ignore", invalid="ignore"):  # den = 0 is recomputed below
-        vals = ((np.sin(q) * t.cos_m[nodes] + np.cos(q) * t.sin_m[nodes]) / (m * den)) ** 2
-    size = np.abs(den)
-    np.abs(sin_cos, out=sin_cos)
-    np.abs(cos_sin, out=cos_sin)
-    sin_cos += cos_sin
-    odd = sin_cos > _CANCELLATION * size
-    odd |= size < _GUARD_SIN
-    if odd.any():
-        rows, cols = np.divmod(np.flatnonzero(odd), odd.shape[1])
-        vals[rows, cols] = _H_sq_direct(m, a[rows, 0] + t.u[nodes][cols])
-    return vals
+    return _H_sq_direct(m, a + t.u[nodes])
 
 
 def eval_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:
@@ -255,10 +213,10 @@ def eval_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:
 
     The table kernel :func:`eval_H_sq_tables` at a = 0: real arithmetic,
     cos(pi s)^2 for m = 2, ((1 + 2 cos(2 pi s)) / 3)^2 for m = 3, and for
-    m >= 4 the integer guard of :func:`eval_H_array` (1 at integers, in the
-    guard band the series 1 - (m^2 - 1)(pi s)^2 / 3 of the Fejer form
-    1/m + (2/m) sum_{0<k<m} (1 - k/m) cos(2 pi k s) of the squared modulus,
-    see :func:`_H_sq_direct`).
+    every other m the closed form with the integer guard of
+    :func:`eval_H_array` (1 at integers, in the guard band the series
+    1 - (m^2 - 1)(pi s)^2 / 3 of the Fejer form 1/m + (2/m) sum_{0<k<m}
+    (1 - k/m) cos(2 pi k s) of the squared modulus, see :func:`_H_sq_direct`).
     """
     return eval_H_sq_tables(H_sq_tables(m, xs), [0.0])[0]
 

@@ -12,23 +12,22 @@ stay below 1 plus the accumulated certified evaluation slack.
 Both floating-point pillars run on one digit tree (:class:`_Tree`), built
 once per check.  Per level n it holds the partial label sums divided by
 d_n rho_n, reduced level by level in floating point, and the xi-independent
-sine and cosine tables of :class:`~.fourier.HSqTables`.  Each
-G_n is 1-periodic, so the level-n factor at xi + lambda needs only that
-reduced sum, and xi enters the level only through the scalar
-a_n = xi / (d_n rho_n), whose sine and cosine are combined with the tables
-by angle addition.  xi + lambda is never rounded and no large integer
-reaches numpy.  The nodes of a level are in digit-major order, node delta at
-sum_k delta_k d_1 ... d_{k-1}, so a level's products are one broadcast over
-contiguous rows, one row per last digit, and the words new at level n,
-those whose last nonzero digit is n, form one contiguous block.  A uniform
-level with composite d_n = f_1 ... f_r (primes, ascending) runs as r tree
-sub-levels, one per prime: H_{ab}(s) = H_a(s) H_b(a s) splits |H_{d_n}|^2
-into prod_j |H_{f_j}|^2, and sub-level j adds the j-th mixed-radix digit of
-delta_n.  A sub-level with f_j = 2 or 3 is a polynomial in one cosine,
-cos^2(pi s) or ((1 + 2 cos(2 pi s)) / 3)^2, with no division and no
-cancellation guard: the d_n = 2^n of the alpha pairs run only H_2, and
-mu93's d_n = 3 only H_3.  A prime d_n is one sub-level, the level itself;
-primes from 5 on take the quotient of sines with its guard.
+tables of :class:`~.fourier.HSqTables`.  Each G_n is 1-periodic, so the
+level-n factor at xi + lambda needs only that reduced sum, and xi enters the
+level only through the scalar a_n = xi / (d_n rho_n).  xi + lambda is never
+rounded and no large integer reaches numpy.  The nodes of a level are in
+digit-major order, node delta at sum_k delta_k d_1 ... d_{k-1}, so a level's
+products are one broadcast over contiguous rows, one row per last digit, and
+the words new at level n, those whose last nonzero digit is n, form one
+contiguous block.  A uniform level with composite d_n = f_1 ... f_r (primes,
+ascending) runs as r tree sub-levels, one per prime: H_{ab}(s) = H_a(s)
+H_b(a s) splits |H_{d_n}|^2 into prod_j |H_{f_j}|^2, and sub-level j adds the
+j-th mixed-radix digit of delta_n.  A sub-level with f_j = 2 or 3 is a
+polynomial in one cosine, cos^2(pi s) or ((1 + 2 cos(2 pi s)) / 3)^2, from
+sine and cosine tables by angle addition, with no division and no integer
+guard: the d_n = 2^n of the alpha pairs run only H_2, and mu93's d_n = 3
+only H_3.  A prime d_n is one sub-level, the level itself; primes from 5
+on take the closed form at a_n + u with its integer guard.
 
 The products of many xi are walked depth first in tiles (:meth:`_Tree.tiles`):
 blocks of xi rows by tree-level nodes of at most ``_SLICE`` = 2^14 entries, or
@@ -249,7 +248,7 @@ class _Tree:
     sub-digit in contiguous rows, and argument xi / (D_j rho_n).  Its last
     sub-level, D_r = d_n, is the whole level with the full label tau.  A power
     of two thus runs only H_2, and a power of three only H_3, each a cosine
-    form without division or cancellation guard
+    form without division or integer guard
     (:func:`~.fourier.eval_H_sq_tables`), and a prime d_n is one sub-level,
     the level itself.  An explicit level of ``filters``, or a level whose table
     labels are not all congruent to their last digit mod d_n (a mapping that

@@ -244,6 +244,14 @@ def test_beurling_subcommand(mu42, tmp_path):
     assert report["beurling_estimate"] <= report["hausdorff_formula"] + 0.1
 
 
+@pytest.mark.parametrize("level", ["1", "2"])
+def test_beurling_too_shallow_for_a_slope_exits_2(mu42, tmp_path, capsys, level):
+    # these passed with "beurling_estimate": 0.0 from a grid of fewer than two windows
+    assert run(["beurling", "--pair", mu42, "--level", level, "--out", str(tmp_path / "o")]) == 2
+    assert "--level" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sample_subcommand(mu42, tmp_path):
     out = tmp_path / "out"
     assert run(["sample", "--pair", mu42, "--count", "20000", "--seed", "3",

@@ -170,7 +170,7 @@ def test_box_counting_equals_the_interval_family_fit(pair, depth):
 def test_box_counting_keeps_the_interval_budget():
     with pytest.raises(BudgetExceededError) as err:
         box_counting_dim(MU42, 12, budget=1000)
-    assert err.value.required == 1024
+    assert err.value.required == 4096
 
 
 def window_count_oracle(elements, h):
@@ -207,6 +207,14 @@ def test_beurling_vs_hausdorff():
     assert rep82.beurling == pytest.approx(1 / 3, abs=0.02)
     deviated = TreeMapping(MU42, {(1,): -1, (1, 1): -1})
     assert beurling_vs_hausdorff(deviated, 6).passed
+
+
+def test_beurling_vs_hausdorff_needs_two_windows():
+    # levels 1 and 2 give the windows () and (rho_2 / 2,): no slope, so no verdict
+    for level in (1, 2):
+        with pytest.raises(ValueError, match="at least 2"):
+            beurling_vs_hausdorff(canonical_tau(MU42), level)
+    assert beurling_vs_hausdorff(canonical_tau(MU42), 3).beurling == pytest.approx(0.5)
 
 
 def test_degenerate_window_grid_rejected():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -13,7 +13,6 @@ from cantorspec import (FilterCertificationError, FilterFamily,
                         eval_H_sq_array, filter_family_from_config, mu_hat,
                         mu_hat_array,
                         mu_hat_exact_zero, phi_hat, qmf_check, uniform_family)
-from cantorspec import fourier
 from cantorspec.fourier import (LOG_SERIES_THETA, _ZETA_OVER_J, H_sq_tables, _H_sq_direct,
                                 eval_H_sq_tables, log_H_sq_array, log_H_sq_series,
                                 eval_log_series_taylor, log_series_coefficients,
@@ -130,10 +129,17 @@ def closed_form_arguments(m):
                            [k + e for k in (0, 3) for e in (-2e-9, -1e-9, -1e-12, 1e-300, 5e-10, 1.1e-9)]])
 
 
-@pytest.mark.parametrize("m", [2, 4, 5, 9, 16, 17, 64, 1024])
+@pytest.mark.parametrize("m", [2, 4, 5, 7, 9, 16, 17, 64, 1024])
 def test_eval_H_sq_array_equals_closed_form_bit_for_bit(m):
+    # at a = 0, and for m >= 4 on nonzero rows a_r too: the table kernel is the
+    # closed form at a_r - round(a_r) + u, u reduced mod 1 as the tables hold it
     xs = closed_form_arguments(m)
     assert np.array_equal(eval_H_sq_array(m, xs), closed_form_H_sq(m, xs))
+    if m >= 4:
+        a = np.array([1e-12, -0.25 + 3e-10, 0.37, 0.5 / m, -0.3 / m, 2.25, -1.5, 1e-9 - 0.5])
+        s = (a - np.rint(a))[:, None] + (xs - np.round(xs))
+        rows = eval_H_sq_tables(H_sq_tables(m, xs), a)
+        assert np.array_equal(rows, closed_form_H_sq(m, s)), m
 
 
 def assert_cosine_form_accurate(a, us, rows):
@@ -181,7 +187,7 @@ def H_sq_mpmath(m, a, u):
 def kernel_arguments(draw):
     # a within half a period of the kernel's first zero, as xi / (d_n rho_n) is
     # for xi in [0, 1/2]; u a reduced label sum j / (m q^k) of a digit tree
-    m = draw(st.sampled_from([2, 3, 4, 9, 16, 1024]))
+    m = draw(st.sampled_from([2, 3, 4, 5, 7, 9, 16, 1024]))
     a = draw(st.floats(min_value=-0.5 / m, max_value=0.5 / m))
     den = m * draw(st.sampled_from([2, 3])) ** draw(st.integers(0, 8))
     u = draw(st.one_of(st.sampled_from([0.0, 0.5, -0.5]),
@@ -190,6 +196,7 @@ def kernel_arguments(draw):
 
 
 @given(kernel_arguments())
+@example(args=(9, -0.0026846982095470526, 6 / 6561))  # a quotient of sines by angle addition erred 1.02e-15
 @settings(deadline=None, max_examples=600)
 def test_table_kernel_as_accurate_as_closed_form(args):
     m, a, u = args
@@ -202,29 +209,18 @@ def test_table_kernel_as_accurate_as_closed_form(args):
 
 @pytest.mark.parametrize("m", [9, 16, 1024])
 def test_table_kernel_angles_on_tree_shaped_arguments(m):
-    # the m-tables hold the sine and cosine of pi m u up to one common sign,
-    # from m u reduced mod 1 (exactly for a power-of-two m), not of the rounded
-    # product fl(pi m) u, whose absolute error grows like m ulp; and the kernel
-    # is within 5 ulp in the unit of the kernel test (which weighs the error by
-    # the condition number, so there the rounded product looked as good)
+    # on reduced label sums j / (m q^k) the kernel is within 5 ulp in the unit
+    # of the kernel test, which weighs the error by the condition number
     rng = np.random.default_rng(m)
-    worst_angle = worst_kernel = 0.0
+    worst_kernel = 0.0
     for q in (2, 3):
         den = m * q ** rng.integers(0, 9, size=100)
         us = rng.integers(-(den // 2), den // 2 + 1) / den
         tables = H_sq_tables(m, us)
-        with mp.workdps(40):
-            for u, sin_m, cos_m in zip(us, tables.sin_m, tables.cos_m):
-                angle = mp.pi * m * mp.mpf(u)
-                err = min(max(abs(sign * sin_m - mp.sin(angle)), abs(sign * cos_m - mp.cos(angle)))
-                          for sign in (1, -1))
-                exact = m & (m - 1) == 0  # m u and its reduction are exact
-                worst_angle = max(worst_angle, float(err) / (1 if exact else 1 + math.pi * abs(m * u)))
         for a in rng.uniform(-0.5 / m, 0.5 / m, size=3):
             for u, got in zip(us, eval_H_sq_tables(tables, [a])[0]):
                 want, unit = H_sq_mpmath(m, a, u)
                 worst_kernel = max(worst_kernel, float(abs(mp.mpf(got) - want) / unit))
-    assert worst_angle <= 2.0 ** -52, worst_angle / 2.0 ** -52
     assert worst_kernel <= 5 * 2.0 ** -52, worst_kernel / 2.0 ** -52
 
 
@@ -299,38 +295,9 @@ def test_eval_H_array_entries_do_not_depend_on_the_call(m):
         assert batch[i] == eval_H_array(m, xs[i:i + 1])[0], (m, xs[i])
 
 
-@pytest.mark.parametrize("m", [9, 1024])
-def test_table_kernel_recomputes_the_entries_where_they_sit(m):
-    # an entry recomputes where sin(pi a) cos(pi u) + cos(pi a) sin(pi u)
-    # cancels, its terms' moduli adding to more than 4 times its own, or lies
-    # in the integer guard band: (0, 1) in the band at a = 0, (1, 2) at
-    # s = 1e-13 and (2, 6) at s = -5e-4 against |a| + |u| = 6.5e-3; a and u of
-    # one sign, as at (1, 1) and (2, 1), never cancel, and (2, 3), whose terms
-    # add to 3.9996 times the sum, stays with angle addition
-    a = [0.0, 1e-6, 3e-3]
-    us = np.array([0.2, 5e-10, -1e-6 + 1e-13, -0.005, 0.31, -0.4, -0.0035])
-    calls = []
-
-    def direct(m, xs):
-        calls.append(xs)
-        return _H_sq_direct(m, xs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fourier, "_H_sq_direct", direct)
-        rows = eval_H_sq_tables(H_sq_tables(m, us), a)
-    recomputed = [(0, 1), (1, 2), (2, 6)]
-    assert len(calls) == 1 and list(calls[0]) == [a[r] + us[c] for r, c in recomputed]
-    for r, c in recomputed:
-        assert rows[r, c] == _H_sq_direct(m, np.array([a[r] + us[c]]))[0], (m, r, c)
-    for r, x in enumerate(a):
-        for c, u in enumerate(us):
-            assert rows[r, c] == eval_H_sq_tables(H_sq_tables(m, [u]), [x])[0, 0], (m, r, c)
-
-
 def test_cosine_form_at_integers_and_in_the_guard_band():
-    # m = 3 recomputes nothing: on the arguments where the closed form
-    # recomputes entries, and on a + u at or within 1e-9 of an integer for a
-    # across the range xi / (3 rho_n) takes, the kernel is 1 at integers where
+    # on arguments where a + u nearly cancels, and on a + u at or within 1e-9
+    # of an integer for a across the range xi / (3 rho_n) takes, the kernel is 1 at integers where
     # a = 0 or the quarter turns make every sine and cosine exact, and within
     # 2 ulp of mpmath in the band, each entry as in a call of its own
     rng = np.random.default_rng(3)
@@ -367,7 +334,7 @@ def test_table_kernel_rows_equal_one_call_per_row():
 
 def test_table_kernel_array_argument_equals_list_and_rows():
     # a as a float array: the list call and the one-row calls, bit for bit,
-    # for the cosine forms and the quotient of sines, prime and composite m
+    # for the cosine forms and the closed form, prime and composite m
     rng = np.random.default_rng(6)
     for m in (1, 2, 3, 5, 6):
         us = np.concatenate([rng.integers(-64, 64, 200) / (2 * m), rng.uniform(-0.5, 0.5, 50)])
@@ -377,35 +344,6 @@ def test_table_kernel_array_argument_equals_list_and_rows():
         assert np.array_equal(rows, eval_H_sq_tables(t, a)), m
         for x, row in zip(a, rows):
             assert np.array_equal(row, eval_H_sq_tables(t, [x])[0]), (m, x)
-
-
-def test_quotient_kernel_recomputes_only_where_the_sum_cancels(monkeypatch):
-    # the u = 0 node has sin(pi s) = sin(pi a) exactly and nothing to cancel, and
-    # a and u of one sign add without cancellation: a partition of
-    # constant_pair(25, 5) at L = 5 over 50 draws recomputes 18 entries in one of
-    # its 16 kernel calls (every call recomputed while |den| < 4 |sin(pi a)|
-    # flagged the u = 0 node), and the entries angle addition now keeps are as
-    # accurate as the closed form, as in the kernel test above
-    from cantorspec import verify
-    from cantorspec.spectra import canonical_tau
-    direct, kernel, recomputed, calls = fourier._H_sq_direct, verify.eval_H_sq_tables, [], []
-    monkeypatch.setattr(fourier, "_H_sq_direct", lambda m, xs: recomputed.append(len(xs)) or direct(m, xs))
-    monkeypatch.setattr(verify, "eval_H_sq_tables", lambda *args: calls.append(1) or kernel(*args))
-    pair = constant_pair(25, 5)
-    xis = np.random.default_rng(0).uniform(0.0, 1.0, 50)
-    verify.partition_levels(canonical_tau(pair), list(xis), 5)
-    assert len(calls) == 16 and recomputed == [18]
-    monkeypatch.undo()
-    tree = verify._Tree(canonical_tau(pair), verify._Scales(pair), 3, uniform_family(pair))
-    for t in (1, 2, 3):
-        tables = tree.kernels[t - 1]
-        for xi in xis[:3]:
-            a = xi / tree.scale[t]
-            for u, got in zip(tables.u, eval_H_sq_tables(tables, [a])[0]):
-                closed = closed_form_H_sq(5, np.array([a + u]))[0]
-                want, unit = H_sq_mpmath(5, a, u)
-                err, closed_err = (float(abs(mp.mpf(v) - want) / unit) for v in (got, closed))
-                assert err <= closed_err + 4 * 2.0 ** -52, (t, a, u, err, closed_err)
 
 
 def log_H_sq_mpmath(m, s):

@@ -14,7 +14,7 @@ from cantorspec import (BudgetExceededError, FilterFamily, TreeMapping, canonica
                         orthogonality_check, partition_identity,
                         partition_levels, uniform_family, word_count)
 from cantorspec import default_depth, exact_mean, hausdorff_dim_formula, sample_measure, verify
-from cantorspec.fourier import (LOG_SERIES_THETA, TWO_PI, H_sq_tables, _H_sq_direct, _float_div,
+from cantorspec.fourier import (LOG_SERIES_THETA, TWO_PI, H_sq_tables, _float_div,
                                 eval_filter, eval_H_sq_tables, log_H_sq_array,
                                 log_H_sq_series, truncation_level, truncation_target)
 
@@ -603,18 +603,14 @@ def child_major_tree(tm, level):
     return scales, us, lam, fresh, deep
 
 
-def child_major_weights(tm, level, xi, filters, direct=False):
-    """Oracle: w per level on the child-major tree, w = np.repeat(w, d) * factors;
-    with ``direct``, the quotient of sines (d >= 4) from the closed form at each
-    a + u (:func:`_H_sq_direct`) instead of the table kernel."""
+def child_major_weights(tm, level, xi, filters):
+    """Oracle: w per level on the child-major tree, w = np.repeat(w, d) * factors."""
     scales, us, *_ = child_major_tree(tm, level)
     w, out = np.ones(1), []
     for n, u in enumerate(us, start=1):
         d = scales.d[n]
         a = _float_div(xi, d * scales.rho[n])
-        if filters.is_uniform(n) and direct and d >= 4:
-            factors = _H_sq_direct(d, a + u)
-        elif filters.is_uniform(n):
+        if filters.is_uniform(n):
             factors = eval_H_sq_tables(H_sq_tables(d, u), [a])[0]
         else:
             g = eval_filter(np.asarray(filters.coefficients(n)), a + u)
@@ -726,14 +722,13 @@ def mp_level_products(pair, xi, level):
 def test_sub_level_products_match_mpmath(pair, level):
     # the products of the sub-levels of a composite d_n are as close to the
     # exact level products as the closed form of H_{d_n} at each argument, up
-    # to 2 ulp(1); the closed form is taken directly, not through the table
-    # kernel, whose choice of the entries it recomputes so moves with its rule
+    # to 2 ulp(1); for d_n >= 4 the table kernel is that closed form
     tm, filters = canonical_tau(pair), uniform_family(pair)
     tree = verify._Tree(tm, verify._Scales(pair), level, filters)
     scales = verify._Scales(pair).upto(level)
     assert tree.ends[level] > level
     for xi in TILE_XIS:
-        closed = child_major_weights(tm, level, xi, filters, direct=True)
+        closed = child_major_weights(tm, level, xi, filters)
         exact = mp_level_products(pair, xi, level)
         for t, _, (w,) in tree.tiles([xi], tree.ends[level]):
             if t not in tree.ends[1:]:
