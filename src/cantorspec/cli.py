@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dimension as dim
 from . import sampling, svgplot
-from .core import BudgetExceededError, ScalePair, pair_from_config, validate_pair
+from .core import BudgetExceededError, ScalePair, _Scales, pair_from_config, validate_pair
 from .fourier import certificate_report, filter_family_from_config
 from .spectra import (TreeMapping, canonical_tau, enumerate_level,
                       tree_mapping_from_config, validate_tree_mapping, word_count)
@@ -145,24 +145,18 @@ def _capped_level(pair: ScalePair, requested: int, cap: int) -> int:
     return max(level, 1)
 
 
-def _box_depth(pair: ScalePair, budget: int, min_intervals: int = 1000) -> int:
-    depth = 2
-    while word_count(pair, depth + 1) <= budget and word_count(pair, depth) < min_intervals:
-        depth += 1
-    return depth
-
-
 # ---------------------------------------------------------------------------
 # checks: (pair, tree mapping, flags) -> (passed, payload, artifact writers)
 # ---------------------------------------------------------------------------
 
 def _check_pair(pair, tm, args):
     report = validate_pair(pair, depth=args.level)
+    top = min(args.level, 12) + 1  # rho_1 .. rho_top
     return report.ok, {
         "ok": report.ok,
         "issues": [{"condition": i.condition, "location": i.location, "message": i.message}
                    for i in report.issues],
-        "rho": [str(pair.rho(n)) for n in range(1, min(args.level, 12) + 2)],
+        "rho": [str(r) for r in _Scales(pair).upto(top - 1).rho[1:top + 1]],
     }, []
 
 
@@ -247,12 +241,12 @@ def _check_dimension(pair, tm, args):
     if args.level < 2:  # the ratio sequence needs two terms
         raise ConfigError(f"--level must be >= 2 for dimension, got {args.level}")
     formula = dim.hausdorff_dim_formula(pair, args.level)
-    box_depth = _box_depth(pair, args.budget)
-    box = dim.box_counting_dim(pair, box_depth, budget=args.budget)
+    box = dim.box_counting_dim(pair, args.level)
     agree = abs(box.slope - formula.liminf_proxy) <= 0.05
 
     def write_intervals(out):
-        family = dim.build_intervals(pair, min(box_depth, 6), budget=args.budget)
+        depth = _capped_level(pair, 6, cap=min(args.budget, 4096))
+        family = dim.build_intervals(pair, depth, budget=args.budget)
         _write_csv(out, "intervals.csv", ["word", "left", "right"],
                    [["".join(map(str, word)) if word else "()", str(lo), str(hi)]
                     for word, lo, hi in family.intervals(family.depth)])
@@ -261,8 +255,8 @@ def _check_dimension(pair, tm, args):
         "formula_liminf_proxy": formula.liminf_proxy,
         "box_slope": box.slope,
         "box_residual": box.residual,
-        "box_depth": box_depth,
-        "box_intervals": box.interval_count,
+        "box_depth": box.levels_used,
+        "box_intervals": str(box.interval_count),
         "agree_within_0.05": agree,
     }, [
         lambda out: _write_csv(out, "dimension_ratios.csv", ["N", "s_N"],

@@ -34,7 +34,7 @@ class BudgetExceededError(RuntimeError):
 class Issue:
     """One violation found by a validator."""
 
-    condition: str  # short tag: "1<d", "d<b", "divisibility", "quotient>=2", "i", "ii", "iii", "word"
+    condition: str  # short tag: "1<d", "d<b", "divisibility", "quotient>=2", "i", "ii", "word"
     location: str
     message: str
 
@@ -88,16 +88,6 @@ class ScalePair:
             return _alpha_rule(self.alpha, n)[1]
         return self.d_prefix[-1]
 
-    def rho(self, n: int) -> int:
-        return rho(self, n)
-
-    def rho_list(self, depth: int) -> list[int]:
-        """[rho_1, ..., rho_{depth+1}] as exact integers."""
-        out = [1]
-        for n in range(1, depth + 1):
-            out.append(out[-1] * self.b(n))
-        return out
-
     def describe(self) -> str:
         if self.label:
             return self.label
@@ -133,7 +123,7 @@ def rho(pair: ScalePair, n: int) -> int:
     """The exact scale rho_n = prod_{j<n} b_j; rho(pair, 1) == 1."""
     if n < 1:
         raise ValueError(f"level index must be >= 1, got {n}")
-    return pair.rho_list(n - 1)[-1]
+    return _Scales(pair).upto(n - 1).rho[n]
 
 
 def check_growth(pair: ScalePair, n: int, b_n: int):
@@ -144,7 +134,9 @@ def check_growth(pair: ScalePair, n: int, b_n: int):
 
 
 class _Scales:
-    """d_n, q_n = b_n / d_n and rho_n of a pair, 1-indexed, extended on demand."""
+    """d_n, q_n = b_n / d_n and rho_n of a pair, 1-indexed, extended on demand:
+    the one forward walk of the scales, which :func:`rho`, the truncated
+    products, the sampler and the frequency walks read."""
 
     def __init__(self, pair: ScalePair):
         self.pair = pair

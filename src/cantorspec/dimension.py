@@ -6,9 +6,10 @@ r_{n+1} |parent| separated by equal gaps, first child left-aligned, last
 right-aligned.  The ratios r_n are quotients of the tails
 sum_{j>=n} (d_j - 1)/(d_j rho_j), computed here as exact rationals from
 certified truncations.  The Hausdorff dimension is the liminf of
-sum ln d_j / sum ln(1/r_j); a box-count fit of the level counts against the
-level lengths checks how steadily those partial ratios settle, and a
-windowed-count fit estimates the upper Beurling dimension of a frequency set.
+sum ln d_j / sum ln(1/r_j), the formula of homogeneous Moran sets; a
+box-count fit of the level counts against the level lengths, to the same
+depth, checks how steadily those partial ratios settle, and a windowed-count
+fit estimates the upper Beurling dimension of a frequency set.
 """
 
 from __future__ import annotations
@@ -21,17 +22,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScalePair
+from .core import ScalePair, _Scales
 from .spectra import TreeMapping, _elements_of, check_word_budget, enumerate_level
 
+_REL_TOL = 1e-15        # relative accuracy of every truncated tail
+_BEURLING_SLACK = 0.1   # allowance of the windowed-count slope over the formula
+_FORMULA_DEPTH = 40     # N of the formula value the windowed count is held to
 
-def _tail_numerators(pair: ScalePair, n_max: int, rel_tol: float = 1e-15) -> tuple[list[int], int, int]:
+
+def _tail_numerators(pair: ScalePair, n_max: int) -> tuple[list[int], int, int]:
     """Integer numerators U_n = rho_{M+1} * sum_{j=n..M} (d_j-1)/(d_j rho_j).
 
     d_j rho_j divides rho_{M+1}, so the truncated tails are exact integers
-    over the common denominator rho_{M+1}.  M is grown until the omitted tail
-    (< 2/rho_{M+1} by geometric domination) is below rel_tol relative to the
-    smallest tail used, i.e. until U_{n_max+1} >= 2/rel_tol.
+    over the common denominator rho_{M+1}.  One pass from j = M down forms
+    each rho_{M+1} // (d_j rho_j) as (b_j * tail) // d_j, tail =
+    rho_{M+1} / rho_{j+1} a running suffix product, which is the same floor
+    for every pair, admissible or not.  M is grown until the omitted tail
+    (< 2/rho_{M+1} by geometric domination) is below _REL_TOL relative to the
+    smallest tail used, i.e. until U_{n_max+1} >= 2/_REL_TOL.
     Returns (U_1..U_{n_max+1}, rho_{M+1}, M).  A ValueError when the entry
     that repeats has b = 1 or d = 1: the tails then never shrink, or vanish.
     """
@@ -39,47 +47,47 @@ def _tail_numerators(pair: ScalePair, n_max: int, rel_tol: float = 1e-15) -> tup
         n = len(pair.b_prefix)
         raise ValueError(f"b_n = {pair.b(n)}, d_n = {pair.d(n)} from level {n} on: "
                          f"the interval model needs b_n, d_n >= 2")
-    need = math.ceil(2.0 / rel_tol)
+    need = math.ceil(2.0 / _REL_TOL)
     m = n_max + 4
     while True:
-        rho = pair.rho_list(m)  # rho_1..rho_{m+1}
-        rho_top = rho[m]
         u = [0] * (m + 2)
+        tail = 1
         for j in range(m, 0, -1):
-            d_j = pair.d(j)
-            u[j] = u[j + 1] + (d_j - 1) * (rho_top // (d_j * rho[j - 1]))
+            b_j, d_j = pair.b(j), pair.d(j)
+            u[j] = u[j + 1] + (d_j - 1) * (b_j * tail // d_j)
+            tail *= b_j
         if u[n_max + 1] >= need:
-            return u[1: n_max + 2], rho_top, m
+            return u[1: n_max + 2], tail, m
         m += 8
 
 
-def _ratio_numerators(pair: ScalePair, n_max: int, rel_tol: float = 1e-15) -> list[int]:
+def _ratio_numerators(pair: ScalePair, n_max: int) -> list[int]:
     """U_1..U_{n_max+1} of :func:`_tail_numerators`, so that r_n = U_{n+1}/U_n,
     after checking r_n d_n <= 1 as U_{n+1} d_n <= U_n in integers."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    u, _, _ = _tail_numerators(pair, n_max, rel_tol)
+    u, _, _ = _tail_numerators(pair, n_max)
     for n in range(1, n_max + 1):
         if u[n] * pair.d(n) > u[n - 1]:
             raise AssertionError(f"r_{n} d_{n} > 1; inadmissible pair slipped through")
     return u
 
 
-def gap_ratios(pair: ScalePair, n_max: int, rel_tol: float = 1e-15) -> list[Fraction]:
+def gap_ratios(pair: ScalePair, n_max: int) -> list[Fraction]:
     """Ratios r_1..r_{n_max} as exact rationals of certified truncations.
 
-    Each r_n = U_{n+1}/U_n is accurate to rel_tol relative error against the
+    Each r_n = U_{n+1}/U_n is accurate to 1e-15 relative error against the
     untruncated ratio (the shared omitted tail only lowers the quotient), and
     r_n d_n <= 1 holds for every returned ratio.
     """
-    u = _ratio_numerators(pair, n_max, rel_tol)
+    u = _ratio_numerators(pair, n_max)
     return [Fraction(u[n], u[n - 1]) for n in range(1, n_max + 1)]
 
 
-def rescale_constant(pair: ScalePair, rel_tol: float = 1e-15) -> Fraction:
+def rescale_constant(pair: ScalePair) -> Fraction:
     """The factor sum_n (d_n - 1)/(d_n rho_n) mapping the unit-interval model
     onto the pair's Cantor set, as a certified truncation."""
-    u, rho_top, _ = _tail_numerators(pair, 1, rel_tol)
+    u, rho_top, _ = _tail_numerators(pair, 1)
     return Fraction(u[0], rho_top)
 
 
@@ -192,20 +200,20 @@ def _least_squares(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, flo
     return slope, residual
 
 
-def box_counting_dim(pair: ScalePair, depth: int, budget: int = 10**6) -> BoxCountFit:
+def box_counting_dim(pair: ScalePair, depth: int) -> BoxCountFit:
     """Log-log slope of interval count against inverse interval length.
 
     The level-n intervals of :func:`build_intervals` number d_1 ... d_n and
     each has length r_1 ... r_n = U_{n+1}/U_1 (exact, the tail numerators of
     :func:`gap_ratios`), so the fit reads the logarithms of these quotients
-    directly, under the same interval budget, without building the family.
-    It shares the gap ratios of :func:`hausdorff_dim_formula` and so is no
-    independent check of them: it shows how steadily the per-level ratio of
-    the logarithms settles.  Needs at least 2 levels for a fit.
+    directly and enumerates nothing: any depth costs one integer pass, and
+    the dimension check fits at the formula's own N.  It shares the gap
+    ratios of :func:`hausdorff_dim_formula` and so is no independent check of
+    them: it shows how steadily the per-level ratio of the logarithms
+    settles.  Needs at least 2 levels for a fit.
     """
     if depth < 2:
         raise ValueError(f"depth must be >= 2 for a slope fit, got {depth}")
-    check_word_budget(pair, depth, budget, least=0)
     xs = []
     ys = []
     u = _ratio_numerators(pair, depth)
@@ -225,31 +233,24 @@ class BeurlingEstimate:
     counts: tuple[tuple[float, int], ...]   # (window half-width h, sup count)
 
 
-def beurling_upper_dim(level_or_elements, window_grid: Sequence[float] | None = None) -> BeurlingEstimate:
+def beurling_upper_dim(level_or_elements, window_grid: Sequence[float]) -> BeurlingEstimate:
     """Windowed-count slope estimating the upper Beurling dimension.
 
-    For each half-width h, takes the supremum over window centers drawn from
-    the set itself of #(set intersect [x-h, x+h]), then fits log sup-count
-    against log h.  A finite-window heuristic for a limsup: evidence, not
-    proof.
+    For each half-width h of ``window_grid``, takes the supremum over window
+    centers drawn from the set itself of #(set intersect [x-h, x+h]), then
+    fits log sup-count against log h.  A finite-window heuristic for a
+    limsup: evidence, not proof.  A ValueError when the grid holds fewer than
+    two distinct windows, which leave no slope to fit.
     """
     elements = _elements_of(level_or_elements)
     if not elements:
         raise ValueError("empty frequency set")
-    span = elements[-1] - elements[0]
-    if window_grid is None:
-        # start wide enough that windows hold several points, stop before
-        # edge saturation flattens the counts
-        h = max(1.0, span / 64.0)
-        window_grid = []
-        while h <= max(1.0, span / 4.0):
-            window_grid.append(h)
-            h *= 2.0
-        if not window_grid:
-            window_grid = [1.0]
     hs = sorted(set(float(h) for h in window_grid))
     if any(h <= 0 for h in hs):
         raise ValueError("window grid must be positive")
+    if len(hs) < 2:
+        raise ValueError(f"the window grid holds {len(hs)} distinct window(s), "
+                         f"and a slope needs at least 2")
     counts = []
     for h in hs:
         sup = 0
@@ -258,11 +259,7 @@ def beurling_upper_dim(level_or_elements, window_grid: Sequence[float] | None = 
             hi = bisect.bisect_right(elements, x + h)
             sup = max(sup, hi - lo)
         counts.append((h, sup))
-    if len(hs) >= 2:
-        slope, _ = _least_squares([math.log(h) for h, _ in counts],
-                                  [math.log(c) for _, c in counts])
-    else:
-        slope = 0.0
+    slope, _ = _least_squares([math.log(h) for h, _ in counts], [math.log(c) for _, c in counts])
     return BeurlingEstimate(slope=slope, counts=tuple(counts))
 
 
@@ -275,23 +272,18 @@ class DimensionComparison:
     level: int
 
 
-def beurling_vs_hausdorff(tm: TreeMapping, level: int, n_max: int = 40,
-                          slack: float = 0.1, budget: int = 10**6) -> DimensionComparison:
-    """Check the counting estimate against the formula value plus slack.
+def beurling_vs_hausdorff(tm: TreeMapping, level: int, budget: int = 10**6) -> DimensionComparison:
+    """Check the counting estimate against the formula value at N = 40 plus
+    a slack of 0.1.
 
     The window grid is tied to the scales (h_j = rho_j / 2 for 2 <= j <= level,
     below 2^500), where the windowed counts of canonical spectra are exactly
-    the level cardinalities.  A ValueError when it holds fewer than two
-    windows, which leave no slope to fit.
+    the level cardinalities.  A ValueError of :func:`beurling_upper_dim` when
+    it holds fewer than two windows.
     """
     pair = tm.pair
-    rho = pair.rho_list(level)
-    grid = [rho[j] / 2.0 for j in range(1, level) if rho[j].bit_length() < 500]
-    if len(grid) < 2:
-        raise ValueError(f"level {level} gives {len(grid)} scale window(s) rho_j / 2, "
-                         f"and a slope needs at least 2")
-    lev = enumerate_level(tm, level, budget=budget)
-    est = beurling_upper_dim(lev, window_grid=grid)
-    formula = hausdorff_dim_formula(pair, n_max).liminf_proxy
-    return DimensionComparison(beurling=est.slope, hausdorff=formula, slack=slack,
-                               passed=est.slope <= formula + slack, level=level)
+    grid = [r / 2.0 for r in _Scales(pair).upto(level).rho[2:level + 1] if r.bit_length() < 500]
+    est = beurling_upper_dim(enumerate_level(tm, level, budget=budget), window_grid=grid)
+    formula = hausdorff_dim_formula(pair, _FORMULA_DEPTH).liminf_proxy
+    return DimensionComparison(beurling=est.slope, hausdorff=formula, slack=_BEURLING_SLACK,
+                               passed=est.slope <= formula + _BEURLING_SLACK, level=level)

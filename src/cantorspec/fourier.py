@@ -375,19 +375,17 @@ def mu_hat_exact_zero(pair: ScalePair, nu: int) -> ZeroWitness:
     level n with rho_n | nu and d_n rho_n not | nu; no factor can vanish once
     rho_n > |nu|, and the nonvanishing tail product stays nonzero because
     sum_n |1 - H_{d_n}(nu / (d_n rho_n))| is geometrically dominated.
-    Pure integer arithmetic.
+    Pure integer arithmetic.  A ValueError where a repeating b_n = 1 keeps
+    every rho_n at or below |nu| (:meth:`~.core._Scales.reach`).
     """
     nu = int(nu)
     if nu == 0:
         return ZeroWitness(False, None)  # transform equals 1 at the origin
-    a = abs(nu)
-    rho_n = 1
-    n = 1
-    while rho_n <= a:
-        if nu % rho_n == 0 and nu % (rho_n * pair.d(n)) != 0:
+    scales = _Scales(pair)
+    top, _ = scales.reach(abs(nu) + 1)  # rho_n <= |nu| exactly for n <= top
+    for n in range(1, top + 1):
+        if nu % scales.rho[n] == 0 and nu % (scales.rho[n] * scales.d[n]) != 0:
             return ZeroWitness(True, n)
-        rho_n *= pair.b(n)
-        n += 1
     return ZeroWitness(False, None)
 
 
@@ -463,16 +461,15 @@ def _truncated_product(pair: ScalePair, xs, tol: float, tail: float = TWO_PI, le
     product."""
     xs = np.asarray(xs, dtype=float)
     xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
-    n_levels, rho_next = truncation_level(pair, xmax, tol, tail, levels)
+    scales = _Scales(pair)
+    n_levels, rho_next = scales.reach(truncation_target(xmax, tol, tail), levels)
     values = np.ones(xs.shape, dtype=complex)
-    rho_n = 1
     for n in range(1, n_levels + 1):
-        d = pair.d(n)
-        scale = d * rho_n
+        d = scales.d[n]
+        scale = d * scales.rho[n]
         if scale.bit_length() > 1020:
             break
         values *= factor(n, d, xs / float(scale))
-        rho_n *= pair.b(n)
     radii = np.expm1(tail * np.abs(xs) / _cap_float(rho_next))
     return values, radii, n_levels
 
@@ -512,7 +509,6 @@ class QmfReport:
 
     passed: bool
     max_defect: float          # worst |a_{m d} - [m=0]/d| over autocorrelation lags
-    grid_defect: float         # worst |sum_l |G(xi + l/d)|^2 - 1| on the cross-check grid
     d: int
     degree: int
 
@@ -529,14 +525,12 @@ def eval_filter(g: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return (np.asarray(g, dtype=complex).reshape(-1, 1) * np.exp(-2j * np.pi * j * np.asarray(xs, dtype=float))).sum(axis=0)
 
 
-def qmf_check(g, d: int, tol: float = 1e-12, grid_points: int = 1000) -> QmfReport:
+def qmf_check(g, d: int, tol: float = 1e-12) -> QmfReport:
     """Certify the d-channel identity sum_{l<d} |G(xi + l/d)|^2 = 1.
 
     The decision is algebraic: the identity holds iff the autocorrelations
     a_m = sum_j g_j conj(g_{j+m}) satisfy a_{m d} = (1/d) [m=0] for all m, so
-    pass/fail cannot depend on any grid resolution.  A direct evaluation of
-    the channel sum on ``grid_points`` arguments is reported alongside as a
-    cross-check.
+    pass/fail depends on no grid of arguments, and none is evaluated.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
@@ -549,13 +543,7 @@ def qmf_check(g, d: int, tol: float = 1e-12, grid_points: int = 1000) -> QmfRepo
     while lag <= degree:
         defect = max(defect, abs(_autocorrelation(g, lag)))
         lag += d
-    xs = np.arange(grid_points) / grid_points
-    channel = np.zeros(grid_points)
-    for l in range(d):
-        channel += np.abs(eval_filter(g, xs + l / d)) ** 2
-    grid_defect = float(np.max(np.abs(channel - 1.0)))
-    return QmfReport(passed=bool(defect <= tol), max_defect=float(defect),
-                     grid_defect=grid_defect, d=d, degree=degree)
+    return QmfReport(passed=bool(defect <= tol), max_defect=float(defect), d=d, degree=degree)
 
 
 def _window_infimum(g: np.ndarray, d: int, grid_points: int = 4096, refinements: int = 6) -> float:

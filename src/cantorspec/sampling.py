@@ -27,7 +27,7 @@ def default_depth(pair: ScalePair, radius_target: float = 1e-15) -> int:
 
 def truncation_radius(pair: ScalePair, depth: int) -> float:
     """Upper bound 2/rho_{depth+1} for the per-sample truncation error."""
-    rho_next = pair.rho(depth + 1)
+    rho_next = _Scales(pair).upto(depth).rho[depth + 1]
     if rho_next.bit_length() > 1020:
         return 0.0
     return 2.0 / rho_next
@@ -57,13 +57,12 @@ def _accumulate(pair: ScalePair, count: int, levels) -> np.ndarray:
     """sum_n j_n / (d_n rho_n) over the per-level digit arrays ``levels``,
     one level at a time, so no count x depth digit matrix is ever held."""
     values = np.zeros(count)
-    rho_n = 1
+    scales = _Scales(pair)
     for n, digits in enumerate(levels, start=1):
-        scale = pair.d(n) * rho_n
+        scale = scales.upto(n).d[n] * scales.rho[n]
         if scale.bit_length() > 1020:
             break  # weight underflows double precision entirely
         values += digits * (1.0 / scale)
-        rho_n *= pair.b(n)
     return values
 
 

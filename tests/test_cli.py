@@ -222,7 +222,7 @@ def test_dimension_subcommand(mu42, tmp_path):
     report = json.loads((out / "dimension_report.json").read_text())
     assert abs(report["formula_liminf_proxy"] - 0.5) < 1e-12
     assert abs(report["box_slope"] - 0.5) < 0.05
-    assert report["box_intervals"] >= 1000
+    assert report["box_depth"] == 40 and report["box_intervals"] == str(2**40)
     assert (out / "dimension_ratios.csv").exists()
     assert (out / "dimension_ratios.svg").exists()
 
@@ -315,6 +315,27 @@ def test_report_alpha_pair(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
     assert "beurling" not in report["checks"]   # too shallow at this digit growth
+
+
+@pytest.mark.parametrize("config", ["alpha_zero", "alpha_one"])
+def test_report_passes_on_the_paper_endpoints(config, tmp_path):
+    # the zero- and one-dimensional measures: the box fit at the formula's own
+    # depth agrees with the formula within 0.05 on both
+    out = tmp_path / "out"
+    assert run(["report", "--pair", str(ROOT / "demos" / "configs" / f"{config}.json"),
+                "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is True
+    assert all(report["checks"].values()) and "dimension" in report["checks"], report["checks"]
+
+
+def test_report_fails_on_a_root_table_entry(mu42, tmp_path):
+    # tau ignores a root entry, so the table would pass validation and lose it
+    tree = tmp_path / "tree.json"
+    tree.write_text('[{"word": [], "value": 5}]')
+    out = tmp_path / "out"
+    assert run(["report", "--pair", mu42, "--tree", str(tree), "--out", str(out)]) == 1
+    assert json.loads((out / "report.json").read_text())["checks"] == {"pair": True, "tree": False}
 
 
 def test_report_fails_on_invalid_pair(tmp_path):

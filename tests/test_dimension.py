@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from cantorspec import (BudgetExceededError, TreeMapping, beurling_upper_dim,
+from cantorspec import (TreeMapping, beurling_upper_dim,
                         beurling_vs_hausdorff, box_counting_dim,
                         build_intervals, canonical_tau, constant_pair,
-                        dimension_targeting_pair, enumerate_level, gap_ratios,
+                        dimension_targeting_pair, enumerate_level, explicit_pair, gap_ratios,
                         hausdorff_dim_formula, rescale_constant, rho)
 from cantorspec.dimension import _least_squares, _log_quotient, _tail_numerators
 
@@ -30,6 +30,35 @@ def test_gap_ratios_constant_pairs(b, d):
     for n, r in enumerate(gap_ratios(pair, 10), start=1):
         assert abs(r / oracle - 1) < Fraction(1, 10**15)
         assert r * d <= 1
+
+
+def scale_list_tail_numerators(pair, n_max):
+    """Oracle: the tail numerators from a list of the scales, each term
+    rho_{M+1} // (d_j rho_j) a division of two big integers, M grown the same
+    way until U_{n_max+1} >= 2 / 1e-15."""
+    m = n_max + 4
+    while True:
+        rho = [1]  # rho_1 .. rho_{m+1}
+        for j in range(1, m + 1):
+            rho.append(rho[-1] * pair.b(j))
+        u = [0] * (m + 2)
+        for j in range(m, 0, -1):
+            u[j] = u[j + 1] + (pair.d(j) - 1) * (rho[m] // (pair.d(j) * rho[j - 1]))
+        if u[n_max + 1] >= math.ceil(2.0 / 1e-15):
+            return u[1: n_max + 2], rho[m], m
+        m += 8
+
+
+@pytest.mark.parametrize("pair", [
+    MU42, MU93, MU82, constant_pair(16, 4), constant_pair(30, 6),
+    dimension_targeting_pair(0), dimension_targeting_pair(0.25), dimension_targeting_pair(1),
+    # inadmissible: d does not divide b, b / d below 2, d above b
+    explicit_pair([6, 10], [4, 3]), explicit_pair([9, 5, 7], [3, 3, 2]),
+    explicit_pair([3, 2], [5, 7])])
+def test_tail_numerators_equal_the_scale_list_form(pair):
+    # the running suffix product (b_j * tail) // d_j is the floor rho_{M+1} // (d_j rho_j)
+    for n_max in (1, 2, 7, 20):
+        assert _tail_numerators(pair, n_max) == scale_list_tail_numerators(pair, n_max)
 
 
 @pytest.mark.parametrize("pair", [dimension_targeting_pair(0.5), dimension_targeting_pair(0.25),
@@ -167,12 +196,6 @@ def test_box_counting_equals_the_interval_family_fit(pair, depth):
     assert (fit.slope, fit.residual, fit.interval_count) == (slope, residual, count)
 
 
-def test_box_counting_keeps_the_interval_budget():
-    with pytest.raises(BudgetExceededError) as err:
-        box_counting_dim(MU42, 12, budget=1000)
-    assert err.value.required == 4096
-
-
 def window_count_oracle(elements, h):
     """Literal sup over centers of the window count."""
     return max(sum(1 for y in elements if x - h <= y <= x + h) for x in elements)
@@ -193,11 +216,11 @@ def test_beurling_examples():
     # window counts are exactly the level cardinalities on this grid
     assert [c for _, c in est.counts] == [2**j for j in range(1, 8)]
 
-    progression = beurling_upper_dim(list(range(256)))
+    progression = beurling_upper_dim(list(range(256)), window_grid=[4, 8, 16, 32, 64])
     assert progression.slope == pytest.approx(1.0, abs=0.1)
 
-    singleton = beurling_upper_dim([0])
-    assert singleton.slope == 0.0
+    with pytest.raises(ValueError, match="at least 2"):
+        beurling_upper_dim([0], window_grid=[1.0])
 
 
 def test_beurling_vs_hausdorff():
@@ -220,5 +243,9 @@ def test_beurling_vs_hausdorff_needs_two_windows():
 def test_degenerate_window_grid_rejected():
     with pytest.raises(ValueError):
         beurling_upper_dim([0, 1, 2], window_grid=[-1.0, 2.0])
-    with pytest.raises(ValueError):
-        beurling_upper_dim([])
+    with pytest.raises(ValueError, match="empty"):
+        beurling_upper_dim([], window_grid=[1.0, 2.0])
+    # one window, however often repeated, leaves no slope to fit
+    for grid in ([2.0], [2.0, 2, 2.0]):
+        with pytest.raises(ValueError, match="at least 2"):
+            beurling_upper_dim([0, 1, 2], window_grid=grid)

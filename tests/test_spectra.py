@@ -44,6 +44,10 @@ def test_validate_condition_ii_congruence():
 def test_validate_condition_i_and_words():
     bad_root = validate_tree_mapping(TreeMapping(MU42, {(0, 0): 2}), 4)
     assert not bad_root.ok and bad_root.issues[0].condition == "i"
+    # tau ignores a root entry, so only the table shows it
+    root_entry = validate_tree_mapping(TreeMapping(MU42, {(): 5}), 4)
+    assert not root_entry.ok and root_entry.issues[0].condition == "i"
+    assert validate_tree_mapping(TreeMapping(MU42, {(): 0}), 4).ok
     bad_word = validate_tree_mapping(TreeMapping(MU42, {(2,): 0}), 4)
     assert not bad_word.ok and bad_word.issues[0].condition == "word"
 

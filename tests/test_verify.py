@@ -12,7 +12,7 @@ from cantorspec import (BudgetExceededError, FilterFamily, TreeMapping, canonica
                         dimension_targeting_pair, explicit_pair, enumerate_level, mu_hat,
                         mu_hat_exact_zero,
                         orthogonality_check, partition_identity,
-                        partition_levels, uniform_family, word_count)
+                        partition_levels, rho, uniform_family, word_count)
 from cantorspec import default_depth, exact_mean, hausdorff_dim_formula, sample_measure, verify
 from cantorspec.fourier import (LOG_SERIES_THETA, TWO_PI, H_sq_tables, _float_div,
                                 eval_filter, eval_H_sq_tables, log_H_sq_array,
@@ -266,7 +266,7 @@ def test_cached_truncation_depths_equal_truncation_level(pair):
     assert scales.reach(truncation_target(0.0, 1e-10)) == linear_truncation_level(pair, 0.0, 1e-10)
     for k in range(2, 8):
         # a target exactly at the scale rho_k: the least N has rho_{N+1} = rho_k
-        rho_k, x = pair.rho(k), pair.rho(k) * 1e-10 / (2 * TWO_PI)
+        rho_k, x = rho(pair, k), rho(pair, k) * 1e-10 / (2 * TWO_PI)
         for _ in range(16):
             if truncation_target(x, 1e-10) != rho_k:
                 x = math.nextafter(x, math.inf if truncation_target(x, 1e-10) < rho_k else 0.0)
@@ -877,7 +877,8 @@ def test_tail_tables_match_per_xi_log_tail(name, level):
 
 @pytest.mark.parametrize("b, d", [([4, 1], [2, 1]), ([4, 4], [2, 1])])
 def test_a_repeating_b_or_d_of_one_raises(b, d):
-    # the scale search ran forever once rho_n stopped growing (b = 1), and the
+    # the scale search ran forever once rho_n stopped growing (b = 1), as did the
+    # exact zero test's walk at nu = 8, which every rho_n and d_n rho_n divide, and the
     # gap-ratio tails once they stopped shrinking or vanished (b or d = 1);
     # completeness_Q failed on the empty block of level 2 with numpy's message
     pair = explicit_pair(b, d)
@@ -889,7 +890,8 @@ def test_a_repeating_b_or_d_of_one_raises(b, d):
         exact_mean(pair)
     if b[-1] == 1:
         for call in (lambda: sample_measure(pair, 10), lambda: default_depth(pair),
-                     lambda: mu_hat(pair, 0.3, 1e-10), lambda: truncation_level(pair, 0.3, 1e-10)):
+                     lambda: mu_hat(pair, 0.3, 1e-10), lambda: truncation_level(pair, 0.3, 1e-10),
+                     lambda: mu_hat_exact_zero(pair, 8)):
             with pytest.raises(ValueError, match="b_n = 1 from level 2 on"):
                 call()
         assert truncation_level(pair, 0.0, 1e-10) == (1, 4)  # reached before rho_n stops
