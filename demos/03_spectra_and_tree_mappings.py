@@ -24,13 +24,13 @@ print("lambda(1,1) =", lambda_of_word(canonical, (1, 1)), "(= 1*1 + 1*4)")
 # --- a deviation table -------------------------------------------------------
 # send the 1-branch to its negative congruence representative
 tm = TreeMapping(pair, {(1,): -1, (1, 1): -1})
-print("\ndeviated mapping valid?", validate_tree_mapping(tm, 6).ok)
+print("\ndeviated mapping valid?", validate_tree_mapping(tm).ok)
 for level in (1, 2, 3):
     print(f"deviated level {level}: ", enumerate_level(tm, level).elements)
 
 # --- invalid labels are reported with the violated condition ----------------
 bad = TreeMapping(pair, {(1,): 3})
-report = validate_tree_mapping(bad, 4)
+report = validate_tree_mapping(bad)
 print("\nlabel 3 on word (1):", report.issues[0].condition, "—", report.issues[0].message)
 
 # --- growth statistics behind the sufficient spectrum conditions ------------

@@ -17,7 +17,7 @@ from .dimension import (BeurlingEstimate, BoxCountFit, DimensionComparison,
                         rescale_constant)
 from .fourier import (FamilyCertificate, FilterCertificationError,
                       FilterFamily, QmfReport, TruncatedValue, ZeroWitness,
-                      certificate_report, eval_H, eval_H_array,
+                      eval_H, eval_H_array,
                       eval_H_sq_array, filter_family_from_config, mu_hat,
                       mu_hat_array, mu_hat_exact_zero, phi_hat, qmf_check,
                       uniform_family)
@@ -42,7 +42,7 @@ __all__ = [
     "SampleSet", "ScalePair", "SpectrumLevel", "TreeMapping",
     "TruncatedValue", "ValidationReport", "Word", "ZeroWitness",
     "beurling_upper_dim", "beurling_vs_hausdorff", "box_counting_dim",
-    "build_intervals", "canonical_tau", "certificate_report",
+    "build_intervals", "canonical_tau",
     "check_growth_conditions",
     "completeness_Q", "constant_pair", "default_depth",
     "dimension_targeting_pair", "empirical_char", "empirical_moments",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ import numpy as np
 from . import dimension as dim
 from . import sampling, svgplot
 from .core import BudgetExceededError, ScalePair, _Scales, pair_from_config, validate_pair
-from .fourier import certificate_report, filter_family_from_config
+from .fourier import filter_family_from_config
 from .spectra import (TreeMapping, canonical_tau, enumerate_level,
                       tree_mapping_from_config, validate_tree_mapping, word_count)
 from .verify import completeness_Q, orthogonality_check, partition_levels
@@ -197,7 +198,7 @@ def _check_partition(pair, tm, args):
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid filter family {args.filters}: {exc}") from exc
         cert = filters.certify(args.level)
-        cert_doc = payload["filter_certificate"] = certificate_report(cert)
+        cert_doc = payload["filter_certificate"] = dataclasses.asdict(cert)
         artifacts.append(lambda out: _write_json(out, "filter_certificate.json", cert_doc))
         if not cert.ok:
             return False, payload, artifacts
@@ -315,7 +316,7 @@ def _verdict(name: str, pair, tm, args, **overrides) -> bool:
 def _check_report(pair, tm, args):
     depth = max(args.level, 8)
     checks = {"pair": _verdict("pair", pair, tm, args, level=depth),
-              "tree": validate_tree_mapping(tm, depth=depth).ok}
+              "tree": validate_tree_mapping(tm).ok}
     if all(checks.values()):
         l_deep = _capped_level(pair, depth, cap=4096)
         plan = {
@@ -361,7 +362,7 @@ _FLAGS = {
     "grid": (_POSITIVE, "K, for K+1 equispaced xi in [0, 1/2]"),
     "tol": (_checked(float, lambda v: math.isfinite(v) and v > 0, "positive and finite"),
             "evaluation tolerance, or the identity-defect tolerance of partition"),
-    "seed": (_checked(int, lambda v: v >= 0, ">= 0"), "random seed"),
+    "seed": (_checked(int, lambda v: 0 <= v < 2**64, "in [0, 2^64)"), "random seed"),
     "budget": (_POSITIVE, "enumeration budget (words / elements / intervals)"),
     "draws": (_POSITIVE, "number of seeded random xi draws"),
     "count": (_POSITIVE, "Monte-Carlo sample count"),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -43,10 +43,6 @@ class Issue:
 class ValidationReport:
     ok: bool
     issues: tuple[Issue, ...]
-    checked_depth: int
-
-
-KNOWN_PROFILES = ("dyadic",)
 
 
 @dataclass(frozen=True)
@@ -67,8 +63,6 @@ class ScalePair:
     b_prefix: tuple[int, ...] = ()
     d_prefix: tuple[int, ...] = ()
     alpha: Fraction | None = None
-    profile: str = "dyadic"
-    label: str = field(default="", compare=False)
 
     def b(self, n: int) -> int:
         if n < 1:
@@ -89,12 +83,10 @@ class ScalePair:
         return self.d_prefix[-1]
 
     def describe(self) -> str:
-        if self.label:
-            return self.label
         if self.kind == "constant":
             return f"constant(b={self.b_prefix[0]}, d={self.d_prefix[0]})"
         if self.kind == "alpha":
-            return f"alpha({float(self.alpha)}, profile={self.profile})"
+            return f"alpha({float(self.alpha)})"
         return f"explicit(depth={len(self.b_prefix)})"
 
 
@@ -215,19 +207,17 @@ def explicit_pair(b: list[int] | tuple[int, ...], d: list[int] | tuple[int, ...]
     return ScalePair(kind="explicit", b_prefix=b, d_prefix=d)
 
 
-def dimension_targeting_pair(alpha: float | Fraction, profile: str = "dyadic") -> ScalePair:
+def dimension_targeting_pair(alpha: float | Fraction) -> ScalePair:
     """Pair whose Cantor set has Hausdorff dimension ``alpha`` in [0, 1].
 
     Uses the dyadic profile of :func:`_alpha_rule`; for alpha in (0, 1) this
     is d_n = 2^n, b_n = 2^max(n+1, ceil(n/alpha)), so the level ratios
     ln d_n / ln b_n sit within 1/n of alpha.
     """
-    if profile not in KNOWN_PROFILES:
-        raise PairConstraintError(f"unknown growth profile {profile!r}; known: {KNOWN_PROFILES}")
     a = Fraction(alpha)
     if not 0 <= a <= 1:
         raise PairConstraintError(f"alpha must lie in [0, 1], got {alpha}")
-    return ScalePair(kind="alpha", alpha=a, profile=profile)
+    return ScalePair(kind="alpha", alpha=a)
 
 
 def validate_pair(pair: ScalePair, depth: int) -> ValidationReport:
@@ -239,14 +229,15 @@ def validate_pair(pair: ScalePair, depth: int) -> ValidationReport:
         issue = _check_level(pair.b(n), pair.d(n), n)
         if issue is not None:
             issues.append(issue)
-    return ValidationReport(ok=not issues, issues=tuple(issues), checked_depth=depth)
+    return ValidationReport(ok=not issues, issues=tuple(issues))
 
 
 def pair_from_config(cfg: dict) -> ScalePair:
     """Build a pair from its JSON configuration document.
 
     Schema: {"kind": "constant"|"explicit"|"alpha", "b": ..., "d": ...,
-    "alpha": ..., "profile": ...}.
+    "alpha": ..., "profile": "dyadic"}; the dyadic profile of
+    :func:`_alpha_rule` is the only one, and any other is rejected.
     """
     kind = cfg.get("kind")
     if kind == "constant":
@@ -254,7 +245,10 @@ def pair_from_config(cfg: dict) -> ScalePair:
     if kind == "explicit":
         return explicit_pair(cfg["b"], cfg["d"])
     if kind == "alpha":
-        return dimension_targeting_pair(cfg["alpha"], cfg.get("profile", "dyadic"))
+        profile = cfg.get("profile", "dyadic")
+        if profile != "dyadic":
+            raise PairConstraintError(f"unknown growth profile {profile!r}; known: 'dyadic'")
+        return dimension_targeting_pair(cfg["alpha"])
     raise PairConstraintError(f"unknown pair kind {kind!r}; expected constant/explicit/alpha")
 
 
@@ -262,5 +256,5 @@ def pair_to_config(pair: ScalePair) -> dict:
     if pair.kind == "constant":
         return {"kind": "constant", "b": pair.b_prefix[0], "d": pair.d_prefix[0]}
     if pair.kind == "alpha":
-        return {"kind": "alpha", "alpha": float(pair.alpha), "profile": pair.profile}
+        return {"kind": "alpha", "alpha": float(pair.alpha), "profile": "dyadic"}
     return {"kind": "explicit", "b": list(pair.b_prefix), "d": list(pair.d_prefix)}

@@ -96,15 +96,13 @@ class IntervalFamily:
     """Closed intervals J_word for every word up to ``depth``, exact endpoints.
 
     ``levels[n]`` lists (word, left, right) for all length-n words in
-    lexicographic order; ``levels[0]`` is the root [0, 1].  ``rescale`` maps
-    the model onto the pair's Cantor set.
+    lexicographic order; ``levels[0]`` is the root [0, 1].
     """
 
     pair: ScalePair
     depth: int
     levels: tuple[tuple[tuple[tuple[int, ...], Fraction, Fraction], ...], ...]
     ratios: tuple[Fraction, ...]
-    rescale: Fraction
 
     def intervals(self, n: int):
         return self.levels[n]
@@ -133,8 +131,7 @@ def build_intervals(pair: ScalePair, depth: int, budget: int = 10**6) -> Interva
                 lo = left + k * (child_len + gap)
                 children.append((word + (k,), lo, lo + child_len))
         levels.append(tuple(children))
-    return IntervalFamily(pair=pair, depth=depth, levels=tuple(levels),
-                          ratios=tuple(ratios), rescale=rescale_constant(pair))
+    return IntervalFamily(pair=pair, depth=depth, levels=tuple(levels), ratios=tuple(ratios))
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,6 @@ class DimensionFormula:
 
     partials: tuple[tuple[int, float], ...]
     liminf_proxy: float    # infimum over the trailing window [N/2, N]
-    n_max: int
 
 
 def _log_quotient(x: int, y: int) -> float:
@@ -178,7 +174,7 @@ def hausdorff_dim_formula(pair: ScalePair, n_max: int) -> DimensionFormula:
             partials.append((n, num / den))
     window_start = max(2, n_max // 2)
     liminf_proxy = min(s for n, s in partials if n >= window_start)
-    return DimensionFormula(partials=tuple(partials), liminf_proxy=liminf_proxy, n_max=n_max)
+    return DimensionFormula(partials=tuple(partials), liminf_proxy=liminf_proxy)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,12 @@
 The transform of the measure attached to a pair (B, D) is the infinite
 product of kernels H_{d_n}(xi / (d_n rho_n)).  There is one complex kernel,
 :func:`eval_H_array` (:func:`eval_H` is it at one argument), and one
-truncated product, :func:`_truncated_product`: over a float array, to the
-depth :func:`truncation_level` picks for the largest |xi|, with a certified
-radius per entry bounding the discarded tail, derived from
-|H_m(eta) - 1| <= pi (m-1) |eta| and the geometric growth rho_{n+1} >=
-4 rho_n.  :func:`mu_hat_array` is that product, :func:`mu_hat` the product
-at one frequency, and :func:`phi_hat` the product of a certified filter
-family, whose explicit levels take :func:`eval_filter`.  Integer frequencies
-admit an exact zero test by divisibility alone.
+truncated product, :func:`_truncated_product`, of the level factors
+:meth:`FilterFamily.factor` over a float array, with one tail bound, stated
+in its docstring.  :func:`mu_hat_array` and :func:`mu_hat` are that product
+over :func:`uniform_family`, and :func:`phi_hat` the same product over a
+certified filter family.  Integer frequencies admit an exact zero test by
+divisibility alone.
 
 Besides the complex kernel, :func:`eval_H_sq_tables` gives |H_m(a + u)|^2 in
 real arithmetic over an array u tabulated once (:func:`H_sq_tables`), one row
@@ -209,15 +207,9 @@ def eval_H_sq_tables(t: HSqTables, a, nodes: slice = slice(None)) -> np.ndarray:
 
 
 def eval_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:
-    """|H_m(x)|^2 = (sin(pi m s) / (m sin(pi s)))^2 over a float array, s = x mod 1.
-
-    The table kernel :func:`eval_H_sq_tables` at a = 0: real arithmetic,
-    cos(pi s)^2 for m = 2, ((1 + 2 cos(2 pi s)) / 3)^2 for m = 3, and for
-    every other m the closed form with the integer guard of
-    :func:`eval_H_array` (1 at integers, in the guard band the series
-    1 - (m^2 - 1)(pi s)^2 / 3 of the Fejer form 1/m + (2/m) sum_{0<k<m}
-    (1 - k/m) cos(2 pi k s) of the squared modulus, see :func:`_H_sq_direct`).
-    """
+    """|H_m(x)|^2 = (sin(pi m s) / (m sin(pi s)))^2 over a float array, s = x mod 1:
+    the table kernel :func:`eval_H_sq_tables` at a = 0, whose docstring states
+    its rule for each m."""
     return eval_H_sq_tables(H_sq_tables(m, xs), [0.0])[0]
 
 
@@ -419,58 +411,50 @@ def _cap_float(big: int) -> float:
     return float(big)
 
 
-def truncation_target(xi, tol: float, tail: float = TWO_PI):
-    """The scale 2 tail |xi| / min(tol, 1) that rho_{N+1} must reach in
-    :func:`truncation_level`, for a float xi or entry by entry over a float
-    array.  Raises ValueError for a non-finite xi or tol, and when a target
-    overflows, where no scale could be reached."""
+def truncation_target(xi, tol: float):
+    """The scale 4 pi |xi| / min(tol, 1) that rho_{N+1} must reach in
+    :func:`_truncated_product`, for a float xi or entry by entry over a float
+    array: rho_{N+1} >= it gives expm1(2 pi |xi| / rho_{N+1}) <= tol, as
+    log1p(tol) >= tol / 2 for tol <= 1.  Raises ValueError for a non-finite
+    xi or tol, and when a target overflows, where no scale could be reached."""
     if not np.isfinite(xi).all():
         raise ValueError(f"frequency xi must be finite, got {xi}")
     if not math.isfinite(tol) or tol <= 0:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    target = 2.0 * tail * abs(xi) / min(tol, 1.0)
+    target = 2.0 * TWO_PI * abs(xi) / min(tol, 1.0)
     if not np.isfinite(target).all():
         raise ValueError(f"|xi| = {np.max(abs(xi)):.3e} at tol = {tol:.1e} needs a scale "
                          f"rho_(N+1) beyond the double range")
     return target
 
 
-def truncation_level(pair: ScalePair, xi: float, tol: float, tail: float = TWO_PI,
-                     levels: int = 1) -> tuple[int, int]:
-    """Least N >= levels with tail bound exp(tail |xi| / rho_{N+1}) - 1 <= tol.
+def _truncated_product(filters: FilterFamily, xs, tol: float,
+                       levels: int = 1) -> tuple[np.ndarray, np.ndarray, int]:
+    """(values, radii, N): prod_{n<=N} G_n(x / (d_n rho_n)) over a float array,
+    G_n = ``filters.factor(n, .)``.
 
-    Returns (N, rho_{N+1}).  ``tail`` is the constant of the truncated
-    product's tail: 2 pi for :func:`mu_hat`, 8 pi d0 / 3 for :func:`phi_hat`.
-    Uses rho_{N+1} >= :func:`truncation_target`, an integer comparison that
-    implies the bound via log1p(tol) >= tol/2 for tol <= 1, and raises its
-    ValueErrors; the search is :meth:`~.core._Scales.reach`.
-    """
-    return _Scales(pair).reach(truncation_target(xi, tol, tail), levels)
-
-
-def _uniform_factor(n: int, d: int, args: np.ndarray) -> np.ndarray:
-    return eval_H_array(d, args)
-
-
-def _truncated_product(pair: ScalePair, xs, tol: float, tail: float = TWO_PI, levels: int = 1,
-                       factor=_uniform_factor) -> tuple[np.ndarray, np.ndarray, int]:
-    """(values, radii, N): prod_{n<=N} factor(n, d_n, xs / (d_n rho_n)) over a
-    float array, N the :func:`truncation_level` of the largest |x| with the
-    tail constant ``tail``, and the radii expm1(tail |x| / rho_{N+1}).  A
-    level whose d_n rho_n passes 2^1020, which no float divides by, ends the
-    product."""
+    N is the least depth >= max(``levels``, the explicit levels of
+    ``filters``) with rho_{N+1} >= :func:`truncation_target` of the largest
+    |x|.  Every level past N is then a uniform H_{d_n}, and
+    |H_m(eta) - 1| <= pi (m-1) |eta| bounds its defect by pi |x| / rho_n;
+    with rho_{n+1} >= 4 rho_n these sum to at most 2 pi |x| / rho_{N+1}, and
+    |prod(1 + eps_n) - 1| <= exp(sum |eps_n|) - 1.  The partial product has
+    modulus at most 1 for a certified family (the QMF identity gives
+    |G_n| <= 1), so the radii expm1(2 pi |x| / rho_{N+1}), at most tol, bound
+    the truncation error.  A level whose d_n rho_n passes 2^1020, which no
+    float divides by, ends the product."""
     xs = np.asarray(xs, dtype=float)
     xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
-    scales = _Scales(pair)
-    n_levels, rho_next = scales.reach(truncation_target(xmax, tol, tail), levels)
+    scales = _Scales(filters.pair)
+    n_levels, rho_next = scales.reach(truncation_target(xmax, tol),
+                                      max(levels, len(filters.explicit)))
     values = np.ones(xs.shape, dtype=complex)
     for n in range(1, n_levels + 1):
-        d = scales.d[n]
-        scale = d * scales.rho[n]
+        scale = scales.d[n] * scales.rho[n]
         if scale.bit_length() > 1020:
             break
-        values *= factor(n, d, xs / float(scale))
-    radii = np.expm1(tail * np.abs(xs) / _cap_float(rho_next))
+        values *= filters.factor(n, xs / float(scale))
+    radii = np.expm1(TWO_PI * np.abs(xs) / _cap_float(rho_next))
     return values, radii, n_levels
 
 
@@ -478,25 +462,17 @@ def _at_one(values: np.ndarray, radii: np.ndarray, n_levels: int) -> TruncatedVa
     return TruncatedValue(value=complex(values[0]), radius=float(radii[0]), levels=n_levels)
 
 
-def mu_hat(pair: ScalePair, xi: float, tol: float = 1e-10, levels: int | None = None) -> TruncatedValue:
+def mu_hat(pair: ScalePair, xi: float, tol: float = 1e-10, levels: int = 1) -> TruncatedValue:
     """Product transform at xi, truncated with a certified error radius:
-    :func:`mu_hat_array` at the one argument xi, at least ``levels`` deep.
-
-    The radius expm1(2 pi |xi| / rho_{N+1}) dominates the true truncation
-    error: |H_m(eta) - 1| <= pi (m-1) |eta| gives per-level defects
-    <= pi |xi| / rho_n, the geometric sum of which is <= 2 pi |xi| / rho_{N+1},
-    and |prod(1 + eps_n) - 1| <= exp(sum |eps_n|) - 1.
-    """
-    return _at_one(*_truncated_product(pair, [xi], tol, levels=levels or 1))
+    :func:`mu_hat_array` at the one argument xi, at least ``levels`` deep."""
+    return _at_one(*_truncated_product(uniform_family(pair), [xi], tol, levels))
 
 
 def mu_hat_array(pair: ScalePair, xs: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, int]:
-    """Vectorized transform over a float array.
-
-    Truncation depth is chosen for the largest |x| in the batch, so every
-    entry's radius bound is sound.  Returns (values, radii, levels).
-    """
-    return _truncated_product(pair, xs, tol)
+    """Vectorized transform over a float array: :func:`_truncated_product` of
+    the uniform family, at the depth of the largest |x| in the batch, so every
+    entry's radius bound is sound.  Returns (values, radii, levels)."""
+    return _truncated_product(uniform_family(pair), xs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +485,13 @@ class QmfReport:
 
     passed: bool
     max_defect: float          # worst |a_{m d} - [m=0]/d| over autocorrelation lags
-    d: int
     degree: int
+
+
+# the tolerance of the QMF identity and of the normalization G_n(0) = 1
+_QMF_TOL = 1e-12
+# the first grid of the window infimum, and how often it is refined fourfold
+_WINDOW_GRID, _WINDOW_REFINEMENTS = 4096, 6
 
 
 def _autocorrelation(g: np.ndarray, lag: int) -> complex:
@@ -525,7 +506,7 @@ def eval_filter(g: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return (np.asarray(g, dtype=complex).reshape(-1, 1) * np.exp(-2j * np.pi * j * np.asarray(xs, dtype=float))).sum(axis=0)
 
 
-def qmf_check(g, d: int, tol: float = 1e-12) -> QmfReport:
+def qmf_check(g, d: int) -> QmfReport:
     """Certify the d-channel identity sum_{l<d} |G(xi + l/d)|^2 = 1.
 
     The decision is algebraic: the identity holds iff the autocorrelations
@@ -543,10 +524,10 @@ def qmf_check(g, d: int, tol: float = 1e-12) -> QmfReport:
     while lag <= degree:
         defect = max(defect, abs(_autocorrelation(g, lag)))
         lag += d
-    return QmfReport(passed=bool(defect <= tol), max_defect=float(defect), d=d, degree=degree)
+    return QmfReport(passed=bool(defect <= _QMF_TOL), max_defect=float(defect), degree=degree)
 
 
-def _window_infimum(g: np.ndarray, d: int, grid_points: int = 4096, refinements: int = 6) -> float:
+def _window_infimum(g: np.ndarray, d: int) -> float:
     """Certified lower bound for inf |G| over the window d*xi in [-2/3, 1/2].
 
     Grid minimum minus a Lipschitz slack ||G'||_inf * h/2 with the exact
@@ -556,8 +537,8 @@ def _window_infimum(g: np.ndarray, d: int, grid_points: int = 4096, refinements:
     """
     lo, hi = -2.0 / (3.0 * d), 1.0 / (2.0 * d)
     lip = TWO_PI * float(np.sum(np.arange(len(g)) * np.abs(np.asarray(g))))
-    n = grid_points
-    for _ in range(refinements):
+    n = _WINDOW_GRID
+    for _ in range(_WINDOW_REFINEMENTS):
         xs = np.linspace(lo, hi, n)
         grid_min = float(np.min(np.abs(eval_filter(g, xs))))
         h = (hi - lo) / (n - 1)
@@ -595,7 +576,6 @@ class FilterFamily:
 
     pair: ScalePair
     explicit: tuple[tuple[complex, ...], ...] = ()
-    label: str = "uniform"
 
     def coefficients(self, n: int) -> tuple[complex, ...]:
         if n < 1:
@@ -607,13 +587,20 @@ class FilterFamily:
     def is_uniform(self, n: int) -> bool:
         return n > len(self.explicit)
 
+    def factor(self, n: int, xs: np.ndarray) -> np.ndarray:
+        """G_n over a float array: :func:`eval_H_array` of d_n on a uniform
+        level, :func:`eval_filter` of its coefficients on an explicit one."""
+        if self.is_uniform(n):
+            return eval_H_array(self.pair.d(n), xs)
+        return eval_filter(self.explicit[n - 1], xs)
+
     @property
     def d0(self) -> float:
         """Degree-bound constant: max over levels of deg(G_n)/d_n, at least 1."""
         ratios = [(len(c) - 1) / self.pair.d(n + 1) for n, c in enumerate(self.explicit)]
         return max([1.0] + ratios)
 
-    def certify(self, depth: int, qmf_tol: float = 1e-12, norm_tol: float = 1e-12) -> FamilyCertificate:
+    def certify(self, depth: int) -> FamilyCertificate:
         messages = []
         defects = []
         d1 = math.inf
@@ -626,12 +613,12 @@ class FilterFamily:
                 d1 = min(d1, uniform_done[d])
                 continue
             norm_defect = abs(complex(np.sum(g)) - 1.0)
-            if norm_defect > norm_tol:
+            if norm_defect > _QMF_TOL:
                 messages.append(f"level {n}: G_n(0) = sum of coefficients is off by {norm_defect:.3e}")
-            rep = qmf_check(g, d, tol=qmf_tol)
+            rep = qmf_check(g, d)
             defects.append(rep.max_defect)
             if not rep.passed:
-                messages.append(f"level {n}: QMF defect {rep.max_defect:.3e} exceeds {qmf_tol:.1e}")
+                messages.append(f"level {n}: QMF defect {rep.max_defect:.3e} exceeds {_QMF_TOL:.1e}")
             if rep.degree > self.d0 * d:
                 messages.append(f"level {n}: degree {rep.degree} exceeds d0*d_n = {self.d0 * d:.1f}")
             inf_bound = _window_infimum(g, d)
@@ -646,11 +633,11 @@ class FilterFamily:
 
 def uniform_family(pair: ScalePair) -> FilterFamily:
     """The family G_n = H_{d_n}, whose product is the measure transform itself."""
-    return FilterFamily(pair=pair, explicit=(), label="uniform")
+    return FilterFamily(pair=pair)
 
 
 def filter_family_from_config(pair: ScalePair, cfg: dict) -> FilterFamily:
-    """Family from its JSON form: {"levels": [[[re, im], ...], ...], "label": ...}.
+    """Family from its JSON form: {"levels": [[[re, im], ...], ...]}.
 
     ``levels[n-1]`` lists the coefficients of G_n as [re, im] pairs; levels
     beyond the list default to the uniform averaging filter.
@@ -658,41 +645,19 @@ def filter_family_from_config(pair: ScalePair, cfg: dict) -> FilterFamily:
     levels = []
     for entry in cfg["levels"]:
         levels.append(tuple(complex(float(re), float(im)) for re, im in entry))
-    return FilterFamily(pair=pair, explicit=tuple(levels),
-                        label=str(cfg.get("label", "explicit")))
-
-
-def certificate_report(cert: FamilyCertificate) -> dict:
-    """Certification outcome as a JSON-ready document with defect values."""
-    return {
-        "ok": cert.ok,
-        "depth": cert.depth,
-        "d0": cert.d0,
-        "d1": cert.d1,
-        "qmf_defects": list(cert.qmf_defects),
-        "messages": list(cert.messages),
-    }
+    return FilterFamily(pair=pair, explicit=tuple(levels))
 
 
 def phi_hat(filters: FilterFamily, xi: float, tol: float = 1e-10,
-            certificate: FamilyCertificate | None = None, levels: int | None = None) -> TruncatedValue:
-    """Truncated product of a certified filter family, with error radius.
-
-    Tail bound: |G_n(eta/d_n) - 1| <= 2 pi d0 |eta| (Bernstein, with
-    ||G_n'||_inf <= 2 pi deg(G_n) ||G_n||_inf and ||G_n||_inf <= 1), summed
-    geometrically to 8 pi d0 |xi| / (3 rho_{N+1}).
-    """
-    pair = filters.pair
-    coeff = 8.0 * math.pi * filters.d0 / 3.0
-    n_levels, _ = truncation_level(pair, xi, tol, tail=coeff, levels=levels or 1)
+            certificate: FamilyCertificate | None = None) -> TruncatedValue:
+    """Truncated product of a certified filter family at xi, with the error
+    radius of :func:`mu_hat`: :func:`_truncated_product`, which runs past the
+    explicit levels, so that only uniform levels are discarded.  The family is
+    certified to the depth the product used, unless ``certificate`` reaches
+    it; a FilterCertificationError when it fails."""
+    values, radii, n_levels = _truncated_product(filters, [xi], tol)
     if certificate is None or certificate.depth < n_levels:
         certificate = filters.certify(n_levels)
     if not certificate.ok:
         raise FilterCertificationError("; ".join(certificate.messages))
-
-    def factor(n: int, d: int, args: np.ndarray) -> np.ndarray:
-        if filters.is_uniform(n):
-            return eval_H_array(d, args)
-        return eval_filter(np.asarray(filters.coefficients(n)), args)
-
-    return _at_one(*_truncated_product(pair, [xi], tol, coeff, n_levels, factor))
+    return _at_one(values, radii, n_levels)

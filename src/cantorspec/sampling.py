@@ -20,9 +20,12 @@ from .core import ScalePair, _Scales
 from .dimension import rescale_constant
 
 
-def default_depth(pair: ScalePair, radius_target: float = 1e-15) -> int:
-    """Smallest depth whose truncation radius bound 2/rho_{depth+1} is below target."""
-    return _Scales(pair).reach(math.ceil(2.0 / radius_target))[0]
+_RADIUS_TARGET = 1e-15
+
+
+def default_depth(pair: ScalePair) -> int:
+    """Smallest depth whose truncation radius bound 2/rho_{depth+1} is below 1e-15."""
+    return _Scales(pair).reach(math.ceil(2.0 / _RADIUS_TARGET))[0]
 
 
 def truncation_radius(pair: ScalePair, depth: int) -> float:
@@ -38,7 +41,6 @@ class SampleSet:
     values: np.ndarray
     pair: ScalePair
     depth: int
-    seed: int
     radius: float
 
     def __len__(self) -> int:
@@ -70,15 +72,14 @@ def sample_measure(pair: ScalePair, count: int, depth: int | None = None, seed: 
     """Draw ``count`` samples of the measure, deterministic under ``seed``."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     if depth is None:
         depth = default_depth(pair)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     values = _accumulate(pair, count, _level_digits(pair, count, depth, seed))
-    return SampleSet(values=values, pair=pair, depth=depth, seed=seed,
-                     radius=truncation_radius(pair, depth))
+    return SampleSet(values=values, pair=pair, depth=depth, radius=truncation_radius(pair, depth))
 
 
 def _values_of(samples) -> np.ndarray:

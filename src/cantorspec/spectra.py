@@ -76,8 +76,8 @@ def _digit_range(pair: ScalePair, n: int) -> tuple[int, int]:
     return -half, pair.b(n) - 1 - half
 
 
-def validate_tree_mapping(tm: TreeMapping, depth: int) -> ValidationReport:
-    """Check the three mapping conditions on words reachable at depth <= depth.
+def validate_tree_mapping(tm: TreeMapping) -> ValidationReport:
+    """Check the three mapping conditions on every entry of the finite table.
 
     (i) the root and the all-zero words map to 0: a root entry of the table
     must be 0, as :meth:`TreeMapping.tau` ignores it; (ii) every label is
@@ -85,8 +85,6 @@ def validate_tree_mapping(tm: TreeMapping, depth: int) -> ValidationReport:
     width b_n.  (iii), that every zero-extension leaves the finite table and
     then defaults to 0, is structural and needs no check.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
     pair = tm.pair
     issues = []
     if tm.table.get((), 0) != 0:
@@ -95,8 +93,6 @@ def validate_tree_mapping(tm: TreeMapping, depth: int) -> ValidationReport:
         n = len(word)
         if n == 0:
             continue  # root handled above
-        if n > depth:
-            continue
         bad_digit = next((k for k, dig in enumerate(word, start=1)
                           if not 0 <= dig < pair.d(k)), None)
         if bad_digit is not None:
@@ -113,7 +109,7 @@ def validate_tree_mapping(tm: TreeMapping, depth: int) -> ValidationReport:
         elif not lo <= value <= hi:
             issues.append(Issue("ii", f"word={word}",
                                 f"value {value} outside {{{lo},...,{hi}}}"))
-    return ValidationReport(ok=not issues, issues=tuple(issues), checked_depth=depth)
+    return ValidationReport(ok=not issues, issues=tuple(issues))
 
 
 def lambda_of_word(tm: TreeMapping, delta: Word) -> int:

@@ -10,63 +10,15 @@ Q_L(xi) = sum_{lambda in Lambda_L} |muhat(xi + lambda)|^2 increase with L and
 stay below 1 plus the accumulated certified evaluation slack.
 
 Both floating-point pillars run on one digit tree (:class:`_Tree`), built
-once per check.  Per level n it holds the partial label sums divided by
-d_n rho_n, reduced level by level in floating point, and the xi-independent
-tables of :class:`~.fourier.HSqTables`.  Each G_n is 1-periodic, so the
-level-n factor at xi + lambda needs only that reduced sum, and xi enters the
-level only through the scalar a_n = xi / (d_n rho_n).  xi + lambda is never
-rounded and no large integer reaches numpy.  The nodes of a level are in
-digit-major order, node delta at sum_k delta_k d_1 ... d_{k-1}, so a level's
-products are one broadcast over contiguous rows, one row per last digit, and
-the words new at level n, those whose last nonzero digit is n, form one
-contiguous block.  A uniform level with composite d_n = f_1 ... f_r (primes,
-ascending) runs as r tree sub-levels, one per prime: H_{ab}(s) = H_a(s)
-H_b(a s) splits |H_{d_n}|^2 into prod_j |H_{f_j}|^2, and sub-level j adds the
-j-th mixed-radix digit of delta_n.  A sub-level with f_j = 2 or 3 is a
-polynomial in one cosine, cos^2(pi s) or ((1 + 2 cos(2 pi s)) / 3)^2, from
-sine and cosine tables by angle addition, with no division and no integer
-guard: the d_n = 2^n of the alpha pairs run only H_2, and mu93's d_n = 3
-only H_3.  A prime d_n is one sub-level, the level itself; primes from 5
-on take the closed form at a_n + u with its integer guard.
-
-The products of many xi are walked depth first in tiles (:meth:`_Tree.tiles`):
-blocks of xi rows by tree-level nodes of at most ``_SLICE`` = 2^14 entries, or
-one row where a level alone is larger.  A shallow level thus takes many xi
-per numpy call, and a deep one stays in cache with its tables.  The row
-totals of the tiles that end a level are the partition sums for every level.
-Completeness walks the tiles to the tree level before the last sub-level of
-level L and forms that sub-level's products, the level-L products, in blocks
-of grid rows by a slice of nodes, at most ``_SLICE`` entries, the rule of the
-tiles: one row of ``_SLICE`` nodes where P_L exceeds it, else the whole level
-for as many rows as fit (:meth:`_Tree.slice_products`).  Each block is
-multiplied into one log-domain tail along its zero-extensions and summed
-while it is in cache; no level-L array is built.  Every entry stays
-elementwise in its own row and every row total a 1-D pairwise sum, so a row's
-bits do not depend on the block it shares.  The tail is tabulated
-once per check: past the levels that must be summed explicitly, it depends
-on xi only through one scalar eps, as a short Taylor polynomial per node
-(:func:`_tail_tables`).  Q_L is reported through the gap 1 - Q_L, a sum of
-nonnegative terms by the partition identity, and each level's block
-contributes scalar sums.  The certified slack of Q_L takes two sums per
-block over its terms t, A = sum |xi + lambda| sqrt(t) and
-B = sum (xi + lambda)^2, with the radius applied once per block.  The
-truncation depth keeps z = c |xi + lambda| <= c a_max <= min(tol, 1) / 2,
-with c = 2 pi / rho_{N+1} and a_max the block's largest |xi + lambda|, and
-expm1(z) <= z (1 + z) for z <= 1.  So k c (2 A + k c B), k = 1 + c a_max,
-bounds the sum of the per-term 2 r sqrt(t) + r^2, r = expm1(z), and
-exceeds it at most k^2 <= (1 + tol/2)^2 times.  Both sums come from moments:
-lambda is an integer and xi lies in [0, 1/2], so xi + lambda has the sign
-sigma of lambda (+1 at lambda = 0) and |xi + lambda| = |lambda| + sigma xi
-exactly.  Hence A = sum |lambda| sqrt(t) + xi sum sigma sqrt(t), two row
-sums per block, and B = N xi^2 + 2 xi sum lambda + sum lambda^2 over the
-block's N frequencies, whose moments do not depend on xi and are summed
-once per check.  The forms differ from the direct sums only in rounding.
-
-Everything per grid point is an array pass: the truncation depths of every
-(xi, block) are one ``np.searchsorted`` over the cached rho
-(:func:`_reach_floats`), the gaps and block sums accumulate in (grid x
-level) arrays during the walk, and Q, the slack and the verdicts are formed
-from them once, after it.
+once per check; its docstring states the node order, the reduced label sums
+through which alone xi enters a level, and the sub-levels of a composite
+d_n.  xi + lambda is never rounded and no large integer reaches numpy.  The
+products of many xi walk the tree depth first in tiles of at most ``_SLICE``
+entries (:meth:`_Tree.tiles`), whose row totals at the end of a level are
+the partition sums.  Completeness multiplies each level-L product into a
+tail tabulated once per check (:func:`_tail_tables`) and bounds the
+evaluation error by a certified slack from two sums per block;
+:func:`completeness_Q` derives that slack and its soundness.
 """
 
 from __future__ import annotations
@@ -82,7 +34,7 @@ import numpy as np
 
 from .core import BudgetExceededError, ScalePair, _Scales, check_growth
 from .fourier import (LOG_SERIES_THETA, TWO_PI, FilterFamily, H_sq_tables, HSqTables,
-                      _cap_float, _float_div, eval_filter, eval_H_sq_tables,
+                      _cap_float, _float_div, eval_H_sq_tables,
                       eval_log_series_taylor, log_H_sq_array, log_series_taylor,
                       truncation_target, uniform_family)
 from .spectra import (TreeMapping, _elements_of, _table_nodes, check_word_budget,
@@ -256,19 +208,15 @@ class _Tree:
 
     Per tree level t, ``radix[t]`` is its digit count, ``scale[t]`` the
     integer D_j rho_n that xi is divided by, ``size[t]`` its node count and
-    ``kernels[t - 1]`` its :class:`HSqTables`, or (coefficients, u_n) on an
-    explicit level; ``ends[n]`` is the tree level that ends level n, where
-    size is P_n.  ``u`` keeps u_level unreduced mod 1 for the completeness
-    tail tables, which free it.
-
-    The products over many xi are walked in tiles (:meth:`tiles`): blocks of
-    xi rows by tree-level nodes of at most ``_SLICE`` entries, or one row where
-    a level alone exceeds it, so that a tile and its tables stay in cache while
-    the shallow levels still take many xi per numpy call.
+    ``kernels[t - 1]`` its :class:`HSqTables`, or (n, u_n) on an explicit
+    level of ``filters``; ``ends[n]`` is the tree level that ends level n,
+    where size is P_n.  ``u`` keeps u_level unreduced mod 1 for the
+    completeness tail tables, which free it.
     """
 
     def __init__(self, tm: TreeMapping, scales: _Scales, level: int, filters: FilterFamily):
         self.scales = scales.upto(level)
+        self.filters = filters
         self.kernels = []
         self.radix, self.scale, self.size, self.ends = [1], [1], [1], [0]
         u = np.zeros(1)
@@ -282,8 +230,7 @@ class _Tree:
             for f in primes:
                 sub *= f
                 u = (np.tile(w, sub) + (label if sub == d else _digits(sub, parents))) / sub
-                self.kernels.append(H_sq_tables(f, u) if uniform
-                                    else (np.asarray(filters.coefficients(n)), u))
+                self.kernels.append(H_sq_tables(f, u) if uniform else (n, u))
                 self.radix.append(f)
                 self.scale.append(sub * scales.rho[n])
                 self.size.append(len(u))
@@ -301,17 +248,17 @@ class _Tree:
         rho_{n+1} = q_n d_n rho_n and G_n is 1-periodic: xi enters only through
         the scalar xi / ``scale[t]``, and ``nodes`` slices the tables as
         views.  The scalars xi / ``scale[t]`` are one array division, each
-        entry the rounding of the scalar one.  An explicit filter level is
-        evaluated one row per call, since the bits of :func:`eval_filter`
-        depend on the shape of its call."""
+        entry the rounding of the scalar one.  An explicit filter level takes
+        :meth:`~.fourier.FilterFamily.factor`, one row per call, since the
+        bits of :func:`~.fourier.eval_filter` depend on the shape of its call."""
         a = _float_div(np.asarray(xis, dtype=float), self.scale[t])
         kernel = self.kernels[t - 1]
         if isinstance(kernel, HSqTables):
             return eval_H_sq_tables(kernel, a, nodes)
-        g, u = kernel[0], kernel[1][nodes]
+        n, u = kernel[0], kernel[1][nodes]
         values = np.empty((len(a), len(u)))
         for row, x in zip(values, a):
-            f = eval_filter(g, x + u)
+            f = self.filters.factor(n, x + u)
             np.add(f.real ** 2, f.imag ** 2, out=row)
         return values
 
@@ -324,9 +271,11 @@ class _Tree:
         broadcast over the ``radix[t]`` contiguous rows of children.  At
         t = ``ends[n]`` that is prod_{k<=n} |G_k(xi / (d_k rho_k) + u_k)|^2
         over the level-n nodes.  A tile has at most ``_SLICE`` entries, or one
-        row when ``size[t]`` exceeds ``_SLICE``; a tile's rows are split into
-        tiles of the next tree level as the size grows, and the tiles of one
-        tree level come in the order of ``xis``, a float array or a sequence of floats."""
+        row when ``size[t]`` exceeds ``_SLICE``, so that it stays in cache with
+        its tables while a shallow level still takes many xi per numpy call; a
+        tile's rows are split into tiles of the next tree level as the size
+        grows, and the tiles of one tree level come in the order of ``xis``, a
+        float array or a sequence of floats."""
         xis = np.asarray(xis, dtype=float)
         stack = [(0, 0, len(xis), None)] if len(xis) else []  # (tree level, rows [lo, hi), parent tile)
         while stack:
@@ -435,7 +384,6 @@ class QRow(NamedTuple):
 class CompletenessReport:
     rows: tuple[QRow, ...]
     l_max: int
-    tol: float
     monotone: bool          # Q_{L+1} >= Q_L - 1e-12 at every grid point
     bounded: bool           # the direct sum of the terms <= 1 + certified slack
     worst_gap: float        # max over the grid of the gap 1 - Q_{L_max}
@@ -552,9 +500,10 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     sums are scalars.  Everything that does not depend on xi is built once,
     before the grid loop: the digit tree, the frequencies and the moments
     sum lambda and sum lambda^2 of each block, and the tail tables
-    (:func:`_tail_tables`) to the deepest depth :func:`truncation_level`
-    picks for a block at any xi in [0, 1/2] (|xi + lambda| is convex in xi,
-    so at xi = 0 or 1/2), with the series start fixed for xi up to 1/2.  A
+    (:func:`_tail_tables`) to the deepest truncation depth of
+    :func:`~.fourier._truncated_product` for a block at any xi in [0, 1/2]
+    (|xi + lambda| is convex in xi, so at xi = 0 or 1/2), with the series
+    start fixed for xi up to 1/2.  A
     deeper tail only shrinks the truncation error each radius bounds.  The
     depth of every (grid point, block) is one ``np.searchsorted`` over the
     cached rho (:func:`_reach_floats`).  The grid walks the tree in tiles
@@ -600,7 +549,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
         if not 0.0 <= x <= 0.5:
             raise ValueError(f"grid point {x} outside [0, 1/2]")
     check_word_budget(pair, l_max, budget, least=1)
-    validation = validate_tree_mapping(tm, max(l_max, tm.table_depth))
+    validation = validate_tree_mapping(tm)
     if not validation.ok:
         issue = validation.issues[0]
         raise ValueError(f"tree mapping fails condition {issue.condition} at {issue.location}: "
@@ -678,7 +627,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     rows = tuple(map(QRow, np.repeat(x, l_max).tolist(), list(range(1, l_max + 1)) * len(x),
                      q.ravel().tolist(), slack.ravel().tolist(), ok.ravel().tolist()))
     worst = int(np.argmax(gaps)) if len(x) else None  # the first xi of the largest gap
-    return CompletenessReport(rows=rows, l_max=l_max, tol=tol, monotone=bool(ok.all()),
+    return CompletenessReport(rows=rows, l_max=l_max, monotone=bool(ok.all()),
                               bounded=bool(np.all(np.cumsum(sums, axis=1) <= 1.0 + slack)),
                               worst_gap=-math.inf if worst is None else float(gaps[worst]),
                               worst_gap_xi=0.0 if worst is None else xis[worst])

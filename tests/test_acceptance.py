@@ -129,7 +129,7 @@ def test_criterion_7_negative_controls():
     assert not bad_set.passed
     assert bad_set.violations == ((0, 8),)
 
-    bad_tree = validate_tree_mapping(TreeMapping(MU42, {(1,): 3}), 4)
+    bad_tree = validate_tree_mapping(TreeMapping(MU42, {(1,): 3}))
     assert not bad_tree.ok
     assert bad_tree.issues[0].condition == "ii"
 

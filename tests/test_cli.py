@@ -330,12 +330,17 @@ def test_report_passes_on_the_paper_endpoints(config, tmp_path):
 
 
 def test_report_fails_on_a_root_table_entry(mu42, tmp_path):
-    # tau ignores a root entry, so the table would pass validation and lose it
-    tree = tmp_path / "tree.json"
-    tree.write_text('[{"word": [], "value": 5}]')
-    out = tmp_path / "out"
-    assert run(["report", "--pair", mu42, "--tree", str(tree), "--out", str(out)]) == 1
-    assert json.loads((out / "report.json").read_text())["checks"] == {"pair": True, "tree": False}
+    # tau ignores a root entry, so the table would pass validation and lose it; an
+    # entry deeper than the levels report validated used to reach completeness,
+    # whose own validation ended the run with a usage error
+    for k, entry in enumerate(('{"word": [], "value": 5}',
+                               '{"word": [0, 0, 0, 0, 0, 0, 0, 0, 1], "value": 5}')):
+        tree = tmp_path / f"tree{k}.json"
+        tree.write_text(f"[{entry}]")
+        out = tmp_path / f"out{k}"
+        assert run(["report", "--pair", mu42, "--tree", str(tree), "--out", str(out)]) == 1
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        assert checks == {"pair": True, "tree": False}, entry
 
 
 def test_report_fails_on_invalid_pair(tmp_path):
@@ -413,6 +418,9 @@ def test_every_artifact_parses_back(mu42, tmp_path):
     (["report", "--draws", "0"], "--draws"),
     (["spectrum", "--level", "0"], "--level"),
     (["completeness", "--tol", "0"], "--tol"),
+    # the Philox key takes the seed as an unsigned 64-bit word
+    (["sample", "--seed", "18446744073709551616"], "--seed"),
+    (["report", "--seed", "18446744073709551616"], "--seed"),
 ])
 def test_degenerate_flags_rejected(mu42, tmp_path, capsys, cmd, flag):
     with pytest.raises(SystemExit) as err:

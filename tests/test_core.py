@@ -100,7 +100,7 @@ def test_alpha_rejections():
     with pytest.raises(PairConstraintError, match="alpha"):
         dimension_targeting_pair(1.5)
     with pytest.raises(PairConstraintError, match="profile"):
-        dimension_targeting_pair(0.5, profile="exotic")
+        pair_from_config({"kind": "alpha", "alpha": 0.5, "profile": "exotic"})
 
 
 def test_validate_pair_examples():

@@ -1,5 +1,8 @@
 import cmath
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +10,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from cantorspec import (FilterCertificationError, FilterFamily,
-                        certificate_report, constant_pair,
+from cantorspec import (FilterCertificationError, FilterFamily, constant_pair,
                         dimension_targeting_pair, eval_H, eval_H_array,
                         eval_H_sq_array, filter_family_from_config, mu_hat,
-                        mu_hat_array,
-                        mu_hat_exact_zero, phi_hat, qmf_check, uniform_family)
+                        mu_hat_array, mu_hat_exact_zero, pair_from_config,
+                        phi_hat, qmf_check, uniform_family)
 from cantorspec.fourier import (LOG_SERIES_THETA, _ZETA_OVER_J, H_sq_tables, _H_sq_direct,
                                 eval_filter, eval_H_sq_tables, log_H_sq_array, log_H_sq_series,
                                 eval_log_series_taylor, log_series_coefficients,
@@ -569,14 +571,20 @@ def test_qmf_algebraic_agrees_with_grid():
 # product transform
 # ---------------------------------------------------------------------------
 
-def brute_force_transform(pair, xi, levels=60):
+def brute_force_transform(pair, xi, levels=60, explicit=()):
+    """Independent oracle: the product of the literal level sums, the
+    coefficients ``explicit[n-1]`` on the first levels and H_{d_n} after them."""
     acc = 1.0 + 0.0j
     rho_n = 1
     for n in range(1, levels + 1):
         d = pair.d(n)
         if (d * rho_n).bit_length() > 900:
             break
-        acc *= kernel_by_summation(d, xi / (d * rho_n))
+        x = xi / (d * rho_n)
+        if n <= len(explicit):
+            acc *= sum(g * cmath.exp(-2j * math.pi * j * x) for j, g in enumerate(explicit[n - 1]))
+        else:
+            acc *= kernel_by_summation(d, x)
         rho_n *= pair.b(n)
     return acc
 
@@ -665,26 +673,47 @@ def test_exact_zero_negative_symmetric():
 # filter families
 # ---------------------------------------------------------------------------
 
+# the demo pairs but alpha_one, whose uniform levels have d_n = 2^(3n-1) taps,
+# more than the window infimum of the certification can tabulate
+DEMO_PAIRS = ("alpha_zero", "alpha_quarter", "alpha_half", "mu42", "mu82", "mu93",
+              "mu25_5", "mu30_6")
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
+
 def test_uniform_family_matches_measure_transform():
-    pair = constant_pair(4, 2)
-    fam = uniform_family(pair)
-    cert = fam.certify(25)
+    cert = uniform_family(constant_pair(4, 2)).certify(25)
     assert cert.ok and cert.d0 == 1.0 and cert.d1 > 0.4
-    rng = np.random.default_rng(6)
-    for xi in rng.uniform(-20, 20, size=20):
-        a = phi_hat(fam, float(xi), 1e-10, certificate=cert)
-        b = mu_hat(pair, float(xi), 1e-10)
-        assert abs(a.value - b.value) <= a.radius + b.radius + 1e-13
+    # one product and one tail bound: phi_hat of the uniform family is mu_hat, bit for bit
+    xis = [0.0, 0.3, -2.7, 41.5, -1000.125]
+    for name in DEMO_PAIRS:
+        pair = pair_from_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+        fam = uniform_family(pair)
+        cert = fam.certify(mu_hat(pair, max(xis, key=abs), 1e-10).levels)
+        for xi in xis:
+            a = phi_hat(fam, xi, 1e-10, certificate=cert)
+            b = mu_hat(pair, xi, 1e-10)
+            assert np.array([a.value, a.radius]).tobytes() == np.array([b.value, b.radius]).tobytes()
+            assert a.levels == b.levels, (name, xi)
 
 
 def test_modulated_family():
     pair = constant_pair(4, 2)
     # G_n(x) = H_2(x) e^{-4 pi i x}: two zero taps then the averaging taps
-    fam = FilterFamily(pair=pair, explicit=((0j, 0j, 0.5 + 0j, 0.5 + 0j),), label="modulated")
+    fam = FilterFamily(pair=pair, explicit=((0j, 0j, 0.5 + 0j, 0.5 + 0j),))
     assert fam.d0 == pytest.approx(1.5)
     cert = fam.certify(8)
     assert cert.ok
     assert phi_hat(fam, 0.0, 1e-10, certificate=cert).value == pytest.approx(1.0)
+    # the product runs past every explicit level, so that it discards only uniform
+    # ones and mu_hat's radius bounds its tail; four levels of averaging taps
+    # shifted by two and by one
+    taps = ((0, 0, 0.5, 0.5), (0, 0.5, 0.5), (0, 0, 0.5, 0.5), (0, 0.5, 0.5))
+    deep = FilterFamily(pair=pair, explicit=taps)
+    for xi in (0.0, 0.01, 0.3, -5.5, 17.25, 1000.125):
+        for tol in (1e-6, 1e-10):
+            got = phi_hat(deep, xi, tol)
+            assert got.levels >= len(taps) and got.radius <= tol
+            assert abs(got.value - brute_force_transform(pair, xi, explicit=taps)) <= got.radius + 1e-15
 
 
 def test_any_certified_family_is_one_at_zero():
@@ -695,31 +724,29 @@ def test_any_certified_family_is_one_at_zero():
 
 def test_uncertified_family_rejected():
     pair = constant_pair(4, 2)
-    bad = FilterFamily(pair=pair, explicit=((0.6 + 0j, 0.4 + 0j),), label="bad")
+    bad = FilterFamily(pair=pair, explicit=((0.6 + 0j, 0.4 + 0j),))
     with pytest.raises(FilterCertificationError):
         phi_hat(bad, 0.3, 1e-10)
 
 
 def test_filter_family_json_round_trip():
     pair = constant_pair(4, 2)
-    cfg = {"levels": [[[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.5, 0.0]]],
-           "label": "modulated"}
+    cfg = {"levels": [[[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.5, 0.0]]]}
     fam = filter_family_from_config(pair, cfg)
     assert fam.coefficients(1) == (0j, 0j, 0.5 + 0j, 0.5 + 0j)
     assert fam.coefficients(2) == (0.5 + 0j, 0.5 + 0j)     # uniform beyond the list
     cert = fam.certify(6)
-    doc = certificate_report(cert)
+    doc = dataclasses.asdict(cert)
     assert doc["ok"] is True
     assert doc["d0"] == pytest.approx(1.5)
     assert all(d <= 1e-12 for d in doc["qmf_defects"])
-    import json
     json.dumps(doc)                                         # JSON-serializable
 
 
 def test_certificate_report_carries_defects():
     pair = constant_pair(4, 2)
     bad = FilterFamily(pair=pair, explicit=((0.6 + 0j, 0.4 + 0j),))
-    doc = certificate_report(bad.certify(3))
+    doc = dataclasses.asdict(bad.certify(3))
     assert doc["ok"] is False
     assert doc["qmf_defects"][0] == pytest.approx(0.02, abs=1e-12)
     assert any("QMF defect" in m for m in doc["messages"])

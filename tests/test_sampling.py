@@ -154,5 +154,8 @@ def test_sample_argument_validation():
         sample_measure(MU42, 0)
     with pytest.raises(ValueError):
         sample_measure(MU42, 10, seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        sample_measure(MU42, 10, seed=2**64)
+    assert len(sample_measure(MU42, 10, seed=2**64 - 1)) == 10
     with pytest.raises(ValueError):
         sample_measure(MU42, 10, depth=0)

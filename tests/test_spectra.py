@@ -27,28 +27,28 @@ def test_canonical_tau_examples():
 
 
 def test_validate_examples():
-    assert validate_tree_mapping(canonical_tau(MU42), 6).ok
-    bad = validate_tree_mapping(TreeMapping(MU42, {(1,): 3}), 4)
+    assert validate_tree_mapping(canonical_tau(MU42)).ok
+    bad = validate_tree_mapping(TreeMapping(MU42, {(1,): 3}))
     assert not bad.ok
     assert bad.issues[0].condition == "ii"        # 3 outside {-2,...,1}
-    good = validate_tree_mapping(TreeMapping(MU42, {(1,): -1}), 4)
+    good = validate_tree_mapping(TreeMapping(MU42, {(1,): -1}))
     assert good.ok                                # -1 in (1+2Z) and in range
 
 
 def test_validate_condition_ii_congruence():
-    bad = validate_tree_mapping(TreeMapping(MU42, {(1,): 0}), 4)
+    bad = validate_tree_mapping(TreeMapping(MU42, {(1,): 0}))
     assert not bad.ok and bad.issues[0].condition == "ii"
     assert "congruent" in bad.issues[0].message
 
 
 def test_validate_condition_i_and_words():
-    bad_root = validate_tree_mapping(TreeMapping(MU42, {(0, 0): 2}), 4)
+    bad_root = validate_tree_mapping(TreeMapping(MU42, {(0, 0): 2}))
     assert not bad_root.ok and bad_root.issues[0].condition == "i"
     # tau ignores a root entry, so only the table shows it
-    root_entry = validate_tree_mapping(TreeMapping(MU42, {(): 5}), 4)
+    root_entry = validate_tree_mapping(TreeMapping(MU42, {(): 5}))
     assert not root_entry.ok and root_entry.issues[0].condition == "i"
-    assert validate_tree_mapping(TreeMapping(MU42, {(): 0}), 4).ok
-    bad_word = validate_tree_mapping(TreeMapping(MU42, {(2,): 0}), 4)
+    assert validate_tree_mapping(TreeMapping(MU42, {(): 0})).ok
+    bad_word = validate_tree_mapping(TreeMapping(MU42, {(2,): 0}))
     assert not bad_word.ok and bad_word.issues[0].condition == "word"
 
 
@@ -63,7 +63,7 @@ def test_lambda_examples():
 def test_lambda_includes_zero_extension_table_entries():
     # a table entry on the zero-extension contributes past the word's length
     tm = TreeMapping(MU82, {(1, 0): 2})
-    assert validate_tree_mapping(tm, 3).ok
+    assert validate_tree_mapping(tm).ok
     assert lambda_of_word(tm, (1,)) == 1 + 2 * 8
 
 
@@ -122,7 +122,7 @@ def test_cardinality_and_range():
 
 def test_range_with_negative_table():
     tm = TreeMapping(MU42, {(1,): -1, (0, 1): -1, (1, 1): 1})
-    assert validate_tree_mapping(tm, 4).ok
+    assert validate_tree_mapping(tm).ok
     for level in range(1, 6):
         lev = enumerate_level(tm, level)
         rho_next = rho(MU42, level + 1)
@@ -135,7 +135,7 @@ def test_collision_reporting_for_invalid_table():
     # tau((1,)) = 0 breaks the congruence condition and collides with the
     # zero branch; enumeration must surface the duplicate, not merge it away
     tm = TreeMapping(MU42, {(1,): 0})
-    assert not validate_tree_mapping(tm, 2).ok
+    assert not validate_tree_mapping(tm).ok
     lev = enumerate_level(tm, 1)
     assert lev.collisions == ((0, 2),)
     assert lev.elements == (0,)
@@ -195,7 +195,7 @@ def test_growth_single_tail_entry():
 
 def test_growth_stacked_tail_entries():
     tm = TreeMapping(MU82, {(1, 0): 2, (1, 0, 0): 2})
-    assert validate_tree_mapping(tm, 4).ok
+    assert validate_tree_mapping(tm).ok
     rep = check_growth_conditions(tm, 4)
     assert rep.sup_sum_exact == Fraction(1, 16) + Fraction(1, 16)
     assert rep.max_nonzero_count == 2
@@ -227,7 +227,7 @@ def valid_tables(draw):
 @settings(deadline=None, max_examples=60)
 def test_random_valid_tables_validate_and_nest(table):
     tm = TreeMapping(MU42, table)
-    assert validate_tree_mapping(tm, 5).ok
+    assert validate_tree_mapping(tm).ok
     prev = set()
     for level in range(1, 5):
         lev = enumerate_level(tm, level)

@@ -16,7 +16,7 @@ from cantorspec import (BudgetExceededError, FilterFamily, TreeMapping, canonica
 from cantorspec import default_depth, exact_mean, hausdorff_dim_formula, sample_measure, verify
 from cantorspec.fourier import (LOG_SERIES_THETA, TWO_PI, H_sq_tables, _float_div,
                                 eval_filter, eval_H_sq_tables, log_H_sq_array,
-                                log_H_sq_series, truncation_level, truncation_target)
+                                log_H_sq_series, truncation_target)
 
 MU42 = constant_pair(4, 2)
 MU93 = constant_pair(9, 3)
@@ -239,10 +239,10 @@ def test_partition_levels_of_many_xis_equal_one_call_per_xi(monkeypatch):
             assert partition_levels(tm, [], level, filters=fam) == ()
 
 
-def linear_truncation_level(pair, xi, tol, tail=TWO_PI, levels=1):
+def linear_truncation_level(pair, xi, tol, levels=1):
     """Oracle: the least N >= levels with rho_{N+1} >= the target, by the
     linear scan over the scales that the cached bisection replaced."""
-    target = truncation_target(xi, tol, tail)
+    target = truncation_target(xi, tol)
     n, rho_next = 1, pair.b(1)
     while rho_next < target or n < levels:
         n += 1
@@ -259,10 +259,9 @@ def test_cached_truncation_depths_equal_truncation_level(pair):
         x = float(10.0 ** rng.uniform(-3, 12)) * rng.choice([-1.0, 1.0])
         tol = float(10.0 ** rng.uniform(-15, 0.5))
         levels = int(rng.integers(0, 12))
-        want = linear_truncation_level(pair, x, tol)
-        assert scales.reach(truncation_target(x, tol)) == truncation_level(pair, x, tol) == want
-        assert (truncation_level(pair, x, tol, tail=3.0, levels=levels)
-                == linear_truncation_level(pair, x, tol, tail=3.0, levels=levels)), (x, tol, levels)
+        assert scales.reach(truncation_target(x, tol)) == linear_truncation_level(pair, x, tol)
+        assert (scales.reach(truncation_target(x, tol), levels)
+                == linear_truncation_level(pair, x, tol, levels=levels)), (x, tol, levels)
     assert scales.reach(truncation_target(0.0, 1e-10)) == linear_truncation_level(pair, 0.0, 1e-10)
     for k in range(2, 8):
         # a target exactly at the scale rho_k: the least N has rho_{N+1} = rho_k
@@ -271,12 +270,12 @@ def test_cached_truncation_depths_equal_truncation_level(pair):
             if truncation_target(x, 1e-10) != rho_k:
                 x = math.nextafter(x, math.inf if truncation_target(x, 1e-10) < rho_k else 0.0)
         assert truncation_target(x, 1e-10) == rho_k
-        assert (scales.reach(truncation_target(x, 1e-10)) == truncation_level(pair, x, 1e-10)
+        assert (scales.reach(truncation_target(x, 1e-10))
                 == linear_truncation_level(pair, x, 1e-10) == (k - 1, rho_k))
     for x, tol in [(math.inf, 1e-10), (math.nan, 1e-10), (0.3, 0.0), (0.3, math.nan),
                    (1e300, 1e-300)]:
         with pytest.raises(ValueError):
-            truncation_level(pair, x, tol)
+            scales.reach(truncation_target(x, tol))
 
 
 @pytest.mark.parametrize("pair", [MU42, MU93, dimension_targeting_pair(0.5),
@@ -380,7 +379,7 @@ def scalar_completeness(tm, xi, level, tol):
 
     Each level's new frequencies come from a set difference of
     enumerate_level results; each term is a scalar mu_hat forced to the
-    depth that truncation_level picks for the batch's largest |xi + lambda|.
+    truncation depth of the batch's largest |xi + lambda|.
     """
     seen = set()
     q = slack = 0.0
@@ -388,7 +387,8 @@ def scalar_completeness(tm, xi, level, tol):
     for n in range(1, level + 1):
         fresh = sorted(set(enumerate_level(tm, n).elements) - seen)
         seen.update(fresh)
-        depth, _ = truncation_level(tm.pair, max(abs(xi + v) for v in fresh), tol)
+        reach = max(abs(xi + v) for v in fresh)
+        depth, _ = verify._Scales(tm.pair).reach(truncation_target(reach, tol))
         values = [mu_hat(tm.pair, xi + v, tol, levels=depth) for v in fresh]
         q += math.fsum(tv.modulus ** 2 for tv in values)
         slack += math.fsum(2.0 * tv.radius * tv.modulus + tv.radius ** 2 for tv in values)
@@ -541,7 +541,7 @@ def test_completeness_matches_deep_oracle():
 def test_completeness_of_an_empty_grid():
     # nothing to check: no rows, both verdicts true and the worst gap -inf at xi = 0
     rep = completeness_Q(canonical_tau(MU42), [], 4)
-    assert rep == verify.CompletenessReport(rows=(), l_max=4, tol=1e-10, monotone=True,
+    assert rep == verify.CompletenessReport(rows=(), l_max=4, monotone=True,
                                             bounded=True, worst_gap=-math.inf, worst_gap_xi=0.0)
 
 
@@ -648,7 +648,7 @@ def to_digit_major(values, scales, level):
 
 
 # taps 0 and 3 at d = 2: a QMF filter other than H_2 (lag 3 is no multiple of 2)
-MODULATED42 = FilterFamily(MU42, explicit=((0.5, 0, 0, 0.5), (0.5, 0, 0, 0.5)), label="taps 0, 3")
+MODULATED42 = FilterFamily(MU42, explicit=((0.5, 0, 0, 0.5), (0.5, 0, 0, 0.5)))
 LAYOUT_CASES = [
     (canonical_tau(MU42), 8, uniform_family(MU42)),
     (canonical_tau(MU42), 6, MODULATED42),
@@ -890,10 +890,12 @@ def test_a_repeating_b_or_d_of_one_raises(b, d):
         exact_mean(pair)
     if b[-1] == 1:
         for call in (lambda: sample_measure(pair, 10), lambda: default_depth(pair),
-                     lambda: mu_hat(pair, 0.3, 1e-10), lambda: truncation_level(pair, 0.3, 1e-10),
+                     lambda: mu_hat(pair, 0.3, 1e-10),
+                     lambda: verify._Scales(pair).reach(truncation_target(0.3, 1e-10)),
                      lambda: mu_hat_exact_zero(pair, 8)):
             with pytest.raises(ValueError, match="b_n = 1 from level 2 on"):
                 call()
-        assert truncation_level(pair, 0.0, 1e-10) == (1, 4)  # reached before rho_n stops
+        # reached before rho_n stops
+        assert verify._Scales(pair).reach(truncation_target(0.0, 1e-10)) == (1, 4)
     else:
         assert default_depth(pair) == 26
