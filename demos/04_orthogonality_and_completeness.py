@@ -28,7 +28,7 @@ print("the set {0, 8}: passed =", bad.passed, " witness pair:", bad.violations[0
 # the grouped residue-tree method handles half a billion pairs exactly
 alpha = dimension_targeting_pair(0.5)
 big = enumerate_level(canonical_tau(alpha), 5, budget=10**6)
-rep = orthogonality_check(big, alpha, max_elements=40000)
+rep = orthogonality_check(big, alpha)
 print(f"alpha=1/2 level 5: {rep.element_count} elements, {rep.pair_count} pairs,",
       "orthogonal" if rep.passed else "NOT orthogonal")
 

@@ -22,14 +22,14 @@ import dataclasses
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import dimension as dim
 from . import sampling, svgplot
-from .core import BudgetExceededError, ScalePair, _Scales, pair_from_config, validate_pair
+from .core import (BudgetExceededError, ScalePair, _Scales, _to_float, pair_from_config,
+                   validate_pair)
 from .fourier import filter_family_from_config
 from .spectra import (TreeMapping, canonical_tau, enumerate_level,
                       tree_mapping_from_config, validate_tree_mapping, word_count)
@@ -77,24 +77,10 @@ def _load_tree(pair: ScalePair, path: str | None) -> tuple[TreeMapping, list]:
         raise ConfigError(f"invalid tree table {path}: {exc}") from exc
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return {"numerator": str(obj.numerator), "denominator": str(obj.denominator)}
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _write_json(outdir: Path, name: str, payload: dict):
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / name, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -127,10 +113,7 @@ class _Column:
 def _as_floats(values: list[int]) -> list[float] | None:
     """Sorted integers as floats, or None when they or their span overflow a
     float, or when they all round to one float (no axis can show them)."""
-    try:
-        xs = [float(v) for v in values]
-    except OverflowError:
-        return None
+    xs = [_to_float(v) for v in values]
     return xs if 0 < xs[-1] - xs[0] < math.inf else None
 
 
@@ -179,7 +162,7 @@ def _check_spectrum(pair, tm, args):
 
 def _check_orthogonality(pair, tm, args):
     level = enumerate_level(tm, args.level, budget=args.budget)
-    report = orthogonality_check(level, pair, max_elements=args.budget)
+    report = orthogonality_check(level, pair)
     return report.passed and not level.collisions, {
         "elements": report.element_count,
         "pairs": report.pair_count,

@@ -4,13 +4,16 @@ A pair of integer sequences B = {b_n}, D = {d_n} is admissible when
 1 < d_n < b_n and b_n/d_n is an integer >= 2 for every level n.  The scales
 rho_1 = 1, rho_{n+1} = rho_n * b_n then grow at least geometrically with
 ratio 4 and are kept as exact Python integers throughout: rho_n overflows
-64-bit arithmetic around n = 11 already for constant b = 64.
+64-bit arithmetic around n = 11 already for constant b = 64.  Every float
+read of an exact scale goes through :func:`_to_float`, which gives +-inf past
+the double range instead of raising.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,6 +126,19 @@ def check_growth(pair: ScalePair, n: int, b_n: int):
     where the scales rho_n stop growing."""
     if b_n == 1 and n >= len(pair.b_prefix):
         raise ValueError(f"b_n = 1 from level {n} on: the scales rho_n stop growing")
+
+
+def _to_float(big: int) -> float:
+    """``big`` as a float: ``float(big)``, or +-inf past the double range, never
+    an OverflowError; the one float form of the exact scales.  So x / rho has no
+    bit-length cut-off: for rho in [2^1020, 2^1024) it is tiny or subnormal, not
+    0, as is ``sampling.truncation_radius``, and past the range both are 0.  An
+    error radius caps the scale it divides by at 1e308 with ``min``, so that it
+    stays an upper bound."""
+    try:
+        return float(big)
+    except OverflowError:
+        return math.inf if big > 0 else -math.inf
 
 
 class _Scales:

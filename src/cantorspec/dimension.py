@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScalePair, _Scales
+from .core import ScalePair, _Scales, _to_float
 from .spectra import TreeMapping, _elements_of, check_word_budget, enumerate_level
 
 _REL_TOL = 1e-15        # relative accuracy of every truncated tail
@@ -249,10 +249,10 @@ def beurling_upper_dim(level_or_elements, window_grid: Sequence[float]) -> Beurl
                          f"and a slope needs at least 2")
     counts = []
     for h in hs:
-        sup = 0
+        sup, w = 0, int(h)  # an integer lies within h of x iff within floor(h)
         for x in elements:
-            lo = bisect.bisect_left(elements, x - h)
-            hi = bisect.bisect_right(elements, x + h)
+            lo = bisect.bisect_left(elements, x - w)
+            hi = bisect.bisect_right(elements, x + w)
             sup = max(sup, hi - lo)
         counts.append((h, sup))
     slope, _ = _least_squares([math.log(h) for h, _ in counts], [math.log(c) for _, c in counts])
@@ -273,12 +273,13 @@ def beurling_vs_hausdorff(tm: TreeMapping, level: int, budget: int = 10**6) -> D
     a slack of 0.1.
 
     The window grid is tied to the scales (h_j = rho_j / 2 for 2 <= j <= level,
-    below 2^500), where the windowed counts of canonical spectra are exactly
+    where it is finite), where the windowed counts of canonical spectra are exactly
     the level cardinalities.  A ValueError of :func:`beurling_upper_dim` when
     it holds fewer than two windows.
     """
     pair = tm.pair
-    grid = [r / 2.0 for r in _Scales(pair).upto(level).rho[2:level + 1] if r.bit_length() < 500]
+    halves = [_to_float(r) / 2.0 for r in _Scales(pair).upto(level).rho[2:level + 1]]
+    grid = [h for h in halves if h < math.inf]
     est = beurling_upper_dim(enumerate_level(tm, level, budget=budget), window_grid=grid)
     formula = hausdorff_dim_formula(pair, _FORMULA_DEPTH).liminf_proxy
     return DimensionComparison(beurling=est.slope, hausdorff=formula, slack=_BEURLING_SLACK,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScalePair, _Scales
+from .core import ScalePair, _Scales, _to_float
 
 TWO_PI = 2.0 * math.pi
 
@@ -394,23 +394,6 @@ class TruncatedValue:
         return abs(self.value)
 
 
-def _float_div(x, big: int):
-    # x / big for a float or a float array, without OverflowError when big
-    # exceeds float range; the result underflows to 0 exactly when the factor
-    # is 1 at double resolution.  float(big) is the rounding x / big applies
-    if big.bit_length() > 1020:
-        return x * 0.0
-    return x / float(big)
-
-
-def _cap_float(big: int) -> float:
-    # big as a float, saturating instead of raising past the double range;
-    # only ever used where larger means a smaller (sound) error radius
-    if big.bit_length() > 1020:
-        return 1e308
-    return float(big)
-
-
 def truncation_target(xi, tol: float):
     """The scale 4 pi |xi| / min(tol, 1) that rho_{N+1} must reach in
     :func:`_truncated_product`, for a float xi or entry by entry over a float
@@ -441,8 +424,7 @@ def _truncated_product(filters: FilterFamily, xs, tol: float,
     |prod(1 + eps_n) - 1| <= exp(sum |eps_n|) - 1.  The partial product has
     modulus at most 1 for a certified family (the QMF identity gives
     |G_n| <= 1), so the radii expm1(2 pi |x| / rho_{N+1}), at most tol, bound
-    the truncation error.  A level whose d_n rho_n passes 2^1020, which no
-    float divides by, ends the product."""
+    the truncation error."""
     xs = np.asarray(xs, dtype=float)
     xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
     scales = _Scales(filters.pair)
@@ -450,11 +432,8 @@ def _truncated_product(filters: FilterFamily, xs, tol: float,
                                       max(levels, len(filters.explicit)))
     values = np.ones(xs.shape, dtype=complex)
     for n in range(1, n_levels + 1):
-        scale = scales.d[n] * scales.rho[n]
-        if scale.bit_length() > 1020:
-            break
-        values *= filters.factor(n, xs / float(scale))
-    radii = np.expm1(TWO_PI * np.abs(xs) / _cap_float(rho_next))
+        values *= filters.factor(n, xs / _to_float(scales.d[n] * scales.rho[n]))
+    radii = np.expm1(TWO_PI * np.abs(xs) / min(_to_float(rho_next), 1e308))
     return values, radii, n_levels
 
 
@@ -492,6 +471,9 @@ class QmfReport:
 _QMF_TOL = 1e-12
 # the first grid of the window infimum, and how often it is refined fourfold
 _WINDOW_GRID, _WINDOW_REFINEMENTS = 4096, 6
+# sinc(2/3) = 3 sqrt(3) / (4 pi) = 0.41349..., rounded down: on the window
+# |d x| <= 2/3, |H_d(x)| = |sin(pi d x)| / (d |sin(pi x)|) >= sinc(d x) >= it
+_UNIFORM_WINDOW_BOUND = 0.4134
 
 
 def _autocorrelation(g: np.ndarray, lag: int) -> complex:
@@ -549,11 +531,6 @@ def _window_infimum(g: np.ndarray, d: int) -> float:
     return certified
 
 
-def uniform_coefficients(d: int) -> tuple[complex, ...]:
-    """Coefficients of H_d: d taps of weight 1/d."""
-    return tuple([complex(1.0 / d)] * d)
-
-
 @dataclass(frozen=True)
 class FamilyCertificate:
     ok: bool
@@ -570,19 +547,13 @@ class FilterFamily:
 
     Levels beyond the explicit list default to the uniform averaging filter
     H_{d_n}, so a family is usable at any depth.  ``certify`` checks, per
-    level: normalization, the QMF identity (algebraic), the degree bound
-    deg(G_n) <= d0 * d_n, and a certified positive window infimum.
+    explicit level: normalization, the QMF identity (algebraic), the degree
+    bound deg(G_n) <= d0 * d_n, and a certified positive window infimum; a
+    uniform level H_d holds all four by construction (``_UNIFORM_WINDOW_BOUND``).
     """
 
     pair: ScalePair
     explicit: tuple[tuple[complex, ...], ...] = ()
-
-    def coefficients(self, n: int) -> tuple[complex, ...]:
-        if n < 1:
-            raise ValueError(f"level index must be >= 1, got {n}")
-        if n <= len(self.explicit):
-            return self.explicit[n - 1]
-        return uniform_coefficients(self.pair.d(n))
 
     def is_uniform(self, n: int) -> bool:
         return n > len(self.explicit)
@@ -601,17 +572,10 @@ class FilterFamily:
         return max([1.0] + ratios)
 
     def certify(self, depth: int) -> FamilyCertificate:
-        messages = []
-        defects = []
-        d1 = math.inf
-        uniform_done: dict[int, float] = {}
-        for n in range(1, depth + 1):
-            d = self.pair.d(n)
-            g = np.asarray(self.coefficients(n), dtype=complex)
-            if self.is_uniform(n) and d in uniform_done:
-                defects.append(0.0)
-                d1 = min(d1, uniform_done[d])
-                continue
+        messages, defects = [], []
+        d1 = _UNIFORM_WINDOW_BOUND if depth > len(self.explicit) else math.inf
+        for n, g in enumerate(self.explicit[:depth], start=1):
+            d, g = self.pair.d(n), np.asarray(g, dtype=complex)
             norm_defect = abs(complex(np.sum(g)) - 1.0)
             if norm_defect > _QMF_TOL:
                 messages.append(f"level {n}: G_n(0) = sum of coefficients is off by {norm_defect:.3e}")
@@ -625,8 +589,7 @@ class FilterFamily:
             if inf_bound <= 0.0:
                 messages.append(f"level {n}: window infimum not certifiably positive ({inf_bound:.3e})")
             d1 = min(d1, inf_bound)
-            if self.is_uniform(n):
-                uniform_done[d] = inf_bound
+        defects += [0.0] * (depth - len(defects))
         return FamilyCertificate(ok=not messages, depth=depth, d0=self.d0,
                                  d1=d1, qmf_defects=tuple(defects), messages=tuple(messages))
 

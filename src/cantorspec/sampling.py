@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ScalePair, _Scales
+from .core import ScalePair, _Scales, _to_float
 from .dimension import rescale_constant
 
 
@@ -30,10 +30,7 @@ def default_depth(pair: ScalePair) -> int:
 
 def truncation_radius(pair: ScalePair, depth: int) -> float:
     """Upper bound 2/rho_{depth+1} for the per-sample truncation error."""
-    rho_next = _Scales(pair).upto(depth).rho[depth + 1]
-    if rho_next.bit_length() > 1020:
-        return 0.0
-    return 2.0 / rho_next
+    return 2.0 / _to_float(_Scales(pair).upto(depth).rho[depth + 1])
 
 
 @dataclass(frozen=True)
@@ -61,10 +58,7 @@ def _accumulate(pair: ScalePair, count: int, levels) -> np.ndarray:
     values = np.zeros(count)
     scales = _Scales(pair)
     for n, digits in enumerate(levels, start=1):
-        scale = scales.upto(n).d[n] * scales.rho[n]
-        if scale.bit_length() > 1020:
-            break  # weight underflows double precision entirely
-        values += digits * (1.0 / scale)
+        values += digits * (1.0 / _to_float(scales.upto(n).d[n] * scales.rho[n]))
     return values
 
 

@@ -32,10 +32,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BudgetExceededError, ScalePair, _Scales, check_growth
+from .core import ScalePair, _Scales, _to_float, check_growth
 from .fourier import (LOG_SERIES_THETA, TWO_PI, FilterFamily, H_sq_tables, HSqTables,
-                      _cap_float, _float_div, eval_H_sq_tables,
-                      eval_log_series_taylor, log_H_sq_array, log_series_taylor,
+                      eval_H_sq_tables, eval_log_series_taylor, log_H_sq_array, log_series_taylor,
                       truncation_target, uniform_family)
 from .spectra import (TreeMapping, _elements_of, _table_nodes, check_word_budget,
                       validate_tree_mapping)
@@ -51,7 +50,7 @@ class OrthogonalityReport:
     passed: bool
     element_count: int
     pair_count: int
-    violations: tuple[tuple[int, int], ...]  # the smallest violation_cap, sorted
+    violations: tuple[tuple[int, int], ...]  # the smallest _VIOLATION_CAP, sorted
     violation_count: int
 
 
@@ -91,8 +90,10 @@ def _grouped_orthogonality(elements: list[int], pair: ScalePair, cap: int):
     return heapq.nsmallest(cap, pairs), sum(len(xs) * len(ys) for xs, ys in violating)
 
 
-def orthogonality_check(level_or_elements, pair: ScalePair, max_elements: int = 4096,
-                        violation_cap: int = 256) -> OrthogonalityReport:
+_VIOLATION_CAP = 256
+
+
+def orthogonality_check(level_or_elements, pair: ScalePair) -> OrthogonalityReport:
     """Exact pairwise orthogonality of a frequency set.
 
     Every unordered pair of distinct frequencies must have its difference
@@ -102,15 +103,10 @@ def orthogonality_check(level_or_elements, pair: ScalePair, max_elements: int = 
     """
     elements = _elements_of(level_or_elements)
     m = len(elements)
-    if m > max_elements:
-        raise BudgetExceededError(
-            f"{m} elements need {m * (m - 1) // 2} pairwise checks, over the "
-            f"budget implied by max_elements={max_elements}",
-            required=m * (m - 1) // 2)
     if len(set(elements)) != m:
         raise ValueError("frequency set contains duplicates; deduplicate and "
                          "treat duplicates as orthogonality violations upstream")
-    violations, count = _grouped_orthogonality(elements, pair, violation_cap)
+    violations, count = _grouped_orthogonality(elements, pair, _VIOLATION_CAP)
     return OrthogonalityReport(passed=count == 0, element_count=m,
                                pair_count=m * (m - 1) // 2, violations=tuple(violations),
                                violation_count=count)
@@ -207,7 +203,7 @@ class _Tree:
     fails :func:`validate_tree_mapping`), stays one level.
 
     Per tree level t, ``radix[t]`` is its digit count, ``scale[t]`` the
-    integer D_j rho_n that xi is divided by, ``size[t]`` its node count and
+    float of D_j rho_n that xi is divided by, ``size[t]`` its node count and
     ``kernels[t - 1]`` its :class:`HSqTables`, or (n, u_n) on an explicit
     level of ``filters``; ``ends[n]`` is the tree level that ends level n,
     where size is P_n.  ``u`` keeps u_level unreduced mod 1 for the
@@ -218,11 +214,11 @@ class _Tree:
         self.scales = scales.upto(level)
         self.filters = filters
         self.kernels = []
-        self.radix, self.scale, self.size, self.ends = [1], [1], [1], [0]
+        self.radix, self.scale, self.size, self.ends = [1], [1.0], [1], [0]
         u = np.zeros(1)
         for n, label in enumerate(_labels(tm, scales, level), start=1):
             d, parents = scales.d[n], len(u)
-            w, uniform = u / scales.q[n - 1], filters.is_uniform(n)
+            w, uniform = u / _to_float(scales.q[n - 1]), filters.is_uniform(n)
             primes = _prime_factors(d) if uniform else [d]
             if len(primes) > 1 and not np.array_equal(np.mod(label, d), _digits(d, parents)):
                 primes = [d]  # a label off its digit's class mod d_n: the split would not hold
@@ -232,7 +228,7 @@ class _Tree:
                 u = (np.tile(w, sub) + (label if sub == d else _digits(sub, parents))) / sub
                 self.kernels.append(H_sq_tables(f, u) if uniform else (n, u))
                 self.radix.append(f)
-                self.scale.append(sub * scales.rho[n])
+                self.scale.append(_to_float(sub * scales.rho[n]))
                 self.size.append(len(u))
             self.ends.append(len(self.size) - 1)
         self.u = u
@@ -251,7 +247,7 @@ class _Tree:
         entry the rounding of the scalar one.  An explicit filter level takes
         :meth:`~.fourier.FilterFamily.factor`, one row per call, since the
         bits of :func:`~.fourier.eval_filter` depend on the shape of its call."""
-        a = _float_div(np.asarray(xis, dtype=float), self.scale[t])
+        a = np.asarray(xis, dtype=float) / self.scale[t]
         kernel = self.kernels[t - 1]
         if isinstance(kernel, HSqTables):
             return eval_H_sq_tables(kernel, a, nodes)
@@ -395,13 +391,27 @@ _SLICE = 1 << 14
 
 
 def _frequencies(tm: TreeMapping, scales: _Scales, level: int):
-    """Per level-``level`` node, lambda of its zero-extension; and the labels past it."""
+    """Per level-``level`` node, lambda of its zero-extension; and the labels past it.
+    First a ValueError where the slack's sums of lambda^2 could overflow: with
+    |lambda| <= B = sum_n max|tau_n| rho_n (the levels and deep labels, exact),
+    a block of at most P nodes sums to below P B^2, which must stay below 2^1022."""
+    table = _table_labels(tm, scales, level)
+    top = {n: scales.d[n] - 1 for n in range(1, level + 1)}
+    for k, (_, labels) in table.items():
+        top[k] = max(top.get(k, 0), int(np.max(np.abs(labels))))
+    bound = sum(t * scales.upto(k).rho[k] for k, t in top.items())
+    count = math.prod(scales.d[1:level + 1])
+    if count * bound * bound >= 1 << 1022:
+        raise ValueError(f"level {level}: |lambda| <= sum_n max|tau_n| rho_n < 2^{bound.bit_length()}, "
+                         f"and the slack sums lambda^2 over {count} frequencies, which needs "
+                         f"|lambda| below 2^511 / sqrt({count}) to stay in the double range")
     lam = np.zeros(1)
     for n, label in enumerate(_labels(tm, scales, level), start=1):
-        lam = np.tile(lam, scales.d[n]) + label * float(scales.rho[n])
-    deep = {k: v for k, v in _table_labels(tm, scales, level).items() if k > level}
+        lam = np.tile(lam, scales.d[n]) + label * _to_float(scales.rho[n])
+    deep = {k: v for k, v in table.items() if k > level}
     for k, (index, labels) in deep.items():
-        lam[index] += labels * float(scales.upto(k).rho[k])
+        if top[k]:  # all-zero labels move nothing, however large rho_k
+            lam[index] += labels * _to_float(scales.rho[k])
     return lam, deep
 
 
@@ -427,18 +437,18 @@ def _tail_tables(scales: _Scales, u, level: int, depth: int, xmax: float, deep):
         v, explicit, series = u[start:start + _SLICE], [], None
         for k in range(level + 1, depth + 1):
             d = scales.d[k]
-            v = v / scales.q[k - 1]
+            v = v / _to_float(scales.q[k - 1])
             if k in deep:
                 index = deep[k][0] - start
                 inside = (index >= 0) & (index < len(v))
                 v[index[inside]] += deep[k][1][inside]
             v /= d
-            bound = d * (float(np.max(np.abs(v))) + _float_div(xmax, d * scales.rho[k]))
+            bound = d * (float(np.max(np.abs(v))) + xmax / _to_float(d * scales.rho[k]))
             if k > last_label and bound <= LOG_SERIES_THETA:
                 ks = range(k, depth + 1)
                 series = k, log_series_taylor([scales.d[j] for j in ks],
                                               [scales.rho[k] / scales.rho[j] for j in ks],
-                                              d * v, _float_div(xmax, scales.rho[k]))
+                                              d * v, xmax / _to_float(scales.rho[k]))
                 break
             explicit.append((k, v))
         tables.append((explicit, series))
@@ -464,28 +474,20 @@ def _log_tail(scales: _Scales, table, xis: np.ndarray, size: int):
 
 def _column(xis, big: int) -> np.ndarray:
     # xi / big per xi, as a column against a row of nodes
-    return _float_div(np.asarray(xis, dtype=float), big)[:, None]
+    return (np.asarray(xis, dtype=float) / _to_float(big))[:, None]
 
 
 def _reach_floats(scales: _Scales, targets: np.ndarray) -> np.ndarray:
     """rho_{N+1} of :meth:`~.core._Scales.reach` at each entry of the float array
-    ``targets``, as :func:`~.fourier._cap_float`, from one ``np.searchsorted`` over
-    the cached rho, which must already reach every target.  float(rho) < target
-    implies rho < target and float(rho) > target implies rho > target, so only
-    where float(rho) equals a target does the exact integer comparison decide."""
-    rho = scales.rho[2:]  # rho_2, ...: N >= 1
-    exact = np.array([_float_or_inf(r) for r in rho])
-    index = np.searchsorted(exact, targets)
-    for k in np.flatnonzero(exact[index] == targets):
+    ``targets``, capped at 1e308, from one ``np.searchsorted`` over the cached rho,
+    which must already reach every target.  float(rho) < target implies rho < target
+    and float(rho) > target implies rho > target, so only where float(rho) equals a
+    target does the exact integer comparison decide."""
+    floats = np.array([_to_float(r) for r in scales.rho[2:]])  # rho_2, ...: N >= 1
+    index = np.searchsorted(floats, targets)
+    for k in np.flatnonzero(floats[index] == targets):
         index.flat[k] = scales.reach(float(targets.flat[k]))[0] - 1
-    return np.array([_cap_float(r) for r in rho])[index]
-
-
-def _float_or_inf(r: int) -> float:
-    try:
-        return float(r)
-    except OverflowError:  # past the largest double, above every finite target
-        return math.inf
+    return np.minimum(floats, 1e308)[index]
 
 
 def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
@@ -536,7 +538,8 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     at lambda = 0), A = sum |lambda| sqrt(t) + xi sum sigma sqrt(t) and
     B = N xi^2 + 2 xi sum lambda + sum lambda^2 over the block's N terms,
     equal to the direct sums but for rounding.  A mapping failing
-    :func:`validate_tree_mapping` raises a ValueError naming the word.  Grid
+    :func:`validate_tree_mapping`, or frequencies too large for B
+    (:func:`_frequencies`), raise a ValueError.  Grid
     points and slices run in a fixed order, and a row's values depend neither
     on the rows that share its block nor on the rest of the grid: a one-point
     call gives that xi's rows bit for bit.  An empty grid gives no rows, both
@@ -554,11 +557,11 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
         issue = validation.issues[0]
         raise ValueError(f"tree mapping fails condition {issue.condition} at {issue.location}: "
                          f"{issue.message}; its frequencies need not be distinct")
-    scales = _Scales(pair)
-    tree = _Tree(tm, scales, l_max, uniform_family(pair))
+    scales = _Scales(pair).upto(l_max)
     if 1 in scales.d[2:l_max + 1]:  # no words new at that level: an empty block
         raise ValueError(f"d_{scales.d.index(1, 2)} = 1: completeness needs d_n >= 2")
     lam, deep = _frequencies(tm, scales, l_max)
+    tree = _Tree(tm, scales, l_max, uniform_family(pair))
     blocks = _blocks(scales, l_max)
     starts = [a for a, _ in blocks]
     lo, hi = np.minimum.reduceat(lam, starts), np.maximum.reduceat(lam, starts)

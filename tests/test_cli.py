@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -520,3 +521,37 @@ def test_repeating_b_or_d_of_one_exits_2(tmp_path, capsys, pair_cfg, cmd):
     path.write_text(pair_cfg)
     assert run([cmd, "--pair", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _pair_file(tmp_path, b, d) -> str:
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"kind": "explicit", "b": b, "d": d}))
+    return str(path)
+
+
+def test_partition_past_the_double_range(tmp_path):
+    # d_2 rho_2 = 2^1101: the level-2 argument xi / (d_2 rho_2) is 0 at double resolution
+    pair = _pair_file(tmp_path, [2**1100, 2**1100], [2, 2])
+    assert run(["partition", "--pair", pair, "--level", "3", "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("b, d, count", [([2**600, 2**600], [2, 2], 4),
+                                         ([2**1100, 2**1100], [2, 2], 4),
+                                         # every |lambda| < 2^511, but 30 squares sum past 2^1024
+                                         ([2**507, 32], [2, 16], 32)])
+@pytest.mark.parametrize("cmd", ["completeness", "report"])
+def test_completeness_refuses_frequencies_past_the_slack_range(tmp_path, capsys, b, d, count, cmd):
+    # the slack's sum of lambda^2 would overflow to inf, and inf slack bounds everything
+    pair = _pair_file(tmp_path, b, d)
+    assert run([cmd, "--pair", pair, "--level", "2", "--grid", "4", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "2^511" in err  # report runs completeness at its own, deeper level
+    assert cmd == "report" or "level 2: " in err and f"over {count} frequencies" in err
+
+
+def test_beurling_past_the_double_range(tmp_path):
+    # rho_4 = 2^1104: its window is inf and left out; x -+ h stay integers
+    pair = str(ROOT / "demos" / "configs" / "explicit_huge.json")
+    assert run(["beurling", "--pair", pair, "--level", "4", "--out", str(tmp_path / "o")]) in (0, 1)
+    report = json.loads((tmp_path / "o" / "beurling_report.json").read_text())
+    assert math.isfinite(report["beurling_estimate"])

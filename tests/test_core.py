@@ -96,6 +96,16 @@ def test_alpha_ratio_limits():
     assert abs(r(zero, 100)) < 4e-3            # 1/(3n) -> 0
 
 
+def test_to_float_saturates_past_the_double_range():
+    top = 2**1024 - 2**970  # the least integer that rounds past the largest double
+    for big in (0, 1, -7, 2**53 + 1, 2**1020, top - 1, -(top - 1)):
+        assert core._to_float(big) == float(big)
+    for big, inf in ((top, math.inf), (2**1100, math.inf), (-top, -math.inf), (-(2**5000), -math.inf)):
+        with pytest.raises(OverflowError):
+            float(big)
+        assert core._to_float(big) == inf
+
+
 def test_alpha_rejections():
     with pytest.raises(PairConstraintError, match="alpha"):
         dimension_targeting_pair(1.5)

@@ -15,7 +15,8 @@ from cantorspec import (FilterCertificationError, FilterFamily, constant_pair,
                         eval_H_sq_array, filter_family_from_config, mu_hat,
                         mu_hat_array, mu_hat_exact_zero, pair_from_config,
                         phi_hat, qmf_check, uniform_family)
-from cantorspec.fourier import (LOG_SERIES_THETA, _ZETA_OVER_J, H_sq_tables, _H_sq_direct,
+from cantorspec.fourier import (LOG_SERIES_THETA, _UNIFORM_WINDOW_BOUND, _ZETA_OVER_J,
+                                H_sq_tables, _H_sq_direct,
                                 eval_filter, eval_H_sq_tables, log_H_sq_array, log_H_sq_series,
                                 eval_log_series_taylor, log_series_coefficients,
                                 log_series_remainder_bounds, log_series_taylor)
@@ -675,8 +676,8 @@ def test_exact_zero_negative_symmetric():
 
 # the demo pairs but alpha_one, whose uniform levels have d_n = 2^(3n-1) taps,
 # more than the window infimum of the certification can tabulate
-DEMO_PAIRS = ("alpha_zero", "alpha_quarter", "alpha_half", "mu42", "mu82", "mu93",
-              "mu25_5", "mu30_6")
+DEMO_PAIRS = ("alpha_zero", "alpha_quarter", "alpha_half", "alpha_one", "mu42", "mu82",
+              "mu93", "mu25_5", "mu30_6")
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
@@ -694,6 +695,17 @@ def test_uniform_family_matches_measure_transform():
             b = mu_hat(pair, xi, 1e-10)
             assert np.array([a.value, a.radius]).tobytes() == np.array([b.value, b.radius]).tobytes()
             assert a.levels == b.levels, (name, xi)
+
+
+def test_uniform_levels_are_certified_by_construction():
+    # |H_d(x)| >= sinc(d x) >= sinc(2/3) = 3 sqrt(3) / (4 pi) on the window |d x| <= 2/3
+    assert _UNIFORM_WINDOW_BOUND <= 3 * math.sqrt(3) / (4 * math.pi)
+    for d in (2, 3, 5, 16, 1024):
+        xs = np.linspace(-2 / (3 * d), 1 / (2 * d), 4097)
+        assert np.min(np.abs(eval_H_array(d, xs))) >= _UNIFORM_WINDOW_BOUND
+    # alpha_one to level 8, d_8 = 2^23: no grid, QMF defect 0.0 and the constant bound
+    cert = uniform_family(dimension_targeting_pair(1)).certify(8)
+    assert cert.ok and cert.qmf_defects == (0.0,) * 8 and cert.d1 == _UNIFORM_WINDOW_BOUND
 
 
 def test_modulated_family():
@@ -733,8 +745,8 @@ def test_filter_family_json_round_trip():
     pair = constant_pair(4, 2)
     cfg = {"levels": [[[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.5, 0.0]]]}
     fam = filter_family_from_config(pair, cfg)
-    assert fam.coefficients(1) == (0j, 0j, 0.5 + 0j, 0.5 + 0j)
-    assert fam.coefficients(2) == (0.5 + 0j, 0.5 + 0j)     # uniform beyond the list
+    assert fam.explicit == ((0j, 0j, 0.5 + 0j, 0.5 + 0j),)
+    assert fam.is_uniform(2)                                # uniform beyond the list
     cert = fam.certify(6)
     doc = dataclasses.asdict(cert)
     assert doc["ok"] is True
