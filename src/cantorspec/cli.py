@@ -189,10 +189,11 @@ def _check_partition(pair, tm, args):
     xis = rng.random(args.draws).tolist()
     per_xi = partition_levels(tm, xis, args.level, filters=filters, budget=args.budget)
     worst = max(res.defect for results in per_xi for res in results)
+    texts = [repr(xi) for xi in xis]  # each xi formatted once, as csv.writer would
     artifacts.append(lambda out: _write_csv(
         out, "partition.csv", ["xi", "L", "sum", "defect"],
-        [[xi, results[n].level, results[n].total, results[n].defect]
-         for n in range(args.level) for xi, results in zip(xis, per_xi)]))
+        [[text, results[n].level, results[n].total, results[n].defect]
+         for n in range(args.level) for text, results in zip(texts, per_xi)]))
     payload.update(worst_defect=worst, tolerance=args.tol)
     return worst <= args.tol, payload, artifacts
 
@@ -201,6 +202,7 @@ def _check_completeness(pair, tm, args):
     # K+1 equispaced points covering [0, 1/2]
     grid = [0.5 * j / args.grid for j in range(args.grid + 1)]
     report = completeness_Q(tm, grid, args.level, tol=args.tol, budget=args.budget)
+    texts = [repr(xi) for xi in grid]
 
     def curve(k):
         # the rows of grid point k: levels 1..L, in the order of the grid
@@ -214,7 +216,9 @@ def _check_completeness(pair, tm, args):
         "worst_gap_xi": report.worst_gap_xi,
     }, [
         lambda out: _write_csv(
-            out, "completeness.csv", ["xi", "L", "Q", "certified_slack", "monotone_ok"], report.rows),
+            out, "completeness.csv", ["xi", "L", "Q", "certified_slack", "monotone_ok"],
+            # each xi formatted once, as csv.writer would; the rows of a point are consecutive
+            [[texts[k // args.level], *row[1:]] for k, row in enumerate(report.rows)]),
         lambda out: _write_svg(out, "completeness.svg", svgplot.line_chart(
             [curve(k) for k in (0, len(grid) // 2, len(grid) - 1)],
             "completeness trend Q_L(xi)", "L", "Q")),

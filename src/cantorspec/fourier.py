@@ -21,10 +21,14 @@ guard takes 1 at integers and the series 1 - (m^2 - 1)(pi s)^2 / 3 within
 1e-9 of one, entry by entry, so no value depends on the rest of the call.
 The level-expansion kernel of :mod:`.verify` multiplies it along the digit
 tree; :func:`eval_H_sq_array` is the same kernel at a = 0.
-:func:`log_H_sq_array` and :func:`log_H_sq_series` give its logarithm, in
-which the completeness tail is summed, and :func:`log_series_taylor`
-tabulates the series once as a Taylor polynomial in a scalar shift of its
-argument, evaluated by :func:`eval_log_series_taylor`.
+:func:`log_H_sq_array` and :func:`log_H_sq_series` give its logarithm.  The
+completeness tail is the series: :func:`log_series_taylor` tabulates it once
+as a Taylor polynomial in a scalar shift of its argument (evaluated by
+:func:`eval_log_series_taylor`), and :func:`exp_series_taylor` exponentiates
+that polynomial as a power series, to the degree of :func:`exp_series_degree`.
+:func:`signed_root_taylor` gives the Taylor polynomial of the signed root of
+|H_m|^2 at a small shift of u, and :func:`root_complement` one minus its value
+at u.
 """
 from __future__ import annotations
 
@@ -341,6 +345,128 @@ def eval_log_series_taylor(coefficients: np.ndarray, eps) -> np.ndarray:
         acc *= eps
     acc += coefficients[0]
     return acc
+
+
+def exp_series_degree(coefficients: np.ndarray, y0: np.ndarray, e: float, c1: float) -> int:
+    """The degree D of :func:`exp_series_taylor` for the table A of
+    :func:`log_series_taylor` at y0, valid for every |eps| <= e: the least degree whose
+    majorant remainder is at most 2^-60 of the least |log T| = |F(y0 + eps)| >=
+    c1 (y0 + eps)^2, c1 the leading coefficient of :func:`log_series_coefficients`, the
+    rule of :func:`log_series_taylor`, so that T - 1 = expm1(A_0) + e^(A_0) (E - 1)
+    keeps that relative accuracy however small it is.
+
+    The frequencies are integers, so y0 + eps = (lambda + xi) / rho_k0 with
+    |lambda + xi| >= max(|lambda| / 2, xi), and (y0 + eps)^2 >= max(Y / 2, eps)^2,
+    Y = |y0|.  A_i is Y^(i mod 2) times a polynomial in Y^2 with nonnegative
+    coefficients, so |A_i| e^i <= b_i Y^(i mod 2) with b_i read at the largest Y, Y_max,
+    and the majorant exp(sum_i b_i Y^(i mod 2) z^i), z = eps / e, has coefficients Eb_n
+    of the recurrence of :func:`exp_series_taylor`, polynomials in Y with nonnegative
+    coefficients.  Past D the remainder is at most sum_{D<n<=D+p} Eb_n (1 + p k / (1 - k)),
+    k = sum_i i b_i Y_max^(i mod 2) / (D + p + 1) (each later Eb_n is at most k times the
+    largest of the p before it), times e^(sum_i b_i Y_max^(i mod 2)), which bounds
+    e^(A_0 - log T) in |T - 1| >= |log T| e^(log T); and each Y^j / max(Y / 2, e)^2 is
+    largest at Y = 2 e or at Y = Y_max.  So the rule takes scalars only."""
+    p = len(coefficients) - 1
+    if p == 0 or not coefficients.shape[1]:
+        return 0
+    at = int(np.argmax(np.abs(y0)))
+    top = abs(float(y0[at]))
+    # b_i as (i mod 2, coefficient): |A_i| e^i <= b_i Y^(i mod 2)
+    b = [(i % 2, abs(float(coefficients[i][at])) * e ** i / (top if i % 2 and top > 0.0 else 1.0))
+         for i in range(1, p + 1)]
+    reach = sum(i * bi * top ** odd for i, (odd, bi) in enumerate(b, start=1))
+    growth = math.exp(sum(bi * top ** odd for odd, bi in b))
+    # Eb_n as coefficient lists in Y
+    bars, degree = [[1.0]], 0
+    while True:
+        while len(bars) <= degree + p:
+            n = len(bars)
+            bar = [0.0] * (n + 1)
+            for k in range(1, min(n, p) + 1):
+                odd, bk = b[k - 1]
+                for j, c in enumerate(bars[n - k]):
+                    bar[j + odd] += k * bk * c / n
+            bars.append(bar)
+        kappa = reach / (degree + p + 1)
+        if kappa < 1.0:
+            window = [0.0] * (degree + p + 2)
+            for bar in bars[degree + 1:degree + p + 1]:
+                for j, c in enumerate(bar):
+                    window[j] += c
+            worst = sum(c * max(top ** j / max(0.5 * top, e) ** 2, (2.0 * e) ** j / e ** 2)
+                        for j, c in enumerate(window))
+            if growth * (1.0 + p * kappa / (1.0 - kappa)) * worst <= _TAYLOR_TOL * c1:
+                return degree
+        degree += 1
+
+
+def exp_series_taylor(coefficients: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Taylor coefficients E_0..E_D, D = ``degree``, of exp(B) and exp(B / 2) in eps,
+    B = sum_{i>=1} A_i eps^i from the table A of :func:`log_series_taylor`, each a
+    (D + 1, entries) array: E_0 = 1 and n E_n = sum_k k A_k E_(n-k).  The tail
+    T = e^(A_0) exp(B) as a power series; :func:`exp_series_degree` gives D."""
+    p, count = len(coefficients) - 1, coefficients.shape[1]
+    out = []
+    for half in (1.0, 0.5):
+        rows = [np.ones(count)]
+        for n in range(1, degree + 1):
+            row = np.zeros(count)
+            for k in range(1, min(n, p) + 1):
+                row += (half * k / n) * coefficients[k] * rows[n - k]
+            rows.append(row)
+        out.append(np.array(rows))
+    return out[0], out[1]
+
+
+def _root_angles(t: HSqTables, nodes) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    # (k, cos(pi k u), sin(pi k u)) over the tabulated u of the entries ``nodes`` for
+    # k = m-1, m-3, ... >= 1: from the tables of m = 2 and m = 3, else from
+    # _sin_cos_two_pi at k u / 2
+    if t.m in (2, 3):
+        return [(t.m - 1, t.cos[nodes], t.sin[nodes])]
+    angles, u = [], t.u[nodes]
+    for k in range(t.m - 1, 0, -2):
+        half = 0.5 * k * u
+        sin, cos = _sin_cos_two_pi(half - np.rint(half))
+        angles.append((k, cos, sin))
+    return angles
+
+
+def signed_root_taylor(t: HSqTables, nodes, inv_scale: float, degree: int) -> np.ndarray:
+    """The Taylor coefficients in xi of the signed root R_m(u + xi inv_scale) over the
+    tabulated u of the entries ``nodes``, a (``degree`` + 1, count) array, where
+    |H_m(s)|^2 = R_m(s)^2.
+
+    R_m(s) = sin(pi m s) / (m sin(pi s)) = a_0 + (2/m) sum_k cos(pi k s) over
+    k = m-1, m-3, ... >= 1, a_0 = 1/m for odd m and 0 for even m: cos(pi s) for m = 2,
+    (1 + 2 cos(2 pi s)) / 3 for m = 3 and the Dirichlet sum for odd m >= 5.  Its n-th
+    coefficient is (2/m) sum_k (pi k inv_scale)^n / n! cos(pi k u + n pi / 2), so at
+    most (c_m inv_scale)^n / n!, c_m = pi (m - 1)."""
+    angles = _root_angles(t, nodes)
+    count = len(angles[0][1]) if angles else len(t.u[nodes])
+    # m R_m: the sums first, then one division, as (1 + 2 cos) / 3 in eval_H_sq_tables
+    out, part = np.zeros((degree + 1, count)), np.empty(count)
+    for k, cos, sin in angles:
+        step = math.pi * k * inv_scale
+        for n in range(degree + 1):
+            # the n-th derivative of cos: cos, -sin, -cos, sin
+            factor = (2.0 if n % 4 in (0, 3) else -2.0) * step ** n / math.factorial(n)
+            np.multiply(sin if n % 2 else cos, factor, out=part)
+            out[n] += part
+    out[0] += t.m % 2
+    out /= t.m
+    return out
+
+
+def root_complement(t: HSqTables, nodes) -> np.ndarray:
+    """1 - R_m(u) over the tabulated u of the entries ``nodes``, R_m the signed root of
+    :func:`signed_root_taylor`: (2/m) sum_k (1 - cos(pi k u)), each 1 - cos formed
+    without cancellation, as sin^2 / (1 + cos) where cos >= 0."""
+    angles = _root_angles(t, nodes)
+    rest = np.zeros(len(angles[0][1]) if angles else len(t.u[nodes]))
+    for _, cos, sin in angles:
+        rest += np.where(cos >= 0.0, sin * sin / (1.0 + np.abs(cos)), 1.0 - cos)
+    return rest * (2.0 / t.m)
 
 
 def log_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:

@@ -15,14 +15,18 @@ through which alone xi enters a level, and the sub-levels of a composite
 d_n.  xi + lambda is never rounded and no large integer reaches numpy.  The
 products of many xi walk the tree depth first in tiles of at most ``_SLICE``
 entries (:meth:`_Tree.tiles`), whose row totals at the end of a level are
-the partition sums.  Completeness multiplies each level-L product into a
-tail tabulated once per check (:func:`_tail_tables`) and bounds the
-evaluation error by a certified slack from two sums per block;
-:func:`completeness_Q` derives that slack and its soundness.
+the partition sums.  Completeness walks the grid only to a tree level s:
+past it every level factor, and the tail tabulated once per check
+(:func:`_tail_tables`), is a polynomial in xi, and the terms of the nodes
+below each level-s node are summed once per check as polynomials per block.
+A factor vanishes only at integer xi, so each deep product keeps one sign on
+(0, 1/2], read at xi = 1/4.  :func:`completeness_Q` states the split, the
+aggregation and the certified slack from two sums per block.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -33,9 +37,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import ScalePair, _Scales, _to_float, check_growth
-from .fourier import (LOG_SERIES_THETA, TWO_PI, FilterFamily, H_sq_tables, HSqTables,
-                      eval_H_sq_tables, eval_log_series_taylor, log_H_sq_array, log_series_taylor,
-                      truncation_target, uniform_family)
+from .fourier import (_TAYLOR_TOL, LOG_SERIES_THETA, TWO_PI, FilterFamily, H_sq_tables, HSqTables,
+                      eval_H_sq_tables, exp_series_degree, exp_series_taylor, log_series_coefficients,
+                      log_series_taylor, root_complement, signed_root_taylor, truncation_target,
+                      uniform_family)
 from .spectra import (TreeMapping, _elements_of, _table_nodes, check_word_budget,
                       validate_tree_mapping)
 
@@ -142,24 +147,6 @@ def _labels(tm: TreeMapping, scales: _Scales, level: int):
         if n in table:
             label[table[n][0]] = table[n][1]
         yield label
-
-
-def _row_pieces(start: int, stop: int, width: int) -> list[tuple[int, int, int, int]]:
-    """The nodes [start, stop) of a level whose parents' level has ``width`` nodes,
-    as pieces (a, b, lo, hi): the nodes start + [a, b) are whole rows of children
-    of the parents [lo, hi), or one part of a row.  A slice that straddles a row
-    boundary is split there, and whole rows between form one piece."""
-    pieces, k = [], start
-    while k < stop:
-        lo = k % width
-        if lo or stop - k < width:  # one part of a row
-            end = min(stop, k - lo + width)
-            pieces.append((k - start, end - start, lo, lo + end - k))
-        else:  # whole rows
-            end = k + (stop - k) // width * width
-            pieces.append((k - start, end - start, 0, width))
-        k = end
-    return pieces
 
 
 def _prime_factors(d: int) -> list[int]:
@@ -296,20 +283,6 @@ class _Tree:
         """The xi rows of a tree-level-t tile: as many as fit ``_SLICE`` entries, at least one."""
         return max(1, _SLICE // self.size[t])
 
-    def slice_products(self, t: int, xis, parents: np.ndarray,
-                       start: int, stop: int) -> np.ndarray:
-        """The tree-level-t products over the nodes [start, stop), one row per
-        xi of ``xis``, from the tree-level-(t-1) products ``parents``, one row
-        per xi: :meth:`factors` on those nodes times their parents' entries,
-        split where the nodes cross a row of children (:func:`_row_pieces`).
-        The entries of :meth:`tiles`, bit for bit, with no tree-level-t array
-        beyond the block."""
-        part = self.factors(t, xis, slice(start, stop))
-        for a, b, lo, hi in _row_pieces(start, stop, self.size[t - 1]):
-            children = part[:, a:b].reshape(len(part), -1, hi - lo)  # a view: splits the last axis
-            children *= parents[:, None, lo:hi]
-        return part
-
 
 # ---------------------------------------------------------------------------
 # Partition identity
@@ -388,6 +361,7 @@ class CompletenessReport:
 
 _MONOTONE_SLACK = 1e-12
 _SLICE = 1 << 14
+_GRID_ROWS = 33  # the default grid of the completeness subcommand, K = 32
 
 
 def _frequencies(tm: TreeMapping, scales: _Scales, level: int):
@@ -422,59 +396,90 @@ def _blocks(scales: _Scales, level: int) -> list[tuple[int, int]]:
     return [(0, ends[0])] + list(zip(ends, ends[1:]))
 
 
+class _Series(NamedTuple):
+    """The series tail of :func:`_tail_tables` from level k0 on: the levels' digit counts
+    ``ms`` and scale ratios ``ts``, y0 = d_k0 u_k0 per node, e = xmax / rho_k0, and c1,
+    the series' leading coefficient (:func:`~.fourier.log_series_coefficients`)."""
+
+    k0: int
+    c1: float
+    y0: np.ndarray
+    ms: list
+    ts: list
+    e: float
+
+    def table(self, start: int, stop: int) -> np.ndarray:
+        """The Taylor coefficients in eps = xi / rho_k0 of the series at the y0 of the
+        nodes [start, stop), for every |eps| <= e (:func:`log_series_taylor`)."""
+        return log_series_taylor(self.ms, self.ts, self.y0[start:stop], self.e)
+
+
 def _tail_tables(scales: _Scales, u, level: int, depth: int, xmax: float, deep):
-    """The xi-independent tables of the tail log prod_{level<k<=depth} |H_{d_k}(s_k)|^2,
+    """The xi-independent tables of the tail prod_{level<k<=depth} |H_{d_k}(s_k)|^2,
     s_k = xi / (d_k rho_k) + u_k, on the zero-extensions of the level nodes with
-    reduced sums ``u``, for every xi in [0, ``xmax``], one entry per slice of
-    ``_SLICE`` nodes.  An entry lists (k, u_k) for the explicit levels, those while
-    table labels remain or d_k (max |u_k| + xmax / (d_k rho_k)) > LOG_SERIES_THETA,
-    and then (k0, A) for the rest: A tabulates the Taylor coefficients in
-    eps = xi / rho_k0 of their series at y0 = d_k0 u_k0 (:func:`log_series_taylor`),
-    or None when the explicit levels reach ``depth``."""
-    tables = []
+    reduced sums ``u``, for every xi in [0, ``xmax``]: (explicit, series).  ``explicit``
+    lists (k, u_k) for the levels while table labels remain or d_k (max |u_k| +
+    xmax / (d_k rho_k)) > LOG_SERIES_THETA; ``series`` is the :class:`_Series` of the
+    rest, or None when the explicit levels reach ``depth``."""
+    explicit, v = [], u
     last_label = max(deep, default=0)
-    for start in range(0, len(u), _SLICE):
-        v, explicit, series = u[start:start + _SLICE], [], None
-        for k in range(level + 1, depth + 1):
-            d = scales.d[k]
-            v = v / _to_float(scales.q[k - 1])
-            if k in deep:
-                index = deep[k][0] - start
-                inside = (index >= 0) & (index < len(v))
-                v[index[inside]] += deep[k][1][inside]
-            v /= d
-            bound = d * (float(np.max(np.abs(v))) + xmax / _to_float(d * scales.rho[k]))
-            if k > last_label and bound <= LOG_SERIES_THETA:
-                ks = range(k, depth + 1)
-                series = k, log_series_taylor([scales.d[j] for j in ks],
-                                              [scales.rho[k] / scales.rho[j] for j in ks],
-                                              d * v, xmax / _to_float(scales.rho[k]))
-                break
-            explicit.append((k, v))
-        tables.append((explicit, series))
-    return tables
-
-
-def _log_tail(scales: _Scales, table, xis: np.ndarray, size: int):
-    """The tail log T of one slice of ``size`` nodes from its entry of
-    :func:`_tail_tables`, one row per xi of ``xis``: one Horner pass in the
-    column of eps, plus the explicit levels."""
-    explicit, series = table
-    if series is None:
-        log_t = np.zeros((len(xis), size))
-    else:
-        k0, coefficients = series
-        # coefficient rows of shape (1, size): a one-row block then adds arrays of its own shape
-        log_t = eval_log_series_taylor(coefficients[:, None], _column(xis, scales.rho[k0]))
-    for k, v in explicit:
+    for k in range(level + 1, depth + 1):
         d = scales.d[k]
-        log_t += log_H_sq_array(d, _column(xis, d * scales.rho[k]) + v)
-    return log_t
+        v = v / _to_float(scales.q[k - 1])
+        if k in deep:
+            v[deep[k][0]] += deep[k][1]
+        v /= d
+        bound = d * (float(np.max(np.abs(v))) + xmax / _to_float(d * scales.rho[k]))
+        if k > last_label and bound <= LOG_SERIES_THETA:
+            ks = range(k, depth + 1)
+            ms, ts = [scales.d[j] for j in ks], [scales.rho[k] / scales.rho[j] for j in ks]
+            return explicit, _Series(k, float(log_series_coefficients(ms, ts)[0]), d * v, ms, ts,
+                                     xmax / _to_float(scales.rho[k]))
+        explicit.append((k, v))
+    return explicit, None
 
 
-def _column(xis, big: int) -> np.ndarray:
-    # xi / big per xi, as a column against a row of nodes
-    return (np.asarray(xis, dtype=float) / _to_float(big))[:, None]
+def _poly_mul(a: np.ndarray, b: np.ndarray, degree: int | None = None) -> np.ndarray:
+    # the coefficient rows of the product of two polynomials given by coefficient
+    # rows, entry by entry, through ``degree`` (all of them by default)
+    top = len(a) + len(b) - 2 if degree is None else degree
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    out, part = np.empty((top + 1, *shape)), np.empty(shape)
+    for k in range(top + 1):
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+        # of a square each cross term once, doubled
+        terms = [(i, k - i) for i in range(lo, hi + 1) if a is not b or i <= k - i]
+        for n, (i, j) in enumerate(terms):
+            target = out[k] if n == 0 else part
+            np.multiply(a[i], b[j], out=target)
+            if a is b and i < j:
+                target *= 2.0
+            if n:
+                out[k] += part
+    return out
+
+
+def _taylor_degree(h: float) -> int:
+    # the least degree D with h^(D+1) e^h / (D+1)! <= 2^-60: the remainder of the
+    # majorant exp(2 h xi) of a product of factors whose n-th Taylor coefficient in xi
+    # is at most (c / S)^n / n!, with h = sum c / (2 S), at every xi in [0, 1/2]
+    degree, term = 0, h
+    while term * math.exp(h) > _TAYLOR_TOL:
+        degree += 1
+        term *= h / (degree + 1)
+    return degree
+
+
+def _horner_rows(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # sum_k c_k x_r^k for each entry of the coefficient rows, one block per x_r,
+    # by Horner's rule entry by entry: no value depends on the other x
+    acc = np.empty((len(x), *coefficients.shape[1:]))
+    acc[...] = coefficients[-1]
+    column = np.reshape(x, (-1,) + (1,) * (coefficients.ndim - 1))
+    for row in coefficients[-2::-1]:
+        acc *= column
+        acc += row
+    return acc
 
 
 def _reach_floats(scales: _Scales, targets: np.ndarray) -> np.ndarray:
@@ -490,60 +495,180 @@ def _reach_floats(scales: _Scales, targets: np.ndarray) -> np.ndarray:
     return np.minimum(floats, 1e308)[index]
 
 
+def _trim(table: np.ndarray) -> np.ndarray:
+    # the coefficient rows of ``table`` through the least degree past which every
+    # entry's remaining terms sum to at most 2^-60 at every xi in [0, 1/2]
+    top = np.max(np.abs(table.reshape(len(table), -1)), axis=1) * 0.5 ** np.arange(len(table))
+    tail = np.cumsum(top[::-1])[::-1]
+    return table[:1 + next((k for k in range(len(table) - 1) if tail[k + 1] <= _TAYLOR_TOL), len(table) - 1)]
+
+
+def _walk_depth(tree: _Tree, l_max: int, ends: list[int], tail_degree: int,
+                root_degree: int) -> tuple[int, int]:
+    """(s, dv): the tree level s the grid walks to, and the degree dv of the deep
+    products past it: :func:`_taylor_degree` of their rate sum_{s<t<=end} c_m /
+    (2 scale[t]), c_m = pi (m - 1), at which the Taylor coefficients of their signed
+    roots fall for xi in [0, 1/2] (:func:`~.fourier.signed_root_taylor`).  s is the
+    level of least count of element passes: per grid row about six per node walked and
+    one per coefficient of the (1 + blocks past s) P_s cells, and per node of level
+    ``l_max`` about two per term of the products that form and sum its polynomials,
+    over the rows of the completeness subcommand's default grid, so that no choice
+    depends on the grid (the constants were fitted to timings of mu42 at L = 12 and 16,
+    mu93 at L = 8 and alpha_half at L = 4)."""
+    end = tree.ends[l_max]
+    rate = [0.0] * (end + 1)  # rate[t]: the rate of the levels past t
+    for t in range(end, 0, -1):
+        rate[t - 1] = rate[t] + math.pi * (tree.kernels[t - 1].m - 1) * 0.5 / tree.scale[t]
+    walked = list(itertools.accumulate(tree.size))
+
+    def work(t):
+        dv = _taylor_degree(rate[t])
+        cells = (len(ends) - bisect.bisect_right(ends, tree.size[t]) + 1) * tree.size[t]
+        per_cell = 6 * dv + tail_degree + 2 * root_degree + 4
+        per_node = (2 * (dv + 1) ** 2 + (2 * dv + 1) * (tail_degree + 1) + (dv + 1) * (root_degree + 1)
+                    + 2 * (dv + root_degree + 1) + per_cell)
+        return _GRID_ROWS * (6 * walked[t] + cells * per_cell) + 2 * ends[-1] * per_node
+
+    walk = min(range(end + 1), key=lambda t: (work(t), t))
+    return walk, _taylor_degree(rate[walk])
+
+
+def _deep_products(tree: _Tree, walk: int, end: int, dv: int) -> np.ndarray:
+    """The signed deep products V = prod_{walk<t<=end} R_t over the tree-level-``end``
+    nodes as Taylor polynomials in xi of degree ``dv``, a (dv + 1, size[end]) array:
+    each row of children times its parents, level by level.  R_t is the signed root of
+    the level-t factor (:func:`~.fourier.signed_root_taylor`), so V^2 is the product of
+    the factors past the walk, within 2^-60 by :func:`_taylor_degree` of the rate."""
+    v = np.ones((1, tree.size[walk]))
+    for t in range(walk + 1, end + 1):
+        roots = signed_root_taylor(tree.kernels[t - 1], slice(None), 1.0 / tree.scale[t], dv)
+        v = _poly_mul(v[:, None, :], roots.reshape(dv + 1, tree.radix[t], -1), dv).reshape(dv + 1, -1)
+    return v
+
+
+def _explicit_degree(scales: _Scales, k: int) -> int:
+    # the degree of the signed root of the explicit tail level k: its rate c_m / (2 d_k rho_k)
+    return _taylor_degree(math.pi * (scales.d[k] - 1) * 0.5 / _to_float(scales.d[k] * scales.rho[k]))
+
+
+def _tail_polynomials(scales: _Scales, explicit, series: _Series | None, start: int, stop: int):
+    """(T - 1, sqrt(T)) over the nodes [start, stop) from the tables of
+    :func:`_tail_tables`, as coefficient rows of polynomials in xi.  The series gives
+    T - 1 = expm1(A_0) + e^(A_0) (E - 1) and sqrt(T) = e^(A_0 / 2) E', E and E' of
+    :func:`~.fourier.exp_series_taylor` in eps = xi / rho_k0, to the degree of
+    :func:`~.fourier.exp_series_degree` for these nodes.  Each explicit level
+    multiplies in its |H_{d_k}|^2 = R^2 as the Taylor polynomial of the signed root R
+    (:func:`~.fourier.signed_root_taylor`, of the degree of :func:`_taylor_degree`) by
+    R^2 T - 1 = R^2 (T - 1) - (1 - R)(1 + R), where 1 - R keeps its constant term
+    without cancellation: T - 1 is formed without cancellation."""
+    count = stop - start
+    if series is None:
+        tail_m1, root = np.zeros((1, count)), np.ones((1, count))
+    else:
+        table = series.table(start, stop)
+        degree = exp_series_degree(table, series.y0[start:stop], series.e, series.c1)
+        inv = 1.0 / _to_float(scales.rho[series.k0])
+        tail_m1, root = exp_series_taylor(table, degree)
+        scale = inv ** np.arange(degree + 1)[:, None]
+        # one expm1: e^(A_0) = 1 + expm1(A_0) and e^(A_0 / 2) its root, within rounding
+        gap = np.expm1(table[0])
+        tail_m1 *= scale
+        tail_m1 *= gap + 1.0
+        tail_m1[0] = gap
+        root *= scale
+        root *= np.sqrt(gap + 1.0)
+    for k, u in explicit:
+        tables = H_sq_tables(scales.d[k], u[start:stop])
+        r = signed_root_taylor(tables, slice(None), 1.0 / _to_float(scales.d[k] * scales.rho[k]),
+                               _explicit_degree(scales, k))
+        minus, plus = -r, r.copy()
+        minus[0], plus[0] = root_complement(tables, slice(None)), 1.0 + r[0]
+        tail_m1 = _poly_mul(_poly_mul(r, r), tail_m1)
+        tail_m1[:2 * len(r) - 1] -= _poly_mul(minus, plus)
+        root = _poly_mul(r, root)
+    return tail_m1, root
+
+
+def _cell_polynomials(deep_v: np.ndarray, tail_m1: np.ndarray, root_tail: np.ndarray, lam: np.ndarray):
+    """Per node, the polynomials in xi that the cells sum, one at a time: V^2,
+    g = V^2 (T - 1), and sigma r and |lambda| r, r = |V| sqrt(T) with the sign of
+    V sqrt(T) at xi = 1/4.  The constant term of r is |r(0)|: where it disagrees with
+    that sign it is the rounding of a zero at xi = 0, such as cos(pi / 2) = 6e-17, and
+    keeps its size."""
+    sign = np.where((_horner_rows(deep_v, [0.25]) * _horner_rows(root_tail, [0.25]))[0] < 0.0, -1.0, 1.0)
+    square = _poly_mul(deep_v, deep_v)
+    yield square
+    yield _poly_mul(square, tail_m1)
+    root = _poly_mul(sign * deep_v, root_tail)
+    np.abs(root[0], out=root[0])
+    # lambda = 0 is +0.0 (sums from +0.0 never give -0.0), so sigma = +1 there
+    yield root * np.copysign(1.0, lam)
+    root *= np.abs(lam)
+    yield root
+
+
 def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
                    tol: float = 1e-10, budget: int = 10**6) -> CompletenessReport:
     """Partial completeness sums Q_L(xi) for L = 1..l_max on a grid in [0, 1/2].
 
     Lambda_{l_max} holds the frequencies of the zero-extensions of the
-    level-l_max nodes, so each term is w T: the node's product w and its tail
-    T.  In the digit-major order of :class:`_Tree` the terms new at level n
-    are the contiguous block [P_{n-1}, P_n) of the level-l_max nodes ([0, P_1)
-    for n = 1), so each block's extreme frequencies, truncation depth and
-    sums are scalars.  Everything that does not depend on xi is built once,
-    before the grid loop: the digit tree, the frequencies and the moments
-    sum lambda and sum lambda^2 of each block, and the tail tables
-    (:func:`_tail_tables`) to the deepest truncation depth of
+    level-l_max nodes, so each term is t = w T: the node's product w and its tail
+    T.  In the digit-major order of :class:`_Tree` the terms new at level n are
+    the contiguous block [P_{n-1}, P_n) of the level-l_max nodes ([0, P_1) for
+    n = 1), so each block's extreme frequencies, truncation depth and sums are
+    scalars.  The tail runs to the deepest truncation depth of
     :func:`~.fourier._truncated_product` for a block at any xi in [0, 1/2]
-    (|xi + lambda| is convex in xi, so at xi = 0 or 1/2), with the series
-    start fixed for xi up to 1/2.  A
-    deeper tail only shrinks the truncation error each radius bounds.  The
-    depth of every (grid point, block) is one ``np.searchsorted`` over the
-    cached rho (:func:`_reach_floats`).  The grid walks the tree in tiles
-    (:meth:`_Tree.tiles`) to the tree level before the last sub-level of
-    level l_max, level l_max - 1 where d_{l_max} is prime; the level-l_max
-    nodes then run in blocks of max(1, ``_SLICE`` // P_{l_max}) grid rows
-    (:meth:`_Tree.rows_per_tile`) by one slice of ``_SLICE`` nodes.  A block
-    gets its products w from its parents' entries
-    (:meth:`_Tree.slice_products`), the explicit tail levels if any, and one
-    Horner pass in the column of xi / rho_k0 (:func:`_log_tail`), and is
-    summed before the next block is formed: the gap is one ``sum(axis=1)``,
-    and the block sums S and the two slack sums sum |lambda| sqrt(t) and
-    sum sigma sqrt(t), sigma the sign of lambda, are each one
-    ``np.add.reduceat`` along the rows, accumulated in (grid x level)
-    arrays.  With g = w expm1(log T), the gap G_{l_max} = -sum g is exact as
-    sum w = 1, the terms are t = w + g, G_L = G_{L+1} + S_{L+1} with S_n the
-    sum of block n, and Q_L = 1 - G_L is rounded once, so Q is monotone by
-    construction; Q, the slack and the verdicts are formed once, after the
-    walk.  ``bounded`` checks the direct sum sum_{n<=L} S_n <= 1 + slack.
+    (|xi + lambda| is convex in xi, so at xi = 0 or 1/2); a deeper tail only
+    shrinks the truncation error each radius bounds.
+
+    *The split.*  The grid walks the tree in tiles (:meth:`_Tree.tiles`) to a
+    tree level s (:func:`_walk_depth`), whose products W_j over its P_s nodes j
+    are the only per-xi work of the levels up to s.  Past s each level factor is
+    R(u + xi / scale)^2, R its signed root, and R is its Taylor polynomial in xi
+    (:func:`~.fourier.signed_root_taylor`) of the degree dv at which the majorant
+    remainder of the product of the factors past s is at most 2^-60
+    (:func:`_taylor_degree`).  Their product V_i (:func:`_deep_products`) is a
+    polynomial per level-l_max node i, and so are T - 1 and sqrt(T)
+    (:func:`_tail_polynomials`): the explicit tail levels as signed roots, the
+    series as the power series exp of its Taylor table, each to 2^-60.
+    *The sign.*  Every frequency is an integer, so a factor vanishes only where
+    xi + lambda is a multiple of D_{j-1} rho_n, at integer xi: on (0, 1/2] each
+    V_i sqrt(T_i) keeps one sign, read from the polynomials at xi = 1/4 (at
+    xi = 0 a table's rounding of a zero, cos(pi / 2) = 6e-17, may carry either
+    sign), so |V_i| sqrt(T_i) is a polynomial too.  *The aggregation.*  In
+    digit-major order the descendants of the level-s node j are the nodes
+    i = j + q P_s; q = 0 is j's own block and for q >= 1 the blocks are runs of
+    whole q.  So the polynomials V^2, g = V^2 (T - 1), sigma |V| sqrt(T) and
+    |lambda| |V| sqrt(T), sigma the sign of lambda, are summed once per check
+    into cells (row, j), row 0 for q = 0 and one row per later block, node range
+    by node range, and per grid row the cells are evaluated at xi and weighted
+    by W_j, or sqrt(W_j): row 0 split by the blocks of j, each later row as one
+    ``np.einsum`` over j.  All of it is elementwise in xi or a reduction along
+    one row, so a row's values depend neither on the rows that share its tile
+    nor on the rest of the grid: a one-point call gives that xi's rows bit for
+    bit, and s, chosen for the subcommand's default grid, never depends on it.
+
+    *The sums.*  With g = W V^2 (T - 1) per term, the gap G_{l_max} = -sum g is
+    exact as sum w = 1, the terms are t = W V^2 + g, G_L = G_{L+1} + S_{L+1}
+    with S_n the sum of block n, and Q_L = 1 - G_L is rounded once, so Q is
+    monotone by construction; Q, the slack and the verdicts are formed once,
+    after the walk.  ``bounded`` checks the direct sum sum_{n<=L} S_n <= 1 + slack.
     The certified slack bounds the sum of 2 r sqrt(t) + r^2 over the terms,
-    r = expm1(z) the radius of :func:`mu_hat_array` at the depth of each
-    block for that grid point, z = c |xi + lambda| and c = 2 pi / rho_{N+1}.
-    That depth keeps z <= c a_max <= min(tol, 1) / 2, a_max the block's
-    largest |xi + lambda|, and expm1(z) <= z (1 + z) for z <= 1, so with
-    k = 1 + c a_max the radius is applied once per (row, block) as
-    k c (2 A + k c B): at least the per-term sum, and at most k^2, about
-    1 + tol, times it.  A = sum |xi + lambda| sqrt(t) and
-    B = sum (xi + lambda)^2 come from the sums above: lambda is an integer and
-    0 <= xi <= 1/2, so |xi + lambda| = |lambda| + sigma xi exactly (sigma = +1
-    at lambda = 0), A = sum |lambda| sqrt(t) + xi sum sigma sqrt(t) and
-    B = N xi^2 + 2 xi sum lambda + sum lambda^2 over the block's N terms,
-    equal to the direct sums but for rounding.  A mapping failing
+    r = expm1(z) the radius of :func:`mu_hat_array` at the depth of each block
+    for that grid point, z = c |xi + lambda| and c = 2 pi / rho_{N+1}.  That
+    depth keeps z <= c a_max <= min(tol, 1) / 2, a_max the block's largest
+    |xi + lambda|, and expm1(z) <= z (1 + z) for z <= 1, so with k = 1 + c a_max
+    the radius is applied once per (row, block) as k c (2 A + k c B): at least
+    the per-term sum, and at most k^2, about 1 + tol, times it.
+    A = sum |xi + lambda| sqrt(t) and B = sum (xi + lambda)^2 come from the sums
+    above: lambda is an integer and 0 <= xi <= 1/2, so |xi + lambda| =
+    |lambda| + sigma xi exactly (sigma = +1 at lambda = 0),
+    A = sum |lambda| sqrt(t) + xi sum sigma sqrt(t) and
+    B = N xi^2 + 2 xi sum lambda + sum lambda^2 over the block's N terms, equal
+    to the direct sums but for rounding.  A mapping failing
     :func:`validate_tree_mapping`, or frequencies too large for B
-    (:func:`_frequencies`), raise a ValueError.  Grid
-    points and slices run in a fixed order, and a row's values depend neither
-    on the rows that share its block nor on the rest of the grid: a one-point
-    call gives that xi's rows bit for bit.  An empty grid gives no rows, both
-    verdicts true and a worst gap of -inf at xi = 0; of tied worst gaps the
+    (:func:`_frequencies`), raise a ValueError.  An empty grid gives no rows,
+    both verdicts true and a worst gap of -inf at xi = 0; of tied worst gaps the
     first grid point is reported.
     """
     pair = tm.pair
@@ -569,8 +694,6 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     depth = max(scales.reach(truncation_target(max(abs(l), abs(h), abs(0.5 + l), abs(0.5 + h)),
                                                tol))[0]
                 for l, h in zip(lo.tolist(), hi.tolist()))
-    tails = _tail_tables(scales, tree.u, l_max, depth, 0.5, deep)
-    tree.u = None
     # per (grid point, block): a_max, and k c with c = 2 pi / rho_{N+1} and k = 1 + c a_max;
     # every target is within the depth above, so the rho list reaches it
     x = np.array(xis)
@@ -581,40 +704,77 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     # the xi-free moments of B = sum (xi + lambda)^2 = N xi^2 + 2 xi sum lambda + sum lambda^2
     count = np.diff([*starts, len(lam)])
     sum_lam, sum_sq = np.add.reduceat(lam, starts), np.add.reduceat(lam * lam, starts)
-    slices = []  # per slice: its bounds, the range of blocks it meets and their starts in it
-    for start in range(0, len(lam), _SLICE):
-        stop = min(start + _SLICE, len(lam))
-        segments = [(n, max(a, start) - start)
-                    for n, (a, b) in enumerate(blocks) if a < stop and b > start]
-        slices.append((start, stop, slice(segments[0][0], segments[-1][0] + 1),
-                       [a for _, a in segments]))
-    # per grid point: the gap G_{l_max}, and per block the sums S of t, of
-    # sigma sqrt(t) and of |lambda| sqrt(t), sigma the sign of lambda
-    gaps = np.zeros(len(x))
-    sums, signed, lin = (np.zeros((len(x), l_max)) for _ in range(3))
-    end = tree.ends[l_max]  # the last sub-level of level l_max, formed in slices below
-    step = tree.rows_per_tile(end)
-    for t, tile_rows, tile in tree.tiles(x, end - 1):
-        if t < end - 1:
+    explicit, series = _tail_tables(scales, tree.u, l_max, depth, 0.5, deep)
+    tree.u = None
+    # the degrees of the tail polynomials T - 1 and sqrt(T), for the walk depth: the
+    # series' at the node of largest |y0|, and the explicit levels'
+    de = 0
+    if series is not None:
+        at = int(np.argmax(np.abs(series.y0)))
+        de = exp_series_degree(series.table(at, at + 1), series.y0[at:at + 1], series.e, series.c1)
+    explicit_degrees = [_explicit_degree(scales, k) for k, _ in explicit]
+    tail_degree, root_degree = de + 2 * sum(explicit_degrees), de + sum(explicit_degrees)
+    ends = [b for _, b in blocks]
+    walk, dv = _walk_depth(tree, l_max, ends, tail_degree, root_degree)
+    width = tree.size[walk]
+    # node i = j + q width sums into cell (row, j): row 0 for q = 0, else the row of the
+    # block of i, as the blocks past the walk are runs of whole q.  The node ranges hold
+    # whole runs of q, or one part of one q where width exceeds _SLICE
+    heads = [a for a in starts if a < width]  # the blocks of the nodes j < width
+    past = sorted({bisect.bisect_right(ends, q * width) for q in range(1, len(lam) // width)})
+    row_of = [0] + [1 + past.index(bisect.bisect_right(ends, q * width))
+                    for q in range(1, len(lam) // width)]
+    # half a slice of nodes per range: its polynomials hold up to about twenty
+    # coefficient rows, and the peak memory stays near the tiles'
+    chunk = max(1, _SLICE // 2)
+    per = max(1, chunk // width)
+    ranges = [(q * width + c, q * width + c + chunk if c + chunk < width
+               else min(q + per, len(row_of)) * width)
+              for q in range(0, len(row_of), per) for c in range(0, width, chunk)]
+    end = tree.ends[l_max]
+    v = _deep_products(tree, walk, max(walk, end - 1), dv)
+    tables = np.zeros((4, 0, 1 + len(past), width))  # per kind "vgsl" and coefficient, the cells
+    for start, stop in ranges:
+        if walk < end:
+            roots = signed_root_taylor(tree.kernels[end - 1], slice(start, stop), 1.0 / tree.scale[end], dv)
+            deep_v = _poly_mul(v[:, np.arange(start, stop) % tree.size[end - 1]], roots, dv)
+        else:
+            deep_v = v[:, start:stop]
+        q0, q1 = start // width, -(-stop // width)
+        runs = [k for k in range(q0, q1) if k == q0 or row_of[k] != row_of[k - 1]]
+        cells = slice(start - q0 * width, stop - (q1 - 1) * width)
+        polys = _cell_polynomials(deep_v, *_tail_polynomials(scales, explicit, series, start, stop),
+                                  lam[start:stop])
+        for kind, poly in enumerate(polys):
+            if len(poly) > tables.shape[1]:
+                more = np.zeros((4, len(poly) - tables.shape[1], *tables.shape[2:]))
+                tables = np.concatenate([tables, more], axis=1)
+            poly = poly.reshape(len(poly), q1 - q0, -1)
+            for k, k_next in zip(runs, runs[1:] + [q1]):
+                tables[kind, :len(poly), row_of[k], cells] += poly[:, k - q0:k_next - q0].sum(axis=1)
+    tables = {kind: table if kind == "g" else _trim(table) for kind, table in zip("vgsl", tables)}
+    # per grid point and block: the sums of V^2, of the gap terms g, of sigma sqrt(t) and of
+    # |lambda| sqrt(t)
+    out = {kind: np.zeros((len(x), l_max)) for kind in "vgsl"}
+    for t, rows, w in tree.tiles(x, walk):
+        if t < walk:
             continue
-        for j in range(0, len(tile_rows), step):
-            span = slice(tile_rows.start + j, min(tile_rows.start + j + step, tile_rows.stop))
-            parents, block_x = tile[j:j + step], x[span]
-            for (start, stop, levels, offsets), table in zip(slices, tails):
-                # in place, in the operation order of w + w expm1(log T)
-                terms = tree.slice_products(end, block_x, parents, start, stop)
-                g = _log_tail(scales, table, block_x, stop - start)
-                np.expm1(g, out=g)
-                g *= terms
-                gaps[span] -= g.sum(axis=1)
-                terms += g
-                sums[span, levels] += np.add.reduceat(terms, offsets, axis=1)
-                np.sqrt(terms, out=terms)
-                # lambda = 0 is +0.0 (sums from +0.0 never give -0.0), so sigma = +1 there
-                np.copysign(terms, lam[start:stop], out=terms)
-                signed[span, levels] += np.add.reduceat(terms, offsets, axis=1)
-                terms *= lam[start:stop]
-                lin[span, levels] += np.add.reduceat(terms, offsets, axis=1)
+        span, root_w = slice(rows.start, rows.stop), np.sqrt(w)
+        for kind, table in tables.items():
+            weight = w if kind in "vg" else root_w
+            # row 0 splits by the blocks of j; each later row is one block, weighted
+            # over j first: sum_k xi^k sum_j w_j c_kj, one row at a time in einsum
+            head = _horner_rows(table[:, 0], x[span])
+            head *= weight
+            out[kind][span, :len(heads)] = np.add.reduceat(head, heads, axis=1)
+            moments = np.einsum("kbj,rj->krb", table[:, 1:], weight)
+            acc = moments[-1]
+            for row in moments[-2::-1]:
+                acc *= column[span]
+                acc += row
+            out[kind][span, past] += acc
+    sums, signed, lin = out["v"] + out["g"], out["s"], out["l"]
+    gaps = -out["g"].sum(axis=1)
     # Q_L = 1 - G_L, G_L = G_{l_max} + sum_{n>L} S_n
     later = np.zeros((len(x), l_max))
     later[:, :-1] = np.cumsum(sums[:, :0:-1], axis=1)[:, ::-1]

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -203,6 +204,23 @@ def test_completeness_subcommand(mu42, tmp_path):
     report = json.loads((out / "completeness_report.json").read_text())
     assert report["monotone"] and report["bounded"]
     assert (out / "completeness.svg").exists()
+
+
+@pytest.mark.parametrize("cmd, name, kinds", [
+    (["completeness", "--grid", "8", "--level", "5"], "completeness.csv",
+     (float, int, float, float, lambda v: v == "True")),
+    (["partition", "--level", "4", "--draws", "7"], "partition.csv", (float, int, float, float)),
+])
+def test_csv_xi_text_is_what_csv_writer_writes(mu42, tmp_path, cmd, name, kinds):
+    # xi is formatted once per point; the file is csv.writer's on the rows of floats
+    assert run([*cmd, "--pair", mu42, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / name).read_text()
+    rows = list(csv.reader(io.StringIO(text)))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows([[kind(cell) for kind, cell in zip(kinds, row)] for row in rows[1:]])
+    assert buffer.getvalue() == text
 
 
 def test_byte_identical_reruns(mu42, tmp_path):
