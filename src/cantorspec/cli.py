@@ -228,8 +228,8 @@ def _check_completeness(pair, tm, args):
 def _check_dimension(pair, tm, args):
     if args.level < 2:  # the ratio sequence needs two terms
         raise ConfigError(f"--level must be >= 2 for dimension, got {args.level}")
-    formula = dim.hausdorff_dim_formula(pair, args.level)
-    box = dim.box_counting_dim(pair, args.level)
+    u = dim._ratio_numerators(pair, args.level)  # built once for both fits
+    formula, box = dim._formula_of(pair, u), dim._box_fit_of(pair, u)
     agree = abs(box.slope - formula.liminf_proxy) <= 0.05
 
     def write_intervals(out):

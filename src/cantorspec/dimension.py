@@ -163,17 +163,20 @@ def hausdorff_dim_formula(pair: ScalePair, n_max: int) -> DimensionFormula:
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    u = _ratio_numerators(pair, n_max)
-    num = 0.0
-    den = 0.0
+    return _formula_of(pair, _ratio_numerators(pair, n_max))
+
+
+def _formula_of(pair: ScalePair, u: list[int]) -> DimensionFormula:
+    # hausdorff_dim_formula at n_max = len(u) - 1 >= 2 from the U_1..U_{n_max+1} of
+    # _ratio_numerators, which the dimension check builds once for this and the box fit
+    num = den = 0.0
     partials = []
-    for n in range(1, n_max + 1):
+    for n in range(1, len(u)):
         num += math.log(pair.d(n))
         den += _log_quotient(u[n - 1], u[n])  # ln(1/r_n)
         if n >= 2:
             partials.append((n, num / den))
-    window_start = max(2, n_max // 2)
-    liminf_proxy = min(s for n, s in partials if n >= window_start)
+    liminf_proxy = min(s for n, s in partials if n >= max(2, (len(u) - 1) // 2))
     return DimensionFormula(partials=tuple(partials), liminf_proxy=liminf_proxy)
 
 
@@ -210,16 +213,19 @@ def box_counting_dim(pair: ScalePair, depth: int) -> BoxCountFit:
     """
     if depth < 2:
         raise ValueError(f"depth must be >= 2 for a slope fit, got {depth}")
-    xs = []
-    ys = []
-    u = _ratio_numerators(pair, depth)
-    count = 1
-    for n in range(1, depth + 1):
+    return _box_fit_of(pair, _ratio_numerators(pair, depth))
+
+
+def _box_fit_of(pair: ScalePair, u: list[int]) -> BoxCountFit:
+    # box_counting_dim at depth = len(u) - 1 >= 2 from the U_1..U_{depth+1} of
+    # _ratio_numerators, shared with _formula_of
+    xs, ys, count = [], [], 1
+    for n in range(1, len(u)):
         count *= pair.d(n)
         xs.append(_log_quotient(u[0], u[n]))  # log(1/length), length = r_1 ... r_n = U_{n+1}/U_1
         ys.append(math.log(count))
     slope, residual = _least_squares(xs, ys)
-    return BoxCountFit(slope=slope, residual=residual, levels_used=depth,
+    return BoxCountFit(slope=slope, residual=residual, levels_used=len(u) - 1,
                        interval_count=count)
 
 

@@ -336,7 +336,9 @@ def log_series_taylor(ms, ts, y0: np.ndarray, e: float) -> np.ndarray:
 def eval_log_series_taylor(coefficients: np.ndarray, eps) -> np.ndarray:
     """:func:`log_H_sq_series` at y0 + eps from the tables of :func:`log_series_taylor`:
     one Horner pass in eps, sum_i A_i eps^i, for a scalar eps or one row per entry
-    of a column of eps."""
+    of a column of eps.  Every coefficient entry is its own Horner pass, so no value
+    depends on the other eps; the completeness check evaluates its polynomials in xi
+    with it too."""
     if len(coefficients) == 1:
         return coefficients[0] * np.ones_like(eps)  # exact: a copy, broadcast against eps
     acc = coefficients[-1] * eps
@@ -420,8 +422,8 @@ def exp_series_taylor(coefficients: np.ndarray, degree: int) -> tuple[np.ndarray
 
 def _root_angles(t: HSqTables, nodes) -> list[tuple[int, np.ndarray, np.ndarray]]:
     # (k, cos(pi k u), sin(pi k u)) over the tabulated u of the entries ``nodes`` for
-    # k = m-1, m-3, ... >= 1: from the tables of m = 2 and m = 3, else from
-    # _sin_cos_two_pi at k u / 2
+    # k = m-1, m-3, ... >= 1: from the tables of m = 2 and m = 3, else one pass of
+    # _sin_cos_two_pi at k u / 2 per k
     if t.m in (2, 3):
         return [(t.m - 1, t.cos[nodes], t.sin[nodes])]
     angles, u = [], t.u[nodes]
@@ -441,7 +443,10 @@ def signed_root_taylor(t: HSqTables, nodes, inv_scale: float, degree: int) -> np
     k = m-1, m-3, ... >= 1, a_0 = 1/m for odd m and 0 for even m: cos(pi s) for m = 2,
     (1 + 2 cos(2 pi s)) / 3 for m = 3 and the Dirichlet sum for odd m >= 5.  Its n-th
     coefficient is (2/m) sum_k (pi k inv_scale)^n / n! cos(pi k u + n pi / 2), so at
-    most (c_m inv_scale)^n / n!, c_m = pi (m - 1)."""
+    most (c_m inv_scale)^n / n!, c_m = pi (m - 1).  The completeness check passes only
+    a prime m, one sub-level of ``verify._sub_levels``: m = 2 and m = 3 read their
+    tables, and a prime m >= 5 still costs (m - 1) / 2 sine and cosine passes over the
+    nodes, here and again in :func:`root_complement`."""
     angles = _root_angles(t, nodes)
     count = len(angles[0][1]) if angles else len(t.u[nodes])
     # m R_m: the sums first, then one division, as (1 + 2 cos) / 3 in eval_H_sq_tables

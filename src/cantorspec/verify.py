@@ -12,10 +12,12 @@ stay below 1 plus the accumulated certified evaluation slack.
 Both floating-point pillars run on one digit tree (:class:`_Tree`), built
 once per check; its docstring states the node order, the reduced label sums
 through which alone xi enters a level, and the sub-levels of a composite
-d_n.  xi + lambda is never rounded and no large integer reaches numpy.  The
-products of many xi walk the tree depth first in tiles of at most ``_SLICE``
-entries (:meth:`_Tree.tiles`), whose row totals at the end of a level are
-the partition sums.  Completeness walks the grid only to a tree level s:
+d_n, one per prime factor by the rule of :func:`_sub_levels`, which the
+completeness tail follows too.  xi + lambda is never rounded and no large
+integer reaches numpy.  The products of many xi walk the tree depth first in
+tiles of at most ``_SLICE`` entries (:meth:`_Tree.tiles`), whose row totals at
+the end of a level are the partition sums.  Completeness walks the grid only
+to a tree level s:
 past it every level factor, and the tail tabulated once per check
 (:func:`_tail_tables`), is a polynomial in xi, and the terms of the nodes
 below each level-s node are summed once per check as polynomials per block.
@@ -38,9 +40,9 @@ import numpy as np
 
 from .core import ScalePair, _Scales, _to_float, check_growth
 from .fourier import (_TAYLOR_TOL, LOG_SERIES_THETA, TWO_PI, FilterFamily, H_sq_tables, HSqTables,
-                      eval_H_sq_tables, exp_series_degree, exp_series_taylor, log_series_coefficients,
-                      log_series_taylor, root_complement, signed_root_taylor, truncation_target,
-                      uniform_family)
+                      eval_H_sq_tables, eval_log_series_taylor, exp_series_degree, exp_series_taylor,
+                      log_series_coefficients, log_series_taylor, root_complement, signed_root_taylor,
+                      truncation_target, uniform_family)
 from .spectra import (TreeMapping, _elements_of, _table_nodes, check_word_budget,
                       validate_tree_mapping)
 
@@ -162,6 +164,24 @@ def _prime_factors(d: int) -> list[int]:
     return factors
 
 
+def _sub_levels(scales: _Scales, k: int, primes: list[int] | None = None) -> list[tuple[int, int, float]]:
+    """The factors of level k, one rule for the digit tree and the completeness tail:
+    (f_j, D_j, the float of D_j rho_k) per sub-level j of d_k = f_1 ... f_r, D_j =
+    f_1 ... f_j, with ``primes`` the f_j (by default the prime factors of d_k, ascending;
+    [d_k] keeps the level whole).  H_{ab}(s) = H_a(s) H_b(a s) gives |H_{d_k}(s)|^2 =
+    prod_j |H_{f_j}((d_k / D_j) s)|^2 at every s, so at s = xi / (d_k rho_k) + u sub-level
+    j is |H_{f_j}|^2 at xi / (D_j rho_k) + (d_k / D_j) u: a power of two runs only H_2."""
+    primes = _prime_factors(scales.d[k]) if primes is None else primes
+    subs = itertools.accumulate(primes, operator.mul)
+    return [(f, sub, _to_float(sub * scales.rho[k])) for f, sub in zip(primes, subs)]
+
+
+def _rate(f: int, scale: float) -> float:
+    # the rate c_f / (2 scale), c_f = pi (f - 1), at which the Taylor coefficients in xi of
+    # the signed root of H_f at xi / scale + u fall for xi in [0, 1/2] (signed_root_taylor)
+    return math.pi * (f - 1) * 0.5 / scale
+
+
 class _Tree:
     """The xi-independent digit tree of a tree mapping to ``level``, built once per check.
 
@@ -174,20 +194,19 @@ class _Tree:
     sigma_n = sum_{k<=n} tau(delta_1..delta_k) rho_k, reduced level by level
     as u_n = (u_{n-1} / q_{n-1} + tau) / d_n.
 
-    A uniform level runs as one tree sub-level per prime factor of
-    d_n = f_1 ... f_r, ascending, D_j = f_1 ... f_j.  H_{ab}(s) = H_a(s) H_b(a s)
-    gives |H_{d_n}(s)|^2 = prod_j |H_{f_j}(s_j)|^2 with s_j = (d_n / D_j) s
-    mod 1, and d_n s = xi / rho_n + u_{n-1} / q_{n-1} + tau with tau
-    congruent to delta_n mod d_n, so s_j = (xi / rho_n + u_{n-1} / q_{n-1}
-    + (delta_n mod D_j)) / D_j: sub-level j has D_j P_{n-1} nodes, the new
-    sub-digit in contiguous rows, and argument xi / (D_j rho_n).  Its last
-    sub-level, D_r = d_n, is the whole level with the full label tau.  A power
-    of two thus runs only H_2, and a power of three only H_3, each a cosine
-    form without division or integer guard
-    (:func:`~.fourier.eval_H_sq_tables`), and a prime d_n is one sub-level,
-    the level itself.  An explicit level of ``filters``, or a level whose table
-    labels are not all congruent to their last digit mod d_n (a mapping that
-    fails :func:`validate_tree_mapping`), stays one level.
+    A uniform level runs as one tree sub-level per factor f_j of
+    :func:`_sub_levels`, the rule the completeness tail follows too.  Here
+    d_n s = xi / rho_n + u_{n-1} / q_{n-1} + tau with tau congruent to delta_n
+    mod d_n, so (d_n / D_j) s = (xi / rho_n + u_{n-1} / q_{n-1} + (delta_n mod
+    D_j)) / D_j mod 1: sub-level j has D_j P_{n-1} nodes, the new sub-digit in
+    contiguous rows, and argument xi / (D_j rho_n).  Its last sub-level,
+    D_r = d_n, is the whole level with the full label tau.  A power of two
+    thus runs only H_2, and a power of three only H_3, each a cosine form
+    without division or integer guard (:func:`~.fourier.eval_H_sq_tables`),
+    and a prime d_n is one sub-level, the level itself.  An explicit level of
+    ``filters``, or a level whose table labels are not all congruent to their
+    last digit mod d_n (a mapping that fails :func:`validate_tree_mapping`),
+    stays one level.
 
     Per tree level t, ``radix[t]`` is its digit count, ``scale[t]`` the
     float of D_j rho_n that xi is divided by, ``size[t]`` its node count and
@@ -209,13 +228,11 @@ class _Tree:
             primes = _prime_factors(d) if uniform else [d]
             if len(primes) > 1 and not np.array_equal(np.mod(label, d), _digits(d, parents)):
                 primes = [d]  # a label off its digit's class mod d_n: the split would not hold
-            sub = 1
-            for f in primes:
-                sub *= f
+            for f, sub, scale in _sub_levels(scales, n, primes):
                 u = (np.tile(w, sub) + (label if sub == d else _digits(sub, parents))) / sub
                 self.kernels.append(H_sq_tables(f, u) if uniform else (n, u))
                 self.radix.append(f)
-                self.scale.append(_to_float(sub * scales.rho[n]))
+                self.scale.append(scale)
                 self.size.append(len(u))
             self.ends.append(len(self.size) - 1)
         self.u = u
@@ -470,18 +487,6 @@ def _taylor_degree(h: float) -> int:
     return degree
 
 
-def _horner_rows(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # sum_k c_k x_r^k for each entry of the coefficient rows, one block per x_r,
-    # by Horner's rule entry by entry: no value depends on the other x
-    acc = np.empty((len(x), *coefficients.shape[1:]))
-    acc[...] = coefficients[-1]
-    column = np.reshape(x, (-1,) + (1,) * (coefficients.ndim - 1))
-    for row in coefficients[-2::-1]:
-        acc *= column
-        acc += row
-    return acc
-
-
 def _reach_floats(scales: _Scales, targets: np.ndarray) -> np.ndarray:
     """rho_{N+1} of :meth:`~.core._Scales.reach` at each entry of the float array
     ``targets``, capped at 1e308, from one ``np.searchsorted`` over the cached rho,
@@ -506,9 +511,7 @@ def _trim(table: np.ndarray) -> np.ndarray:
 def _walk_depth(tree: _Tree, l_max: int, ends: list[int], tail_degree: int,
                 root_degree: int) -> tuple[int, int]:
     """(s, dv): the tree level s the grid walks to, and the degree dv of the deep
-    products past it: :func:`_taylor_degree` of their rate sum_{s<t<=end} c_m /
-    (2 scale[t]), c_m = pi (m - 1), at which the Taylor coefficients of their signed
-    roots fall for xi in [0, 1/2] (:func:`~.fourier.signed_root_taylor`).  s is the
+    products past it: :func:`_taylor_degree` of the sum of their :func:`_rate`.  s is the
     level of least count of element passes: per grid row about six per node walked and
     one per coefficient of the (1 + blocks past s) P_s cells, and per node of level
     ``l_max`` about two per term of the products that form and sum its polynomials,
@@ -518,7 +521,7 @@ def _walk_depth(tree: _Tree, l_max: int, ends: list[int], tail_degree: int,
     end = tree.ends[l_max]
     rate = [0.0] * (end + 1)  # rate[t]: the rate of the levels past t
     for t in range(end, 0, -1):
-        rate[t - 1] = rate[t] + math.pi * (tree.kernels[t - 1].m - 1) * 0.5 / tree.scale[t]
+        rate[t - 1] = rate[t] + _rate(tree.radix[t], tree.scale[t])
     walked = list(itertools.accumulate(tree.size))
 
     def work(t):
@@ -547,8 +550,28 @@ def _deep_products(tree: _Tree, walk: int, end: int, dv: int) -> np.ndarray:
 
 
 def _explicit_degree(scales: _Scales, k: int) -> int:
-    # the degree of the signed root of the explicit tail level k: its rate c_m / (2 d_k rho_k)
-    return _taylor_degree(math.pi * (scales.d[k] - 1) * 0.5 / _to_float(scales.d[k] * scales.rho[k]))
+    # the degree of the signed root of the explicit tail level k: the rate of its sub-levels
+    return _taylor_degree(sum(_rate(f, scale) for f, _, scale in _sub_levels(scales, k)))
+
+
+def _tail_roots(scales: _Scales, k: int, u: np.ndarray):
+    """(R, 1 - R) of the explicit tail level k over the nodes of reduced sums ``u``, as
+    Taylor polynomials in xi of the degree of :func:`_explicit_degree`: R = prod_j R_j over
+    the sub-levels of :func:`_sub_levels`, R_j the signed root of H_{f_j}
+    (:func:`~.fourier.signed_root_taylor`), and 1 - R = sum_j (1 - R_j) prod_{i<j} R_i, each
+    1 - R_j with its constant term from :func:`~.fourier.root_complement`, so that nothing
+    cancels.  No node branches in the tail, so the split holds whatever the labels."""
+    degree = _explicit_degree(scales, k)
+    # -0.0 + x is x for every x, a signed zero too: a prime d_k gives its one R and 1 - R
+    root, rest = np.ones((1, len(u))), np.full((1, len(u)), -0.0)
+    for f, sub, scale in _sub_levels(scales, k):
+        tables = H_sq_tables(f, (scales.d[k] // sub) * u)
+        r = signed_root_taylor(tables, slice(None), 1.0 / scale, degree)
+        minus = -r
+        minus[0] = root_complement(tables, slice(None))
+        rest = rest + _poly_mul(minus, root, degree)
+        root = _poly_mul(r, root, degree)
+    return root, rest
 
 
 def _tail_polynomials(scales: _Scales, explicit, series: _Series | None, start: int, stop: int):
@@ -557,13 +580,11 @@ def _tail_polynomials(scales: _Scales, explicit, series: _Series | None, start: 
     T - 1 = expm1(A_0) + e^(A_0) (E - 1) and sqrt(T) = e^(A_0 / 2) E', E and E' of
     :func:`~.fourier.exp_series_taylor` in eps = xi / rho_k0, to the degree of
     :func:`~.fourier.exp_series_degree` for these nodes.  Each explicit level
-    multiplies in its |H_{d_k}|^2 = R^2 as the Taylor polynomial of the signed root R
-    (:func:`~.fourier.signed_root_taylor`, of the degree of :func:`_taylor_degree`) by
+    multiplies in its |H_{d_k}|^2 = R^2, R and 1 - R from :func:`_tail_roots`, by
     R^2 T - 1 = R^2 (T - 1) - (1 - R)(1 + R), where 1 - R keeps its constant term
     without cancellation: T - 1 is formed without cancellation."""
-    count = stop - start
     if series is None:
-        tail_m1, root = np.zeros((1, count)), np.ones((1, count))
+        tail_m1, root = np.zeros((1, stop - start)), np.ones((1, stop - start))
     else:
         table = series.table(start, stop)
         degree = exp_series_degree(table, series.y0[start:stop], series.e, series.c1)
@@ -578,11 +599,9 @@ def _tail_polynomials(scales: _Scales, explicit, series: _Series | None, start: 
         root *= scale
         root *= np.sqrt(gap + 1.0)
     for k, u in explicit:
-        tables = H_sq_tables(scales.d[k], u[start:stop])
-        r = signed_root_taylor(tables, slice(None), 1.0 / _to_float(scales.d[k] * scales.rho[k]),
-                               _explicit_degree(scales, k))
-        minus, plus = -r, r.copy()
-        minus[0], plus[0] = root_complement(tables, slice(None)), 1.0 + r[0]
+        r, minus = _tail_roots(scales, k, u[start:stop])
+        plus = r.copy()
+        plus[0] += 1.0
         tail_m1 = _poly_mul(_poly_mul(r, r), tail_m1)
         tail_m1[:2 * len(r) - 1] -= _poly_mul(minus, plus)
         root = _poly_mul(r, root)
@@ -595,7 +614,8 @@ def _cell_polynomials(deep_v: np.ndarray, tail_m1: np.ndarray, root_tail: np.nda
     V sqrt(T) at xi = 1/4.  The constant term of r is |r(0)|: where it disagrees with
     that sign it is the rounding of a zero at xi = 0, such as cos(pi / 2) = 6e-17, and
     keeps its size."""
-    sign = np.where((_horner_rows(deep_v, [0.25]) * _horner_rows(root_tail, [0.25]))[0] < 0.0, -1.0, 1.0)
+    sign = np.where(eval_log_series_taylor(deep_v, 0.25) * eval_log_series_taylor(root_tail, 0.25) < 0.0,
+                    -1.0, 1.0)
     square = _poly_mul(deep_v, deep_v)
     yield square
     yield _poly_mul(square, tail_m1)
@@ -629,7 +649,8 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     remainder of the product of the factors past s is at most 2^-60
     (:func:`_taylor_degree`).  Their product V_i (:func:`_deep_products`) is a
     polynomial per level-l_max node i, and so are T - 1 and sqrt(T)
-    (:func:`_tail_polynomials`): the explicit tail levels as signed roots, the
+    (:func:`_tail_polynomials`): the explicit tail levels as products of the signed
+    roots of their sub-levels, by the rule of the tree (:func:`_sub_levels`), the
     series as the power series exp of its Taylor table, each to 2^-60.
     *The sign.*  Every frequency is an integer, so a factor vanishes only where
     xi + lambda is a multiple of D_{j-1} rho_n, at integer xi: on (0, 1/2] each
@@ -707,15 +728,14 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     explicit, series = _tail_tables(scales, tree.u, l_max, depth, 0.5, deep)
     tree.u = None
     # the degrees of the tail polynomials T - 1 and sqrt(T), for the walk depth: the
-    # series' at the node of largest |y0|, and the explicit levels'
+    # series' de at the node of largest |y0|, and the explicit levels' dx
     de = 0
     if series is not None:
         at = int(np.argmax(np.abs(series.y0)))
         de = exp_series_degree(series.table(at, at + 1), series.y0[at:at + 1], series.e, series.c1)
-    explicit_degrees = [_explicit_degree(scales, k) for k, _ in explicit]
-    tail_degree, root_degree = de + 2 * sum(explicit_degrees), de + sum(explicit_degrees)
+    dx = sum(_explicit_degree(scales, k) for k, _ in explicit)
     ends = [b for _, b in blocks]
-    walk, dv = _walk_depth(tree, l_max, ends, tail_degree, root_degree)
+    walk, dv = _walk_depth(tree, l_max, ends, de + 2 * dx, de + dx)
     width = tree.size[walk]
     # node i = j + q width sums into cell (row, j): row 0 for q = 0, else the row of the
     # block of i, as the blocks past the walk are runs of whole q.  The node ranges hold
@@ -747,8 +767,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
                                   lam[start:stop])
         for kind, poly in enumerate(polys):
             if len(poly) > tables.shape[1]:
-                more = np.zeros((4, len(poly) - tables.shape[1], *tables.shape[2:]))
-                tables = np.concatenate([tables, more], axis=1)
+                tables = np.pad(tables, ((0, 0), (0, len(poly) - tables.shape[1]), (0, 0), (0, 0)))
             poly = poly.reshape(len(poly), q1 - q0, -1)
             for k, k_next in zip(runs, runs[1:] + [q1]):
                 tables[kind, :len(poly), row_of[k], cells] += poly[:, k - q0:k_next - q0].sum(axis=1)
@@ -764,15 +783,11 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
             weight = w if kind in "vg" else root_w
             # row 0 splits by the blocks of j; each later row is one block, weighted
             # over j first: sum_k xi^k sum_j w_j c_kj, one row at a time in einsum
-            head = _horner_rows(table[:, 0], x[span])
+            head = eval_log_series_taylor(table[:, 0], column[span])
             head *= weight
             out[kind][span, :len(heads)] = np.add.reduceat(head, heads, axis=1)
             moments = np.einsum("kbj,rj->krb", table[:, 1:], weight)
-            acc = moments[-1]
-            for row in moments[-2::-1]:
-                acc *= column[span]
-                acc += row
-            out[kind][span, past] += acc
+            out[kind][span, past] += eval_log_series_taylor(moments, column[span])
     sums, signed, lin = out["v"] + out["g"], out["s"], out["l"]
     gaps = -out["g"].sum(axis=1)
     # Q_L = 1 - G_L, G_L = G_{l_max} + sum_{n>L} S_n

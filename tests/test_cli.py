@@ -206,6 +206,26 @@ def test_completeness_subcommand(mu42, tmp_path):
     assert (out / "completeness.svg").exists()
 
 
+def test_completeness_alpha_one_matches_the_direct_sum(tmp_path):
+    # the one-dimensional endpoint at L = 3, whose tail has the explicit level
+    # d_4 = 2048, against the direct per-term sum of 189e78e (the oracle file's header
+    # has the command): Q within an ulp, the slack within 2.2e-14 relative, the same
+    # verdicts
+    oracle = ROOT / "tests" / "oracles" / "completeness_alpha_one_L3.csv"
+    want = list(csv.reader(line for line in oracle.read_text().splitlines() if not line.startswith("#")))
+    out = tmp_path / "out"
+    assert run(["completeness", "--pair", str(ROOT / "demos" / "configs" / "alpha_one.json"),
+                "--level", "3", "--out", str(out)]) == 0
+    got = list(csv.reader(io.StringIO((out / "completeness.csv").read_text())))
+    assert got[0] == want[0] and len(got) == len(want) == 1 + 33 * 3
+    for (xi, level, q, slack, ok), row in zip(want[1:], got[1:]):
+        assert row[:2] == [xi, level] and row[4] == ok
+        assert abs(float(row[2]) - float(q)) <= math.ulp(float(q)), (xi, level)
+        assert abs(float(row[3]) - float(slack)) <= 2.2e-14 * float(slack), (xi, level)
+    report = json.loads((out / "completeness_report.json").read_text())
+    assert report["monotone"] and report["bounded"] and report["worst_gap_xi"] == 0.5
+
+
 @pytest.mark.parametrize("cmd, name, kinds", [
     (["completeness", "--grid", "8", "--level", "5"], "completeness.csv",
      (float, int, float, float, lambda v: v == "True")),
@@ -244,6 +264,21 @@ def test_dimension_subcommand(mu42, tmp_path):
     assert report["box_depth"] == 40 and report["box_intervals"] == str(2**40)
     assert (out / "dimension_ratios.csv").exists()
     assert (out / "dimension_ratios.svg").exists()
+
+
+def test_dimension_builds_the_ratio_numerators_once(mu42, tmp_path, monkeypatch):
+    # the formula and the box fit share one U_1..U_41; the intervals artifact reads
+    # its own, at its depth of 6
+    depths = []
+
+    def numerators(pair, n_max):
+        depths.append(n_max)
+        return ratio_numerators(pair, n_max)
+
+    ratio_numerators = cli.dim._ratio_numerators
+    monkeypatch.setattr(cli.dim, "_ratio_numerators", numerators)
+    assert run(["dimension", "--pair", mu42, "--level", "40", "--out", str(tmp_path)]) == 0
+    assert depths.count(40) == 1, depths
 
 
 def test_dimension_alpha_pair(tmp_path):

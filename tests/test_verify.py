@@ -13,7 +13,8 @@ from cantorspec import (BudgetExceededError, FilterFamily, TreeMapping, canonica
                         mu_hat_exact_zero,
                         orthogonality_check, partition_identity,
                         partition_levels, rho, uniform_family, word_count)
-from cantorspec import default_depth, exact_mean, hausdorff_dim_formula, sample_measure, verify
+from cantorspec import (default_depth, exact_mean, fourier, hausdorff_dim_formula, pair_from_config,
+                        sample_measure, verify)
 from cantorspec.core import _to_float
 from cantorspec.fourier import (LOG_SERIES_THETA, TWO_PI, H_sq_tables, eval_filter,
                                 eval_H_sq_tables, eval_log_series_taylor, log_H_sq_array,
@@ -467,6 +468,39 @@ def test_polynomial_cases_reach_polynomial_levels(monkeypatch, tm, xi, level):
     assert bool(deep) == (tm is DEEP_LABEL42)
 
 
+def test_an_explicit_tail_level_runs_one_pass_per_prime_sub_level(monkeypatch):
+    # alpha_one at L = 3: the tail's explicit level d_4 = 2048 = 2^11 splits as the tree
+    # does, into 11 H_2 sub-levels of one angle pass each (for the signed root and for
+    # its complement), not into the (m - 1) / 2 = 1023 passes of H_2048's Dirichlet sum
+    pair = pair_from_config({"kind": "alpha", "alpha": 1, "profile": "dyadic"})
+    tails, active = [], []  # per _tail_polynomials call: its explicit levels and its passes
+
+    def root_angles(t, nodes):
+        angles = fourier_root_angles(t, nodes)
+        if active:
+            tails[-1][1].append((t, len(angles)))  # the tables stay alive, so ids are unique
+        return angles
+
+    def tail_polynomials(scales, explicit, *args):
+        tails.append(([k for k, _ in explicit], []))
+        active.append(True)
+        try:
+            return tail_polynomials_of(scales, explicit, *args)
+        finally:
+            active.pop()
+
+    fourier_root_angles, tail_polynomials_of = fourier._root_angles, verify._tail_polynomials
+    monkeypatch.setattr(fourier, "_root_angles", root_angles)
+    monkeypatch.setattr(verify, "_tail_polynomials", tail_polynomials)
+    completeness_Q(canonical_tau(pair), [0.5 * j / 32 for j in range(33)], 3)
+    assert pair.d(4) == 2048 and tails
+    for levels, passes in tails:
+        tables = {id(t): t for t, _ in passes}
+        assert levels == [4]
+        assert sorted(t.m for t in tables.values()) == [2] * 11
+        assert [count for _, count in passes] == [1] * 2 * 11
+
+
 def deep_products(tm, level):
     # V of completeness_Q past its walk depth, and the tree, walk depth and degree
     scales = verify._Scales(tm.pair).upto(level)
@@ -492,8 +526,8 @@ def test_deep_products_keep_one_sign_on_the_window(case, xis):
     if case not in SIGN_PRODUCTS:
         SIGN_PRODUCTS[case] = deep_products(*SIGN_CASES[case])
     v, tree, walk = SIGN_PRODUCTS[case]
-    quarter = verify._horner_rows(v, [0.25])[0]
-    values = verify._horner_rows(v, xis)
+    quarter = eval_log_series_taylor(v, 0.25)
+    values = eval_log_series_taylor(v, np.array(xis)[:, None])
     assert np.all(np.sign(values) == np.sign(quarter))
     end = len(tree.size) - 1
     for xi, got in zip(xis, values):
@@ -501,7 +535,7 @@ def test_deep_products_keep_one_sign_on_the_window(case, xis):
         for t in range(walk + 1, end + 1):
             kernel = tree.kernels[t - 1]
             root = verify.signed_root_taylor(kernel, slice(None), 1.0 / tree.scale[t], 12)
-            want = (want[None, :] * verify._horner_rows(root, [xi])[0].reshape(tree.radix[t], -1)).ravel()
+            want = (want[None, :] * eval_log_series_taylor(root, xi).reshape(tree.radix[t], -1)).ravel()
         assert np.max(np.abs(got - want)) <= 1e-15, (case, xi)
 
 
