@@ -78,14 +78,12 @@ def _load_tree(pair: ScalePair, path: str | None) -> tuple[TreeMapping, list]:
 
 
 def _write_json(outdir: Path, name: str, payload: dict):
-    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / name, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def _write_csv(outdir: Path, name: str, header: list[str], rows):
-    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / name, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -118,7 +116,6 @@ def _as_floats(values: list[int]) -> list[float] | None:
 
 
 def _write_svg(outdir: Path, name: str, content: str):
-    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / name).write_text(content + "\n")
 
 
@@ -228,8 +225,8 @@ def _check_completeness(pair, tm, args):
 def _check_dimension(pair, tm, args):
     if args.level < 2:  # the ratio sequence needs two terms
         raise ConfigError(f"--level must be >= 2 for dimension, got {args.level}")
-    u = dim._ratio_numerators(pair, args.level)  # built once for both fits
-    formula, box = dim._formula_of(pair, u), dim._box_fit_of(pair, u)
+    logs = dim._log_pairs(pair, args.level)  # built once for both fits
+    formula, box = dim._formula_of(logs), dim._box_fit_of(pair, logs)
     agree = abs(box.slope - formula.liminf_proxy) <= 0.05
 
     def write_intervals(out):
@@ -410,6 +407,7 @@ def _run(args) -> int:
     tm, tree_cfg = _load_tree(pair, getattr(args, "tree", None))
     passed, payload, artifacts = entry["check"](pair, tm, args)
     outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)  # the writers below expect it
     for write in artifacts:
         write(outdir)
     config = {k: getattr(args, k) for k in entry["flags"] if k not in ("tree", "filters")}

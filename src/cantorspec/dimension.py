@@ -158,26 +158,32 @@ def hausdorff_dim_formula(pair: ScalePair, n_max: int) -> DimensionFormula:
 
     A true liminf is not computable from finitely many levels; the infimum
     over N in [n_max/2, n_max] is reported as its proxy and stabilizes
-    whenever the level ratios converge.  Each ln(1/r_n) = ln(U_n / U_{n+1}) is
-    taken from the integers of :func:`gap_ratios`, with no rational reduced.
+    whenever the level ratios converge.  Each s_N is one quotient of the
+    telescoped logarithms of :func:`_log_pairs`, with no rational reduced.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    return _formula_of(pair, _ratio_numerators(pair, n_max))
+    return _formula_of(_log_pairs(pair, n_max))
 
 
-def _formula_of(pair: ScalePair, u: list[int]) -> DimensionFormula:
-    # hausdorff_dim_formula at n_max = len(u) - 1 >= 2 from the U_1..U_{n_max+1} of
-    # _ratio_numerators, which the dimension check builds once for this and the box fit
-    num = den = 0.0
-    partials = []
-    for n in range(1, len(u)):
-        num += math.log(pair.d(n))
-        den += _log_quotient(u[n - 1], u[n])  # ln(1/r_n)
-        if n >= 2:
-            partials.append((n, num / den))
-    liminf_proxy = min(s for n, s in partials if n >= max(2, (len(u) - 1) // 2))
-    return DimensionFormula(partials=tuple(partials), liminf_proxy=liminf_proxy)
+def _log_pairs(pair: ScalePair, n_max: int) -> list[tuple[float, float]]:
+    """(ln(U_1 / U_{n+1}), ln(d_1 ... d_n)) for n = 1..``n_max``, U_n of
+    :func:`_ratio_numerators`: the logarithms of 1 / length and of the count of the
+    level-n intervals.  r_j = U_{j+1} / U_j, so sum_{j<=n} ln(1/r_j) telescopes to the
+    first and sum_{j<=n} ln d_j is the second, each one rounding of exact integers;
+    the formula and the box fit read the same list."""
+    u, count, logs = _ratio_numerators(pair, n_max), 1, []
+    for n in range(1, n_max + 1):
+        count *= pair.d(n)
+        logs.append((_log_quotient(u[0], u[n]), math.log(count)))
+    return logs
+
+
+def _formula_of(logs: list[tuple[float, float]]) -> DimensionFormula:
+    # hausdorff_dim_formula at n_max = len(logs) >= 2: s_N = ln(d_1 ... d_N) / ln(U_1 / U_{N+1})
+    partials = tuple((n, y / x) for n, (x, y) in enumerate(logs, start=1) if n >= 2)
+    liminf_proxy = min(s for n, s in partials if n >= max(2, len(logs) // 2))
+    return DimensionFormula(partials=partials, liminf_proxy=liminf_proxy)
 
 
 @dataclass(frozen=True)
@@ -213,20 +219,14 @@ def box_counting_dim(pair: ScalePair, depth: int) -> BoxCountFit:
     """
     if depth < 2:
         raise ValueError(f"depth must be >= 2 for a slope fit, got {depth}")
-    return _box_fit_of(pair, _ratio_numerators(pair, depth))
+    return _box_fit_of(pair, _log_pairs(pair, depth))
 
 
-def _box_fit_of(pair: ScalePair, u: list[int]) -> BoxCountFit:
-    # box_counting_dim at depth = len(u) - 1 >= 2 from the U_1..U_{depth+1} of
-    # _ratio_numerators, shared with _formula_of
-    xs, ys, count = [], [], 1
-    for n in range(1, len(u)):
-        count *= pair.d(n)
-        xs.append(_log_quotient(u[0], u[n]))  # log(1/length), length = r_1 ... r_n = U_{n+1}/U_1
-        ys.append(math.log(count))
-    slope, residual = _least_squares(xs, ys)
-    return BoxCountFit(slope=slope, residual=residual, levels_used=len(u) - 1,
-                       interval_count=count)
+def _box_fit_of(pair: ScalePair, logs: list[tuple[float, float]]) -> BoxCountFit:
+    # box_counting_dim at depth = len(logs) >= 2 from the log pairs shared with _formula_of
+    slope, residual = _least_squares([x for x, _ in logs], [y for _, y in logs])
+    return BoxCountFit(slope=slope, residual=residual, levels_used=len(logs),
+                       interval_count=math.prod(pair.d(n) for n in range(1, len(logs) + 1)))
 
 
 @dataclass(frozen=True)

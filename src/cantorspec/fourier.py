@@ -23,12 +23,14 @@ The level-expansion kernel of :mod:`.verify` multiplies it along the digit
 tree; :func:`eval_H_sq_array` is the same kernel at a = 0.
 :func:`log_H_sq_array` and :func:`log_H_sq_series` give its logarithm.  The
 completeness tail is the series: :func:`log_series_taylor` tabulates it once
-as a Taylor polynomial in a scalar shift of its argument (evaluated by
-:func:`eval_log_series_taylor`), and :func:`exp_series_taylor` exponentiates
-that polynomial as a power series, to the degree of :func:`exp_series_degree`.
+as a Taylor polynomial in a scalar shift of its argument, and
+:func:`exp_series_taylor` exponentiates that polynomial as a power series, to
+the degree of :func:`exp_series_degree`.  There is one Horner pass,
+:func:`eval_log_series_taylor`: the series, each row of its Taylor table and
+the completeness polynomials of :mod:`.verify` are evaluated with it.
 :func:`signed_root_taylor` gives the Taylor polynomial of the signed root of
 |H_m|^2 at a small shift of u, and :func:`root_complement` one minus its value
-at u.
+at u, both from the angles of :func:`_root_angles`.
 """
 from __future__ import annotations
 
@@ -233,22 +235,15 @@ def log_series_coefficients(ms, ts) -> np.ndarray:
     return 2.0 * _ZETA_OVER_J * (t ** j2 - (t / np.asarray(ms)[:, None]) ** j2).sum(axis=0)
 
 
-def _horner(c, z):
-    # sum_j c_j z^j, j = 1..len(c), as z (c_1 + z (c_2 + ...))
-    acc = c[-1] * z
-    for cj in c[-2::-1]:
-        acc += cj
-        acc *= z
-    return acc
-
-
 def log_H_sq_series(ms, ts, y: np.ndarray) -> np.ndarray:
     """sum_k log|H_{m_k}(t_k y / m_k)|^2 for 0 < t_k <= 1, |y| <= LOG_SERIES_THETA, as
-    one Horner polynomial in y^2 from log(sin(pi x) / (pi x)) = -sum_j zeta(2j)/j x^(2j).
+    one Horner polynomial in y^2 (:func:`eval_log_series_taylor`) from
+    log(sin(pi x) / (pi x)) = -sum_j zeta(2j)/j x^(2j).
     Term j is at most (4 / (3 zeta(2))) zeta(2j)/j (m s)^(2j-2) times term 1, all of
     one sign, so the terms past j = 19 are below 2^-60 of the sum:
     (4 / (3 zeta(2))) zeta(40)/20 theta^38 / (1 - theta^2) = 2^-61.99."""
-    return -_horner(log_series_coefficients(ms, ts), y * y)
+    # the constant term 0.0 adds nothing: 0.0 + x is x for every x >= +0.0
+    return -eval_log_series_taylor([0.0, *log_series_coefficients(ms, ts)], y * y)
 
 
 _TAYLOR_TOL = 2.0 ** -60
@@ -322,11 +317,10 @@ def log_series_taylor(ms, ts, y0: np.ndarray, e: float) -> np.ndarray:
     c = log_series_coefficients(ms, ts)
     degree = int(np.argmax(log_series_remainder_bounds(c, y0, e) <= _TAYLOR_TOL))
     z = y0 * y0
-    rows = [-_horner(c, z)]
+    rows = [-eval_log_series_taylor([0.0, *c], z)]
     for i in range(1, degree + 1):
         h = (i + 1) // 2
-        b = [float(c[j - 1]) * math.comb(2 * j, i) for j in range(h, len(c) + 1)]
-        acc = _horner(b[1:], z) + b[0] if len(b) > 1 else np.full_like(z, b[0])
+        acc = eval_log_series_taylor([float(c[j - 1]) * math.comb(2 * j, i) for j in range(h, len(c) + 1)], z)
         if i % 2:
             acc *= y0
         rows.append(-acc)
@@ -420,23 +414,26 @@ def exp_series_taylor(coefficients: np.ndarray, degree: int) -> tuple[np.ndarray
     return out[0], out[1]
 
 
-def _root_angles(t: HSqTables, nodes) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    # (k, cos(pi k u), sin(pi k u)) over the tabulated u of the entries ``nodes`` for
-    # k = m-1, m-3, ... >= 1: from the tables of m = 2 and m = 3, else one pass of
-    # _sin_cos_two_pi at k u / 2 per k
+def _root_angles(t: HSqTables, nodes) -> tuple[int, list[int], np.ndarray, np.ndarray]:
+    """(m, ks, cos, sin) over the tabulated u of the entries ``nodes``: row r of cos and
+    sin holds cos(pi k u) and sin(pi k u) for k = ks[r], over k = m-1, m-3, ... >= 1.
+    m = 2 and m = 3 read the rows from their tables; every other m makes one pass of
+    sines and cosines per k.  :func:`signed_root_taylor` and :func:`root_complement`
+    both read them, so a caller that needs both computes them once."""
     if t.m in (2, 3):
-        return [(t.m - 1, t.cos[nodes], t.sin[nodes])]
-    angles, u = [], t.u[nodes]
-    for k in range(t.m - 1, 0, -2):
+        return t.m, [t.m - 1], t.cos[None, nodes], t.sin[None, nodes]
+    u = t.u[nodes]
+    ks = list(range(t.m - 1, 0, -2))
+    cos, sin = np.empty((len(ks), len(u))), np.empty((len(ks), len(u)))
+    for row, k in enumerate(ks):
         half = 0.5 * k * u
-        sin, cos = _sin_cos_two_pi(half - np.rint(half))
-        angles.append((k, cos, sin))
-    return angles
+        sin[row], cos[row] = _sin_cos_two_pi(half - np.rint(half))
+    return t.m, ks, cos, sin
 
 
-def signed_root_taylor(t: HSqTables, nodes, inv_scale: float, degree: int) -> np.ndarray:
+def signed_root_taylor(angles, inv_scale: float, degree: int) -> np.ndarray:
     """The Taylor coefficients in xi of the signed root R_m(u + xi inv_scale) over the
-    tabulated u of the entries ``nodes``, a (``degree`` + 1, count) array, where
+    entries of ``angles`` (:func:`_root_angles`), a (``degree`` + 1, count) array, where
     |H_m(s)|^2 = R_m(s)^2.
 
     R_m(s) = sin(pi m s) / (m sin(pi s)) = a_0 + (2/m) sum_k cos(pi k s) over
@@ -444,34 +441,32 @@ def signed_root_taylor(t: HSqTables, nodes, inv_scale: float, degree: int) -> np
     (1 + 2 cos(2 pi s)) / 3 for m = 3 and the Dirichlet sum for odd m >= 5.  Its n-th
     coefficient is (2/m) sum_k (pi k inv_scale)^n / n! cos(pi k u + n pi / 2), so at
     most (c_m inv_scale)^n / n!, c_m = pi (m - 1).  The completeness check passes only
-    a prime m, one sub-level of ``verify._sub_levels``: m = 2 and m = 3 read their
-    tables, and a prime m >= 5 still costs (m - 1) / 2 sine and cosine passes over the
-    nodes, here and again in :func:`root_complement`."""
-    angles = _root_angles(t, nodes)
-    count = len(angles[0][1]) if angles else len(t.u[nodes])
+    a prime m, one sub-level of ``verify._sub_levels``: a prime m >= 5 costs the
+    (m - 1) / 2 passes of its angles."""
+    m, ks, cosines, sines = angles
     # m R_m: the sums first, then one division, as (1 + 2 cos) / 3 in eval_H_sq_tables
-    out, part = np.zeros((degree + 1, count)), np.empty(count)
-    for k, cos, sin in angles:
+    out, part = np.zeros((degree + 1, cosines.shape[1])), np.empty(cosines.shape[1])
+    for k, cos, sin in zip(ks, cosines, sines):
         step = math.pi * k * inv_scale
         for n in range(degree + 1):
             # the n-th derivative of cos: cos, -sin, -cos, sin
             factor = (2.0 if n % 4 in (0, 3) else -2.0) * step ** n / math.factorial(n)
             np.multiply(sin if n % 2 else cos, factor, out=part)
             out[n] += part
-    out[0] += t.m % 2
-    out /= t.m
+    out[0] += m % 2
+    out /= m
     return out
 
 
-def root_complement(t: HSqTables, nodes) -> np.ndarray:
-    """1 - R_m(u) over the tabulated u of the entries ``nodes``, R_m the signed root of
-    :func:`signed_root_taylor`: (2/m) sum_k (1 - cos(pi k u)), each 1 - cos formed
-    without cancellation, as sin^2 / (1 + cos) where cos >= 0."""
-    angles = _root_angles(t, nodes)
-    rest = np.zeros(len(angles[0][1]) if angles else len(t.u[nodes]))
-    for _, cos, sin in angles:
+def root_complement(angles) -> np.ndarray:
+    """1 - R_m(u) over the entries of ``angles`` (:func:`_root_angles`), R_m the signed
+    root of :func:`signed_root_taylor`: (2/m) sum_k (1 - cos(pi k u)), each 1 - cos
+    formed without cancellation, as sin^2 / (1 + cos) where cos >= 0."""
+    m, _, cosines, sines = angles
+    rest = np.zeros(cosines.shape[1])
+    for cos, sin in zip(cosines, sines):
         rest += np.where(cos >= 0.0, sin * sin / (1.0 + np.abs(cos)), 1.0 - cos)
-    return rest * (2.0 / t.m)
+    return rest * (2.0 / m)
 
 
 def log_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:

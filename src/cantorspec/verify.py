@@ -40,9 +40,9 @@ import numpy as np
 
 from .core import ScalePair, _Scales, _to_float, check_growth
 from .fourier import (_TAYLOR_TOL, LOG_SERIES_THETA, TWO_PI, FilterFamily, H_sq_tables, HSqTables,
-                      eval_H_sq_tables, eval_log_series_taylor, exp_series_degree, exp_series_taylor,
-                      log_series_coefficients, log_series_taylor, root_complement, signed_root_taylor,
-                      truncation_target, uniform_family)
+                      _root_angles, eval_H_sq_tables, eval_log_series_taylor, exp_series_degree,
+                      exp_series_taylor, log_series_coefficients, log_series_taylor, root_complement,
+                      signed_root_taylor, truncation_target, uniform_family)
 from .spectra import (TreeMapping, _elements_of, _table_nodes, check_word_budget,
                       validate_tree_mapping)
 
@@ -138,19 +138,6 @@ def _digits(d: int, count: int) -> np.ndarray:
     return np.repeat(np.arange(d, dtype=float), count)
 
 
-def _labels(tm: TreeMapping, scales: _Scales, level: int):
-    """Per level n = 1..``level``, tau over the level-n nodes in the order of
-    :func:`~.spectra._node_index`: the last digit, or the table value."""
-    table = _table_labels(tm, scales.upto(level), level)
-    count = 1
-    for n in range(1, level + 1):
-        label = _digits(scales.d[n], count)
-        count *= scales.d[n]
-        if n in table:
-            label[table[n][0]] = table[n][1]
-        yield label
-
-
 def _prime_factors(d: int) -> list[int]:
     """The prime factors of d >= 1 in ascending order, with multiplicity; [1] for d = 1."""
     factors, p = [], 2
@@ -212,8 +199,16 @@ class _Tree:
     float of D_j rho_n that xi is divided by, ``size[t]`` its node count and
     ``kernels[t - 1]`` its :class:`HSqTables`, or (n, u_n) on an explicit
     level of ``filters``; ``ends[n]`` is the tree level that ends level n,
-    where size is P_n.  ``u`` keeps u_level unreduced mod 1 for the
-    completeness tail tables, which free it.
+    where size is P_n.
+
+    The one label walk: the table labels are read once (:func:`_table_labels`),
+    and each level's tau forms both u_n and, beside it, lambda_n =
+    lambda_{n-1} + tau rho_n.  For the completeness check ``u`` keeps u_level
+    unreduced mod 1, ``deep`` the table labels past ``level`` by word length,
+    and ``lam`` lambda of each level-``level`` node's zero-extension, those
+    labels included.  Past the double range, where the completeness check
+    refuses the frequencies first (:func:`_check_frequency_range`), ``lam``
+    holds inf or nan, unread and formed without a warning.
     """
 
     def __init__(self, tm: TreeMapping, scales: _Scales, level: int, filters: FilterFamily):
@@ -221,9 +216,17 @@ class _Tree:
         self.filters = filters
         self.kernels = []
         self.radix, self.scale, self.size, self.ends = [1], [1.0], [1], [0]
-        u = np.zeros(1)
-        for n, label in enumerate(_labels(tm, scales, level), start=1):
+        table = _table_labels(tm, self.scales, level)
+        self.deep = {k: v for k, v in table.items() if k > level}
+        u, lam = np.zeros(1), np.zeros(1)
+        for n in range(1, level + 1):
             d, parents = scales.d[n], len(u)
+            label = _digits(d, parents)  # tau: the last digit, or the table value
+            if n in table:
+                label[table[n][0]] = table[n][1]
+            lam = np.tile(lam, d)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the double range
+                lam += label * _to_float(scales.rho[n])
             w, uniform = u / _to_float(scales.q[n - 1]), filters.is_uniform(n)
             primes = _prime_factors(d) if uniform else [d]
             if len(primes) > 1 and not np.array_equal(np.mod(label, d), _digits(d, parents)):
@@ -235,7 +238,11 @@ class _Tree:
                 self.scale.append(scale)
                 self.size.append(len(u))
             self.ends.append(len(self.size) - 1)
-        self.u = u
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (index, labels) in self.deep.items():
+                if np.any(labels):  # all-zero labels move nothing, however large rho_k
+                    lam[index] += labels * _to_float(scales.upto(k).rho[k])
+        self.u, self.lam = u, lam
 
     def factors(self, t: int, xis, nodes: slice = slice(None)) -> np.ndarray:
         """The tree-level-t factors over its nodes ``nodes``, one row per xi of
@@ -331,6 +338,7 @@ def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
     if filters is None:
         filters = uniform_family(pair)
     tree = _Tree(tm, _Scales(pair), level, filters)
+    tree.u = tree.lam = None  # the completeness check's inputs: freed before the walk
     xis = np.array(xis, dtype=float)
     totals = np.zeros((len(xis), level))
     column = {t: n - 1 for n, t in enumerate(tree.ends) if n}
@@ -381,29 +389,21 @@ _SLICE = 1 << 14
 _GRID_ROWS = 33  # the default grid of the completeness subcommand, K = 32
 
 
-def _frequencies(tm: TreeMapping, scales: _Scales, level: int):
-    """Per level-``level`` node, lambda of its zero-extension; and the labels past it.
-    First a ValueError where the slack's sums of lambda^2 could overflow: with
-    |lambda| <= B = sum_n max|tau_n| rho_n (the levels and deep labels, exact),
-    a block of at most P nodes sums to below P B^2, which must stay below 2^1022."""
-    table = _table_labels(tm, scales, level)
+def _check_frequency_range(tm: TreeMapping, scales: _Scales, level: int):
+    """A ValueError where the slack's sums of lambda^2 could overflow: with
+    |lambda| <= B = sum_n max|tau_n| rho_n (the levels and the table labels past
+    them, exact), a block of at most P nodes sums to below P B^2, which must stay
+    below 2^1022.  It reads the table words alone, so it runs before any label
+    becomes a float."""
     top = {n: scales.d[n] - 1 for n in range(1, level + 1)}
-    for k, (_, labels) in table.items():
-        top[k] = max(top.get(k, 0), int(np.max(np.abs(labels))))
+    for word, _, value in _table_nodes(tm, scales, level):
+        top[len(word)] = max(top.get(len(word), 0), abs(value))
     bound = sum(t * scales.upto(k).rho[k] for k, t in top.items())
     count = math.prod(scales.d[1:level + 1])
     if count * bound * bound >= 1 << 1022:
         raise ValueError(f"level {level}: |lambda| <= sum_n max|tau_n| rho_n < 2^{bound.bit_length()}, "
                          f"and the slack sums lambda^2 over {count} frequencies, which needs "
                          f"|lambda| below 2^511 / sqrt({count}) to stay in the double range")
-    lam = np.zeros(1)
-    for n, label in enumerate(_labels(tm, scales, level), start=1):
-        lam = np.tile(lam, scales.d[n]) + label * _to_float(scales.rho[n])
-    deep = {k: v for k, v in table.items() if k > level}
-    for k, (index, labels) in deep.items():
-        if top[k]:  # all-zero labels move nothing, however large rho_k
-            lam[index] += labels * _to_float(scales.rho[k])
-    return lam, deep
 
 
 def _blocks(scales: _Scales, level: int) -> list[tuple[int, int]]:
@@ -544,7 +544,7 @@ def _deep_products(tree: _Tree, walk: int, end: int, dv: int) -> np.ndarray:
     the factors past the walk, within 2^-60 by :func:`_taylor_degree` of the rate."""
     v = np.ones((1, tree.size[walk]))
     for t in range(walk + 1, end + 1):
-        roots = signed_root_taylor(tree.kernels[t - 1], slice(None), 1.0 / tree.scale[t], dv)
+        roots = signed_root_taylor(_root_angles(tree.kernels[t - 1], slice(None)), 1.0 / tree.scale[t], dv)
         v = _poly_mul(v[:, None, :], roots.reshape(dv + 1, tree.radix[t], -1), dv).reshape(dv + 1, -1)
     return v
 
@@ -560,15 +560,16 @@ def _tail_roots(scales: _Scales, k: int, u: np.ndarray):
     the sub-levels of :func:`_sub_levels`, R_j the signed root of H_{f_j}
     (:func:`~.fourier.signed_root_taylor`), and 1 - R = sum_j (1 - R_j) prod_{i<j} R_i, each
     1 - R_j with its constant term from :func:`~.fourier.root_complement`, so that nothing
-    cancels.  No node branches in the tail, so the split holds whatever the labels."""
+    cancels.  Both read one :func:`~.fourier._root_angles` pass per sub-level table.  No
+    node branches in the tail, so the split holds whatever the labels."""
     degree = _explicit_degree(scales, k)
     # -0.0 + x is x for every x, a signed zero too: a prime d_k gives its one R and 1 - R
     root, rest = np.ones((1, len(u))), np.full((1, len(u)), -0.0)
     for f, sub, scale in _sub_levels(scales, k):
-        tables = H_sq_tables(f, (scales.d[k] // sub) * u)
-        r = signed_root_taylor(tables, slice(None), 1.0 / scale, degree)
+        angles = _root_angles(H_sq_tables(f, (scales.d[k] // sub) * u), slice(None))
+        r = signed_root_taylor(angles, 1.0 / scale, degree)
         minus = -r
-        minus[0] = root_complement(tables, slice(None))
+        minus[0] = root_complement(angles)
         rest = rest + _poly_mul(minus, root, degree)
         root = _poly_mul(r, root, degree)
     return root, rest
@@ -638,8 +639,14 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     n = 1), so each block's extreme frequencies, truncation depth and sums are
     scalars.  The tail runs to the deepest truncation depth of
     :func:`~.fourier._truncated_product` for a block at any xi in [0, 1/2]
-    (|xi + lambda| is convex in xi, so at xi = 0 or 1/2); a deeper tail only
-    shrinks the truncation error each radius bounds.
+    (|xi + lambda| is convex in xi, so at xi = 0 or 1/2), one scale search at
+    the largest |xi + lambda|, as the depth is monotone in it; a deeper tail only
+    shrinks the truncation error each radius bounds.  Each input is formed once
+    per check: lambda, the reduced sums u and the table labels past the tree by
+    the tree's one label walk (:class:`_Tree`), the tail tables from u
+    (:func:`_tail_tables`), and the angles of each sub-level table of an explicit
+    tail level by one pass, which the signed root and its complement share
+    (:func:`_tail_roots`).
 
     *The split.*  The grid walks the tree in tiles (:meth:`_Tree.tiles`) to a
     tree level s (:func:`_walk_depth`), whose products W_j over its P_s nodes j
@@ -688,7 +695,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     B = N xi^2 + 2 xi sum lambda + sum lambda^2 over the block's N terms, equal
     to the direct sums but for rounding.  A mapping failing
     :func:`validate_tree_mapping`, or frequencies too large for B
-    (:func:`_frequencies`), raise a ValueError.  An empty grid gives no rows,
+    (:func:`_check_frequency_range`), raise a ValueError.  An empty grid gives no rows,
     both verdicts true and a worst gap of -inf at xi = 0; of tied worst gaps the
     first grid point is reported.
     """
@@ -706,15 +713,15 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     scales = _Scales(pair).upto(l_max)
     if 1 in scales.d[2:l_max + 1]:  # no words new at that level: an empty block
         raise ValueError(f"d_{scales.d.index(1, 2)} = 1: completeness needs d_n >= 2")
-    lam, deep = _frequencies(tm, scales, l_max)
+    _check_frequency_range(tm, scales, l_max)
     tree = _Tree(tm, scales, l_max, uniform_family(pair))
+    lam = tree.lam
     blocks = _blocks(scales, l_max)
     starts = [a for a, _ in blocks]
     lo, hi = np.minimum.reduceat(lam, starts), np.maximum.reduceat(lam, starts)
-    # the deepest truncation any xi in [0, 1/2] needs: |xi + lambda| is convex in xi
-    depth = max(scales.reach(truncation_target(max(abs(l), abs(h), abs(0.5 + l), abs(0.5 + h)),
-                                               tol))[0]
-                for l, h in zip(lo.tolist(), hi.tolist()))
+    # the deepest truncation any xi in [0, 1/2] needs: |xi + lambda| is convex in xi, and
+    # reach and truncation_target are monotone, so one search at the largest |xi + lambda|
+    depth, _ = scales.reach(truncation_target(float(np.max(np.abs([lo, hi, 0.5 + lo, 0.5 + hi]))), tol))
     # per (grid point, block): a_max, and k c with c = 2 pi / rho_{N+1} and k = 1 + c a_max;
     # every target is within the depth above, so the rho list reaches it
     x = np.array(xis)
@@ -725,7 +732,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     # the xi-free moments of B = sum (xi + lambda)^2 = N xi^2 + 2 xi sum lambda + sum lambda^2
     count = np.diff([*starts, len(lam)])
     sum_lam, sum_sq = np.add.reduceat(lam, starts), np.add.reduceat(lam * lam, starts)
-    explicit, series = _tail_tables(scales, tree.u, l_max, depth, 0.5, deep)
+    explicit, series = _tail_tables(scales, tree.u, l_max, depth, 0.5, tree.deep)
     tree.u = None
     # the degrees of the tail polynomials T - 1 and sqrt(T), for the walk depth: the
     # series' de at the node of largest |y0|, and the explicit levels' dx
@@ -756,7 +763,8 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     tables = np.zeros((4, 0, 1 + len(past), width))  # per kind "vgsl" and coefficient, the cells
     for start, stop in ranges:
         if walk < end:
-            roots = signed_root_taylor(tree.kernels[end - 1], slice(start, stop), 1.0 / tree.scale[end], dv)
+            roots = signed_root_taylor(_root_angles(tree.kernels[end - 1], slice(start, stop)),
+                                       1.0 / tree.scale[end], dv)
             deep_v = _poly_mul(v[:, np.arange(start, stop) % tree.size[end - 1]], roots, dv)
         else:
             deep_v = v[:, start:stop]

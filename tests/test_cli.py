@@ -325,6 +325,8 @@ def test_samples_csv_is_streamed(tmp_path):
     pair = constant_pair(4, 2)
     _, _, artifacts = cli._check_sample(pair, canonical_tau(pair), args)
     write_samples = artifacts[0]
+    for name in ("streamed", "listed"):  # cli._run makes the output directory
+        (tmp_path / name).mkdir()
     tracemalloc.start()
     try:
         write_samples(tmp_path / "streamed")

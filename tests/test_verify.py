@@ -10,7 +10,7 @@ from mpmath import mp, mpf, cos as mp_cos, exp as mp_exp, pi as mp_pi, sinpi as 
 from cantorspec import (BudgetExceededError, FilterFamily, TreeMapping, canonical_tau,
                         completeness_Q, constant_pair,
                         dimension_targeting_pair, explicit_pair, enumerate_level, mu_hat,
-                        mu_hat_exact_zero,
+                        mu_hat_array, mu_hat_exact_zero,
                         orthogonality_check, partition_identity,
                         partition_levels, rho, uniform_family, word_count)
 from cantorspec import (default_depth, exact_mean, fourier, hausdorff_dim_formula, pair_from_config,
@@ -385,8 +385,9 @@ def scalar_completeness(tm, xi, level, tol):
     """(Q_L, slack_L) for L = 1..level from the exact frequency sets.
 
     Each level's new frequencies come from a set difference of
-    enumerate_level results; each term is a scalar mu_hat forced to the
-    truncation depth of the batch's largest |xi + lambda|.
+    enumerate_level results; its terms are one mu_hat_array call over them,
+    the truncated product at the depth of the batch's largest |xi + lambda|,
+    entry by entry each term's scalar product at that depth.
     """
     seen = set()
     q = slack = 0.0
@@ -394,11 +395,10 @@ def scalar_completeness(tm, xi, level, tol):
     for n in range(1, level + 1):
         fresh = sorted(set(enumerate_level(tm, n).elements) - seen)
         seen.update(fresh)
-        reach = max(abs(xi + v) for v in fresh)
-        depth, _ = verify._Scales(tm.pair).reach(truncation_target(reach, tol))
-        values = [mu_hat(tm.pair, xi + v, tol, levels=depth) for v in fresh]
-        q += math.fsum(tv.modulus ** 2 for tv in values)
-        slack += math.fsum(2.0 * tv.radius * tv.modulus + tv.radius ** 2 for tv in values)
+        values, radii, _ = mu_hat_array(tm.pair, xi + np.array(fresh, dtype=float), tol)
+        modulus = np.abs(values)
+        q += math.fsum((modulus ** 2).tolist())
+        slack += math.fsum((2.0 * radii * modulus + radii ** 2).tolist())
         rows.append((q, slack))
     return rows
 
@@ -463,22 +463,25 @@ def test_polynomial_cases_reach_polynomial_levels(monkeypatch, tm, xi, level):
     completeness_Q(tm, [xi], level)
     (primes, dv), = seen
     assert primes and set(primes) == set(verify._prime_factors(tm.pair.d(level))) and dv >= 1
-    scales = verify._Scales(tm.pair).upto(level)
-    _, deep = verify._frequencies(tm, scales, level)
-    assert bool(deep) == (tm is DEEP_LABEL42)
+    tree = verify._Tree(tm, verify._Scales(tm.pair), level, uniform_family(tm.pair))
+    assert bool(tree.deep) == (tm is DEEP_LABEL42)
 
 
 def test_an_explicit_tail_level_runs_one_pass_per_prime_sub_level(monkeypatch):
-    # alpha_one at L = 3: the tail's explicit level d_4 = 2048 = 2^11 splits as the tree
-    # does, into 11 H_2 sub-levels of one angle pass each (for the signed root and for
-    # its complement), not into the (m - 1) / 2 = 1023 passes of H_2048's Dirichlet sum
-    pair = pair_from_config({"kind": "alpha", "alpha": 1, "profile": "dyadic"})
+    # _root_angles runs once per sub-level table of an explicit tail level, and the signed
+    # root and its complement share its m // 2 angles k = m-1, m-3, ... >= 1.  alpha_one at
+    # L = 3: the level d_4 = 2048 = 2^11 splits as the tree does, into 11 H_2 sub-levels,
+    # not into the (m - 1) / 2 = 1023 angles of H_2048's Dirichlet sum; (25, 5) at L = 2:
+    # a table label past the tree makes level 3 one H_5 table of (5 - 1) / 2 angles
+    alpha_one = pair_from_config({"kind": "alpha", "alpha": 1, "profile": "dyadic"})
+    cases = [(canonical_tau(alpha_one), 3, [4], [2] * 11),
+             (TreeMapping(constant_pair(25, 5), {(1, 0, 0): 5}), 2, [3], [5])]
     tails, active = [], []  # per _tail_polynomials call: its explicit levels and its passes
 
     def root_angles(t, nodes):
-        angles = fourier_root_angles(t, nodes)
+        angles = root_angles_of(t, nodes)
         if active:
-            tails[-1][1].append((t, len(angles)))  # the tables stay alive, so ids are unique
+            tails[-1][1].append((t, len(angles[1])))  # the tables stay alive, so ids are unique
         return angles
 
     def tail_polynomials(scales, explicit, *args):
@@ -489,16 +492,20 @@ def test_an_explicit_tail_level_runs_one_pass_per_prime_sub_level(monkeypatch):
         finally:
             active.pop()
 
-    fourier_root_angles, tail_polynomials_of = fourier._root_angles, verify._tail_polynomials
-    monkeypatch.setattr(fourier, "_root_angles", root_angles)
+    root_angles_of, tail_polynomials_of = fourier._root_angles, verify._tail_polynomials
+    monkeypatch.setattr(verify, "_root_angles", root_angles)
+    monkeypatch.setattr(fourier, "_root_angles", root_angles)  # a pass made inside fourier counts too
     monkeypatch.setattr(verify, "_tail_polynomials", tail_polynomials)
-    completeness_Q(canonical_tau(pair), [0.5 * j / 32 for j in range(33)], 3)
-    assert pair.d(4) == 2048 and tails
-    for levels, passes in tails:
-        tables = {id(t): t for t, _ in passes}
-        assert levels == [4]
-        assert sorted(t.m for t in tables.values()) == [2] * 11
-        assert [count for _, count in passes] == [1] * 2 * 11
+    assert alpha_one.d(4) == 2048
+    for tm, level, levels, primes in cases:
+        tails.clear()
+        completeness_Q(tm, [0.5 * j / 32 for j in range(33)], level)
+        assert tails
+        for explicit, passes in tails:
+            assert explicit == levels
+            assert len({id(t) for t, _ in passes}) == len(passes)
+            assert sorted(t.m for t, _ in passes) == primes
+            assert [count for _, count in passes] == [t.m // 2 for t, _ in passes]
 
 
 def deep_products(tm, level):
@@ -534,7 +541,8 @@ def test_deep_products_keep_one_sign_on_the_window(case, xis):
         want = np.ones(1)
         for t in range(walk + 1, end + 1):
             kernel = tree.kernels[t - 1]
-            root = verify.signed_root_taylor(kernel, slice(None), 1.0 / tree.scale[t], 12)
+            angles = verify._root_angles(kernel, slice(None))
+            root = verify.signed_root_taylor(angles, 1.0 / tree.scale[t], 12)
             want = (want[None, :] * eval_log_series_taylor(root, xi).reshape(tree.radix[t], -1)).ravel()
         assert np.max(np.abs(got - want)) <= 1e-15, (case, xi)
 
@@ -822,8 +830,7 @@ def test_digit_major_tree_is_the_child_major_tree_reordered(monkeypatch, tm, lev
                 else:
                     assert np.max(np.abs(row - want)) <= 8 * 2.0 ** -52, (size, TILE_XIS[i], n)
         assert seen == {(i, t) for i in range(len(TILE_XIS)) for t in range(tree.ends[level] + 1)}
-    new_lam, _ = verify._frequencies(tm, tree.scales, level)
-    assert np.array_equal(new_lam, to_digit_major(lam, scales, level))
+    assert np.array_equal(tree.lam, to_digit_major(lam, scales, level))
 
 
 def mp_level_products(pair, xi, level):
@@ -956,9 +963,9 @@ def test_tail_tables_match_per_xi_log_tail(name, level):
     tm, grid = TAIL_PAIRS[name], [0.0, 1 / 64, 0.3, 0.5]
     scales, us, lam, _, deep = child_major_tree(tm, level)
     tree = verify._Tree(tm, verify._Scales(tm.pair), level, uniform_family(tm.pair))
-    _, new_deep = verify._frequencies(tm, tree.scales, level)
     depth = scales.reach(truncation_target(float(np.max(np.abs(lam))) + 0.5, 1e-10))[0]
-    explicit, series = verify._tail_tables(tree.scales.upto(depth), tree.u, level, depth, max(grid), new_deep)
+    explicit, series = verify._tail_tables(tree.scales.upto(depth), tree.u, level, depth, max(grid),
+                                           tree.deep)
     for xi in grid:
         # the explicit levels' logarithms, then one Horner pass of the series table
         got = np.zeros(len(lam))
