@@ -9,21 +9,25 @@ roundoff scale.  Completeness is certified only as a trend: the partial sums
 Q_L(xi) = sum_{lambda in Lambda_L} |muhat(xi + lambda)|^2 increase with L and
 stay below 1 plus the accumulated certified evaluation slack.
 
-Both floating-point pillars run on one digit tree (:class:`_Tree`), built
-once per check; its docstring states the node order, the reduced label sums
-through which alone xi enters a level, and the sub-levels of a composite
-d_n, one per prime factor by the rule of :func:`_sub_levels`, which the
-completeness tail follows too.  xi + lambda is never rounded and no large
-integer reaches numpy.  The products of many xi walk the tree depth first in
-tiles of at most ``_SLICE`` entries (:meth:`_Tree.tiles`), whose row totals at
-the end of a level are the partition sums.  Completeness walks the grid only
-to a tree level s:
-past it every level factor, and the tail tabulated once per check
-(:func:`_tail_tables`), is a polynomial in xi, and the terms of the nodes
-below each level-s node are summed once per check as polynomials per block.
-A factor vanishes only at integer xi, so each deep product keeps one sign on
-(0, 1/2], read at xi = 1/4.  :func:`completeness_Q` states the split, the
-aggregation and the certified slack from two sums per block.
+Both floating-point pillars run on one digit tree (:class:`_Tree`), read from
+the table labels once per check; its docstring states the node order, the
+reduced label sums through which alone xi enters a level, and the sub-levels of
+a composite d_n, one per prime factor by the rule of :func:`_sub_levels`, which
+the completeness tail follows too.  xi + lambda is never rounded and no large
+integer reaches numpy.  The partition check tabulates the whole tree, and the
+products of many xi walk it depth first in tiles of at most ``_SLICE`` entries
+(:meth:`_Tree.tiles`), whose row totals at the end of a level are the partition
+sums.  Completeness walks the grid only to a tree level s: past it every level
+factor, and the tail planned once per check (:func:`_tail_plan`), is a
+polynomial in xi, and the terms of the nodes below each level-s node are summed
+as polynomials per block.  No array spans a whole level deeper than about half a
+slice of nodes: in digit-major order the descendants of a run of level-s nodes
+are columns of every deeper level (:class:`_Group`), and each group of them is
+walked, tabulated and summed alone (:func:`_group_levels`), so the peak memory
+stays flat in the level.  A factor vanishes only at integer xi, so each deep
+product keeps one sign on (0, 1/2], read at xi = 1/4.  :func:`completeness_Q`
+states the split, the aggregation and the certified slack from two sums per
+block.
 """
 
 from __future__ import annotations
@@ -169,6 +173,36 @@ def _rate(f: int, scale: float) -> float:
     return math.pi * (f - 1) * 0.5 / scale
 
 
+class _Group(NamedTuple):
+    """The columns [lo, hi) of the digit tree below a level of ``base`` nodes.
+
+    In digit-major order the descendants of the level nodes lo..hi-1 at every deeper
+    level are the columns [lo, hi) of that level's (size / base, base) view: node
+    q base + j for every row q and lo <= j < hi.  A group holds them row by row, so
+    its arrays are whole-level arrays over the (size / base) (hi - lo) nodes of a
+    smaller tree with the same digits, and the children of its level-(n-1) nodes with
+    last digit j fill its contiguous row j, as in the whole tree."""
+
+    base: int
+    lo: int
+    hi: int
+
+    def part(self, index: np.ndarray, labels: np.ndarray):
+        """(at, labels): the table labels of the level nodes ``index`` that lie in the
+        group, and their positions in its arrays."""
+        q, j = np.divmod(index, self.base)
+        keep = (self.lo <= j) & (j < self.hi)
+        return q[keep] * (self.hi - self.lo) + (j[keep] - self.lo), labels[keep]
+
+    def view(self, values: np.ndarray) -> np.ndarray:
+        """The group's entries of a whole-level array (its last axis), as a copy."""
+        head = values.shape[:-1]
+        return values.reshape(*head, -1, self.base)[..., self.lo:self.hi].reshape(*head, -1)
+
+
+_ROOT = _Group(1, 0, 1)  # the whole tree, below its one level-0 node
+
+
 class _Tree:
     """The xi-independent digit tree of a tree mapping to ``level``, built once per check.
 
@@ -196,53 +230,75 @@ class _Tree:
     stays one level.
 
     Per tree level t, ``radix[t]`` is its digit count, ``scale[t]`` the
-    float of D_j rho_n that xi is divided by, ``size[t]`` its node count and
-    ``kernels[t - 1]`` its :class:`HSqTables`, or (n, u_n) on an explicit
-    level of ``filters``; ``ends[n]`` is the tree level that ends level n,
-    where size is P_n.
+    float of D_j rho_n that xi is divided by and ``size[t]`` its node count;
+    ``ends[n]`` is the tree level that ends level n, where size is P_n.  These
+    come from the table labels alone (read once, :func:`_table_labels`), for
+    every level to ``level``; ``table`` keeps the labels by word length, and
+    ``deep`` those past ``level``.
 
-    The one label walk: the table labels are read once (:func:`_table_labels`),
-    and each level's tau forms both u_n and, beside it, lambda_n =
-    lambda_{n-1} + tau rho_n.  For the completeness check ``u`` keeps u_level
-    unreduced mod 1, ``deep`` the table labels past ``level`` by word length,
-    and ``lam`` lambda of each level-``level`` node's zero-extension, those
-    labels included.  Past the double range, where the completeness check
-    refuses the frequencies first (:func:`_check_frequency_range`), ``lam``
-    holds inf or nan, unread and formed without a warning.
+    The tables come from the one label walk, :meth:`descend`: ``kernels[t - 1]``
+    is the :class:`HSqTables` of tree level t, or (n, u_n) on an explicit level of
+    ``filters``, for the levels 1..``upto`` (all by default).  The completeness
+    check tabulates the tree whole only to a group level, and each group past it
+    alone (:func:`_group_levels`).
     """
 
-    def __init__(self, tm: TreeMapping, scales: _Scales, level: int, filters: FilterFamily):
+    def __init__(self, tm: TreeMapping, scales: _Scales, level: int, filters: FilterFamily,
+                 upto: int | None = None):
         self.scales = scales.upto(level)
-        self.filters = filters
-        self.kernels = []
-        self.radix, self.scale, self.size, self.ends = [1], [1.0], [1], [0]
-        table = _table_labels(tm, self.scales, level)
-        self.deep = {k: v for k, v in table.items() if k > level}
-        u, lam = np.zeros(1), np.zeros(1)
+        self.filters, self.level = filters, level
+        self.table = _table_labels(tm, self.scales, level)
+        self.deep = {k: v for k, v in self.table.items() if k > level}
+        self.radix, self.scale, self.size, self.ends, self.primes = [1], [1.0], [1], [0], [None]
         for n in range(1, level + 1):
+            d, parents = scales.d[n], self.size[-1]
+            primes = _prime_factors(d) if filters.is_uniform(n) else [d]
+            if len(primes) > 1 and n in self.table:
+                index, labels = self.table[n]
+                if not np.array_equal(np.mod(np.asarray(labels, dtype=float), d), index // parents):
+                    primes = [d]  # a label off its digit's class mod d_n: the split would not hold
+            self.primes.append(primes)
+            for f, sub, scale in _sub_levels(scales, n, primes):
+                self.radix.append(f)
+                self.scale.append(scale)
+                self.size.append(sub * parents)
+            self.ends.append(len(self.size) - 1)
+        self.kernels = self.descend(1, level if upto is None else upto, _ROOT, np.zeros(1), np.zeros(1))[0]
+
+    def descend(self, first: int, last: int, group: _Group, u: np.ndarray, lam: np.ndarray):
+        """(kernels, u, lam): the one label walk over the levels ``first``..``last`` of the
+        nodes of ``group``, from u and lambda over its level-(``first`` - 1) nodes.
+
+        Each level's tau forms both u_n and, beside it, lambda_n = lambda_{n-1} +
+        tau rho_n; ``kernels`` holds the tables of each of its tree levels in turn, and
+        u and lambda are returned at level ``last``, u unreduced mod 1.  At ``last`` =
+        ``level`` lambda is that of each node's zero-extension, the labels past
+        ``level`` included.  Each entry is the one the walk over the whole tree gives
+        that node, bit for bit: the same operations on the same operands.  Past the
+        double range, where the completeness check refuses the frequencies first
+        (:func:`_check_frequency_range`), lambda holds inf or nan, unread and formed
+        without a warning."""
+        scales, kernels = self.scales, []
+        for n in range(first, last + 1):
             d, parents = scales.d[n], len(u)
             label = _digits(d, parents)  # tau: the last digit, or the table value
-            if n in table:
-                label[table[n][0]] = table[n][1]
+            if n in self.table:
+                at, labels = group.part(*self.table[n])
+                label[at] = labels
             lam = np.tile(lam, d)
             with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the double range
                 lam += label * _to_float(scales.rho[n])
-            w, uniform = u / _to_float(scales.q[n - 1]), filters.is_uniform(n)
-            primes = _prime_factors(d) if uniform else [d]
-            if len(primes) > 1 and not np.array_equal(np.mod(label, d), _digits(d, parents)):
-                primes = [d]  # a label off its digit's class mod d_n: the split would not hold
-            for f, sub, scale in _sub_levels(scales, n, primes):
+            w, uniform = u / _to_float(scales.q[n - 1]), self.filters.is_uniform(n)
+            for f, sub, _ in _sub_levels(scales, n, self.primes[n]):
                 u = (np.tile(w, sub) + (label if sub == d else _digits(sub, parents))) / sub
-                self.kernels.append(H_sq_tables(f, u) if uniform else (n, u))
-                self.radix.append(f)
-                self.scale.append(scale)
-                self.size.append(len(u))
-            self.ends.append(len(self.size) - 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, (index, labels) in self.deep.items():
-                if np.any(labels):  # all-zero labels move nothing, however large rho_k
-                    lam[index] += labels * _to_float(scales.upto(k).rho[k])
-        self.u, self.lam = u, lam
+                kernels.append(H_sq_tables(f, u) if uniform else (n, u))
+        if first <= last == self.level:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k, (index, labels) in self.deep.items():
+                    if np.any(labels):  # all-zero labels move nothing, however large rho_k
+                        at, labels = group.part(index, labels)
+                        lam[at] += labels * _to_float(scales.upto(k).rho[k])
+        return kernels, u, lam
 
     def factors(self, t: int, xis, nodes: slice = slice(None)) -> np.ndarray:
         """The tree-level-t factors over its nodes ``nodes``, one row per xi of
@@ -338,7 +394,6 @@ def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
     if filters is None:
         filters = uniform_family(pair)
     tree = _Tree(tm, _Scales(pair), level, filters)
-    tree.u = tree.lam = None  # the completeness check's inputs: freed before the walk
     xis = np.array(xis, dtype=float)
     totals = np.zeros((len(xis), level))
     column = {t: n - 1 for n, t in enumerate(tree.ends) if n}
@@ -389,12 +444,11 @@ _SLICE = 1 << 14
 _GRID_ROWS = 33  # the default grid of the completeness subcommand, K = 32
 
 
-def _check_frequency_range(tm: TreeMapping, scales: _Scales, level: int):
-    """A ValueError where the slack's sums of lambda^2 could overflow: with
-    |lambda| <= B = sum_n max|tau_n| rho_n (the levels and the table labels past
-    them, exact), a block of at most P nodes sums to below P B^2, which must stay
-    below 2^1022.  It reads the table words alone, so it runs before any label
-    becomes a float."""
+def _check_frequency_range(tm: TreeMapping, scales: _Scales, level: int) -> int:
+    """B = sum_n max|tau_n| rho_n >= |lambda| (the levels and the table labels past
+    them, exact), or a ValueError where the slack's sums of lambda^2 could overflow:
+    a block of at most P nodes sums to below P B^2, which must stay below 2^1022.  It
+    reads the table words alone, so it runs before any label becomes a float."""
     top = {n: scales.d[n] - 1 for n in range(1, level + 1)}
     for word, _, value in _table_nodes(tm, scales, level):
         top[len(word)] = max(top.get(len(word), 0), abs(value))
@@ -404,6 +458,7 @@ def _check_frequency_range(tm: TreeMapping, scales: _Scales, level: int):
         raise ValueError(f"level {level}: |lambda| <= sum_n max|tau_n| rho_n < 2^{bound.bit_length()}, "
                          f"and the slack sums lambda^2 over {count} frequencies, which needs "
                          f"|lambda| below 2^511 / sqrt({count}) to stay in the double range")
+    return bound
 
 
 def _blocks(scales: _Scales, level: int) -> list[tuple[int, int]]:
@@ -414,46 +469,72 @@ def _blocks(scales: _Scales, level: int) -> list[tuple[int, int]]:
 
 
 class _Series(NamedTuple):
-    """The series tail of :func:`_tail_tables` from level k0 on: the levels' digit counts
-    ``ms`` and scale ratios ``ts``, y0 = d_k0 u_k0 per node, e = xmax / rho_k0, and c1,
-    the series' leading coefficient (:func:`~.fourier.log_series_coefficients`)."""
+    """The series tail of :func:`_tail_plan` from level k0 on: the levels' digit counts
+    ``ms`` and scale ratios ``ts``, e = xmax / rho_k0, c1, the series' leading
+    coefficient (:func:`~.fourier.log_series_coefficients`), and ``top``, a bound of
+    |y0| = d_k0 |u_k0| over the nodes."""
 
     k0: int
     c1: float
-    y0: np.ndarray
     ms: list
     ts: list
     e: float
+    top: float
 
-    def table(self, start: int, stop: int) -> np.ndarray:
-        """The Taylor coefficients in eps = xi / rho_k0 of the series at the y0 of the
-        nodes [start, stop), for every |eps| <= e (:func:`log_series_taylor`)."""
-        return log_series_taylor(self.ms, self.ts, self.y0[start:stop], self.e)
+    def table(self, y0: np.ndarray) -> np.ndarray:
+        """The Taylor coefficients in eps = xi / rho_k0 of the series at the entries of
+        ``y0``, for every |eps| <= e (:func:`log_series_taylor`)."""
+        return log_series_taylor(self.ms, self.ts, y0, self.e)
 
 
-def _tail_tables(scales: _Scales, u, level: int, depth: int, xmax: float, deep):
-    """The xi-independent tables of the tail prod_{level<k<=depth} |H_{d_k}(s_k)|^2,
-    s_k = xi / (d_k rho_k) + u_k, on the zero-extensions of the level nodes with
-    reduced sums ``u``, for every xi in [0, ``xmax``]: (explicit, series).  ``explicit``
-    lists (k, u_k) for the levels while table labels remain or d_k (max |u_k| +
-    xmax / (d_k rho_k)) > LOG_SERIES_THETA; ``series`` is the :class:`_Series` of the
-    rest, or None when the explicit levels reach ``depth``."""
-    explicit, v = [], u
-    last_label = max(deep, default=0)
-    for k in range(level + 1, depth + 1):
-        d = scales.d[k]
+def _tail_plan(tree: _Tree, depth: int, xmax: float):
+    """(explicit, series): the xi-independent plan of the tail
+    prod_{level<k<=depth} |H_{d_k}(s_k)|^2, s_k = xi / (d_k rho_k) + u_k, on the
+    zero-extensions of the tree's nodes, for every xi in [0, ``xmax``].  ``explicit``
+    lists (k, the degree of its signed root, :func:`_sub_levels` of k) for the levels
+    while table labels remain or d_k (max |u_k| + xmax / (d_k rho_k)) >
+    LOG_SERIES_THETA; ``series`` is the :class:`_Series` of the rest, or None when the
+    explicit levels reach ``depth``.
+
+    max |u_k| is bounded without a node: u_k = (u_{k-1} / q_{k-1} + tau) / d_k is
+    monotone in u_{k-1} and tau, in floating point too, so the recursion on the least
+    and largest label of each level (a digit or a table label; 0 or a table label past
+    the tree) encloses every node's u_k.  With canonical labels the all-zero and
+    all-(d_n - 1) words attain both ends, so the bound is each level's max |u_k|."""
+    scales, level = tree.scales.upto(depth), tree.level
+    explicit, last_label, lo, hi = [], max(tree.deep, default=0), 0.0, 0.0
+    for k in range(1, depth + 1):
+        d, q = scales.d[k], _to_float(scales.q[k - 1])
+        labels = [0.0, d - 1.0 if k <= level else 0.0]
+        if k in tree.table:
+            labels += np.asarray(tree.table[k][1], dtype=float).tolist()
+        lo, hi = (lo / q + min(labels)) / d, (hi / q + max(labels)) / d
+        if k <= level:
+            continue
+        top = max(abs(lo), abs(hi))
+        if k > last_label and d * (top + xmax / _to_float(d * scales.rho[k])) <= LOG_SERIES_THETA:
+            ks = range(k, depth + 1)
+            ms, ts = [scales.d[j] for j in ks], [scales.rho[k] / scales.rho[j] for j in ks]
+            return explicit, _Series(k, float(log_series_coefficients(ms, ts)[0]), ms, ts,
+                                     xmax / _to_float(scales.rho[k]), d * top)
+        subs = _sub_levels(scales, k)
+        explicit.append((k, _taylor_degree(sum(_rate(f, scale) for f, _, scale in subs)), subs))
+    return explicit, None
+
+
+def _tail_inputs(scales: _Scales, level: int, explicit, series: _Series | None, u: np.ndarray, deep):
+    """The reduced sums u_k over the nodes of level-``level`` reduced sums ``u`` of the
+    explicit tail levels of :func:`_tail_plan`, and then of the series' first level k0,
+    if any, by the tree's rule: ``deep`` holds the (positions, labels) of the table
+    labels past ``level`` by word length."""
+    us, v = [], u
+    for k in range(level + 1, (series.k0 if series else level + len(explicit)) + 1):
         v = v / _to_float(scales.q[k - 1])
         if k in deep:
             v[deep[k][0]] += deep[k][1]
-        v /= d
-        bound = d * (float(np.max(np.abs(v))) + xmax / _to_float(d * scales.rho[k]))
-        if k > last_label and bound <= LOG_SERIES_THETA:
-            ks = range(k, depth + 1)
-            ms, ts = [scales.d[j] for j in ks], [scales.rho[k] / scales.rho[j] for j in ks]
-            return explicit, _Series(k, float(log_series_coefficients(ms, ts)[0]), d * v, ms, ts,
-                                     xmax / _to_float(scales.rho[k]))
-        explicit.append((k, v))
-    return explicit, None
+        v /= scales.d[k]
+        us.append(v)
+    return us
 
 
 def _poly_mul(a: np.ndarray, b: np.ndarray, degree: int | None = None) -> np.ndarray:
@@ -536,37 +617,53 @@ def _walk_depth(tree: _Tree, l_max: int, ends: list[int], tail_degree: int,
     return walk, _taylor_degree(rate[walk])
 
 
-def _deep_products(tree: _Tree, walk: int, end: int, dv: int) -> np.ndarray:
-    """The signed deep products V = prod_{walk<t<=end} R_t over the tree-level-``end``
-    nodes as Taylor polynomials in xi of degree ``dv``, a (dv + 1, size[end]) array:
-    each row of children times its parents, level by level.  R_t is the signed root of
-    the level-t factor (:func:`~.fourier.signed_root_taylor`), so V^2 is the product of
-    the factors past the walk, within 2^-60 by :func:`_taylor_degree` of the rate."""
+def _times_roots(tree: _Tree, t: int, kernel: HSqTables, v: np.ndarray, dv: int) -> np.ndarray:
+    """V times the signed roots R_t of tree level t over the nodes of the tables
+    ``kernel``, each row of children times its parents, as Taylor polynomials in xi of
+    degree ``dv``.  R_t is the signed root of the level-t factor
+    (:func:`~.fourier.signed_root_taylor`), so the square of a product of them past the
+    walk is the product of those factors, within 2^-60 by :func:`_taylor_degree` of the
+    rate."""
+    roots = signed_root_taylor(_root_angles(kernel, slice(None)), 1.0 / tree.scale[t], dv)
+    return _poly_mul(v[:, None, :], roots.reshape(dv + 1, tree.radix[t], -1), dv).reshape(dv + 1, -1)
+
+
+def _whole_levels(tree: _Tree, walk: int, dv: int, last: int):
+    """(V, u, lambda) over the level-``last`` nodes of the tree walked whole through level
+    ``last``, whose tables become ``tree.kernels``: u and lambda of :meth:`_Tree.descend`
+    and the signed deep products V = prod_{walk<t} R_t of :func:`_times_roots`."""
+    tree.kernels, u, lam = tree.descend(1, last, _ROOT, np.zeros(1), np.zeros(1))
     v = np.ones((1, tree.size[walk]))
-    for t in range(walk + 1, end + 1):
-        roots = signed_root_taylor(_root_angles(tree.kernels[t - 1], slice(None)), 1.0 / tree.scale[t], dv)
-        v = _poly_mul(v[:, None, :], roots.reshape(dv + 1, tree.radix[t], -1), dv).reshape(dv + 1, -1)
-    return v
+    for t in range(walk + 1, len(tree.kernels) + 1):
+        v = _times_roots(tree, t, tree.kernels[t - 1], v, dv)
+    return v, u, lam
 
 
-def _explicit_degree(scales: _Scales, k: int) -> int:
-    # the degree of the signed root of the explicit tail level k: the rate of its sub-levels
-    return _taylor_degree(sum(_rate(f, scale) for f, _, scale in _sub_levels(scales, k)))
+def _group_levels(tree: _Tree, group: _Group, first: int, whole, dv: int):
+    """(V, u, lambda) of :func:`_whole_levels` over the level-``tree.level`` nodes of
+    ``group``: its columns of ``whole``, the three over the tree walked whole through
+    level ``first`` - 1, walked on alone.  So no array spans a whole level past it, and
+    each node of each level is formed once."""
+    v, u, lam = (group.view(values) for values in whole)
+    kernels, u, lam = tree.descend(first, tree.level, group, u, lam)
+    for t, kernel in enumerate(kernels, start=len(tree.kernels) + 1):
+        v = _times_roots(tree, t, kernel, v, dv)
+    return v, u, lam
 
 
-def _tail_roots(scales: _Scales, k: int, u: np.ndarray):
-    """(R, 1 - R) of the explicit tail level k over the nodes of reduced sums ``u``, as
-    Taylor polynomials in xi of the degree of :func:`_explicit_degree`: R = prod_j R_j over
-    the sub-levels of :func:`_sub_levels`, R_j the signed root of H_{f_j}
-    (:func:`~.fourier.signed_root_taylor`), and 1 - R = sum_j (1 - R_j) prod_{i<j} R_i, each
-    1 - R_j with its constant term from :func:`~.fourier.root_complement`, so that nothing
-    cancels.  Both read one :func:`~.fourier._root_angles` pass per sub-level table.  No
-    node branches in the tail, so the split holds whatever the labels."""
-    degree = _explicit_degree(scales, k)
-    # -0.0 + x is x for every x, a signed zero too: a prime d_k gives its one R and 1 - R
+def _tail_roots(d: int, degree: int, subs, u: np.ndarray):
+    """(R, 1 - R) of an explicit tail level of d digits, sub-levels ``subs``
+    (:func:`_sub_levels`) and signed-root degree ``degree`` (:func:`_tail_plan`) over
+    the nodes of reduced sums ``u``, as Taylor polynomials in xi: R = prod_j R_j, R_j
+    the signed root of H_{f_j} (:func:`~.fourier.signed_root_taylor`), and
+    1 - R = sum_j (1 - R_j) prod_{i<j} R_i, each 1 - R_j with its constant term from
+    :func:`~.fourier.root_complement`, so that nothing cancels.  Both read one
+    :func:`~.fourier._root_angles` pass per sub-level table.  No node branches in the
+    tail, so the split holds whatever the labels."""
+    # -0.0 + x is x for every x, a signed zero too: a prime d gives its one R and 1 - R
     root, rest = np.ones((1, len(u))), np.full((1, len(u)), -0.0)
-    for f, sub, scale in _sub_levels(scales, k):
-        angles = _root_angles(H_sq_tables(f, (scales.d[k] // sub) * u), slice(None))
+    for f, sub, scale in subs:
+        angles = _root_angles(H_sq_tables(f, (d // sub) * u), slice(None))
         r = signed_root_taylor(angles, 1.0 / scale, degree)
         minus = -r
         minus[0] = root_complement(angles)
@@ -575,20 +672,21 @@ def _tail_roots(scales: _Scales, k: int, u: np.ndarray):
     return root, rest
 
 
-def _tail_polynomials(scales: _Scales, explicit, series: _Series | None, start: int, stop: int):
-    """(T - 1, sqrt(T)) over the nodes [start, stop) from the tables of
-    :func:`_tail_tables`, as coefficient rows of polynomials in xi.  The series gives
-    T - 1 = expm1(A_0) + e^(A_0) (E - 1) and sqrt(T) = e^(A_0 / 2) E', E and E' of
-    :func:`~.fourier.exp_series_taylor` in eps = xi / rho_k0, to the degree of
-    :func:`~.fourier.exp_series_degree` for these nodes.  Each explicit level
-    multiplies in its |H_{d_k}|^2 = R^2, R and 1 - R from :func:`_tail_roots`, by
-    R^2 T - 1 = R^2 (T - 1) - (1 - R)(1 + R), where 1 - R keeps its constant term
-    without cancellation: T - 1 is formed without cancellation."""
+def _tail_polynomials(scales: _Scales, explicit, series: _Series | None, us, count: int):
+    """(T - 1, sqrt(T)) over ``count`` nodes by the plan of :func:`_tail_plan`, from
+    their reduced sums ``us`` of :func:`_tail_inputs`, as coefficient rows of
+    polynomials in xi.  The series gives T - 1 = expm1(A_0) + e^(A_0) (E - 1) and
+    sqrt(T) = e^(A_0 / 2) E', E and E' of :func:`~.fourier.exp_series_taylor` in
+    eps = xi / rho_k0, to the degree of :func:`~.fourier.exp_series_degree` for these
+    nodes.  Each explicit level multiplies in its |H_{d_k}|^2 = R^2, R and 1 - R from
+    :func:`_tail_roots`, by R^2 T - 1 = R^2 (T - 1) - (1 - R)(1 + R), where 1 - R keeps
+    its constant term without cancellation: T - 1 is formed without cancellation."""
     if series is None:
-        tail_m1, root = np.zeros((1, stop - start)), np.ones((1, stop - start))
+        tail_m1, root = np.zeros((1, count)), np.ones((1, count))
     else:
-        table = series.table(start, stop)
-        degree = exp_series_degree(table, series.y0[start:stop], series.e, series.c1)
+        y0 = scales.d[series.k0] * us[-1]
+        table = series.table(y0)
+        degree = exp_series_degree(table, y0, series.e, series.c1)
         inv = 1.0 / _to_float(scales.rho[series.k0])
         tail_m1, root = exp_series_taylor(table, degree)
         scale = inv ** np.arange(degree + 1)[:, None]
@@ -599,8 +697,8 @@ def _tail_polynomials(scales: _Scales, explicit, series: _Series | None, start: 
         tail_m1[0] = gap
         root *= scale
         root *= np.sqrt(gap + 1.0)
-    for k, u in explicit:
-        r, minus = _tail_roots(scales, k, u[start:stop])
+    for (k, degree, subs), v in zip(explicit, us):
+        r, minus = _tail_roots(scales.d[k], degree, subs, v)
         plus = r.copy()
         plus[0] += 1.0
         tail_m1 = _poly_mul(_poly_mul(r, r), tail_m1)
@@ -628,6 +726,28 @@ def _cell_polynomials(deep_v: np.ndarray, tail_m1: np.ndarray, root_tail: np.nda
     yield root
 
 
+def _cell_sums(scales: _Scales, explicit, series: _Series | None, us, deep_v: np.ndarray, lam: np.ndarray,
+               runs, columns: int) -> list[np.ndarray]:
+    """Per kind of :func:`_cell_polynomials` ("vgsl") the sums of its polynomials over
+    the cells of nodes held as rows of ``columns`` columns: per column, over each run of
+    rows from ``runs[k]`` to ``runs[k + 1]`` (the last to the last row).  ``us`` are the
+    nodes' reduced sums of :func:`_tail_inputs`."""
+    polys = _cell_polynomials(deep_v, *_tail_polynomials(scales, explicit, series, us, len(lam)), lam)
+    return [np.add.reduceat(poly.reshape(len(poly), -1, columns), runs, axis=1) for poly in polys]
+
+
+def _by_block(reduce: np.ufunc, cells: np.ndarray, heads: list[int], past: list[int], blocks: int,
+              start: float) -> np.ndarray:
+    """Per block the ``reduce`` of the per-cell values ``cells``: row 0 split by the
+    blocks of j at ``heads``, each later row over j into the block ``past[row - 1]``;
+    ``start`` is the reduction's identity, for the block the walk splits, which takes
+    both."""
+    out = np.full(blocks, start)
+    out[:len(heads)] = reduce.reduceat(cells[0], heads)
+    out[past] = reduce(out[past], reduce.reduce(cells[1:], axis=1))
+    return out
+
+
 def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
                    tol: float = 1e-10, budget: int = 10**6) -> CompletenessReport:
     """Partial completeness sums Q_L(xi) for L = 1..l_max on a grid in [0, 1/2].
@@ -637,15 +757,16 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     T.  In the digit-major order of :class:`_Tree` the terms new at level n are
     the contiguous block [P_{n-1}, P_n) of the level-l_max nodes ([0, P_1) for
     n = 1), so each block's extreme frequencies, truncation depth and sums are
-    scalars.  The tail runs to the deepest truncation depth of
-    :func:`~.fourier._truncated_product` for a block at any xi in [0, 1/2]
-    (|xi + lambda| is convex in xi, so at xi = 0 or 1/2), one scale search at
-    the largest |xi + lambda|, as the depth is monotone in it; a deeper tail only
-    shrinks the truncation error each radius bounds.  Each input is formed once
-    per check: lambda, the reduced sums u and the table labels past the tree by
-    the tree's one label walk (:class:`_Tree`), the tail tables from u
-    (:func:`_tail_tables`), and the angles of each sub-level table of an explicit
-    tail level by one pass, which the signed root and its complement share
+    scalars.  The tail runs to the truncation depth of
+    :func:`~.fourier._truncated_product` at B + 1/2, B = sum_n max|tau_n| rho_n >=
+    |lambda| (:func:`_check_frequency_range`; the largest |lambda| itself with
+    canonical labels): the depth is monotone in |xi + lambda|, so no block at any xi
+    in [0, 1/2] needs more, and a deeper tail only shrinks the truncation error each
+    radius bounds.  Each input is formed once per check: lambda and the reduced sums
+    u by the tree's one label walk (:meth:`_Tree.descend`), the tail's levels,
+    degrees and sub-levels from bounds of u (:func:`_tail_plan`), its reduced sums
+    from u (:func:`_tail_inputs`), and the angles of each sub-level table of an
+    explicit tail level by one pass, which the signed root and its complement share
     (:func:`_tail_roots`).
 
     *The split.*  The grid walks the tree in tiles (:meth:`_Tree.tiles`) to a
@@ -654,8 +775,9 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     R(u + xi / scale)^2, R its signed root, and R is its Taylor polynomial in xi
     (:func:`~.fourier.signed_root_taylor`) of the degree dv at which the majorant
     remainder of the product of the factors past s is at most 2^-60
-    (:func:`_taylor_degree`).  Their product V_i (:func:`_deep_products`) is a
-    polynomial per level-l_max node i, and so are T - 1 and sqrt(T)
+    (:func:`_taylor_degree`).  Their product V_i, parent by child
+    (:func:`_times_roots`), is a polynomial per level-l_max node i, and so are T - 1
+    and sqrt(T)
     (:func:`_tail_polynomials`): the explicit tail levels as products of the signed
     roots of their sub-levels, by the rule of the tree (:func:`_sub_levels`), the
     series as the power series exp of its Taylor table, each to 2^-60.
@@ -668,8 +790,16 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     i = j + q P_s; q = 0 is j's own block and for q >= 1 the blocks are runs of
     whole q.  So the polynomials V^2, g = V^2 (T - 1), sigma |V| sqrt(T) and
     |lambda| |V| sqrt(T), sigma the sign of lambda, are summed once per check
-    into cells (row, j), row 0 for q = 0 and one row per later block, node range
-    by node range, and per grid row the cells are evaluated at xi and weighted
+    into cells (row, j), row 0 for q = 0 and one row per later block.  The nodes of
+    the columns j in [lo, hi) of every level past s are the descendants of those
+    level-s nodes (:class:`_Group`), so a group of columns holds all the nodes of its
+    cells: the tree is tabulated whole only through the deepest level of at most
+    half a slice of nodes, and at least through s, and each group walks the levels
+    past it alone (:func:`_group_levels`), forms its polynomials and sums its cells,
+    its last block apart from the rest (:func:`_cell_sums`).  No array spans a whole
+    level past the group level, each node of each level is formed once, and the
+    extremes and moments of lambda per block are summed by the cells too
+    (:func:`_by_block`).  Per grid row the cells are evaluated at xi and weighted
     by W_j, or sqrt(W_j): row 0 split by the blocks of j, each later row as one
     ``np.einsum`` over j.  All of it is elementwise in xi or a reduction along
     one row, so a row's values depend neither on the rows that share its tile
@@ -713,15 +843,71 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     scales = _Scales(pair).upto(l_max)
     if 1 in scales.d[2:l_max + 1]:  # no words new at that level: an empty block
         raise ValueError(f"d_{scales.d.index(1, 2)} = 1: completeness needs d_n >= 2")
-    _check_frequency_range(tm, scales, l_max)
-    tree = _Tree(tm, scales, l_max, uniform_family(pair))
-    lam = tree.lam
+    bound = _check_frequency_range(tm, scales, l_max)
+    tree = _Tree(tm, scales, l_max, uniform_family(pair), upto=0)
+    # the deepest truncation any xi in [0, 1/2] needs: |xi + lambda| <= B + 1/2, and
+    # reach and truncation_target are monotone, so one search at B + 1/2
+    depth, _ = scales.reach(truncation_target(_to_float(bound) + 0.5, tol))
+    explicit, series = _tail_plan(tree, depth, 0.5)
+    # the degrees of the tail polynomials T - 1 and sqrt(T), for the walk depth: the
+    # series' de at the largest |y0|, and the explicit levels' dx
+    de = 0
+    if series is not None:
+        y0 = np.array([series.top])
+        de = exp_series_degree(series.table(y0), y0, series.e, series.c1)
+    dx = sum(degree for _, degree, _ in explicit)
     blocks = _blocks(scales, l_max)
-    starts = [a for a, _ in blocks]
-    lo, hi = np.minimum.reduceat(lam, starts), np.maximum.reduceat(lam, starts)
-    # the deepest truncation any xi in [0, 1/2] needs: |xi + lambda| is convex in xi, and
-    # reach and truncation_target are monotone, so one search at the largest |xi + lambda|
-    depth, _ = scales.reach(truncation_target(float(np.max(np.abs([lo, hi, 0.5 + lo, 0.5 + hi]))), tol))
+    starts, ends = [a for a, _ in blocks], [b for _, b in blocks]
+    walk, dv = _walk_depth(tree, l_max, ends, de + 2 * dx, de + dx)
+    width = tree.size[walk]
+    height = ends[-1] // width
+    # node i = j + q width sums into cell (row, j): row 0 for q = 0, else the row of the
+    # block of i, as the blocks past the walk are runs of whole q starting at runs[row]
+    heads = [a for a in starts if a < width]  # the blocks of the nodes j < width
+    runs, past = [0], []
+    for k in range(1, height):
+        block = bisect.bisect_right(ends, k * width)
+        if not past or block != past[-1]:
+            runs.append(k)
+            past.append(block)
+    # the tree is whole through the deepest level of at most half a slice of nodes, and at
+    # least through the walk; past it each group of columns is walked alone.  The last
+    # block, the nodes whose last digit is nonzero, sums apart from the rest of its group,
+    # as the small y0 of the other blocks would raise the degree of its tail
+    # (:func:`~.fourier.exp_series_degree`).  Each part holds about half a slice of nodes
+    # or fewer, so that its polynomials, up to about twenty coefficient rows, keep the
+    # peak memory near the tiles'
+    chunk = max(1, _SLICE // 2)
+    first = 1 + max(next(n for n, t in enumerate(tree.ends) if t >= walk),
+                    max(n for n, t in enumerate(tree.ends) if tree.size[t] <= chunk))
+    whole = _whole_levels(tree, walk, dv, first - 1)
+    parts = [(0, len(runs) - 1), (len(runs) - 1, len(runs))] if len(runs) > 1 else [(0, 1)]
+    bounds = runs + [height]
+    columns = max(1, chunk // (height - bounds[parts[-1][0]]))
+    tables = np.zeros((4, 0, len(runs), width))  # per kind "vgsl" and coefficient, the cells
+    stats = np.zeros((4, len(runs), width))  # per cell the least, largest and sum of lambda, and of lambda^2
+    reducers = (np.minimum, np.maximum, np.add, np.add)
+    for j in range(0, width, columns):
+        group = _Group(width, j, min(j + columns, width))
+        cells, size = slice(group.lo, group.hi), group.hi - group.lo
+        deep_v, u, lam = _group_levels(tree, group, first, whole, dv)
+        deep = {k: group.part(*labels) for k, labels in tree.deep.items()}
+        us = _tail_inputs(scales, l_max, explicit, series, u, deep)
+        for a, b in parts:
+            nodes = slice(bounds[a] * size, bounds[b] * size)
+            sums = _cell_sums(scales, explicit, series, [v[nodes] for v in us], deep_v[:, nodes], lam[nodes],
+                              np.subtract(runs[a:b], runs[a]), size)
+            for kind, cell in enumerate(sums):
+                if len(cell) > tables.shape[1]:
+                    tables = np.pad(tables, ((0, 0), (0, len(cell) - tables.shape[1]), (0, 0), (0, 0)))
+                tables[kind, :len(cell), a:b, cells] = cell
+        lam = lam.reshape(height, -1)
+        for moment, reduce, values in zip(stats, reducers, (lam, lam, lam, lam * lam)):
+            moment[:, cells] = reduce.reduceat(values, runs, axis=0)
+    tables = {kind: table if kind == "g" else _trim(table) for kind, table in zip("vgsl", tables)}
+    # per block: row 0 of the cells by the blocks of j, each later row over j
+    lo, hi, sum_lam, sum_sq = (_by_block(reduce, moment, heads, past, l_max, start)
+                               for moment, reduce, start in zip(stats, reducers, (np.inf, -np.inf, 0.0, 0.0)))
     # per (grid point, block): a_max, and k c with c = 2 pi / rho_{N+1} and k = 1 + c a_max;
     # every target is within the depth above, so the rho list reaches it
     x = np.array(xis)
@@ -729,57 +915,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     reach = np.maximum(np.abs(column + hi), np.abs(column + lo))
     c = TWO_PI / _reach_floats(scales, truncation_target(reach, tol))
     kc = c * (1.0 + c * reach)
-    # the xi-free moments of B = sum (xi + lambda)^2 = N xi^2 + 2 xi sum lambda + sum lambda^2
-    count = np.diff([*starts, len(lam)])
-    sum_lam, sum_sq = np.add.reduceat(lam, starts), np.add.reduceat(lam * lam, starts)
-    explicit, series = _tail_tables(scales, tree.u, l_max, depth, 0.5, tree.deep)
-    tree.u = None
-    # the degrees of the tail polynomials T - 1 and sqrt(T), for the walk depth: the
-    # series' de at the node of largest |y0|, and the explicit levels' dx
-    de = 0
-    if series is not None:
-        at = int(np.argmax(np.abs(series.y0)))
-        de = exp_series_degree(series.table(at, at + 1), series.y0[at:at + 1], series.e, series.c1)
-    dx = sum(_explicit_degree(scales, k) for k, _ in explicit)
-    ends = [b for _, b in blocks]
-    walk, dv = _walk_depth(tree, l_max, ends, de + 2 * dx, de + dx)
-    width = tree.size[walk]
-    # node i = j + q width sums into cell (row, j): row 0 for q = 0, else the row of the
-    # block of i, as the blocks past the walk are runs of whole q.  The node ranges hold
-    # whole runs of q, or one part of one q where width exceeds _SLICE
-    heads = [a for a in starts if a < width]  # the blocks of the nodes j < width
-    past = sorted({bisect.bisect_right(ends, q * width) for q in range(1, len(lam) // width)})
-    row_of = [0] + [1 + past.index(bisect.bisect_right(ends, q * width))
-                    for q in range(1, len(lam) // width)]
-    # half a slice of nodes per range: its polynomials hold up to about twenty
-    # coefficient rows, and the peak memory stays near the tiles'
-    chunk = max(1, _SLICE // 2)
-    per = max(1, chunk // width)
-    ranges = [(q * width + c, q * width + c + chunk if c + chunk < width
-               else min(q + per, len(row_of)) * width)
-              for q in range(0, len(row_of), per) for c in range(0, width, chunk)]
-    end = tree.ends[l_max]
-    v = _deep_products(tree, walk, max(walk, end - 1), dv)
-    tables = np.zeros((4, 0, 1 + len(past), width))  # per kind "vgsl" and coefficient, the cells
-    for start, stop in ranges:
-        if walk < end:
-            roots = signed_root_taylor(_root_angles(tree.kernels[end - 1], slice(start, stop)),
-                                       1.0 / tree.scale[end], dv)
-            deep_v = _poly_mul(v[:, np.arange(start, stop) % tree.size[end - 1]], roots, dv)
-        else:
-            deep_v = v[:, start:stop]
-        q0, q1 = start // width, -(-stop // width)
-        runs = [k for k in range(q0, q1) if k == q0 or row_of[k] != row_of[k - 1]]
-        cells = slice(start - q0 * width, stop - (q1 - 1) * width)
-        polys = _cell_polynomials(deep_v, *_tail_polynomials(scales, explicit, series, start, stop),
-                                  lam[start:stop])
-        for kind, poly in enumerate(polys):
-            if len(poly) > tables.shape[1]:
-                tables = np.pad(tables, ((0, 0), (0, len(poly) - tables.shape[1]), (0, 0), (0, 0)))
-            poly = poly.reshape(len(poly), q1 - q0, -1)
-            for k, k_next in zip(runs, runs[1:] + [q1]):
-                tables[kind, :len(poly), row_of[k], cells] += poly[:, k - q0:k_next - q0].sum(axis=1)
-    tables = {kind: table if kind == "g" else _trim(table) for kind, table in zip("vgsl", tables)}
+    count = np.diff([*starts, ends[-1]])
     # per grid point and block: the sums of V^2, of the gap terms g, of sigma sqrt(t) and of
     # |lambda| sqrt(t)
     out = {kind: np.zeros((len(x), l_max)) for kind in "vgsl"}

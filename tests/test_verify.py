@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -431,6 +432,22 @@ def test_completeness_matches_scalar_sum(tm, xi, level):
         assert_slack_bounds_scalar_sum(row.certified_slack, slack, 1e-10)
 
 
+def test_completeness_memory_stays_flat_in_the_level():
+    # past the group level the tree is walked one subtree group at a time, so no array
+    # spans a whole deep level: the traced peak at L = 18 (262,144 nodes) stays within
+    # 1.25 times the peak at L = 14 (16,384 nodes); whole deep levels made it 4.3 times
+    grid = [0.5 * j / 32 for j in range(33)]
+    peaks = []
+    for level in (14, 18):
+        tracemalloc.start()
+        try:
+            completeness_Q(canonical_tau(MU42), grid, level)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 def test_a_label_past_the_polynomial_levels_matches_mpmath():
     # lambda(1) = 1 - 2 rho_13: the float xi + lambda of the scalar sum loses 3e-10 of
     # Q_1 (ulp(3.4e7) = 7e-9), so the oracle is the product in 40 digits
@@ -455,7 +472,7 @@ def test_polynomial_cases_reach_polynomial_levels(monkeypatch, tm, xi, level):
 
     def spy(tree, l_max, *args):
         walk, dv = walk_depth(tree, l_max, *args)
-        seen.append(([k.m for k in tree.kernels[walk:tree.ends[l_max]]], dv))
+        seen.append((tree.radix[walk + 1:tree.ends[l_max] + 1], dv))
         return walk, dv
 
     walk_depth = verify._walk_depth
@@ -472,11 +489,18 @@ def test_an_explicit_tail_level_runs_one_pass_per_prime_sub_level(monkeypatch):
     # root and its complement share its m // 2 angles k = m-1, m-3, ... >= 1.  alpha_one at
     # L = 3: the level d_4 = 2048 = 2^11 splits as the tree does, into 11 H_2 sub-levels,
     # not into the (m - 1) / 2 = 1023 angles of H_2048's Dirichlet sum; (25, 5) at L = 2:
-    # a table label past the tree makes level 3 one H_5 table of (5 - 1) / 2 angles
+    # a table label past the tree makes level 3 one H_5 table of (5 - 1) / 2 angles.  The
+    # sub-levels of an explicit tail level, and with them its degree, are formed once per
+    # check, not once per subtree group
     alpha_one = pair_from_config({"kind": "alpha", "alpha": 1, "profile": "dyadic"})
     cases = [(canonical_tau(alpha_one), 3, [4], [2] * 11),
              (TreeMapping(constant_pair(25, 5), {(1, 0, 0): 5}), 2, [3], [5])]
     tails, active = [], []  # per _tail_polynomials call: its explicit levels and its passes
+    subs = []  # the level of each _sub_levels call
+
+    def sub_levels(scales, k, *args):
+        subs.append(k)
+        return sub_levels_of(scales, k, *args)
 
     def root_angles(t, nodes):
         angles = root_angles_of(t, nodes)
@@ -485,7 +509,7 @@ def test_an_explicit_tail_level_runs_one_pass_per_prime_sub_level(monkeypatch):
         return angles
 
     def tail_polynomials(scales, explicit, *args):
-        tails.append(([k for k, _ in explicit], []))
+        tails.append(([k for k, *_ in explicit], []))
         active.append(True)
         try:
             return tail_polynomials_of(scales, explicit, *args)
@@ -493,14 +517,18 @@ def test_an_explicit_tail_level_runs_one_pass_per_prime_sub_level(monkeypatch):
             active.pop()
 
     root_angles_of, tail_polynomials_of = fourier._root_angles, verify._tail_polynomials
+    sub_levels_of = verify._sub_levels
+    monkeypatch.setattr(verify, "_sub_levels", sub_levels)
     monkeypatch.setattr(verify, "_root_angles", root_angles)
     monkeypatch.setattr(fourier, "_root_angles", root_angles)  # a pass made inside fourier counts too
     monkeypatch.setattr(verify, "_tail_polynomials", tail_polynomials)
     assert alpha_one.d(4) == 2048
     for tm, level, levels, primes in cases:
         tails.clear()
+        subs.clear()
         completeness_Q(tm, [0.5 * j / 32 for j in range(33)], level)
         assert tails
+        assert [k for k in subs if k > level] == levels
         for explicit, passes in tails:
             assert explicit == levels
             assert len({id(t) for t, _ in passes}) == len(passes)
@@ -508,13 +536,47 @@ def test_an_explicit_tail_level_runs_one_pass_per_prime_sub_level(monkeypatch):
             assert [count for _, count in passes] == [t.m // 2 for t, _ in passes]
 
 
-def deep_products(tm, level):
-    # V of completeness_Q past its walk depth, and the tree, walk depth and degree
+def group_walk(tm, level, columns):
+    # completeness_Q's walk past its walk depth in groups of ``columns`` level-walk
+    # nodes: V, u and lambda over the level nodes, each group's columns put in place,
+    # and the tree of the whole walk, the walk depth and the degree
     scales = verify._Scales(tm.pair).upto(level)
-    tree = verify._Tree(tm, scales, level, uniform_family(tm.pair))
+    tree = verify._Tree(tm, scales, level, uniform_family(tm.pair), upto=0)
     ends = [b for _, b in verify._blocks(scales, level)]
     walk, dv = verify._walk_depth(tree, level, ends, 2, 2)
-    return verify._deep_products(tree, walk, tree.ends[level], dv), tree, walk
+    first = 1 + next(n for n, t in enumerate(tree.ends) if t >= walk)
+    whole, width = verify._whole_levels(tree, walk, dv, first - 1), tree.size[walk]
+    out = [np.empty((dv + 1, tree.size[-1])), np.empty(tree.size[-1]), np.empty(tree.size[-1])]
+    for lo in range(0, width, columns):
+        group = verify._Group(width, lo, min(lo + columns, width))
+        for values, part in zip(out, verify._group_levels(tree, group, first, whole, dv)):
+            rows = values.shape[:-1]
+            place = values.reshape(*rows, -1, width)[..., group.lo:group.hi]
+            place[...] = part.reshape(*rows, -1, group.hi - group.lo)
+    return out, verify._Tree(tm, scales, level, uniform_family(tm.pair)), walk, dv
+
+
+@pytest.mark.parametrize("tm, level", [
+    (canonical_tau(MU42), 12), (canonical_tau(MU93), 8), (canonical_tau(constant_pair(30, 6)), 5),
+    (DEVIATED42, 12), (DEEP_LABEL42, 12), (STACKED82, 3), (canonical_tau(dimension_targeting_pair(0.5)), 5)])
+@pytest.mark.parametrize("columns", [1, 3, 1 << 20])
+def test_groups_give_each_node_the_bits_of_the_whole_walk(tm, level, columns):
+    # whatever the group size, V, u and lambda of every level node are those of the walk
+    # over the whole tree, bit for bit: u and lambda of the tree's label walk, and V the
+    # product of the signed roots of its tables past the walk, level by level
+    (v, u, lam), tree, walk, dv = group_walk(tm, level, columns)
+    _, want_u, want_lam = tree.descend(1, level, verify._ROOT, np.zeros(1), np.zeros(1))
+    assert np.array_equal(u, want_u) and np.array_equal(lam, want_lam)
+    want = np.ones((1, tree.size[walk]))
+    for t in range(walk + 1, len(tree.size)):
+        want = verify._times_roots(tree, t, tree.kernels[t - 1], want, dv)
+    assert np.array_equal(v, want)
+
+
+def deep_products(tm, level):
+    # V of completeness_Q past its walk depth, from its subtree groups, and the tree and walk depth
+    (v, _, _), tree, walk, _ = group_walk(tm, level, 5)
+    return v, tree, walk
 
 
 SIGN_CASES = [(canonical_tau(MU42), 12), (canonical_tau(MU93), 8),
@@ -830,7 +892,8 @@ def test_digit_major_tree_is_the_child_major_tree_reordered(monkeypatch, tm, lev
                 else:
                     assert np.max(np.abs(row - want)) <= 8 * 2.0 ** -52, (size, TILE_XIS[i], n)
         assert seen == {(i, t) for i in range(len(TILE_XIS)) for t in range(tree.ends[level] + 1)}
-    assert np.array_equal(tree.lam, to_digit_major(lam, scales, level))
+    assert np.array_equal(tree.descend(1, level, verify._ROOT, np.zeros(1), np.zeros(1))[2],
+                          to_digit_major(lam, scales, level))
 
 
 def mp_level_products(pair, xi, level):
@@ -964,15 +1027,22 @@ def test_tail_tables_match_per_xi_log_tail(name, level):
     scales, us, lam, _, deep = child_major_tree(tm, level)
     tree = verify._Tree(tm, verify._Scales(tm.pair), level, uniform_family(tm.pair))
     depth = scales.reach(truncation_target(float(np.max(np.abs(lam))) + 0.5, 1e-10))[0]
-    explicit, series = verify._tail_tables(tree.scales.upto(depth), tree.u, level, depth, max(grid),
-                                           tree.deep)
+    explicit, series = verify._tail_plan(tree, depth, max(grid))
+    labels = {k: verify._ROOT.part(*entries) for k, entries in tree.deep.items()}
+    u = tree.descend(1, level, verify._ROOT, np.zeros(1), np.zeros(1))[1]
+    reduced = verify._tail_inputs(tree.scales, level, explicit, series, u, labels)
+    if series is not None:
+        y0 = tree.scales.d[series.k0] * reduced[-1]
+        # the plan's bound of |y0|, the largest itself with canonical labels
+        top = float(np.max(np.abs(y0)))
+        assert series.top == top if not tm.table else series.top >= top
     for xi in grid:
         # the explicit levels' logarithms, then one Horner pass of the series table
         got = np.zeros(len(lam))
         if series is not None:
             eps = xi / _to_float(tree.scales.rho[series.k0])
-            got += eval_log_series_taylor(series.table(0, len(lam)), eps)
-        for k, u in explicit:
+            got += eval_log_series_taylor(series.table(y0), eps)
+        for (k, *_), u in zip(explicit, reduced):
             d = tree.scales.d[k]
             got += log_H_sq_array(d, xi / _to_float(d * tree.scales.rho[k]) + u)
         want = to_digit_major(child_major_log_tail(scales, xi, us[-1], 0, level, depth, deep),
