@@ -21,21 +21,24 @@ guard takes 1 at integers and the series 1 - (m^2 - 1)(pi s)^2 / 3 within
 1e-9 of one, entry by entry, so no value depends on the rest of the call.
 The level-expansion kernel of :mod:`.verify` multiplies it along the digit
 tree; :func:`eval_H_sq_array` is the same kernel at a = 0.
-:func:`log_H_sq_array` and :func:`log_H_sq_series` give its logarithm.  The
-completeness tail is the series: :func:`log_series_taylor` tabulates it once
-as a Taylor polynomial in a scalar shift of its argument, and
-:func:`exp_series_taylor` exponentiates that polynomial as a power series, to
-the degree of :func:`exp_series_degree`.  There is one Horner pass,
-:func:`eval_log_series_taylor`: the series, each row of its Taylor table and
-the completeness polynomials of :mod:`.verify` are evaluated with it.
-:func:`signed_root_taylor` gives the Taylor polynomial of the signed root of
+:func:`signed_root_taylor` gives the Taylor polynomial of the signed root R_m of
 |H_m|^2 at a small shift of u, and :func:`root_complement` one minus its value
-at u, both from the angles of :func:`_root_angles`.
+at u, both from the angles of :func:`_root_angles`.  The completeness tail is a
+product of such roots too: past the levels it multiplies explicitly, the levels
+whose arguments are all small are one power series in y^2 of the product of
+their roots, sqrt(T), formed once per check with its truncation and a lower
+bound of 1 - sqrt(T) (:func:`root_series`), and :func:`root_series_taylor`
+tabulates 1 - sqrt(T) once per node as a Taylor polynomial in a scalar shift of
+its argument, to a relative 2^-60 (:func:`series_remainder_bounds`).  There is
+one Horner pass, :func:`eval_taylor`: the series, each row of its Taylor table
+and the completeness polynomials of :mod:`.verify` are evaluated with it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -170,9 +173,9 @@ def H_sq_tables(m: int, us: np.ndarray) -> HSqTables:
     return HSqTables(m, u, None, None)
 
 
-def eval_H_sq_tables(t: HSqTables, a, nodes: slice = slice(None)) -> np.ndarray:
-    """|H_m(a_r + u)|^2 over the tabulated u of the entries ``nodes``, one row
-    per scalar a_r of ``a``, a float array or a sequence of floats.
+def eval_H_sq_tables(t: HSqTables, a) -> np.ndarray:
+    """|H_m(a_r + u)|^2 over the tabulated u, one row per scalar a_r of ``a``, a
+    float array or a sequence of floats.
 
     With s = a_r + u, for m = 2 the value is cos(pi s)^2, and for m = 3 it is
     ((1 + 2 cos(2 pi s)) / 3)^2, the square of the real e^{2 pi i s} H_3(s),
@@ -187,29 +190,28 @@ def eval_H_sq_tables(t: HSqTables, a, nodes: slice = slice(None)) -> np.ndarray:
     numpy operations, the IEEE operations of the scalar form.  Every entry is
     elementwise in its own a_r and u, so a row's bits do not depend on the
     other rows of the call: a block of grid rows, as the completeness sum
-    passes, gives each row the bits of a call with that a_r alone.  ``nodes``
-    slices the tables as views.
+    passes, gives each row the bits of a call with that a_r alone.
     """
     m = t.m
     a = np.asarray(a, dtype=float)
     a = (a - np.rint(a))[:, None]
     if m == 2:
         p = np.pi * a
-        vals = np.cos(p) * t.cos[nodes]
-        vals -= np.sin(p) * t.sin[nodes]
+        vals = np.cos(p) * t.cos
+        vals -= np.sin(p) * t.sin
         vals *= vals
         return vals
     if m == 3:
         # twice the sine and cosine of 2 pi a: the sum below is 2 cos(2 pi s)
         p = TWO_PI * a
-        vals = (2.0 * np.cos(p)) * t.cos[nodes]
-        vals -= (2.0 * np.sin(p)) * t.sin[nodes]
+        vals = (2.0 * np.cos(p)) * t.cos
+        vals -= (2.0 * np.sin(p)) * t.sin
         np.minimum(vals, 2.0, out=vals)
         vals += 1.0
         vals /= 3.0
         vals *= vals
         return vals
-    return _H_sq_direct(m, a + t.u[nodes])
+    return _H_sq_direct(m, a + t.u)
 
 
 def eval_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:
@@ -219,38 +221,74 @@ def eval_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:
     return eval_H_sq_tables(H_sq_tables(m, xs), [0.0])[0]
 
 
-_ZETA_OVER_J = np.array([  # zeta(2j)/j, j = 1..19
-    1.6449340668482264, 0.5411616168555691, 0.3391143539948164, 0.2510193390494861, 0.2001989150255636,
-    0.166707681092218, 0.14286589259072266, 0.12500191028242608, 0.11111153525480723, 0.10000009539620339,
-    0.09090911258640934, 0.08333333830068242, 0.07692307806935036, 0.07142857169466671, 0.06666666672875517,
-    0.06250000001455194, 0.05882352941518869, 0.055555555556363996, 0.0526315789475599])
-LOG_SERIES_THETA = 0.35
-
-
-def log_series_coefficients(ms, ts) -> np.ndarray:
-    """c_1..c_19 of :func:`log_H_sq_series`, which is -sum_j c_j y^(2j):
-    c_j = 2 zeta(2j)/j sum_k (t_k^(2j) - (t_k / m_k)^(2j)), all >= 0."""
-    j2 = 2 * np.arange(1, len(_ZETA_OVER_J) + 1)
-    t = np.asarray(ts, dtype=float)[:, None]
-    return 2.0 * _ZETA_OVER_J * (t ** j2 - (t / np.asarray(ms)[:, None]) ** j2).sum(axis=0)
-
-
-def log_H_sq_series(ms, ts, y: np.ndarray) -> np.ndarray:
-    """sum_k log|H_{m_k}(t_k y / m_k)|^2 for 0 < t_k <= 1, |y| <= LOG_SERIES_THETA, as
-    one Horner polynomial in y^2 (:func:`eval_log_series_taylor`) from
-    log(sin(pi x) / (pi x)) = -sum_j zeta(2j)/j x^(2j).
-    Term j is at most (4 / (3 zeta(2))) zeta(2j)/j (m s)^(2j-2) times term 1, all of
-    one sign, so the terms past j = 19 are below 2^-60 of the sum:
-    (4 / (3 zeta(2))) zeta(40)/20 theta^38 / (1 - theta^2) = 2^-61.99."""
-    # the constant term 0.0 adds nothing: 0.0 + x is x for every x >= +0.0
-    return -eval_log_series_taylor([0.0, *log_series_coefficients(ms, ts)], y * y)
-
-
+SERIES_THETA = 0.35
 _TAYLOR_TOL = 2.0 ** -60
 
 
+def _sinc_series(terms: int) -> tuple[np.ndarray, np.ndarray]:
+    # the coefficients in z^2 of sin(z) / z and of its reciprocal z / sin(z), each exact
+    # (the reciprocal by its recurrence in fractions) and then rounded once
+    sinc = [Fraction((-1) ** n, math.factorial(2 * n + 1)) for n in range(terms)]
+    inverse = [Fraction(1)]
+    for n in range(1, terms):
+        inverse.append(-sum(sinc[i] * inverse[n - i] for i in range(1, n + 1)))
+    return np.array([float(v) for v in sinc]), np.array([float(v) for v in inverse])
+
+
+# through z^30: root_series keeps at most 15 terms (its docstring)
+_SINC, _INVERSE_SINC = _sinc_series(16)
+
+
+def root_series(ms, ts) -> tuple[np.ndarray, float]:
+    """(S, low): S_0..S_N, the coefficients in y^2 of sqrt(T(y)) = prod_k R_{m_k}(t_k y / m_k)
+    for 0 <= t_k <= 1 and |y| <= SERIES_THETA, R_m(s) = sin(pi m s) / (m sin(pi s)) the signed
+    root of |H_m(s)|^2 (:func:`signed_root_taylor`), and low > 0 with
+    |1 - sqrt(T(y))| >= low y^2 there.
+
+    *Coefficients.*  The y^(2n) coefficient of R_m(t y / m) is
+    (2/m) (-1)^n sum_k (pi k t / m)^(2n) / (2n)! over k = m-1, m-3, ... >= 1 (n >= 1).  For
+    any m it is read from R_m(t y / m) = sinc(z) / sinc(z / m), z = pi t y and
+    sinc(z) = sin(z) / z: the product of the series of sin(z) / z and of z / sin(z) at z / m
+    (``_SINC``, ``_INVERSE_SINC``).  Every level's coefficients have the sign (-1)^n, so the
+    product of the levels, a product of series in y^2, adds terms of one sign.
+
+    *Truncation.*  The y^(2n) coefficient of R_m(t y / m) is at most that of cosh(h y),
+    h = pi (m - 1) t / m, as its k sum has fewer than m / 2 terms, each k <= m - 1.  So |S_n|
+    is at most the y^(2n) coefficient of prod_k cosh(h_k y), and so of e^(H y), H = sum_k h_k,
+    and the terms past N sum to at most (H |y|)^(2N+2) e^(H |y|) / (2N+2)!.  Relative to
+    low y^2 that is largest at |y| = theta; N is the least with it at most 2^-62 there.  With
+    t_(k+1) <= t_k / 2, H theta < 2 pi theta < 2.2, and low >= 0.6 (c_1 / 2 >= pi^2 / 8 and
+    T(theta) >= 0.56), so N <= 14.
+
+    *The lower bound.*  log T(y) = -sum_j c_j y^(2j) with every c_j >= 0, as
+    log(sin(pi x) / (pi x)) = -sum_j zeta(2j)/j x^(2j) and t_k >= t_k / m_k: its first,
+    c_1 = -2 S_1, gives |log T| >= c_1 y^2.  With 1 - T >= |log T| T (e^x - 1 >= x) and
+    1 - sqrt(T) = (1 - T) / (1 + sqrt(T)) >= (1 - T) / 2, and T falling in |y| on
+    [0, theta], 1 - sqrt(T(y)) >= (c_1 / 2) T(theta) y^2 = low y^2.  T(theta) is the closed
+    form's, within rounding, which moves the bound by a few ulp of itself."""
+    t = np.asarray(ts, dtype=float)
+    inv_m = np.array([1.0 / _to_float(m) for m in ms])
+    k = 2 * np.arange(len(_SINC))
+    levels = [np.convolve(_SINC * z, _INVERSE_SINC * z * inv ** k)[:len(_SINC)]
+              for z, inv in zip((np.pi * t[:, None]) ** k, inv_m)]
+    # T(theta), a level sinc(t theta) / sinc(t theta / m) in numpy's sinc(x) = sin(pi x) / (pi x)
+    t_theta = float(np.prod((np.sinc(t * SERIES_THETA) / np.sinc(t * SERIES_THETA * inv_m)) ** 2))
+    low = -sum(level[1] for level in levels) * t_theta
+    # the least N with (H theta)^(2N+2) e^(H theta) / (2N+2)! <= 2^-62 low theta^2
+    h = SERIES_THETA * float(np.sum(np.pi * t * (1.0 - inv_m)))
+    count, term = 1, h * h / 2.0
+    while term * math.exp(h) > _TAYLOR_TOL / 4.0 * low * SERIES_THETA ** 2:
+        term *= h * h / ((2 * count + 1) * (2 * count + 2))
+        count += 1
+    out = np.ones(1)
+    for level in levels:
+        out = np.convolve(out, level[:count])[:count]
+    return out, low
+
+
+@functools.lru_cache(maxsize=None)
 def _remainder_tables(big_j: int):
-    # for log_series_remainder_bounds: C(2j, i) for j = 1..J (rows) and i = 0..2J+1,
+    # for series_remainder_bounds: C(2j, i) for j = 1..J (rows) and i = 0..2J+1,
     # and the two factors of power_ji as indices into (e^0..e^2J, Y^0..Y^2J, 1, r, r^2, 0):
     # e^i Y^(2j-2-i) for 0 < i <= 2j-2, e^(2j-2) r^(i-2j+2) for i = 2j-1, 2j, else 0
     j, i = np.arange(1, big_j + 1)[:, None], np.arange(2 * big_j + 2)
@@ -263,24 +301,22 @@ def _remainder_tables(big_j: int):
     return binomials, first, second
 
 
-_REMAINDER_TABLES = _remainder_tables(len(_ZETA_OVER_J))
-
-
-def log_series_remainder_bounds(c: np.ndarray, y0: np.ndarray, e: float) -> np.ndarray:
+def series_remainder_bounds(ratio: np.ndarray, y0: np.ndarray, e: float) -> np.ndarray:
     """Bounds B_p, p = 0..2J, on |R_p| / |F(y0 + eps)| over the entries y0 and |eps| <= e,
-    where F(y) = -sum_{j<=J} c_j y^(2j) with every c_j >= 0, and R_p is F(y0 + eps)
-    less its Taylor polynomial of degree p in eps at y0.
+    where F(y) = sum_{j<=J} c_j y^(2j), |F(y)| >= low y^2 wherever it is read, ``ratio``
+    holds |c_j| / low, and R_p is F(y0 + eps) less its Taylor polynomial of degree p in eps
+    at y0.
 
-    With Y = |y0| > 0 and r = e / Y < 1: |R_p| <= sum_j c_j sum_{i>p} C(2j, i) Y^(2j-i) e^i
-    and |F(y0 + eps)| >= c_1 (Y - e)^2 = c_1 Y^2 (1 - r)^2, so
-    B_p = (1 - r)^-2 sum_j (c_j / c_1) sum_{p<i<=2j} C(2j, i) e^i Y^(2j-2-i),
+    With Y = |y0| > 0 and r = e / Y < 1: |R_p| <= sum_j |c_j| sum_{i>p} C(2j, i) Y^(2j-i) e^i
+    and |F(y0 + eps)| >= low (Y - e)^2 = low Y^2 (1 - r)^2, so
+    B_p = (1 - r)^-2 sum_j (|c_j| / low) sum_{p<i<=2j} C(2j, i) e^i Y^(2j-2-i),
     with Y^(2j-2-i) at the largest Y where the power is >= 0 and, for i = 2j-1, 2j,
     written e^(2j-2) r^(i-2j+2) at the least Y (the largest r).  At y0 = 0 the
-    polynomial is F(eps) itself: |R_p| / |F| <= sum_{2j>p} (c_j / c_1) e^(2j-2).  If r >= 1
-    only B_2J = 0 is stated.  The bounds are evaluated in floating point, whose
+    polynomial is F(eps) itself: |R_p| / |F| <= sum_{2j>p} (|c_j| / low) e^(2j-2).  If
+    r >= 1 only B_2J = 0 is stated.  The bounds are evaluated in floating point, whose
     relative error is far below the 2^-60 they are compared with."""
-    big_j = len(c)
-    ratio = np.asarray(c, dtype=float) / c[0]
+    big_j = len(ratio)
+    ratio = np.asarray(ratio, dtype=float)
     terms = np.zeros(2 * big_j + 2)  # terms[i]: the part of the bound from degree i
     y = np.abs(np.asarray(y0, dtype=float))
     nonzero = y[y > 0]
@@ -292,7 +328,7 @@ def log_series_remainder_bounds(c: np.ndarray, y0: np.ndarray, e: float) -> np.n
         else:
             # c_j C(2j, i) power_ji summed over j one row after another: the
             # scalar sums, bit for bit
-            binomials, first, second = _REMAINDER_TABLES
+            binomials, first, second = _remainder_tables(big_j)
             factors = np.array([*(x ** k for x in (e, y_max) for k in range(2 * big_j + 1)),
                                 1.0, r, r ** 2, 0.0])
             table = ratio[:, None] * binomials
@@ -305,33 +341,34 @@ def log_series_remainder_bounds(c: np.ndarray, y0: np.ndarray, e: float) -> np.n
     return np.cumsum(terms[::-1])[::-1][1:]  # B_p = sum_{i>p} terms[i]
 
 
-def log_series_taylor(ms, ts, y0: np.ndarray, e: float) -> np.ndarray:
-    """The Taylor coefficients A_0..A_p in eps of :func:`log_H_sq_series` at y0 + eps,
-    tabulated once over the array y0 for every |eps| <= e, as a (p + 1, len(y0)) array.
+def root_series_taylor(coefficients: np.ndarray, low: float, y0: np.ndarray, e: float) -> np.ndarray:
+    """The Taylor coefficients A_0..A_p in eps of 1 - sqrt(T) at y0 + eps, sqrt(T) the series
+    ``coefficients`` of :func:`root_series` and ``low`` its bound, tabulated once over the array
+    y0 for every |eps| <= e, as a (p + 1, len(y0)) array.
 
-    The series is F(y) = -sum_j c_j y^(2j) with c_j >= 0 (:func:`log_series_coefficients`),
-    so A_i = -y0^(i mod 2) sum_{j >= i/2} c_j C(2j, i) (y0^2)^(j - ceil(i/2)), a
-    polynomial in y0^2 with nonnegative coefficients (A_0 is the series at y0).  p is
-    the least degree whose bound of :func:`log_series_remainder_bounds` is at most 2^-60
-    of |F(y0 + eps)|; F has degree 2J = 38, so p <= 38 is always exact."""
-    c = log_series_coefficients(ms, ts)
-    degree = int(np.argmax(log_series_remainder_bounds(c, y0, e) <= _TAYLOR_TOL))
+    1 - sqrt(T) = sum_{n>=1} c_n y^(2n), c_n = -S_n, so A_i = y0^(i mod 2) sum_{n >= i/2}
+    c_n C(2n, i) (y0^2)^(n - ceil(i/2)), a polynomial in y0^2 (A_0 is 1 - sqrt(T) at y0).  p
+    is the least degree whose bound of :func:`series_remainder_bounds`, with |c_n| / low, is
+    at most 2^-60 of |1 - sqrt(T(y0 + eps))|; the series has degree 2N, so p <= 2N is always
+    exact."""
+    c = -coefficients[1:]
+    degree = int(np.argmax(series_remainder_bounds(np.abs(c) / low, y0, e) <= _TAYLOR_TOL))
     z = y0 * y0
-    rows = [-eval_log_series_taylor([0.0, *c], z)]
+    # the constant term 0.0 adds nothing: 0.0 + x is x for every x >= +0.0
+    rows = [eval_taylor([0.0, *c], z)]
     for i in range(1, degree + 1):
-        h = (i + 1) // 2
-        acc = eval_log_series_taylor([float(c[j - 1]) * math.comb(2 * j, i) for j in range(h, len(c) + 1)], z)
+        acc = eval_taylor([float(c[n - 1]) * math.comb(2 * n, i) for n in range((i + 1) // 2, len(c) + 1)], z)
         if i % 2:
             acc *= y0
-        rows.append(-acc)
+        rows.append(acc)
     return np.array(rows)
 
 
-def eval_log_series_taylor(coefficients: np.ndarray, eps) -> np.ndarray:
-    """:func:`log_H_sq_series` at y0 + eps from the tables of :func:`log_series_taylor`:
-    one Horner pass in eps, sum_i A_i eps^i, for a scalar eps or one row per entry
-    of a column of eps.  Every coefficient entry is its own Horner pass, so no value
-    depends on the other eps; the completeness check evaluates its polynomials in xi
+def eval_taylor(coefficients: np.ndarray, eps) -> np.ndarray:
+    """The polynomial sum_i A_i eps^i of coefficient rows A_i, such as the tables of
+    :func:`root_series_taylor` at y0 + eps: one Horner pass in eps, for a scalar eps or one
+    row per entry of a column of eps.  Every coefficient entry is its own Horner pass, so no
+    value depends on the other eps; the completeness check evaluates its polynomials in xi
     with it too."""
     if len(coefficients) == 1:
         return coefficients[0] * np.ones_like(eps)  # exact: a copy, broadcast against eps
@@ -343,90 +380,18 @@ def eval_log_series_taylor(coefficients: np.ndarray, eps) -> np.ndarray:
     return acc
 
 
-def exp_series_degree(coefficients: np.ndarray, y0: np.ndarray, e: float, c1: float) -> int:
-    """The degree D of :func:`exp_series_taylor` for the table A of
-    :func:`log_series_taylor` at y0, valid for every |eps| <= e: the least degree whose
-    majorant remainder is at most 2^-60 of the least |log T| = |F(y0 + eps)| >=
-    c1 (y0 + eps)^2, c1 the leading coefficient of :func:`log_series_coefficients`, the
-    rule of :func:`log_series_taylor`, so that T - 1 = expm1(A_0) + e^(A_0) (E - 1)
-    keeps that relative accuracy however small it is.
-
-    The frequencies are integers, so y0 + eps = (lambda + xi) / rho_k0 with
-    |lambda + xi| >= max(|lambda| / 2, xi), and (y0 + eps)^2 >= max(Y / 2, eps)^2,
-    Y = |y0|.  A_i is Y^(i mod 2) times a polynomial in Y^2 with nonnegative
-    coefficients, so |A_i| e^i <= b_i Y^(i mod 2) with b_i read at the largest Y, Y_max,
-    and the majorant exp(sum_i b_i Y^(i mod 2) z^i), z = eps / e, has coefficients Eb_n
-    of the recurrence of :func:`exp_series_taylor`, polynomials in Y with nonnegative
-    coefficients.  Past D the remainder is at most sum_{D<n<=D+p} Eb_n (1 + p k / (1 - k)),
-    k = sum_i i b_i Y_max^(i mod 2) / (D + p + 1) (each later Eb_n is at most k times the
-    largest of the p before it), times e^(sum_i b_i Y_max^(i mod 2)), which bounds
-    e^(A_0 - log T) in |T - 1| >= |log T| e^(log T); and each Y^j / max(Y / 2, e)^2 is
-    largest at Y = 2 e or at Y = Y_max.  So the rule takes scalars only."""
-    p = len(coefficients) - 1
-    if p == 0 or not coefficients.shape[1]:
-        return 0
-    at = int(np.argmax(np.abs(y0)))
-    top = abs(float(y0[at]))
-    # b_i as (i mod 2, coefficient): |A_i| e^i <= b_i Y^(i mod 2)
-    b = [(i % 2, abs(float(coefficients[i][at])) * e ** i / (top if i % 2 and top > 0.0 else 1.0))
-         for i in range(1, p + 1)]
-    reach = sum(i * bi * top ** odd for i, (odd, bi) in enumerate(b, start=1))
-    growth = math.exp(sum(bi * top ** odd for odd, bi in b))
-    # Eb_n as coefficient lists in Y
-    bars, degree = [[1.0]], 0
-    while True:
-        while len(bars) <= degree + p:
-            n = len(bars)
-            bar = [0.0] * (n + 1)
-            for k in range(1, min(n, p) + 1):
-                odd, bk = b[k - 1]
-                for j, c in enumerate(bars[n - k]):
-                    bar[j + odd] += k * bk * c / n
-            bars.append(bar)
-        kappa = reach / (degree + p + 1)
-        if kappa < 1.0:
-            window = [0.0] * (degree + p + 2)
-            for bar in bars[degree + 1:degree + p + 1]:
-                for j, c in enumerate(bar):
-                    window[j] += c
-            worst = sum(c * max(top ** j / max(0.5 * top, e) ** 2, (2.0 * e) ** j / e ** 2)
-                        for j, c in enumerate(window))
-            if growth * (1.0 + p * kappa / (1.0 - kappa)) * worst <= _TAYLOR_TOL * c1:
-                return degree
-        degree += 1
-
-
-def exp_series_taylor(coefficients: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Taylor coefficients E_0..E_D, D = ``degree``, of exp(B) and exp(B / 2) in eps,
-    B = sum_{i>=1} A_i eps^i from the table A of :func:`log_series_taylor`, each a
-    (D + 1, entries) array: E_0 = 1 and n E_n = sum_k k A_k E_(n-k).  The tail
-    T = e^(A_0) exp(B) as a power series; :func:`exp_series_degree` gives D."""
-    p, count = len(coefficients) - 1, coefficients.shape[1]
-    out = []
-    for half in (1.0, 0.5):
-        rows = [np.ones(count)]
-        for n in range(1, degree + 1):
-            row = np.zeros(count)
-            for k in range(1, min(n, p) + 1):
-                row += (half * k / n) * coefficients[k] * rows[n - k]
-            rows.append(row)
-        out.append(np.array(rows))
-    return out[0], out[1]
-
-
-def _root_angles(t: HSqTables, nodes) -> tuple[int, list[int], np.ndarray, np.ndarray]:
-    """(m, ks, cos, sin) over the tabulated u of the entries ``nodes``: row r of cos and
+def _root_angles(t: HSqTables) -> tuple[int, list[int], np.ndarray, np.ndarray]:
+    """(m, ks, cos, sin) over the tabulated u: row r of cos and
     sin holds cos(pi k u) and sin(pi k u) for k = ks[r], over k = m-1, m-3, ... >= 1.
     m = 2 and m = 3 read the rows from their tables; every other m makes one pass of
     sines and cosines per k.  :func:`signed_root_taylor` and :func:`root_complement`
     both read them, so a caller that needs both computes them once."""
     if t.m in (2, 3):
-        return t.m, [t.m - 1], t.cos[None, nodes], t.sin[None, nodes]
-    u = t.u[nodes]
+        return t.m, [t.m - 1], t.cos[None], t.sin[None]
     ks = list(range(t.m - 1, 0, -2))
-    cos, sin = np.empty((len(ks), len(u))), np.empty((len(ks), len(u)))
+    cos, sin = np.empty((len(ks), len(t.u))), np.empty((len(ks), len(t.u)))
     for row, k in enumerate(ks):
-        half = 0.5 * k * u
+        half = 0.5 * k * t.u
         sin[row], cos[row] = _sin_cos_two_pi(half - np.rint(half))
     return t.m, ks, cos, sin
 
@@ -467,17 +432,6 @@ def root_complement(angles) -> np.ndarray:
     for cos, sin in zip(cosines, sines):
         rest += np.where(cos >= 0.0, sin * sin / (1.0 + np.abs(cos)), 1.0 - cos)
     return rest * (2.0 / m)
-
-
-def log_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:
-    """log|H_m(x)|^2 over a float array, s = x mod 1: :func:`log_H_sq_series` where
-    |m s| <= LOG_SERIES_THETA, else 2 log(|sin(pi m s)| / (m |sin(pi s)|))."""
-    s = xs - np.round(xs)
-    small = np.abs(m * s) <= LOG_SERIES_THETA
-    safe = np.where(small, 0.5 / m, np.abs(s))
-    vals = 2.0 * np.log(np.abs(np.sin(np.pi * m * safe)) / (m * np.sin(np.pi * safe)))
-    vals[small] = log_H_sq_series([m], [1.0], m * s[small])
-    return vals
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ScalePair, _Scales, _to_float, check_growth
-from .fourier import (_TAYLOR_TOL, LOG_SERIES_THETA, TWO_PI, FilterFamily, H_sq_tables, HSqTables,
-                      _root_angles, eval_H_sq_tables, eval_log_series_taylor, exp_series_degree,
-                      exp_series_taylor, log_series_coefficients, log_series_taylor, root_complement,
-                      signed_root_taylor, truncation_target, uniform_family)
+from .core import BudgetExceededError, ScalePair, _Scales, _to_float, check_growth
+from .fourier import (_TAYLOR_TOL, SERIES_THETA, TWO_PI, FilterFamily, H_sq_tables, HSqTables,
+                      _root_angles, eval_H_sq_tables, eval_taylor, root_complement, root_series,
+                      root_series_taylor, signed_root_taylor, truncation_target, uniform_family)
 from .spectra import (TreeMapping, _elements_of, _table_nodes, check_word_budget,
                       validate_tree_mapping)
 
@@ -300,25 +299,25 @@ class _Tree:
                         lam[at] += labels * _to_float(scales.upto(k).rho[k])
         return kernels, u, lam
 
-    def factors(self, t: int, xis, nodes: slice = slice(None)) -> np.ndarray:
-        """The tree-level-t factors over its nodes ``nodes``, one row per xi of
-        ``xis``, a float array or a sequence of floats.
+    def factors(self, t: int, xis) -> np.ndarray:
+        """The tree-level-t factors over its nodes, one row per xi of ``xis``, a
+        float array or a sequence of floats.
 
         On a sub-level with D_j = ``scale[t]`` / rho_n these are
         |H_{f_j}(xi / (D_j rho_n) + u)|^2 over its tabulated u; over all the
         sub-levels of level n they multiply to the squared level-n factors at
         xi + lambda(delta), because lambda(delta) - sigma_n is a multiple of
         rho_{n+1} = q_n d_n rho_n and G_n is 1-periodic: xi enters only through
-        the scalar xi / ``scale[t]``, and ``nodes`` slices the tables as
-        views.  The scalars xi / ``scale[t]`` are one array division, each
-        entry the rounding of the scalar one.  An explicit filter level takes
-        :meth:`~.fourier.FilterFamily.factor`, one row per call, since the
-        bits of :func:`~.fourier.eval_filter` depend on the shape of its call."""
+        the scalar xi / ``scale[t]``.  The scalars xi / ``scale[t]`` are one
+        array division, each entry the rounding of the scalar one.  An explicit
+        filter level takes :meth:`~.fourier.FilterFamily.factor`, one row per
+        call, since the bits of :func:`~.fourier.eval_filter` depend on the
+        shape of its call."""
         a = np.asarray(xis, dtype=float) / self.scale[t]
         kernel = self.kernels[t - 1]
         if isinstance(kernel, HSqTables):
-            return eval_H_sq_tables(kernel, a, nodes)
-        n, u = kernel[0], kernel[1][nodes]
+            return eval_H_sq_tables(kernel, a)
+        n, u = kernel
         values = np.empty((len(a), len(u)))
         for row, x in zip(values, a):
             f = self.filters.factor(n, x + u)
@@ -469,22 +468,20 @@ def _blocks(scales: _Scales, level: int) -> list[tuple[int, int]]:
 
 
 class _Series(NamedTuple):
-    """The series tail of :func:`_tail_plan` from level k0 on: the levels' digit counts
-    ``ms`` and scale ratios ``ts``, e = xmax / rho_k0, c1, the series' leading
-    coefficient (:func:`~.fourier.log_series_coefficients`), and ``top``, a bound of
-    |y0| = d_k0 |u_k0| over the nodes."""
+    """The series tail of :func:`_tail_plan` from level k0 on: the ``coefficients`` in y^2
+    of its sqrt(T) and their bound ``low`` (:func:`~.fourier.root_series`), formed once per
+    check, e = xmax / rho_k0, and ``top``, a bound of |y0| = d_k0 |u_k0| over the nodes."""
 
     k0: int
-    c1: float
-    ms: list
-    ts: list
+    coefficients: np.ndarray
+    low: float
     e: float
     top: float
 
     def table(self, y0: np.ndarray) -> np.ndarray:
-        """The Taylor coefficients in eps = xi / rho_k0 of the series at the entries of
-        ``y0``, for every |eps| <= e (:func:`log_series_taylor`)."""
-        return log_series_taylor(self.ms, self.ts, y0, self.e)
+        """The Taylor coefficients in eps = xi / rho_k0 of 1 - sqrt(T) at the entries of
+        ``y0``, for every |eps| <= e (:func:`~.fourier.root_series_taylor`)."""
+        return root_series_taylor(self.coefficients, self.low, y0, self.e)
 
 
 def _tail_plan(tree: _Tree, depth: int, xmax: float):
@@ -493,7 +490,7 @@ def _tail_plan(tree: _Tree, depth: int, xmax: float):
     zero-extensions of the tree's nodes, for every xi in [0, ``xmax``].  ``explicit``
     lists (k, the degree of its signed root, :func:`_sub_levels` of k) for the levels
     while table labels remain or d_k (max |u_k| + xmax / (d_k rho_k)) >
-    LOG_SERIES_THETA; ``series`` is the :class:`_Series` of the rest, or None when the
+    SERIES_THETA; ``series`` is the :class:`_Series` of the rest, or None when the
     explicit levels reach ``depth``.
 
     max |u_k| is bounded without a node: u_k = (u_{k-1} / q_{k-1} + tau) / d_k is
@@ -512,11 +509,10 @@ def _tail_plan(tree: _Tree, depth: int, xmax: float):
         if k <= level:
             continue
         top = max(abs(lo), abs(hi))
-        if k > last_label and d * (top + xmax / _to_float(d * scales.rho[k])) <= LOG_SERIES_THETA:
+        if k > last_label and d * (top + xmax / _to_float(d * scales.rho[k])) <= SERIES_THETA:
             ks = range(k, depth + 1)
             ms, ts = [scales.d[j] for j in ks], [scales.rho[k] / scales.rho[j] for j in ks]
-            return explicit, _Series(k, float(log_series_coefficients(ms, ts)[0]), ms, ts,
-                                     xmax / _to_float(scales.rho[k]), d * top)
+            return explicit, _Series(k, *root_series(ms, ts), xmax / _to_float(scales.rho[k]), d * top)
         subs = _sub_levels(scales, k)
         explicit.append((k, _taylor_degree(sum(_rate(f, scale) for f, _, scale in subs)), subs))
     return explicit, None
@@ -624,7 +620,7 @@ def _times_roots(tree: _Tree, t: int, kernel: HSqTables, v: np.ndarray, dv: int)
     (:func:`~.fourier.signed_root_taylor`), so the square of a product of them past the
     walk is the product of those factors, within 2^-60 by :func:`_taylor_degree` of the
     rate."""
-    roots = signed_root_taylor(_root_angles(kernel, slice(None)), 1.0 / tree.scale[t], dv)
+    roots = signed_root_taylor(_root_angles(kernel), 1.0 / tree.scale[t], dv)
     return _poly_mul(v[:, None, :], roots.reshape(dv + 1, tree.radix[t], -1), dv).reshape(dv + 1, -1)
 
 
@@ -651,60 +647,58 @@ def _group_levels(tree: _Tree, group: _Group, first: int, whole, dv: int):
     return v, u, lam
 
 
+def _root_product(root: np.ndarray, rest: np.ndarray, r: np.ndarray, minus: np.ndarray,
+                degree: int | None = None):
+    """(R r, 1 - R r) from (R, 1 - R) = (``root``, ``rest``) and (r, 1 - r) = (``r``,
+    ``minus``), as coefficient rows of polynomials in xi through ``degree`` (all of them by
+    default), ``rest`` no longer than ``root``: 1 - R r = (1 - R) + (1 - r) R, so that where
+    both complements keep their constant terms without cancellation, so does theirs.  The
+    one product rule of the completeness tail."""
+    out = _poly_mul(minus, root, degree)
+    out[:len(rest)] += rest
+    return _poly_mul(r, root, degree), out
+
+
 def _tail_roots(d: int, degree: int, subs, u: np.ndarray):
     """(R, 1 - R) of an explicit tail level of d digits, sub-levels ``subs``
     (:func:`_sub_levels`) and signed-root degree ``degree`` (:func:`_tail_plan`) over
     the nodes of reduced sums ``u``, as Taylor polynomials in xi: R = prod_j R_j, R_j
-    the signed root of H_{f_j} (:func:`~.fourier.signed_root_taylor`), and
-    1 - R = sum_j (1 - R_j) prod_{i<j} R_i, each 1 - R_j with its constant term from
-    :func:`~.fourier.root_complement`, so that nothing cancels.  Both read one
-    :func:`~.fourier._root_angles` pass per sub-level table.  No node branches in the
-    tail, so the split holds whatever the labels."""
+    the signed root of H_{f_j} (:func:`~.fourier.signed_root_taylor`), multiplied in by
+    :func:`_root_product`, each 1 - R_j with its constant term from
+    :func:`~.fourier.root_complement`.  Both read one :func:`~.fourier._root_angles` pass
+    per sub-level table.  No node branches in the tail, so the split holds whatever the
+    labels."""
     # -0.0 + x is x for every x, a signed zero too: a prime d gives its one R and 1 - R
     root, rest = np.ones((1, len(u))), np.full((1, len(u)), -0.0)
     for f, sub, scale in subs:
-        angles = _root_angles(H_sq_tables(f, (d // sub) * u), slice(None))
+        angles = _root_angles(H_sq_tables(f, (d // sub) * u))
         r = signed_root_taylor(angles, 1.0 / scale, degree)
         minus = -r
         minus[0] = root_complement(angles)
-        rest = rest + _poly_mul(minus, root, degree)
-        root = _poly_mul(r, root, degree)
+        root, rest = _root_product(root, rest, r, minus, degree)
     return root, rest
 
 
 def _tail_polynomials(scales: _Scales, explicit, series: _Series | None, us, count: int):
     """(T - 1, sqrt(T)) over ``count`` nodes by the plan of :func:`_tail_plan`, from
     their reduced sums ``us`` of :func:`_tail_inputs`, as coefficient rows of
-    polynomials in xi.  The series gives T - 1 = expm1(A_0) + e^(A_0) (E - 1) and
-    sqrt(T) = e^(A_0 / 2) E', E and E' of :func:`~.fourier.exp_series_taylor` in
-    eps = xi / rho_k0, to the degree of :func:`~.fourier.exp_series_degree` for these
-    nodes.  Each explicit level multiplies in its |H_{d_k}|^2 = R^2, R and 1 - R from
-    :func:`_tail_roots`, by R^2 T - 1 = R^2 (T - 1) - (1 - R)(1 + R), where 1 - R keeps
-    its constant term without cancellation: T - 1 is formed without cancellation."""
+    polynomials in xi.  sqrt(T) is a product of signed roots: the series gives its
+    1 - sqrt(T) as the table of :meth:`_Series.table` in eps = xi / rho_k0, and each
+    explicit level multiplies in its R and 1 - R of :func:`_tail_roots` by the rule of
+    :func:`_root_product`.  So 1 - sqrt(T) keeps its constant term without cancellation, and
+    so does T - 1 = -(1 - sqrt(T)) (1 + sqrt(T))."""
     if series is None:
-        tail_m1, root = np.zeros((1, count)), np.ones((1, count))
+        root, rest = np.ones((1, count)), np.full((1, count), -0.0)
     else:
-        y0 = scales.d[series.k0] * us[-1]
-        table = series.table(y0)
-        degree = exp_series_degree(table, y0, series.e, series.c1)
-        inv = 1.0 / _to_float(scales.rho[series.k0])
-        tail_m1, root = exp_series_taylor(table, degree)
-        scale = inv ** np.arange(degree + 1)[:, None]
-        # one expm1: e^(A_0) = 1 + expm1(A_0) and e^(A_0 / 2) its root, within rounding
-        gap = np.expm1(table[0])
-        tail_m1 *= scale
-        tail_m1 *= gap + 1.0
-        tail_m1[0] = gap
-        root *= scale
-        root *= np.sqrt(gap + 1.0)
+        rest = series.table(scales.d[series.k0] * us[-1])
+        rest *= (1.0 / _to_float(scales.rho[series.k0])) ** np.arange(len(rest))[:, None]
+        root = -rest
+        root[0] += 1.0
     for (k, degree, subs), v in zip(explicit, us):
-        r, minus = _tail_roots(scales.d[k], degree, subs, v)
-        plus = r.copy()
-        plus[0] += 1.0
-        tail_m1 = _poly_mul(_poly_mul(r, r), tail_m1)
-        tail_m1[:2 * len(r) - 1] -= _poly_mul(minus, plus)
-        root = _poly_mul(r, root)
-    return tail_m1, root
+        root, rest = _root_product(root, rest, *_tail_roots(scales.d[k], degree, subs, v))
+    plus = root.copy()
+    plus[0] += 1.0
+    return -_poly_mul(rest, plus), root
 
 
 def _cell_polynomials(deep_v: np.ndarray, tail_m1: np.ndarray, root_tail: np.ndarray, lam: np.ndarray):
@@ -713,7 +707,7 @@ def _cell_polynomials(deep_v: np.ndarray, tail_m1: np.ndarray, root_tail: np.nda
     V sqrt(T) at xi = 1/4.  The constant term of r is |r(0)|: where it disagrees with
     that sign it is the rounding of a zero at xi = 0, such as cos(pi / 2) = 6e-17, and
     keeps its size."""
-    sign = np.where(eval_log_series_taylor(deep_v, 0.25) * eval_log_series_taylor(root_tail, 0.25) < 0.0,
+    sign = np.where(eval_taylor(deep_v, 0.25) * eval_taylor(root_tail, 0.25) < 0.0,
                     -1.0, 1.0)
     square = _poly_mul(deep_v, deep_v)
     yield square
@@ -764,10 +758,13 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     in [0, 1/2] needs more, and a deeper tail only shrinks the truncation error each
     radius bounds.  Each input is formed once per check: lambda and the reduced sums
     u by the tree's one label walk (:meth:`_Tree.descend`), the tail's levels,
-    degrees and sub-levels from bounds of u (:func:`_tail_plan`), its reduced sums
-    from u (:func:`_tail_inputs`), and the angles of each sub-level table of an
-    explicit tail level by one pass, which the signed root and its complement share
-    (:func:`_tail_roots`).
+    degrees and sub-levels, and the series' coefficients, from bounds of u
+    (:func:`_tail_plan`), its reduced sums from u (:func:`_tail_inputs`), and the
+    angles of each sub-level table of an explicit tail level by one pass, which the
+    signed root and its complement share (:func:`_tail_roots`).  A sub-level H_f,
+    f >= 5, of an explicit tail level takes f // 2 rows of angles over every
+    level-l_max node; where those rows times the nodes exceed ``budget`` the check
+    raises BudgetExceededError before it tabulates any.
 
     *The split.*  The grid walks the tree in tiles (:meth:`_Tree.tiles`) to a
     tree level s (:func:`_walk_depth`), whose products W_j over its P_s nodes j
@@ -776,11 +773,14 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     (:func:`~.fourier.signed_root_taylor`) of the degree dv at which the majorant
     remainder of the product of the factors past s is at most 2^-60
     (:func:`_taylor_degree`).  Their product V_i, parent by child
-    (:func:`_times_roots`), is a polynomial per level-l_max node i, and so are T - 1
-    and sqrt(T)
-    (:func:`_tail_polynomials`): the explicit tail levels as products of the signed
-    roots of their sub-levels, by the rule of the tree (:func:`_sub_levels`), the
-    series as the power series exp of its Taylor table, each to 2^-60.
+    (:func:`_times_roots`), is a polynomial per level-l_max node i, and so is the
+    tail's signed root sqrt(T) (:func:`_tail_polynomials`), a product of signed roots
+    too: of the sub-levels of each explicit tail level, by the rule of the tree
+    (:func:`_sub_levels`), and of the series levels, one power series in y^2 formed
+    once per check (:func:`~.fourier.root_series`) whose 1 - sqrt(T) is tabulated per
+    node (:meth:`_Series.table`), each to 2^-60.  They multiply by one rule
+    (:func:`_root_product`), which keeps 1 - sqrt(T) free of cancellation, and
+    T - 1 = -(1 - sqrt(T)) (1 + sqrt(T)).
     *The sign.*  Every frequency is an integer, so a factor vanishes only where
     xi + lambda is a multiple of D_{j-1} rho_n, at integer xi: on (0, 1/2] each
     V_i sqrt(T_i) keeps one sign, read from the polynomials at xi = 1/4 (at
@@ -849,16 +849,20 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     # reach and truncation_target are monotone, so one search at B + 1/2
     depth, _ = scales.reach(truncation_target(_to_float(bound) + 0.5, tol))
     explicit, series = _tail_plan(tree, depth, 0.5)
-    # the degrees of the tail polynomials T - 1 and sqrt(T), for the walk depth: the
-    # series' de at the largest |y0|, and the explicit levels' dx
-    de = 0
+    for k, _, subs in explicit:
+        # a sub-level H_f, f >= 5, takes f // 2 rows of angles over every node
+        rows = sum(f // 2 for f, _, _ in subs if f >= 5)
+        if rows * tree.size[-1] > budget:
+            raise BudgetExceededError(f"tail level {k} needs {rows} rows of angles over {tree.size[-1]} "
+                                      f"nodes, over the budget of {budget}", required=rows * tree.size[-1])
+    # the degree of the tail polynomial sqrt(T), for the walk depth: the series table's at
+    # the largest |y0| and the explicit levels'; T - 1 has twice it
+    degree = sum(degree for _, degree, _ in explicit)
     if series is not None:
-        y0 = np.array([series.top])
-        de = exp_series_degree(series.table(y0), y0, series.e, series.c1)
-    dx = sum(degree for _, degree, _ in explicit)
+        degree += len(series.table(np.array([series.top]))) - 1
     blocks = _blocks(scales, l_max)
     starts, ends = [a for a, _ in blocks], [b for _, b in blocks]
-    walk, dv = _walk_depth(tree, l_max, ends, de + 2 * dx, de + dx)
+    walk, dv = _walk_depth(tree, l_max, ends, 2 * degree, degree)
     width = tree.size[walk]
     height = ends[-1] // width
     # node i = j + q width sums into cell (row, j): row 0 for q = 0, else the row of the
@@ -874,7 +878,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     # least through the walk; past it each group of columns is walked alone.  The last
     # block, the nodes whose last digit is nonzero, sums apart from the rest of its group,
     # as the small y0 of the other blocks would raise the degree of its tail
-    # (:func:`~.fourier.exp_series_degree`).  Each part holds about half a slice of nodes
+    # (:func:`~.fourier.root_series_taylor`).  Each part holds about half a slice of nodes
     # or fewer, so that its polynomials, up to about twenty coefficient rows, keep the
     # peak memory near the tiles'
     chunk = max(1, _SLICE // 2)
@@ -884,7 +888,8 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     parts = [(0, len(runs) - 1), (len(runs) - 1, len(runs))] if len(runs) > 1 else [(0, 1)]
     bounds = runs + [height]
     columns = max(1, chunk // (height - bounds[parts[-1][0]]))
-    tables = np.zeros((4, 0, len(runs), width))  # per kind "vgsl" and coefficient, the cells
+    # per kind "vgsl", per coefficient the cells, each kind with rows to its own degree
+    tables = [np.zeros((0, len(runs), width)) for _ in "vgsl"]
     stats = np.zeros((4, len(runs), width))  # per cell the least, largest and sum of lambda, and of lambda^2
     reducers = (np.minimum, np.maximum, np.add, np.add)
     for j in range(0, width, columns):
@@ -898,9 +903,9 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
             sums = _cell_sums(scales, explicit, series, [v[nodes] for v in us], deep_v[:, nodes], lam[nodes],
                               np.subtract(runs[a:b], runs[a]), size)
             for kind, cell in enumerate(sums):
-                if len(cell) > tables.shape[1]:
-                    tables = np.pad(tables, ((0, 0), (0, len(cell) - tables.shape[1]), (0, 0), (0, 0)))
-                tables[kind, :len(cell), a:b, cells] = cell
+                if len(cell) > len(tables[kind]):
+                    tables[kind] = np.pad(tables[kind], ((0, len(cell) - len(tables[kind])), (0, 0), (0, 0)))
+                tables[kind][:len(cell), a:b, cells] = cell
         lam = lam.reshape(height, -1)
         for moment, reduce, values in zip(stats, reducers, (lam, lam, lam, lam * lam)):
             moment[:, cells] = reduce.reduceat(values, runs, axis=0)
@@ -927,11 +932,11 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
             weight = w if kind in "vg" else root_w
             # row 0 splits by the blocks of j; each later row is one block, weighted
             # over j first: sum_k xi^k sum_j w_j c_kj, one row at a time in einsum
-            head = eval_log_series_taylor(table[:, 0], column[span])
+            head = eval_taylor(table[:, 0], column[span])
             head *= weight
             out[kind][span, :len(heads)] = np.add.reduceat(head, heads, axis=1)
             moments = np.einsum("kbj,rj->krb", table[:, 1:], weight)
-            out[kind][span, past] += eval_log_series_taylor(moments, column[span])
+            out[kind][span, past] += eval_taylor(moments, column[span])
     sums, signed, lin = out["v"] + out["g"], out["s"], out["l"]
     gaps = -out["g"].sum(axis=1)
     # Q_L = 1 - G_L, G_L = G_{l_max} + sum_{n>L} S_n

@@ -495,8 +495,24 @@ def test_partition_level_over_budget_exits_2(tmp_path, capsys):
     assert not (out / "partition.csv").exists()
 
 
+@pytest.mark.parametrize("d, required", [(1021, None), (4093, 8374278)])
+def test_completeness_budgets_the_angles_of_a_prime_tail_level(tmp_path, capsys, d, required):
+    # the explicit tail level 2 of (2d, d) at L = 1 is one H_d sub-level, whose (d - 1) / 2
+    # rows of angles span every level-1 node: 2046 x 4093 entries pass the default budget
+    # of 10^6, and the check exits 2 before it tabulates any; 510 x 1021 stay within it
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"kind": "constant", "b": 2 * d, "d": d}))
+    out = tmp_path / "o"
+    code = run(["completeness", "--pair", str(pair), "--level", "1", "--out", str(out)])
+    if required is None:
+        assert code == 0
+    else:
+        assert code == 2 and f"(required: {required})" in capsys.readouterr().err
+        assert not (out / "completeness.csv").exists()
+
+
 def test_cli_import_does_not_load_mpmath():
-    # mpmath is a test extra; the series coefficients are literals
+    # mpmath is a test extra; the series coefficients come from exact fractions
     code = "import sys, cantorspec.cli; sys.exit('mpmath' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -15,11 +15,10 @@ from cantorspec import (FilterCertificationError, FilterFamily, constant_pair,
                         eval_H_sq_array, filter_family_from_config, mu_hat,
                         mu_hat_array, mu_hat_exact_zero, pair_from_config,
                         phi_hat, qmf_check, uniform_family)
-from cantorspec.fourier import (LOG_SERIES_THETA, _UNIFORM_WINDOW_BOUND, _ZETA_OVER_J,
-                                H_sq_tables, _H_sq_direct,
-                                eval_filter, eval_H_sq_tables, log_H_sq_array, log_H_sq_series,
-                                eval_log_series_taylor, log_series_coefficients,
-                                log_series_remainder_bounds, log_series_taylor)
+from cantorspec.fourier import (SERIES_THETA, _UNIFORM_WINDOW_BOUND, H_sq_tables, _H_sq_direct,
+                                eval_filter, eval_H_sq_tables, eval_taylor, root_series,
+                                root_series_taylor, series_remainder_bounds)
+from log_reference import ZETA_OVER_J, log_H_sq_array, log_H_sq_series
 
 
 def kernel_by_summation(m, xi):
@@ -331,8 +330,6 @@ def test_table_kernel_rows_equal_one_call_per_row():
         assert rows.shape == (len(a), len(us))
         for x, row in zip(a, rows):
             assert np.array_equal(row, eval_H_sq_tables(t, [x])[0]), (m, x)
-        part = eval_H_sq_tables(t, a, slice(100, 250))
-        assert np.array_equal(part, rows[:, 100:250])
 
 
 def test_table_kernel_array_argument_equals_list_and_rows():
@@ -378,7 +375,7 @@ def test_log_H_sq_array_matches_mpmath_random(m, s):
     # logarithm by more than 1e-14 of itself, and from s so small that the
     # logarithm, about -3.3 (m^2 - 1) s^2, underflows the double range
     ms = m * s
-    assume(abs(ms) <= LOG_SERIES_THETA or abs(ms - round(ms)) >= 0.05)
+    assume(abs(ms) <= SERIES_THETA or abs(ms - round(ms)) >= 0.05)
     assume(abs(s) >= 1e-150)
     assert_log_kernel_close(m, s)
 
@@ -393,7 +390,7 @@ def test_log_H_sq_array_is_zero_at_integers():
     ([4, 8, 16], [1.0, 1 / 16, 1 / 16 / 64]),                      # growing digit counts
 ])
 def test_log_H_sq_series_sums_the_levels(ms, ts):
-    for y in (1e-9, 0.01, 0.2, LOG_SERIES_THETA):
+    for y in (1e-9, 0.01, 0.2, SERIES_THETA):
         got = log_H_sq_series(ms, ts, np.array([y, -y]))
         with mp.workdps(30):
             want = sum(log_H_sq_mpmath(m, mp.mpf(t) * y / m) for m, t in zip(ms, ts))
@@ -403,38 +400,77 @@ def test_log_H_sq_series_sums_the_levels(ms, ts):
 def test_zeta_literals_match_mpmath():
     # correctly rounded: within half an ulp
     with mp.workdps(40):
-        for j, value in enumerate(_ZETA_OVER_J, start=1):
+        for j, value in enumerate(ZETA_OVER_J, start=1):
             assert abs(mp.mpf(value) - mp.zeta(2 * j) / j) <= math.ulp(value) / 2, j
 
 
-def test_series_remainder_below_2_pow_60():
-    # the docstring's bound on the dropped terms j > J, relative to the sum
-    with mp.workdps(40):
-        big_j, theta = len(_ZETA_OVER_J), mp.mpf(LOG_SERIES_THETA)
-        bound = (4 / (3 * mp.zeta(2)) * mp.zeta(2 * big_j + 2) / (big_j + 1)
-                 * theta ** (2 * big_j) / (1 - theta ** 2))
-        assert bound <= mp.mpf(2) ** -60
-        # and the remainder itself, at |m s| = theta, with the exact coefficients
-        for m in (2, 3, 16, 2 ** 20):
-            s = theta / m
-            exact = log_H_sq_mpmath(m, s)
-            series = -2 * sum(mp.zeta(2 * j) / j * ((m * s) ** (2 * j) - s ** (2 * j))
-                              for j in range(1, big_j + 1))
-            assert abs(series - exact) <= bound * abs(exact), m
+def root_mpmath(ms, ts, y):
+    """Oracle: prod_k R_{m_k}(t_k y / m_k), R_m(s) = sin(pi m s) / (m sin(pi s)), with y and
+    each t_k taken exactly, at 50 digits."""
+    with mp.workdps(50):
+        root = mp.mpf(1)
+        for m, t in zip(ms, ts):
+            s = mp.mpf(t) * mp.mpf(y) / m
+            if s:
+                root *= mp.sin(mp.pi * m * s) / (m * mp.sin(mp.pi * s))
+        return root
+
+
+ROOT_SERIES_CASES = [
+    ([2] * 20, [8.0 ** -k for k in range(20)]),                    # (4, 2) past one level
+    ([3] * 12, [27.0 ** -k for k in range(12)]),                   # (9, 3)
+    ([4, 8, 16], [1.0, 1 / 16, 1 / 16 / 64]),                      # growing digit counts
+    ([5] * 10, [25.0 ** -k for k in range(10)]),                   # (25, 5): an odd m >= 5
+    ([2 ** 14, 2 ** 17], [1.0, 2.0 ** -17]),                       # alpha_one's d_5, d_6
+    ([2 ** 20, 10 ** 400], [1.0, 2.0 ** -1100]),                   # past the double range
+]
+
+
+@pytest.mark.parametrize("ms, ts", ROOT_SERIES_CASES)
+def test_root_series_matches_mpmath(ms, ts):
+    # 1 - sqrt(T) from the coefficients, one Horner pass in y^2, within 1e-14 of itself
+    coefficients, _ = root_series(ms, ts)
+    for y in (1e-9, 0.01, 0.2, SERIES_THETA):
+        got = eval_taylor([0.0, *-coefficients[1:]], np.array([y, -y]) ** 2)
+        want = 1 - root_mpmath(ms, ts, y)
+        assert np.all(np.abs(got - float(want)) <= 1e-14 * abs(want)), (y, got, want)
+
+
+@pytest.mark.parametrize("ms, ts", ROOT_SERIES_CASES)
+def test_root_series_truncation_below_2_pow_62(ms, ts):
+    # the docstring's majorant bound on the dropped terms n > N is at most 2^-62 of low
+    # theta^2 at |y| = theta, low theta^2 is at most 1 - sqrt(T(theta)), and the dropped
+    # terms themselves, against the exact product, are within that bound
+    coefficients, low = root_series(ms, ts)
+    big_n = len(coefficients) - 1
+    with mp.workdps(50):
+        theta = mp.mpf(SERIES_THETA)
+        h = theta * sum(mp.pi * (m - 1) * mp.mpf(t) / m for m, t in zip(ms, ts))
+        bound = h ** (2 * big_n + 2) * mp.exp(h) / mp.factorial(2 * big_n + 2)
+        assert bound <= mp.mpf(2) ** -62 * low * theta ** 2
+        assert big_n <= 14
+        for y in (theta, theta / 3, mp.mpf(0.01)):
+            rest = 1 - root_mpmath(ms, ts, y)
+            assert low * y ** 2 <= rest * (1 + mp.mpf(2) ** -50), y
+            series = sum(mp.mpf(float(c)) * y ** (2 * n) for n, c in enumerate(coefficients))
+            # the coefficients are rounded; the truncation alone is the bound
+            assert abs(1 - series - rest) <= bound + 1e-15 * rest, y
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 5])
 def test_eval_log_series_taylor_is_one_horner_pass_per_entry(degree):
+    # the one Horner pass, eval_taylor (the test keeps the name it had when the pass
+    # evaluated the logarithm of the tail)
     # bit for bit the scalar Horner pass A_p, then acc eps + A_i, for a scalar
     # eps and for each row of a column of eps; degree 0 returns A_0 itself
     rng = np.random.default_rng(degree)
     table = rng.uniform(-1, 1, size=(degree + 1, 7))
     table[:, 0] = -0.0
     eps = [0.0, 0.013, -0.2]
-    by_column = eval_log_series_taylor(table, np.array(eps)[:, None])
+    by_column = eval_taylor(table, np.array(eps)[:, None])
     assert by_column.shape == (3, 7)
     for x, row in zip(eps, by_column):
-        for got in (row, eval_log_series_taylor(table, x)):
+        for got in (row, eval_taylor(table, x)):
             for k, value in enumerate(got):
                 want = table[-1, k]
                 for coefficient in table[-2::-1, k]:
@@ -448,17 +484,16 @@ def series_tables(draw):
     # [-theta, theta] with perhaps a zero, and e below the least nonzero |y0|
     m, q = draw(st.sampled_from([2, 3, 4, 8])), draw(st.sampled_from([2, 3]))
     ts = [float(m * q) ** -k for k in range(draw(st.integers(1, 20)))]
-    y0 = draw(st.lists(st.floats(-LOG_SERIES_THETA, LOG_SERIES_THETA), min_size=1, max_size=5))
+    y0 = draw(st.lists(st.floats(-SERIES_THETA, SERIES_THETA), min_size=1, max_size=5))
     nonzero = [abs(y) for y in y0 if y]
     e = draw(st.floats(0.0, 0.9)) * min(nonzero) if nonzero else draw(st.floats(0.0, 0.1))
     return [m] * len(ts), ts, np.array(y0), e
 
 
-def remainder_bounds_by_loop(c, y0, e):
-    """Oracle: the bounds of log_series_remainder_bounds from its scalar double
+def remainder_bounds_by_loop(ratio, y0, e):
+    """Oracle: the bounds of series_remainder_bounds from its scalar double
     loop over j and the degrees i <= 2j, the terms of one i added in order of j."""
-    big_j = len(c)
-    ratio = np.asarray(c, dtype=float) / c[0]
+    big_j = len(ratio)
     terms = [0.0] * (2 * big_j + 2)
     y = np.abs(np.asarray(y0, dtype=float))
     nonzero = y[y > 0]
@@ -485,24 +520,28 @@ def remainder_bounds_by_loop(c, y0, e):
 @given(series_tables())
 @settings(deadline=None, max_examples=200)
 def test_log_series_remainder_bounds_equal_the_scalar_loop(args):
-    # the term table summed along j row after row is the loop, bit for bit,
-    # and so is every Taylor degree chosen from it
+    # series_remainder_bounds on the root series' |c_n| / low (the test keeps the name it had
+    # when the series was the logarithm's): the term table summed along j row after row is
+    # the loop, bit for bit, and so is every Taylor degree chosen from it
     ms, ts, y0, e = args
-    c = log_series_coefficients(ms, ts)
-    assert np.array_equal(log_series_remainder_bounds(c, y0, e), remainder_bounds_by_loop(c, y0, e))
+    coefficients, low = root_series(ms, ts)
+    ratio = np.abs(coefficients[1:]) / low
+    assert np.array_equal(series_remainder_bounds(ratio, y0, e), remainder_bounds_by_loop(ratio, y0, e))
 
 
 @given(series_tables())
 @settings(deadline=None, max_examples=80)
 def test_log_series_remainder_bounds_hold(args):
     # |F(y0 + eps) - sum_{i<=p} A_i eps^i| <= B_p |F(y0 + eps)| for every p, with
-    # F = -sum_j c_j y^(2j) and its Taylor coefficients A_i exact in mpmath; the
-    # tabulated A_0..A_p are these to rounding, and B_p <= 2^-60 at their degree.
-    # B_p is a float: below the double range it reads 0, hence the 1e-300
+    # F = 1 - sqrt(T) = sum_j c_j y^(2j), c_j = -S_j of the root series, and its Taylor
+    # coefficients A_i exact in mpmath; the tabulated A_0..A_p are these to rounding, and
+    # B_p <= 2^-60 at their degree.  B_p is a float: below the double range it reads 0,
+    # hence the 1e-300
     ms, ts, y0, e = args
-    c = log_series_coefficients(ms, ts)
-    bounds = log_series_remainder_bounds(c, y0, e)
-    table = log_series_taylor(ms, ts, y0, e)
+    coefficients, low = root_series(ms, ts)
+    c = -coefficients[1:]
+    bounds = series_remainder_bounds(np.abs(c) / low, y0, e)
+    table = root_series_taylor(coefficients, low, y0, e)
     degree = len(table) - 1
     assert bounds[degree] <= 2.0 ** -60 and (degree == 0 or bounds[degree - 1] > 2.0 ** -60)
     big = 2 * len(c)
@@ -510,12 +549,12 @@ def test_log_series_remainder_bounds_hold(args):
         cs = [mp.mpf(float(v)) for v in c]
         for k, y in enumerate(y0):
             powers = [mp.mpf(y) ** n for n in range(big + 1)]
-            taylor = [-sum(cj * math.comb(2 * j, i) * powers[2 * j - i]
+            taylor = [sum(cj * math.comb(2 * j, i) * powers[2 * j - i]
                            for j, cj in enumerate(cs, start=1) if 2 * j >= i) for i in range(big + 1)]
             for i in range(degree + 1):
                 assert abs(table[i][k] - taylor[i]) <= 1e-14 * abs(taylor[i]) + 1e-300, (i, k)
             for eps in (mp.mpf(e), -mp.mpf(e), mp.mpf(e) / 3):
-                value = sum(cj * (powers[1] + eps) ** (2 * j) for j, cj in enumerate(cs, start=1))
+                value = abs(sum(cj * (powers[1] + eps) ** (2 * j) for j, cj in enumerate(cs, start=1)))
                 remainder = mp.mpf(0)
                 for p in range(big, -1, -1):  # remainder = sum_{i>p} A_i eps^i
                     if math.isfinite(bounds[p]):

@@ -17,9 +17,9 @@ from cantorspec import (BudgetExceededError, FilterFamily, TreeMapping, canonica
 from cantorspec import (default_depth, exact_mean, fourier, hausdorff_dim_formula, pair_from_config,
                         sample_measure, verify)
 from cantorspec.core import _to_float
-from cantorspec.fourier import (LOG_SERIES_THETA, TWO_PI, H_sq_tables, eval_filter,
-                                eval_H_sq_tables, eval_log_series_taylor, log_H_sq_array,
-                                log_H_sq_series, truncation_target)
+from cantorspec.fourier import (SERIES_THETA, TWO_PI, H_sq_tables, eval_filter,
+                                eval_H_sq_tables, eval_taylor, truncation_target)
+from log_reference import log_H_sq_array, log_H_sq_series
 
 MU42 = constant_pair(4, 2)
 MU93 = constant_pair(9, 3)
@@ -502,8 +502,8 @@ def test_an_explicit_tail_level_runs_one_pass_per_prime_sub_level(monkeypatch):
         subs.append(k)
         return sub_levels_of(scales, k, *args)
 
-    def root_angles(t, nodes):
-        angles = root_angles_of(t, nodes)
+    def root_angles(t):
+        angles = root_angles_of(t)
         if active:
             tails[-1][1].append((t, len(angles[1])))  # the tables stay alive, so ids are unique
         return angles
@@ -595,17 +595,17 @@ def test_deep_products_keep_one_sign_on_the_window(case, xis):
     if case not in SIGN_PRODUCTS:
         SIGN_PRODUCTS[case] = deep_products(*SIGN_CASES[case])
     v, tree, walk = SIGN_PRODUCTS[case]
-    quarter = eval_log_series_taylor(v, 0.25)
-    values = eval_log_series_taylor(v, np.array(xis)[:, None])
+    quarter = eval_taylor(v, 0.25)
+    values = eval_taylor(v, np.array(xis)[:, None])
     assert np.all(np.sign(values) == np.sign(quarter))
     end = len(tree.size) - 1
     for xi, got in zip(xis, values):
         want = np.ones(1)
         for t in range(walk + 1, end + 1):
             kernel = tree.kernels[t - 1]
-            angles = verify._root_angles(kernel, slice(None))
+            angles = verify._root_angles(kernel)
             root = verify.signed_root_taylor(angles, 1.0 / tree.scale[t], 12)
-            want = (want[None, :] * eval_log_series_taylor(root, xi).reshape(tree.radix[t], -1)).ravel()
+            want = (want[None, :] * eval_taylor(root, xi).reshape(tree.radix[t], -1)).ravel()
         assert np.max(np.abs(got - want)) <= 1e-15, (case, xi)
 
 
@@ -824,7 +824,7 @@ def child_major_weights(tm, level, xi, filters):
 def child_major_log_tail(scales, xi, u, start, level, depth, deep):
     """Oracle: the per-xi tail that preceded the tail tables, log prod |H_{d_k}(s_k)|^2
     over level < k <= depth: explicit while table labels remain or max |d_k s_k| >
-    LOG_SERIES_THETA, then one series in s_k0 for the rest, from scratch per xi."""
+    SERIES_THETA, then one series in s_k0 for the rest, from scratch per xi."""
     log_t = np.zeros(len(u))
     for k in range(level + 1, depth + 1):
         d = scales.d[k]
@@ -835,7 +835,7 @@ def child_major_log_tail(scales, xi, u, start, level, depth, deep):
             u[index[inside]] += deep[k][1][inside]
         u /= d
         s = xi / _to_float(d * scales.rho[k]) + u
-        if k > max(deep, default=0) and d * float(np.max(np.abs(s))) <= LOG_SERIES_THETA:
+        if k > max(deep, default=0) and d * float(np.max(np.abs(s))) <= SERIES_THETA:
             ks = range(k, depth + 1)
             return log_t + log_H_sq_series([scales.d[j] for j in ks],
                                            [scales.rho[k] / scales.rho[j] for j in ks], d * s)
@@ -1022,7 +1022,10 @@ TAIL_PAIRS = {"mu42": canonical_tau(MU42), "mu93": canonical_tau(MU93),
     if word_count(tm.pair, level) <= 10**6] + [
     ("mu42+tree_deviation", 1), ("stacked82", 1), ("stacked82", 2)])  # explicit levels
 def test_tail_tables_match_per_xi_log_tail(name, level):
-    # within 4 ulp relative of the per-xi tail at the same depth, on every node
+    # T - 1 of the tail polynomials within 6 ulp relative of expm1 of the per-xi log-domain
+    # tail at the same depth, on every node: the log-domain reference itself is within about
+    # 4 ulp (its sum of logarithms per level), the tail polynomials within 2.  sqrt(T) is
+    # the root of 1 + (T - 1) to rounding
     tm, grid = TAIL_PAIRS[name], [0.0, 1 / 64, 0.3, 0.5]
     scales, us, lam, _, deep = child_major_tree(tm, level)
     tree = verify._Tree(tm, verify._Scales(tm.pair), level, uniform_family(tm.pair))
@@ -1036,18 +1039,13 @@ def test_tail_tables_match_per_xi_log_tail(name, level):
         # the plan's bound of |y0|, the largest itself with canonical labels
         top = float(np.max(np.abs(y0)))
         assert series.top == top if not tm.table else series.top >= top
+    tail_m1, root = verify._tail_polynomials(tree.scales, explicit, series, reduced, len(lam))
     for xi in grid:
-        # the explicit levels' logarithms, then one Horner pass of the series table
-        got = np.zeros(len(lam))
-        if series is not None:
-            eps = xi / _to_float(tree.scales.rho[series.k0])
-            got += eval_log_series_taylor(series.table(y0), eps)
-        for (k, *_), u in zip(explicit, reduced):
-            d = tree.scales.d[k]
-            got += log_H_sq_array(d, xi / _to_float(d * tree.scales.rho[k]) + u)
-        want = to_digit_major(child_major_log_tail(scales, xi, us[-1], 0, level, depth, deep),
-                              scales, level)
-        assert np.all(np.abs(got - want) <= 4 * 2.0 ** -52 * np.abs(want)), xi
+        got, got_root = eval_taylor(tail_m1, xi), eval_taylor(root, xi)
+        want = np.expm1(to_digit_major(child_major_log_tail(scales, xi, us[-1], 0, level, depth, deep),
+                                       scales, level))
+        assert np.all(np.abs(got - want) <= 6 * 2.0 ** -52 * np.abs(want)), xi
+        assert np.all(np.abs(got_root ** 2 - (1.0 + got)) <= 4 * 2.0 ** -52), xi
 
 
 @pytest.mark.parametrize("b, d", [([4, 1], [2, 1]), ([4, 4], [2, 1])])
