@@ -349,7 +349,8 @@ _FLAGS = {
     "seed": (_checked(int, lambda v: 0 <= v < 2**64, "in [0, 2^64)"), "random seed"),
     "budget": (_POSITIVE, "enumeration budget (words / elements / intervals)"),
     "draws": (_POSITIVE, "number of seeded random xi draws"),
-    "count": (_POSITIVE, "Monte-Carlo sample count"),
+    # sample's 5-sigma band is the samples' own standard deviation, 0 for one sample
+    "count": (_checked(int, lambda v: v >= 2, ">= 2"), "Monte-Carlo sample count"),
 }
 
 _CHECKS = {
@@ -428,6 +429,10 @@ def main(argv=None) -> int:
     if name not in _CHECKS or extra:
         # no subcommand first, or flags it does not know: the full parser's error
         args = build_parser().parse_args(argv)
+    # exact integers and fractions are written whole, past Python's default limit on the
+    # digits of an int-to-string conversion; the caller's limit is restored after the run
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return _run(args)
     except BudgetExceededError as exc:
@@ -436,6 +441,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError, PairConstraintError and bad inputs
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

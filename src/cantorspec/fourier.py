@@ -35,7 +35,6 @@ and the completeness polynomials of :mod:`.verify` are evaluated with it.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -286,21 +285,6 @@ def root_series(ms, ts) -> tuple[np.ndarray, float]:
     return out, low
 
 
-@functools.lru_cache(maxsize=None)
-def _remainder_tables(big_j: int):
-    # for series_remainder_bounds: C(2j, i) for j = 1..J (rows) and i = 0..2J+1,
-    # and the two factors of power_ji as indices into (e^0..e^2J, Y^0..Y^2J, 1, r, r^2, 0):
-    # e^i Y^(2j-2-i) for 0 < i <= 2j-2, e^(2j-2) r^(i-2j+2) for i = 2j-1, 2j, else 0
-    j, i = np.arange(1, big_j + 1)[:, None], np.arange(2 * big_j + 2)
-    powers, zero = 2 * big_j + 1, 4 * big_j + 5
-    low, top = (i >= 1) & (i <= 2 * j - 2), (i >= 2 * j - 1) & (i <= 2 * j)
-    first = np.where(low, i, np.where(top, 2 * j - 2, zero))
-    second = np.where(low, powers + 2 * j - 2 - i, np.where(top, 2 * powers + i - 2 * j + 2, zero))
-    binomials = np.array([[math.comb(2 * k, n) for n in range(2 * big_j + 2)]
-                          for k in range(1, big_j + 1)], dtype=float)
-    return binomials, first, second
-
-
 def series_remainder_bounds(ratio: np.ndarray, y0: np.ndarray, e: float) -> np.ndarray:
     """Bounds B_p, p = 0..2J, on |R_p| / |F(y0 + eps)| over the entries y0 and |eps| <= e,
     where F(y) = sum_{j<=J} c_j y^(2j), |F(y)| >= low y^2 wherever it is read, ``ratio``
@@ -314,28 +298,27 @@ def series_remainder_bounds(ratio: np.ndarray, y0: np.ndarray, e: float) -> np.n
     written e^(2j-2) r^(i-2j+2) at the least Y (the largest r).  At y0 = 0 the
     polynomial is F(eps) itself: |R_p| / |F| <= sum_{2j>p} (|c_j| / low) e^(2j-2).  If
     r >= 1 only B_2J = 0 is stated.  The bounds are evaluated in floating point, whose
-    relative error is far below the 2^-60 they are compared with."""
+    relative error is far below the 2^-60 they are compared with: one scalar double loop
+    over j and the degrees i <= 2j, the terms of one i added in order of j."""
     big_j = len(ratio)
-    ratio = np.asarray(ratio, dtype=float)
-    terms = np.zeros(2 * big_j + 2)  # terms[i]: the part of the bound from degree i
+    terms = [0.0] * (2 * big_j + 2)  # terms[i]: the part of the bound from degree i
     y = np.abs(np.asarray(y0, dtype=float))
     nonzero = y[y > 0]
     if nonzero.size:
         y_max, y_min = float(nonzero.max()), float(nonzero.min())
         r = e / y_min
         if r >= 1.0:
-            terms[1:-1] = math.inf
+            terms[1:-1] = [math.inf] * (2 * big_j)
         else:
-            # c_j C(2j, i) power_ji summed over j one row after another: the
-            # scalar sums, bit for bit
-            binomials, first, second = _remainder_tables(big_j)
-            factors = np.array([*(x ** k for x in (e, y_max) for k in range(2 * big_j + 1)),
-                                1.0, r, r ** 2, 0.0])
-            table = ratio[:, None] * binomials
-            table *= factors[first] * factors[second]
-            terms = np.add.reduce(table, axis=0) / (1.0 - r) ** 2
+            e_pow, y_pow = ([x ** k for k in range(2 * big_j + 1)] for x in (e, y_max))
+            for j, c_j in enumerate(ratio.tolist(), start=1):
+                for i in range(1, 2 * j + 1):
+                    power = (e_pow[i] * y_pow[2 * j - 2 - i] if i <= 2 * j - 2
+                             else e_pow[2 * j - 2] * r ** (i - 2 * j + 2))
+                    terms[i] += c_j * math.comb(2 * j, i) * power
+            terms = [t / (1.0 - r) ** 2 for t in terms]
     if np.any(y == 0):
-        zero = np.zeros_like(terms)
+        zero = np.zeros(len(terms))
         zero[2:-1:2] = ratio * e ** (2 * np.arange(big_j))
         terms = np.maximum(terms, zero)
     return np.cumsum(terms[::-1])[::-1][1:]  # B_p = sum_{i>p} terms[i]

@@ -14,18 +14,20 @@ the table labels once per check; its docstring states the node order, the
 reduced label sums through which alone xi enters a level, and the sub-levels of
 a composite d_n, one per prime factor by the rule of :func:`_sub_levels`, which
 the completeness tail follows too.  xi + lambda is never rounded and no large
-integer reaches numpy.  The partition check tabulates the whole tree, and the
-products of many xi walk it depth first in tiles of at most ``_SLICE`` entries
-(:meth:`_Tree.tiles`), whose row totals at the end of a level are the partition
-sums.  Completeness walks the grid only to a tree level s: past it every level
-factor, and the tail planned once per check (:func:`_tail_plan`), is a
+integer reaches numpy.  Each check tabulates the tree by its own label walk
+(:meth:`_Tree.descend`), and the products of many xi walk the tables depth first
+in tiles of at most ``_SLICE`` entries (:meth:`_Tree.tiles`).  The partition
+check tabulates the whole tree, and its sums are the row totals at the end of
+each level.  Completeness walks the grid only to a tree level s: past it every
+level factor, and the tail planned once per check (:func:`_tail_plan`), is a
 polynomial in xi, and the terms of the nodes below each level-s node are summed
 as polynomials per block.  No array spans a whole level deeper than about half a
 slice of nodes: in digit-major order the descendants of a run of level-s nodes
-are columns of every deeper level (:class:`_Group`), and each group of them is
-walked, tabulated and summed alone (:func:`_group_levels`), so the peak memory
-stays flat in the level.  A factor vanishes only at integer xi, so each deep
-product keeps one sign on (0, 1/2], read at xi = 1/4.  :func:`completeness_Q`
+are columns of every deeper level (:class:`_Group`), and one walk
+(:func:`_group_levels`) tabulates the root group through a group level, and
+then each group of columns past it alone, so the peak memory stays flat in the
+level.  A factor vanishes only at integer xi, so each deep product keeps one
+sign on (0, 1/2], read at xi = 1/4.  :func:`completeness_Q`
 states the split, the aggregation and the certified slack from two sums per
 block.
 """
@@ -194,7 +196,8 @@ class _Group(NamedTuple):
         return q[keep] * (self.hi - self.lo) + (j[keep] - self.lo), labels[keep]
 
     def view(self, values: np.ndarray) -> np.ndarray:
-        """The group's entries of a whole-level array (its last axis), as a copy."""
+        """The group's entries of a whole-level array (its last axis), a copy unless the
+        group spans the level."""
         head = values.shape[:-1]
         return values.reshape(*head, -1, self.base)[..., self.lo:self.hi].reshape(*head, -1)
 
@@ -235,15 +238,14 @@ class _Tree:
     every level to ``level``; ``table`` keeps the labels by word length, and
     ``deep`` those past ``level``.
 
-    The tables come from the one label walk, :meth:`descend`: ``kernels[t - 1]``
-    is the :class:`HSqTables` of tree level t, or (n, u_n) on an explicit level of
-    ``filters``, for the levels 1..``upto`` (all by default).  The completeness
-    check tabulates the tree whole only to a group level, and each group past it
-    alone (:func:`_group_levels`).
+    The tree keeps only this shape.  Each check takes the tables from its own label
+    walk, :meth:`descend`, whose ``kernels[t - 1]`` is the :class:`HSqTables` of tree
+    level t, or (n, u_n) on an explicit level of ``filters``, and passes them to
+    :meth:`tiles`: the partition check tabulates the whole tree, the completeness
+    check each group of columns past a group level alone (:func:`_group_levels`).
     """
 
-    def __init__(self, tm: TreeMapping, scales: _Scales, level: int, filters: FilterFamily,
-                 upto: int | None = None):
+    def __init__(self, tm: TreeMapping, scales: _Scales, level: int, filters: FilterFamily):
         self.scales = scales.upto(level)
         self.filters, self.level = filters, level
         self.table = _table_labels(tm, self.scales, level)
@@ -262,7 +264,6 @@ class _Tree:
                 self.scale.append(scale)
                 self.size.append(sub * parents)
             self.ends.append(len(self.size) - 1)
-        self.kernels = self.descend(1, level if upto is None else upto, _ROOT, np.zeros(1), np.zeros(1))[0]
 
     def descend(self, first: int, last: int, group: _Group, u: np.ndarray, lam: np.ndarray):
         """(kernels, u, lam): the one label walk over the levels ``first``..``last`` of the
@@ -299,9 +300,9 @@ class _Tree:
                         lam[at] += labels * _to_float(scales.upto(k).rho[k])
         return kernels, u, lam
 
-    def factors(self, t: int, xis) -> np.ndarray:
-        """The tree-level-t factors over its nodes, one row per xi of ``xis``, a
-        float array or a sequence of floats.
+    def factors(self, t: int, kernel, xis) -> np.ndarray:
+        """The tree-level-t factors over its nodes from its tables ``kernel`` of
+        :meth:`descend`, one row per xi of ``xis``, a float array or a sequence of floats.
 
         On a sub-level with D_j = ``scale[t]`` / rho_n these are
         |H_{f_j}(xi / (D_j rho_n) + u)|^2 over its tabulated u; over all the
@@ -314,18 +315,14 @@ class _Tree:
         call, since the bits of :func:`~.fourier.eval_filter` depend on the
         shape of its call."""
         a = np.asarray(xis, dtype=float) / self.scale[t]
-        kernel = self.kernels[t - 1]
         if isinstance(kernel, HSqTables):
             return eval_H_sq_tables(kernel, a)
         n, u = kernel
-        values = np.empty((len(a), len(u)))
-        for row, x in zip(values, a):
-            f = self.filters.factor(n, x + u)
-            np.add(f.real ** 2, f.imag ** 2, out=row)
-        return values
+        return np.array([f.real ** 2 + f.imag ** 2 for f in (self.filters.factor(n, x + u) for x in a)])
 
-    def tiles(self, xis, upto: int):
-        """Yield (t, rows, w) for the tree levels t = 0..``upto``, depth first.
+    def tiles(self, xis, kernels):
+        """Yield (t, rows, w) for the tree levels t = 0..len(``kernels``), depth first,
+        ``kernels[t - 1]`` the tables of tree level t of :meth:`descend`.
 
         ``rows`` is a range of indices into ``xis`` and w[i] holds the product
         of the :meth:`factors` of tree levels 1..t over the tree-level-t nodes
@@ -342,7 +339,7 @@ class _Tree:
         stack = [(0, 0, len(xis), None)] if len(xis) else []  # (tree level, rows [lo, hi), parent tile)
         while stack:
             t, lo, hi, parent = stack.pop()
-            step = self.rows_per_tile(t)
+            step = max(1, _SLICE // self.size[t])
             if hi - lo > step:  # split the rows, first rows on top
                 for i in reversed(range(lo, hi, step)):
                     j = min(i + step, hi)
@@ -351,16 +348,12 @@ class _Tree:
             if t == 0:
                 w = np.ones((hi - lo, 1))
             else:
-                w = self.factors(t, xis[lo:hi])
+                w = self.factors(t, kernels[t - 1], xis[lo:hi])
                 children = w.reshape(hi - lo, self.radix[t], -1)
                 children *= parent[:, None, :]  # row j: the children with digit j
             yield t, range(lo, hi), w
-            if t < upto:
+            if t < len(kernels):
                 stack.append((t + 1, lo, hi, w))
-
-    def rows_per_tile(self, t: int) -> int:
-        """The xi rows of a tree-level-t tile: as many as fit ``_SLICE`` entries, at least one."""
-        return max(1, _SLICE // self.size[t])
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +389,7 @@ def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
     xis = np.array(xis, dtype=float)
     totals = np.zeros((len(xis), level))
     column = {t: n - 1 for n, t in enumerate(tree.ends) if n}
-    for t, rows, w in tree.tiles(xis, tree.ends[level]):
+    for t, rows, w in tree.tiles(xis, tree.descend(1, level, _ROOT, np.zeros(1), np.zeros(1))[0]):
         if t in column:
             totals[rows.start:rows.stop, column[t]] = w.sum(axis=1)  # per row a 1-D sum, as per xi
     terms = [tree.size[t] for t in tree.ends[1:]]
@@ -624,27 +617,20 @@ def _times_roots(tree: _Tree, t: int, kernel: HSqTables, v: np.ndarray, dv: int)
     return _poly_mul(v[:, None, :], roots.reshape(dv + 1, tree.radix[t], -1), dv).reshape(dv + 1, -1)
 
 
-def _whole_levels(tree: _Tree, walk: int, dv: int, last: int):
-    """(V, u, lambda) over the level-``last`` nodes of the tree walked whole through level
-    ``last``, whose tables become ``tree.kernels``: u and lambda of :meth:`_Tree.descend`
-    and the signed deep products V = prod_{walk<t} R_t of :func:`_times_roots`."""
-    tree.kernels, u, lam = tree.descend(1, last, _ROOT, np.zeros(1), np.zeros(1))
-    v = np.ones((1, tree.size[walk]))
-    for t in range(walk + 1, len(tree.kernels) + 1):
-        v = _times_roots(tree, t, tree.kernels[t - 1], v, dv)
-    return v, u, lam
-
-
-def _group_levels(tree: _Tree, group: _Group, first: int, whole, dv: int):
-    """(V, u, lambda) of :func:`_whole_levels` over the level-``tree.level`` nodes of
-    ``group``: its columns of ``whole``, the three over the tree walked whole through
-    level ``first`` - 1, walked on alone.  So no array spans a whole level past it, and
-    each node of each level is formed once."""
-    v, u, lam = (group.view(values) for values in whole)
-    kernels, u, lam = tree.descend(first, tree.level, group, u, lam)
-    for t, kernel in enumerate(kernels, start=len(tree.kernels) + 1):
-        v = _times_roots(tree, t, kernel, v, dv)
-    return v, u, lam
+def _group_levels(tree: _Tree, group: _Group, first: int, last: int, start, walk: int, dv: int):
+    """(kernels, V, u, lambda) over the level-``last`` nodes of ``group``, walked on from
+    its columns of ``start``: the tables and the u and lambda of :meth:`_Tree.descend` from
+    level ``first``, and V times the signed roots R_t of :func:`_times_roots` of its tree
+    levels t past ``walk``.  The whole tree through a group level is the root group
+    :data:`_ROOT` from level 1, with V = 1 over the level-``walk`` nodes and u = lambda = 0
+    over the root; each group below it is walked on alone from there.  So no array spans
+    a whole level past the group level, and each node of each level is formed once."""
+    v, u, lam = (group.view(values) for values in start)
+    kernels, u, lam = tree.descend(first, last, group, u, lam)
+    for t, kernel in enumerate(kernels, start=tree.ends[first - 1] + 1):
+        if t > walk:
+            v = _times_roots(tree, t, kernel, v, dv)
+    return kernels, v, u, lam
 
 
 def _root_product(root: np.ndarray, rest: np.ndarray, r: np.ndarray, minus: np.ndarray,
@@ -793,10 +779,11 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     into cells (row, j), row 0 for q = 0 and one row per later block.  The nodes of
     the columns j in [lo, hi) of every level past s are the descendants of those
     level-s nodes (:class:`_Group`), so a group of columns holds all the nodes of its
-    cells: the tree is tabulated whole only through the deepest level of at most
-    half a slice of nodes, and at least through s, and each group walks the levels
-    past it alone (:func:`_group_levels`), forms its polynomials and sums its cells,
-    its last block apart from the rest (:func:`_cell_sums`).  No array spans a whole
+    cells: the tree is tabulated whole, as the root group, only through the deepest
+    level of at most half a slice of nodes, and at least through s, and each group
+    walks the levels past it alone by the same walk (:func:`_group_levels`), forms its
+    polynomials and sums its cells, its last block apart from the rest
+    (:func:`_cell_sums`).  No array spans a whole
     level past the group level, each node of each level is formed once, and the
     extremes and moments of lambda per block are summed by the cells too
     (:func:`_by_block`).  Per grid row the cells are evaluated at xi and weighted
@@ -844,7 +831,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     if 1 in scales.d[2:l_max + 1]:  # no words new at that level: an empty block
         raise ValueError(f"d_{scales.d.index(1, 2)} = 1: completeness needs d_n >= 2")
     bound = _check_frequency_range(tm, scales, l_max)
-    tree = _Tree(tm, scales, l_max, uniform_family(pair), upto=0)
+    tree = _Tree(tm, scales, l_max, uniform_family(pair))
     # the deepest truncation any xi in [0, 1/2] needs: |xi + lambda| <= B + 1/2, and
     # reach and truncation_target are monotone, so one search at B + 1/2
     depth, _ = scales.reach(truncation_target(_to_float(bound) + 0.5, tol))
@@ -884,7 +871,9 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     chunk = max(1, _SLICE // 2)
     first = 1 + max(next(n for n, t in enumerate(tree.ends) if t >= walk),
                     max(n for n, t in enumerate(tree.ends) if tree.size[t] <= chunk))
-    whole = _whole_levels(tree, walk, dv, first - 1)
+    # the root group from level 1: V = 1 over the level-walk nodes, u = lambda = 0 at the root
+    kernels, *whole = _group_levels(tree, _ROOT, 1, first - 1,
+                                    (np.ones((1, width)), np.zeros(1), np.zeros(1)), walk, dv)
     parts = [(0, len(runs) - 1), (len(runs) - 1, len(runs))] if len(runs) > 1 else [(0, 1)]
     bounds = runs + [height]
     columns = max(1, chunk // (height - bounds[parts[-1][0]]))
@@ -895,7 +884,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     for j in range(0, width, columns):
         group = _Group(width, j, min(j + columns, width))
         cells, size = slice(group.lo, group.hi), group.hi - group.lo
-        deep_v, u, lam = _group_levels(tree, group, first, whole, dv)
+        deep_v, u, lam = _group_levels(tree, group, first, l_max, whole, walk, dv)[1:]
         deep = {k: group.part(*labels) for k, labels in tree.deep.items()}
         us = _tail_inputs(scales, l_max, explicit, series, u, deep)
         for a, b in parts:
@@ -915,16 +904,15 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
                                for moment, reduce, start in zip(stats, reducers, (np.inf, -np.inf, 0.0, 0.0)))
     # per (grid point, block): a_max, and k c with c = 2 pi / rho_{N+1} and k = 1 + c a_max;
     # every target is within the depth above, so the rho list reaches it
-    x = np.array(xis)
-    column = x[:, None]
+    column = np.array(xis)[:, None]
     reach = np.maximum(np.abs(column + hi), np.abs(column + lo))
     c = TWO_PI / _reach_floats(scales, truncation_target(reach, tol))
     kc = c * (1.0 + c * reach)
     count = np.diff([*starts, ends[-1]])
     # per grid point and block: the sums of V^2, of the gap terms g, of sigma sqrt(t) and of
     # |lambda| sqrt(t)
-    out = {kind: np.zeros((len(x), l_max)) for kind in "vgsl"}
-    for t, rows, w in tree.tiles(x, walk):
+    out = {kind: np.zeros((len(xis), l_max)) for kind in "vgsl"}
+    for t, rows, w in tree.tiles(xis, kernels[:walk]):
         if t < walk:
             continue
         span, root_w = slice(rows.start, rows.stop), np.sqrt(w)
@@ -940,7 +928,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     sums, signed, lin = out["v"] + out["g"], out["s"], out["l"]
     gaps = -out["g"].sum(axis=1)
     # Q_L = 1 - G_L, G_L = G_{l_max} + sum_{n>L} S_n
-    later = np.zeros((len(x), l_max))
+    later = np.zeros((len(xis), l_max))
     later[:, :-1] = np.cumsum(sums[:, :0:-1], axis=1)[:, ::-1]
     q = 1.0 - (gaps[:, None] + later)
     # sum 2 r sqrt(t) + r^2 <= k c (2 A + k c B), A = sum |xi + lambda| sqrt(t)
@@ -951,9 +939,9 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     prev = np.zeros_like(q)
     prev[:, 1:] = q[:, :-1]
     ok = q >= prev - _MONOTONE_SLACK
-    rows = tuple(map(QRow, np.repeat(x, l_max).tolist(), list(range(1, l_max + 1)) * len(x),
+    rows = tuple(map(QRow, np.repeat(xis, l_max).tolist(), list(range(1, l_max + 1)) * len(xis),
                      q.ravel().tolist(), slack.ravel().tolist(), ok.ravel().tolist()))
-    worst = int(np.argmax(gaps)) if len(x) else None  # the first xi of the largest gap
+    worst = int(np.argmax(gaps)) if len(xis) else None  # the first xi of the largest gap
     return CompletenessReport(rows=rows, l_max=l_max, monotone=bool(ok.all()),
                               bounded=bool(np.all(np.cumsum(sums, axis=1) <= 1.0 + slack)),
                               worst_gap=-math.inf if worst is None else float(gaps[worst]),

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import decimal
 import io
 import json
 import math
@@ -516,6 +517,66 @@ def test_cli_import_does_not_load_mpmath():
     code = "import sys, cantorspec.cli; sys.exit('mpmath' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("command", ["sample", "report"])
+@pytest.mark.parametrize("count", ["1", "0"])
+def test_count_below_2_exits_2_naming_the_flag(mu42, tmp_path, capsys, command, count):
+    # the 5-sigma band of sample is the samples' own standard deviation, 0 for one
+    # sample, so --count 1 used to fail the check and exit 1
+    code, _, err = _exit(main, [command, "--pair", mu42, "--count", count,
+                                "--out", str(tmp_path / "o")], capsys)
+    assert code == 2 and f"argument --count: must be >= 2, got {count}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def _decimal(n) -> str:
+    # n in decimal, past Python's default limit of 4300 digits on str(int)
+    return str(decimal.Decimal(n))
+
+
+BIG = 10 ** 4200  # a config may hold it; rho_3 = BIG^2 has 8401 digits
+
+
+@pytest.mark.parametrize("command, code", [("pair", 0), ("spectrum", 0), ("dimension", 0),
+                                           ("report", 2)])
+def test_exact_integers_past_the_digit_limit_are_written_whole(tmp_path, capsys, command, code):
+    # each of these runs exited 2 with Python's "Exceeds the limit (4300 digits) for
+    # integer string conversion"; report still exits 2, on the double range of the
+    # completeness slack, as on explicit_huge.  The caller's digit limit stays in place
+    pair = tmp_path / "big.json"
+    pair.write_text(json.dumps({"kind": "explicit", "b": [BIG, BIG, 4], "d": [2, 2, 2]}))
+    out = tmp_path / "o"
+    limit = sys.get_int_max_str_digits()
+    assert run([command, "--pair", str(pair), "--out", str(out)]) == code
+    assert sys.get_int_max_str_digits() == limit
+    err = capsys.readouterr().err
+    assert "Exceeds the limit" not in err
+    rho = [1, BIG, BIG ** 2] + [4 ** k * BIG ** 2 for k in range(1, 11)]  # rho_1..rho_13
+    if command == "pair":
+        assert json.loads((out / "pair_report.json").read_text())["rho"] == list(map(_decimal, rho))
+    elif command == "spectrum":
+        lines = (out / "spectrum_L3.csv").read_text().splitlines()
+        assert lines == ["lambda", *(_decimal(a + b + c) for c in (0, rho[2])
+                                     for b in (0, rho[1]) for a in (0, 1))]
+    elif command == "dimension":
+        report = json.loads((out / "dimension_report.json").read_text())
+        assert report["box_intervals"].isdigit()
+        rows = list(csv.reader((out / "intervals.csv").read_text().splitlines()))
+        assert rows[0] == ["word", "left", "right"] and len(rows) > 1
+        assert max(len(cell) for row in rows[1:] for cell in row) > 8400  # Fractions over rho_3
+    else:
+        assert "double range" in err
+
+
+def test_dimension_counts_intervals_past_the_digit_limit(tmp_path):
+    # alpha_zero at --level 169 counts 4325-digit many boxes, and the run exited 2 on
+    # writing the count; at --level 168 it passed
+    out = tmp_path / "o"
+    assert run(["dimension", "--pair", str(ROOT / "demos" / "configs" / "alpha_zero.json"),
+                "--level", "169", "--out", str(out)]) == 0
+    count = json.loads((out / "dimension_report.json").read_text())["box_intervals"]
+    assert count.isdigit() and len(count) > 4300
 
 
 def test_dimension_level_1_exits_2_naming_the_flag(tmp_path, capsys):

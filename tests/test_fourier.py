@@ -490,45 +490,6 @@ def series_tables(draw):
     return [m] * len(ts), ts, np.array(y0), e
 
 
-def remainder_bounds_by_loop(ratio, y0, e):
-    """Oracle: the bounds of series_remainder_bounds from its scalar double
-    loop over j and the degrees i <= 2j, the terms of one i added in order of j."""
-    big_j = len(ratio)
-    terms = [0.0] * (2 * big_j + 2)
-    y = np.abs(np.asarray(y0, dtype=float))
-    nonzero = y[y > 0]
-    if nonzero.size:
-        y_max, y_min = float(nonzero.max()), float(nonzero.min())
-        r = e / y_min
-        if r >= 1.0:
-            terms[1:-1] = [math.inf] * (2 * big_j)
-        else:
-            e_pow, y_pow = ([x ** k for k in range(2 * big_j + 1)] for x in (e, y_max))
-            for j, c_j in enumerate(ratio.tolist(), start=1):
-                for i in range(1, 2 * j + 1):
-                    power = (e_pow[i] * y_pow[2 * j - 2 - i] if i <= 2 * j - 2
-                             else e_pow[2 * j - 2] * r ** (i - 2 * j + 2))
-                    terms[i] += c_j * math.comb(2 * j, i) * power
-            terms = [t / (1.0 - r) ** 2 for t in terms]
-    if np.any(y == 0):
-        zero = np.zeros_like(terms)
-        zero[2:-1:2] = ratio * e ** (2 * np.arange(big_j))
-        terms = np.maximum(terms, zero)
-    return np.cumsum(terms[::-1])[::-1][1:]
-
-
-@given(series_tables())
-@settings(deadline=None, max_examples=200)
-def test_log_series_remainder_bounds_equal_the_scalar_loop(args):
-    # series_remainder_bounds on the root series' |c_n| / low (the test keeps the name it had
-    # when the series was the logarithm's): the term table summed along j row after row is
-    # the loop, bit for bit, and so is every Taylor degree chosen from it
-    ms, ts, y0, e = args
-    coefficients, low = root_series(ms, ts)
-    ratio = np.abs(coefficients[1:]) / low
-    assert np.array_equal(series_remainder_bounds(ratio, y0, e), remainder_bounds_by_loop(ratio, y0, e))
-
-
 @given(series_tables())
 @settings(deadline=None, max_examples=80)
 def test_log_series_remainder_bounds_hold(args):

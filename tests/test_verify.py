@@ -536,24 +536,70 @@ def test_an_explicit_tail_level_runs_one_pass_per_prime_sub_level(monkeypatch):
             assert [count for _, count in passes] == [t.m // 2 for t, _ in passes]
 
 
+def tree_kernels(tree):
+    # the tables of every tree level, from one label walk over the whole tree
+    return tree.descend(1, tree.level, verify._ROOT, np.zeros(1), np.zeros(1))[0]
+
+
 def group_walk(tm, level, columns):
     # completeness_Q's walk past its walk depth in groups of ``columns`` level-walk
     # nodes: V, u and lambda over the level nodes, each group's columns put in place,
-    # and the tree of the whole walk, the walk depth and the degree
+    # and the tree, the walk depth and the degree
     scales = verify._Scales(tm.pair).upto(level)
-    tree = verify._Tree(tm, scales, level, uniform_family(tm.pair), upto=0)
+    tree = verify._Tree(tm, scales, level, uniform_family(tm.pair))
     ends = [b for _, b in verify._blocks(scales, level)]
     walk, dv = verify._walk_depth(tree, level, ends, 2, 2)
     first = 1 + next(n for n, t in enumerate(tree.ends) if t >= walk)
-    whole, width = verify._whole_levels(tree, walk, dv, first - 1), tree.size[walk]
+    width = tree.size[walk]
+    start = (np.ones((1, width)), np.zeros(1), np.zeros(1))
+    kernels, *whole = verify._group_levels(tree, verify._ROOT, 1, first - 1, start, walk, dv)
+    assert len(kernels) == tree.ends[first - 1]
     out = [np.empty((dv + 1, tree.size[-1])), np.empty(tree.size[-1]), np.empty(tree.size[-1])]
     for lo in range(0, width, columns):
         group = verify._Group(width, lo, min(lo + columns, width))
-        for values, part in zip(out, verify._group_levels(tree, group, first, whole, dv)):
+        part_kernels, *parts = verify._group_levels(tree, group, first, level, whole, walk, dv)
+        assert len(part_kernels) == tree.ends[level] - tree.ends[first - 1]
+        for values, part in zip(out, parts):
             rows = values.shape[:-1]
             place = values.reshape(*rows, -1, width)[..., group.lo:group.hi]
             place[...] = part.reshape(*rows, -1, group.hi - group.lo)
-    return out, verify._Tree(tm, scales, level, uniform_family(tm.pair)), walk, dv
+    return out, tree, walk, dv
+
+
+@pytest.mark.parametrize("tm, level", [(canonical_tau(MU42), 14),
+                                       (canonical_tau(dimension_targeting_pair(0.5)), 5)])
+def test_each_check_tabulates_each_tree_level_once(monkeypatch, tm, level):
+    # building a _Tree forms no table, and over one partition_levels or completeness_Q call
+    # the table entries formed for tree level t sum to size[t]: the tables formed inside a
+    # label walk (_Tree.descend) come one per tree level in turn from the level after
+    # ``first`` - 1; the tail's, formed outside it, are not the tree's
+    calls, entries, walks = [], {}, []  # walks[-1]: the tree level of the next table
+
+    def tables(m, us):
+        calls.append(m)
+        if walks:
+            entries[walks[-1]] = entries.get(walks[-1], 0) + len(us)
+            walks[-1] += 1
+        return tables_of(m, us)
+
+    def descend(tree, first, *args):
+        walks.append(tree.ends[first - 1] + 1)
+        try:
+            return descend_of(tree, first, *args)
+        finally:
+            walks.pop()
+
+    tables_of, descend_of = verify.H_sq_tables, verify._Tree.descend
+    monkeypatch.setattr(verify, "H_sq_tables", tables)
+    monkeypatch.setattr(verify._Tree, "descend", descend)
+    tree = verify._Tree(tm, verify._Scales(tm.pair), level, uniform_family(tm.pair))
+    assert calls == []
+    sizes = {t: tree.size[t] for t in range(1, tree.ends[level] + 1)}
+    for check in (lambda: partition_levels(tm, [0.0, 0.3], level),
+                  lambda: completeness_Q(tm, [0.0, 0.25, 0.5], level)):
+        entries.clear()
+        check()
+        assert entries == sizes
 
 
 @pytest.mark.parametrize("tm, level", [
@@ -565,18 +611,18 @@ def test_groups_give_each_node_the_bits_of_the_whole_walk(tm, level, columns):
     # over the whole tree, bit for bit: u and lambda of the tree's label walk, and V the
     # product of the signed roots of its tables past the walk, level by level
     (v, u, lam), tree, walk, dv = group_walk(tm, level, columns)
-    _, want_u, want_lam = tree.descend(1, level, verify._ROOT, np.zeros(1), np.zeros(1))
+    kernels, want_u, want_lam = tree.descend(1, level, verify._ROOT, np.zeros(1), np.zeros(1))
     assert np.array_equal(u, want_u) and np.array_equal(lam, want_lam)
     want = np.ones((1, tree.size[walk]))
     for t in range(walk + 1, len(tree.size)):
-        want = verify._times_roots(tree, t, tree.kernels[t - 1], want, dv)
+        want = verify._times_roots(tree, t, kernels[t - 1], want, dv)
     assert np.array_equal(v, want)
 
 
 def deep_products(tm, level):
     # V of completeness_Q past its walk depth, from its subtree groups, and the tree and walk depth
     (v, _, _), tree, walk, _ = group_walk(tm, level, 5)
-    return v, tree, walk
+    return v, tree, tree_kernels(tree), walk
 
 
 SIGN_CASES = [(canonical_tau(MU42), 12), (canonical_tau(MU93), 8),
@@ -594,7 +640,7 @@ def test_deep_products_keep_one_sign_on_the_window(case, xis):
     # V also equals the product of the level factors' signed roots to within 1e-15
     if case not in SIGN_PRODUCTS:
         SIGN_PRODUCTS[case] = deep_products(*SIGN_CASES[case])
-    v, tree, walk = SIGN_PRODUCTS[case]
+    v, tree, kernels, walk = SIGN_PRODUCTS[case]
     quarter = eval_taylor(v, 0.25)
     values = eval_taylor(v, np.array(xis)[:, None])
     assert np.all(np.sign(values) == np.sign(quarter))
@@ -602,8 +648,7 @@ def test_deep_products_keep_one_sign_on_the_window(case, xis):
     for xi, got in zip(xis, values):
         want = np.ones(1)
         for t in range(walk + 1, end + 1):
-            kernel = tree.kernels[t - 1]
-            angles = verify._root_angles(kernel)
+            angles = verify._root_angles(kernels[t - 1])
             root = verify.signed_root_taylor(angles, 1.0 / tree.scale[t], 12)
             want = (want[None, :] * eval_taylor(root, xi).reshape(tree.radix[t], -1)).ravel()
         assert np.max(np.abs(got - want)) <= 1e-15, (case, xi)
@@ -660,7 +705,15 @@ def test_completeness_rows_equal_one_row_at_a_time(monkeypatch, tm, level, size)
     points = {None: 33, 64: 9, 7: 5, 1: 3}[size]
     grid = [0.5 * j / (points - 1) for j in range(points)]
     rep = completeness_Q(tm, grid, level, tol=1e-10)
-    monkeypatch.setattr(verify._Tree, "rows_per_tile", lambda self, n: 1)
+
+    def one_row(tree, xis, kernels):
+        # the tiles of each xi alone, one row each
+        for i, xi in enumerate(xis):
+            for t, _, w in tiles(tree, [xi], kernels):
+                yield t, range(i, i + 1), w
+
+    tiles = verify._Tree.tiles
+    monkeypatch.setattr(verify._Tree, "tiles", one_row)
     assert rep == completeness_Q(tm, grid, level, tol=1e-10)
 
 
@@ -872,13 +925,15 @@ def test_digit_major_tree_is_the_child_major_tree_reordered(monkeypatch, tm, lev
     # pair's d_n = 2^n run as n sub-levels of H_2, whose products differ from
     # the closed form of H_{2^n} by rounding: within 8 ulp(1) absolute (3 seen)
     tree = verify._Tree(tm, verify._Scales(tm.pair), level, filters)
+    kernels = tree_kernels(tree)
+    assert len(kernels) == tree.ends[level]
     scales, _, lam, _, _ = child_major_tree(tm, level)
     old = [child_major_weights(tm, level, xi, filters) for xi in TILE_XIS]
     prime = all(tree.ends[n] == n for n in range(level + 1))
     for size in (verify._SLICE, 1, 7, 64):
         monkeypatch.setattr(verify, "_SLICE", size)
         seen = set()
-        for t, rows, w in tree.tiles(TILE_XIS, tree.ends[level]):
+        for t, rows, w in tree.tiles(TILE_XIS, kernels):
             assert w.shape == (len(rows), tree.size[t])
             seen.update((i, t) for i in rows)
             if t not in tree.ends:
@@ -928,10 +983,11 @@ def test_sub_level_products_match_mpmath(pair, level):
     tree = verify._Tree(tm, verify._Scales(pair), level, filters)
     scales = verify._Scales(pair).upto(level)
     assert tree.ends[level] > level
+    kernels = tree_kernels(tree)
     for xi in TILE_XIS:
         closed = child_major_weights(tm, level, xi, filters)
         exact = mp_level_products(pair, xi, level)
-        for t, _, (w,) in tree.tiles([xi], tree.ends[level]):
+        for t, _, (w,) in tree.tiles([xi], kernels):
             if t not in tree.ends[1:]:
                 continue
             n = tree.ends.index(t)
@@ -963,7 +1019,7 @@ def test_tiles_stay_within_the_slice(monkeypatch, tm, level, size):
     xis = [0.01 * k for k in range(40)]
     tree = verify._Tree(tm, verify._Scales(tm.pair), level, uniform_family(tm.pair))
     by_level = {}
-    for t, rows, w in tree.tiles(xis, tree.ends[level]):
+    for t, rows, w in tree.tiles(xis, tree_kernels(tree)):
         assert w.size <= verify._SLICE or len(rows) == 1, (t, len(rows), w.size)
         by_level.setdefault(t, []).extend(rows)
     assert by_level == {t: list(range(len(xis))) for t in range(tree.ends[level] + 1)}
@@ -975,7 +1031,7 @@ def test_tiles_batch_the_shallow_levels():
     xis = [0.01 * k for k in range(50)]
     tree = verify._Tree(canonical_tau(MU42), verify._Scales(MU42), 14, uniform_family(MU42))
     widths = {}
-    for n, rows, w in tree.tiles(xis, 14):
+    for n, rows, w in tree.tiles(xis, tree_kernels(tree)):
         assert len(rows) <= min(50, verify._SLICE // 2 ** n), n
         widths.setdefault(n, []).append(len(rows))
     assert widths[8] == [50] and widths[9] == [32, 18] and widths[14] == [1] * 50
