@@ -142,9 +142,9 @@ def _to_float(big: int) -> float:
 
 
 class _Scales:
-    """d_n, q_n = b_n / d_n and rho_n of a pair, 1-indexed, extended on demand:
-    the one forward walk of the scales, which :func:`rho`, the truncated
-    products, the sampler and the frequency walks read."""
+    """d_n, q_n = b_n // d_n (b_n / d_n on admissible pairs) and rho_n of a pair,
+    1-indexed, extended on demand: the one forward walk of the scales, which
+    :func:`rho`, the truncated products, the sampler and the frequency walks read."""
 
     def __init__(self, pair: ScalePair):
         self.pair = pair

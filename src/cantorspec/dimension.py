@@ -62,14 +62,16 @@ def _tail_numerators(pair: ScalePair, n_max: int) -> tuple[list[int], int, int]:
 
 
 def _ratio_numerators(pair: ScalePair, n_max: int) -> list[int]:
-    """U_1..U_{n_max+1} of :func:`_tail_numerators`, so that r_n = U_{n+1}/U_n,
-    after checking r_n d_n <= 1 as U_{n+1} d_n <= U_n in integers."""
+    """U_1..U_{n_max+1} of :func:`_tail_numerators`, so that r_n = U_{n+1}/U_n, after
+    checking d_n >= 2 and r_n d_n <= 1, as U_{n+1} d_n <= U_n in integers, at every level:
+    a ValueError names the first level that fails."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     u, _, _ = _tail_numerators(pair, n_max)
     for n in range(1, n_max + 1):
-        if u[n] * pair.d(n) > u[n - 1]:
-            raise AssertionError(f"r_{n} d_{n} > 1; inadmissible pair slipped through")
+        if (d := pair.d(n)) < 2 or u[n] * d > u[n - 1]:
+            raise ValueError(f"level {n}: b_{n} = {pair.b(n)}, d_{n} = {d}, and the interval "
+                             f"model needs d_n >= 2 and r_n d_n <= 1")
     return u
 
 

@@ -168,6 +168,14 @@ def _sub_levels(scales: _Scales, k: int, primes: list[int] | None = None) -> lis
     return [(f, sub, _to_float(sub * scales.rho[k])) for f, sub in zip(primes, subs)]
 
 
+def _check_divides(scales: _Scales, n: int):
+    """A ValueError naming level n - 1 unless d_{n-1} divides b_{n-1}, where a walk reduces
+    u_{n-1} by q_{n-1} into level n: only then is u_n = sigma_n / (d_n rho_n)."""
+    if n > 1 and scales.rho[n] % (scales.d[n - 1] * scales.rho[n - 1]):
+        raise ValueError(f"level {n - 1}: d_{n - 1} = {scales.d[n - 1]} does not divide b_{n - 1} = "
+                         f"{scales.rho[n] // scales.rho[n - 1]}, so the digit tree cannot reduce past it")
+
+
 def _rate(f: int, scale: float) -> float:
     # the rate c_f / (2 scale), c_f = pi (f - 1), at which the Taylor coefficients in xi of
     # the signed root of H_f at xi / scale + u fall for xi in [0, 1/2] (signed_root_taylor)
@@ -236,7 +244,8 @@ class _Tree:
     ``ends[n]`` is the tree level that ends level n, where size is P_n.  These
     come from the table labels alone (read once, :func:`_table_labels`), for
     every level to ``level``; ``table`` keeps the labels by word length, and
-    ``deep`` those past ``level``.
+    ``deep`` those past ``level``.  A level below ``level`` whose d_n does not
+    divide b_n raises a ValueError (:func:`_check_divides`).
 
     The tree keeps only this shape.  Each check takes the tables from its own label
     walk, :meth:`descend`, whose ``kernels[t - 1]`` is the :class:`HSqTables` of tree
@@ -252,6 +261,7 @@ class _Tree:
         self.deep = {k: v for k, v in self.table.items() if k > level}
         self.radix, self.scale, self.size, self.ends, self.primes = [1], [1.0], [1], [0], [None]
         for n in range(1, level + 1):
+            _check_divides(scales, n)
             d, parents = scales.d[n], self.size[-1]
             primes = _prime_factors(d) if filters.is_uniform(n) else [d]
             if len(primes) > 1 and n in self.table:
@@ -418,20 +428,17 @@ class QRow(NamedTuple):
     level: int
     q: float
     certified_slack: float
-    monotone_ok: bool
 
 
 @dataclass(frozen=True)
 class CompletenessReport:
     rows: tuple[QRow, ...]
     l_max: int
-    monotone: bool          # Q_{L+1} >= Q_L - 1e-12 at every grid point
     bounded: bool           # the direct sum of the terms <= 1 + certified slack
     worst_gap: float        # max over the grid of the gap 1 - Q_{L_max}
     worst_gap_xi: float
 
 
-_MONOTONE_SLACK = 1e-12
 _SLICE = 1 << 14
 _GRID_ROWS = 33  # the default grid of the completeness subcommand, K = 32
 
@@ -490,10 +497,12 @@ def _tail_plan(tree: _Tree, depth: int, xmax: float):
     monotone in u_{k-1} and tau, in floating point too, so the recursion on the least
     and largest label of each level (a digit or a table label; 0 or a table label past
     the tree) encloses every node's u_k.  With canonical labels the all-zero and
-    all-(d_n - 1) words attain both ends, so the bound is each level's max |u_k|."""
+    all-(d_n - 1) words attain both ends, so the bound is each level's max |u_k|.
+    Where u_k is reduced by q_{k-1}, d_{k-1} must divide b_{k-1} (:func:`_check_divides`)."""
     scales, level = tree.scales.upto(depth), tree.level
     explicit, last_label, lo, hi = [], max(tree.deep, default=0), 0.0, 0.0
     for k in range(1, depth + 1):
+        _check_divides(scales, k)
         d, q = scales.d[k], _to_float(scales.q[k - 1])
         labels = [0.0, d - 1.0 if k <= level else 0.0]
         if k in tree.table:
@@ -796,8 +805,9 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     *The sums.*  With g = W V^2 (T - 1) per term, the gap G_{l_max} = -sum g is
     exact as sum w = 1, the terms are t = W V^2 + g, G_L = G_{L+1} + S_{L+1}
     with S_n the sum of block n, and Q_L = 1 - G_L is rounded once, so Q is
-    monotone by construction; Q, the slack and the verdicts are formed once,
-    after the walk.  ``bounded`` checks the direct sum sum_{n<=L} S_n <= 1 + slack.
+    monotone in L by construction, which no verdict can test; Q, the slack and
+    the verdict are formed once, after the walk.  ``bounded`` checks the direct
+    sum sum_{n<=L} S_n <= 1 + slack.
     The certified slack bounds the sum of 2 r sqrt(t) + r^2 over the terms,
     r = expm1(z) the radius of :func:`mu_hat_array` at the depth of each block
     for that grid point, z = c |xi + lambda| and c = 2 pi / rho_{N+1}.  That
@@ -813,7 +823,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     to the direct sums but for rounding.  A mapping failing
     :func:`validate_tree_mapping`, or frequencies too large for B
     (:func:`_check_frequency_range`), raise a ValueError.  An empty grid gives no rows,
-    both verdicts true and a worst gap of -inf at xi = 0; of tied worst gaps the
+    ``bounded`` true and a worst gap of -inf at xi = 0; of tied worst gaps the
     first grid point is reported.
     """
     pair = tm.pair
@@ -936,13 +946,10 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     lin += column * signed
     slack = np.cumsum(kc * (2.0 * lin + kc * (column * (count * column + 2.0 * sum_lam) + sum_sq)),
                       axis=1)
-    prev = np.zeros_like(q)
-    prev[:, 1:] = q[:, :-1]
-    ok = q >= prev - _MONOTONE_SLACK
     rows = tuple(map(QRow, np.repeat(xis, l_max).tolist(), list(range(1, l_max + 1)) * len(xis),
-                     q.ravel().tolist(), slack.ravel().tolist(), ok.ravel().tolist()))
+                     q.ravel().tolist(), slack.ravel().tolist()))
     worst = int(np.argmax(gaps)) if len(xis) else None  # the first xi of the largest gap
-    return CompletenessReport(rows=rows, l_max=l_max, monotone=bool(ok.all()),
+    return CompletenessReport(rows=rows, l_max=l_max,
                               bounded=bool(np.all(np.cumsum(sums, axis=1) <= 1.0 + slack)),
                               worst_gap=-math.inf if worst is None else float(gaps[worst]),
                               worst_gap_xi=0.0 if worst is None else xis[worst])

@@ -200,10 +200,10 @@ def test_completeness_subcommand(mu42, tmp_path):
     assert run(["completeness", "--pair", mu42, "--grid", "8", "--level", "8",
                 "--out", str(out)]) == 0
     lines = (out / "completeness.csv").read_text().splitlines()
-    assert lines[0] == "xi,L,Q,certified_slack,monotone_ok"
+    assert lines[0] == "xi,L,Q,certified_slack"
     assert len(lines) == 1 + 9 * 8                       # (grid+1) points x levels
     report = json.loads((out / "completeness_report.json").read_text())
-    assert report["monotone"] and report["bounded"]
+    assert report["bounded"] and "monotone" not in report
     assert (out / "completeness.svg").exists()
 
 
@@ -211,25 +211,25 @@ def test_completeness_alpha_one_matches_the_direct_sum(tmp_path):
     # the one-dimensional endpoint at L = 3, whose tail has the explicit level
     # d_4 = 2048, against the direct per-term sum of 189e78e (the oracle file's header
     # has the command): Q within an ulp, the slack within 2.2e-14 relative, the same
-    # verdicts
+    # verdict; the oracle's last column, monotone_ok, has no counterpart
     oracle = ROOT / "tests" / "oracles" / "completeness_alpha_one_L3.csv"
     want = list(csv.reader(line for line in oracle.read_text().splitlines() if not line.startswith("#")))
     out = tmp_path / "out"
     assert run(["completeness", "--pair", str(ROOT / "demos" / "configs" / "alpha_one.json"),
                 "--level", "3", "--out", str(out)]) == 0
     got = list(csv.reader(io.StringIO((out / "completeness.csv").read_text())))
-    assert got[0] == want[0] and len(got) == len(want) == 1 + 33 * 3
-    for (xi, level, q, slack, ok), row in zip(want[1:], got[1:]):
-        assert row[:2] == [xi, level] and row[4] == ok
+    assert got[0] == want[0][:4] and len(got) == len(want) == 1 + 33 * 3
+    for (xi, level, q, slack, _), row in zip(want[1:], got[1:]):
+        assert len(row) == 4 and row[:2] == [xi, level]
         assert abs(float(row[2]) - float(q)) <= math.ulp(float(q)), (xi, level)
         assert abs(float(row[3]) - float(slack)) <= 2.2e-14 * float(slack), (xi, level)
     report = json.loads((out / "completeness_report.json").read_text())
-    assert report["monotone"] and report["bounded"] and report["worst_gap_xi"] == 0.5
+    assert report["bounded"] and report["worst_gap_xi"] == 0.5
 
 
 @pytest.mark.parametrize("cmd, name, kinds", [
     (["completeness", "--grid", "8", "--level", "5"], "completeness.csv",
-     (float, int, float, float, lambda v: v == "True")),
+     (float, int, float, float)),
     (["partition", "--level", "4", "--draws", "7"], "partition.csv", (float, int, float, float)),
 ])
 def test_csv_xi_text_is_what_csv_writer_writes(mu42, tmp_path, cmd, name, kinds):
@@ -653,6 +653,29 @@ def test_repeating_b_or_d_of_one_exits_2(tmp_path, capsys, pair_cfg, cmd):
     path.write_text(pair_cfg)
     assert run([cmd, "--pair", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("b, d, cmd, level", [
+    # d_n does not divide b_n, so the digit tree would reduce the label sums by the floor
+    # q_n = b_n // d_n: partition passed on a wrong sum, or on nan rows where q_1 = 0,
+    # and completeness passed, or divided by q_1 = 0
+    ([6], [4], "partition", 1), ([6], [4], "completeness", 1),
+    ([10, 4], [4, 2], "partition", 1), ([10, 4], [4, 2], "completeness", 1),
+    ([3], [4], "partition", 1), ([3], [4], "completeness", 1),
+    ([4, 6], [2, 4], "partition", 2), ([4, 6], [2, 4], "completeness", 2),
+    # the interval model needs d_n >= 2 and r_n d_n <= 1: these died on an assertion or
+    # a division by zero, dimension on b = [8, 4], d = [1, 2] after writing two artifacts
+    ([3], [4], "dimension", 1), ([3], [4], "beurling", 1),
+    ([8, 4], [1, 2], "dimension", 1),
+    ([4, 9, 12], [1, 1, 2], "dimension", 1), ([4, 9, 12], [1, 1, 2], "beurling", 1),
+    ([4, 8, 4], [2, 1, 2], "dimension", 2),
+])
+def test_inadmissible_pair_exits_2_naming_the_level(tmp_path, capsys, b, d, cmd, level):
+    out = tmp_path / "o"
+    depth = ["--level", "3"] if cmd in ("partition", "completeness") else []
+    assert run([cmd, "--pair", _pair_file(tmp_path, b, d), *depth, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: level {level}: ")
+    assert not out.exists()  # no artifact, not even the report
 
 
 def _pair_file(tmp_path, b, d) -> str:

@@ -295,6 +295,18 @@ def test_partition_budget():
         partition_identity(canonical_tau(MU42), 0.5, 21)
 
 
+def test_partition_levels_refuses_a_d_n_that_does_not_divide_b_n():
+    # the tree would reduce the label sums by q_1 = 6 // 4 = 1, as if b_1 were 4: the
+    # level-2 sum at xi = 0.3 read 1.0, where the definition's sum over the 16 words is
+    # 1.179; level 1 reduces nothing, and its identity holds for every d_1
+    tm = canonical_tau(explicit_pair([6], [4]))
+    with pytest.raises(ValueError, match=r"^level 1: d_1 = 4 does not divide b_1 = 6"):
+        partition_levels(tm, [0.3], 2)
+    assert partition_levels(tm, [0.3], 1)[0][0].defect < 1e-15
+    with pytest.raises(ValueError, match=r"^level 2: d_2 = 4 does not divide b_2 = 6"):
+        partition_levels(canonical_tau(explicit_pair([4, 6], [2, 4])), [0.3], 3)
+
+
 def test_partition_with_explicit_filters():
     fam = uniform_family(MU42)
     res = partition_identity(canonical_tau(MU42), 0.25, 4, filters=fam)
@@ -313,7 +325,7 @@ def test_q_at_zero_is_one():
 
 def test_q_trend_monotone_and_bounded():
     rep = completeness_Q(canonical_tau(MU42), [0.0, 0.125, 0.3, 0.5], 10, tol=1e-12)
-    assert rep.monotone and rep.bounded
+    assert rep.bounded
     by_xi = {}
     for row in rep.rows:
         by_xi.setdefault(row.xi, []).append(row.q)
@@ -360,7 +372,10 @@ def test_grid_outside_window_rejected():
 def test_q_deviated_mapping_trend():
     tm = TreeMapping(MU42, {(1,): -1})
     rep = completeness_Q(tm, [0.0, 0.25, 0.5], 8, tol=1e-12)
-    assert rep.monotone and rep.bounded
+    assert rep.bounded
+    for k in range(3):
+        qs = [row.q for row in rep.rows[8 * k:8 * (k + 1)]]
+        assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
     assert rep.worst_gap < 1e-3
 
 
@@ -780,10 +795,10 @@ def test_completeness_matches_deep_oracle():
 
 
 def test_completeness_of_an_empty_grid():
-    # nothing to check: no rows, both verdicts true and the worst gap -inf at xi = 0
+    # nothing to check: no rows, bounded true and the worst gap -inf at xi = 0
     rep = completeness_Q(canonical_tau(MU42), [], 4)
-    assert rep == verify.CompletenessReport(rows=(), l_max=4, monotone=True,
-                                            bounded=True, worst_gap=-math.inf, worst_gap_xi=0.0)
+    assert rep == verify.CompletenessReport(rows=(), l_max=4, bounded=True,
+                                            worst_gap=-math.inf, worst_gap_xi=0.0)
 
 
 @pytest.mark.parametrize("grid", [[-0.0, 0.0], [0.0, -0.0]])
@@ -813,7 +828,7 @@ def test_completeness_with_a_zero_label_past_the_double_range():
     grid = [0.0, 0.25, 0.5]
     rep = completeness_Q(TreeMapping(pair, {(1, 0, 0): 0}), grid, 1)
     canonical = completeness_Q(canonical_tau(pair), grid, 1)
-    assert rep.monotone and rep.bounded
+    assert rep.bounded
     for row, want in zip(rep.rows, canonical.rows):
         assert row.q == pytest.approx(want.q, abs=1e-15)
         assert 0.0 <= row.certified_slack < 1e-300

@@ -1,0 +1,134 @@
+"""Byte identity across commits: one manifest of every artifact of a fixed op list.
+
+    python tools/artifacts.py            # rewrite tools/artifacts.json
+    python tools/artifacts.py --check    # compare a run with tools/artifacts.json
+
+Runs each op of :func:`ops` in-process, as the benchmark does
+(``perfbench/workloads.py``'s ``run_op``), each into its own directory of a
+temporary one, and records per op its exit code and the sha256 of every file it
+wrote, with the Python and numpy versions of the run.  ``--check`` names each op
+whose exit code differs, and each file that differs, is missing or is new, and
+exits 1 if there is any; a commit that changes an artifact rewrites the manifest
+with it, so the diff of the manifest is that commit's record of byte identity.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tools" / "artifacts.json"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import numpy  # noqa: E402
+import workloads as wl  # noqa: E402
+
+
+def _pair(name: str) -> list[str]:
+    return ["--pair", f"demos/configs/{name}.json"]
+
+
+_TREE = ["--tree", "demos/configs/tree_deviation.json"]
+_PAIRS = ["alpha_half", "alpha_one", "alpha_quarter", "alpha_zero", "explicit_huge",
+          "mu25_5", "mu30_6", "mu42", "mu82", "mu93"]
+
+
+def ops() -> list[list[str]]:
+    """The fixed op list, paths relative to the repository root, each op once."""
+    listed = [op for seed in (1, 2) for name in ("canonical", "tree-alpha")
+              for op in wl.workload_ops(name, seed)]
+    # the byte-identical rerun specs of CI
+    for spec in ["mu25_5:6", "mu30_6:5", "mu82:8", "mu93:8", "alpha_zero:4", "alpha_one:3",
+                 "mu42:19", "alpha_half:5"]:
+        pair, level = spec.split(":")
+        listed.append(["completeness", *_pair(pair), "--level", level])
+    listed += [["completeness", *_pair("mu42"), *_TREE, "--level", level] for level in ("1", "5")]
+    listed += [["partition", *_pair(pair), "--level", "5"]
+               for pair in ("mu25_5", "mu30_6", "mu82", "mu93", "alpha_half", "alpha_quarter")]
+    listed.append(["partition", *_pair("mu42"), "--filters", "demos/configs/filters_modulated42.json",
+                   "--level", "8"])
+    listed.append(["partition", *_pair("explicit_huge"), "--level", "4"])
+    listed += [["dimension", *_pair(pair)] for pair in ("alpha_zero", "alpha_half", "alpha_one", "mu42")]
+    # report on every demo config CI reports on, and completeness at further levels
+    listed += [["report", *_pair(pair)] for pair in _PAIRS if pair != "explicit_huge"]
+    listed.append(["report", *_pair("mu42"), *_TREE])
+    for pair, level in [("mu42", 1), ("mu42", 2), ("mu42", 14), ("mu42", 18), ("mu93", 10),
+                        ("alpha_quarter", 4), ("alpha_half", 4), ("mu25_5", 8), ("mu30_6", 6)]:
+        listed.append(["completeness", *_pair(pair), "--level", str(level)])
+    # completeness at its default level on every pair (six exceed the word budget and
+    # explicit_huge the slack's range: exit 2), and the subcommands no op above runs
+    listed += [["completeness", *_pair(pair)] for pair in _PAIRS]
+    listed += [[name, *_pair("mu42")] for name in ("pair", "spectrum", "orthogonality", "beurling")]
+    listed.append(["sample", *_pair("mu42"), "--count", "20000"])
+    prefix = f"{ROOT}/"
+    unique = []
+    for op in listed:
+        op = [arg.removeprefix(prefix) for arg in op]
+        if op not in unique:  # the seed-free workload ops repeat across seeds
+            unique.append(op)
+    return unique
+
+
+def run() -> dict:
+    """The manifest of one run of :func:`ops`."""
+    cli = wl.import_cli()
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, op in enumerate(ops()):
+            outdir = wl.op_dir(Path(tmp), i, op)
+            argv = [str(ROOT / arg) if arg.startswith("demos/") else arg for arg in op]
+            with contextlib.redirect_stderr(io.StringIO()):  # the exit-2 ops' error lines
+                code = wl.run_op(cli.main, argv, outdir)
+            records.append({"op": " ".join(op), "exit": code, "files": wl.artifact_hashes(outdir)})
+    return {"python": platform.python_version(), "numpy": numpy.__version__, "ops": records}
+
+
+def differences(want: dict, got: dict) -> list[str]:
+    """One line per op whose exit code differs and per file that differs, is missing
+    or is new; ops are matched by their command line."""
+    ran = {rec["op"]: rec for rec in got["ops"]}
+    listed = {rec["op"] for rec in want["ops"]}
+    lines = [f"{op}: not in the manifest" for op in ran if op not in listed]
+    for rec in want["ops"]:
+        other = ran.get(rec["op"])
+        if other is None:
+            lines.append(f"{rec['op']}: not run")
+            continue
+        if other["exit"] != rec["exit"]:
+            lines.append(f"{rec['op']}: exit {other['exit']}, manifest {rec['exit']}")
+        for name in sorted(set(rec["files"]) | set(other["files"])):
+            a, b = rec["files"].get(name), other["files"].get(name)
+            if a != b:
+                state = "missing" if b is None else "new" if a is None else "differs"
+                lines.append(f"{rec['op']}: {name} {state}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--check"]):
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    got = run()
+    if not argv:
+        MANIFEST.write_text(json.dumps(got, indent=1) + "\n")
+        print(f"wrote {MANIFEST.relative_to(ROOT)}: {len(got['ops'])} ops")
+        return 0
+    want = json.loads(MANIFEST.read_text())
+    for key in ("python", "numpy"):
+        if want[key] != got[key]:
+            print(f"note: {key} {got[key]} here, {want[key]} in the manifest")
+    lines = differences(want, got)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} differences over {len(got['ops'])} ops")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
