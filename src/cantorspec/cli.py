@@ -31,7 +31,7 @@ from . import sampling, svgplot
 from .core import (BudgetExceededError, ScalePair, _Scales, _to_float, pair_from_config,
                    validate_pair)
 from .fourier import filter_family_from_config
-from .spectra import (TreeMapping, canonical_tau, enumerate_level,
+from .spectra import (canonical_tau, enumerate_level,
                       tree_mapping_from_config, validate_tree_mapping, word_count)
 from .verify import completeness_Q, orthogonality_check, partition_levels
 
@@ -51,30 +51,18 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite constant {token}")
 
 
-def _load_json(path: str):
+def _load_config(path: str, what: str, build):
+    """``build`` applied to the JSON document at ``path``, and the document; a
+    ConfigError naming ``what`` and ``path`` when it cannot be read or built."""
     try:
         with open(path) as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+            cfg = json.load(fh, parse_constant=_reject_constant)
     except (OSError, ValueError) as exc:  # ValueError includes JSONDecodeError
         raise ConfigError(f"cannot read JSON config {path}: {exc}") from exc
-
-
-def _load_pair(path: str) -> tuple[ScalePair, dict]:
-    cfg = _load_json(path)
     try:
-        return pair_from_config(cfg), cfg
+        return build(cfg), cfg
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid pair config {path}: {exc}") from exc
-
-
-def _load_tree(pair: ScalePair, path: str | None) -> tuple[TreeMapping, list]:
-    if not path:
-        return canonical_tau(pair), []
-    entries = _load_json(path)
-    try:
-        return tree_mapping_from_config(pair, entries), entries
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid tree table {path}: {exc}") from exc
+        raise ConfigError(f"invalid {what} {path}: {exc}") from exc
 
 
 def _write_json(outdir: Path, name: str, payload: dict):
@@ -172,11 +160,8 @@ def _check_orthogonality(pair, tm, args):
 def _check_partition(pair, tm, args):
     filters, payload, artifacts = None, {}, []
     if args.filters:
-        cfg = _load_json(args.filters)
-        try:
-            filters = filter_family_from_config(pair, cfg)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid filter family {args.filters}: {exc}") from exc
+        filters, _ = _load_config(args.filters, "filter family",
+                                  lambda cfg: filter_family_from_config(pair, cfg))
         cert = filters.certify(args.level)
         cert_doc = payload["filter_certificate"] = dataclasses.asdict(cert)
         artifacts.append(lambda out: _write_json(out, "filter_certificate.json", cert_doc))
@@ -403,8 +388,11 @@ def subcommand_parser(name: str) -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     entry = _CHECKS[args.command]
-    pair, pair_cfg = _load_pair(args.pair)
-    tm, tree_cfg = _load_tree(pair, getattr(args, "tree", None))
+    pair, pair_cfg = _load_config(args.pair, "pair config", pair_from_config)
+    tm, tree_cfg = canonical_tau(pair), []
+    if getattr(args, "tree", None):
+        tm, tree_cfg = _load_config(args.tree, "tree table",
+                                    lambda entries: tree_mapping_from_config(pair, entries))
     passed, payload, artifacts = entry["check"](pair, tm, args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)  # the writers below expect it

@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,7 +112,11 @@ def _dyadic_rule(p: int, q: int, n: int) -> tuple[int, int]:
         return 1 << (3 * n * n), 1 << n
     if p == q:
         return 1 << (3 * n), 1 << (3 * n - 1)
-    return 1 << max(n + 1, -(-n * q // p)), 1 << n  # b_n = 2^max(n + 1, ceil(n / alpha))
+    exponent = max(n + 1, -(-n * q // p))  # b_n = 2^max(n + 1, ceil(n / alpha))
+    if exponent > sys.maxsize:  # past the range of a shift
+        raise PairConstraintError(f"alpha = {p / q!r}: the exponent ceil(n / alpha) of b_n "
+                                  f"passes sys.maxsize at level {n}")
+    return 1 << exponent, 1 << n
 
 
 def rho(pair: ScalePair, n: int) -> int:
@@ -255,6 +260,8 @@ def pair_from_config(cfg: dict) -> ScalePair:
     "alpha": ..., "profile": "dyadic"}; the dyadic profile of
     :func:`_alpha_rule` is the only one, and any other is rejected.
     """
+    if not isinstance(cfg, dict):
+        raise TypeError(f"a pair config is a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
     if kind == "constant":
         return constant_pair(exact_int(cfg["b"], "b"), exact_int(cfg["d"], "d"))

@@ -109,10 +109,6 @@ class IntervalFamily:
     def intervals(self, n: int):
         return self.levels[n]
 
-    def length(self, n: int) -> Fraction:
-        word, left, right = self.levels[n][0]
-        return right - left
-
 
 def build_intervals(pair: ScalePair, depth: int, budget: int = 10**6) -> IntervalFamily:
     """Construct the interval family down to ``depth`` in exact arithmetic."""

@@ -63,9 +63,12 @@ def canonical_tau(pair: ScalePair) -> TreeMapping:
 
 def tree_mapping_from_config(pair: ScalePair, entries: Iterable[dict]) -> TreeMapping:
     """Table from its JSON form [{"word": [d1,...,dn], "value": v}, ...]."""
-    table = {}
+    table, index = {}, {}
     for i, e in enumerate(entries):
         word = tuple(exact_int(x, f"entry {i} word[{j}]") for j, x in enumerate(e["word"]))
+        if word in index:
+            raise ValueError(f"entries {index[word]} and {i} both list the word {list(word)}")
+        index[word] = i
         table[word] = exact_int(e["value"], f"entry {i} value")
     return TreeMapping(pair=pair, table=table)
 

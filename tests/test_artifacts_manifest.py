@@ -1,8 +1,11 @@
-"""``tools/artifacts.py``: its manifest covers its op list, and ``--check`` names each difference.
+"""``tools/artifacts.py``: its manifest covers its op list, ``--check`` names each
+difference, and a failed ``report`` op fails either mode.
 
-The byte comparison itself runs in CI (``python tools/artifacts.py --check`` on the
-numpy version the manifest records); these tests keep the manifest and the op list
-in step and the comparison's report exact, at no run cost.
+The runs themselves are CI's: ``python tools/artifacts.py --check`` against the
+checked-in manifest on the numpy version it records, then on every Python of the
+matrix a plain run, which rewrites the manifest, and a ``--check`` run in a fresh
+process, which compares every artifact with it.  These tests keep the manifest and
+the op list in step and the tool's report exact, at no run cost.
 """
 
 import importlib.util
@@ -43,3 +46,27 @@ def test_differences_name_each_op_and_file():
         "c: not run",
     ]
     assert tool.differences(want, want) == []
+
+
+def _manifest(*ops):
+    return {"python": "3", "numpy": "2",
+            "ops": [{"op": op, "exit": code, "files": {}} for op, code in ops]}
+
+
+def test_a_report_op_that_does_not_exit_0_fails_either_mode(tmp_path, monkeypatch, capsys):
+    tool = _load_artifacts()
+    got = _manifest(("report --pair a", 0), ("report --pair b", 1), ("report --pair c", 2),
+                    ("completeness --pair a", 1), ("pair --pair report", 1))
+    assert tool.failed_reports(got) == ["report --pair b: exit 1, report must exit 0",
+                                        "report --pair c: exit 2, report must exit 0"]
+    monkeypatch.setattr(tool, "run", lambda: got)
+    monkeypatch.setattr(tool, "MANIFEST", tmp_path / "artifacts.json")
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    assert tool.main([]) == 1  # the manifest is written all the same
+    assert json.loads(tool.MANIFEST.read_text()) == got
+    assert tool.main(["--check"]) == 1  # no difference from the manifest, but failed reports
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["wrote artifacts.json: 5 ops", *tool.failed_reports(got),
+                   "0 differences over 5 ops", *tool.failed_reports(got)]
+    monkeypatch.setattr(tool, "run", lambda: _manifest(("report --pair a", 0)))
+    assert tool.main([]) == tool.main(["--check"]) == 0

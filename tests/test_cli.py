@@ -604,6 +604,32 @@ def test_non_integral_config_values_exit_2(tmp_path, capsys, pair_cfg, tree_cfg,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, pair_cfg, tree_cfg, named", [
+    # JSON that is not an object: pair_from_config died on an AttributeError of cfg.get
+    *[("pair", cfg, None, f"invalid pair config {{}}: a pair config is a JSON object, got {got}")
+      for cfg, got in [("[]", "[]"), ("4", "4"), ('"mu"', "'mu'"), ("null", "None")]],
+    # a word listed twice: the last entry was used, and the report echoed both
+    ("spectrum", MU42, '[{"word": [1], "value": 1}, {"word": [1], "value": -1}]',
+     "invalid tree table {}: entries 0 and 1 both list the word [1]"),
+    # b_1 = 2^ceil(1 / alpha): the shift died on an OverflowError
+    *[(cmd, '{"kind": "alpha", "alpha": 1e-300}', None, "alpha = 1e-300: the exponent")
+      for cmd in ("pair", "completeness", "report")],
+])
+def test_malformed_configs_exit_2(tmp_path, capsys, cmd, pair_cfg, tree_cfg, named):
+    pair, out = tmp_path / "pair.json", tmp_path / "o"
+    pair.write_text(pair_cfg)
+    argv = [cmd, "--pair", str(pair), "--out", str(out)]
+    if tree_cfg is not None:
+        tree = tmp_path / "tree.json"
+        tree.write_text(tree_cfg)
+        argv += ["--tree", str(tree)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named.format(argv[-1] if tree_cfg is not None else pair) in err
+    assert not out.exists()
+
+
 def _subcommand_flags() -> dict[str, dict[str, object]]:
     """Per subcommand, the long flags it accepts and their defaults."""
     subparsers = build_parser()._subparsers._group_actions[0].choices

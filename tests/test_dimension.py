@@ -132,7 +132,7 @@ def test_interval_family_invariants_exact(pair, depth):
             assert all(g >= 0 for g in gaps)                # disjoint children
         # lengths at depth n equal the exact ratio product
         expected = math.prod(family.ratios[:n], start=Fraction(1))
-        assert family.length(n) == expected
+        assert all(right - left == expected for _, left, right in children)
 
 
 def test_rescale_constant_values():
@@ -181,8 +181,9 @@ def family_box_fit(pair, depth):
     length of a level-n interval and the number of them; log(1/length) is the
     log of the correctly rounded quotient of its denominator and numerator."""
     family = build_intervals(pair, depth)
-    xs = [math.log(family.length(n).denominator / family.length(n).numerator)
-          for n in range(1, depth + 1)]
+    lengths = [right - left for _, left, right in
+               (family.intervals(n)[0] for n in range(1, depth + 1))]
+    xs = [math.log(length.denominator / length.numerator) for length in lengths]
     ys = [math.log(len(family.intervals(n))) for n in range(1, depth + 1)]
     return _least_squares(xs, ys), len(family.intervals(depth))
 

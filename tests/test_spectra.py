@@ -248,6 +248,13 @@ def test_tree_config_rejects_non_integral_values(entries, field):
         tree_mapping_from_config(MU42, entries)
 
 
+def test_tree_config_rejects_a_repeated_word():
+    entries = [{"word": [1], "value": -1}, {"word": [0, 1], "value": 1},
+               {"word": [1.0], "value": 1}]  # [1.0] is the word [1]
+    with pytest.raises(ValueError, match=r"^entries 0 and 2 both list the word \[1\]$"):
+        tree_mapping_from_config(MU42, entries)
+
+
 ORACLE_PAIRS = (MU42, MU93, dimension_targeting_pair(0.5), explicit_pair([4, 9, 8], [2, 3, 2]))
 
 

@@ -10,6 +10,13 @@ wrote, with the Python and numpy versions of the run.  ``--check`` names each op
 whose exit code differs, and each file that differs, is missing or is new, and
 exits 1 if there is any; a commit that changes an artifact rewrites the manifest
 with it, so the diff of the manifest is that commit's record of byte identity.
+In both modes a ``report`` op that exits other than 0 is named and makes the
+run exit 1 (the manifest is still written).
+
+CI runs ``--check`` against the checked-in manifest on the numpy version it
+records, then, on every Python of its matrix, a plain run and a ``--check`` run
+in a fresh process, so that every op's artifacts are byte-identical across two
+processes.  These are the only CLI invocations CI runs.
 """
 
 from __future__ import annotations
@@ -43,19 +50,39 @@ def ops() -> list[list[str]]:
     """The fixed op list, paths relative to the repository root, each op once."""
     listed = [op for seed in (1, 2) for name in ("canonical", "tree-alpha")
               for op in wl.workload_ops(name, seed)]
-    # the byte-identical rerun specs of CI
+    # completeness at levels past the walk depth, which run as polynomials in xi: mu25_5
+    # takes the closed form of H_5, mu30_6 the H_2 and H_3 sub-levels of d_n = 6, alpha_zero
+    # the H_2 sub-levels of d_4 = 16, and alpha_one --level 3 the explicit tail level
+    # d_4 = 2048, which runs as 11 H_2 sub-levels like the tree's; past the group level
+    # completeness walks one subtree group at a time: mu42 at --level 19, the deepest the
+    # default word budget allows, in the most groups, and alpha_half at --level 5 in groups
+    # over the H_2 sub-levels of d_5 = 32
     for spec in ["mu25_5:6", "mu30_6:5", "mu82:8", "mu93:8", "alpha_zero:4", "alpha_one:3",
                  "mu42:19", "alpha_half:5"]:
         pair, level = spec.split(":")
         listed.append(["completeness", *_pair(pair), "--level", level])
+    # mu42 + tree_deviation has table labels past the tree: at --level 1 the label of (1, 1)
+    # makes level 2 an explicit tail level before the series, whose roots multiply into the
+    # series' by one rule
     listed += [["completeness", *_pair("mu42"), *_TREE, "--level", level] for level in ("1", "5")]
+    # partition on alpha_half and alpha_quarter at --level 5 walks 15 H_2 sub-levels, the
+    # last of 32,768 nodes in one-row tiles, a partition.csv that report never writes
     listed += [["partition", *_pair(pair), "--level", "5"]
                for pair in ("mu25_5", "mu30_6", "mu82", "mu93", "alpha_half", "alpha_quarter")]
+    # the explicit filter levels, and the quotient b_3 / d_3 = 2^1099 of explicit_huge past
+    # the double range
     listed.append(["partition", *_pair("mu42"), "--filters", "demos/configs/filters_modulated42.json",
                    "--level", "8"])
     listed.append(["partition", *_pair("explicit_huge"), "--level", "4"])
+    # dimension reads the exact integer tails at the endpoints alpha_zero and alpha_one, at
+    # alpha_half and on mu42
     listed += [["dimension", *_pair(pair)] for pair in ("alpha_zero", "alpha_half", "alpha_one", "mu42")]
-    # report on every demo config CI reports on, and completeness at further levels
+    # report runs every check of a pair and must pass (failed_reports): the alpha pairs run
+    # the H_2 sub-levels of composite d_n, alpha_zero and alpha_one the paper's zero- and
+    # one-dimensional endpoints, mu93 the cosine form of H_3, mu25_5 the closed form of H_5,
+    # mu30_6 an H_2 and an H_3 sub-level per level, and mu42 + tree the table labels;
+    # explicit_huge is left out, as its frequencies pass the range of the completeness
+    # slack and report exits 2 on it.  Then completeness at further levels
     listed += [["report", *_pair(pair)] for pair in _PAIRS if pair != "explicit_huge"]
     listed.append(["report", *_pair("mu42"), *_TREE])
     for pair, level in [("mu42", 1), ("mu42", 2), ("mu42", 14), ("mu42", 18), ("mu93", 10),
@@ -110,24 +137,35 @@ def differences(want: dict, got: dict) -> list[str]:
     return lines
 
 
+def failed_reports(manifest: dict) -> list[str]:
+    """One line per ``report`` op that did not exit 0, whatever the manifest it is
+    compared with records: report runs every check of a pair, and must pass on each."""
+    return [f"{rec['op']}: exit {rec['exit']}, report must exit 0"
+            for rec in manifest["ops"] if rec["op"].startswith("report ") and rec["exit"] != 0]
+
+
 def main(argv: list[str]) -> int:
     if argv not in ([], ["--check"]):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     got = run()
-    if not argv:
+    lines = []
+    if argv:
+        want = json.loads(MANIFEST.read_text())
+        for key in ("python", "numpy"):
+            if want[key] != got[key]:
+                print(f"note: {key} {got[key]} here, {want[key]} in the manifest")
+        lines = differences(want, got)
+        for line in lines:
+            print(line)
+        print(f"{len(lines)} differences over {len(got['ops'])} ops")
+    else:
         MANIFEST.write_text(json.dumps(got, indent=1) + "\n")
         print(f"wrote {MANIFEST.relative_to(ROOT)}: {len(got['ops'])} ops")
-        return 0
-    want = json.loads(MANIFEST.read_text())
-    for key in ("python", "numpy"):
-        if want[key] != got[key]:
-            print(f"note: {key} {got[key]} here, {want[key]} in the manifest")
-    lines = differences(want, got)
-    for line in lines:
+    failed = failed_reports(got)
+    for line in failed:
         print(line)
-    print(f"{len(lines)} differences over {len(got['ops'])} ops")
-    return 1 if lines else 0
+    return 1 if lines or failed else 0
 
 
 if __name__ == "__main__":
