@@ -8,7 +8,7 @@ completeness trend, and dimension estimates.
 
 from .core import (BudgetExceededError, Issue, PairConstraintError, ScalePair,
                    ValidationReport, constant_pair, dimension_targeting_pair,
-                   explicit_pair, pair_from_config, pair_to_config, rho,
+                   explicit_pair, pair_from_config, rho,
                    validate_pair)
 from .dimension import (BeurlingEstimate, BoxCountFit, DimensionComparison,
                         DimensionFormula, IntervalFamily, beurling_upper_dim,
@@ -51,7 +51,7 @@ __all__ = [
     "explicit_pair", "filter_family_from_config", "gap_ratios",
     "hausdorff_dim_formula",
     "lambda_of_word", "mu_hat", "mu_hat_array", "mu_hat_exact_zero",
-    "orthogonality_check", "pair_from_config", "pair_to_config",
+    "orthogonality_check", "pair_from_config",
     "partition_identity", "partition_levels", "phi_hat", "qmf_check",
     "rescale_constant", "rho",
     "sample_measure", "tree_mapping_from_config", "uniform_family",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -359,42 +360,44 @@ _CHECKS = {
 }
 
 
-def _add_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    parser.add_argument("--pair", required=True, help="pair configuration JSON")
-    for flag, default in _CHECKS[name]["flags"].items():
-        kind, text = _FLAGS[flag]
-        parser.add_argument(f"--{flag}", type=kind, default=default,
-                            help=f"{text} (default: %(default)s)")
-    parser.add_argument("--out", default="out", help="output directory for artifacts")
-    return parser
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand."""
+    """The parser of every subcommand, built once per process on the first call."""
     parser = argparse.ArgumentParser(
         prog="cantorspec",
         description="Exact and certified-numeric verification for spectra of "
                     "Riesz product measures on homogeneous Cantor sets.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _CHECKS:
-        _add_flags(sub.add_parser(name), name)
+    for name, entry in _CHECKS.items():
+        command = sub.add_parser(name)
+        command.add_argument("--pair", required=True, help="pair configuration JSON")
+        for flag, default in entry["flags"].items():
+            kind, text = _FLAGS[flag]
+            command.add_argument(f"--{flag}", type=kind, default=default,
+                                 help=f"{text} (default: %(default)s)")
+        command.add_argument("--out", default="out", help="output directory for artifacts")
     return parser
 
 
-def subcommand_parser(name: str) -> argparse.ArgumentParser:
-    """Subcommand ``name``'s parser alone: its subparser's usage, help and errors."""
-    return _add_flags(argparse.ArgumentParser(prog=f"cantorspec {name}"), name)
+def _outdir(path: str) -> Path:
+    """``path`` as a Path; a ConfigError naming --out when it or its nearest
+    existing ancestor is not a directory, where no artifact could be written."""
+    outdir = Path(path)
+    existing = next(p for p in (outdir, *outdir.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {path}: {existing} is not a directory")
+    return outdir
 
 
 def _run(args) -> int:
     entry = _CHECKS[args.command]
+    outdir = _outdir(args.out)  # refused before the check runs
     pair, pair_cfg = _load_config(args.pair, "pair config", pair_from_config)
     tm, tree_cfg = canonical_tau(pair), []
     if getattr(args, "tree", None):
         tm, tree_cfg = _load_config(args.tree, "tree table",
                                     lambda entries: tree_mapping_from_config(pair, entries))
     passed, payload, artifacts = entry["check"](pair, tm, args)
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)  # the writers below expect it
     for write in artifacts:
         write(outdir)
@@ -408,14 +411,7 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    name = argv[0] if argv else None
-    if name in _CHECKS:
-        args, extra = subcommand_parser(name).parse_known_args(
-            argv[1:], argparse.Namespace(command=name))
-    if name not in _CHECKS or extra:
-        # no subcommand first, or flags it does not know: the full parser's error
-        args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     # exact integers and fractions are written whole, past Python's default limit on the
     # digits of an int-to-string conversion; the caller's limit is restored after the run
     limit = sys.get_int_max_str_digits()

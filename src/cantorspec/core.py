@@ -86,13 +86,6 @@ class ScalePair:
             return _alpha_rule(self.alpha, n)[1]
         return self.d_prefix[-1]
 
-    def describe(self) -> str:
-        if self.kind == "constant":
-            return f"constant(b={self.b_prefix[0]}, d={self.d_prefix[0]})"
-        if self.kind == "alpha":
-            return f"alpha({float(self.alpha)})"
-        return f"explicit(depth={len(self.b_prefix)})"
-
 
 def _alpha_rule(alpha: Fraction, n: int) -> tuple[int, int]:
     """Dyadic (b_n, d_n) with d_n -> infinity and ln d_n / ln b_n -> alpha.
@@ -204,13 +197,25 @@ def constant_pair(b: int, d: int) -> ScalePair:
 
 
 def exact_int(value, field: str) -> int:
-    """``value`` as an int; a ValueError naming ``field`` unless it is integral."""
+    """``value`` as an int; a ValueError naming ``field`` unless it is integral
+    and not a bool (JSON true and false are not numbers)."""
     try:
-        if int(value) == value:
+        if not isinstance(value, bool) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def finite_number(value, field: str):
+    """``value`` when it is a finite number other than a bool; a ValueError
+    naming ``field`` for a bool, a string or any other value."""
+    try:
+        if not isinstance(value, (bool, str)) and math.isfinite(value):
+            return value
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{field} must be a finite number, got {value!r}")
 
 
 def explicit_pair(b: list[int] | tuple[int, ...], d: list[int] | tuple[int, ...]) -> ScalePair:
@@ -271,13 +276,6 @@ def pair_from_config(cfg: dict) -> ScalePair:
         profile = cfg.get("profile", "dyadic")
         if profile != "dyadic":
             raise PairConstraintError(f"unknown growth profile {profile!r}; known: 'dyadic'")
-        return dimension_targeting_pair(cfg["alpha"])
+        return dimension_targeting_pair(finite_number(cfg["alpha"], "alpha"))
     raise PairConstraintError(f"unknown pair kind {kind!r}; expected constant/explicit/alpha")
 
-
-def pair_to_config(pair: ScalePair) -> dict:
-    if pair.kind == "constant":
-        return {"kind": "constant", "b": pair.b_prefix[0], "d": pair.d_prefix[0]}
-    if pair.kind == "alpha":
-        return {"kind": "alpha", "alpha": float(pair.alpha), "profile": "dyadic"}
-    return {"kind": "explicit", "b": list(pair.b_prefix), "d": list(pair.d_prefix)}

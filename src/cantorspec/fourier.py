@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ScalePair, _Scales, _to_float
+from .core import ScalePair, _Scales, _to_float, finite_number
 
 TWO_PI = 2.0 * math.pi
 
@@ -474,15 +474,14 @@ def truncation_target(xi, tol: float):
     return target
 
 
-def _truncated_product(filters: FilterFamily, xs, tol: float,
-                       levels: int = 1) -> tuple[np.ndarray, np.ndarray, int]:
+def _truncated_product(filters: FilterFamily, xs, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
     """(values, radii, N): prod_{n<=N} G_n(x / (d_n rho_n)) over a float array,
     G_n = ``filters.factor(n, .)``.
 
-    N is the least depth >= max(``levels``, the explicit levels of
-    ``filters``) with rho_{N+1} >= :func:`truncation_target` of the largest
-    |x|.  Every level past N is then a uniform H_{d_n}, and
-    |H_m(eta) - 1| <= pi (m-1) |eta| bounds its defect by pi |x| / rho_n;
+    N is the least depth >= 1 and >= the explicit levels of ``filters`` with
+    rho_{N+1} >= :func:`truncation_target` of the largest |x|.  Every level
+    past N is then a uniform H_{d_n}, and |H_m(eta) - 1| <= pi (m-1) |eta|
+    bounds its defect by pi |x| / rho_n;
     with rho_{n+1} >= 4 rho_n these sum to at most 2 pi |x| / rho_{N+1}, and
     |prod(1 + eps_n) - 1| <= exp(sum |eps_n|) - 1.  The partial product has
     modulus at most 1 for a certified family (the QMF identity gives
@@ -491,8 +490,7 @@ def _truncated_product(filters: FilterFamily, xs, tol: float,
     xs = np.asarray(xs, dtype=float)
     xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
     scales = _Scales(filters.pair)
-    n_levels, rho_next = scales.reach(truncation_target(xmax, tol),
-                                      max(levels, len(filters.explicit)))
+    n_levels, rho_next = scales.reach(truncation_target(xmax, tol), len(filters.explicit))
     values = np.ones(xs.shape, dtype=complex)
     for n in range(1, n_levels + 1):
         values *= filters.factor(n, xs / _to_float(scales.d[n] * scales.rho[n]))
@@ -504,10 +502,10 @@ def _at_one(values: np.ndarray, radii: np.ndarray, n_levels: int) -> TruncatedVa
     return TruncatedValue(value=complex(values[0]), radius=float(radii[0]), levels=n_levels)
 
 
-def mu_hat(pair: ScalePair, xi: float, tol: float = 1e-10, levels: int = 1) -> TruncatedValue:
+def mu_hat(pair: ScalePair, xi: float, tol: float = 1e-10) -> TruncatedValue:
     """Product transform at xi, truncated with a certified error radius:
-    :func:`mu_hat_array` at the one argument xi, at least ``levels`` deep."""
-    return _at_one(*_truncated_product(uniform_family(pair), [xi], tol, levels))
+    :func:`mu_hat_array` at the one argument xi."""
+    return _at_one(*_truncated_product(uniform_family(pair), [xi], tol))
 
 
 def mu_hat_array(pair: ScalePair, xs: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, int]:
@@ -537,6 +535,8 @@ _WINDOW_GRID, _WINDOW_REFINEMENTS = 4096, 6
 # sinc(2/3) = 3 sqrt(3) / (4 pi) = 0.41349..., rounded down: on the window
 # |d x| <= 2/3, |H_d(x)| = |sin(pi d x)| / (d |sin(pi x)|) >= sinc(d x) >= it
 _UNIFORM_WINDOW_BOUND = 0.4134
+# the terms of one block of eval_filter: 1 MiB of complex entries
+_FILTER_BLOCK = 1 << 16
 
 
 def _autocorrelation(g: np.ndarray, lag: int) -> complex:
@@ -546,9 +546,17 @@ def _autocorrelation(g: np.ndarray, lag: int) -> complex:
 
 
 def eval_filter(g: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """G(x) = sum_j g_j e^{-2 pi i j x} over an array of arguments."""
+    """G(x) = sum_j g_j e^{-2 pi i j x} over an array of arguments, as one
+    (coefficients x points) sum per block of about ``_FILTER_BLOCK`` terms, so
+    memory does not grow with the degree times the points.  A block holds all
+    the points or at least 2 of them: summed down a column, in order, a block
+    of 2 points or more gives the bits of the whole array, and 1 point may not."""
+    g = np.asarray(g, dtype=complex).reshape(-1, 1)
     j = np.arange(len(g)).reshape(-1, 1)
-    return (np.asarray(g, dtype=complex).reshape(-1, 1) * np.exp(-2j * np.pi * j * np.asarray(xs, dtype=float))).sum(axis=0)
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    blocks = max(1, len(xs) // max(2, _FILTER_BLOCK // max(len(g), 1)))
+    return np.concatenate([(g * np.exp(-2j * np.pi * j * x)).sum(axis=0)
+                           for x in np.array_split(xs, blocks)])
 
 
 def qmf_check(g, d: int) -> QmfReport:
@@ -669,21 +677,21 @@ def filter_family_from_config(pair: ScalePair, cfg: dict) -> FilterFamily:
     beyond the list default to the uniform averaging filter.
     """
     levels = []
-    for entry in cfg["levels"]:
-        levels.append(tuple(complex(float(re), float(im)) for re, im in entry))
+    for n, entry in enumerate(cfg["levels"]):
+        levels.append(tuple(complex(finite_number(re, f"levels[{n}][{j}] re"),
+                                    finite_number(im, f"levels[{n}][{j}] im"))
+                            for j, (re, im) in enumerate(entry)))
     return FilterFamily(pair=pair, explicit=tuple(levels))
 
 
-def phi_hat(filters: FilterFamily, xi: float, tol: float = 1e-10,
-            certificate: FamilyCertificate | None = None) -> TruncatedValue:
+def phi_hat(filters: FilterFamily, xi: float, tol: float = 1e-10) -> TruncatedValue:
     """Truncated product of a certified filter family at xi, with the error
     radius of :func:`mu_hat`: :func:`_truncated_product`, which runs past the
     explicit levels, so that only uniform levels are discarded.  The family is
-    certified to the depth the product used, unless ``certificate`` reaches
-    it; a FilterCertificationError when it fails."""
+    certified to the depth the product used; a FilterCertificationError when
+    it fails."""
     values, radii, n_levels = _truncated_product(filters, [xi], tol)
-    if certificate is None or certificate.depth < n_levels:
-        certificate = filters.certify(n_levels)
+    certificate = filters.certify(n_levels)
     if not certificate.ok:
         raise FilterCertificationError("; ".join(certificate.messages))
     return _at_one(values, radii, n_levels)

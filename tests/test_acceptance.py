@@ -40,7 +40,7 @@ def test_criterion_1_exact_orthogonality():
         for level in range(1, 6):
             lev = enumerate_level(canonical, level, budget=10**6)
             rep = orthogonality_check(lev, pair)
-            assert rep.passed, (pair.describe(), level, rep.violations[:3])
+            assert rep.passed, (pair, level, rep.violations[:3])
             assert rep.violation_count == 0
             assert not lev.collisions
     elapsed = time.time() - start
@@ -87,7 +87,7 @@ def test_criterion_4_dimension_formula():
     for pair, expected in ((MU42, 0.5), (MU93, 0.5), (MU82, 1 / 3)):
         formula = hausdorff_dim_formula(pair, 40)
         for _, s in formula.partials:
-            assert abs(s - expected) <= 1e-12, pair.describe()
+            assert abs(s - expected) <= 1e-12, pair
     for alpha in (0, 0.25, 0.5, 1):
         formula = hausdorff_dim_formula(dimension_targeting_pair(alpha), 40)
         s40 = dict(formula.partials)[40]
@@ -103,9 +103,9 @@ def test_criterion_5_box_counting_cross_check():
     cases = [(MU42, 10), (MU82, 10), (MU93, 7), (constant_pair(16, 4), 5)]
     for pair, depth in cases:
         fit = box_counting_dim(pair, depth)
-        assert fit.interval_count >= 1000, pair.describe()
+        assert fit.interval_count >= 1000, pair
         formula = hausdorff_dim_formula(pair, 40).liminf_proxy
-        assert abs(fit.slope - formula) <= 0.05, (pair.describe(), fit.slope)
+        assert abs(fit.slope - formula) <= 0.05, (pair, fit.slope)
     elapsed = time.time() - start
     assert elapsed < 10.0
     _pass(5, f"box-count slopes agree with the formula within 0.05 on four "
@@ -116,7 +116,7 @@ def test_criterion_6_beurling_inequality():
     start = time.time()
     for pair in (MU42, MU82):
         comparison = beurling_vs_hausdorff(canonical_tau(pair), 8)
-        assert comparison.passed, pair.describe()
+        assert comparison.passed, pair
         assert comparison.beurling <= comparison.hausdorff + 0.1
     elapsed = time.time() - start
     assert elapsed < 30.0

@@ -79,37 +79,41 @@ def _exit(parse, argv, capsys):
 
 @pytest.mark.parametrize("name", list(cli._CHECKS))
 def test_subcommand_help_matches_the_full_parser(name, capsys):
-    # main parses with the invoked subcommand's own parser
-    assert _exit(main, [name, "--help"], capsys) == _exit(build_parser().parse_args,
-                                                          [name, "--help"], capsys)
-    flags = [a.dest for a in cli.subcommand_parser(name)._actions]
-    assert set(flags) == {"help", "pair", "out", *cli._CHECKS[name]["flags"]}
+    # main parses every call with build_parser(): a subcommand's help is its subparser's
+    code, out, err = _exit(main, [name, "--help"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: cantorspec {name} [-h] --pair PAIR")
+    flags = {"--pair", "--out", *(f"--{flag}" for flag in cli._CHECKS[name]["flags"])}
+    assert set(_subcommand_flags()[name]) == flags
+    assert all(flag in out for flag in flags)
 
 
-def test_valid_call_never_builds_the_full_parser(mu42, tmp_path, monkeypatch):
-    def full_parser():
-        raise AssertionError("main built the parser of every subcommand")
-    monkeypatch.setattr(cli, "build_parser", full_parser)
-    assert run(["pair", "--pair", mu42, "--level=3", "--out", str(tmp_path / "o")]) == 0
-    assert run(["spectrum", "--pair", mu42, "--level", "2", "--out", str(tmp_path / "o")]) == 0
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
-@pytest.mark.parametrize("argv", [
-    ["frobnicate", "--pair", "x.json"],                 # unknown subcommand
-    ["--level", "3", "partition", "--pair", "x.json"],  # a flag before the subcommand
-    ["partition", "--pair", "x.json", "--grid", "4"],   # a flag of another subcommand
-    ["partition", "--pair", "x.json", "--frob"],        # an unknown flag
-    ["completeness", "--pair", "x.json", "--level", "0"],  # an invalid value
-    ["completeness", "--pair", "x.json", "--tol", "nan"],
-    ["sample", "--pair", "x.json", "--count", "many"],
-    ["report"],                                         # a required flag missing
-    [],
-    ["--help"],
-])
-def test_usage_errors_match_the_full_parser(argv, capsys):
-    got = _exit(main, argv, capsys)
-    assert got == _exit(build_parser().parse_args, argv, capsys)
-    assert got[0] in (0, 2)
+@pytest.mark.parametrize("argv, prog", [
+    (["frobnicate", "--pair", "x.json"], "cantorspec"),              # unknown subcommand
+    (["--level", "3", "partition", "--pair", "x.json"], "cantorspec"),  # a flag before it
+    (["partition", "--pair", "x.json", "--grid", "4"], "cantorspec"),  # another's flag
+    (["partition", "--pair", "x.json", "--frob"], "cantorspec"),     # an unknown flag
+    (["completeness", "--pair", "x.json", "--level", "0"], "cantorspec completeness"),
+    (["completeness", "--pair", "x.json", "--tol", "nan"], "cantorspec completeness"),
+    (["sample", "--pair", "x.json", "--count", "many"], "cantorspec sample"),
+    (["report"], "cantorspec report"),                               # a required flag missing
+    ([], "cantorspec"),
+    (["--help"], "cantorspec"),
+], ids=[f"argv{i}" for i in range(10)])
+def test_usage_errors_match_the_full_parser(argv, prog, capsys):
+    # exit code and usage line: an error in a subcommand's own flags prints its usage,
+    # any other the usage of the whole command line
+    code, out, err = _exit(main, argv, capsys)
+    if argv == ["--help"]:
+        assert (code, err) == (0, "") and out.startswith(f"usage: {prog} [-h]")
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: {prog} [-h]")
+        assert err.splitlines()[-1].startswith(f"{prog}: error: ")
 
 
 def test_spectrum_example(mu42, tmp_path):
@@ -602,6 +606,52 @@ def test_non_integral_config_values_exit_2(tmp_path, capsys, pair_cfg, tree_cfg,
         argv += ["--tree", str(tree)]
     assert run(argv) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, pair_cfg, extra, named", [
+    # JSON true and false are no numbers, nor is a string: each of these ran, exit 0 or 1
+    ("spectrum", MU42, ("--tree", '[{"word": [true], "value": true}]'),
+     "invalid tree table {}: entry 0 word[0] must be an integer, got True"),
+    ("pair", '{"kind": "explicit", "b": [4, true], "d": [2, true]}', None,
+     "invalid pair config {}: b[1] must be an integer, got True"),
+    ("pair", '{"kind": "alpha", "alpha": false}', None,
+     "invalid pair config {}: alpha must be a finite number, got False"),
+    ("pair", '{"kind": "alpha", "alpha": "1/3"}', None,
+     "invalid pair config {}: alpha must be a finite number, got '1/3'"),
+    ("partition", MU42, ("--filters", '{"levels": [[[0, 0], [0, 0], ["0.5", 0], [0.5, 0]]]}'),
+     "invalid filter family {}: levels[0][2] re must be a finite number, got '0.5'"),
+    ("partition", MU42, ("--filters", '{"levels": [[[0, 0], [0, 0], [true, 0], [0.5, 0]]]}'),
+     "invalid filter family {}: levels[0][2] re must be a finite number, got True"),
+])
+def test_booleans_and_strings_are_not_numbers(tmp_path, capsys, cmd, pair_cfg, extra, named):
+    pair, out = tmp_path / "pair.json", tmp_path / "o"
+    pair.write_text(pair_cfg)
+    argv = [cmd, "--pair", str(pair), "--out", str(out)]
+    if extra is not None:
+        flag, doc = extra
+        path = tmp_path / "extra.json"
+        path.write_text(doc)
+        argv += [flag, str(path)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: " + named.format(argv[-1] if extra else pair) + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["pair", "completeness"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_naming_a_file_exits_2_before_the_check(tmp_path, capsys, monkeypatch, cmd, below):
+    # mkdir ran after the whole check and died on FileExistsError or NotADirectoryError
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker / "sub" if below else blocker
+
+    def never(*args):
+        raise AssertionError("the check ran")
+    monkeypatch.setitem(cli._CHECKS[cmd], "check", never)
+    assert run([cmd, "--pair", str(ROOT / "demos" / "configs" / "mu42.json"),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out {out}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "kept"
 
 
 @pytest.mark.parametrize("cmd, pair_cfg, tree_cfg, named", [

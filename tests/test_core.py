@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cantorspec import (PairConstraintError, constant_pair,
                         dimension_targeting_pair, explicit_pair,
-                        pair_from_config, pair_to_config, rho, validate_pair)
+                        pair_from_config, rho, validate_pair)
 from cantorspec import core
 
 
@@ -131,14 +131,7 @@ def test_explicit_pair_structural_errors():
         explicit_pair([], [])
 
 
-def test_config_round_trip():
-    for cfg in ({"kind": "constant", "b": 4, "d": 2},
-                {"kind": "explicit", "b": [4, 8], "d": [2, 2]},
-                {"kind": "alpha", "alpha": 0.25, "profile": "dyadic"}):
-        pair = pair_from_config(cfg)
-        again = pair_from_config(pair_to_config(pair))
-        for n in range(1, 8):
-            assert (pair.b(n), pair.d(n)) == (again.b(n), again.d(n))
+def test_unknown_pair_kind_rejected():
     with pytest.raises(PairConstraintError, match="kind"):
         pair_from_config({"kind": "mystery"})
 
@@ -148,9 +141,21 @@ def test_config_round_trip():
     ({"kind": "constant", "b": 4, "d": "2"}, "d"),
     ({"kind": "explicit", "b": [4, 8.5], "d": [2, 2]}, "b[1]"),
     ({"kind": "explicit", "b": [4, 8], "d": [2.25, 2]}, "d[0]"),
+    # JSON true is no integer, though Python's bool is an int: b_2 = d_2 = 1 was built
+    ({"kind": "constant", "b": 4, "d": True}, "d"),
+    ({"kind": "explicit", "b": [4, True], "d": [2, True]}, "b[1]"),
 ])
 def test_pair_config_rejects_non_integral_values(cfg, field):
     # int() used to truncate 4.7 to 4 while the report echoed 4.7
     with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer"):
         pair_from_config(cfg)
     assert pair_from_config({"kind": "constant", "b": 4.0, "d": 2}) == constant_pair(4, 2)
+
+
+@pytest.mark.parametrize("alpha", [False, True, "1/3", "0.5", None, [0.5], math.inf, 10**400],
+                         ids=["false", "true", "1/3", "0.5", "null", "list", "inf", "10**400"])
+def test_pair_config_alpha_must_be_a_finite_number(alpha):
+    # alpha went straight to Fraction: false ran as alpha = 0 and "1/3" as alpha = 1/3
+    with pytest.raises(ValueError, match=r"^alpha must be a finite number"):
+        pair_from_config({"kind": "alpha", "alpha": alpha})
+    assert pair_from_config({"kind": "alpha", "alpha": 1}) == dimension_targeting_pair(1)

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from cantorspec import (FilterCertificationError, FilterFamily, constant_pair,
                         eval_H_sq_array, filter_family_from_config, mu_hat,
                         mu_hat_array, mu_hat_exact_zero, pair_from_config,
                         phi_hat, qmf_check, uniform_family)
+from cantorspec import fourier
 from cantorspec.fourier import (SERIES_THETA, _UNIFORM_WINDOW_BOUND, H_sq_tables, _H_sq_direct,
                                 eval_filter, eval_H_sq_tables, eval_taylor, root_series,
                                 root_series_taylor, series_remainder_bounds)
@@ -607,7 +609,8 @@ def test_mu_hat_radius_sound():
         pair = pairs[k % len(pairs)]
         xi = float(rng.uniform(-200, 200))
         base = mu_hat(pair, xi, 1e-8)
-        deeper = mu_hat(pair, xi, 1e-8, levels=base.levels + 10)
+        deeper = mu_hat(pair, xi, 1e-14)  # a smaller tol reaches a deeper product
+        assert deeper.levels > base.levels
         assert abs(base.value - deeper.value) <= base.radius + 1e-16
 
 
@@ -689,9 +692,8 @@ def test_uniform_family_matches_measure_transform():
     for name in DEMO_PAIRS:
         pair = pair_from_config(json.loads((CONFIGS / f"{name}.json").read_text()))
         fam = uniform_family(pair)
-        cert = fam.certify(mu_hat(pair, max(xis, key=abs), 1e-10).levels)
         for xi in xis:
-            a = phi_hat(fam, xi, 1e-10, certificate=cert)
+            a = phi_hat(fam, xi, 1e-10)
             b = mu_hat(pair, xi, 1e-10)
             assert np.array([a.value, a.radius]).tobytes() == np.array([b.value, b.radius]).tobytes()
             assert a.levels == b.levels, (name, xi)
@@ -715,7 +717,7 @@ def test_modulated_family():
     assert fam.d0 == pytest.approx(1.5)
     cert = fam.certify(8)
     assert cert.ok
-    assert phi_hat(fam, 0.0, 1e-10, certificate=cert).value == pytest.approx(1.0)
+    assert phi_hat(fam, 0.0, 1e-10).value == pytest.approx(1.0)
     # the product runs past every explicit level, so that it discards only uniform
     # ones and mu_hat's radius bounds its tail; four levels of averaging taps
     # shifted by two and by one
@@ -753,6 +755,43 @@ def test_filter_family_json_round_trip():
     assert doc["d0"] == pytest.approx(1.5)
     assert all(d <= 1e-12 for d in doc["qmf_defects"])
     json.dumps(doc)                                         # JSON-serializable
+
+
+@pytest.mark.parametrize("coefficient", ["0.5", True, None, math.inf])
+def test_filter_config_coefficients_must_be_finite_numbers(coefficient):
+    # float() read "0.5" and true as coefficients
+    cfg = {"levels": [[[0.0, 0.0], [0.0, 0.0], [coefficient, 0.0], [0.5, 0.0]]]}
+    with pytest.raises(ValueError, match=r"^levels\[0\]\[2\] re must be a finite number"):
+        filter_family_from_config(constant_pair(4, 2), cfg)
+
+
+def test_eval_filter_blocks_keep_the_bits(monkeypatch):
+    # blocks of 2 points or more sum each column in order, as one block of every point does
+    rng = np.random.default_rng(11)
+    for m in (2, 5, 9, 64):
+        g = rng.normal(size=m) + 1j * rng.normal(size=m)
+        xs = rng.uniform(-1.0, 1.0, 4097)
+        bits = set()
+        for block in (2, 3, 4 * m + 1, 2**10, 2**40):  # 2**40: one block of every point
+            monkeypatch.setattr(fourier, "_FILTER_BLOCK", block)
+            bits.add(eval_filter(g, xs).tobytes())
+        assert len(bits) == 1, m
+
+
+def test_window_infimum_memory_stays_bounded(monkeypatch):
+    # a level with a zero in its window refines to the last grid; a (64 x 262,144)
+    # complex array of one eval_filter call peaked at 514 MiB there
+    monkeypatch.setattr(fourier, "_WINDOW_REFINEMENTS", 4)
+    g = np.zeros(64, dtype=complex)
+    g[0], g[63] = 0.5, -0.5
+    tracemalloc.start()
+    try:
+        value = fourier._window_infimum(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == -0.00022021097267412232
+    assert peak < 64 * 2**20
 
 
 def test_certificate_report_carries_defects():

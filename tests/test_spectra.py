@@ -242,6 +242,9 @@ def test_random_valid_tables_validate_and_nest(table):
 @pytest.mark.parametrize("entries, field", [
     ([{"word": [1.5], "value": -1}], "entry 0 word[0]"),
     ([{"word": [1], "value": -1}, {"word": [1, 1], "value": -1.2}], "entry 1 value"),
+    # JSON true and false are no integers: [true] ran as the word (1,) with label 1
+    ([{"word": [True], "value": 1}], "entry 0 word[0]"),
+    ([{"word": [1], "value": True}], "entry 0 value"),
 ])
 def test_tree_config_rejects_non_integral_values(entries, field):
     with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer"):

@@ -110,7 +110,7 @@ def test_canonical_orthogonal_for_all_pairs_tested():
         for level in range(1, 6):
             lev = enumerate_level(canonical, level, budget=40000)
             rep = orthogonality_check(lev, pair)
-            assert rep.passed, (pair.describe(), level)
+            assert rep.passed, (pair, level)
 
 
 # ---------------------------------------------------------------------------
