@@ -80,10 +80,9 @@ def _write_csv(outdir: Path, name: str, header: list[str], rows):
 
 
 class _Column:
-    """The rows [v] of a one-column CSV over a float array, made a chunk at a
-    time as :func:`_write_csv` iterates them, with the length of a row list."""
-
-    _CHUNK = 1 << 16
+    """The rows [v] of a one-column CSV over a float array, made a block of
+    :data:`~.sampling.BLOCK` at a time as :func:`_write_csv` iterates them, with
+    the length of a row list."""
 
     def __init__(self, values: np.ndarray):
         self.values = values
@@ -92,8 +91,8 @@ class _Column:
         return len(self.values)
 
     def __iter__(self):
-        for start in range(0, len(self.values), self._CHUNK):
-            for v in self.values[start:start + self._CHUNK].tolist():
+        for start in range(0, len(self.values), sampling.BLOCK):
+            for v in self.values[start:start + sampling.BLOCK].tolist():
                 yield [v]
 
 
@@ -163,7 +162,7 @@ def _check_partition(pair, tm, args):
     if args.filters:
         filters, _ = _load_config(args.filters, "filter family",
                                   lambda cfg: filter_family_from_config(pair, cfg))
-        cert = filters.certify(args.level)
+        cert = filters.certify(args.level, budget=args.budget)
         cert_doc = payload["filter_certificate"] = dataclasses.asdict(cert)
         artifacts.append(lambda out: _write_json(out, "filter_certificate.json", cert_doc))
         if not cert.ok:
@@ -419,7 +418,7 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except BudgetExceededError as exc:
-        print(f"error: {exc} (required: {exc.required})", file=sys.stderr)
+        print(f"error: --budget: {exc} (required: {exc.required})", file=sys.stderr)
         return USAGE_ERROR
     except ValueError as exc:  # ConfigError, PairConstraintError and bad inputs
         print(f"error: {exc}", file=sys.stderr)

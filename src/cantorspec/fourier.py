@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ScalePair, _Scales, _to_float, finite_number
+from .core import BudgetExceededError, ScalePair, _Scales, _to_float, finite_number
 
 TWO_PI = 2.0 * math.pi
 
@@ -580,18 +580,23 @@ def qmf_check(g, d: int) -> QmfReport:
     return QmfReport(passed=bool(defect <= _QMF_TOL), max_defect=float(defect), degree=degree)
 
 
-def _window_infimum(g: np.ndarray, d: int) -> float:
-    """Certified lower bound for inf |G| over the window d*xi in [-2/3, 1/2].
+def _window_infimum(g: np.ndarray, d: int, level: int, budget: int) -> float:
+    """Certified lower bound for inf |G| over the window d*xi in [-2/3, 1/2]
+    of the filter of ``level``.
 
     Grid minimum minus a Lipschitz slack ||G'||_inf * h/2 with the exact
     derivative bound ||G'||_inf <= 2 pi sum_j j |g_j|; the grid is refined
     until the slack is small against the minimum (or gives up, reporting the
-    possibly-nonpositive bound).
+    possibly-nonpositive bound).  A grid whose points times the coefficients
+    exceed ``budget`` raises BudgetExceededError before it is formed.
     """
     lo, hi = -2.0 / (3.0 * d), 1.0 / (2.0 * d)
     lip = TWO_PI * float(np.sum(np.arange(len(g)) * np.abs(np.asarray(g))))
     n = _WINDOW_GRID
     for _ in range(_WINDOW_REFINEMENTS):
+        if n * len(g) > budget:
+            raise BudgetExceededError(f"level {level}: a window grid of {n} points over {len(g)} "
+                                      f"coefficients is over the budget of {budget}", required=n * len(g))
         xs = np.linspace(lo, hi, n)
         grid_min = float(np.min(np.abs(eval_filter(g, xs))))
         h = (hi - lo) / (n - 1)
@@ -619,8 +624,9 @@ class FilterFamily:
     Levels beyond the explicit list default to the uniform averaging filter
     H_{d_n}, so a family is usable at any depth.  ``certify`` checks, per
     explicit level: normalization, the QMF identity (algebraic), the degree
-    bound deg(G_n) <= d0 * d_n, and a certified positive window infimum; a
-    uniform level H_d holds all four by construction (``_UNIFORM_WINDOW_BOUND``).
+    bound deg(G_n) <= d0 * d_n, and a certified positive window infimum, each
+    window grid held to ``budget`` points times coefficients; a uniform level
+    H_d holds all four by construction (``_UNIFORM_WINDOW_BOUND``).
     """
 
     pair: ScalePair
@@ -642,7 +648,7 @@ class FilterFamily:
         ratios = [(len(c) - 1) / self.pair.d(n + 1) for n, c in enumerate(self.explicit)]
         return max([1.0] + ratios)
 
-    def certify(self, depth: int) -> FamilyCertificate:
+    def certify(self, depth: int, budget: int = 10**6) -> FamilyCertificate:
         messages, defects = [], []
         d1 = _UNIFORM_WINDOW_BOUND if depth > len(self.explicit) else math.inf
         for n, g in enumerate(self.explicit[:depth], start=1):
@@ -656,7 +662,7 @@ class FilterFamily:
                 messages.append(f"level {n}: QMF defect {rep.max_defect:.3e} exceeds {_QMF_TOL:.1e}")
             if rep.degree > self.d0 * d:
                 messages.append(f"level {n}: degree {rep.degree} exceeds d0*d_n = {self.d0 * d:.1f}")
-            inf_bound = _window_infimum(g, d)
+            inf_bound = _window_infimum(g, d, n, budget)
             if inf_bound <= 0.0:
                 messages.append(f"level {n}: window infimum not certifiably positive ({inf_bound:.3e})")
             d1 = min(d1, inf_bound)

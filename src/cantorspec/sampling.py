@@ -5,7 +5,10 @@ from {0, ..., d_n - 1}.  Truncating at ``depth`` perturbs each sample by at
 most the tail sum, which is below 2 / rho_{depth+1}; the default depth pushes
 that radius under 1e-15, so samples are exact at double resolution.  Digits
 come from counter-based generators keyed by (seed, level), so streams are
-reproducible regardless of evaluation order.
+reproducible regardless of evaluation order.  The sampler draws and adds
+the digits of every level ``BLOCK`` samples at a time into the one output
+array, and ``cli`` writes the CSV rows of the samples in blocks of the same
+size, so the samples are the only array of ``count`` entries either forms.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .dimension import rescale_constant
 
 
 _RADIUS_TARGET = 1e-15
+# the samples of one block, of the sampler's sums and of cli's CSV rows alike: 512 KiB of floats
+BLOCK = 1 << 16
 
 
 def default_depth(pair: ScalePair) -> int:
@@ -44,35 +49,32 @@ class SampleSet:
         return len(self.values)
 
 
-def _level_digits(pair: ScalePair, count: int, depth: int, seed: int):
-    """Yield, per level n = 1..depth, the digits j_n of every sample, drawn
-    from a Philox stream keyed by (seed, n)."""
-    for n in range(1, depth + 1):
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, n], dtype=np.uint64)))
-        yield gen.integers(0, pair.d(n), size=count, dtype=np.int64)
+def sample_measure(pair: ScalePair, count: int, seed: int = 0) -> SampleSet:
+    """Draw ``count`` samples of the measure at :func:`default_depth`,
+    deterministic under ``seed``.
 
-
-def _accumulate(pair: ScalePair, count: int, levels) -> np.ndarray:
-    """sum_n j_n / (d_n rho_n) over the per-level digit arrays ``levels``,
-    one level at a time, so no count x depth digit matrix is ever held."""
-    values = np.zeros(count)
-    scales = _Scales(pair)
-    for n, digits in enumerate(levels, start=1):
-        values += digits * (1.0 / _to_float(scales.upto(n).d[n] * scales.rho[n]))
-    return values
-
-
-def sample_measure(pair: ScalePair, count: int, depth: int | None = None, seed: int = 0) -> SampleSet:
-    """Draw ``count`` samples of the measure, deterministic under ``seed``."""
+    Level n keeps one Philox stream keyed by (seed, n) and draws its digits
+    ``BLOCK`` samples at a time; consecutive draws continue the stream, and
+    each sample adds its levels in the order n = 1..depth, so a sample's bits
+    depend neither on the block size nor on ``count``.  The samples are the
+    only array of ``count`` entries.  A ValueError names the level whose d_n
+    passes 2^63, the range of the int64 digits.
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    if depth is None:
-        depth = default_depth(pair)
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    values = _accumulate(pair, count, _level_digits(pair, count, depth, seed))
+    depth = default_depth(pair)
+    scales, levels = _Scales(pair).upto(depth), []
+    for n in range(1, depth + 1):
+        if scales.d[n] > 2**63:
+            raise ValueError(f"level {n}: d_{n} = {scales.d[n]} is past 2^63, the range of the digits")
+        levels.append((np.random.Generator(np.random.Philox(key=np.array([seed, n], dtype=np.uint64))),
+                       scales.d[n], 1.0 / _to_float(scales.d[n] * scales.rho[n])))
+    values = np.zeros(count)
+    for block in np.split(values, range(BLOCK, count, BLOCK)):  # views of values
+        for gen, d, scale in levels:
+            block += gen.integers(0, d, size=len(block), dtype=np.int64) * scale
     return SampleSet(values=values, pair=pair, depth=depth, radius=truncation_radius(pair, depth))
 
 
@@ -100,7 +102,7 @@ def empirical_moments(samples, k: int) -> float:
     if not 1 <= k <= 4:
         raise ValueError(f"moment order must be in 1..4, got {k}")
     values = _values_of(samples)
-    return float(np.mean(values**k))
+    return float(np.mean(values if k == 1 else values**k))
 
 
 def exact_mean(pair: ScalePair) -> Fraction:

@@ -275,7 +275,7 @@ class _Tree:
                 self.size.append(sub * parents)
             self.ends.append(len(self.size) - 1)
 
-    def descend(self, first: int, last: int, group: _Group, u: np.ndarray, lam: np.ndarray):
+    def descend(self, first: int, last: int, group: _Group, u: np.ndarray, lam: np.ndarray | None):
         """(kernels, u, lam): the one label walk over the levels ``first``..``last`` of the
         nodes of ``group``, from u and lambda over its level-(``first`` - 1) nodes.
 
@@ -287,7 +287,8 @@ class _Tree:
         that node, bit for bit: the same operations on the same operands.  Past the
         double range, where the completeness check refuses the frequencies first
         (:func:`_check_frequency_range`), lambda holds inf or nan, unread and formed
-        without a warning."""
+        without a warning.  Given lambda None, as from the partition check, which reads
+        none, the walk forms u alone and returns None for lambda."""
         scales, kernels = self.scales, []
         for n in range(first, last + 1):
             d, parents = scales.d[n], len(u)
@@ -295,14 +296,15 @@ class _Tree:
             if n in self.table:
                 at, labels = group.part(*self.table[n])
                 label[at] = labels
-            lam = np.tile(lam, d)
-            with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the double range
-                lam += label * _to_float(scales.rho[n])
+            if lam is not None:
+                lam = np.tile(lam, d)
+                with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the double range
+                    lam += label * _to_float(scales.rho[n])
             w, uniform = u / _to_float(scales.q[n - 1]), self.filters.is_uniform(n)
             for f, sub, _ in _sub_levels(scales, n, self.primes[n]):
                 u = (np.tile(w, sub) + (label if sub == d else _digits(sub, parents))) / sub
                 kernels.append(H_sq_tables(f, u) if uniform else (n, u))
-        if first <= last == self.level:
+        if lam is not None and first <= last == self.level:
             with np.errstate(over="ignore", invalid="ignore"):
                 for k, (index, labels) in self.deep.items():
                     if np.any(labels):  # all-zero labels move nothing, however large rho_k
@@ -399,7 +401,7 @@ def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
     xis = np.array(xis, dtype=float)
     totals = np.zeros((len(xis), level))
     column = {t: n - 1 for n, t in enumerate(tree.ends) if n}
-    for t, rows, w in tree.tiles(xis, tree.descend(1, level, _ROOT, np.zeros(1), np.zeros(1))[0]):
+    for t, rows, w in tree.tiles(xis, tree.descend(1, level, _ROOT, np.zeros(1), None)[0]):
         if t in column:
             totals[rows.start:rows.stop, column[t]] = w.sum(axis=1)  # per row a 1-D sum, as per xi
     terms = [tree.size[t] for t in tree.ends[1:]]
@@ -504,6 +506,8 @@ def _tail_plan(tree: _Tree, depth: int, xmax: float):
     for k in range(1, depth + 1):
         _check_divides(scales, k)
         d, q = scales.d[k], _to_float(scales.q[k - 1])
+        if _to_float(d) == math.inf:
+            raise ValueError(f"level {k}: d_{k} = {d} is past the double range of the tail's factors")
         labels = [0.0, d - 1.0 if k <= level else 0.0]
         if k in tree.table:
             labels += np.asarray(tree.table[k][1], dtype=float).tolist()

@@ -786,3 +786,30 @@ def test_beurling_past_the_double_range(tmp_path):
     assert run(["beurling", "--pair", pair, "--level", "4", "--out", str(tmp_path / "o")]) in (0, 1)
     report = json.loads((tmp_path / "o" / "beurling_report.json").read_text())
     assert math.isfinite(report["beurling_estimate"])
+
+
+@pytest.mark.parametrize("bits, cmd", [(1100, "completeness"), (1100, "report"), (1100, "sample"),
+                                       (64, "sample"), (64, "report")])
+def test_d_past_the_machine_range_exits_2_naming_the_level(tmp_path, capsys, bits, cmd):
+    # d_2 = 2^1100 ended completeness, and so report, in an OverflowError traceback of
+    # the tail plan (exit 1); d_2 = 2^64 ended sample in numpy's "high is out of bounds
+    # for int64", which named neither the level nor d_2
+    pair, out = _pair_file(tmp_path, [4, 2 ** (bits + 1)], [2, 2**bits]), tmp_path / "o"
+    depth = ["--level", "1"] if cmd == "completeness" else []
+    assert run([cmd, "--pair", pair, *depth, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: level 2: d_2 = {2**bits} is past ")
+    assert not out.exists()
+
+
+def test_filter_window_grid_is_held_to_the_budget(mu42, tmp_path, capsys):
+    # a zero in the window of this level refined its bound's grid to 4,194,304 points,
+    # about 17 s, only to report a nonpositive bound; 16,384 points x 64 coefficients
+    # pass the default budget of 10^6
+    taps = [[0.0, 0.0]] * 64
+    taps[0], taps[63] = [0.5, 0.0], [-0.5, 0.0]
+    filters, out = tmp_path / "filters.json", tmp_path / "o"
+    filters.write_text(json.dumps({"levels": [taps]}))
+    assert run(["partition", "--pair", mu42, "--filters", str(filters), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --budget: level 1: ") and "(required: 1048576)" in err
+    assert not out.exists()

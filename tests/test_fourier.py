@@ -780,13 +780,14 @@ def test_eval_filter_blocks_keep_the_bits(monkeypatch):
 
 def test_window_infimum_memory_stays_bounded(monkeypatch):
     # a level with a zero in its window refines to the last grid; a (64 x 262,144)
-    # complex array of one eval_filter call peaked at 514 MiB there
+    # complex array of one eval_filter call peaked at 514 MiB there.  The budget
+    # admits that last grid
     monkeypatch.setattr(fourier, "_WINDOW_REFINEMENTS", 4)
     g = np.zeros(64, dtype=complex)
     g[0], g[63] = 0.5, -0.5
     tracemalloc.start()
     try:
-        value = fourier._window_infimum(g, 2)
+        value = fourier._window_infimum(g, 2, 1, budget=64 * 262_144)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,7 @@ from cantorspec import (build_intervals, constant_pair, default_depth,
                         dimension_targeting_pair, empirical_char,
                         empirical_moments, exact_mean, mu_hat,
                         rescale_constant, sample_measure)
-from cantorspec.sampling import _accumulate, truncation_radius
+from cantorspec.sampling import BLOCK, truncation_radius
 
 MU42 = constant_pair(4, 2)
 MU93 = constant_pair(9, 3)
@@ -22,16 +22,6 @@ def test_default_depth_pushes_radius_below_target():
     assert depth <= 26
 
 
-def test_accumulate_degenerate_streams():
-    zeros = np.zeros((5, 10), dtype=np.int64)
-    assert np.all(_accumulate(MU42, 5, zeros.T) == 0.0)      # left endpoint
-    ones = np.ones((3, 26), dtype=np.int64)
-    got = _accumulate(MU42, 3, ones.T)
-    exact = float(Fraction(2, 3) * (1 - Fraction(1, 4**26)))  # geometric series
-    assert np.all(np.abs(got - exact) < 1e-15)
-    assert got[0] == pytest.approx(2 / 3, abs=1e-14)
-
-
 def digit_matrix_values(pair, count, depth, seed):
     """Oracle: every digit drawn into a count x depth matrix from the same
     (seed, level)-keyed Philox streams, then summed column by column."""
@@ -42,27 +32,30 @@ def digit_matrix_values(pair, count, depth, seed):
     values = np.zeros(count)
     rho_n = 1
     for n in range(1, depth + 1):
-        scale = pair.d(n) * rho_n
-        if scale.bit_length() > 1020:
-            break
-        values += digits[:, n - 1] * (1.0 / scale)
+        values += digits[:, n - 1] * (1.0 / (pair.d(n) * rho_n))
         rho_n *= pair.b(n)
     return values
 
 
-@pytest.mark.parametrize("pair, depth", [(MU42, None), (MU93, None),
-                                         (dimension_targeting_pair(0.5), None),
-                                         (dimension_targeting_pair(0.25), 25)])
-def test_streamed_digits_match_digit_matrix(pair, depth):
-    # depth 25 on alpha = 1/4 passes d_n rho_n > 2^1020, where summation stops
+@pytest.mark.parametrize("pair, count", [(MU42, 3001), (MU93, 3001),
+                                         (dimension_targeting_pair(0.5), 3001),
+                                         (dimension_targeting_pair(0.25), 3001),
+                                         # blocks of BLOCK samples: one past a block on
+                                         # mu42, and three past two on d_n = 2^n levels
+                                         (MU42, BLOCK + 1),
+                                         (dimension_targeting_pair(0.5), 2 * BLOCK + 3)])
+def test_streamed_digits_match_digit_matrix(pair, count):
     for seed in (0, 7):
-        got = sample_measure(pair, 3001, depth=depth, seed=seed)
-        want = digit_matrix_values(pair, 3001, got.depth, seed)
+        got = sample_measure(pair, count, seed=seed)
+        want = digit_matrix_values(pair, count, got.depth, seed)
         assert np.array_equal(got.values, want)
 
 
 def test_sampling_holds_one_level_of_digits():
-    # a count x depth digit matrix alone would take depth = 26 arrays of count words
+    # the samples are the only array of count entries, beside one block of digits:
+    # summing a whole level at a time held its digits and their products beside
+    # the samples, 3.51 arrays of count words, and a count x depth digit matrix
+    # would take depth = 26
     count = 200_000
     tracemalloc.start()
     try:
@@ -70,7 +63,7 @@ def test_sampling_holds_one_level_of_digits():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 8 * count
+    assert peak <= 2.5 * 8 * count
 
 
 def test_samples_stay_in_support_interval():
@@ -157,5 +150,3 @@ def test_sample_argument_validation():
     with pytest.raises(ValueError, match="seed"):
         sample_measure(MU42, 10, seed=2**64)
     assert len(sample_measure(MU42, 10, seed=2**64 - 1)) == 10
-    with pytest.raises(ValueError):
-        sample_measure(MU42, 10, depth=0)

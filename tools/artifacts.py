@@ -92,7 +92,10 @@ def ops() -> list[list[str]]:
     # explicit_huge the slack's range: exit 2), and the subcommands no op above runs
     listed += [["completeness", *_pair(pair)] for pair in _PAIRS]
     listed += [[name, *_pair("mu42")] for name in ("pair", "spectrum", "orthogonality", "beurling")]
+    # the sampler sums 2^16 samples a block: --count 20000 on mu42 stays inside one block,
+    # and --count 70001 on alpha_half crosses a block boundary on its d_n = 2^n levels
     listed.append(["sample", *_pair("mu42"), "--count", "20000"])
+    listed.append(["sample", *_pair("alpha_half"), "--count", "70001"])
     prefix = f"{ROOT}/"
     unique = []
     for op in listed:
