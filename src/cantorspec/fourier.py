@@ -535,8 +535,6 @@ _WINDOW_GRID, _WINDOW_REFINEMENTS = 4096, 6
 # sinc(2/3) = 3 sqrt(3) / (4 pi) = 0.41349..., rounded down: on the window
 # |d x| <= 2/3, |H_d(x)| = |sin(pi d x)| / (d |sin(pi x)|) >= sinc(d x) >= it
 _UNIFORM_WINDOW_BOUND = 0.4134
-# the terms of one block of eval_filter: 1 MiB of complex entries
-_FILTER_BLOCK = 1 << 16
 
 
 def _autocorrelation(g: np.ndarray, lag: int) -> complex:
@@ -546,17 +544,15 @@ def _autocorrelation(g: np.ndarray, lag: int) -> complex:
 
 
 def eval_filter(g: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """G(x) = sum_j g_j e^{-2 pi i j x} over an array of arguments, as one
-    (coefficients x points) sum per block of about ``_FILTER_BLOCK`` terms, so
-    memory does not grow with the degree times the points.  A block holds all
-    the points or at least 2 of them: summed down a column, in order, a block
-    of 2 points or more gives the bits of the whole array, and 1 point may not."""
-    g = np.asarray(g, dtype=complex).reshape(-1, 1)
-    j = np.arange(len(g)).reshape(-1, 1)
-    xs = np.asarray(xs, dtype=float).reshape(-1)
-    blocks = max(1, len(xs) // max(2, _FILTER_BLOCK // max(len(g), 1)))
-    return np.concatenate([(g * np.exp(-2j * np.pi * j * x)).sum(axis=0)
-                           for x in np.array_split(xs, blocks)])
+    """G(x) = sum_j g_j e^{-2 pi i j x} over an array of arguments of any shape, one
+    pass per coefficient: the terms g_j e^{-2 pi i j x} are added in order of j onto
+    zeros, entry by entry, so each entry's bits depend on its own argument alone, and
+    memory does not grow with the degree.  An empty g gives zeros."""
+    xs = np.asarray(xs, dtype=float)
+    total = np.zeros(xs.shape, dtype=complex)
+    for j, c in enumerate(np.asarray(g, dtype=complex)):
+        total += c * np.exp(-2j * np.pi * j * xs)
+    return total
 
 
 def qmf_check(g, d: int) -> QmfReport:

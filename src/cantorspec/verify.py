@@ -131,9 +131,14 @@ def orthogonality_check(level_or_elements, pair: ScalePair) -> OrthogonalityRepo
 def _table_labels(tm: TreeMapping, scales: _Scales, level: int):
     """Table (node indices, labels) arrays by word length k: among the level-k nodes
     for k <= ``level``, and for a word delta 0^(k-level) the index of delta
-    (:func:`~.spectra._table_nodes`)."""
+    (:func:`~.spectra._table_nodes`).  A label of a word of length k <= ``level``
+    past the double range, which the label walk could not form, raises a ValueError
+    naming level k and the word; the labels past ``level`` are left to the checks
+    that read them."""
     table: dict[int, list[tuple[int, int]]] = {}
     for word, index, value in _table_nodes(tm, scales, level):
+        if len(word) <= level and math.isinf(_to_float(value)):
+            raise ValueError(f"level {len(word)}: the label of word {list(word)} is past the double range")
         table.setdefault(len(word), []).append((index, value))
     return {k: tuple(np.array(v) for v in zip(*entries)) for k, entries in table.items()}
 
@@ -323,14 +328,16 @@ class _Tree:
         rho_{n+1} = q_n d_n rho_n and G_n is 1-periodic: xi enters only through
         the scalar xi / ``scale[t]``.  The scalars xi / ``scale[t]`` are one
         array division, each entry the rounding of the scalar one.  An explicit
-        filter level takes :meth:`~.fourier.FilterFamily.factor`, one row per
-        call, since the bits of :func:`~.fourier.eval_filter` depend on the
-        shape of its call."""
+        filter level takes one :meth:`~.fourier.FilterFamily.factor` call over
+        the tile's (xi, node) arguments; :func:`~.fourier.eval_filter` gives
+        each entry the bits of its own argument, so a row is the row of that xi
+        alone."""
         a = np.asarray(xis, dtype=float) / self.scale[t]
         if isinstance(kernel, HSqTables):
             return eval_H_sq_tables(kernel, a)
         n, u = kernel
-        return np.array([f.real ** 2 + f.imag ** 2 for f in (self.filters.factor(n, x + u) for x in a)])
+        f = self.filters.factor(n, a[:, None] + u)
+        return f.real ** 2 + f.imag ** 2
 
     def tiles(self, xis, kernels):
         """Yield (t, rows, w) for the tree levels t = 0..len(``kernels``), depth first,

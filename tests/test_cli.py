@@ -801,6 +801,19 @@ def test_d_past_the_machine_range_exits_2_naming_the_level(tmp_path, capsys, bit
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["partition", "report"])
+def test_label_past_the_double_range_exits_2_naming_the_level(tmp_path, capsys, cmd):
+    # the valid label 2^1099 - 1 of the word (1,) ended partition, and so report, in an
+    # OverflowError traceback of the label walk (exit 1); completeness refused it already
+    pair, tree, out = _pair_file(tmp_path, [2**1100, 4], [2, 2]), tmp_path / "tree.json", tmp_path / "o"
+    tree.write_text(json.dumps([{"word": [1], "value": 2**1099 - 1}]))
+    depth = ["--level", "2"] if cmd == "partition" else []
+    assert run([cmd, "--pair", pair, "--tree", str(tree), *depth, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: level 1: the label of word [1] is past the double range\n"
+    assert not out.exists()
+
+
 def test_filter_window_grid_is_held_to_the_budget(mu42, tmp_path, capsys):
     # a zero in the window of this level refined its bound's grid to 4,194,304 points,
     # about 17 s, only to report a nonpositive bound; 16,384 points x 64 coefficients

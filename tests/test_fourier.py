@@ -765,17 +765,26 @@ def test_filter_config_coefficients_must_be_finite_numbers(coefficient):
         filter_family_from_config(constant_pair(4, 2), cfg)
 
 
-def test_eval_filter_blocks_keep_the_bits(monkeypatch):
-    # blocks of 2 points or more sum each column in order, as one block of every point does
+def test_eval_filter_entries_keep_their_own_bits():
+    # every entry of one call has the bits of its own one-point call, whatever the shape
+    # of the call; a one-point call summed its (coefficients x 1) terms in another order
     rng = np.random.default_rng(11)
-    for m in (2, 5, 9, 64):
+    for m in (1, 2, 5, 9, 64):
         g = rng.normal(size=m) + 1j * rng.normal(size=m)
-        xs = rng.uniform(-1.0, 1.0, 4097)
-        bits = set()
-        for block in (2, 3, 4 * m + 1, 2**10, 2**40):  # 2**40: one block of every point
-            monkeypatch.setattr(fourier, "_FILTER_BLOCK", block)
-            bits.add(eval_filter(g, xs).tobytes())
-        assert len(bits) == 1, m
+        g[1::3] = 0.0
+        xs = rng.uniform(-1.0, 1.0, 256)
+        xs[:4] = 0.0, -0.0, 0.5, -0.5
+        whole = eval_filter(g, xs)
+        square = eval_filter(g, xs.reshape(16, 16))
+        assert square.shape == (16, 16) and square.tobytes() == whole.tobytes(), m
+        for x, value in zip(xs, whole):
+            assert eval_filter(g, [x]).tobytes() == np.array([value]).tobytes(), (m, x)
+
+
+def test_eval_filter_of_no_coefficients_is_zero():
+    xs = np.array([[0.0, -0.0, 0.25]])
+    got = eval_filter(np.zeros(0, dtype=complex), xs)
+    assert got.shape == xs.shape and got.dtype == complex and not np.any(got)
 
 
 def test_window_infimum_memory_stays_bounded(monkeypatch):

@@ -966,6 +966,24 @@ def test_digit_major_tree_is_the_child_major_tree_reordered(monkeypatch, tm, lev
                           to_digit_major(lam, scales, level))
 
 
+def test_explicit_level_tile_is_the_per_xi_filter_rows():
+    # one FilterFamily.factor call over a tile's (xi, node) arguments gives each row
+    # the bits of eval_filter at that xi alone
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=9) + 1j * rng.normal(size=9)
+    g[::4] = 0.0
+    filters = FilterFamily(MU42, explicit=(tuple(g), tuple(g[:5])))
+    tree = verify._Tree(DEVIATED42, verify._Scales(MU42), 3, filters)
+    xis = np.array(TILE_XIS + [-0.0])
+    explicit = [(t, kernel) for t, kernel in enumerate(tree_kernels(tree), start=1)
+                if not isinstance(kernel, verify.HSqTables)]
+    assert [kernel[0] for _, kernel in explicit] == [1, 2]
+    for t, (n, u) in explicit:
+        rows = [eval_filter(np.asarray(filters.explicit[n - 1]), x / tree.scale[t] + u) for x in xis]
+        want = np.array([f.real ** 2 + f.imag ** 2 for f in rows])
+        assert tree.factors(t, (n, u), xis).tobytes() == want.tobytes(), n
+
+
 def mp_level_products(pair, xi, level):
     """Oracle: per level n, prod_{k<=n} |H_{d_k}((xi + sigma_k) / (d_k rho_k))|^2 over the
     level-n nodes in digit-major order, canonical labels, in 40-digit mpmath."""

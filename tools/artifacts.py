@@ -74,6 +74,10 @@ def ops() -> list[list[str]]:
     listed.append(["partition", *_pair("mu42"), "--filters", "demos/configs/filters_modulated42.json",
                    "--level", "8"])
     listed.append(["partition", *_pair("explicit_huge"), "--level", "4"])
+    # the valid label 2^1099 - 1 of the word (1,), past the double range: the digit tree
+    # refuses it before the label walk, so partition exits 2 naming level 1 and the word
+    listed.append(["partition", *_pair("label_past_range"), "--tree",
+                   "demos/configs/tree_label_past_range.json", "--level", "2"])
     # dimension reads the exact integer tails at the endpoints alpha_zero and alpha_one, at
     # alpha_half and on mu42
     listed += [["dimension", *_pair(pair)] for pair in ("alpha_zero", "alpha_half", "alpha_one", "mu42")]
