@@ -9,8 +9,7 @@ while keeping every orthogonality property intact.
 """
 
 from cantorspec import (TreeMapping, canonical_tau, check_growth_conditions,
-                        constant_pair, enumerate_level, lambda_of_word,
-                        validate_tree_mapping)
+                        constant_pair, enumerate_level, validate_tree_mapping)
 
 pair = constant_pair(4, 2)
 canonical = canonical_tau(pair)
@@ -19,7 +18,7 @@ canonical = canonical_tau(pair)
 for level in (1, 2, 3):
     print(f"canonical level {level}:", enumerate_level(canonical, level).elements)
 
-print("lambda(1,1) =", lambda_of_word(canonical, (1, 1)), "(= 1*1 + 1*4)")
+print("lambda(1,1) = 1*1 + 1*4 = 5 is in level 2:", 5 in enumerate_level(canonical, 2).elements)
 
 # --- a deviation table -------------------------------------------------------
 # send the 1-branch to its negative congruence representative

@@ -16,17 +16,15 @@ from .dimension import (BeurlingEstimate, BoxCountFit, DimensionComparison,
                         build_intervals, gap_ratios, hausdorff_dim_formula,
                         rescale_constant)
 from .fourier import (FamilyCertificate, FilterCertificationError,
-                      FilterFamily, QmfReport, TruncatedValue, ZeroWitness,
-                      eval_H, eval_H_array,
-                      eval_H_sq_array, filter_family_from_config, mu_hat,
-                      mu_hat_array, mu_hat_exact_zero, phi_hat, qmf_check,
-                      uniform_family)
+                      FilterFamily, QmfReport, TruncatedValue, eval_H,
+                      eval_H_array, filter_family_from_config, mu_hat,
+                      mu_hat_array, phi_hat, qmf_check, uniform_family)
 from .sampling import (SampleSet, default_depth, empirical_char,
                        empirical_moments, exact_mean, sample_measure)
 from .spectra import (GrowthReport, SpectrumLevel, TreeMapping, Word,
                       canonical_tau, check_growth_conditions, enumerate_level,
-                      lambda_of_word, tree_mapping_from_config,
-                      validate_tree_mapping, word_count)
+                      tree_mapping_from_config, validate_tree_mapping,
+                      word_count)
 from .verify import (CompletenessReport, OrthogonalityReport, PartitionResult,
                      QRow, completeness_Q, orthogonality_check,
                      partition_identity, partition_levels)
@@ -40,17 +38,17 @@ __all__ = [
     "GrowthReport", "IntervalFamily", "Issue", "OrthogonalityReport",
     "PairConstraintError", "PartitionResult", "QRow", "QmfReport",
     "SampleSet", "ScalePair", "SpectrumLevel", "TreeMapping",
-    "TruncatedValue", "ValidationReport", "Word", "ZeroWitness",
+    "TruncatedValue", "ValidationReport", "Word",
     "beurling_upper_dim", "beurling_vs_hausdorff", "box_counting_dim",
     "build_intervals", "canonical_tau",
     "check_growth_conditions",
     "completeness_Q", "constant_pair", "default_depth",
     "dimension_targeting_pair", "empirical_char", "empirical_moments",
-    "enumerate_level", "eval_H", "eval_H_array", "eval_H_sq_array",
+    "enumerate_level", "eval_H", "eval_H_array",
     "exact_mean",
     "explicit_pair", "filter_family_from_config", "gap_ratios",
     "hausdorff_dim_formula",
-    "lambda_of_word", "mu_hat", "mu_hat_array", "mu_hat_exact_zero",
+    "mu_hat", "mu_hat_array",
     "orthogonality_check", "pair_from_config",
     "partition_identity", "partition_levels", "phi_hat", "qmf_check",
     "rescale_constant", "rho",

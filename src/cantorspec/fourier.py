@@ -7,8 +7,8 @@ truncated product, :func:`_truncated_product`, of the level factors
 :meth:`FilterFamily.factor` over a float array, with one tail bound, stated
 in its docstring.  :func:`mu_hat_array` and :func:`mu_hat` are that product
 over :func:`uniform_family`, and :func:`phi_hat` the same product over a
-certified filter family.  Integer frequencies admit an exact zero test by
-divisibility alone.
+certified filter family.  Its zero set on the integers is decided by
+divisibility alone in :mod:`.verify`'s orthogonality check.
 
 Besides the complex kernel, :func:`eval_H_sq_tables` gives |H_m(a + u)|^2 in
 real arithmetic over an array u tabulated once (:func:`H_sq_tables`), one row
@@ -20,8 +20,7 @@ other m it is the closed form :func:`_H_sq_direct` at a + u, whose integer
 guard takes 1 at integers and the series 1 - (m^2 - 1)(pi s)^2 / 3 within
 1e-9 of one, entry by entry, so no value depends on the rest of the call.
 The level-expansion kernel of :mod:`.verify` multiplies it along the digit
-tree; :func:`eval_H_sq_array` is the same kernel at a = 0.
-:func:`signed_root_taylor` gives the Taylor polynomial of the signed root R_m of
+tree.  :func:`signed_root_taylor` gives the Taylor polynomial of the signed root R_m of
 |H_m|^2 at a small shift of u, and :func:`root_complement` one minus its value
 at u, both from the angles of :func:`_root_angles`.  The completeness tail is a
 product of such roots too: past the levels it multiplies explicitly, the levels
@@ -211,13 +210,6 @@ def eval_H_sq_tables(t: HSqTables, a) -> np.ndarray:
         vals *= vals
         return vals
     return _H_sq_direct(m, a + t.u)
-
-
-def eval_H_sq_array(m: int, xs: np.ndarray) -> np.ndarray:
-    """|H_m(x)|^2 = (sin(pi m s) / (m sin(pi s)))^2 over a float array, s = x mod 1:
-    the table kernel :func:`eval_H_sq_tables` at a = 0, whose docstring states
-    its rule for each m."""
-    return eval_H_sq_tables(H_sq_tables(m, xs), [0.0])[0]
 
 
 SERIES_THETA = 0.35
@@ -418,33 +410,6 @@ def root_complement(angles) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ZeroWitness:
-    is_zero: bool
-    level: int | None
-
-
-def mu_hat_exact_zero(pair: ScalePair, nu: int) -> ZeroWitness:
-    """Exact zero test of the product transform at an integer frequency.
-
-    The transform vanishes at nu iff some factor does, i.e. iff there is a
-    level n with rho_n | nu and d_n rho_n not | nu; no factor can vanish once
-    rho_n > |nu|, and the nonvanishing tail product stays nonzero because
-    sum_n |1 - H_{d_n}(nu / (d_n rho_n))| is geometrically dominated.
-    Pure integer arithmetic.  A ValueError where a repeating b_n = 1 keeps
-    every rho_n at or below |nu| (:meth:`~.core._Scales.reach`).
-    """
-    nu = int(nu)
-    if nu == 0:
-        return ZeroWitness(False, None)  # transform equals 1 at the origin
-    scales = _Scales(pair)
-    top, _ = scales.reach(abs(nu) + 1)  # rho_n <= |nu| exactly for n <= top
-    for n in range(1, top + 1):
-        if nu % scales.rho[n] == 0 and nu % (scales.rho[n] * scales.d[n]) != 0:
-            return ZeroWitness(True, n)
-    return ZeroWitness(False, None)
-
-
-@dataclass(frozen=True)
 class TruncatedValue:
     """Partial product value with a radius bounding the truncation error."""
 
@@ -537,12 +502,6 @@ _WINDOW_GRID, _WINDOW_REFINEMENTS = 4096, 6
 _UNIFORM_WINDOW_BOUND = 0.4134
 
 
-def _autocorrelation(g: np.ndarray, lag: int) -> complex:
-    if lag >= len(g):
-        return 0.0 + 0.0j
-    return complex(np.sum(g[: len(g) - lag] * np.conj(g[lag:])))
-
-
 def eval_filter(g: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """G(x) = sum_j g_j e^{-2 pi i j x} over an array of arguments of any shape, one
     pass per coefficient: the terms g_j e^{-2 pi i j x} are added in order of j onto
@@ -567,13 +526,9 @@ def qmf_check(g, d: int) -> QmfReport:
     g = np.asarray(g, dtype=complex)
     if g.size == 0:
         raise ValueError("coefficient vector must be nonempty")
-    degree = len(g) - 1
-    defect = abs(_autocorrelation(g, 0) - 1.0 / d)
-    lag = d
-    while lag <= degree:
-        defect = max(defect, abs(_autocorrelation(g, lag)))
-        lag += d
-    return QmfReport(passed=bool(defect <= _QMF_TOL), max_defect=float(defect), degree=degree)
+    defect = max(abs(complex(np.sum(g[:len(g) - lag] * np.conj(g[lag:]))) - (lag == 0) / d)
+                 for lag in range(0, len(g), d))
+    return QmfReport(passed=bool(defect <= _QMF_TOL), max_defect=float(defect), degree=len(g) - 1)
 
 
 def _window_infimum(g: np.ndarray, d: int, level: int, budget: int) -> float:
@@ -619,10 +574,12 @@ class FilterFamily:
 
     Levels beyond the explicit list default to the uniform averaging filter
     H_{d_n}, so a family is usable at any depth.  ``certify`` checks, per
-    explicit level: normalization, the QMF identity (algebraic), the degree
-    bound deg(G_n) <= d0 * d_n, and a certified positive window infimum, each
-    window grid held to ``budget`` points times coefficients; a uniform level
-    H_d holds all four by construction (``_UNIFORM_WINDOW_BOUND``).
+    explicit level: normalization, the QMF identity (algebraic), and a
+    certified positive window infimum, each window grid held to ``budget``
+    points times coefficients; a uniform level H_d holds all three by
+    construction (``_UNIFORM_WINDOW_BOUND``).  The degree bound
+    deg(G_n) <= d0 * d_n holds by the definition of ``d0``, which the
+    certificate reports.
     """
 
     pair: ScalePair
@@ -656,8 +613,6 @@ class FilterFamily:
             defects.append(rep.max_defect)
             if not rep.passed:
                 messages.append(f"level {n}: QMF defect {rep.max_defect:.3e} exceeds {_QMF_TOL:.1e}")
-            if rep.degree > self.d0 * d:
-                messages.append(f"level {n}: degree {rep.degree} exceeds d0*d_n = {self.d0 * d:.1f}")
             inf_bound = _window_infimum(g, d, n, budget)
             if inf_bound <= 0.0:
                 messages.append(f"level {n}: window infimum not certifiably positive ({inf_bound:.3e})")

@@ -38,22 +38,9 @@ class TreeMapping:
     pair: ScalePair
     table: Mapping[Word, int] = field(default_factory=dict)
 
-    def tau(self, word: Word) -> int:
-        if not word:
-            return 0
-        if word in self.table:
-            return self.table[word]
-        return word[-1]
-
     @property
     def table_depth(self) -> int:
         return max((len(w) for w in self.table), default=0)
-
-    def restriction(self, word: Word, n: int) -> Word:
-        """R_n of the zero-extension of ``word``."""
-        if n <= len(word):
-            return word[:n]
-        return word + (0,) * (n - len(word))
 
 
 def canonical_tau(pair: ScalePair) -> TreeMapping:
@@ -83,7 +70,7 @@ def validate_tree_mapping(tm: TreeMapping) -> ValidationReport:
     """Check the three mapping conditions on every entry of the finite table.
 
     (i) the root and the all-zero words map to 0: a root entry of the table
-    must be 0, as :meth:`TreeMapping.tau` ignores it; (ii) every label is
+    must be 0, as :func:`enumerate_level` ignores it; (ii) every label is
     congruent to its last digit mod d_n and lies in the centered range of
     width b_n.  (iii), that every zero-extension leaves the finite table and
     then defaults to 0, is structural and needs no check.
@@ -113,22 +100,6 @@ def validate_tree_mapping(tm: TreeMapping) -> ValidationReport:
             issues.append(Issue("ii", f"word={word}",
                                 f"value {value} outside {{{lo},...,{hi}}}"))
     return ValidationReport(ok=not issues, issues=tuple(issues))
-
-
-def lambda_of_word(tm: TreeMapping, delta: Word) -> int:
-    """Exact frequency sum_n tau(R_n(delta 0^inf)) * rho_n.
-
-    The sum runs to max(len(delta), table depth); all later labels vanish by
-    the canonical default on zero-extensions.
-    """
-    pair = tm.pair
-    depth = max(len(delta), tm.table_depth)
-    total = 0
-    rho_n = 1
-    for n in range(1, depth + 1):
-        total += tm.tau(tm.restriction(delta, n)) * rho_n
-        rho_n *= pair.b(n)
-    return total
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,10 @@ class OrthogonalityReport:
 def _grouped_orthogonality(elements: list[int], pair: ScalePair, cap: int):
     """Level-synchronous equivalent of the all-pairs divisibility scan.
 
-    The transform vanishes at x - y iff some level n has x = y mod rho_n but
-    not mod d_n rho_n (:func:`mu_hat_exact_zero`).  So a pair no lower level
+    The transform vanishes at x - y iff some factor does, that is iff some
+    level n has x = y mod rho_n but not mod d_n rho_n: no factor vanishes once
+    rho_n > |x - y|, and the tail product stays nonzero, as
+    sum_n |1 - H_{d_n}| is geometrically dominated.  So a pair no lower level
     witnesses violates at level n iff x = y mod d_n rho_n but not mod
     rho_{n+1}, and stays undecided iff x = y mod both.  Each level splits the
     live elements into classes mod the lcm of these and the last level's
@@ -109,9 +111,9 @@ def orthogonality_check(level_or_elements, pair: ScalePair) -> OrthogonalityRepo
     """Exact pairwise orthogonality of a frequency set.
 
     Every unordered pair of distinct frequencies must have its difference
-    annihilated by the transform (see :func:`mu_hat_exact_zero`).  The pairs
-    are classified level by level by :func:`_grouped_orthogonality`, which is
-    linear in the set size per level; no floating point.
+    annihilated by the transform, a condition of integer divisibility alone
+    that :func:`_grouped_orthogonality` states.  It classifies the pairs level
+    by level, linear in the set size per level; no floating point.
     """
     elements = _elements_of(level_or_elements)
     m = len(elements)

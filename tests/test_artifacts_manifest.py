@@ -1,5 +1,5 @@
 """``tools/artifacts.py``: its manifest covers its op list, ``--check`` names each
-difference, and a failed ``report`` op fails either mode.
+difference, and a failed ``report`` op or a passing negative control fails either mode.
 
 The runs themselves are CI's: ``python tools/artifacts.py --check`` against the
 checked-in manifest on the numpy version it records, then on every Python of the
@@ -69,4 +69,26 @@ def test_a_report_op_that_does_not_exit_0_fails_either_mode(tmp_path, monkeypatc
     assert out == ["wrote artifacts.json: 5 ops", *tool.failed_reports(got),
                    "0 differences over 5 ops", *tool.failed_reports(got)]
     monkeypatch.setattr(tool, "run", lambda: _manifest(("report --pair a", 0)))
+    assert tool.main([]) == tool.main(["--check"]) == 0
+
+
+def test_a_negative_control_that_does_not_exit_1_fails_either_mode(tmp_path, monkeypatch, capsys):
+    tool = _load_artifacts()
+    controls = [" ".join(op) for op in tool.NEGATIVE_CONTROLS]
+    assert len(controls) == 3 and set(controls) <= {" ".join(op) for op in tool.ops()}
+    manifest = json.loads(tool.MANIFEST.read_text())
+    assert [rec["exit"] for rec in manifest["ops"] if rec["op"] in controls] == [1, 1, 1]
+    got = _manifest((controls[0], 1), (controls[1], 0), (controls[2], 2), ("pair --pair a", 1))
+    assert tool.failed_controls(got) == [f"{controls[1]}: exit 0, a negative control must exit 1",
+                                         f"{controls[2]}: exit 2, a negative control must exit 1"]
+    assert tool.failed_reports(got) == []
+    monkeypatch.setattr(tool, "run", lambda: got)
+    monkeypatch.setattr(tool, "MANIFEST", tmp_path / "artifacts.json")
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    assert tool.main([]) == 1  # the manifest is written all the same
+    assert tool.main(["--check"]) == 1  # no difference from the manifest, but passing controls
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["wrote artifacts.json: 4 ops", *tool.failed_controls(got),
+                   "0 differences over 4 ops", *tool.failed_controls(got)]
+    monkeypatch.setattr(tool, "run", lambda: _manifest((controls[0], 1)))
     assert tool.main([]) == tool.main(["--check"]) == 0

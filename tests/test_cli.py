@@ -11,6 +11,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cantorspec import canonical_tau, cli, constant_pair
@@ -303,6 +304,19 @@ def test_beurling_subcommand(mu42, tmp_path):
     assert report["beurling_estimate"] <= report["hausdorff_formula"] + 0.1
 
 
+@pytest.mark.parametrize("excess, code", [(0.15, 1), (0.05, 0)])
+def test_beurling_fails_past_its_slack_of_0_1(mu42, tmp_path, monkeypatch, excess, code):
+    # a windowed-count slope at the formula plus 0.15 fails and plus 0.05 passes: pins
+    # the slack of 0.1 and the direction of the comparison
+    formula = cli.dim.hausdorff_dim_formula(constant_pair(4, 2), 40).liminf_proxy
+    monkeypatch.setattr(cli.dim, "beurling_upper_dim",
+                        lambda level, window_grid: cli.dim.BeurlingEstimate(formula + excess, ()))
+    out = tmp_path / "out"
+    assert run(["beurling", "--pair", mu42, "--level", "8", "--out", str(out)]) == code
+    report = json.loads((out / "beurling_report.json").read_text())
+    assert report["beurling_estimate"] == formula + excess and report["slack"] == 0.1
+
+
 @pytest.mark.parametrize("level", ["1", "2"])
 def test_beurling_too_shallow_for_a_slope_exits_2(mu42, tmp_path, capsys, level):
     # these passed with "beurling_estimate": 0.0 from a grid of fewer than two windows
@@ -320,6 +334,22 @@ def test_sample_subcommand(mu42, tmp_path):
     assert (out / "samples.csv").exists()
     assert (out / "histogram.csv").exists()
     assert (out / "histogram.svg").exists()
+
+
+@pytest.mark.parametrize("bands, code", [(1.5, 1), (0.5, 0)])
+def test_sample_fails_outside_its_5_sigma_band(mu42, tmp_path, monkeypatch, bands, code):
+    # samples at +-sigma about a mean 1.5 bands off the exact mean fail and 0.5 bands off
+    # pass, the band being 5 sigma / sqrt(count): pins its width and the comparison's
+    count, sigma = 1000, 0.01
+    pair = constant_pair(4, 2)
+    mean = float(cli.sampling.exact_mean(pair)) + bands * 5.0 * sigma / math.sqrt(count)
+    values = mean + sigma * np.tile([-1.0, 1.0], count // 2)
+    monkeypatch.setattr(cli.sampling, "sample_measure",
+                        lambda pair, count, seed: cli.sampling.SampleSet(values, pair, 30, 0.0))
+    out = tmp_path / "out"
+    assert run(["sample", "--pair", mu42, "--count", str(count), "--out", str(out)]) == code
+    report = json.loads((out / "sample_report.json").read_text())
+    assert report["band_5sigma"] == pytest.approx(5.0 * sigma / math.sqrt(count), rel=1e-12)
 
 
 def test_samples_csv_is_streamed(tmp_path):

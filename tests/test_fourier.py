@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from cantorspec import (FilterCertificationError, FilterFamily, constant_pair,
-                        dimension_targeting_pair, eval_H, eval_H_array,
-                        eval_H_sq_array, filter_family_from_config, mu_hat,
-                        mu_hat_array, mu_hat_exact_zero, pair_from_config,
-                        phi_hat, qmf_check, uniform_family)
+                        dimension_targeting_pair, eval_H, eval_H_array, explicit_pair,
+                        filter_family_from_config, mu_hat, mu_hat_array,
+                        orthogonality_check, pair_from_config, phi_hat, qmf_check,
+                        uniform_family)
 from cantorspec import fourier
 from cantorspec.fourier import (SERIES_THETA, _UNIFORM_WINDOW_BOUND, H_sq_tables, _H_sq_direct,
                                 eval_filter, eval_H_sq_tables, eval_taylor, root_series,
@@ -101,7 +101,7 @@ def test_eval_H_sq_array_matches_summation_oracle():
     xs = np.concatenate([rng.uniform(-3, 3, size=200), [-2.0, 0.0, 1.0, 0.5, -0.5],
                          [k + e for k in (0, 3) for e in (-2e-9, -1e-12, 1e-300, 5e-10)]])
     for m in (2, 3, 5, 8, 17, 64):
-        got = eval_H_sq_array(m, xs)
+        got = eval_H_sq_tables(H_sq_tables(m, xs), [0.0])[0]
         want = [abs(kernel_by_summation(m, x)) ** 2 for x in xs]
         assert np.max(np.abs(got - want)) < 1e-13, m
         assert np.all(got[np.round(xs) == xs] == 1.0)
@@ -138,7 +138,7 @@ def test_eval_H_sq_array_equals_closed_form_bit_for_bit(m):
     # at a = 0, and for m >= 4 on nonzero rows a_r too: the table kernel is the
     # closed form at a_r - round(a_r) + u, u reduced mod 1 as the tables hold it
     xs = closed_form_arguments(m)
-    assert np.array_equal(eval_H_sq_array(m, xs), closed_form_H_sq(m, xs))
+    assert np.array_equal(eval_H_sq_tables(H_sq_tables(m, xs), [0.0])[0], closed_form_H_sq(m, xs))
     if m >= 4:
         a = np.array([1e-12, -0.25 + 3e-10, 0.37, 0.5 / m, -0.3 / m, 2.25, -1.5, 1e-9 - 0.5])
         s = (a - np.rint(a))[:, None] + (xs - np.round(xs))
@@ -167,7 +167,7 @@ def assert_cosine_form_accurate(a, us, rows):
 def test_eval_H_sq_array_cosine_form_at_m3():
     # ((1 + 2 cos 2 pi s) / 3)^2 with no division, on the arguments of the closed-form check
     xs = closed_form_arguments(3)
-    assert_cosine_form_accurate([0.0], xs, [eval_H_sq_array(3, xs)])
+    assert_cosine_form_accurate([0.0], xs, [eval_H_sq_tables(H_sq_tables(3, xs), [0.0])[0]])
 
 
 def H_sq_mpmath(m, a, u):
@@ -648,29 +648,15 @@ def test_mu_hat_array_matches_scalar():
             assert single.levels == levels
 
 
-def test_exact_zero_examples():
-    pair = constant_pair(4, 2)
-    assert mu_hat_exact_zero(pair, 1) == mu_hat_exact_zero(pair, 1)
-    w = mu_hat_exact_zero(pair, 1)
-    assert w.is_zero and w.level == 1
-    # 8 = 2*4: level 1 divides 8/2, level 2 divides 8/8, level 3 has rho=16>8
-    assert not mu_hat_exact_zero(pair, 8).is_zero
-    assert not mu_hat_exact_zero(pair, 0).is_zero
-
-
 def test_exact_zero_agrees_with_numeric():
+    # the transform vanishes at an integer nu != 0 exactly when {0, nu} is orthogonal
     pair = constant_pair(4, 2)
     nus = np.arange(-10**4, 10**4 + 1)
     vals, _, _ = mu_hat_array(pair, nus.astype(float), tol=1e-14)
     numeric_zero = np.abs(vals) < 1e-10
-    for nu, nz in zip(nus, numeric_zero):
-        assert mu_hat_exact_zero(pair, int(nu)).is_zero == bool(nz)
-
-
-def test_exact_zero_negative_symmetric():
-    pair = constant_pair(9, 3)
-    for nu in range(1, 2000):
-        assert mu_hat_exact_zero(pair, nu).is_zero == mu_hat_exact_zero(pair, -nu).is_zero
+    assert not numeric_zero[nus == 0]
+    for nu, nz in zip(nus[nus != 0], numeric_zero[nus != 0]):
+        assert orthogonality_check([0, int(nu)], pair).passed == bool(nz)
 
 
 # ---------------------------------------------------------------------------
@@ -728,6 +714,18 @@ def test_modulated_family():
             got = phi_hat(deep, xi, tol)
             assert got.levels >= len(taps) and got.radius <= tol
             assert abs(got.value - brute_force_transform(pair, xi, explicit=taps)) <= got.radius + 1e-15
+
+
+def test_a_qmf_family_certifies_whatever_its_degree_ratio_rounds_to():
+    # taps 1/7 at 0-4, 6 and 61: no two positions 7k apart, so the QMF defect is 0;
+    # d0 = 61/7 and d0 * d_1 round to 60.99999999999999 < 61, the family's own degree
+    taps = [0j] * 62
+    for j in (0, 1, 2, 3, 4, 6, 61):
+        taps[j] = 1 / 7
+    fam = FilterFamily(explicit_pair([14], [7]), (tuple(taps),))
+    cert = fam.certify(1)
+    assert cert.ok and cert.messages == ()
+    assert cert.qmf_defects == (0.0,) and cert.d0 == 61 / 7 and cert.d1 > 0.25
 
 
 def test_any_certified_family_is_one_at_zero():

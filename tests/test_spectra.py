@@ -7,23 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from cantorspec import (BudgetExceededError, TreeMapping, canonical_tau,
                         check_growth_conditions, constant_pair,
                         dimension_targeting_pair, enumerate_level,
-                        explicit_pair, lambda_of_word, rho,
-                        tree_mapping_from_config, validate_tree_mapping,
-                        word_count)
+                        explicit_pair, rho, tree_mapping_from_config,
+                        validate_tree_mapping, word_count)
 
 MU42 = constant_pair(4, 2)
 MU82 = constant_pair(8, 2)
 MU93 = constant_pair(9, 3)
 
 
-def test_canonical_tau_examples():
-    tau = canonical_tau(MU42).tau
-    assert tau((0, 1)) == 1
-    assert tau((0, 0, 0)) == 0
-    assert tau(()) == 0
+def frequency(tm, word):
+    """The reference lambda(word) of ``tm`` (:func:`reference.frequency`), with the
+    pair's b_n to the word's length or the table's depth, whichever is more."""
+    depth = max(len(word), tm.table_depth)
+    return ref.frequency([tm.pair.b(k) for k in range(1, depth + 1)], tm.table, word)
 
 
 def test_validate_examples():
@@ -54,17 +54,20 @@ def test_validate_condition_i_and_words():
 
 def test_lambda_examples():
     canonical = canonical_tau(MU42)
-    assert lambda_of_word(canonical, (1, 1)) == 5     # 1*1 + 1*4
-    assert lambda_of_word(canonical, (0, 1)) == 4
+    assert frequency(canonical, (1, 1)) == 5     # 1*1 + 1*4
+    assert frequency(canonical, (0, 1)) == 4
+    assert enumerate_level(canonical, 2).elements == (0, 1, 4, 5)
     deviated = TreeMapping(MU42, {(1,): -1})
-    assert lambda_of_word(deviated, (1,)) == -1
+    assert frequency(deviated, (1,)) == -1
+    assert enumerate_level(deviated, 1).elements == (-1, 0)
 
 
 def test_lambda_includes_zero_extension_table_entries():
     # a table entry on the zero-extension contributes past the word's length
     tm = TreeMapping(MU82, {(1, 0): 2})
     assert validate_tree_mapping(tm).ok
-    assert lambda_of_word(tm, (1,)) == 1 + 2 * 8
+    assert frequency(tm, (1,)) == 1 + 2 * 8
+    assert enumerate_level(tm, 1).elements == (0, 1 + 2 * 8)
 
 
 def test_enumerate_examples():
@@ -170,7 +173,7 @@ def growth_oracle(tm, depth):
             probe = w
             for k in range(n + 1, max(tail_depth, n) + 1):
                 probe = probe + (0,)
-                val = tm.tau(probe)
+                val = tm.table.get(probe, 0)  # probe ends in 0, the default label
                 if val:
                     total += Fraction(val, pair.b(k)) ** 2
                     count += 1
@@ -236,7 +239,7 @@ def test_random_valid_tables_validate_and_nest(table):
         assert prev <= cur
         prev = cur
         for delta in [(0,) * level, (1,) + (0,) * (level - 1)]:
-            assert lambda_of_word(tm, delta) in cur
+            assert frequency(tm, delta) in cur
 
 
 @pytest.mark.parametrize("entries, field", [
@@ -283,10 +286,11 @@ def arbitrary_tables(draw):
 @given(arbitrary_tables())
 @settings(deadline=None, max_examples=300)
 def test_enumerate_level_matches_per_word_oracle(case):
-    # the multiset of lambda_of_word over every word of the level: elements and collisions
+    # the multiset of the reference frequencies over every word of the level:
+    # elements and collisions
     tm, level = case
     words = itertools.product(*(range(tm.pair.d(k)) for k in range(1, level + 1)))
-    counts = Counter(lambda_of_word(tm, word) for word in words)
+    counts = Counter(frequency(tm, word) for word in words)
     got = enumerate_level(tm, level)
     assert got.elements == tuple(sorted(counts))
     assert got.collisions == tuple(sorted((v, c) for v, c in counts.items() if c > 1))

@@ -11,8 +11,7 @@ from mpmath import mp, mpf, cos as mp_cos, exp as mp_exp, pi as mp_pi, sinpi as 
 from cantorspec import (BudgetExceededError, FilterFamily, TreeMapping, canonical_tau,
                         completeness_Q, constant_pair,
                         dimension_targeting_pair, explicit_pair, enumerate_level, mu_hat,
-                        mu_hat_array, mu_hat_exact_zero,
-                        orthogonality_check, partition_identity,
+                        mu_hat_array, orthogonality_check, partition_identity,
                         partition_levels, rho, uniform_family, word_count)
 from cantorspec import (default_depth, exact_mean, fourier, hausdorff_dim_formula, pair_from_config,
                         sample_measure, verify)
@@ -20,6 +19,7 @@ from cantorspec.core import _to_float
 from cantorspec.fourier import (SERIES_THETA, TWO_PI, H_sq_tables, eval_filter,
                                 eval_H_sq_tables, eval_taylor, truncation_target)
 from log_reference import log_H_sq_array, log_H_sq_series
+import reference as ref
 
 MU42 = constant_pair(4, 2)
 MU93 = constant_pair(9, 3)
@@ -47,13 +47,18 @@ def test_orthogonality_rejects_duplicates():
 
 
 def pairwise_orthogonality(elements, pair):
-    """Oracle: the literal scan of every unordered pair with the exact zero test.
+    """Oracle: the literal scan of every unordered pair with the zero condition of
+    :func:`reference.transform_vanishes`, on the pair's b_n and d_n to the first
+    rho_n past the largest difference.
 
     Returns (violation count, all violating pairs in sorted order).
     """
     elements = sorted(elements)
+    reach = max(elements) - min(elements)
+    depth = next(n for n in range(1, 200) if rho(pair, n) > reach)
+    b, d = ([f(n) for n in range(1, depth + 1)] for f in (pair.b, pair.d))
     violations = [(x, y) for i, x in enumerate(elements) for y in elements[i + 1:]
-                  if not mu_hat_exact_zero(pair, y - x).is_zero]
+                  if not ref.transform_vanishes(b, d, y - x)]
     return len(violations), violations
 
 
@@ -1139,8 +1144,7 @@ def test_tail_tables_match_per_xi_log_tail(name, level):
 
 @pytest.mark.parametrize("b, d", [([4, 1], [2, 1]), ([4, 4], [2, 1])])
 def test_a_repeating_b_or_d_of_one_raises(b, d):
-    # the scale search ran forever once rho_n stopped growing (b = 1), as did the
-    # exact zero test's walk at nu = 8, which every rho_n and d_n rho_n divide, and the
+    # the scale search ran forever once rho_n stopped growing (b = 1), and the
     # gap-ratio tails once they stopped shrinking or vanished (b or d = 1);
     # completeness_Q failed on the empty block of level 2 with numpy's message
     pair = explicit_pair(b, d)
@@ -1153,8 +1157,7 @@ def test_a_repeating_b_or_d_of_one_raises(b, d):
     if b[-1] == 1:
         for call in (lambda: sample_measure(pair, 10), lambda: default_depth(pair),
                      lambda: mu_hat(pair, 0.3, 1e-10),
-                     lambda: verify._Scales(pair).reach(truncation_target(0.3, 1e-10)),
-                     lambda: mu_hat_exact_zero(pair, 8)):
+                     lambda: verify._Scales(pair).reach(truncation_target(0.3, 1e-10))):
             with pytest.raises(ValueError, match="b_n = 1 from level 2 on"):
                 call()
         # reached before rho_n stops

@@ -10,8 +10,9 @@ wrote, with the Python and numpy versions of the run.  ``--check`` names each op
 whose exit code differs, and each file that differs, is missing or is new, and
 exits 1 if there is any; a commit that changes an artifact rewrites the manifest
 with it, so the diff of the manifest is that commit's record of byte identity.
-In both modes a ``report`` op that exits other than 0 is named and makes the
-run exit 1 (the manifest is still written).
+In both modes a ``report`` op that exits other than 0, and a negative control
+(:data:`NEGATIVE_CONTROLS`) that exits other than 1, is named and makes the run
+exit 1 (the manifest is still written).
 
 CI runs ``--check`` against the checked-in manifest on the numpy version it
 records, then, on every Python of its matrix, a plain run and a ``--check`` run
@@ -44,6 +45,18 @@ def _pair(name: str) -> list[str]:
 _TREE = ["--tree", "demos/configs/tree_deviation.json"]
 _PAIRS = ["alpha_half", "alpha_one", "alpha_quarter", "alpha_zero", "explicit_huge",
           "mu25_5", "mu30_6", "mu42", "mu82", "mu93"]
+
+
+# negative controls: each check must fail on these, so each must exit 1 in either mode
+# (failed_controls).  orthogonality on b = [8, 8], d = [6, 4], where d_n does not divide
+# b_n, finds 8,190 violating pairs; partition on mu42 at --level 8 has worst_defect
+# 6.66e-16 against --tol 3e-16; dimension on alpha = 0.999 at --level 4 has box slope
+# 0.764 against the formula's 0.650, outside the agreement of 0.05
+NEGATIVE_CONTROLS = [
+    ["orthogonality", *_pair("explicit_inadmissible")],
+    ["partition", *_pair("mu42"), "--level", "8", "--tol", "3e-16"],
+    ["dimension", *_pair("alpha_near_one"), "--level", "4"],
+]
 
 
 def ops() -> list[list[str]]:
@@ -100,6 +113,7 @@ def ops() -> list[list[str]]:
     # and --count 70001 on alpha_half crosses a block boundary on its d_n = 2^n levels
     listed.append(["sample", *_pair("mu42"), "--count", "20000"])
     listed.append(["sample", *_pair("alpha_half"), "--count", "70001"])
+    listed += NEGATIVE_CONTROLS
     prefix = f"{ROOT}/"
     unique = []
     for op in listed:
@@ -151,6 +165,14 @@ def failed_reports(manifest: dict) -> list[str]:
             for rec in manifest["ops"] if rec["op"].startswith("report ") and rec["exit"] != 0]
 
 
+def failed_controls(manifest: dict) -> list[str]:
+    """One line per negative control that did not exit 1, whatever the manifest it is
+    compared with records: a control that passes shows a verdict that cannot fail."""
+    controls = {" ".join(op) for op in NEGATIVE_CONTROLS}
+    return [f"{rec['op']}: exit {rec['exit']}, a negative control must exit 1"
+            for rec in manifest["ops"] if rec["op"] in controls and rec["exit"] != 1]
+
+
 def main(argv: list[str]) -> int:
     if argv not in ([], ["--check"]):
         print(__doc__.strip(), file=sys.stderr)
@@ -169,7 +191,7 @@ def main(argv: list[str]) -> int:
     else:
         MANIFEST.write_text(json.dumps(got, indent=1) + "\n")
         print(f"wrote {MANIFEST.relative_to(ROOT)}: {len(got['ops'])} ops")
-    failed = failed_reports(got)
+    failed = failed_reports(got) + failed_controls(got)
     for line in failed:
         print(line)
     return 1 if lines or failed else 0
