@@ -51,19 +51,17 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ScalePair:
-    """Sequences b_n, d_n given as an explicit prefix plus a named extension rule.
+    """Sequences b_n, d_n given as an explicit prefix plus an extension rule.
 
-    ``kind`` selects the rule used past the prefix:
-
-    * ``constant``  -- b_n = b_1, d_n = d_1 for all n;
-    * ``explicit``  -- the last prefix entry repeats indefinitely;
-    * ``alpha``     -- dyadic powers targeting Hausdorff dimension ``alpha``
-      (see :func:`dimension_targeting_pair`); the prefix is empty.
+    Past the prefix the last prefix entry repeats indefinitely, unless
+    ``alpha`` is set: then the prefix is empty and every level follows the
+    dyadic powers targeting Hausdorff dimension ``alpha``
+    (see :func:`dimension_targeting_pair`).  So a constant pair is the explicit
+    pair of its one level.
 
     Levels are 1-indexed everywhere.
     """
 
-    kind: str
     b_prefix: tuple[int, ...] = ()
     d_prefix: tuple[int, ...] = ()
     alpha: Fraction | None = None
@@ -73,34 +71,30 @@ class ScalePair:
             raise ValueError(f"level index must be >= 1, got {n}")
         if n <= len(self.b_prefix):
             return self.b_prefix[n - 1]
-        if self.kind == "alpha":
-            return _alpha_rule(self.alpha, n)[0]
-        return self.b_prefix[-1]  # constant / explicit: repeat last entry
+        if self.alpha is not None:
+            return _dyadic_rule(self.alpha.numerator, self.alpha.denominator, n)[0]
+        return self.b_prefix[-1]  # repeat the last entry
 
     def d(self, n: int) -> int:
         if n < 1:
             raise ValueError(f"level index must be >= 1, got {n}")
         if n <= len(self.d_prefix):
             return self.d_prefix[n - 1]
-        if self.kind == "alpha":
-            return _alpha_rule(self.alpha, n)[1]
+        if self.alpha is not None:
+            return _dyadic_rule(self.alpha.numerator, self.alpha.denominator, n)[1]
         return self.d_prefix[-1]
 
 
-def _alpha_rule(alpha: Fraction, n: int) -> tuple[int, int]:
-    """Dyadic (b_n, d_n) with d_n -> infinity and ln d_n / ln b_n -> alpha.
+@functools.lru_cache(maxsize=4096)
+def _dyadic_rule(p: int, q: int, n: int) -> tuple[int, int]:
+    """Dyadic (b_n, d_n) for alpha = p/q, with d_n -> infinity and ln d_n / ln b_n -> alpha.
 
     All values are powers of two, so b_n/d_n is automatically a power of two
     >= 2.  The exponent slopes at the endpoints alpha = 0 and alpha = 1 are
     chosen steep enough that the cumulative ratio
     sum_{j<=N} ln d_j / sum_{j<=N} ln b_j is within 0.02 of alpha by N = 40.
+    Cached on alpha as integers: hashing a Fraction costs more than the rule.
     """
-    return _dyadic_rule(alpha.numerator, alpha.denominator, n)
-
-
-@functools.lru_cache(maxsize=4096)
-def _dyadic_rule(p: int, q: int, n: int) -> tuple[int, int]:
-    # cached on alpha = p/q as integers: hashing a Fraction costs more than the rule
     if p == 0:
         return 1 << (3 * n * n), 1 << n
     if p == q:
@@ -193,7 +187,7 @@ def constant_pair(b: int, d: int) -> ScalePair:
     issue = _check_level(b, d, 1)
     if issue is not None:
         raise PairConstraintError(f"{issue.message} [{issue.condition}]")
-    return ScalePair(kind="constant", b_prefix=(b,), d_prefix=(d,))
+    return ScalePair(b_prefix=(b,), d_prefix=(d,))
 
 
 def exact_int(value, field: str) -> int:
@@ -230,20 +224,20 @@ def explicit_pair(b: list[int] | tuple[int, ...], d: list[int] | tuple[int, ...]
         raise PairConstraintError("explicit pair needs equal-length nonempty b and d prefixes")
     if any(x < 1 for x in b + d):
         raise PairConstraintError("explicit pair entries must be positive integers")
-    return ScalePair(kind="explicit", b_prefix=b, d_prefix=d)
+    return ScalePair(b_prefix=b, d_prefix=d)
 
 
 def dimension_targeting_pair(alpha: float | Fraction) -> ScalePair:
     """Pair whose Cantor set has Hausdorff dimension ``alpha`` in [0, 1].
 
-    Uses the dyadic profile of :func:`_alpha_rule`; for alpha in (0, 1) this
+    Uses the dyadic profile of :func:`_dyadic_rule`; for alpha in (0, 1) this
     is d_n = 2^n, b_n = 2^max(n+1, ceil(n/alpha)), so the level ratios
     ln d_n / ln b_n sit within 1/n of alpha.
     """
     a = Fraction(alpha)
     if not 0 <= a <= 1:
         raise PairConstraintError(f"alpha must lie in [0, 1], got {alpha}")
-    return ScalePair(kind="alpha", alpha=a)
+    return ScalePair(alpha=a)
 
 
 def validate_pair(pair: ScalePair, depth: int) -> ValidationReport:
@@ -263,7 +257,7 @@ def pair_from_config(cfg: dict) -> ScalePair:
 
     Schema: {"kind": "constant"|"explicit"|"alpha", "b": ..., "d": ...,
     "alpha": ..., "profile": "dyadic"}; the dyadic profile of
-    :func:`_alpha_rule` is the only one, and any other is rejected.
+    :func:`_dyadic_rule` is the only one, and any other is rejected.
     """
     if not isinstance(cfg, dict):
         raise TypeError(f"a pair config is a JSON object, got {cfg!r}")

@@ -2,7 +2,10 @@
 
 The transform of the measure attached to a pair (B, D) is the infinite
 product of kernels H_{d_n}(xi / (d_n rho_n)).  There is one complex kernel,
-:func:`eval_H_array` (:func:`eval_H` is it at one argument), and one
+:func:`eval_H_array` (:func:`eval_H` is it at one argument): the Dirichlet
+closed form, 1 at integers and, within 1e-9 of one, the series
+1 - (m^2 - 1)(pi s)^2 / 6 of its real factor D_m, as :func:`_H_sq_direct` below
+takes that of D_m^2, so no entry costs time or memory in m.  There is one
 truncated product, :func:`_truncated_product`, of the level factors
 :meth:`FilterFamily.factor` over a float array, with one tail bound, stated
 in its docstring.  :func:`mu_hat_array` and :func:`mu_hat` are that product
@@ -44,12 +47,16 @@ from .core import BudgetExceededError, ScalePair, _Scales, _to_float, finite_num
 
 TWO_PI = 2.0 * math.pi
 
-# Distance to the nearest integer below which the closed form of H_m is
-# abandoned (removable singularity): for the literal m-term sum in
-# eval_H_array, and for the series 1 - (m^2 - 1)(pi s)^2 / 3 of |H_m|^2 in
-# _H_sq_direct, whose remainder stays below 1.3e-21 up to _SERIES_MAX_TAPS.
-# The sum costs O(m) and the series' remainder grows like m^4, so both are
-# only used for moderate m; for larger m the closed form is already
+# Distance s to the nearest integer below which the closed forms of H_m are
+# abandoned (removable singularity) for their series in (pi s)^2, one rule per
+# kernel, each from cos y = 1 - y^2/2 + r, 0 <= r <= y^4/24, per term:
+# - eval_H_array: e^{-pi i (m-1) s} (1 - (m^2 - 1)(pi s)^2 / 6), the series of the
+#   Dirichlet factor D_m(s) = (1/m) sum_k cos(pi k s), k = m-1, m-3, ..., whose
+#   remainder lies in [0, (m^2 - 1)(3 m^2 - 7)(pi s)^4 / 360], below 2.3e-22;
+# - _H_sq_direct: 1 - (m^2 - 1)(pi s)^2 / 3 for |H_m|^2 = D_m^2, whose remainder
+#   lies in [0, (m^2 - 1)(2 m^2 - 3)(pi s)^4 / 45], below 1.3e-21;
+# both bounds for m <= _SERIES_MAX_TAPS.  The remainders grow like m^4, so the
+# series serve only moderate m; for larger m the closed form is already
 # well-conditioned at any representable nonzero distance.
 _INTEGER_GUARD = 1e-9
 _SERIES_MAX_TAPS = 4096
@@ -68,40 +75,39 @@ def eval_H(m: int, xi: float) -> complex:
 
 def _integer_guard(m: int, xs: np.ndarray):
     # signed distance s of each x to its nearest integer, exact (x - round(x)
-    # by Sterbenz); then the masks of the entries at an integer and of those in
-    # the guard band where the literal m-term sum replaces the closed form,
-    # both None when no entry is within _INTEGER_GUARD of an integer
+    # by Sterbenz); s with the guarded entries moved to 1/4, where the closed form
+    # is safe; then the masks of the entries at an integer and of those in the
+    # guard band where the series replaces the closed form, both None when no
+    # entry is within _INTEGER_GUARD of an integer
     s = xs - np.round(xs)
     dist = np.abs(s)
     if not np.any(dist < _INTEGER_GUARD):
-        return s, None, None
+        return s, s, None, None
     at_integer = dist < _ZERO_CLAMP
     near = (dist < _INTEGER_GUARD) & ~at_integer if m <= _SERIES_MAX_TAPS else np.zeros_like(at_integer)
-    return s, at_integer, near
+    return s, np.where(at_integer | near, 0.25, s), at_integer, near
 
 
 def eval_H_array(m: int, xs: np.ndarray) -> np.ndarray:
     """The kernel H_m(x) = (1/m) sum_{j<m} e^{-2 pi i j x} over a float array.
 
     Uses the Dirichlet closed form e^{-pi i (m-1) s} sin(pi m s) /
-    (m sin(pi s)) at the signed distance s of x to its nearest integer; within
-    1e-9 of an integer the finite sum is evaluated literally, one row of m
-    terms per entry, which is stable there and resolves the removable
-    singularity (value 1 at integers).
+    (m sin(pi s)) at the signed distance s of x to its nearest integer; at an
+    integer the value is 1, and within 1e-9 of one the real factor is its
+    series 1 - (m^2 - 1)(pi s)^2 / 6, whose remainder is stated at
+    ``_INTEGER_GUARD``.  Every entry is computed on its own, in memory linear in
+    the entries whatever m is, so no value depends on the rest of the call.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m == 1:
         return np.ones_like(xs, dtype=complex)
-    s, at_integer, near = _integer_guard(m, xs)
-    safe = s if at_integer is None else np.where(at_integer | near, 0.25, s)
-    vals = np.exp(-1j * np.pi * (m - 1) * safe) * np.sin(np.pi * m * safe) / (m * np.sin(np.pi * safe))
+    s, safe, at_integer, near = _integer_guard(m, xs)
+    phase = np.exp(-1j * np.pi * (m - 1) * s)  # no singularity: taken at s itself
+    vals = phase * np.sin(np.pi * m * safe) / (m * np.sin(np.pi * safe))
     if at_integer is not None:
         vals[at_integer] = 1.0
-        # one row of m terms per entry, summed on its own whatever else shares the call
-        sn = s[near].reshape(-1, 1)
-        j = np.arange(m)
-        vals[near] = np.exp(-2j * np.pi * j * sn).sum(axis=1) / m
+        vals[near] = phase[near] * (1.0 - (m * m - 1) * (np.pi * s[near]) ** 2 / 6.0)
     return vals
 
 
@@ -109,12 +115,9 @@ def _H_sq_direct(m: int, xs: np.ndarray) -> np.ndarray:
     # |H_m(x)|^2 from the closed form at each x, with the integer guard of
     # eval_H_array: 1 at integers, and in the guard band |s| < _INTEGER_GUARD
     # the series 1 - (m^2 - 1)(pi s)^2 / 3 of the Fejer form
-    # 1/m + (2/m) sum_{0<k<m} (1 - k/m) cos(2 pi k s).  With 0 <= 1 - x^2/2 -
-    # cos x <= x^4/24 per term, the whole remainder lies in
-    # [0, (m^2 - 1)(2 m^2 - 3)(pi s)^4 / 45], below 1.3e-21 for m <= 4096, and
-    # each entry is computed on its own, whatever else shares the call
-    s, at_integer, near = _integer_guard(m, xs)
-    safe = s if at_integer is None else np.where(at_integer | near, 0.25, s)
+    # 1/m + (2/m) sum_{0<k<m} (1 - k/m) cos(2 pi k s), its remainder stated at
+    # _INTEGER_GUARD; each entry is computed on its own, whatever else shares the call
+    s, safe, at_integer, near = _integer_guard(m, xs)
     ms = m * safe
     ms -= np.rint(ms)  # pi m s mod pi: the sign it drops cancels in the square
     vals = (np.sin(np.pi * ms) / (m * np.sin(np.pi * safe))) ** 2

@@ -150,10 +150,12 @@ def _digits(d: int, count: int) -> np.ndarray:
     return np.repeat(np.arange(d, dtype=float), count)
 
 
-def _prime_factors(d: int) -> list[int]:
-    """The prime factors of d >= 1 in ascending order, with multiplicity; [1] for d = 1."""
+def _prime_factors(d: int, limit: float = math.inf) -> list[int]:
+    """The prime factors of d >= 1 in ascending order, with multiplicity; [1] for d = 1.
+    Trial division stops past ``limit``: the last entry is then the cofactor, whose
+    prime factors all exceed it."""
     factors, p = [], 2
-    while p * p <= d:
+    while p * p <= d and p <= limit:
         while d % p == 0:
             factors.append(p)
             d //= p
@@ -495,7 +497,7 @@ class _Series(NamedTuple):
         return root_series_taylor(self.coefficients, self.low, y0, self.e)
 
 
-def _tail_plan(tree: _Tree, depth: int, xmax: float):
+def _tail_plan(tree: _Tree, depth: int, xmax: float, budget: int):
     """(explicit, series): the xi-independent plan of the tail
     prod_{level<k<=depth} |H_{d_k}(s_k)|^2, s_k = xi / (d_k rho_k) + u_k, on the
     zero-extensions of the tree's nodes, for every xi in [0, ``xmax``].  ``explicit``
@@ -504,13 +506,20 @@ def _tail_plan(tree: _Tree, depth: int, xmax: float):
     SERIES_THETA; ``series`` is the :class:`_Series` of the rest, or None when the
     explicit levels reach ``depth``.
 
+    A sub-level H_f, f >= 5, of an explicit level takes f // 2 rows of angles over
+    every node, so where those rows times the nodes exceed ``budget`` the plan raises
+    BudgetExceededError.  No factor f > 2 budget / nodes + 1 is then usable, and d_k is
+    factored only that far (:func:`_prime_factors`): a cofactor with no factor below it
+    stays one sub-level, which the budget refuses, and H_ab(s) = H_a(s) H_b(a s) holds
+    for any factors.  So a large prime d_k costs no trial division past that bound.
+
     max |u_k| is bounded without a node: u_k = (u_{k-1} / q_{k-1} + tau) / d_k is
     monotone in u_{k-1} and tau, in floating point too, so the recursion on the least
     and largest label of each level (a digit or a table label; 0 or a table label past
     the tree) encloses every node's u_k.  With canonical labels the all-zero and
     all-(d_n - 1) words attain both ends, so the bound is each level's max |u_k|.
     Where u_k is reduced by q_{k-1}, d_{k-1} must divide b_{k-1} (:func:`_check_divides`)."""
-    scales, level = tree.scales.upto(depth), tree.level
+    scales, level, nodes = tree.scales.upto(depth), tree.level, tree.size[-1]
     explicit, last_label, lo, hi = [], max(tree.deep, default=0), 0.0, 0.0
     for k in range(1, depth + 1):
         _check_divides(scales, k)
@@ -528,7 +537,11 @@ def _tail_plan(tree: _Tree, depth: int, xmax: float):
             ks = range(k, depth + 1)
             ms, ts = [scales.d[j] for j in ks], [scales.rho[k] / scales.rho[j] for j in ks]
             return explicit, _Series(k, *root_series(ms, ts), xmax / _to_float(scales.rho[k]), d * top)
-        subs = _sub_levels(scales, k)
+        subs = _sub_levels(scales, k, _prime_factors(d, 2 * budget // nodes + 1))
+        rows = sum(f // 2 for f, _, _ in subs if f >= 5)
+        if rows * nodes > budget:
+            raise BudgetExceededError(f"tail level {k} needs {rows} rows of angles over {nodes} "
+                                      f"nodes, over the budget of {budget}", required=rows * nodes)
         explicit.append((k, _taylor_degree(sum(_rate(f, scale) for f, _, scale in subs)), subs))
     return explicit, None
 
@@ -772,7 +785,8 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     signed root and its complement share (:func:`_tail_roots`).  A sub-level H_f,
     f >= 5, of an explicit tail level takes f // 2 rows of angles over every
     level-l_max node; where those rows times the nodes exceed ``budget`` the check
-    raises BudgetExceededError before it tabulates any.
+    raises BudgetExceededError before it tabulates any, as the plan factors d_k only as
+    far as the budget admits (:func:`_tail_plan`).
 
     *The split.*  The grid walks the tree in tiles (:meth:`_Tree.tiles`) to a
     tree level s (:func:`_walk_depth`), whose products W_j over its P_s nodes j
@@ -858,13 +872,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     # the deepest truncation any xi in [0, 1/2] needs: |xi + lambda| <= B + 1/2, and
     # reach and truncation_target are monotone, so one search at B + 1/2
     depth, _ = scales.reach(truncation_target(_to_float(bound) + 0.5, tol))
-    explicit, series = _tail_plan(tree, depth, 0.5)
-    for k, _, subs in explicit:
-        # a sub-level H_f, f >= 5, takes f // 2 rows of angles over every node
-        rows = sum(f // 2 for f, _, _ in subs if f >= 5)
-        if rows * tree.size[-1] > budget:
-            raise BudgetExceededError(f"tail level {k} needs {rows} rows of angles over {tree.size[-1]} "
-                                      f"nodes, over the budget of {budget}", required=rows * tree.size[-1])
+    explicit, series = _tail_plan(tree, depth, 0.5, budget)
     # the degree of the tail polynomial sqrt(T), for the walk depth: the series table's at
     # the largest |y0| and the explicit levels'; T - 1 has twice it
     degree = sum(degree for _, degree, _ in explicit)

@@ -55,10 +55,13 @@ def _manifest(*ops):
 
 def test_a_report_op_that_does_not_exit_0_fails_either_mode(tmp_path, monkeypatch, capsys):
     tool = _load_artifacts()
+    # a report op among the negative controls must exit 1 instead, which failed_controls checks
+    control = next(" ".join(op) for op in tool.NEGATIVE_CONTROLS if op[0] == "report")
     got = _manifest(("report --pair a", 0), ("report --pair b", 1), ("report --pair c", 2),
-                    ("completeness --pair a", 1), ("pair --pair report", 1))
+                    ("completeness --pair a", 1), ("pair --pair report", 1), (control, 1))
     assert tool.failed_reports(got) == ["report --pair b: exit 1, report must exit 0",
                                         "report --pair c: exit 2, report must exit 0"]
+    assert tool.failed_reports(_manifest((control, 0))) == tool.failed_controls(got) == []
     monkeypatch.setattr(tool, "run", lambda: got)
     monkeypatch.setattr(tool, "MANIFEST", tmp_path / "artifacts.json")
     monkeypatch.setattr(tool, "ROOT", tmp_path)
@@ -66,8 +69,8 @@ def test_a_report_op_that_does_not_exit_0_fails_either_mode(tmp_path, monkeypatc
     assert json.loads(tool.MANIFEST.read_text()) == got
     assert tool.main(["--check"]) == 1  # no difference from the manifest, but failed reports
     out = capsys.readouterr().out.splitlines()
-    assert out == ["wrote artifacts.json: 5 ops", *tool.failed_reports(got),
-                   "0 differences over 5 ops", *tool.failed_reports(got)]
+    assert out == ["wrote artifacts.json: 6 ops", *tool.failed_reports(got),
+                   "0 differences over 6 ops", *tool.failed_reports(got)]
     monkeypatch.setattr(tool, "run", lambda: _manifest(("report --pair a", 0)))
     assert tool.main([]) == tool.main(["--check"]) == 0
 
@@ -75,9 +78,9 @@ def test_a_report_op_that_does_not_exit_0_fails_either_mode(tmp_path, monkeypatc
 def test_a_negative_control_that_does_not_exit_1_fails_either_mode(tmp_path, monkeypatch, capsys):
     tool = _load_artifacts()
     controls = [" ".join(op) for op in tool.NEGATIVE_CONTROLS]
-    assert len(controls) == 3 and set(controls) <= {" ".join(op) for op in tool.ops()}
+    assert len(controls) == 4 and set(controls) <= {" ".join(op) for op in tool.ops()}
     manifest = json.loads(tool.MANIFEST.read_text())
-    assert [rec["exit"] for rec in manifest["ops"] if rec["op"] in controls] == [1, 1, 1]
+    assert [rec["exit"] for rec in manifest["ops"] if rec["op"] in controls] == [1, 1, 1, 1]
     got = _manifest((controls[0], 1), (controls[1], 0), (controls[2], 2), ("pair --pair a", 1))
     assert tool.failed_controls(got) == [f"{controls[1]}: exit 0, a negative control must exit 1",
                                          f"{controls[2]}: exit 2, a negative control must exit 1"]

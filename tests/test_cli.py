@@ -155,6 +155,15 @@ def test_spectrum_budget_exceeded(mu42, tmp_path):
                 "--out", str(tmp_path / "o")]) == 2
 
 
+def test_spectrum_fails_on_colliding_labels(mu42, tmp_path):
+    # tau(1) = 0 gives the word (1,) the frequency of (0,): spectrum names the collision
+    tree = tmp_path / "tree.json"
+    tree.write_text('[{"word": [1], "value": 0}]')
+    out = tmp_path / "out"
+    assert run(["spectrum", "--pair", mu42, "--tree", str(tree), "--level", "1", "--out", str(out)]) == 1
+    assert json.loads((out / "spectrum_report.json").read_text())["collisions"] == [["0", 2]]
+
+
 def test_orthogonality_subcommand(mu42, tmp_path):
     out = tmp_path / "out"
     assert run(["orthogonality", "--pair", mu42, "--level", "4", "--out", str(out)]) == 0
@@ -544,6 +553,19 @@ def test_completeness_budgets_the_angles_of_a_prime_tail_level(tmp_path, capsys,
     else:
         assert code == 2 and f"(required: {required})" in capsys.readouterr().err
         assert not (out / "completeness.csv").exists()
+
+
+@pytest.mark.parametrize("cmd", [["completeness", "--level", "1"], ["report"]])
+def test_a_large_prime_tail_level_exits_2_naming_the_budget(tmp_path, cmd):
+    # d_2 = 2^61 - 1 is an explicit tail level past L = 1, one H_d sub-level over the
+    # budget, refused at once, without trial division of d_2 to its square root
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "cantorspec.cli", *cmd, "--pair",
+                           str(ROOT / "demos" / "configs" / "explicit_prime_tail.json"), "--out", str(out)],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 2 and proc.stderr.startswith("error: --budget: tail level 2 ")
+    assert not out.exists()
 
 
 def test_cli_import_does_not_load_mpmath():

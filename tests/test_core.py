@@ -77,13 +77,20 @@ def test_alpha_rule_scales_equal_the_fraction_ceiling(pq, n):
     # b_n = 2^max(n + 1, ceil(n / alpha)) with the ceiling in integers, as
     # math.ceil of the exact Fraction quotient
     alpha = Fraction(*pq)
-    assert core._alpha_rule(alpha, n) == (1 << max(n + 1, math.ceil(Fraction(n) / alpha)), 1 << n)
+    want = (1 << max(n + 1, math.ceil(Fraction(n) / alpha)), 1 << n)
+    assert core._dyadic_rule(alpha.numerator, alpha.denominator, n) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 500])
 def test_alpha_rule_endpoints(n):
-    assert core._alpha_rule(Fraction(0), n) == (1 << (3 * n * n), 1 << n)
-    assert core._alpha_rule(Fraction(1), n) == (1 << (3 * n), 1 << (3 * n - 1))
+    assert core._dyadic_rule(0, 1, n) == (1 << (3 * n * n), 1 << n)
+    assert core._dyadic_rule(1, 1, n) == (1 << (3 * n), 1 << (3 * n - 1))
+
+
+def test_a_constant_pair_is_the_explicit_pair_of_its_one_level():
+    # one rule past the prefix: the same sequences make equal, equally hashed pairs
+    assert constant_pair(4, 2) == explicit_pair([4], [2])
+    assert hash(constant_pair(4, 2)) == hash(explicit_pair([4], [2]))
 
 
 def test_alpha_ratio_limits():

@@ -277,6 +277,34 @@ def test_guard_band_series_within_one_ulp_of_mpmath(m):
             assert abs(mp.mpf(v) - want) <= math.ulp(float(want)), (m, x, v)
 
 
+def test_eval_H_array_guard_band_within_2_pow_52_of_mpmath():
+    # e^{-pi i (m - 1) s} (1 - (m^2 - 1)(pi s)^2 / 6) for 0 < |s| < 1e-9: the series'
+    # remainder is below 2.3e-22, so the error is the rounding of the phase and the
+    # product
+    rng = np.random.default_rng(0)
+    for m in (64, 1024, 4096):
+        s = rng.uniform(-1e-9, 1e-9, size=200)
+        got = eval_H_array(m, s)
+        with mp.workdps(40):
+            for x, v in zip(s.tolist(), got.tolist()):
+                x = mp.mpf(x)
+                want = mp.expjpi(-(m - 1) * x) * mp.sin(mp.pi * m * x) / (m * mp.sin(mp.pi * x))
+                assert abs(mp.mpc(v) - want) <= 2.0 ** -52, (m, x, v)
+
+
+def test_mu_hat_array_memory_does_not_grow_with_the_digits():
+    # levels 3 and 4 of (8192, 4096) put every argument in the guard band of H_4096,
+    # where no (entries x m) array may be formed: at 2,000 entries one takes 125 MiB
+    xs = np.linspace(0.5, 200.0, 2000)
+    tracemalloc.start()
+    try:
+        mu_hat_array(constant_pair(8192, 4096), xs, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("m", [3, 9, 16, 32, 1024])
 def test_direct_kernel_entries_do_not_depend_on_the_call(m):
     # the guard band, the integers and the closed form, each entry alone
@@ -290,7 +318,7 @@ def test_direct_kernel_entries_do_not_depend_on_the_call(m):
 
 @pytest.mark.parametrize("m", [3, 9, 32, 1024])
 def test_eval_H_array_entries_do_not_depend_on_the_call(m):
-    # the literal m-term sum of the guard band is summed per entry
+    # the series of the guard band is formed per entry
     rng = np.random.default_rng(m)
     xs = np.concatenate([k + rng.uniform(-1e-9, 1e-9, size=40) for k in (0, 2)]
                         + [rng.uniform(-3, 3, size=40), [0.0, 1.0, 1e-300, 0.5]])

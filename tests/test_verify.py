@@ -1124,7 +1124,7 @@ def test_tail_tables_match_per_xi_log_tail(name, level):
     scales, us, lam, _, deep = child_major_tree(tm, level)
     tree = verify._Tree(tm, verify._Scales(tm.pair), level, uniform_family(tm.pair))
     depth = scales.reach(truncation_target(float(np.max(np.abs(lam))) + 0.5, 1e-10))[0]
-    explicit, series = verify._tail_plan(tree, depth, max(grid))
+    explicit, series = verify._tail_plan(tree, depth, max(grid), 10**6)
     labels = {k: verify._ROOT.part(*entries) for k, entries in tree.deep.items()}
     u = tree.descend(1, level, verify._ROOT, np.zeros(1), np.zeros(1))[1]
     reduced = verify._tail_inputs(tree.scales, level, explicit, series, u, labels)
