@@ -508,10 +508,11 @@ def _tail_plan(tree: _Tree, depth: int, xmax: float, budget: int):
 
     A sub-level H_f, f >= 5, of an explicit level takes f // 2 rows of angles over
     every node, so where those rows times the nodes exceed ``budget`` the plan raises
-    BudgetExceededError.  No factor f > 2 budget / nodes + 1 is then usable, and d_k is
-    factored only that far (:func:`_prime_factors`): a cofactor with no factor below it
-    stays one sub-level, which the budget refuses, and H_ab(s) = H_a(s) H_b(a s) holds
-    for any factors.  So a large prime d_k costs no trial division past that bound.
+    BudgetExceededError.  No factor f > max(3, 2 budget / nodes + 1) is then usable (H_2
+    and H_3 cost no rows), and d_k is factored only that far (:func:`_prime_factors`): a
+    cofactor with no factor below it stays one sub-level, which the budget refuses, and
+    H_ab(s) = H_a(s) H_b(a s) holds for any factors.  So trial division on d_k stops at
+    that bound, not at sqrt(d_k).
 
     max |u_k| is bounded without a node: u_k = (u_{k-1} / q_{k-1} + tau) / d_k is
     monotone in u_{k-1} and tau, in floating point too, so the recursion on the least
@@ -537,7 +538,7 @@ def _tail_plan(tree: _Tree, depth: int, xmax: float, budget: int):
             ks = range(k, depth + 1)
             ms, ts = [scales.d[j] for j in ks], [scales.rho[k] / scales.rho[j] for j in ks]
             return explicit, _Series(k, *root_series(ms, ts), xmax / _to_float(scales.rho[k]), d * top)
-        subs = _sub_levels(scales, k, _prime_factors(d, 2 * budget // nodes + 1))
+        subs = _sub_levels(scales, k, _prime_factors(d, max(3, 2 * budget // nodes + 1)))
         rows = sum(f // 2 for f, _, _ in subs if f >= 5)
         if rows * nodes > budget:
             raise BudgetExceededError(f"tail level {k} needs {rows} rows of angles over {nodes} "

@@ -106,7 +106,7 @@ MUTANTS = [
            ("tests/test_fourier.py::test_eval_H_array_guard_band_within_2_pow_52_of_mpmath",),
            "H_m within 1e-9 of an integer must stay within 2^-52 of mpmath"),
     Mutant("tail factored without the budget's cap", _VERIFY,
-           "_prime_factors(d, 2 * budget // nodes + 1)", "_prime_factors(d)",
+           "_prime_factors(d, max(3, 2 * budget // nodes + 1))", "_prime_factors(d)",
            ("tests/test_cli.py::test_a_large_prime_tail_level_exits_2_naming_the_budget",),
            "a prime tail level d_2 = 2^61 - 1 must exit 2 within the test's 10 s, not after "
            "trial division to its square root"),
