@@ -67,22 +67,20 @@ class ScalePair:
     alpha: Fraction | None = None
 
     def b(self, n: int) -> int:
+        return self._level(n)[0]
+
+    def d(self, n: int) -> int:
+        return self._level(n)[1]
+
+    def _level(self, n: int) -> tuple[int, int]:
+        # (b_n, d_n): the prefix entry, else the alpha rule, else the last prefix entry
         if n < 1:
             raise ValueError(f"level index must be >= 1, got {n}")
         if n <= len(self.b_prefix):
-            return self.b_prefix[n - 1]
+            return self.b_prefix[n - 1], self.d_prefix[n - 1]
         if self.alpha is not None:
-            return _dyadic_rule(self.alpha.numerator, self.alpha.denominator, n)[0]
-        return self.b_prefix[-1]  # repeat the last entry
-
-    def d(self, n: int) -> int:
-        if n < 1:
-            raise ValueError(f"level index must be >= 1, got {n}")
-        if n <= len(self.d_prefix):
-            return self.d_prefix[n - 1]
-        if self.alpha is not None:
-            return _dyadic_rule(self.alpha.numerator, self.alpha.denominator, n)[1]
-        return self.d_prefix[-1]
+            return _dyadic_rule(self.alpha.numerator, self.alpha.denominator, n)
+        return self.b_prefix[-1], self.d_prefix[-1]
 
 
 @functools.lru_cache(maxsize=4096)

@@ -9,8 +9,10 @@ roundoff scale.  Completeness is certified only as a trend: the partial sums
 Q_L(xi) = sum_{lambda in Lambda_L} |muhat(xi + lambda)|^2 increase with L and
 stay below 1 plus the accumulated certified evaluation slack.
 
-Both floating-point pillars run on one digit tree (:class:`_Tree`), read from
-the table labels once per check; its docstring states the node order, the
+Both floating-point pillars run on one digit tree (:class:`_Tree`), the check's
+one plan of its levels: it reads the table labels once, as exact integers, which
+the completeness range check reads too (:func:`_check_frequency_range`), and
+forms each level's sub-levels once; its docstring states the node order, the
 reduced label sums through which alone xi enters a level, and the sub-levels of
 a composite d_n, one per prime factor by the rule of :func:`_sub_levels`, which
 the completeness tail follows too.  xi + lambda is never rounded and no large
@@ -133,7 +135,7 @@ def orthogonality_check(level_or_elements, pair: ScalePair) -> OrthogonalityRepo
 def _table_labels(tm: TreeMapping, scales: _Scales, level: int):
     """Table (node indices, labels) arrays by word length k: among the level-k nodes
     for k <= ``level``, and for a word delta 0^(k-level) the index of delta
-    (:func:`~.spectra._table_nodes`).  A label of a word of length k <= ``level``
+    (:func:`~.spectra._table_nodes`); the labels are the table's Python integers.  A label of a word of length k <= ``level``
     past the double range, which the label walk could not form, raises a ValueError
     naming level k and the word; the labels past ``level`` are left to the checks
     that read them."""
@@ -142,7 +144,9 @@ def _table_labels(tm: TreeMapping, scales: _Scales, level: int):
         if len(word) <= level and math.isinf(_to_float(value)):
             raise ValueError(f"level {len(word)}: the label of word {list(word)} is past the double range")
         table.setdefault(len(word), []).append((index, value))
-    return {k: tuple(np.array(v) for v in zip(*entries)) for k, entries in table.items()}
+    # the labels exact, of any size: numpy would make floats of [2^63, -1]
+    return {k: (np.array([i for i, _ in e]), np.array([v for _, v in e], dtype=object))
+            for k, e in table.items()}
 
 
 def _digits(d: int, count: int) -> np.ndarray:
@@ -152,27 +156,32 @@ def _digits(d: int, count: int) -> np.ndarray:
 
 def _prime_factors(d: int, limit: float = math.inf) -> list[int]:
     """The prime factors of d >= 1 in ascending order, with multiplicity; [1] for d = 1.
-    Trial division stops past ``limit``: the last entry is then the cofactor, whose
-    prime factors all exceed it."""
-    factors, p = [], 2
-    while p * p <= d and p <= limit:
+    Trial division stops past ``limit``, and at a cofactor past ``limit``^2 that passes
+    Fermat's test 2^(d-1) = 1 mod d, a probable prime (tested at the start and after
+    each factor divides out, never per candidate): the last entry is then the
+    cofactor, whose prime factors all exceed ``limit``.  With no limit the factors are
+    all prime."""
+    factors, p, prime = [], 2, d > limit * limit and pow(2, d - 1, d) == 1
+    while not prime and p * p <= d and p <= limit:
         while d % p == 0:
             factors.append(p)
             d //= p
+            prime = d > limit * limit and pow(2, d - 1, d) == 1
         p += 1
     if d > 1 or not factors:
         factors.append(d)
     return factors
 
 
-def _sub_levels(scales: _Scales, k: int, primes: list[int] | None = None) -> list[tuple[int, int, float]]:
+def _sub_levels(scales: _Scales, k: int, limit: float = math.inf) -> list[tuple[int, int, float]]:
     """The factors of level k, one rule for the digit tree and the completeness tail:
     (f_j, D_j, the float of D_j rho_k) per sub-level j of d_k = f_1 ... f_r, D_j =
-    f_1 ... f_j, with ``primes`` the f_j (by default the prime factors of d_k, ascending;
-    [d_k] keeps the level whole).  H_{ab}(s) = H_a(s) H_b(a s) gives |H_{d_k}(s)|^2 =
-    prod_j |H_{f_j}((d_k / D_j) s)|^2 at every s, so at s = xi / (d_k rho_k) + u sub-level
-    j is |H_{f_j}|^2 at xi / (D_j rho_k) + (d_k / D_j) u: a power of two runs only H_2."""
-    primes = _prime_factors(scales.d[k]) if primes is None else primes
+    f_1 ... f_j, the f_j the factors of d_k by :func:`_prime_factors` to ``limit``: the
+    primes, ascending, with no limit; [d_k], the level whole, at ``limit`` 1.
+    H_{ab}(s) = H_a(s) H_b(a s) gives |H_{d_k}(s)|^2 = prod_j |H_{f_j}((d_k / D_j) s)|^2 at
+    every s, for any factors, so at s = xi / (d_k rho_k) + u sub-level j is |H_{f_j}|^2 at
+    xi / (D_j rho_k) + (d_k / D_j) u: a power of two runs only H_2."""
+    primes = _prime_factors(scales.d[k], limit)
     subs = itertools.accumulate(primes, operator.mul)
     return [(f, sub, _to_float(sub * scales.rho[k])) for f, sub in zip(primes, subs)]
 
@@ -245,16 +254,19 @@ class _Tree:
     without division or integer guard (:func:`~.fourier.eval_H_sq_tables`),
     and a prime d_n is one sub-level, the level itself.  An explicit level of
     ``filters``, or a level whose table labels are not all congruent to their
-    last digit mod d_n (a mapping that fails :func:`validate_tree_mapping`),
-    stays one level.
+    last digit mod d_n in exact integers (a mapping that fails
+    :func:`validate_tree_mapping`), stays one level.
 
-    Per tree level t, ``radix[t]`` is its digit count, ``scale[t]`` the
-    float of D_j rho_n that xi is divided by and ``size[t]`` its node count;
-    ``ends[n]`` is the tree level that ends level n, where size is P_n.  These
-    come from the table labels alone (read once, :func:`_table_labels`), for
-    every level to ``level``; ``table`` keeps the labels by word length, and
-    ``deep`` those past ``level``.  A level below ``level`` whose d_n does not
-    divide b_n raises a ValueError (:func:`_check_divides`).
+    The tree is its check's one plan of the levels: ``subs[n]`` lists the
+    sub-levels of level n (:func:`_sub_levels`), formed once here.  Per tree
+    level t, ``radix[t]`` is its digit count, ``scale[t]`` the float of
+    D_j rho_n that xi is divided by and ``size[t]`` its node count; ``ends[n]``
+    is the tree level that ends level n, where size is P_n.  These come from
+    the table labels alone (read once, :func:`_table_labels`), for every level
+    to ``level``; ``table`` keeps the labels by word length, exact, and
+    ``deep`` those past ``level``, which the range check and the tail read too.
+    A level below ``level`` whose d_n does not divide b_n raises a ValueError
+    (:func:`_check_divides`).
 
     The tree keeps only this shape.  Each check takes the tables from its own label
     walk, :meth:`descend`, whose ``kernels[t - 1]`` is the :class:`HSqTables` of tree
@@ -268,17 +280,16 @@ class _Tree:
         self.filters, self.level = filters, level
         self.table = _table_labels(tm, self.scales, level)
         self.deep = {k: v for k, v in self.table.items() if k > level}
-        self.radix, self.scale, self.size, self.ends, self.primes = [1], [1.0], [1], [0], [None]
+        self.radix, self.scale, self.size, self.ends, self.subs = [1], [1.0], [1], [0], [None]
         for n in range(1, level + 1):
             _check_divides(scales, n)
-            d, parents = scales.d[n], self.size[-1]
-            primes = _prime_factors(d) if filters.is_uniform(n) else [d]
-            if len(primes) > 1 and n in self.table:
+            whole, parents = not filters.is_uniform(n), self.size[-1]
+            if not whole and n in self.table:
                 index, labels = self.table[n]
-                if not np.array_equal(np.mod(np.asarray(labels, dtype=float), d), index // parents):
-                    primes = [d]  # a label off its digit's class mod d_n: the split would not hold
-            self.primes.append(primes)
-            for f, sub, scale in _sub_levels(scales, n, primes):
+                # a label off its digit's class mod d_n: the split would not hold
+                whole = not np.array_equal(labels % scales.d[n], index // parents)
+            self.subs.append(_sub_levels(scales, n, 1 if whole else math.inf))
+            for f, sub, scale in self.subs[n]:
                 self.radix.append(f)
                 self.scale.append(scale)
                 self.size.append(sub * parents)
@@ -293,11 +304,11 @@ class _Tree:
         u and lambda are returned at level ``last``, u unreduced mod 1.  At ``last`` =
         ``level`` lambda is that of each node's zero-extension, the labels past
         ``level`` included.  Each entry is the one the walk over the whole tree gives
-        that node, bit for bit: the same operations on the same operands.  Past the
-        double range, where the completeness check refuses the frequencies first
-        (:func:`_check_frequency_range`), lambda holds inf or nan, unread and formed
-        without a warning.  Given lambda None, as from the partition check, which reads
-        none, the walk forms u alone and returns None for lambda."""
+        that node, bit for bit: the same operations on the same operands.  Each level
+        runs its planned sub-levels ``subs[n]``.  Given lambda None, as from the
+        partition check, which reads none, the walk forms u alone and returns None for
+        lambda; a check that reads lambda refuses its frequencies past the double range
+        before any walk (:func:`_check_frequency_range`)."""
         scales, kernels = self.scales, []
         for n in range(first, last + 1):
             d, parents = scales.d[n], len(u)
@@ -307,18 +318,16 @@ class _Tree:
                 label[at] = labels
             if lam is not None:
                 lam = np.tile(lam, d)
-                with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the double range
-                    lam += label * _to_float(scales.rho[n])
+                lam += label * _to_float(scales.rho[n])
             w, uniform = u / _to_float(scales.q[n - 1]), self.filters.is_uniform(n)
-            for f, sub, _ in _sub_levels(scales, n, self.primes[n]):
+            for f, sub, _ in self.subs[n]:
                 u = (np.tile(w, sub) + (label if sub == d else _digits(sub, parents))) / sub
                 kernels.append(H_sq_tables(f, u) if uniform else (n, u))
         if lam is not None and first <= last == self.level:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k, (index, labels) in self.deep.items():
-                    if np.any(labels):  # all-zero labels move nothing, however large rho_k
-                        at, labels = group.part(index, labels)
-                        lam[at] += labels * _to_float(scales.upto(k).rho[k])
+            for k, (index, labels) in self.deep.items():
+                if np.any(labels):  # all-zero labels move nothing, however large rho_k
+                    at, labels = group.part(index, labels)
+                    lam[at] += labels.astype(float) * _to_float(scales.upto(k).rho[k])
         return kernels, u, lam
 
     def factors(self, t: int, kernel, xis) -> np.ndarray:
@@ -456,28 +465,23 @@ _SLICE = 1 << 14
 _GRID_ROWS = 33  # the default grid of the completeness subcommand, K = 32
 
 
-def _check_frequency_range(tm: TreeMapping, scales: _Scales, level: int) -> int:
+def _check_frequency_range(tree: _Tree) -> int:
     """B = sum_n max|tau_n| rho_n >= |lambda| (the levels and the table labels past
     them, exact), or a ValueError where the slack's sums of lambda^2 could overflow:
-    a block of at most P nodes sums to below P B^2, which must stay below 2^1022.  It
-    reads the table words alone, so it runs before any label becomes a float."""
+    a block of at most P_L nodes sums to below P_L B^2, which must stay below 2^1022.
+    It reads the tree's exact table labels, by word length, and P_L from its size,
+    before any label walk, so every |lambda| a walk forms stays below 2^511."""
+    scales, level = tree.scales, tree.level
     top = {n: scales.d[n] - 1 for n in range(1, level + 1)}
-    for word, _, value in _table_nodes(tm, scales, level):
-        top[len(word)] = max(top.get(len(word), 0), abs(value))
+    for k, (_, labels) in tree.table.items():
+        top[k] = max(top.get(k, 0), *map(abs, labels.tolist()))
     bound = sum(t * scales.upto(k).rho[k] for k, t in top.items())
-    count = math.prod(scales.d[1:level + 1])
+    count = tree.size[-1]
     if count * bound * bound >= 1 << 1022:
         raise ValueError(f"level {level}: |lambda| <= sum_n max|tau_n| rho_n < 2^{bound.bit_length()}, "
                          f"and the slack sums lambda^2 over {count} frequencies, which needs "
                          f"|lambda| below 2^511 / sqrt({count}) to stay in the double range")
     return bound
-
-
-def _blocks(scales: _Scales, level: int) -> list[tuple[int, int]]:
-    """Per level n = 1..``level``, the nodes [P_{n-1}, P_n) of the level-``level``
-    nodes whose last nonzero digit is n ([0, P_1) for n = 1, the root included)."""
-    ends = list(itertools.accumulate(scales.d[1:level + 1], operator.mul))
-    return [(0, ends[0])] + list(zip(ends, ends[1:]))
 
 
 class _Series(NamedTuple):
@@ -509,21 +513,23 @@ def _tail_plan(tree: _Tree, depth: int, xmax: float, budget: int):
     A sub-level H_f, f >= 5, of an explicit level takes f // 2 rows of angles over
     every node, so where those rows times the nodes exceed ``budget`` the plan raises
     BudgetExceededError.  No factor f > max(3, 2 budget / nodes + 1) is then usable (H_2
-    and H_3 cost no rows), and d_k is factored only that far (:func:`_prime_factors`): a
-    cofactor with no factor below it stays one sub-level, which the budget refuses, and
-    H_ab(s) = H_a(s) H_b(a s) holds for any factors.  So trial division on d_k stops at
-    that bound, not at sqrt(d_k).
+    and H_3 cost no rows), and d_k is factored only that far (:func:`_sub_levels` to that
+    limit): a cofactor with no factor below it stays one sub-level, which the budget
+    refuses, and H_ab(s) = H_a(s) H_b(a s) holds for any factors.  So trial division on
+    d_k stops at that bound, not at sqrt(d_k), and at once where the cofactor passes the
+    bound's square and Fermat's test (:func:`_prime_factors`): any factor still found would
+    leave a cofactor past the bound.
 
     max |u_k| is bounded without a node: u_k = (u_{k-1} / q_{k-1} + tau) / d_k is
     monotone in u_{k-1} and tau, in floating point too, so the recursion on the least
     and largest label of each level (a digit or a table label; 0 or a table label past
     the tree) encloses every node's u_k.  With canonical labels the all-zero and
     all-(d_n - 1) words attain both ends, so the bound is each level's max |u_k|.
-    Where u_k is reduced by q_{k-1}, d_{k-1} must divide b_{k-1} (:func:`_check_divides`)."""
+    Where u_k is reduced by q_{k-1}, d_{k-1} must divide b_{k-1} (:func:`_check_divides`);
+    the tree has checked its own levels, so the plan checks those past it."""
     scales, level, nodes = tree.scales.upto(depth), tree.level, tree.size[-1]
     explicit, last_label, lo, hi = [], max(tree.deep, default=0), 0.0, 0.0
     for k in range(1, depth + 1):
-        _check_divides(scales, k)
         d, q = scales.d[k], _to_float(scales.q[k - 1])
         if _to_float(d) == math.inf:
             raise ValueError(f"level {k}: d_{k} = {d} is past the double range of the tail's factors")
@@ -533,12 +539,13 @@ def _tail_plan(tree: _Tree, depth: int, xmax: float, budget: int):
         lo, hi = (lo / q + min(labels)) / d, (hi / q + max(labels)) / d
         if k <= level:
             continue
+        _check_divides(scales, k)  # the tree checked its own levels
         top = max(abs(lo), abs(hi))
         if k > last_label and d * (top + xmax / _to_float(d * scales.rho[k])) <= SERIES_THETA:
             ks = range(k, depth + 1)
             ms, ts = [scales.d[j] for j in ks], [scales.rho[k] / scales.rho[j] for j in ks]
             return explicit, _Series(k, *root_series(ms, ts), xmax / _to_float(scales.rho[k]), d * top)
-        subs = _sub_levels(scales, k, _prime_factors(d, max(3, 2 * budget // nodes + 1)))
+        subs = _sub_levels(scales, k, max(3, 2 * budget // nodes + 1))
         rows = sum(f // 2 for f, _, _ in subs if f >= 5)
         if rows * nodes > budget:
             raise BudgetExceededError(f"tail level {k} needs {rows} rows of angles over {nodes} "
@@ -556,7 +563,7 @@ def _tail_inputs(scales: _Scales, level: int, explicit, series: _Series | None, 
     for k in range(level + 1, (series.k0 if series else level + len(explicit)) + 1):
         v = v / _to_float(scales.q[k - 1])
         if k in deep:
-            v[deep[k][0]] += deep[k][1]
+            v[deep[k][0]] += deep[k][1].astype(float)
         v /= scales.d[k]
         us.append(v)
     return us
@@ -868,8 +875,8 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     scales = _Scales(pair).upto(l_max)
     if 1 in scales.d[2:l_max + 1]:  # no words new at that level: an empty block
         raise ValueError(f"d_{scales.d.index(1, 2)} = 1: completeness needs d_n >= 2")
-    bound = _check_frequency_range(tm, scales, l_max)
     tree = _Tree(tm, scales, l_max, uniform_family(pair))
+    bound = _check_frequency_range(tree)
     # the deepest truncation any xi in [0, 1/2] needs: |xi + lambda| <= B + 1/2, and
     # reach and truncation_target are monotone, so one search at B + 1/2
     depth, _ = scales.reach(truncation_target(_to_float(bound) + 0.5, tol))
@@ -879,8 +886,10 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     degree = sum(degree for _, degree, _ in explicit)
     if series is not None:
         degree += len(series.table(np.array([series.top]))) - 1
-    blocks = _blocks(scales, l_max)
-    starts, ends = [a for a, _ in blocks], [b for _, b in blocks]
+    # block n: the level-l_max nodes [P_{n-1}, P_n) whose last nonzero digit is n, the
+    # root in block 1
+    ends = [tree.size[t] for t in tree.ends[1:]]
+    starts = [0, *ends[:-1]]
     walk, dv = _walk_depth(tree, l_max, ends, 2 * degree, degree)
     width = tree.size[walk]
     height = ends[-1] // width

@@ -555,17 +555,35 @@ def test_completeness_budgets_the_angles_of_a_prime_tail_level(tmp_path, capsys,
         assert not (out / "completeness.csv").exists()
 
 
-@pytest.mark.parametrize("cmd", [["completeness", "--level", "1"], ["report"]])
-def test_a_large_prime_tail_level_exits_2_naming_the_budget(tmp_path, cmd):
-    # d_2 = 2^61 - 1 is an explicit tail level past L = 1, one H_d sub-level over the
-    # budget, refused at once, without trial division of d_2 to its square root
+def _tail_run(tmp_path, config: str, *argv: str):
+    # a subprocess CLI run on a demo pair that must refuse its tail level 2 by the budget
+    # within 10 s: exit 2 naming --budget, and no output directory
     out = tmp_path / "o"
-    proc = subprocess.run([sys.executable, "-m", "cantorspec.cli", *cmd, "--pair",
-                           str(ROOT / "demos" / "configs" / "explicit_prime_tail.json"), "--out", str(out)],
+    proc = subprocess.run([sys.executable, "-m", "cantorspec.cli", *argv, "--pair",
+                           str(ROOT / "demos" / "configs" / f"{config}.json"), "--out", str(out)],
                           capture_output=True, text=True, timeout=10,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 2 and proc.stderr.startswith("error: --budget: tail level 2 ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", [["completeness", "--level", "1"], ["report"]])
+def test_a_large_prime_tail_level_exits_2_naming_the_budget(tmp_path, cmd):
+    # d_2 = 2^61 - 1 is an explicit tail level past L = 1, one H_d sub-level over the
+    # budget, refused at once, without trial division of d_2 to its square root
+    _tail_run(tmp_path, "explicit_prime_tail", *cmd)
+
+
+def test_a_prime_tail_level_past_the_caps_square_exits_2_at_once(tmp_path):
+    # d_2 = 2^61 - 1 passes Fermat's test past 10^18, the square of the factoring cap at
+    # --budget 10^9, so no trial division runs; to the cap of 10^9 it took minutes
+    _tail_run(tmp_path, "explicit_prime_tail", "completeness", "--level", "1", "--budget", "1000000000")
+
+
+def test_a_composite_tail_level_exits_2_after_trial_division_to_the_cap(tmp_path):
+    # d_2 = (2^31 - 1)(2^61 - 1) fails Fermat's test, so trial division runs, and stops at
+    # the cap of 10^6 + 1 of the default budget, short of its factor 2^31 - 1
+    _tail_run(tmp_path, "explicit_composite_tail", "completeness", "--level", "1")
 
 
 def test_cli_import_does_not_load_mpmath():
@@ -853,17 +871,31 @@ def test_d_past_the_machine_range_exits_2_naming_the_level(tmp_path, capsys, bit
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cmd", ["partition", "report"])
+@pytest.mark.parametrize("cmd", ["partition", "report", "completeness"])
 def test_label_past_the_double_range_exits_2_naming_the_level(tmp_path, capsys, cmd):
     # the valid label 2^1099 - 1 of the word (1,) ended partition, and so report, in an
-    # OverflowError traceback of the label walk (exit 1); completeness refused it already
+    # OverflowError traceback of the label walk (exit 1); completeness, which builds the
+    # same digit tree before its range check, names the word too
     pair, tree, out = _pair_file(tmp_path, [2**1100, 4], [2, 2]), tmp_path / "tree.json", tmp_path / "o"
     tree.write_text(json.dumps([{"word": [1], "value": 2**1099 - 1}]))
-    depth = ["--level", "2"] if cmd == "partition" else []
+    depth = [] if cmd == "report" else ["--level", "2"]
     assert run([cmd, "--pair", pair, "--tree", str(tree), *depth, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "error: level 1: the label of word [1] is past the double range\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("zeros, code", [(255, 2), (254, 0)])
+def test_the_range_bound_counts_the_labels_past_the_tree(mu42, tmp_path, capsys, zeros, code):
+    # the label -2 of (1, 0^zeros) lies past --level 1 and moves lambda by -2 rho_{zeros+1}
+    # = -2 4^zeros: B = 2 4^255 + 1 over P_1 = 2 frequencies passes 2^511 / sqrt(2), while
+    # B = 2 4^254 + 1 stays below it
+    tree, out = tmp_path / "tree.json", tmp_path / "o"
+    tree.write_text(json.dumps([{"word": [1] + [0] * zeros, "value": -2}]))
+    argv = ["completeness", "--pair", mu42, "--tree", str(tree), "--level", "1", "--grid", "4"]
+    assert run([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert ("level 1: " in err and "2^511" in err) == (code == 2)
 
 
 def test_filter_window_grid_is_held_to_the_budget(mu42, tmp_path, capsys):

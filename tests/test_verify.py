@@ -12,7 +12,7 @@ from cantorspec import (BudgetExceededError, FilterFamily, TreeMapping, canonica
                         completeness_Q, constant_pair,
                         dimension_targeting_pair, explicit_pair, enumerate_level, mu_hat,
                         mu_hat_array, orthogonality_check, partition_identity,
-                        partition_levels, rho, uniform_family, word_count)
+                        partition_levels, rho, uniform_family, validate_tree_mapping, word_count)
 from cantorspec import (default_depth, exact_mean, fourier, hausdorff_dim_formula, pair_from_config,
                         sample_measure, verify)
 from cantorspec.core import _to_float
@@ -567,7 +567,7 @@ def group_walk(tm, level, columns):
     # and the tree, the walk depth and the degree
     scales = verify._Scales(tm.pair).upto(level)
     tree = verify._Tree(tm, scales, level, uniform_family(tm.pair))
-    ends = [b for _, b in verify._blocks(scales, level)]
+    ends = [tree.size[t] for t in tree.ends[1:]]
     walk, dv = verify._walk_depth(tree, level, ends, 2, 2)
     first = 1 + next(n for n, t in enumerate(tree.ends) if t >= walk)
     width = tree.size[walk]
@@ -1046,6 +1046,44 @@ def test_off_class_labels_keep_their_level_whole():
         assert result.total == float(np.sum(child_major_weights(tm, 1, xi, uniform_family(tm.pair))[0]))
 
 
+@pytest.mark.parametrize("b, table", [
+    ([2**56, 4], {(1,): 2**54 + 1}),           # as a float, 2^54 = 0 mod 4
+    ([2**66, 4], {(1,): 2**63 + 1, (3,): -1}),  # np.array makes floats of the pair
+])
+def test_exact_labels_in_their_digits_class_split_the_level(b, table):
+    # each label is congruent to its last digit mod d_1 = 4, so level 1 runs as two H_2
+    # sub-levels; the class test on float labels kept it whole as one H_4 level.  The
+    # range bound reads the same labels, exact
+    tm = TreeMapping(explicit_pair(b, [4, 2]), table)
+    assert validate_tree_mapping(tm).ok
+    tree = verify._Tree(tm, verify._Scales(tm.pair), 1, uniform_family(tm.pair))
+    assert tree.radix == [1, 2, 2] and tree.ends == [0, 2]
+    assert verify._check_frequency_range(tree) == max(table.values())
+
+
+def test_a_label_past_int64_past_the_tree_is_walked():
+    # the label 2^68 of (1, 0) lies past level 1: its object array's product with rho_2
+    # could not be added into the float lambda in place, so completeness ended in a
+    # traceback; the range bound reads it exact
+    tm = TreeMapping(explicit_pair([4, 2**70], [2, 2]), {(1, 0): 2**68})
+    tree = verify._Tree(tm, verify._Scales(tm.pair), 1, uniform_family(tm.pair))
+    assert verify._check_frequency_range(tree) == 1 + 2**68 * 4
+    lam = tree.descend(1, 1, verify._ROOT, np.zeros(1), np.zeros(1))[2]
+    assert lam.tolist() == [0.0, 1.0 + 2.0**70]
+    assert len(completeness_Q(tm, [0.0, 0.25], 1).rows) == 2
+
+
+def test_prime_factors_stop_at_a_probable_prime_past_the_limits_square():
+    # trial division stops at a cofactor past limit^2 that passes Fermat's test, at the
+    # start or after a factor divides out; a composite past it is divided to the limit
+    big, factor = 2**61 - 1, 2**31 - 1
+    assert verify._prime_factors(big, 10**6) == [big]
+    assert verify._prime_factors(12 * big, 10**6) == [2, 2, 3, big]
+    assert verify._prime_factors(factor * big, 10**6) == [factor * big]
+    assert verify._prime_factors(6, 1) == [6]  # limit 1 keeps a level whole
+    assert verify._prime_factors(360) == [2, 2, 2, 3, 3, 5] and verify._prime_factors(1) == [1]
+
+
 @pytest.mark.parametrize("size", [None, 1, 7, 64, 100])
 @pytest.mark.parametrize("tm, level", [(canonical_tau(MU42), 8), (canonical_tau(MU93), 5),
                                        (canonical_tau(dimension_targeting_pair(0.5)), 4)])
@@ -1098,7 +1136,9 @@ def test_fresh_blocks_are_the_child_major_fresh_levels(tm, level, filters):
     # the words new at level n are the nodes [P_{n-1}, P_n) ([0, P_1) for n = 1)
     scales, _, _, fresh, _ = child_major_tree(tm, level)
     fresh = to_digit_major(fresh, scales, level)
-    blocks = verify._blocks(scales, level)
+    tree = verify._Tree(tm, verify._Scales(tm.pair), level, filters)
+    ends = [tree.size[t] for t in tree.ends[1:]]
+    blocks = list(zip([0, *ends[:-1]], ends))
     assert [a for a, _ in blocks[1:]] == [b for _, b in blocks[:-1]]
     assert blocks[0][0] == 0 and blocks[-1][1] == len(fresh)
     for n, (a, b) in enumerate(blocks, start=1):

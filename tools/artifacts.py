@@ -43,6 +43,7 @@ def _pair(name: str) -> list[str]:
 
 
 _TREE = ["--tree", "demos/configs/tree_deviation.json"]
+_ZERO_EXTENSION = ["--tree", "demos/configs/tree_zero_extension.json"]
 _PAIRS = ["alpha_half", "alpha_one", "alpha_quarter", "alpha_zero", "explicit_huge",
           "mu25_5", "mu30_6", "mu42", "mu82", "mu93"]
 
@@ -77,10 +78,16 @@ def ops() -> list[list[str]]:
                  "mu42:19", "alpha_half:5"]:
         pair, level = spec.split(":")
         listed.append(["completeness", *_pair(pair), "--level", level])
-    # mu42 + tree_deviation has table labels past the tree: at --level 1 the label of (1, 1)
-    # makes level 2 an explicit tail level before the series, whose roots multiply into the
-    # series' by one rule
+    # mu42 + tree_deviation at --level 1 and 5: at --level 1 level 2 is an explicit tail
+    # level before the series, whose roots multiply into the series' by one rule; it is so
+    # on mu42 whatever the table, as 2 (|u_2| + 1/2 / (2 rho_2)) = 0.375 > SERIES_THETA.  The
+    # label of (1, 1) is not on a zero-extension of a level-1 word, so that op reads none
+    # past the tree.  tree_zero_extension's label of (1, 0) is, at --level 1: it moves lambda
+    # and u_2 of the tail past the tree.  report runs completeness at level 8 or deeper,
+    # where that label is the tree's own
     listed += [["completeness", *_pair("mu42"), *_TREE, "--level", level] for level in ("1", "5")]
+    listed.append(["completeness", *_pair("mu42"), *_ZERO_EXTENSION, "--level", "1"])
+    listed.append(["report", *_pair("mu42"), *_ZERO_EXTENSION])
     # partition on alpha_half and alpha_quarter at --level 5 walks 15 H_2 sub-levels, the
     # last of 32,768 nodes in one-row tiles, a partition.csv that report never writes
     listed += [["partition", *_pair(pair), "--level", "5"]
@@ -98,6 +105,9 @@ def ops() -> list[list[str]]:
     # of angles: completeness exits 2 naming --budget, after trial division only as far as
     # the budget admits a factor
     listed.append(["completeness", *_pair("explicit_prime_tail"), "--level", "1"])
+    # the composite d_2 = (2^31 - 1)(2^61 - 1) fails Fermat's test, so trial division runs,
+    # to the cap of 10^6 + 1 only: completeness exits 2 naming --budget
+    listed.append(["completeness", *_pair("explicit_composite_tail"), "--level", "1"])
     # dimension reads the exact integer tails at the endpoints alpha_zero and alpha_one, at
     # alpha_half and on mu42
     listed += [["dimension", *_pair(pair)] for pair in ("alpha_zero", "alpha_half", "alpha_one", "mu42")]

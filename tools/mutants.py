@@ -106,10 +106,30 @@ MUTANTS = [
            ("tests/test_fourier.py::test_eval_H_array_guard_band_within_2_pow_52_of_mpmath",),
            "H_m within 1e-9 of an integer must stay within 2^-52 of mpmath"),
     Mutant("tail factored without the budget's cap", _VERIFY,
-           "_prime_factors(d, max(3, 2 * budget // nodes + 1))", "_prime_factors(d)",
-           ("tests/test_cli.py::test_a_large_prime_tail_level_exits_2_naming_the_budget",),
-           "a prime tail level d_2 = 2^61 - 1 must exit 2 within the test's 10 s, not after "
-           "trial division to its square root"),
+           "_sub_levels(scales, k, max(3, 2 * budget // nodes + 1))", "_sub_levels(scales, k)",
+           ("tests/test_cli.py::test_a_composite_tail_level_exits_2_after_trial_division_to_the_cap",),
+           "a composite tail level d_2 = (2^31 - 1)(2^61 - 1) must exit 2 within the test's 10 s, "
+           "not after trial division to its factor 2^31 - 1"),
+    Mutant("tail factoring without the probable-prime stop", _VERIFY,
+           "factors, p, prime = [], 2, d > limit * limit and pow(2, d - 1, d) == 1",
+           "factors, p, prime = [], 2, False",
+           ("tests/test_cli.py::test_a_prime_tail_level_past_the_caps_square_exits_2_at_once",),
+           "a prime tail level d_2 = 2^61 - 1 at --budget 10^9 must exit 2 within the test's "
+           "10 s, not after trial division to the cap of 10^9"),
+    Mutant("tail inputs drop the labels past the tree", _VERIFY,
+           "v[deep[k][0]] += deep[k][1].astype(float)", "pass",
+           ("tests/test_verify.py::test_a_label_past_the_polynomial_levels_matches_mpmath",),
+           "the label of (1, 0^12) past --level 12 moves u_13 of the tail, pinned against mpmath"),
+    Mutant("lambda drops the labels past the tree", _VERIFY,
+           "lam[at] += labels.astype(float) * _to_float(scales.upto(k).rho[k])", "pass",
+           ("tests/test_verify.py::test_completeness_matches_scalar_sum",),
+           "a label past the tree moves lambda, and with it the slack, pinned by a scalar sum"),
+    Mutant("range bound drops the labels past the tree", _VERIFY,
+           "for k, (_, labels) in tree.table.items():",
+           "for k, (_, labels) in ((k, v) for k, v in tree.table.items() if k <= level):",
+           ("tests/test_cli.py::test_the_range_bound_counts_the_labels_past_the_tree",),
+           "the label -2 of (1, 0^255) on mu42 at --level 1 makes B = 2 4^255 + 1, which the "
+           "range check must refuse"),
 ]
 
 _UNDECIDED = ("survives: the only runs where bounded is false are the rounding defects of ROADMAP "
