@@ -6,7 +6,10 @@ pair, the tree mapping and the parsed flags and returns ``(passed, payload,
 artifacts)``, where each artifact is an unevaluated writer taking the output
 directory.  One driver loads the configuration, runs the check, writes its
 artifacts (CSV/JSON, plus presentation-only SVG charts) and then
-``<name>_report.json``: the resolved flags, the payload and ``passed``.
+``<name>_report.json``: the resolved flags, the payload and ``passed``.  A CSV
+artifact is a ``_Table`` of columns, lists or the checks' arrays, and
+``_write_csv`` formats and writes its rows 4,096 at a time, so that no list of
+rows is built; a JSON artifact is formatted whole before its file is opened.
 ``report`` runs the other checks at its own levels and keeps only their
 verdicts, so every pass rule is stated once, in its check.  A subcommand
 accepts only the flags its check reads.  Exit codes: 0 on pass, 1 on a
@@ -17,7 +20,6 @@ timestamps, so identical invocations produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -67,33 +69,39 @@ def _load_config(path: str, what: str, build):
 
 
 def _write_json(outdir: Path, name: str, payload: dict):
-    with open(outdir / name, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    # the text is formed before the file is opened, so a value json refuses leaves no file
+    (outdir / name).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _write_csv(outdir: Path, name: str, header: list[str], rows):
-    with open(outdir / name, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+# the rows of one write of _write_csv: enough that a block's own cost vanishes, few enough
+# that the rows of samples.csv are streamed
+_ROWS = 1 << 12
 
 
-class _Column:
-    """The rows [v] of a one-column CSV over a float array, made a block of
-    :data:`~.sampling.BLOCK` at a time as :func:`_write_csv` iterates them, with
-    the length of a row list."""
+class _Table:
+    """The rows of a CSV given by its columns, each a list or a 1-D array, all of one
+    length; len() is the row count.  A cell is a Python int, float or string or a
+    Fraction, whose ``str`` is the text :mod:`csv` writes for it; array columns become
+    lists in :func:`_write_csv`, as the ``str`` of a numpy scalar follows numpy's print
+    options."""
 
-    def __init__(self, values: np.ndarray):
-        self.values = values
+    def __init__(self, *columns):
+        self.columns = columns
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.columns[0])
 
-    def __iter__(self):
-        for start in range(0, len(self.values), sampling.BLOCK):
-            for v in self.values[start:start + sampling.BLOCK].tolist():
-                yield [v]
+
+def _write_csv(outdir: Path, name: str, header: list[str], table: _Table):
+    """The bytes ``csv.writer(fh, lineterminator="\\n")`` writes for ``header`` and the
+    rows of ``table``, none of whose cells needs quoting: each block of :data:`_ROWS`
+    rows is formatted cell by cell with ``str`` and written as one ``str.join``."""
+    with open(outdir / name, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), _ROWS):
+            cells = [map(str, c[start:start + _ROWS].tolist() if isinstance(c, np.ndarray)
+                         else c[start:start + _ROWS]) for c in table.columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _as_floats(values: list[int]) -> list[float] | None:
@@ -133,7 +141,7 @@ def _check_spectrum(pair, tm, args):
     level = enumerate_level(tm, args.level, budget=args.budget)
     elements = level.elements
     name = f"spectrum_L{args.level}"
-    artifacts = [lambda out: _write_csv(out, f"{name}.csv", ["lambda"], [[v] for v in elements])]
+    artifacts = [lambda out: _write_csv(out, f"{name}.csv", ["lambda"], _Table(elements))]
     xs = _as_floats(elements) if len(elements) >= 2 else None
     if xs is not None:
         artifacts.append(lambda out: _write_svg(out, f"{name}.svg", svgplot.scatter(
@@ -163,19 +171,24 @@ def _check_partition(pair, tm, args):
         filters, _ = _load_config(args.filters, "filter family",
                                   lambda cfg: filter_family_from_config(pair, cfg))
         cert = filters.certify(args.level, budget=args.budget)
-        cert_doc = payload["filter_certificate"] = dataclasses.asdict(cert)
+        # strict JSON has no non-finite number: a bound that overflowed is written as the
+        # string "Infinity", "-Infinity" or "NaN"
+        cert_doc = payload["filter_certificate"] = json.loads(
+            json.dumps(dataclasses.asdict(cert)), parse_constant=str)
         artifacts.append(lambda out: _write_json(out, "filter_certificate.json", cert_doc))
         if not cert.ok:
             return False, payload, artifacts
     rng = np.random.Generator(np.random.Philox(key=np.array([args.seed, 0], dtype=np.uint64)))
     xis = rng.random(args.draws).tolist()
-    per_xi = partition_levels(tm, xis, args.level, filters=filters, budget=args.budget)
-    worst = float(np.max([res.defect for results in per_xi for res in results]))  # nan propagates
-    texts = [repr(xi) for xi in xis]  # each xi formatted once, as csv.writer would
+    totals = partition_levels(tm, xis, args.level, filters=filters, budget=args.budget)
+    defects = np.abs(totals - 1.0)
+    worst = float(np.max(defects))  # nan propagates
+    # the rows of level 1 at every xi, then of level 2, ...; each xi formatted once, as
+    # csv.writer would
     artifacts.append(lambda out: _write_csv(
         out, "partition.csv", ["xi", "L", "sum", "defect"],
-        [[text, results[n].level, results[n].total, results[n].defect]
-         for n in range(args.level) for text, results in zip(texts, per_xi)]))
+        _Table([repr(xi) for xi in xis] * args.level, np.repeat(np.arange(1, args.level + 1), len(xis)),
+               totals.T.ravel(), defects.T.ravel())))
     payload.update(worst_defect=worst, tolerance=args.tol)
     return worst <= args.tol, payload, artifacts
 
@@ -184,13 +197,7 @@ def _check_completeness(pair, tm, args):
     # K+1 equispaced points covering [0, 1/2]
     grid = [0.5 * j / args.grid for j in range(args.grid + 1)]
     report = completeness_Q(tm, grid, args.level, tol=args.tol, budget=args.budget)
-    texts = [repr(xi) for xi in grid]
-
-    def curve(k):
-        # the rows of grid point k: levels 1..L, in the order of the grid
-        rows = report.rows[k * args.level:(k + 1) * args.level]
-        return f"xi={grid[k]:g}", [r.level for r in rows], [r.q for r in rows]
-
+    levels = list(range(1, args.level + 1))
     return report.bounded, {
         "bounded": report.bounded,
         "worst_gap": report.worst_gap,
@@ -199,9 +206,11 @@ def _check_completeness(pair, tm, args):
         lambda out: _write_csv(
             out, "completeness.csv", ["xi", "L", "Q", "certified_slack"],
             # each xi formatted once, as csv.writer would; the rows of a point are consecutive
-            [[texts[k // args.level], *row[1:]] for k, row in enumerate(report.rows)]),
+            _Table([text for xi in grid for text in [repr(xi)] * args.level],
+                   levels * len(grid), report.q.ravel(), report.slack.ravel())),
         lambda out: _write_svg(out, "completeness.svg", svgplot.line_chart(
-            [curve(k) for k in (0, len(grid) // 2, len(grid) - 1)],
+            [(f"xi={grid[k]:g}", levels, report.q[k].tolist())
+             for k in (0, len(grid) // 2, len(grid) - 1)],
             "completeness trend Q_L(xi)", "L", "Q")),
     ]
 
@@ -212,13 +221,14 @@ def _check_dimension(pair, tm, args):
     logs = dim._log_pairs(pair, args.level)  # built once for both fits
     formula, box = dim._formula_of(logs), dim._box_fit_of(pair, logs)
     agree = abs(box.slope - formula.liminf_proxy) <= 0.05
+    ns, ratios = map(list, zip(*formula.partials))
 
     def write_intervals(out):
         depth = _capped_level(pair, 6, cap=min(args.budget, 4096))
         family = dim.build_intervals(pair, depth, budget=args.budget)
+        words, lows, highs = zip(*family.intervals(family.depth))
         _write_csv(out, "intervals.csv", ["word", "left", "right"],
-                   [["".join(map(str, word)) if word else "()", str(lo), str(hi)]
-                    for word, lo, hi in family.intervals(family.depth)])
+                   _Table(["".join(map(str, word)) if word else "()" for word in words], lows, highs))
 
     return agree, {
         "formula_liminf_proxy": formula.liminf_proxy,
@@ -228,11 +238,9 @@ def _check_dimension(pair, tm, args):
         "box_intervals": str(box.interval_count),
         "agree_within_0.05": agree,
     }, [
-        lambda out: _write_csv(out, "dimension_ratios.csv", ["N", "s_N"],
-                               [[n, repr(s)] for n, s in formula.partials]),
+        lambda out: _write_csv(out, "dimension_ratios.csv", ["N", "s_N"], _Table(ns, ratios)),
         lambda out: _write_svg(out, "dimension_ratios.svg", svgplot.line_chart(
-            [("s_N", [n for n, _ in formula.partials], [s for _, s in formula.partials])],
-            "dimension ratio convergence", "N", "s_N")),
+            [("s_N", ns, ratios)], "dimension ratio convergence", "N", "s_N")),
         write_intervals,
     ]
 
@@ -257,8 +265,7 @@ def _check_sample(pair, tm, args):
     def write_histogram(out):
         counts, edges = np.histogram(samples.values, bins=64)
         _write_csv(out, "histogram.csv", ["bin_left", "bin_right", "count"],
-                   [[repr(float(edges[i])), repr(float(edges[i + 1])), int(c)]
-                    for i, c in enumerate(counts)])
+                   _Table(edges[:-1], edges[1:], counts))
         _write_svg(out, "histogram.svg",
                    svgplot.histogram([float(e) for e in edges], [int(c) for c in counts],
                                      "sample histogram", "x", "count"))
@@ -270,7 +277,7 @@ def _check_sample(pair, tm, args):
         "mean": mean,
         "expected_mean": expected,
         "band_5sigma": band,
-    }, [lambda out: _write_csv(out, "samples.csv", ["x"], _Column(samples.values)),
+    }, [lambda out: _write_csv(out, "samples.csv", ["x"], _Table(samples.values)),
         write_histogram]
 
 

@@ -609,14 +609,16 @@ class FilterFamily:
         d1 = _UNIFORM_WINDOW_BOUND if depth > len(self.explicit) else math.inf
         for n, g in enumerate(self.explicit[:depth], start=1):
             d, g = self.pair.d(n), np.asarray(g, dtype=complex)
-            norm_defect = abs(complex(np.sum(g)) - 1.0)
+            # coefficients whose sums overflow give a non-finite defect or bound, which fails
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm_defect = abs(complex(np.sum(g)) - 1.0)
+                rep = qmf_check(g, d)
+                inf_bound = _window_infimum(g, d, n, budget)
             if norm_defect > _QMF_TOL:
                 messages.append(f"level {n}: G_n(0) = sum of coefficients is off by {norm_defect:.3e}")
-            rep = qmf_check(g, d)
             defects.append(rep.max_defect)
             if not rep.passed:
                 messages.append(f"level {n}: QMF defect {rep.max_defect:.3e} exceeds {_QMF_TOL:.1e}")
-            inf_bound = _window_infimum(g, d, n, budget)
             if inf_bound <= 0.0:
                 messages.append(f"level {n}: window infimum not certifiably positive ({inf_bound:.3e})")
             d1 = min(d1, inf_bound)

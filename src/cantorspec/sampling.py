@@ -7,8 +7,8 @@ that radius under 1e-15, so samples are exact at double resolution.  Digits
 come from counter-based generators keyed by (seed, level), so streams are
 reproducible regardless of evaluation order.  The sampler draws and adds
 the digits of every level ``BLOCK`` samples at a time into the one output
-array, and ``cli`` writes the CSV rows of the samples in blocks of the same
-size, so the samples are the only array of ``count`` entries either forms.
+array, and ``cli`` formats and writes the CSV rows of the samples 4,096 at a
+time, so the samples are the only array of ``count`` entries either forms.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .dimension import rescale_constant
 
 
 _RADIUS_TARGET = 1e-15
-# the samples of one block, of the sampler's sums and of cli's CSV rows alike: 512 KiB of floats
+# the samples of one block of the sampler's sums: 512 KiB of floats
 BLOCK = 1 << 16
 
 

@@ -51,7 +51,7 @@ from .fourier import (_TAYLOR_TOL, SERIES_THETA, TWO_PI, FilterFamily, H_sq_tabl
                       _root_angles, eval_H_sq_tables, eval_taylor, root_complement, root_series,
                       root_series_taylor, signed_root_taylor, truncation_target, uniform_family)
 from .spectra import (TreeMapping, _elements_of, _table_nodes, check_word_budget,
-                      validate_tree_mapping)
+                      validate_tree_mapping, word_count)
 
 # perfbench/tracing.py wraps these names in this module as well as where they
 # are defined, so they stay bound here although nothing below calls them.
@@ -401,8 +401,7 @@ class PartitionResult(NamedTuple):
 
 
 def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
-                     filters: FilterFamily | None = None,
-                     budget: int = 10**6) -> tuple[tuple[PartitionResult, ...], ...]:
+                     filters: FilterFamily | None = None, budget: int = 10**6) -> np.ndarray:
     """Partition sums for every level 1..``level`` at each xi of ``xis``.
 
     The digit tree is built once (:class:`_Tree`) and all of ``xis`` walk it
@@ -411,7 +410,8 @@ def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
     :func:`partition_identity`, taken at the tree level that ends level n as
     one ``sum(axis=1)`` per tile, which sums each row as a 1-D array, so it
     does not depend on the other xi.
-    Returns one tuple of levels 1..``level`` per xi, in the order of ``xis``.
+    Returns the sums as a float array of shape (len(``xis``), ``level``): row i for
+    xis[i], column n - 1 for level n.
     """
     pair = tm.pair
     check_word_budget(pair, level, budget, least=1)
@@ -424,10 +424,7 @@ def partition_levels(tm: TreeMapping, xis: Sequence[float], level: int,
     for t, rows, w in tree.tiles(xis, tree.descend(1, level, _ROOT, np.zeros(1), None)[0]):
         if t in column:
             totals[rows.start:rows.stop, column[t]] = w.sum(axis=1)  # per row a 1-D sum, as per xi
-    terms = [tree.size[t] for t in tree.ends[1:]]
-    return tuple(tuple(PartitionResult(total, abs(total - 1.0), n, xi, count)
-                       for n, total, count in zip(range(1, level + 1), per_xi, terms))
-                 for xi, per_xi in zip(xis.tolist(), totals.tolist()))
+    return totals
 
 
 def partition_identity(tm: TreeMapping, xi: float, level: int,
@@ -438,7 +435,8 @@ def partition_identity(tm: TreeMapping, xi: float, level: int,
     every xi and every valid mapping, and is evaluated here by direct
     summation over the word tree.
     """
-    return partition_levels(tm, [xi], level, filters=filters, budget=budget)[0][-1]
+    total = float(partition_levels(tm, [xi], level, filters=filters, budget=budget)[0, -1])
+    return PartitionResult(total, abs(total - 1.0), level, float(xi), word_count(tm.pair, level))
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +452,26 @@ class QRow(NamedTuple):
 
 @dataclass(frozen=True)
 class CompletenessReport:
-    rows: tuple[QRow, ...]
+    grid: np.ndarray        # the grid points, in order
+    q: np.ndarray           # Q_L(xi) of grid point k and level L at [k, L - 1]
+    slack: np.ndarray       # the certified slack of each Q, in the same layout
     l_max: int
     bounded: bool           # the direct sum of the terms <= 1 + certified slack
     worst_gap: float        # max over the grid of the gap 1 - Q_{L_max}
     worst_gap_xi: float
+
+    @property
+    def rows(self) -> tuple[QRow, ...]:
+        """The (xi, L, Q, slack) rows: levels 1..l_max of each grid point, in the order
+        of the grid."""
+        return tuple(map(QRow, np.repeat(self.grid, self.l_max).tolist(),
+                         list(range(1, self.l_max + 1)) * len(self.grid),
+                         self.q.ravel().tolist(), self.slack.ravel().tolist()))
+
+    def __eq__(self, other) -> bool:
+        # every value, the arrays' entry by entry
+        return isinstance(other, CompletenessReport) and all(
+            map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
 _SLICE = 1 << 14
@@ -977,10 +990,8 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     lin += column * signed
     slack = np.cumsum(kc * (2.0 * lin + kc * (column * (count * column + 2.0 * sum_lam) + sum_sq)),
                       axis=1)
-    rows = tuple(map(QRow, np.repeat(xis, l_max).tolist(), list(range(1, l_max + 1)) * len(xis),
-                     q.ravel().tolist(), slack.ravel().tolist()))
     worst = int(np.argmax(gaps)) if len(xis) else None  # the first xi of the largest gap
-    return CompletenessReport(rows=rows, l_max=l_max,
+    return CompletenessReport(grid=column[:, 0], q=q, slack=slack, l_max=l_max,
                               bounded=bool(np.all(np.cumsum(sums, axis=1) <= 1.0 + slack)),
                               worst_gap=-math.inf if worst is None else float(gaps[worst]),
                               worst_gap_xi=0.0 if worst is None else xis[worst])

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorspec import canonical_tau, cli, constant_pair
 from cantorspec.cli import build_parser, main
@@ -198,6 +200,23 @@ def test_partition_with_filter_family(mu42, tmp_path):
     assert cert["ok"] is False and cert["qmf_defects"][0] > 0
 
 
+def test_an_overflowing_filter_certificate_fails_in_strict_json(mu42, tmp_path):
+    # the coefficients' sums overflow: QMF defect inf and window bound -inf.  json refused
+    # the -inf with exit 2 after opening filter_certificate.json, left cut off after "d1":
+    filters, out = tmp_path / "filters.json", tmp_path / "o"
+    filters.write_text('{"levels": [[[1e308, 0], [-1e308, 0], [1, 0]]]}')
+    assert run(["partition", "--pair", mu42, "--filters", str(filters), "--level", "1",
+                "--budget", "100000000", "--out", str(out)]) == 1
+    cert = json.loads((out / "filter_certificate.json").read_text(), parse_constant=_strict_constant)
+    assert cert["ok"] is False and cert["d1"] == "-Infinity" and cert["qmf_defects"] == ["Infinity"]
+    report = json.loads((out / "partition_report.json").read_text(), parse_constant=_strict_constant)
+    assert report["passed"] is False and report["filter_certificate"] == cert
+    # a payload json refuses leaves no file
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_json(tmp_path, "refused.json", {"bound": -math.inf})
+    assert not (tmp_path / "refused.json").exists()
+
+
 def test_dimension_writes_interval_csv(mu42, tmp_path):
     out = tmp_path / "out"
     assert run(["dimension", "--pair", mu42, "--out", str(out)]) == 0
@@ -361,9 +380,56 @@ def test_sample_fails_outside_its_5_sigma_band(mu42, tmp_path, monkeypatch, band
     assert report["band_5sigma"] == pytest.approx(5.0 * sigma / math.sqrt(count), rel=1e-12)
 
 
+def write_oracle_csv(path, header, rows):
+    """The CSV that :func:`cli._write_csv` must write byte for byte: csv.writer's."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# the CLI's cells: Python floats, ints past 2^64, digit strings, the empty word "()" and
+# exact fractions; and ints past 4,300 digits, a few per column, as each takes 0.3 ms to format
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072e-308, 1e308, 1e16, 1e-5])
+_INTS = st.integers() | st.integers(2**64 - 2, 2**70)
+_TEXTS = st.text("0123456789", min_size=1, max_size=12) | st.just("()") | st.fractions().map(str)
+_HUGE = st.lists(st.integers(1, 9).map(lambda k: k * 10**4400 + 7) | st.just(-(10**5000)), max_size=2)
+_ARRAYS = (st.lists(_FLOATS, min_size=1, max_size=8).map(lambda v: np.array(v, dtype=float))
+           | st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=8).map(
+               lambda v: np.array(v, dtype=np.int64)))
+_LISTS = st.tuples(_HUGE, st.one_of(*(st.lists(cells, min_size=1, max_size=8)
+                                      for cells in (_FLOATS, _INTS, _TEXTS))))
+
+
+@given(st.lists(_LISTS | _ARRAYS, min_size=1, max_size=4),
+       st.sampled_from([0, 1, cli._ROWS - 1, cli._ROWS, cli._ROWS + 1]))
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, drawn, count):
+    # tables of 0, 1 and about one block of rows: a list column is its huge ints, then
+    # its cells cycled to the row count, an array column its entries cycled
+    out = tmp_path_factory.mktemp("csv")
+    columns = [np.resize(c, count) if isinstance(c, np.ndarray) else (c[0] + c[1] * count)[:count]
+               for c in drawn]
+    header = ["abcd"[i] for i in range(len(columns))]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as cli.main sets it around a run
+    try:
+        # numpy's 1.13 print mode formats a numpy float with 12 digits, so a numpy scalar
+        # that reached the formatter would show
+        with np.printoptions(legacy="1.13"):
+            cli._write_csv(out, "table.csv", header, cli._Table(*columns))
+        write_oracle_csv(out / "oracle.csv", header,
+                         zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns]))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(cli._Table(*columns)) == count
+    assert (out / "table.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+
+
 def test_samples_csv_is_streamed(tmp_path):
-    # the same bytes as writing a list of one-element rows, without that list:
-    # the rows take a few chunk-sized lists, not one list per sample
+    # csv.writer's bytes, without a list of rows: the rows take a few block-sized lists,
+    # not one list per sample
     count = 200_000
     args = argparse.Namespace(count=count, seed=5)
     pair = constant_pair(4, 2)
@@ -379,7 +445,7 @@ def test_samples_csv_is_streamed(tmp_path):
         tracemalloc.stop()
     assert peak < 4 * 8 * count
     values = cli.sampling.sample_measure(pair, count, seed=5).values
-    cli._write_csv(tmp_path / "listed", "samples.csv", ["x"], [[v] for v in values.tolist()])
+    write_oracle_csv(tmp_path / "listed" / "samples.csv", ["x"], ([v] for v in values.tolist()))
     streamed = (tmp_path / "streamed" / "samples.csv").read_bytes()
     assert streamed == (tmp_path / "listed" / "samples.csv").read_bytes()
     assert len(streamed.splitlines()) == count + 1

@@ -184,8 +184,8 @@ def test_partition_defect_of_the_cosine_form_stays_at_roundoff():
     # within a few ulp of 1 (worst 8.9e-16 for the cosine form, 1.8e-15 for
     # the quotient of sines it replaced)
     rng = np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64)))
-    per_xi = partition_levels(canonical_tau(MU93), rng.random(50).tolist(), 8)
-    assert max(res.defect for levels in per_xi for res in levels) <= 4e-15
+    sums = partition_levels(canonical_tau(MU93), rng.random(50).tolist(), 8)
+    assert sums.shape == (50, 8) and np.max(np.abs(sums - 1.0)) <= 4e-15
 
 
 def test_partition_alpha_pair_depth_six():
@@ -216,10 +216,12 @@ def test_partition_levels_equal_per_level_identity():
              (canonical_tau(dimension_targeting_pair(0.5)), 0.37, 4),
              (TreeMapping(MU42, {(1,): -1, (1, 1): -1}), 0.05, 7)]
     for tm, xi, level in cases:
-        (results,) = partition_levels(tm, [xi], level)
-        assert [r.level for r in results] == list(range(1, level + 1))
-        for r in results:
-            assert r == partition_identity(tm, xi, r.level)
+        (sums,) = partition_levels(tm, [xi], level)
+        assert sums.shape == (level,)
+        for n, total in enumerate(sums.tolist(), start=1):
+            r = partition_identity(tm, xi, n)
+            assert (r.total, r.defect, r.level, r.xi, r.terms) == (
+                total, abs(total - 1.0), n, xi, word_count(tm.pair, n))
             assert r.defect <= 1e-13
 
 
@@ -234,9 +236,11 @@ def test_partition_levels_of_many_xis_equal_one_call_per_xi(monkeypatch):
         monkeypatch.setattr(verify, "_SLICE", size)
         for tm, level, fam in cases:
             together = partition_levels(tm, xis, level, filters=fam)
-            assert together == tuple(partition_levels(tm, [xi], level, filters=fam)[0] for xi in xis)
-            assert [results[0].xi for results in together] == xis
-            assert partition_levels(tm, [], level, filters=fam) == ()
+            alone = [partition_levels(tm, [xi], level, filters=fam) for xi in xis]
+            # row i is xis[i]'s, bit for bit
+            assert together.shape == (len(xis), level)
+            assert together.tobytes() == np.concatenate(alone).tobytes()
+            assert partition_levels(tm, [], level, filters=fam).shape == (0, level)
 
 
 def linear_truncation_level(pair, xi, tol, levels=1):
@@ -307,7 +311,7 @@ def test_partition_levels_refuses_a_d_n_that_does_not_divide_b_n():
     tm = canonical_tau(explicit_pair([6], [4]))
     with pytest.raises(ValueError, match=r"^level 1: d_1 = 4 does not divide b_1 = 6"):
         partition_levels(tm, [0.3], 2)
-    assert partition_levels(tm, [0.3], 1)[0][0].defect < 1e-15
+    assert abs(partition_levels(tm, [0.3], 1)[0, 0] - 1.0) < 1e-15
     with pytest.raises(ValueError, match=r"^level 2: d_2 = 4 does not divide b_2 = 6"):
         partition_levels(canonical_tau(explicit_pair([4, 6], [2, 4])), [0.3], 3)
 
@@ -802,8 +806,9 @@ def test_completeness_matches_deep_oracle():
 def test_completeness_of_an_empty_grid():
     # nothing to check: no rows, bounded true and the worst gap -inf at xi = 0
     rep = completeness_Q(canonical_tau(MU42), [], 4)
-    assert rep == verify.CompletenessReport(rows=(), l_max=4, bounded=True,
-                                            worst_gap=-math.inf, worst_gap_xi=0.0)
+    assert rep == verify.CompletenessReport(grid=np.zeros(0), q=np.zeros((0, 4)), slack=np.zeros((0, 4)),
+                                            l_max=4, bounded=True, worst_gap=-math.inf, worst_gap_xi=0.0)
+    assert rep.rows == ()
 
 
 @pytest.mark.parametrize("grid", [[-0.0, 0.0], [0.0, -0.0]])
@@ -1042,8 +1047,8 @@ def test_off_class_labels_keep_their_level_whole():
     tm = TreeMapping(explicit_pair([12], [6]), {(1,): 2})
     tree = verify._Tree(tm, verify._Scales(tm.pair), 2, uniform_family(tm.pair))
     assert tree.ends == [0, 1, 3] and tree.radix == [1, 6, 2, 3]
-    for xi, (result,) in zip(TILE_XIS, partition_levels(tm, TILE_XIS, 1)):
-        assert result.total == float(np.sum(child_major_weights(tm, 1, xi, uniform_family(tm.pair))[0]))
+    for xi, (total,) in zip(TILE_XIS, partition_levels(tm, TILE_XIS, 1).tolist()):
+        assert total == float(np.sum(child_major_weights(tm, 1, xi, uniform_family(tm.pair))[0]))
 
 
 @pytest.mark.parametrize("b, table", [
@@ -1124,11 +1129,11 @@ def test_partition_totals_are_the_one_dimensional_sums(tm, level):
     sizes = [math.prod(scales.d[1:n + 1]) for n in range(1, level + 1)]
     assert min(sizes) < 8 and any(8 <= p <= 128 for p in sizes) and max(sizes) > 128
     xis = [0.0, 0.3, 0.71, 0.999]
-    for xi, results in zip(xis, partition_levels(tm, xis, level)):
+    for xi, sums in zip(xis, partition_levels(tm, xis, level)):
         old = child_major_weights(tm, level, xi, filters)
-        for r, w in zip(results, old):
-            assert r.total == float(np.sum(to_digit_major(w, scales, r.level))), (xi, r.level)
-            assert r.terms == len(w)
+        for n, (total, w) in enumerate(zip(sums.tolist(), old), start=1):
+            assert total == float(np.sum(to_digit_major(w, scales, n))), (xi, n)
+            assert partition_identity(tm, xi, n).terms == len(w)
 
 
 @pytest.mark.parametrize("tm, level, filters", LAYOUT_CASES)

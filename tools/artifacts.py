@@ -54,10 +54,13 @@ _PAIRS = ["alpha_half", "alpha_one", "alpha_quarter", "alpha_zero", "explicit_hu
 # 6.66e-16 against --tol 3e-16; dimension on alpha = 0.999 at --level 4 has box slope
 # 0.764 against the formula's 0.650, outside the agreement of 0.05; report on the
 # inadmissible pair stops at its checks {"pair": false, "tree": true}, so it fails only
-# if every check must pass
+# if every check must pass; partition with filters_overflow, whose coefficient sums
+# overflow, has a failed certificate whose bounds -inf and inf are written as strings
 NEGATIVE_CONTROLS = [
     ["orthogonality", *_pair("explicit_inadmissible")],
     ["partition", *_pair("mu42"), "--level", "8", "--tol", "3e-16"],
+    ["partition", *_pair("mu42"), "--filters", "demos/configs/filters_overflow.json", "--level", "1",
+     "--budget", "100000000"],
     ["dimension", *_pair("alpha_near_one"), "--level", "4"],
     ["report", *_pair("explicit_inadmissible")],
 ]

@@ -71,6 +71,11 @@ MUTANTS = [
            "return worst <= args.tol, payload, artifacts", "return worst <= 10 * args.tol, payload, artifacts",
            (),
            "the negative control partition on mu42 at --tol 3e-16 has worst_defect 6.66e-16"),
+    Mutant("partition defects keep their sign", _CLI,
+           "defects = np.abs(totals - 1.0)", "defects = totals - 1.0",
+           (),
+           "the manifest's partition.csv holds each defect |sum - 1|: the file of every partition "
+           "op differs, and only three reports do, where the worst sum lies below 1"),
     Mutant("completeness slack halved", _VERIFY,
            "slack = np.cumsum(kc * (", "slack = 0.5 * np.cumsum(kc * (",
            ("tests/test_cli.py::test_completeness_alpha_one_matches_the_direct_sum",),
