@@ -38,7 +38,7 @@ class BudgetExceededError(RuntimeError):
 class Issue:
     """One violation found by a validator."""
 
-    condition: str  # short tag: "1<d", "d<b", "divisibility", "quotient>=2", "i", "ii", "word"
+    condition: str  # short tag: "1<d", "d<b", "divisibility", "i", "ii", "word"
     location: str
     message: str
 
@@ -172,8 +172,6 @@ def _check_level(b: int, d: int, n: int) -> Issue | None:
         return Issue("d<b", f"n={n}", f"d_{n}={d} must be smaller than b_{n}={b}")
     if b % d != 0:
         return Issue("divisibility", f"n={n}", f"b_{n}={b} is not a multiple of d_{n}={d}")
-    if b // d < 2:
-        return Issue("quotient>=2", f"n={n}", f"b_{n}/d_{n}={b // d} must be at least 2")
     return None
 
 

@@ -101,7 +101,6 @@ class IntervalFamily:
     lexicographic order; ``levels[0]`` is the root [0, 1].
     """
 
-    pair: ScalePair
     depth: int
     levels: tuple[tuple[tuple[tuple[int, ...], Fraction, Fraction], ...], ...]
     ratios: tuple[Fraction, ...]
@@ -129,7 +128,7 @@ def build_intervals(pair: ScalePair, depth: int, budget: int = 10**6) -> Interva
                 lo = left + k * (child_len + gap)
                 children.append((word + (k,), lo, lo + child_len))
         levels.append(tuple(children))
-    return IntervalFamily(pair=pair, depth=depth, levels=tuple(levels), ratios=tuple(ratios))
+    return IntervalFamily(depth=depth, levels=tuple(levels), ratios=tuple(ratios))
 
 
 @dataclass(frozen=True)
@@ -269,7 +268,6 @@ class DimensionComparison:
     hausdorff: float
     slack: float
     passed: bool
-    level: int
 
 
 def beurling_vs_hausdorff(tm: TreeMapping, level: int, budget: int = 10**6) -> DimensionComparison:
@@ -287,4 +285,4 @@ def beurling_vs_hausdorff(tm: TreeMapping, level: int, budget: int = 10**6) -> D
     est = beurling_upper_dim(enumerate_level(tm, level, budget=budget), window_grid=grid)
     formula = hausdorff_dim_formula(pair, _FORMULA_DEPTH).liminf_proxy
     return DimensionComparison(beurling=est.slope, hausdorff=formula, slack=_BEURLING_SLACK,
-                               passed=est.slope <= formula + _BEURLING_SLACK, level=level)
+                               passed=est.slope <= formula + _BEURLING_SLACK)

@@ -10,28 +10,29 @@ Q_L(xi) = sum_{lambda in Lambda_L} |muhat(xi + lambda)|^2 increase with L and
 stay below 1 plus the accumulated certified evaluation slack.
 
 Both floating-point pillars run on one digit tree (:class:`_Tree`), the check's
-one plan of its levels: it reads the table labels once, as exact integers, which
-the completeness range check reads too (:func:`_check_frequency_range`), and
-forms each level's sub-levels once; its docstring states the node order, the
-reduced label sums through which alone xi enters a level, and the sub-levels of
-a composite d_n, one per prime factor by the rule of :func:`_sub_levels`, which
-the completeness tail follows too.  xi + lambda is never rounded and no large
-integer reaches numpy.  Each check tabulates the tree by its own label walk
-(:meth:`_Tree.descend`), and the products of many xi walk the tables depth first
-in tiles of at most ``_SLICE`` entries (:meth:`_Tree.tiles`).  The partition
-check tabulates the whole tree, and its sums are the row totals at the end of
-each level.  Completeness walks the grid only to a tree level s: past it every
-level factor, and the tail planned once per check (:func:`_tail_plan`), is a
-polynomial in xi, and the terms of the nodes below each level-s node are summed
-as polynomials per block.  No array spans a whole level deeper than about half a
-slice of nodes: in digit-major order the descendants of a run of level-s nodes
-are columns of every deeper level (:class:`_Group`), and one walk
-(:func:`_group_levels`) tabulates the root group through a group level, and
+one plan of its levels: it reads the bounds of each word length's labels once, as
+exact integers, which the completeness range check (:func:`_check_frequency_range`)
+and the tail plan (:func:`_tail_plan`) read, and forms each level's sub-levels
+once; its docstring states the node order, the reduced label sums through which
+alone xi enters a level, and the sub-levels of a composite d_n, one per prime
+factor by the rule of :func:`_sub_levels`, which the completeness tail follows
+too.  xi + lambda is never rounded and no large integer reaches numpy.  Each check
+tabulates the tree by its own label walk (:meth:`_Tree.descend`), which reads the
+value of each label of the tree's levels once; the completeness tail walks on past
+the tree (:func:`_tail_inputs`) and reads each label past it once.  The products of
+many xi walk the tables depth first in tiles of at most ``_SLICE`` entries
+(:meth:`_Tree.tiles`).  The partition check tabulates the whole tree, and its sums
+are the row totals at the end of each level.  Completeness walks the grid only to
+a tree level s: past it every level factor, and the tail planned once per check
+(:func:`_tail_plan`), is a polynomial in xi, and the terms of the nodes below each
+level-s node are summed as polynomials per block.  No array spans a whole level
+deeper than about half a slice of nodes: in digit-major order the descendants of a
+run of level-s nodes are columns of every deeper level (:class:`_Group`), and one
+walk (:func:`_group_levels`) tabulates the root group through a group level, and
 then each group of columns past it alone, so the peak memory stays flat in the
-level.  A factor vanishes only at integer xi, so each deep product keeps one
-sign on (0, 1/2], read at xi = 1/4.  :func:`completeness_Q`
-states the split, the aggregation and the certified slack from two sums per
-block.
+level.  A factor vanishes only at integer xi, so each deep product keeps one sign
+on (0, 1/2], read at xi = 1/4.  :func:`completeness_Q` states the split, the
+aggregation and the certified slack from two sums per block.
 """
 
 from __future__ import annotations
@@ -264,8 +265,12 @@ class _Tree:
     is the tree level that ends level n, where size is P_n.  These come from
     the table labels alone (read once, :func:`_table_labels`), for every level
     to ``level``; ``table`` keeps the labels by word length, exact, and
-    ``deep`` those past ``level``, which the range check and the tail read too.
-    A level below ``level`` whose d_n does not divide b_n raises a ValueError
+    ``deep`` those past ``level``, which the tail walk reads (:func:`_tail_inputs`).
+    ``extremes[k]`` is (least, largest) of the labels of word length k, exact: of
+    the digits 0..d_k - 1 and the table labels to ``level``, of 0 and the table
+    labels past it, for every k to ``level`` and every k of ``deep``; the range check
+    and the tail plan read these bounds, and no other reader forms them.  A level
+    below ``level`` whose d_n does not divide b_n raises a ValueError
     (:func:`_check_divides`).
 
     The tree keeps only this shape.  Each check takes the tables from its own label
@@ -280,6 +285,10 @@ class _Tree:
         self.filters, self.level = filters, level
         self.table = _table_labels(tm, self.scales, level)
         self.deep = {k: v for k, v in self.table.items() if k > level}
+        self.extremes = {n: (0, scales.d[n] - 1) for n in range(1, level + 1)}  # the digits
+        for k, (_, labels) in self.table.items():
+            values = [*self.extremes.get(k, (0, 0)), *labels.tolist()]
+            self.extremes[k] = min(values), max(values)
         self.radix, self.scale, self.size, self.ends, self.subs = [1], [1.0], [1], [0], [None]
         for n in range(1, level + 1):
             _check_divides(scales, n)
@@ -301,11 +310,12 @@ class _Tree:
 
         Each level's tau forms both u_n and, beside it, lambda_n = lambda_{n-1} +
         tau rho_n; ``kernels`` holds the tables of each of its tree levels in turn, and
-        u and lambda are returned at level ``last``, u unreduced mod 1.  At ``last`` =
-        ``level`` lambda is that of each node's zero-extension, the labels past
-        ``level`` included.  Each entry is the one the walk over the whole tree gives
-        that node, bit for bit: the same operations on the same operands.  Each level
-        runs its planned sub-levels ``subs[n]``.  Given lambda None, as from the
+        u and lambda are returned at level ``last``, u unreduced mod 1.  lambda holds
+        the labels of the levels walked only: the table labels past ``level`` are the
+        tail walk's (:func:`_tail_inputs`), which completes each node's zero-extension.
+        Each entry is the one the walk over the whole tree gives that node, bit for bit:
+        the same operations on the same operands.  Each level runs its planned
+        sub-levels ``subs[n]``.  Given lambda None, as from the
         partition check, which reads none, the walk forms u alone and returns None for
         lambda; a check that reads lambda refuses its frequencies past the double range
         before any walk (:func:`_check_frequency_range`)."""
@@ -323,11 +333,6 @@ class _Tree:
             for f, sub, _ in self.subs[n]:
                 u = (np.tile(w, sub) + (label if sub == d else _digits(sub, parents))) / sub
                 kernels.append(H_sq_tables(f, u) if uniform else (n, u))
-        if lam is not None and first <= last == self.level:
-            for k, (index, labels) in self.deep.items():
-                if np.any(labels):  # all-zero labels move nothing, however large rho_k
-                    at, labels = group.part(index, labels)
-                    lam[at] += labels.astype(float) * _to_float(scales.upto(k).rho[k])
         return kernels, u, lam
 
     def factors(self, t: int, kernel, xis) -> np.ndarray:
@@ -482,13 +487,10 @@ def _check_frequency_range(tree: _Tree) -> int:
     """B = sum_n max|tau_n| rho_n >= |lambda| (the levels and the table labels past
     them, exact), or a ValueError where the slack's sums of lambda^2 could overflow:
     a block of at most P_L nodes sums to below P_L B^2, which must stay below 2^1022.
-    It reads the tree's exact table labels, by word length, and P_L from its size,
-    before any label walk, so every |lambda| a walk forms stays below 2^511."""
+    It reads the tree's exact label bounds by word length, ``extremes``, and P_L from
+    its size, before any label walk, so every |lambda| a walk forms stays below 2^511."""
     scales, level = tree.scales, tree.level
-    top = {n: scales.d[n] - 1 for n in range(1, level + 1)}
-    for k, (_, labels) in tree.table.items():
-        top[k] = max(top.get(k, 0), *map(abs, labels.tolist()))
-    bound = sum(t * scales.upto(k).rho[k] for k, t in top.items())
+    bound = sum(max(-lo, hi) * scales.upto(k).rho[k] for k, (lo, hi) in tree.extremes.items())
     count = tree.size[-1]
     if count * bound * bound >= 1 << 1022:
         raise ValueError(f"level {level}: |lambda| <= sum_n max|tau_n| rho_n < 2^{bound.bit_length()}, "
@@ -535,8 +537,9 @@ def _tail_plan(tree: _Tree, depth: int, xmax: float, budget: int):
 
     max |u_k| is bounded without a node: u_k = (u_{k-1} / q_{k-1} + tau) / d_k is
     monotone in u_{k-1} and tau, in floating point too, so the recursion on the least
-    and largest label of each level (a digit or a table label; 0 or a table label past
-    the tree) encloses every node's u_k.  With canonical labels the all-zero and
+    and largest label of each level, the tree's exact ``extremes`` (a digit or a table
+    label; 0 or a table label past the tree) each rounded once, monotone too, encloses
+    every node's u_k.  With canonical labels the all-zero and
     all-(d_n - 1) words attain both ends, so the bound is each level's max |u_k|.
     Where u_k is reduced by q_{k-1}, d_{k-1} must divide b_{k-1} (:func:`_check_divides`);
     the tree has checked its own levels, so the plan checks those past it."""
@@ -546,10 +549,8 @@ def _tail_plan(tree: _Tree, depth: int, xmax: float, budget: int):
         d, q = scales.d[k], _to_float(scales.q[k - 1])
         if _to_float(d) == math.inf:
             raise ValueError(f"level {k}: d_{k} = {d} is past the double range of the tail's factors")
-        labels = [0.0, d - 1.0 if k <= level else 0.0]
-        if k in tree.table:
-            labels += np.asarray(tree.table[k][1], dtype=float).tolist()
-        lo, hi = (lo / q + min(labels)) / d, (hi / q + max(labels)) / d
+        least, largest = tree.extremes.get(k, (0, 0))
+        lo, hi = (lo / q + _to_float(least)) / d, (hi / q + _to_float(largest)) / d
         if k <= level:
             continue
         _check_divides(scales, k)  # the tree checked its own levels
@@ -567,19 +568,28 @@ def _tail_plan(tree: _Tree, depth: int, xmax: float, budget: int):
     return explicit, None
 
 
-def _tail_inputs(scales: _Scales, level: int, explicit, series: _Series | None, u: np.ndarray, deep):
-    """The reduced sums u_k over the nodes of level-``level`` reduced sums ``u`` of the
-    explicit tail levels of :func:`_tail_plan`, and then of the series' first level k0,
-    if any, by the tree's rule: ``deep`` holds the (positions, labels) of the table
-    labels past ``level`` by word length."""
-    us, v = [], u
-    for k in range(level + 1, (series.k0 if series else level + len(explicit)) + 1):
-        v = v / _to_float(scales.q[k - 1])
-        if k in deep:
-            v[deep[k][0]] += deep[k][1].astype(float)
-        v /= scales.d[k]
-        us.append(v)
-    return us
+def _tail_inputs(tree: _Tree, group: _Group, last: int, u: np.ndarray, lam: np.ndarray):
+    """(us, lambda): the walk past the tree over the nodes of ``group``, from their u and
+    lambda at the tree's ``level`` (:meth:`_Tree.descend`) to level ``last``.  ``us``
+    holds u_k of each level walked by the tree's rule, for the explicit tail levels of
+    :func:`_tail_plan` and then the series' first level k0, if any, ``last`` = k0 or
+    ``level`` + len(explicit); lambda is that of each node's zero-extension.  A table
+    label past the tree moves u and lambda together, read once, as a float.  Every
+    nonzero one lies within ``last``: B >= |tau| rho_k and rho_{depth+1} > B put k at
+    most the tail's depth, and the plan starts the series only past the last labelled
+    word length.  The walk writes a copy of lambda, as the caller's may be a view of
+    the root group's."""
+    scales, us, lam = tree.scales.upto(last), [], lam.copy()
+    for k in range(tree.level + 1, last + 1):
+        u = u / _to_float(scales.q[k - 1])
+        if k in tree.deep:
+            at, labels = group.part(*tree.deep[k])
+            labels = labels.astype(float)
+            u[at] += labels
+            lam[at] += labels * _to_float(scales.rho[k])
+        u /= scales.d[k]
+        us.append(u)
+    return us, lam
 
 
 def _poly_mul(a: np.ndarray, b: np.ndarray, degree: int | None = None) -> np.ndarray:
@@ -799,9 +809,9 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     canonical labels): the depth is monotone in |xi + lambda|, so no block at any xi
     in [0, 1/2] needs more, and a deeper tail only shrinks the truncation error each
     radius bounds.  Each input is formed once per check: lambda and the reduced sums
-    u by the tree's one label walk (:meth:`_Tree.descend`), the tail's levels,
-    degrees and sub-levels, and the series' coefficients, from bounds of u
-    (:func:`_tail_plan`), its reduced sums from u (:func:`_tail_inputs`), and the
+    u by the tree's one label walk (:meth:`_Tree.descend`), and on past the tree by
+    the tail's (:func:`_tail_inputs`), the tail's levels, degrees and sub-levels, and
+    the series' coefficients, from bounds of u (:func:`_tail_plan`), and the
     angles of each sub-level table of an explicit tail level by one pass, which the
     signed root and its complement share (:func:`_tail_roots`).  A sub-level H_f,
     f >= 5, of an explicit tail level takes f // 2 rows of angles over every
@@ -904,6 +914,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     ends = [tree.size[t] for t in tree.ends[1:]]
     starts = [0, *ends[:-1]]
     walk, dv = _walk_depth(tree, l_max, ends, 2 * degree, degree)
+    last = series.k0 if series else l_max + len(explicit)  # the tail walk's last level
     width = tree.size[walk]
     height = ends[-1] // width
     # node i = j + q width sums into cell (row, j): row 0 for q = 0, else the row of the
@@ -939,8 +950,7 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
         group = _Group(width, j, min(j + columns, width))
         cells, size = slice(group.lo, group.hi), group.hi - group.lo
         deep_v, u, lam = _group_levels(tree, group, first, l_max, whole, walk, dv)[1:]
-        deep = {k: group.part(*labels) for k, labels in tree.deep.items()}
-        us = _tail_inputs(scales, l_max, explicit, series, u, deep)
+        us, lam = _tail_inputs(tree, group, last, u, lam)
         for a, b in parts:
             nodes = slice(bounds[a] * size, bounds[b] * size)
             sums = _cell_sums(scales, explicit, series, [v[nodes] for v in us], deep_v[:, nodes], lam[nodes],

@@ -78,9 +78,9 @@ def test_a_report_op_that_does_not_exit_0_fails_either_mode(tmp_path, monkeypatc
 def test_a_negative_control_that_does_not_exit_1_fails_either_mode(tmp_path, monkeypatch, capsys):
     tool = _load_artifacts()
     controls = [" ".join(op) for op in tool.NEGATIVE_CONTROLS]
-    assert len(controls) == 5 and set(controls) <= {" ".join(op) for op in tool.ops()}
+    assert len(controls) == 6 and set(controls) <= {" ".join(op) for op in tool.ops()}
     manifest = json.loads(tool.MANIFEST.read_text())
-    assert [rec["exit"] for rec in manifest["ops"] if rec["op"] in controls] == [1] * 5
+    assert [rec["exit"] for rec in manifest["ops"] if rec["op"] in controls] == [1] * 6
     got = _manifest((controls[0], 1), (controls[1], 0), (controls[2], 2), ("pair --pair a", 1))
     assert tool.failed_controls(got) == [f"{controls[1]}: exit 0, a negative control must exit 1",
                                          f"{controls[2]}: exit 2, a negative control must exit 1"]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorspec import canonical_tau, cli, constant_pair
+from cantorspec import canonical_tau, cli, constant_pair, svgplot
 from cantorspec.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -150,6 +150,10 @@ def test_spectrum_plots_whenever_the_frequencies_fit_a_float(tmp_path, b, table,
     assert len(svgs) == plotted
     if plotted:
         assert svgs[0].read_text().count("<circle") == len(elements)
+
+
+def test_ticks_of_an_empty_range_are_those_of_one_unit_above_it():
+    assert svgplot._ticks(0.3, 0.3) == svgplot._ticks(0.3, 1.3)
 
 
 def test_spectrum_budget_exceeded(mu42, tmp_path):

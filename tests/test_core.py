@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from cantorspec import (PairConstraintError, constant_pair,
                         dimension_targeting_pair, explicit_pair,
                         pair_from_config, rho, validate_pair)
-from cantorspec import core
+from cantorspec import core, dimension
+from cantorspec.dimension import build_intervals, hausdorff_dim_formula
+from cantorspec.fourier import qmf_check
+from cantorspec.spectra import check_word_budget
 
 
 def test_rho_examples():
@@ -18,6 +21,39 @@ def test_rho_examples():
     assert rho(four, 3) == 16         # 4*4
     mixed = explicit_pair([4, 6, 8], [2, 3, 4])
     assert rho(mixed, 4) == 192       # 4*6*8
+
+
+_MU42 = constant_pair(4, 2)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: rho(_MU42, 0), ValueError, "level index must be >= 1, got 0", id="rho"),
+    pytest.param(lambda: _MU42.b(0), ValueError, "level index must be >= 1, got 0", id="level"),
+    pytest.param(lambda: core.exact_int(math.inf, "b"), ValueError, "b must be an integer, got inf",
+                 id="exact_int-inf"),
+    pytest.param(lambda: core.exact_int(None, "b"), ValueError, "b must be an integer, got None",
+                 id="exact_int-None"),
+    pytest.param(lambda: explicit_pair([4, 0], [2, 1]), PairConstraintError,
+                 "explicit pair entries must be positive integers", id="explicit_pair"),
+    pytest.param(lambda: validate_pair(_MU42, 0), ValueError, "depth must be >= 1, got 0",
+                 id="validate_pair"),
+    pytest.param(lambda: dimension._ratio_numerators(_MU42, 0), ValueError, "n_max must be >= 1, got 0",
+                 id="ratio_numerators"),
+    pytest.param(lambda: build_intervals(_MU42, -1), ValueError, "depth must be >= 0, got -1",
+                 id="build_intervals"),
+    pytest.param(lambda: hausdorff_dim_formula(_MU42, 1), ValueError, "n_max must be >= 2, got 1",
+                 id="hausdorff_dim_formula"),
+    pytest.param(lambda: qmf_check([0.5, 0.5], 1), ValueError, "d must be >= 2, got 1", id="qmf_check-d"),
+    pytest.param(lambda: qmf_check([], 2), ValueError, "coefficient vector must be nonempty",
+                 id="qmf_check-empty"),
+    pytest.param(lambda: check_word_budget(_MU42, 0, 10, least=1), ValueError, "level must be >= 1, got 0",
+                 id="check_word_budget"),
+])
+def test_guards_refuse_arguments_out_of_range(call, error, fragment):
+    # each guard raises its own class, not a subclass or a numpy error, naming the argument
+    with pytest.raises(error, match=re.escape(fragment)) as info:
+        call()
+    assert type(info.value) is error
 
 
 def test_rho_recurrence_and_growth():

@@ -2,7 +2,9 @@ import cmath
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -521,6 +523,7 @@ def series_tables(draw):
 
 
 @given(series_tables())
+@example(([2, 2], [1.0, 0.25], np.array([0.1, -0.3]), 0.2))  # r = e / min |y0| >= 1: only B_2J = 0
 @settings(deadline=None, max_examples=80)
 def test_log_series_remainder_bounds_hold(args):
     # |F(y0 + eps) - sum_{i<=p} A_i eps^i| <= B_p |F(y0 + eps)| for every p, with
@@ -573,6 +576,15 @@ def test_qmf_check_examples():
     assert not qmf_check((0.5, 0.5), 3).passed          # a_0 = 1/2 != 1/3
     shifted = qmf_check((0, 0, 0.5, 0.5), 2)            # modulation keeps |G|
     assert shifted.passed and shifted.max_defect < 1e-15
+
+
+def test_qmf_check_of_overflowing_products_fails_without_a_warning():
+    # products past the double range give a non-finite defect, which fails; numpy's
+    # overflow warning was a traceback under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = qmf_check([1e308, -1e308, 1], 2)
+    assert not rep.passed and not math.isfinite(rep.max_defect)
 
 
 def test_qmf_check_negative_control():
@@ -767,6 +779,17 @@ def test_uncertified_family_rejected():
     bad = FilterFamily(pair=pair, explicit=((0.6 + 0j, 0.4 + 0j),))
     with pytest.raises(FilterCertificationError):
         phi_hat(bad, 0.3, 1e-10)
+
+
+def test_a_filter_off_its_normalization_is_rejected():
+    # -H_2, the negative control filters_negated42.json: its QMF defect 0 and window
+    # bound pass, so the normalization G_1(0) = -1 alone fails its certificate
+    family = filter_family_from_config(constant_pair(4, 2),
+                                       json.loads((CONFIGS / "filters_negated42.json").read_text()))
+    message = "level 1: G_n(0) = sum of coefficients is off by 2.000e+00"
+    assert family.certify(2).messages == (message,)
+    with pytest.raises(FilterCertificationError, match=re.escape(message)):
+        phi_hat(family, 0.3, 1e-10)
 
 
 def test_filter_family_json_round_trip():

@@ -102,6 +102,7 @@ def test_moment_orders():
     m1 = empirical_moments(samples, 1)
     m2 = empirical_moments(samples, 2)
     assert m2 >= m1**2                           # variance is nonnegative
+    assert empirical_moments(samples.values.tolist(), 2) == m2  # a plain list, the same values
     for bad in (0, 5):
         with pytest.raises(ValueError):
             empirical_moments(samples, bad)

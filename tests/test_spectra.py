@@ -203,6 +203,13 @@ def test_growth_stacked_tail_entries():
     assert rep.sup_sum_exact == Fraction(1, 16) + Fraction(1, 16)
     assert rep.max_nonzero_count == 2
     assert (rep.sup_sum_exact, rep.max_nonzero_count) == growth_oracle(tm, 4)
+    # a zero label feeds no tail, and at depth 1 the entry (1, 0, 0) feeds the prefix
+    # (1) alone, not (1, 0)
+    tm = TreeMapping(MU82, {(1, 0): 0, (1, 0, 0): 2})
+    assert validate_tree_mapping(tm).ok
+    rep = check_growth_conditions(tm, 1)
+    assert (rep.sup_sum_exact, rep.max_nonzero_count, rep.witness) == (Fraction(1, 16), 1, (1,))
+    assert (rep.sup_sum_exact, rep.max_nonzero_count) == growth_oracle(tm, 1)
 
 
 def test_growth_empty_table():

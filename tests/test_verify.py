@@ -565,6 +565,13 @@ def tree_kernels(tree):
     return tree.descend(1, tree.level, verify._ROOT, np.zeros(1), np.zeros(1))[0]
 
 
+def tree_lambda(tree, last):
+    # lambda of each level node's zero-extension: the tree's label walk, then the tail
+    # walk to level ``last``, which adds the table labels past the tree
+    _, u, lam = tree.descend(1, tree.level, verify._ROOT, np.zeros(1), np.zeros(1))
+    return verify._tail_inputs(tree, verify._ROOT, last, u, lam)[1]
+
+
 def group_walk(tm, level, columns):
     # completeness_Q's walk past its walk depth in groups of ``columns`` level-walk
     # nodes: V, u and lambda over the level nodes, each group's columns put in place,
@@ -972,8 +979,7 @@ def test_digit_major_tree_is_the_child_major_tree_reordered(monkeypatch, tm, lev
                 else:
                     assert np.max(np.abs(row - want)) <= 8 * 2.0 ** -52, (size, TILE_XIS[i], n)
         assert seen == {(i, t) for i in range(len(TILE_XIS)) for t in range(tree.ends[level] + 1)}
-    assert np.array_equal(tree.descend(1, level, verify._ROOT, np.zeros(1), np.zeros(1))[2],
-                          to_digit_major(lam, scales, level))
+    assert np.array_equal(tree_lambda(tree, max(tree.extremes)), to_digit_major(lam, scales, level))
 
 
 def test_explicit_level_tile_is_the_per_xi_filter_rows():
@@ -1073,8 +1079,7 @@ def test_a_label_past_int64_past_the_tree_is_walked():
     tm = TreeMapping(explicit_pair([4, 2**70], [2, 2]), {(1, 0): 2**68})
     tree = verify._Tree(tm, verify._Scales(tm.pair), 1, uniform_family(tm.pair))
     assert verify._check_frequency_range(tree) == 1 + 2**68 * 4
-    lam = tree.descend(1, 1, verify._ROOT, np.zeros(1), np.zeros(1))[2]
-    assert lam.tolist() == [0.0, 1.0 + 2.0**70]
+    assert tree_lambda(tree, 2).tolist() == [0.0, 1.0 + 2.0**70]
     assert len(completeness_Q(tm, [0.0, 0.25], 1).rows) == 2
 
 
@@ -1170,9 +1175,9 @@ def test_tail_tables_match_per_xi_log_tail(name, level):
     tree = verify._Tree(tm, verify._Scales(tm.pair), level, uniform_family(tm.pair))
     depth = scales.reach(truncation_target(float(np.max(np.abs(lam))) + 0.5, 1e-10))[0]
     explicit, series = verify._tail_plan(tree, depth, max(grid), 10**6)
-    labels = {k: verify._ROOT.part(*entries) for k, entries in tree.deep.items()}
-    u = tree.descend(1, level, verify._ROOT, np.zeros(1), np.zeros(1))[1]
-    reduced = verify._tail_inputs(tree.scales, level, explicit, series, u, labels)
+    _, u, walked = tree.descend(1, level, verify._ROOT, np.zeros(1), np.zeros(1))
+    last = series.k0 if series else level + len(explicit)
+    reduced = verify._tail_inputs(tree, verify._ROOT, last, u, walked)[0]
     if series is not None:
         y0 = tree.scales.d[series.k0] * reduced[-1]
         # the plan's bound of |y0|, the largest itself with canonical labels

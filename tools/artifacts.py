@@ -55,12 +55,15 @@ _PAIRS = ["alpha_half", "alpha_one", "alpha_quarter", "alpha_zero", "explicit_hu
 # 0.764 against the formula's 0.650, outside the agreement of 0.05; report on the
 # inadmissible pair stops at its checks {"pair": false, "tree": true}, so it fails only
 # if every check must pass; partition with filters_overflow, whose coefficient sums
-# overflow, has a failed certificate whose bounds -inf and inf are written as strings
+# overflow, has a failed certificate whose bounds -inf and inf are written as strings;
+# partition with filters_negated42, -H_2, passes the QMF and window checks, so only the
+# normalization G_1(0) = -1 fails its certificate
 NEGATIVE_CONTROLS = [
     ["orthogonality", *_pair("explicit_inadmissible")],
     ["partition", *_pair("mu42"), "--level", "8", "--tol", "3e-16"],
     ["partition", *_pair("mu42"), "--filters", "demos/configs/filters_overflow.json", "--level", "1",
      "--budget", "100000000"],
+    ["partition", *_pair("mu42"), "--filters", "demos/configs/filters_negated42.json", "--level", "2"],
     ["dimension", *_pair("alpha_near_one"), "--level", "4"],
     ["report", *_pair("explicit_inadmissible")],
 ]

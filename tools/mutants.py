@@ -106,6 +106,11 @@ MUTANTS = [
            ("tests/test_core.py::test_alpha_rule_scales_equal_the_fraction_ceiling",
             "tests/test_core.py::test_alpha_pair_level_values"),
            "b_n = 2^max(n + 1, ceil(n / alpha)) is pinned in exact integers"),
+    Mutant("filter certificate ignores its normalization", _FOURIER,
+           "if norm_defect > _QMF_TOL:", "if False:",
+           ("tests/test_fourier.py::test_a_filter_off_its_normalization_is_rejected",),
+           "-H_2 passes the QMF and window checks, and its G_1(0) = -1 must fail the "
+           "certificate; the negative control partition with filters_negated42 exits 1"),
     Mutant("guard-band series of H_m off by a factor 2", _FOURIER,
            "(np.pi * s[near]) ** 2 / 6.0)", "(np.pi * s[near]) ** 2 / 3.0)",
            ("tests/test_fourier.py::test_eval_H_array_guard_band_within_2_pow_52_of_mpmath",),
@@ -122,16 +127,16 @@ MUTANTS = [
            "a prime tail level d_2 = 2^61 - 1 at --budget 10^9 must exit 2 within the test's "
            "10 s, not after trial division to the cap of 10^9"),
     Mutant("tail inputs drop the labels past the tree", _VERIFY,
-           "v[deep[k][0]] += deep[k][1].astype(float)", "pass",
+           "u[at] += labels", "pass",
            ("tests/test_verify.py::test_a_label_past_the_polynomial_levels_matches_mpmath",),
            "the label of (1, 0^12) past --level 12 moves u_13 of the tail, pinned against mpmath"),
     Mutant("lambda drops the labels past the tree", _VERIFY,
-           "lam[at] += labels.astype(float) * _to_float(scales.upto(k).rho[k])", "pass",
+           "lam[at] += labels * _to_float(scales.rho[k])", "pass",
            ("tests/test_verify.py::test_completeness_matches_scalar_sum",),
            "a label past the tree moves lambda, and with it the slack, pinned by a scalar sum"),
     Mutant("range bound drops the labels past the tree", _VERIFY,
-           "for k, (_, labels) in tree.table.items():",
-           "for k, (_, labels) in ((k, v) for k, v in tree.table.items() if k <= level):",
+           "for k, (lo, hi) in tree.extremes.items())",
+           "for k, (lo, hi) in tree.extremes.items() if k <= level)",
            ("tests/test_cli.py::test_the_range_bound_counts_the_labels_past_the_tree",),
            "the label -2 of (1, 0^255) on mu42 at --level 1 makes B = 2 4^255 + 1, which the "
            "range check must refuse"),
