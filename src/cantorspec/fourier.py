@@ -219,6 +219,19 @@ SERIES_THETA = 0.35
 _TAYLOR_TOL = 2.0 ** -60
 
 
+def _powers(x, count: int) -> np.ndarray:
+    """The rows x^0, ..., x^(count - 1) of a float or a float array x, each row the row
+    before times x: the one rule by which the completeness path forms a power, so that
+    its bytes do not depend on which vector kernel numpy picks for the CPU, as those of
+    ``np.power`` with an array exponent do.  x^k carries k - 1 roundings, so
+    |fl(x^k) - x^k| <= gamma_(k-1) |x|^k, gamma_n = n u / (1 - n u), u = 2^-53 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 3), barring underflow
+    and overflow; x^k is exact when x is a power of two."""
+    rows = np.full((count, *np.shape(x)), x, dtype=float)
+    rows[:1] = 1.0
+    return np.multiply.accumulate(rows)
+
+
 def _sinc_series(terms: int) -> tuple[np.ndarray, np.ndarray]:
     # the coefficients in z^2 of sin(z) / z and of its reciprocal z / sin(z), each exact
     # (the reciprocal by its recurrence in fractions) and then rounded once
@@ -262,9 +275,8 @@ def root_series(ms, ts) -> tuple[np.ndarray, float]:
     form's, within rounding, which moves the bound by a few ulp of itself."""
     t = np.asarray(ts, dtype=float)
     inv_m = np.array([1.0 / _to_float(m) for m in ms])
-    k = 2 * np.arange(len(_SINC))
-    levels = [np.convolve(_SINC * z, _INVERSE_SINC * z * inv ** k)[:len(_SINC)]
-              for z, inv in zip((np.pi * t[:, None]) ** k, inv_m)]
+    z_pow, inv_pow = (_powers(x, len(_SINC)).T for x in ((np.pi * t) ** 2, inv_m ** 2))
+    levels = [np.convolve(_SINC * z, _INVERSE_SINC * z * inv)[:len(_SINC)] for z, inv in zip(z_pow, inv_pow)]
     # T(theta), a level sinc(t theta) / sinc(t theta / m) in numpy's sinc(x) = sin(pi x) / (pi x)
     t_theta = float(np.prod((np.sinc(t * SERIES_THETA) / np.sinc(t * SERIES_THETA * inv_m)) ** 2))
     low = -sum(level[1] for level in levels) * t_theta
@@ -297,6 +309,7 @@ def series_remainder_bounds(ratio: np.ndarray, y0: np.ndarray, e: float) -> np.n
     over j and the degrees i <= 2j, the terms of one i added in order of j."""
     big_j = len(ratio)
     terms = [0.0] * (2 * big_j + 2)  # terms[i]: the part of the bound from degree i
+    e_pow = _powers(e, 2 * big_j + 1).tolist()
     y = np.abs(np.asarray(y0, dtype=float))
     nonzero = y[y > 0]
     if nonzero.size:
@@ -305,16 +318,16 @@ def series_remainder_bounds(ratio: np.ndarray, y0: np.ndarray, e: float) -> np.n
         if r >= 1.0:
             terms[1:-1] = [math.inf] * (2 * big_j)
         else:
-            e_pow, y_pow = ([x ** k for k in range(2 * big_j + 1)] for x in (e, y_max))
+            y_pow, r_pow = _powers(y_max, 2 * big_j + 1).tolist(), _powers(r, 3).tolist()
             for j, c_j in enumerate(ratio.tolist(), start=1):
                 for i in range(1, 2 * j + 1):
                     power = (e_pow[i] * y_pow[2 * j - 2 - i] if i <= 2 * j - 2
-                             else e_pow[2 * j - 2] * r ** (i - 2 * j + 2))
+                             else e_pow[2 * j - 2] * r_pow[i - 2 * j + 2])
                     terms[i] += c_j * math.comb(2 * j, i) * power
             terms = [t / (1.0 - r) ** 2 for t in terms]
     if np.any(y == 0):
         zero = np.zeros(len(terms))
-        zero[2:-1:2] = ratio * e ** (2 * np.arange(big_j))
+        zero[2:-1:2] = ratio * e_pow[:2 * big_j:2]
         terms = np.maximum(terms, zero)
     return np.cumsum(terms[::-1])[::-1][1:]  # B_p = sum_{i>p} terms[i]
 
@@ -391,9 +404,9 @@ def signed_root_taylor(angles, inv_scale: float, degree: int) -> np.ndarray:
     out, part = np.zeros((degree + 1, cosines.shape[1])), np.empty(cosines.shape[1])
     for k, cos, sin in zip(ks, cosines, sines):
         step = math.pi * k * inv_scale
-        for n in range(degree + 1):
+        for n, power in enumerate(_powers(step, degree + 1).tolist()):
             # the n-th derivative of cos: cos, -sin, -cos, sin
-            factor = (2.0 if n % 4 in (0, 3) else -2.0) * step ** n / math.factorial(n)
+            factor = (2.0 if n % 4 in (0, 3) else -2.0) * power / math.factorial(n)
             np.multiply(sin if n % 2 else cos, factor, out=part)
             out[n] += part
     out[0] += m % 2

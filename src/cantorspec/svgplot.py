@@ -22,8 +22,7 @@ def _fmt(x: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    # lo < hi: the bounds of a _Frame
     raw = (hi - lo) / max(n - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((m for m in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if m >= raw), default=raw)
@@ -38,11 +37,9 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
 
 class _Frame:
     def __init__(self, xlo, xhi, ylo, yhi):
-        if xhi <= xlo:
-            xhi = xlo + 1.0
-        if yhi <= ylo:
-            yhi = ylo + 1.0
-        self.xlo, self.xhi, self.ylo, self.yhi = xlo, xhi, ylo, yhi
+        # an empty range widened by 1, or past 2^53, where lo + 1 rounds to lo, by one ulp of lo
+        (self.xlo, self.xhi), (self.ylo, self.yhi) = (
+            (lo, lo + max(1.0, math.ulp(lo)) if hi <= lo else hi) for lo, hi in ((xlo, xhi), (ylo, yhi)))
 
     def px(self, x: float) -> float:
         return _ML + (x - self.xlo) / (self.xhi - self.xlo) * (_W - _ML - _MR)

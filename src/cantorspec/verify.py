@@ -49,8 +49,9 @@ import numpy as np
 
 from .core import BudgetExceededError, ScalePair, _Scales, _to_float, check_growth
 from .fourier import (_TAYLOR_TOL, SERIES_THETA, TWO_PI, FilterFamily, H_sq_tables, HSqTables,
-                      _root_angles, eval_H_sq_tables, eval_taylor, root_complement, root_series,
-                      root_series_taylor, signed_root_taylor, truncation_target, uniform_family)
+                      _powers, _root_angles, eval_H_sq_tables, eval_taylor, root_complement,
+                      root_series, root_series_taylor, signed_root_taylor, truncation_target,
+                      uniform_family)
 from .spectra import (TreeMapping, _elements_of, _table_nodes, check_word_budget,
                       validate_tree_mapping, word_count)
 
@@ -264,11 +265,11 @@ class _Tree:
     D_j rho_n that xi is divided by and ``size[t]`` its node count; ``ends[n]``
     is the tree level that ends level n, where size is P_n.  These come from
     the table labels alone (read once, :func:`_table_labels`), for every level
-    to ``level``; ``table`` keeps the labels by word length, exact, and
-    ``deep`` those past ``level``, which the tail walk reads (:func:`_tail_inputs`).
+    to ``level``; ``table`` keeps the labels by word length, exact, those past
+    ``level`` included, which the tail walk reads (:func:`_tail_inputs`).
     ``extremes[k]`` is (least, largest) of the labels of word length k, exact: of
     the digits 0..d_k - 1 and the table labels to ``level``, of 0 and the table
-    labels past it, for every k to ``level`` and every k of ``deep``; the range check
+    labels past it, for every k to ``level`` and every k of ``table``; the range check
     and the tail plan read these bounds, and no other reader forms them.  A level
     below ``level`` whose d_n does not divide b_n raises a ValueError
     (:func:`_check_divides`).
@@ -284,7 +285,6 @@ class _Tree:
         self.scales = scales.upto(level)
         self.filters, self.level = filters, level
         self.table = _table_labels(tm, self.scales, level)
-        self.deep = {k: v for k, v in self.table.items() if k > level}
         self.extremes = {n: (0, scales.d[n] - 1) for n in range(1, level + 1)}  # the digits
         for k, (_, labels) in self.table.items():
             values = [*self.extremes.get(k, (0, 0)), *labels.tolist()]
@@ -544,7 +544,7 @@ def _tail_plan(tree: _Tree, depth: int, xmax: float, budget: int):
     Where u_k is reduced by q_{k-1}, d_{k-1} must divide b_{k-1} (:func:`_check_divides`);
     the tree has checked its own levels, so the plan checks those past it."""
     scales, level, nodes = tree.scales.upto(depth), tree.level, tree.size[-1]
-    explicit, last_label, lo, hi = [], max(tree.deep, default=0), 0.0, 0.0
+    explicit, last_label, lo, hi = [], max(tree.table, default=0), 0.0, 0.0
     for k in range(1, depth + 1):
         d, q = scales.d[k], _to_float(scales.q[k - 1])
         if _to_float(d) == math.inf:
@@ -582,8 +582,8 @@ def _tail_inputs(tree: _Tree, group: _Group, last: int, u: np.ndarray, lam: np.n
     scales, us, lam = tree.scales.upto(last), [], lam.copy()
     for k in range(tree.level + 1, last + 1):
         u = u / _to_float(scales.q[k - 1])
-        if k in tree.deep:
-            at, labels = group.part(*tree.deep[k])
+        if k in tree.table:
+            at, labels = group.part(*tree.table[k])
             labels = labels.astype(float)
             u[at] += labels
             lam[at] += labels * _to_float(scales.rho[k])
@@ -639,7 +639,7 @@ def _reach_floats(scales: _Scales, targets: np.ndarray) -> np.ndarray:
 def _trim(table: np.ndarray) -> np.ndarray:
     # the coefficient rows of ``table`` through the least degree past which every
     # entry's remaining terms sum to at most 2^-60 at every xi in [0, 1/2]
-    top = np.max(np.abs(table.reshape(len(table), -1)), axis=1) * 0.5 ** np.arange(len(table))
+    top = np.max(np.abs(table.reshape(len(table), -1)), axis=1) * _powers(0.5, len(table))
     tail = np.cumsum(top[::-1])[::-1]
     return table[:1 + next((k for k in range(len(table) - 1) if tail[k + 1] <= _TAYLOR_TOL), len(table) - 1)]
 
@@ -743,7 +743,7 @@ def _tail_polynomials(scales: _Scales, explicit, series: _Series | None, us, cou
         root, rest = np.ones((1, count)), np.full((1, count), -0.0)
     else:
         rest = series.table(scales.d[series.k0] * us[-1])
-        rest *= (1.0 / _to_float(scales.rho[series.k0])) ** np.arange(len(rest))[:, None]
+        rest *= _powers(1.0 / _to_float(scales.rho[series.k0]), len(rest))[:, None]
         root = -rest
         root[0] += 1.0
     for (k, degree, subs), v in zip(explicit, us):

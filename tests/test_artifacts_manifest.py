@@ -2,14 +2,18 @@
 difference, and a failed ``report`` op or a passing negative control fails either mode.
 
 The runs themselves are CI's: ``python tools/artifacts.py --check`` against the
-checked-in manifest on the numpy version it records, then on every Python of the
-matrix a plain run, which rewrites the manifest, and a ``--check`` run in a fresh
-process, which compares every artifact with it.  These tests keep the manifest and
-the op list in step and the tool's report exact, at no run cost.
+checked-in manifest on the numpy version it records, at each CPU dispatch level, then
+on every Python of the matrix a plain run, which rewrites the manifest, and a
+``--check`` run in a fresh process, which compares every artifact with it.  These
+tests keep the manifest and the op list in step and the tool's report exact, at no
+run cost, save one op run at each dispatch level.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,3 +99,23 @@ def test_a_negative_control_that_does_not_exit_1_fails_either_mode(tmp_path, mon
                    "0 differences over 4 ops", *tool.failed_controls(got)]
     monkeypatch.setattr(tool, "run", lambda: _manifest((controls[0], 1)))
     assert tool.main([]) == tool.main(["--check"]) == 0
+
+
+def test_one_op_is_byte_identical_at_every_cpu_dispatch_level(tmp_path):
+    # numpy picks some float64 kernels (np.power with an array exponent among them) by the
+    # CPU at run time; completeness on mu93 at --level 10, whose tail series forms powers,
+    # wrote a worst_gap one ulp apart on the AVX512 and the AVX2 paths.  Each run is a
+    # fresh process under -W error, as numpy warns on a feature name it does not dispatch
+    levels = _load_artifacts().dispatch_levels()
+    assert levels[0] == "" and len(set(levels)) == len(levels)
+    written = []
+    for i, level in enumerate(levels):
+        out = tmp_path / str(i)
+        subprocess.run([sys.executable, "-W", "error", "-m", "cantorspec.cli", "completeness", "--pair",
+                        str(ROOT / "demos" / "configs" / "mu93.json"), "--level", "10", "--out", str(out)],
+                       check=True, capture_output=True, timeout=30,
+                       env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "NPY_DISABLE_CPU_FEATURES": level})
+        written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert len(written[0]) == 3
+    for level, files in zip(levels[1:], written[1:]):
+        assert files == written[0], f"NPY_DISABLE_CPU_FEATURES={level!r}"

@@ -153,7 +153,21 @@ def test_spectrum_plots_whenever_the_frequencies_fit_a_float(tmp_path, b, table,
 
 
 def test_ticks_of_an_empty_range_are_those_of_one_unit_above_it():
-    assert svgplot._ticks(0.3, 0.3) == svgplot._ticks(0.3, 1.3)
+    # the frame widens an empty range once, and its ticks read the frame's bounds
+    frame = svgplot._Frame(0.3, 0.3, -2.0, -2.0)
+    assert (frame.xlo, frame.xhi, frame.ylo, frame.yhi) == (0.3, 0.3 + 1.0, -2.0, -1.0)
+    assert svgplot._ticks(frame.xlo, frame.xhi) == svgplot._ticks(0.3, 1.3)
+
+
+@pytest.mark.parametrize("x", [2.0 ** 62, -2.0 ** 62, 2.0 ** 53])
+def test_a_constant_axis_past_2_pow_53_is_plotted(x):
+    # lo + 1 rounds back to lo past 2^53, so the frame widens by one ulp of lo there;
+    # it used to keep the range empty, and its ticks to raise a math domain error
+    frame = svgplot._Frame(x, x, 0.0, 1.0)
+    assert frame.xhi == x + math.ulp(x) > frame.xlo
+    for svg in (svgplot.scatter([x] * 2, [0.0, 1.0], "t", "x", "y"),
+                svgplot.line_chart([("a", [x] * 2, [0.0, 1.0])], "t", "x", "y")):
+        assert svg.startswith("<svg") and svg.endswith("</svg>")
 
 
 def test_spectrum_budget_exceeded(mu42, tmp_path):

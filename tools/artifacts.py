@@ -2,6 +2,7 @@
 
     python tools/artifacts.py            # rewrite tools/artifacts.json
     python tools/artifacts.py --check    # compare a run with tools/artifacts.json
+    python tools/artifacts.py --levels   # list the CPU dispatch levels numpy offers here
 
 Runs each op of :func:`ops` in-process, as the benchmark does
 (``perfbench/workloads.py``'s ``run_op``), each into its own directory of a
@@ -18,6 +19,11 @@ CI runs ``--check`` against the checked-in manifest on the numpy version it
 records, then, on every Python of its matrix, a plain run and a ``--check`` run
 in a fresh process, so that every op's artifacts are byte-identical across two
 processes.  These are the only CLI invocations CI runs.
+
+numpy picks some float64 kernels by the CPU at run time.  ``--levels`` prints one
+value of ``NPY_DISABLE_CPU_FEATURES`` a line, one for each dispatch level this CPU
+offers (:func:`dispatch_levels`); CI runs ``--check`` under each, so the bytes do not
+depend on the CPU's vector width either.
 """
 
 from __future__ import annotations
@@ -198,7 +204,23 @@ def failed_controls(manifest: dict) -> list[str]:
             for rec in manifest["ops"] if rec["op"] in controls and rec["exit"] != 1]
 
 
+def dispatch_levels() -> list[str]:
+    """The values of ``NPY_DISABLE_CPU_FEATURES`` that select each dispatch level numpy
+    offers on this CPU, from the highest (nothing disabled) to the baseline: each
+    disables the dispatch targets this CPU supports from one of them upward.  Only names
+    of numpy's ``__cpu_dispatch__`` appear, as numpy warns on any other."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    targets = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    return [" ".join(targets[i:]) for i in range(len(targets), -1, -1)]
+
+
 def main(argv: list[str]) -> int:
+    if argv == ["--levels"]:
+        print(*dispatch_levels(), sep="\n")
+        return 0
     if argv not in ([], ["--check"]):
         print(__doc__.strip(), file=sys.stderr)
         return 2

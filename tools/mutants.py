@@ -115,6 +115,12 @@ MUTANTS = [
            "(np.pi * s[near]) ** 2 / 6.0)", "(np.pi * s[near]) ** 2 / 3.0)",
            ("tests/test_fourier.py::test_eval_H_array_guard_band_within_2_pow_52_of_mpmath",),
            "H_m within 1e-9 of an integer must stay within 2^-52 of mpmath"),
+    Mutant("powers by np.power with an array exponent", _FOURIER,
+           "return np.multiply.accumulate(rows)",
+           "return np.power(rows, np.arange(count).reshape(-1, *[1] * np.ndim(x)))",
+           ("tests/test_fourier.py::test_powers_are_repeated_products_bit_for_bit",),
+           "every power of the completeness path is a row of repeated products, whose bits no "
+           "CPU dispatch level moves; np.power's kernel differs from them in about half the entries"),
     Mutant("tail factored without the budget's cap", _VERIFY,
            "_sub_levels(scales, k, max(3, 2 * budget // nodes + 1))", "_sub_levels(scales, k)",
            ("tests/test_cli.py::test_a_composite_tail_level_exits_2_after_trial_division_to_the_cap",),
