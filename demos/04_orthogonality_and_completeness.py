@@ -47,5 +47,5 @@ print("bounded by 1 + slack:", report.bounded)
 print(f"worst gap at L=10: {report.worst_gap:.3e} (at xi={report.worst_gap_xi})")
 
 # a non-orthogonal set overshoots 1 instead
-q = sum(mu_hat(pair, 0.0 + lam, 1e-12).modulus**2 for lam in (0, 8))
+q = sum(abs(mu_hat(pair, 0.0 + lam, 1e-12).value)**2 for lam in (0, 8))
 print(f"\nfor the non-orthogonal {{0, 8}}: sum |muhat|^2 at xi=0 is {q:.4f} > 1")

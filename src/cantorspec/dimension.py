@@ -105,9 +105,6 @@ class IntervalFamily:
     levels: tuple[tuple[tuple[tuple[int, ...], Fraction, Fraction], ...], ...]
     ratios: tuple[Fraction, ...]
 
-    def intervals(self, n: int):
-        return self.levels[n]
-
 
 def build_intervals(pair: ScalePair, depth: int, budget: int = 10**6) -> IntervalFamily:
     """Construct the interval family down to ``depth`` in exact arithmetic."""

@@ -433,10 +433,6 @@ class TruncatedValue:
     radius: float
     levels: int
 
-    @property
-    def modulus(self) -> float:
-        return abs(self.value)
-
 
 def truncation_target(xi, tol: float):
     """The scale 4 pi |xi| / min(tol, 1) that rho_{N+1} must reach in

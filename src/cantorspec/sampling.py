@@ -41,7 +41,6 @@ def truncation_radius(pair: ScalePair, depth: int) -> float:
 @dataclass(frozen=True)
 class SampleSet:
     values: np.ndarray
-    pair: ScalePair
     depth: int
     radius: float
 
@@ -75,7 +74,7 @@ def sample_measure(pair: ScalePair, count: int, seed: int = 0) -> SampleSet:
     for block in np.split(values, range(BLOCK, count, BLOCK)):  # views of values
         for gen, d, scale in levels:
             block += gen.integers(0, d, size=len(block), dtype=np.int64) * scale
-    return SampleSet(values=values, pair=pair, depth=depth, radius=truncation_radius(pair, depth))
+    return SampleSet(values=values, depth=depth, radius=truncation_radius(pair, depth))
 
 
 def _values_of(samples) -> np.ndarray:

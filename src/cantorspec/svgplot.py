@@ -27,12 +27,8 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((m for m in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if m >= raw), default=raw)
     start = math.ceil(lo / step) * step
-    out = []
-    t = start
-    while t <= hi + 1e-12 * step and len(out) <= n:  # t + step == t once |t| > 2^53 step
-        out.append(t)
-        t += step
-    return out or [lo, hi]
+    count = min(int((hi + 1e-12 * step - start) // step) + 1, n + 1)
+    return sorted({start + i * step for i in range(count)}) or [lo, hi]
 
 
 class _Frame:

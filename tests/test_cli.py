@@ -170,6 +170,17 @@ def test_a_constant_axis_past_2_pow_53_is_plotted(x):
         assert svg.startswith("<svg") and svg.endswith("</svg>")
 
 
+
+@pytest.mark.parametrize("x", [2.0 ** 62, 2.0 ** 53])
+def test_a_constant_axis_past_2_pow_53_draws_each_tick_once(x):
+    # the ticks' step is below half an ulp of x there: a loop adding it left the tick in
+    # place, and only a count guard ended it, seven ticks of one value stacked in one place
+    frame = svgplot._Frame(x, x, 0.0, 1.0)
+    ticks = svgplot._ticks(frame.xlo, frame.xhi)
+    assert len(set(ticks)) == len(ticks) >= 2
+    elements = svgplot.scatter([x] * 2, [0.0, 1.0], "t", "x", "y").splitlines()
+    assert len(set(elements)) == len(elements)
+
 def test_spectrum_budget_exceeded(mu42, tmp_path):
     assert run(["spectrum", "--pair", mu42, "--level", "21",
                 "--out", str(tmp_path / "o")]) == 2
@@ -391,7 +402,7 @@ def test_sample_fails_outside_its_5_sigma_band(mu42, tmp_path, monkeypatch, band
     mean = float(cli.sampling.exact_mean(pair)) + bands * 5.0 * sigma / math.sqrt(count)
     values = mean + sigma * np.tile([-1.0, 1.0], count // 2)
     monkeypatch.setattr(cli.sampling, "sample_measure",
-                        lambda pair, count, seed: cli.sampling.SampleSet(values, pair, 30, 0.0))
+                        lambda pair, count, seed: cli.sampling.SampleSet(values, 30, 0.0))
     out = tmp_path / "out"
     assert run(["sample", "--pair", mu42, "--count", str(count), "--out", str(out)]) == code
     report = json.loads((out / "sample_report.json").read_text())
@@ -468,6 +479,25 @@ def test_samples_csv_is_streamed(tmp_path):
     assert streamed == (tmp_path / "listed" / "samples.csv").read_bytes()
     assert len(streamed.splitlines()) == count + 1
 
+
+
+def test_the_sample_check_holds_one_array_of_samples(tmp_path):
+    # tracemalloc peaks in arrays of 10^6 samples: np.std's x - mean held a second array in
+    # the check (2.09), and np.histogram's 64 Ki-sample blocks 0.29 more in its writer (the
+    # samples.csv writer's bound is test_samples_csv_is_streamed's)
+    count = 10**6
+    pair = constant_pair(4, 2)
+    tracemalloc.start()
+    try:
+        _, _, (_, write_histogram) = cli._check_sample(pair, canonical_tau(pair),
+                                                       argparse.Namespace(count=count, seed=5))
+        check = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        write_histogram(tmp_path)
+        written = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check <= 1.3 * 8 * count and written <= 1.2 * 8 * count
 
 def test_tree_flag(mu42, tmp_path):
     tree = tmp_path / "tree.json"
@@ -669,6 +699,30 @@ def test_a_composite_tail_level_exits_2_after_trial_division_to_the_cap(tmp_path
     # the cap of 10^6 + 1 of the default budget, short of its factor 2^31 - 1
     _tail_run(tmp_path, "explicit_composite_tail", "completeness", "--level", "1")
 
+
+
+@pytest.mark.parametrize("alpha", ["1e-09", "1e-07"])
+def test_a_tiny_alpha_exits_2_at_once(tmp_path, alpha):
+    # b_1 = 2^ceil(1 / alpha) passes the cap of 2^20 bits on one b_n: it used to be formed,
+    # ending in a MemoryError traceback (exit 1) at 1e-9 and running past 30 s at 1e-7.  The
+    # child's address space is capped, and main must return within 1 s of its start
+    pair, out = tmp_path / "pair.json", tmp_path / "o"
+    pair.write_text(f'{{"kind": "alpha", "alpha": {alpha}}}')
+    code = ("import resource, sys, time\n"
+            "from cantorspec.cli import main\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "start = time.perf_counter()\n"
+            "code = main(sys.argv[1:])\n"
+            "sys.exit(code if time.perf_counter() - start < 1.0 else 99)\n")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, "pair", "--pair", str(pair),
+                           "--level", "3", "--out", str(out)],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 2 and not out.exists()
+    assert proc.stderr.splitlines() == [
+        f"error: alpha = {alpha}: the exponent ceil(n / alpha) of b_n passes 2^20 bits at level 1"]
 
 def test_cli_import_does_not_load_mpmath():
     # mpmath is a test extra; the series coefficients come from exact fractions

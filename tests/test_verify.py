@@ -369,7 +369,7 @@ def test_q_trend_matches_high_precision_oracle():
 
 def test_q_of_non_orthogonal_set_exceeds_one():
     # {0, 8} fails orthogonality, and its completeness sum overshoots 1
-    q0 = sum(mu_hat(MU42, 0.0 + lam, 1e-12).modulus ** 2 for lam in (0, 8))
+    q0 = sum(abs(mu_hat(MU42, 0.0 + lam, 1e-12).value) ** 2 for lam in (0, 8))
     assert q0 > 1 + 1e-6
 
 

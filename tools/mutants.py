@@ -98,14 +98,25 @@ MUTANTS = [
            ("tests/test_cli.py::test_sample_fails_outside_its_5_sigma_band",),
            "a mean 1.5 bands off the exact mean must fail"),
     Mutant("sample band 50 sigma", _CLI,
-           "band = 5.0 * float(np.std(samples.values))", "band = 50.0 * float(np.std(samples.values))",
+           "band = 5.0 * math.sqrt(variance)", "band = 50.0 * math.sqrt(variance)",
            ("tests/test_cli.py::test_sample_fails_outside_its_5_sigma_band",),
            "the 5-sigma band is pinned, and printed in sample_report.json"),
+    Mutant("sample band by np.std", _CLI,
+           "band = 5.0 * math.sqrt(variance) / math.sqrt(args.count)",
+           "band = 5.0 * float(np.std(samples.values)) / math.sqrt(args.count)",
+           ("tests/test_cli.py::test_the_sample_check_holds_one_array_of_samples",),
+           "np.std forms x - mean of all the samples, a second array of them: the check's "
+           "tracemalloc peak at 10^6 samples is 2.09 arrays against the bound of 1.3"),
     Mutant("dyadic b exponent one higher", _CORE,
            "exponent = max(n + 1, -(-n * q // p))", "exponent = max(n + 1, -(-n * q // p) + 1)",
            ("tests/test_core.py::test_alpha_rule_scales_equal_the_fraction_ceiling",
             "tests/test_core.py::test_alpha_pair_level_values"),
            "b_n = 2^max(n + 1, ceil(n / alpha)) is pinned in exact integers"),
+    Mutant("alpha-rule exponent guarded by sys.maxsize", _CORE,
+           "if exponent > _MAX_BITS:", "if exponent > (1 << 63) - 1:",
+           ("tests/test_cli.py::test_a_tiny_alpha_exits_2_at_once",),
+           "b_1 = 2^ceil(1 / alpha) at alpha = 1e-9 must exit 2 at once, not end in a MemoryError "
+           "traceback, and at 1e-7 not run past the test's 10 s"),
     Mutant("filter certificate ignores its normalization", _FOURIER,
            "if norm_defect > _QMF_TOL:", "if False:",
            ("tests/test_fourier.py::test_a_filter_off_its_normalization_is_rejected",),
