@@ -7,7 +7,7 @@ artifacts)``, where each artifact is an unevaluated writer taking the output
 directory.  One driver loads the configuration, runs the check, writes its
 artifacts (CSV/JSON, plus presentation-only SVG charts) and then
 ``<name>_report.json``: the resolved flags, the payload and ``passed``.  A CSV
-artifact is a ``_Table`` of columns, lists or the checks' arrays, and
+artifact is given by its columns, lists or the checks' arrays, and
 ``_write_csv`` formats and writes its rows 4,096 at a time, so that no list of
 rows is built; a JSON artifact is formatted whole before its file is opened.
 ``report`` runs the other checks at its own levels and keeps only their
@@ -78,29 +78,18 @@ def _write_json(outdir: Path, name: str, payload: dict):
 _ROWS = 1 << 12
 
 
-class _Table:
-    """The rows of a CSV given by its columns, each a list or a 1-D array, all of one
-    length; len() is the row count.  A cell is a Python int, float or string or a
-    Fraction, whose ``str`` is the text :mod:`csv` writes for it; array columns become
-    lists in :func:`_write_csv`, as the ``str`` of a numpy scalar follows numpy's print
-    options."""
-
-    def __init__(self, *columns):
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-
-def _write_csv(outdir: Path, name: str, header: list[str], table: _Table):
+def _write_csv(outdir: Path, name: str, header: list[str], *columns):
     """The bytes ``csv.writer(fh, lineterminator="\\n")`` writes for ``header`` and the
-    rows of ``table``, none of whose cells needs quoting: each block of :data:`_ROWS`
+    rows whose columns are ``columns``, each a list or a 1-D array, all of one length.  A
+    cell is a Python int, float or string or a Fraction, whose ``str`` is the text
+    :mod:`csv` writes for it, and needs no quoting; array columns become lists, as the
+    ``str`` of a numpy scalar follows numpy's print options.  Each block of :data:`_ROWS`
     rows is formatted cell by cell with ``str`` and written as one ``str.join``."""
     with open(outdir / name, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), _ROWS):
+        for start in range(0, len(columns[0]), _ROWS):
             cells = [map(str, c[start:start + _ROWS].tolist() if isinstance(c, np.ndarray)
-                         else c[start:start + _ROWS]) for c in table.columns]
+                         else c[start:start + _ROWS]) for c in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -141,7 +130,7 @@ def _check_spectrum(pair, tm, args):
     level = enumerate_level(tm, args.level, budget=args.budget)
     elements = level.elements
     name = f"spectrum_L{args.level}"
-    artifacts = [lambda out: _write_csv(out, f"{name}.csv", ["lambda"], _Table(elements))]
+    artifacts = [lambda out: _write_csv(out, f"{name}.csv", ["lambda"], elements)]
     xs = _as_floats(elements) if len(elements) >= 2 else None
     if xs is not None:
         artifacts.append(lambda out: _write_svg(out, f"{name}.svg", svgplot.scatter(
@@ -185,10 +174,9 @@ def _check_partition(pair, tm, args):
     worst = float(np.max(defects))  # nan propagates
     # the rows of level 1 at every xi, then of level 2, ...; each xi formatted once, as
     # csv.writer would
-    artifacts.append(lambda out: _write_csv(
-        out, "partition.csv", ["xi", "L", "sum", "defect"],
-        _Table([repr(xi) for xi in xis] * args.level, np.repeat(np.arange(1, args.level + 1), len(xis)),
-               totals.T.ravel(), defects.T.ravel())))
+    artifacts.append(lambda out: _write_csv(out, "partition.csv", ["xi", "L", "sum", "defect"],
+        [repr(xi) for xi in xis] * args.level, np.repeat(np.arange(1, args.level + 1), len(xis)),
+        totals.T.ravel(), defects.T.ravel()))
     payload.update(worst_defect=worst, tolerance=args.tol)
     return worst <= args.tol, payload, artifacts
 
@@ -203,11 +191,10 @@ def _check_completeness(pair, tm, args):
         "worst_gap": report.worst_gap,
         "worst_gap_xi": report.worst_gap_xi,
     }, [
-        lambda out: _write_csv(
-            out, "completeness.csv", ["xi", "L", "Q", "certified_slack"],
-            # each xi formatted once, as csv.writer would; the rows of a point are consecutive
-            _Table([text for xi in grid for text in [repr(xi)] * args.level],
-                   levels * len(grid), report.q.ravel(), report.slack.ravel())),
+        # each xi formatted once, as csv.writer would; the rows of a point are consecutive
+        lambda out: _write_csv(out, "completeness.csv", ["xi", "L", "Q", "certified_slack"],
+                               [text for xi in grid for text in [repr(xi)] * args.level],
+                               levels * len(grid), report.q.ravel(), report.slack.ravel()),
         lambda out: _write_svg(out, "completeness.svg", svgplot.line_chart(
             [(f"xi={grid[k]:g}", levels, report.q[k].tolist())
              for k in (0, len(grid) // 2, len(grid) - 1)],
@@ -226,9 +213,9 @@ def _check_dimension(pair, tm, args):
     def write_intervals(out):
         depth = _capped_level(pair, 6, cap=min(args.budget, 4096))
         family = dim.build_intervals(pair, depth, budget=args.budget)
-        words, lows, highs = zip(*family.levels[family.depth])
+        words, lows, highs = zip(*family.levels[-1])
         _write_csv(out, "intervals.csv", ["word", "left", "right"],
-                   _Table(["".join(map(str, word)) if word else "()" for word in words], lows, highs))
+                   ["".join(map(str, word)) if word else "()" for word in words], lows, highs)
 
     return agree, {
         "formula_liminf_proxy": formula.liminf_proxy,
@@ -238,7 +225,7 @@ def _check_dimension(pair, tm, args):
         "box_intervals": str(box.interval_count),
         "agree_within_0.05": agree,
     }, [
-        lambda out: _write_csv(out, "dimension_ratios.csv", ["N", "s_N"], _Table(ns, ratios)),
+        lambda out: _write_csv(out, "dimension_ratios.csv", ["N", "s_N"], ns, ratios),
         lambda out: _write_svg(out, "dimension_ratios.svg", svgplot.line_chart(
             [("s_N", ns, ratios)], "dimension ratio convergence", "N", "s_N")),
         write_intervals,
@@ -271,7 +258,7 @@ def _check_sample(pair, tm, args):
         edges = np.histogram_bin_edges(samples.values, bins=64)
         counts = sum(np.bincount(np.searchsorted(edges[1:-1], b, "right"), minlength=64) for b in blocks)
         _write_csv(out, "histogram.csv", ["bin_left", "bin_right", "count"],
-                   _Table(edges[:-1], edges[1:], counts))
+                   edges[:-1], edges[1:], counts)
         _write_svg(out, "histogram.svg",
                    svgplot.histogram([float(e) for e in edges], [int(c) for c in counts],
                                      "sample histogram", "x", "count"))
@@ -283,7 +270,7 @@ def _check_sample(pair, tm, args):
         "mean": mean,
         "expected_mean": expected,
         "band_5sigma": band,
-    }, [lambda out: _write_csv(out, "samples.csv", ["x"], _Table(samples.values)),
+    }, [lambda out: _write_csv(out, "samples.csv", ["x"], samples.values),
         write_histogram]
 
 

@@ -82,8 +82,9 @@ class ScalePair:
         return self.b_prefix[-1], self.d_prefix[-1]
 
 
-# the most bits of one alpha-rule b_n: rho_n multiplies the b_j before it, so b_n of 10^7 bits
-# (alpha = 1e-7) run out of memory or time; the alpha = 0 rule forms 89,787 at level 173
+# the most bits of one alpha-rule b_n, at every alpha: rho_n multiplies the b_j before it, so
+# b_n of 10^7 bits (alpha = 1e-7) run out of memory or time; the alpha = 0 rule forms 89,787
+# bits at level 173 and passes the cap from level 592
 _MAX_BITS = 1 << 20
 
 
@@ -97,15 +98,14 @@ def _dyadic_rule(p: int, q: int, n: int) -> tuple[int, int]:
     sum_{j<=N} ln d_j / sum_{j<=N} ln b_j is within 0.02 of alpha by N = 40.
     Cached on alpha as integers: hashing a Fraction costs more than the rule.
     """
-    if p == 0:
-        return 1 << (3 * n * n), 1 << n
-    if p == q:
-        return 1 << (3 * n), 1 << (3 * n - 1)
-    exponent = max(n + 1, -(-n * q // p))  # b_n = 2^max(n + 1, ceil(n / alpha))
-    if exponent > _MAX_BITS:  # refused before the shift forms it
-        raise PairConstraintError(f"alpha = {p / q!r}: the exponent ceil(n / alpha) of b_n "
-                                  f"passes 2^20 bits at level {n}")
-    return 1 << exponent, 1 << n
+    # (the name of b_n's exponent, log2 b_n, log2 d_n) of alpha's profile; for 0 < alpha < 1,
+    # b_n = 2^max(n + 1, ceil(n / alpha))
+    name, b, d = (("3 n^2", 3 * n * n, n) if p == 0 else ("3 n", 3 * n, 3 * n - 1) if p == q
+                  else ("ceil(n / alpha)", max(n + 1, -(-n * q // p)), n))
+    if b > _MAX_BITS:  # refused before the shift forms it
+        raise PairConstraintError(f"alpha = {p / q!r}: the exponent {name} of b_n passes 2^20 bits "
+                                  f"at level {n}")
+    return 1 << b, 1 << d
 
 
 def rho(pair: ScalePair, n: int) -> int:

@@ -50,10 +50,12 @@ def _tail_numerators(pair: ScalePair, n_max: int) -> tuple[list[int], int, int]:
     need = math.ceil(2.0 / _REL_TOL)
     m = n_max + 4
     while True:
+        # (b_j, d_j) formed in level order, so that the first level the pair refuses is named
+        bd = [(pair.b(j), pair.d(j)) for j in range(1, m + 1)]
         u = [0] * (m + 2)
         tail = 1
         for j in range(m, 0, -1):
-            b_j, d_j = pair.b(j), pair.d(j)
+            b_j, d_j = bd[j - 1]
             u[j] = u[j + 1] + (d_j - 1) * (b_j * tail // d_j)
             tail *= b_j
         if u[n_max + 1] >= need:
@@ -95,13 +97,13 @@ def rescale_constant(pair: ScalePair) -> Fraction:
 
 @dataclass(frozen=True)
 class IntervalFamily:
-    """Closed intervals J_word for every word up to ``depth``, exact endpoints.
+    """Closed intervals J_word for every word up to the depth ``len(levels) - 1``,
+    exact endpoints.
 
     ``levels[n]`` lists (word, left, right) for all length-n words in
     lexicographic order; ``levels[0]`` is the root [0, 1].
     """
 
-    depth: int
     levels: tuple[tuple[tuple[tuple[int, ...], Fraction, Fraction], ...], ...]
     ratios: tuple[Fraction, ...]
 
@@ -125,7 +127,7 @@ def build_intervals(pair: ScalePair, depth: int, budget: int = 10**6) -> Interva
                 lo = left + k * (child_len + gap)
                 children.append((word + (k,), lo, lo + child_len))
         levels.append(tuple(children))
-    return IntervalFamily(depth=depth, levels=tuple(levels), ratios=tuple(ratios))
+    return IntervalFamily(levels=tuple(levels), ratios=tuple(ratios))
 
 
 @dataclass(frozen=True)

@@ -276,7 +276,14 @@ def root_series(ms, ts) -> tuple[np.ndarray, float]:
     t = np.asarray(ts, dtype=float)
     inv_m = np.array([1.0 / _to_float(m) for m in ms])
     z_pow, inv_pow = (_powers(x, len(_SINC)).T for x in ((np.pi * t) ** 2, inv_m ** 2))
-    levels = [np.convolve(_SINC * z, _INVERSE_SINC * z * inv)[:len(_SINC)] for z, inv in zip(z_pow, inv_pow)]
+    # both products below form each coefficient as the sum of a_i b_(k-i) in ascending i, with
+    # no BLAS call: np.convolve's dot products run the kernel OpenBLAS picks for the CPU, whose
+    # bits differ between CPUs.  First the series of each level, sinc(z) times 1 / sinc(z / m),
+    # all levels in one pass; then their product, in Python floats
+    a, b = _SINC * z_pow, _INVERSE_SINC * z_pow * inv_pow
+    levels = np.zeros_like(a)
+    for i in range(len(_SINC)):
+        levels[:, i:] += a[:, i:i + 1] * b[:, :len(_SINC) - i]
     # T(theta), a level sinc(t theta) / sinc(t theta / m) in numpy's sinc(x) = sin(pi x) / (pi x)
     t_theta = float(np.prod((np.sinc(t * SERIES_THETA) / np.sinc(t * SERIES_THETA * inv_m)) ** 2))
     low = -sum(level[1] for level in levels) * t_theta
@@ -286,10 +293,14 @@ def root_series(ms, ts) -> tuple[np.ndarray, float]:
     while term * math.exp(h) > _TAYLOR_TOL / 4.0 * low * SERIES_THETA ** 2:
         term *= h * h / ((2 * count + 1) * (2 * count + 2))
         count += 1
-    out = np.ones(1)
-    for level in levels:
-        out = np.convolve(out, level[:count])[:count]
-    return out, low
+    out = [1.0]
+    for level in levels[:, :count].tolist():
+        product = [0.0] * count
+        for i, out_i in enumerate(out):
+            for k in range(i, count):
+                product[k] += out_i * level[k - i]
+        out = product
+    return np.array(out), low
 
 
 def series_remainder_bounds(ratio: np.ndarray, y0: np.ndarray, e: float) -> np.ndarray:
@@ -475,14 +486,11 @@ def _truncated_product(filters: FilterFamily, xs, tol: float) -> tuple[np.ndarra
     return values, radii, n_levels
 
 
-def _at_one(values: np.ndarray, radii: np.ndarray, n_levels: int) -> TruncatedValue:
-    return TruncatedValue(value=complex(values[0]), radius=float(radii[0]), levels=n_levels)
-
-
 def mu_hat(pair: ScalePair, xi: float, tol: float = 1e-10) -> TruncatedValue:
     """Product transform at xi, truncated with a certified error radius:
-    :func:`mu_hat_array` at the one argument xi."""
-    return _at_one(*_truncated_product(uniform_family(pair), [xi], tol))
+    :func:`phi_hat` of the uniform family, whose certificate holds at every depth, so
+    the value and radius of :func:`mu_hat_array` at the one argument xi."""
+    return phi_hat(uniform_family(pair), xi, tol)
 
 
 def mu_hat_array(pair: ScalePair, xs: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, int]:
@@ -656,13 +664,13 @@ def filter_family_from_config(pair: ScalePair, cfg: dict) -> FilterFamily:
 
 
 def phi_hat(filters: FilterFamily, xi: float, tol: float = 1e-10) -> TruncatedValue:
-    """Truncated product of a certified filter family at xi, with the error
-    radius of :func:`mu_hat`: :func:`_truncated_product`, which runs past the
-    explicit levels, so that only uniform levels are discarded.  The family is
+    """Truncated product of a certified filter family at xi, with a certified
+    error radius: :func:`_truncated_product`, which runs past the explicit
+    levels, so that only uniform levels are discarded.  The family is
     certified to the depth the product used; a FilterCertificationError when
     it fails."""
     values, radii, n_levels = _truncated_product(filters, [xi], tol)
     certificate = filters.certify(n_levels)
     if not certificate.ok:
         raise FilterCertificationError("; ".join(certificate.messages))
-    return _at_one(values, radii, n_levels)
+    return TruncatedValue(value=complex(values[0]), radius=float(radii[0]), levels=n_levels)

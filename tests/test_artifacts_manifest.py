@@ -2,19 +2,23 @@
 difference, and a failed ``report`` op or a passing negative control fails either mode.
 
 The runs themselves are CI's: ``python tools/artifacts.py --check`` against the
-checked-in manifest on the numpy version it records, at each CPU dispatch level, then
-on every Python of the matrix a plain run, which rewrites the manifest, and a
-``--check`` run in a fresh process, which compares every artifact with it.  These
-tests keep the manifest and the op list in step and the tool's report exact, at no
-run cost, save one op run at each dispatch level.
+checked-in manifest on the numpy version it records, at each CPU dispatch level and
+under OpenBLAS core types, then on every Python of the matrix a plain run, which
+rewrites the manifest, and a ``--check`` run in a fresh process, which compares every
+artifact with it.  These tests keep the manifest and the op list in step and the tool's
+report exact, at no run cost, save one op run at each dispatch level and one tail
+series under each OpenBLAS core type.
 """
 
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -119,3 +123,31 @@ def test_one_op_is_byte_identical_at_every_cpu_dispatch_level(tmp_path):
     assert len(written[0]) == 3
     for level, files in zip(levels[1:], written[1:]):
         assert files == written[0], f"NPY_DISABLE_CPU_FEATURES={level!r}"
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the OpenBLAS core types named are x86-64's")
+def test_tail_series_bytes_do_not_depend_on_the_openblas_kernel():
+    # np.convolve's dot products ran the ddot kernel OpenBLAS picks for the CPU, which
+    # OPENBLAS_CORETYPE overrides and NPY_DISABLE_CPU_FEATURES does not reach: mu42's tail
+    # series at --level 18 (m_k = 2, t_k = 4^-k over 18 levels) had three byte strings
+    # under Prescott, Haswell and SkylakeX, and its completeness report a worst_gap one ulp
+    # apart.  A core type is forced only where the CPU has its instructions, as one it lacks
+    # can end in an illegal instruction; None leaves OpenBLAS its own pick
+    features = _load_artifacts().umath().__cpu_features__
+    core_types = [None, "Prescott"]
+    if features.get("AVX2") and features.get("FMA3"):
+        core_types.append("Haswell")
+    if features.get("AVX512F"):
+        core_types.append("SkylakeX")
+    code = ("import sys\n"
+            "from cantorspec.fourier import root_series\n"
+            "series, low = root_series([2] * 18, [4.0 ** -k for k in range(18)])\n"
+            "sys.stdout.write(series.tobytes().hex() + ' ' + low.hex())\n")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    written = {core: subprocess.run([sys.executable, "-W", "error", "-c", code], check=True,
+                                    capture_output=True, text=True, timeout=30,
+                                    env=env if core is None else {**env, "OPENBLAS_CORETYPE": core}).stdout
+               for core in core_types}
+    assert len(set(written.values())) == 1, f"OPENBLAS_CORETYPE {list(written)}: {written}"

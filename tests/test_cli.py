@@ -447,12 +447,11 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, drawn, count
         # numpy's 1.13 print mode formats a numpy float with 12 digits, so a numpy scalar
         # that reached the formatter would show
         with np.printoptions(legacy="1.13"):
-            cli._write_csv(out, "table.csv", header, cli._Table(*columns))
+            cli._write_csv(out, "table.csv", header, *columns)
         write_oracle_csv(out / "oracle.csv", header,
                          zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns]))
     finally:
         sys.set_int_max_str_digits(limit)
-    assert len(cli._Table(*columns)) == count
     assert (out / "table.csv").read_bytes() == (out / "oracle.csv").read_bytes()
 
 
@@ -701,11 +700,19 @@ def test_a_composite_tail_level_exits_2_after_trial_division_to_the_cap(tmp_path
 
 
 
-@pytest.mark.parametrize("alpha", ["1e-09", "1e-07"])
-def test_a_tiny_alpha_exits_2_at_once(tmp_path, alpha):
+@pytest.mark.parametrize("alpha, argv, exponent, level", [
+    pytest.param("1e-09", ["pair", "--level", "3"], "ceil(n / alpha)", 1, id="1e-09"),
+    pytest.param("1e-07", ["pair", "--level", "3"], "ceil(n / alpha)", 1, id="1e-07"),
+    # the tails of dimension are formed in level order, so it names level 1 too, not M = 7
+    pytest.param("1e-09", ["dimension", "--level", "3"], "ceil(n / alpha)", 1, id="dimension-1e-09"),
+    # the alpha = 0 rule's b_n = 2^(3 n^2) passes the cap from level 592 on
+    pytest.param("0", ["pair", "--level", "592"], "3 n^2", 592, id="0-level-592"),
+])
+def test_a_tiny_alpha_exits_2_at_once(tmp_path, alpha, argv, exponent, level):
     # b_1 = 2^ceil(1 / alpha) passes the cap of 2^20 bits on one b_n: it used to be formed,
-    # ending in a MemoryError traceback (exit 1) at 1e-9 and running past 30 s at 1e-7.  The
-    # child's address space is capped, and main must return within 1 s of its start
+    # ending in a MemoryError traceback (exit 1) at 1e-9 and running past 30 s at 1e-7, and
+    # alpha = 0 at level 2000 ran 28 s.  The child's address space is capped, and main must
+    # return within 1 s of its start
     pair, out = tmp_path / "pair.json", tmp_path / "o"
     pair.write_text(f'{{"kind": "alpha", "alpha": {alpha}}}')
     code = ("import resource, sys, time\n"
@@ -716,13 +723,14 @@ def test_a_tiny_alpha_exits_2_at_once(tmp_path, alpha):
             "start = time.perf_counter()\n"
             "code = main(sys.argv[1:])\n"
             "sys.exit(code if time.perf_counter() - start < 1.0 else 99)\n")
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, "pair", "--pair", str(pair),
-                           "--level", "3", "--out", str(out)],
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, *argv, "--pair", str(pair),
+                           "--out", str(out)],
                           capture_output=True, text=True, timeout=10,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 2 and not out.exists()
     assert proc.stderr.splitlines() == [
-        f"error: alpha = {alpha}: the exponent ceil(n / alpha) of b_n passes 2^20 bits at level 1"]
+        f"error: alpha = {float(alpha)!r}: the exponent {exponent} of b_n passes 2^20 bits at level {level}"]
+
 
 def test_cli_import_does_not_load_mpmath():
     # mpmath is a test extra; the series coefficients come from exact fractions

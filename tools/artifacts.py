@@ -23,7 +23,9 @@ processes.  These are the only CLI invocations CI runs.
 numpy picks some float64 kernels by the CPU at run time.  ``--levels`` prints one
 value of ``NPY_DISABLE_CPU_FEATURES`` a line, one for each dispatch level this CPU
 offers (:func:`dispatch_levels`); CI runs ``--check`` under each, so the bytes do not
-depend on the CPU's vector width either.
+depend on the CPU's vector width either.  numpy's OpenBLAS picks its kernels by the
+CPU too, which ``NPY_DISABLE_CPU_FEATURES`` does not reach, so CI also runs ``--check``
+under ``OPENBLAS_CORETYPE`` Prescott, and Haswell on a CPU with AVX2 and FMA.
 """
 
 from __future__ import annotations
@@ -204,16 +206,23 @@ def failed_controls(manifest: dict) -> list[str]:
             for rec in manifest["ops"] if rec["op"] in controls and rec["exit"] != 1]
 
 
+def umath():
+    """numpy's ``_multiarray_umath``, whose ``__cpu_features__`` maps each CPU feature
+    numpy knows to whether this CPU has it."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    return _multiarray_umath
+
+
 def dispatch_levels() -> list[str]:
     """The values of ``NPY_DISABLE_CPU_FEATURES`` that select each dispatch level numpy
     offers on this CPU, from the highest (nothing disabled) to the baseline: each
     disables the dispatch targets this CPU supports from one of them upward.  Only names
     of numpy's ``__cpu_dispatch__`` appear, as numpy warns on any other."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
-    targets = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    numpy_cpu = umath()
+    targets = [name for name in numpy_cpu.__cpu_dispatch__ if numpy_cpu.__cpu_features__.get(name)]
     return [" ".join(targets[i:]) for i in range(len(targets), -1, -1)]
 
 

@@ -108,15 +108,20 @@ MUTANTS = [
            "np.std forms x - mean of all the samples, a second array of them: the check's "
            "tracemalloc peak at 10^6 samples is 2.09 arrays against the bound of 1.3"),
     Mutant("dyadic b exponent one higher", _CORE,
-           "exponent = max(n + 1, -(-n * q // p))", "exponent = max(n + 1, -(-n * q // p) + 1)",
+           "max(n + 1, -(-n * q // p))", "max(n + 1, -(-n * q // p) + 1)",
            ("tests/test_core.py::test_alpha_rule_scales_equal_the_fraction_ceiling",
             "tests/test_core.py::test_alpha_pair_level_values"),
            "b_n = 2^max(n + 1, ceil(n / alpha)) is pinned in exact integers"),
     Mutant("alpha-rule exponent guarded by sys.maxsize", _CORE,
-           "if exponent > _MAX_BITS:", "if exponent > (1 << 63) - 1:",
+           "if b > _MAX_BITS:", "if b > (1 << 63) - 1:",
            ("tests/test_cli.py::test_a_tiny_alpha_exits_2_at_once",),
            "b_1 = 2^ceil(1 / alpha) at alpha = 1e-9 must exit 2 at once, not end in a MemoryError "
            "traceback, and at 1e-7 not run past the test's 10 s"),
+    Mutant("alpha = 0 rule uncapped", _CORE,
+           "if b > _MAX_BITS:", "if b > _MAX_BITS and p != 0:",
+           ("tests/test_cli.py::test_a_tiny_alpha_exits_2_at_once",),
+           "the alpha = 0 rule's b_n = 2^(3 n^2) passes 2^20 bits from level 592: pair --level 592 "
+           "must exit 2 at once, not form it"),
     Mutant("filter certificate ignores its normalization", _FOURIER,
            "if norm_defect > _QMF_TOL:", "if False:",
            ("tests/test_fourier.py::test_a_filter_off_its_normalization_is_rejected",),
@@ -132,6 +137,16 @@ MUTANTS = [
            ("tests/test_fourier.py::test_powers_are_repeated_products_bit_for_bit",),
            "every power of the completeness path is a row of repeated products, whose bits no "
            "CPU dispatch level moves; np.power's kernel differs from them in about half the entries"),
+    Mutant("tail series levels multiplied by np.convolve", _FOURIER,
+           """        product = [0.0] * count
+        for i, out_i in enumerate(out):
+            for k in range(i, count):
+                product[k] += out_i * level[k - i]
+        out = product""",
+           "        out = np.convolve(out, level)[:count]",
+           ("tests/test_artifacts_manifest.py::test_tail_series_bytes_do_not_depend_on_the_openblas_kernel",),
+           "np.convolve's dot products run the ddot kernel OpenBLAS picks for the CPU, so the tail "
+           "series' bytes would follow OPENBLAS_CORETYPE"),
     Mutant("tail factored without the budget's cap", _VERIFY,
            "_sub_levels(scales, k, max(3, 2 * budget // nodes + 1))", "_sub_levels(scales, k)",
            ("tests/test_cli.py::test_a_composite_tail_level_exits_2_after_trial_division_to_the_cap",),
