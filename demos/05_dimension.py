@@ -22,7 +22,7 @@ pair = constant_pair(4, 2)
 ratios = gap_ratios(pair, 6)
 print("r_1 for (4,2):", ratios[0], "~", float(ratios[0]))
 family = build_intervals(pair, 2)
-for word, lo, hi in family.levels[1]:
+for word, lo, hi in family[1]:
     print(f"  J_{word} = [{float(lo):.6f}, {float(hi):.6f}]")
 print("rescale constant:", float(rescale_constant(pair)), "(exactly 2/3 in the limit)")
 

@@ -11,7 +11,7 @@ from .core import (BudgetExceededError, Issue, PairConstraintError, ScalePair,
                    explicit_pair, pair_from_config, rho,
                    validate_pair)
 from .dimension import (BeurlingEstimate, BoxCountFit, DimensionComparison,
-                        DimensionFormula, IntervalFamily, beurling_upper_dim,
+                        DimensionFormula, beurling_upper_dim,
                         beurling_vs_hausdorff, box_counting_dim,
                         build_intervals, gap_ratios, hausdorff_dim_formula,
                         rescale_constant)
@@ -35,7 +35,7 @@ __all__ = [
     "BeurlingEstimate", "BoxCountFit", "BudgetExceededError",
     "CompletenessReport", "DimensionComparison", "DimensionFormula",
     "FamilyCertificate", "FilterCertificationError", "FilterFamily",
-    "GrowthReport", "IntervalFamily", "Issue", "OrthogonalityReport",
+    "GrowthReport", "Issue", "OrthogonalityReport",
     "PairConstraintError", "PartitionResult", "QRow", "QmfReport",
     "SampleSet", "ScalePair", "SpectrumLevel", "TreeMapping",
     "TruncatedValue", "ValidationReport", "Word",

@@ -212,8 +212,7 @@ def _check_dimension(pair, tm, args):
 
     def write_intervals(out):
         depth = _capped_level(pair, 6, cap=min(args.budget, 4096))
-        family = dim.build_intervals(pair, depth, budget=args.budget)
-        words, lows, highs = zip(*family.levels[-1])
+        words, lows, highs = zip(*dim.build_intervals(pair, depth, budget=args.budget)[-1])
         _write_csv(out, "intervals.csv", ["word", "left", "right"],
                    ["".join(map(str, word)) if word else "()" for word in words], lows, highs)
 

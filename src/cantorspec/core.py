@@ -12,7 +12,6 @@ the double range instead of raising.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,7 +87,6 @@ class ScalePair:
 _MAX_BITS = 1 << 20
 
 
-@functools.lru_cache(maxsize=4096)
 def _dyadic_rule(p: int, q: int, n: int) -> tuple[int, int]:
     """Dyadic (b_n, d_n) for alpha = p/q, with d_n -> infinity and ln d_n / ln b_n -> alpha.
 
@@ -96,7 +94,6 @@ def _dyadic_rule(p: int, q: int, n: int) -> tuple[int, int]:
     >= 2.  The exponent slopes at the endpoints alpha = 0 and alpha = 1 are
     chosen steep enough that the cumulative ratio
     sum_{j<=N} ln d_j / sum_{j<=N} ln b_j is within 0.02 of alpha by N = 40.
-    Cached on alpha as integers: hashing a Fraction costs more than the rule.
     """
     # (the name of b_n's exponent, log2 b_n, log2 d_n) of alpha's profile; for 0 < alpha < 1,
     # b_n = 2^max(n + 1, ceil(n / alpha))

@@ -95,21 +95,12 @@ def rescale_constant(pair: ScalePair) -> Fraction:
     return Fraction(u[0], rho_top)
 
 
-@dataclass(frozen=True)
-class IntervalFamily:
-    """Closed intervals J_word for every word up to the depth ``len(levels) - 1``,
-    exact endpoints.
+def build_intervals(pair: ScalePair, depth: int, budget: int = 10**6) -> tuple[tuple[tuple, ...], ...]:
+    """The closed intervals J_word for every word up to ``depth``, exact endpoints.
 
-    ``levels[n]`` lists (word, left, right) for all length-n words in
-    lexicographic order; ``levels[0]`` is the root [0, 1].
+    Returns one tuple per level n = 0..depth: entry n lists (word, left, right)
+    for all length-n words in lexicographic order, and entry 0 is the root [0, 1].
     """
-
-    levels: tuple[tuple[tuple[tuple[int, ...], Fraction, Fraction], ...], ...]
-    ratios: tuple[Fraction, ...]
-
-
-def build_intervals(pair: ScalePair, depth: int, budget: int = 10**6) -> IntervalFamily:
-    """Construct the interval family down to ``depth`` in exact arithmetic."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     check_word_budget(pair, depth, budget, least=0)
@@ -127,7 +118,7 @@ def build_intervals(pair: ScalePair, depth: int, budget: int = 10**6) -> Interva
                 lo = left + k * (child_len + gap)
                 children.append((word + (k,), lo, lo + child_len))
         levels.append(tuple(children))
-    return IntervalFamily(levels=tuple(levels), ratios=tuple(ratios))
+    return tuple(levels)
 
 
 @dataclass(frozen=True)
@@ -278,10 +269,9 @@ def beurling_vs_hausdorff(tm: TreeMapping, level: int, budget: int = 10**6) -> D
     the level cardinalities.  A ValueError of :func:`beurling_upper_dim` when
     it holds fewer than two windows.
     """
-    pair = tm.pair
-    halves = [_to_float(r) / 2.0 for r in _Scales(pair).upto(level).rho[2:level + 1]]
-    grid = [h for h in halves if h < math.inf]
-    est = beurling_upper_dim(enumerate_level(tm, level, budget=budget), window_grid=grid)
-    formula = hausdorff_dim_formula(pair, _FORMULA_DEPTH).liminf_proxy
+    spectrum = enumerate_level(tm, level, budget=budget)  # its word budget is checked before rho is formed
+    halves = [_to_float(r) / 2.0 for r in _Scales(tm.pair).upto(level).rho[2:level + 1]]
+    est = beurling_upper_dim(spectrum, window_grid=[h for h in halves if h < math.inf])
+    formula = hausdorff_dim_formula(tm.pair, _FORMULA_DEPTH).liminf_proxy
     return DimensionComparison(beurling=est.slope, hausdorff=formula, slack=_BEURLING_SLACK,
                                passed=est.slope <= formula + _BEURLING_SLACK)

@@ -77,12 +77,9 @@ def _integer_guard(m: int, xs: np.ndarray):
     # signed distance s of each x to its nearest integer, exact (x - round(x)
     # by Sterbenz); s with the guarded entries moved to 1/4, where the closed form
     # is safe; then the masks of the entries at an integer and of those in the
-    # guard band where the series replaces the closed form, both None when no
-    # entry is within _INTEGER_GUARD of an integer
+    # guard band where the series replaces the closed form
     s = xs - np.round(xs)
     dist = np.abs(s)
-    if not np.any(dist < _INTEGER_GUARD):
-        return s, s, None, None
     at_integer = dist < _ZERO_CLAMP
     near = (dist < _INTEGER_GUARD) & ~at_integer if m <= _SERIES_MAX_TAPS else np.zeros_like(at_integer)
     return s, np.where(at_integer | near, 0.25, s), at_integer, near
@@ -100,14 +97,11 @@ def eval_H_array(m: int, xs: np.ndarray) -> np.ndarray:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if m == 1:
-        return np.ones_like(xs, dtype=complex)
     s, safe, at_integer, near = _integer_guard(m, xs)
     phase = np.exp(-1j * np.pi * (m - 1) * s)  # no singularity: taken at s itself
     vals = phase * np.sin(np.pi * m * safe) / (m * np.sin(np.pi * safe))
-    if at_integer is not None:
-        vals[at_integer] = 1.0
-        vals[near] = phase[near] * (1.0 - (m * m - 1) * (np.pi * s[near]) ** 2 / 6.0)
+    vals[at_integer] = 1.0
+    vals[near] = phase[near] * (1.0 - (m * m - 1) * (np.pi * s[near]) ** 2 / 6.0)
     return vals
 
 
@@ -121,9 +115,8 @@ def _H_sq_direct(m: int, xs: np.ndarray) -> np.ndarray:
     ms = m * safe
     ms -= np.rint(ms)  # pi m s mod pi: the sign it drops cancels in the square
     vals = (np.sin(np.pi * ms) / (m * np.sin(np.pi * safe))) ** 2
-    if at_integer is not None:
-        vals[at_integer] = 1.0
-        vals[near] = 1.0 - (m * m - 1) * (np.pi * s[near]) ** 2 / 3.0
+    vals[at_integer] = 1.0
+    vals[near] = 1.0 - (m * m - 1) * (np.pi * s[near]) ** 2 / 3.0
     return vals
 
 

@@ -115,7 +115,7 @@ class SpectrumLevel:
 
 
 def word_count(pair: ScalePair, level: int) -> int:
-    return math.prod(_Scales(pair).upto(level).d[1:level + 1])
+    return math.prod(pair.d(n) for n in range(1, level + 1))
 
 
 def check_word_budget(pair: ScalePair, level: int, budget: int, least: int):

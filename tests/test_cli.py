@@ -707,12 +707,17 @@ def test_a_composite_tail_level_exits_2_after_trial_division_to_the_cap(tmp_path
     pytest.param("1e-09", ["dimension", "--level", "3"], "ceil(n / alpha)", 1, id="dimension-1e-09"),
     # the alpha = 0 rule's b_n = 2^(3 n^2) passes the cap from level 592 on
     pytest.param("0", ["pair", "--level", "592"], "3 n^2", 592, id="0-level-592"),
+    # the word count and Beurling's window grid read the levels before rho is formed: the
+    # rho_n up to level 591 hold about 4 GB
+    *(pytest.param("0", [command, "--level", "592"], "3 n^2", 592, id=f"0-level-592-{command}")
+      for command in ["spectrum", "orthogonality", "partition", "completeness", "beurling"]),
 ])
 def test_a_tiny_alpha_exits_2_at_once(tmp_path, alpha, argv, exponent, level):
     # b_1 = 2^ceil(1 / alpha) passes the cap of 2^20 bits on one b_n: it used to be formed,
     # ending in a MemoryError traceback (exit 1) at 1e-9 and running past 30 s at 1e-7, and
-    # alpha = 0 at level 2000 ran 28 s.  The child's address space is capped, and main must
-    # return within 1 s of its start
+    # alpha = 0 at level 2000 ran 28 s; at level 592 five subcommands formed the rho list
+    # first, ending in a MemoryError traceback.  The child's address space is capped, and
+    # main must return within 1 s of its start
     pair, out = tmp_path / "pair.json", tmp_path / "o"
     pair.write_text(f'{{"kind": "alpha", "alpha": {alpha}}}')
     code = ("import resource, sys, time\n"

@@ -93,28 +93,28 @@ def test_gap_ratio_times_b_tends_to_one():
 
 def test_build_intervals_examples():
     family = build_intervals(MU42, 2)
-    (w0, l0, r0), (w1, l1, r1) = family.levels[1]
+    (w0, l0, r0), (w1, l1, r1) = family[1]
     assert w0 == (0,) and w1 == (1,)
     tolerance = Fraction(1, 10**14)
     assert l0 == 0 and abs(r0 - Fraction(1, 4)) < tolerance
     assert abs(l1 - Fraction(3, 4)) < tolerance and r1 == 1
-    level2 = family.levels[2]
+    level2 = family[2]
     assert len(level2) == 4
     for _, lo, hi in level2:
         assert abs((hi - lo) - Fraction(1, 16)) < tolerance
     root = build_intervals(MU42, 0)
-    assert root.levels[0] == (((), Fraction(0), Fraction(1)),)
+    assert root[0] == (((), Fraction(0), Fraction(1)),)
 
 
 @pytest.mark.parametrize("pair,depth", [(MU42, 4), (MU93, 3),
                                         (dimension_targeting_pair(0.5), 3)])
 def test_interval_family_invariants_exact(pair, depth):
-    family = build_intervals(pair, depth)
+    family, ratios = build_intervals(pair, depth), gap_ratios(pair, depth)
     for n in range(1, depth + 1):
         d = pair.d(n)
-        r = family.ratios[n - 1]
-        parents = family.levels[n - 1]
-        children = family.levels[n]
+        r = ratios[n - 1]
+        parents = family[n - 1]
+        children = family[n]
         assert len(children) == len(parents) * d
         for p_idx, (pword, pleft, pright) in enumerate(parents):
             kids = children[p_idx * d:(p_idx + 1) * d]
@@ -131,7 +131,7 @@ def test_interval_family_invariants_exact(pair, depth):
             assert len(set(gaps)) <= 1                      # equal gaps
             assert all(g >= 0 for g in gaps)                # disjoint children
         # lengths at depth n equal the exact ratio product
-        expected = math.prod(family.ratios[:n], start=Fraction(1))
+        expected = math.prod(ratios[:n], start=Fraction(1))
         assert all(right - left == expected for _, left, right in children)
 
 
@@ -182,10 +182,10 @@ def family_box_fit(pair, depth):
     log of the correctly rounded quotient of its denominator and numerator."""
     family = build_intervals(pair, depth)
     lengths = [right - left for _, left, right in
-               (family.levels[n][0] for n in range(1, depth + 1))]
+               (family[n][0] for n in range(1, depth + 1))]
     xs = [math.log(length.denominator / length.numerator) for length in lengths]
-    ys = [math.log(len(family.levels[n])) for n in range(1, depth + 1)]
-    return _least_squares(xs, ys), len(family.levels[depth])
+    ys = [math.log(len(family[n])) for n in range(1, depth + 1)]
+    return _least_squares(xs, ys), len(family[depth])
 
 
 @pytest.mark.parametrize("pair, depth", [

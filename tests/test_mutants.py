@@ -25,6 +25,7 @@ def test_each_old_text_occurs_once_and_each_named_test_exists():
         assert m.new != m.old and m.reason, m.name
         for node in m.tests:
             path, name = node.split("::")
+            name = re.escape(name.split("[")[0])  # a parametrized id names one case of the test
             assert re.search(rf"^def {name}\(", (ROOT / path).read_text(), re.M), node
 
 

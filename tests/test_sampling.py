@@ -125,8 +125,8 @@ def test_samples_lie_in_constructed_intervals():
     depth = 6
     family = build_intervals(MU42, depth)
     c = rescale_constant(MU42)
-    lefts = [float(lo * c) for _, lo, _ in family.levels[depth]]
-    rights = [float(hi * c) for _, _, hi in family.levels[depth]]
+    lefts = [float(lo * c) for _, lo, _ in family[depth]]
+    rights = [float(hi * c) for _, _, hi in family[depth]]
     samples = sample_measure(MU42, 10_000, seed=2)
     idx = np.searchsorted(lefts, samples.values, side="right") - 1
     idx = np.clip(idx, 0, len(lefts) - 1)

@@ -16,8 +16,9 @@ In both modes a ``report`` op that exits other than 0, and a negative control
 exit 1 (the manifest is still written).
 
 CI runs ``--check`` against the checked-in manifest on the numpy version it
-records, then, on every Python of its matrix, a plain run and a ``--check`` run
-in a fresh process, so that every op's artifacts are byte-identical across two
+records, each run a fresh process.  On the Pythons of its matrix where that
+check does not run, it runs a plain run and a ``--check`` run in a fresh
+process instead, so that every op's artifacts are byte-identical across two
 processes.  These are the only CLI invocations CI runs.
 
 numpy picks some float64 kernels by the CPU at run time.  ``--levels`` prints one

@@ -42,7 +42,8 @@ class Mutant(NamedTuple):
 
 
 _CLI, _CORE, _DIM = "src/cantorspec/cli.py", "src/cantorspec/core.py", "src/cantorspec/dimension.py"
-_FOURIER, _VERIFY = "src/cantorspec/fourier.py", "src/cantorspec/verify.py"
+_FOURIER, _SPECTRA, _VERIFY = ("src/cantorspec/fourier.py", "src/cantorspec/spectra.py",
+                                "src/cantorspec/verify.py")
 
 MUTANTS = [
     Mutant("pair verdict ignores admissibility", _CLI,
@@ -114,14 +115,31 @@ MUTANTS = [
            "b_n = 2^max(n + 1, ceil(n / alpha)) is pinned in exact integers"),
     Mutant("alpha-rule exponent guarded by sys.maxsize", _CORE,
            "if b > _MAX_BITS:", "if b > (1 << 63) - 1:",
-           ("tests/test_cli.py::test_a_tiny_alpha_exits_2_at_once",),
+           ("tests/test_cli.py::test_a_tiny_alpha_exits_2_at_once[1e-09]",
+            "tests/test_cli.py::test_a_tiny_alpha_exits_2_at_once[dimension-1e-09]"),
            "b_1 = 2^ceil(1 / alpha) at alpha = 1e-9 must exit 2 at once, not end in a MemoryError "
            "traceback, and at 1e-7 not run past the test's 10 s"),
     Mutant("alpha = 0 rule uncapped", _CORE,
            "if b > _MAX_BITS:", "if b > _MAX_BITS and p != 0:",
-           ("tests/test_cli.py::test_a_tiny_alpha_exits_2_at_once",),
+           ("tests/test_cli.py::test_a_tiny_alpha_exits_2_at_once[0-level-592]",),
            "the alpha = 0 rule's b_n = 2^(3 n^2) passes 2^20 bits from level 592: pair --level 592 "
            "must exit 2 at once, not form it"),
+    Mutant("word count forms the rho list", _SPECTRA,
+           "math.prod(pair.d(n) for n in range(1, level + 1))",
+           "math.prod(_Scales(pair).upto(level).d[1:level + 1])",
+           ("tests/test_cli.py::test_a_tiny_alpha_exits_2_at_once[0-level-592-spectrum]",),
+           "the word budget is checked before any rho_n is formed: at alpha = 0 the rho_n up to "
+           "level 591 hold about 4 GB, and spectrum --level 592 must exit 2 at once"),
+    Mutant("beurling forms rho before it enumerates", _DIM,
+           """    spectrum = enumerate_level(tm, level, budget=budget)  # its word budget is checked before rho is formed
+    halves = [_to_float(r) / 2.0 for r in _Scales(tm.pair).upto(level).rho[2:level + 1]]
+""",
+           """    halves = [_to_float(r) / 2.0 for r in _Scales(tm.pair).upto(level).rho[2:level + 1]]
+    spectrum = enumerate_level(tm, level, budget=budget)
+""",
+           ("tests/test_cli.py::test_a_tiny_alpha_exits_2_at_once[0-level-592-beurling]",),
+           "beurling --level 592 at alpha = 0 must exit 2 at the word budget's check, not form "
+           "rho_2..rho_592 first"),
     Mutant("filter certificate ignores its normalization", _FOURIER,
            "if norm_defect > _QMF_TOL:", "if False:",
            ("tests/test_fourier.py::test_a_filter_off_its_normalization_is_rejected",),
