@@ -5,7 +5,13 @@ from {0, ..., d_n - 1}.  Truncating at ``depth`` perturbs each sample by at
 most the tail sum, which is below 2 / rho_{depth+1}; the default depth pushes
 that radius under 1e-15, so samples are exact at double resolution.  Digits
 come from counter-based generators keyed by (seed, level), so streams are
-reproducible regardless of evaluation order.  The sampler draws and adds
+reproducible regardless of evaluation order.  A level with d_n = 2^k,
+1 <= k <= 32 (the levels of the dimension-targeting pairs up to 2^32), takes
+its digits as the top k bits of each 32-bit half of the raw Philox words, low
+half first; any other d_n takes ``Generator.integers``.  The two give the same
+bits: for a power-of-two range, the multiply-shift draw behind ``integers``
+rejects nothing and returns the top k bits of one 32-bit half, and numpy reads
+the halves of each 64-bit word low first.  The sampler draws and adds
 the digits of every level ``BLOCK`` samples at a time into the one output
 array, and ``cli`` formats and writes the CSV rows of the samples 4,096 at a
 time, so the samples are the only array of ``count`` entries either forms.
@@ -58,6 +64,13 @@ def sample_measure(pair: ScalePair, count: int, seed: int = 0) -> SampleSet:
     depend neither on the block size nor on ``count``.  The samples are the
     only array of ``count`` entries.  A ValueError names the level whose d_n
     passes 2^63, the range of the int64 digits.
+
+    A level with d_n = 2^k, 1 <= k <= 32, takes its digits from the raw
+    64-bit Philox words, the top k bits of each 32-bit half, low half first;
+    any other level takes ``Generator.integers``.  Both give the digits of
+    ``integers`` bit for bit; those of d_n = 2^k depend only on the raw
+    stream, which numpy keeps stable across releases (NEP 19), not on the
+    algorithm of ``integers``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -73,8 +86,24 @@ def sample_measure(pair: ScalePair, count: int, seed: int = 0) -> SampleSet:
     values = np.zeros(count)
     for block in np.split(values, range(BLOCK, count, BLOCK)):  # views of values
         for gen, d, scale in levels:
-            block += gen.integers(0, d, size=len(block), dtype=np.int64) * scale
+            block += _digits(gen, d, len(block)) * scale
     return SampleSet(values=values, depth=depth, radius=truncation_radius(pair, depth))
+
+
+def _digits(gen: np.random.Generator, d: int, size: int) -> np.ndarray:
+    """The next ``size`` digits of ``gen`` below ``d``, bit for bit those of
+    ``gen.integers(0, d, size)``: raw Philox halves for d = 2^k, 1 <= k <= 32.
+
+    The raw read bypasses the generator's buffered half-word, so every call but
+    a level's last asks for an even ``size`` (``BLOCK``), and the last leaves its
+    spare half unread.  Storing the words little-endian puts each low half
+    first on any host.
+    """
+    k = d.bit_length() - 1
+    if d != 1 << k or not 1 <= k <= 32:
+        return gen.integers(0, d, size=size, dtype=np.int64)
+    halves = gen.bit_generator.random_raw((size + 1) // 2).astype("<u8", copy=False).view("<u4")
+    return halves[:size] >> (32 - k)
 
 
 def _values_of(samples) -> np.ndarray:

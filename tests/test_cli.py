@@ -652,6 +652,19 @@ def test_partition_level_over_budget_exits_2(tmp_path, capsys):
     assert not (out / "partition.csv").exists()
 
 
+def test_a_word_budget_prints_its_count_once(tmp_path, capsys):
+    # d_1 ... d_591 = 2^174,936 at alpha = 0 has 52,661 digits, and the one stderr line
+    # printed them twice, in the message and in its "(required: N)"
+    out = tmp_path / "o"
+    assert run(["spectrum", "--pair", str(ROOT / "demos" / "configs" / "alpha_zero.json"),
+                "--level", "591", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    required = _decimal(2 ** 174_936)
+    assert len(required) == 52_661 and err.count(required) == 1
+    assert err.startswith("error: --budget: ") and err.endswith(f" (required: {required})\n")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 @pytest.mark.parametrize("d, required", [(1021, None), (4093, 8374278)])
 def test_completeness_budgets_the_angles_of_a_prime_tail_level(tmp_path, capsys, d, required):
     # the explicit tail level 2 of (2d, d) at L = 1 is one H_d sub-level, whose (d - 1) / 2

@@ -1,18 +1,23 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cantorspec import (build_intervals, constant_pair, default_depth,
                         dimension_targeting_pair, empirical_char,
-                        empirical_moments, exact_mean, mu_hat,
-                        rescale_constant, sample_measure)
+                        empirical_moments, exact_mean, explicit_pair, mu_hat,
+                        pair_from_config, rescale_constant, sample_measure)
 from cantorspec.sampling import BLOCK, truncation_radius
 
+ROOT = Path(__file__).resolve().parent.parent
 MU42 = constant_pair(4, 2)
 MU93 = constant_pair(9, 3)
+PRIME_TAIL = pair_from_config(json.loads((ROOT / "demos" / "configs" / "explicit_prime_tail.json")
+                                         .read_text()))
 
 
 def test_default_depth_pushes_radius_below_target():
@@ -37,13 +42,17 @@ def digit_matrix_values(pair, count, depth, seed):
     return values
 
 
-@pytest.mark.parametrize("pair, count", [(MU42, 3001), (MU93, 3001),
-                                         (dimension_targeting_pair(0.5), 3001),
-                                         (dimension_targeting_pair(0.25), 3001),
-                                         # blocks of BLOCK samples: one past a block on
-                                         # mu42, and three past two on d_n = 2^n levels
-                                         (MU42, BLOCK + 1),
-                                         (dimension_targeting_pair(0.5), 2 * BLOCK + 3)])
+@pytest.mark.parametrize("pair, count", [
+    (MU42, 3001), (MU93, 3001), (dimension_targeting_pair(0.5), 3001),
+    (dimension_targeting_pair(0.25), 3001),
+    # blocks of BLOCK samples: one past a block on mu42, and three past two on d_n = 2^n levels
+    (MU42, BLOCK + 1), (dimension_targeting_pair(0.5), 2 * BLOCK + 3),
+    # the edges of the raw Philox digits of d_n = 2^k, 1 <= k <= 32, each three past a block:
+    # the last raw k, the first k past it, d_n = 2^(3n - 1) and d_2 = 2^61 - 1
+    pytest.param(explicit_pair([4, 2**33], [2, 2**32]), BLOCK + 3, id="d-2^32"),
+    pytest.param(explicit_pair([4, 2**34], [2, 2**33]), BLOCK + 3, id="d-2^33"),
+    pytest.param(dimension_targeting_pair(1), BLOCK + 3, id="alpha-1"),
+    pytest.param(PRIME_TAIL, BLOCK + 3, id="prime-tail")])
 def test_streamed_digits_match_digit_matrix(pair, count):
     for seed in (0, 7):
         got = sample_measure(pair, count, seed=seed)

@@ -42,8 +42,8 @@ class Mutant(NamedTuple):
 
 
 _CLI, _CORE, _DIM = "src/cantorspec/cli.py", "src/cantorspec/core.py", "src/cantorspec/dimension.py"
-_FOURIER, _SPECTRA, _VERIFY = ("src/cantorspec/fourier.py", "src/cantorspec/spectra.py",
-                                "src/cantorspec/verify.py")
+_FOURIER, _SAMPLING, _SPECTRA, _VERIFY = ("src/cantorspec/fourier.py", "src/cantorspec/sampling.py",
+                                           "src/cantorspec/spectra.py", "src/cantorspec/verify.py")
 
 MUTANTS = [
     Mutant("pair verdict ignores admissibility", _CLI,
@@ -108,6 +108,12 @@ MUTANTS = [
            ("tests/test_cli.py::test_the_sample_check_holds_one_array_of_samples",),
            "np.std forms x - mean of all the samples, a second array of them: the check's "
            "tracemalloc peak at 10^6 samples is 2.09 arrays against the bound of 1.3"),
+    Mutant("raw digits read the high half of each word first", _SAMPLING,
+           '.astype("<u8", copy=False).view("<u4")', '.astype(">u8", copy=False).view(">u4")',
+           ("tests/test_sampling.py::test_streamed_digits_match_digit_matrix[d-2^32]",
+            "tests/test_sampling.py::test_streamed_digits_match_digit_matrix[alpha-1]"),
+           "a level with d_n = 2^k takes the halves of each raw Philox word low half first, as "
+           "Generator.integers does, so its digits and every sample keep their bits"),
     Mutant("dyadic b exponent one higher", _CORE,
            "max(n + 1, -(-n * q // p))", "max(n + 1, -(-n * q // p) + 1)",
            ("tests/test_core.py::test_alpha_rule_scales_equal_the_fraction_ceiling",
