@@ -27,7 +27,7 @@ from .spectra import (GrowthReport, SpectrumLevel, TreeMapping, Word,
                       word_count)
 from .verify import (CompletenessReport, OrthogonalityReport, PartitionResult,
                      QRow, completeness_Q, orthogonality_check,
-                     partition_identity, partition_levels)
+                     partition_identity, partition_levels, transfer_gaps)
 
 __version__ = "0.1.0"
 
@@ -52,6 +52,6 @@ __all__ = [
     "orthogonality_check", "pair_from_config",
     "partition_identity", "partition_levels", "phi_hat", "qmf_check",
     "rescale_constant", "rho",
-    "sample_measure", "tree_mapping_from_config", "uniform_family",
+    "sample_measure", "transfer_gaps", "tree_mapping_from_config", "uniform_family",
     "validate_pair", "validate_tree_mapping", "word_count",
 ]

@@ -190,11 +190,16 @@ def _check_completeness(pair, tm, args):
         "bounded": report.bounded,
         "worst_gap": report.worst_gap,
         "worst_gap_xi": report.worst_gap_xi,
+        "method": report.method,
+        "work": report.work and report.work._asdict(),
     }, [
-        # each xi formatted once, as csv.writer would; the rows of a point are consecutive
-        lambda out: _write_csv(out, "completeness.csv", ["xi", "L", "Q", "certified_slack"],
+        # each xi formatted once, as csv.writer would; the rows of a point are consecutive.  The
+        # gap G_L = gap_mantissa 2^gap_exp2 keeps its digits where Q rounds to 1
+        lambda out: _write_csv(out, "completeness.csv",
+                               ["xi", "L", "Q", "certified_slack", "gap_mantissa", "gap_exp2"],
                                [text for xi in grid for text in [repr(xi)] * args.level],
-                               levels * len(grid), report.q.ravel(), report.slack.ravel()),
+                               levels * len(grid), report.q.ravel(), report.slack.ravel(),
+                               report.gap_mantissa.ravel(), report.gap_exp2.ravel()),
         lambda out: _write_svg(out, "completeness.svg", svgplot.line_chart(
             [(f"xi={grid[k]:g}", levels, report.q[k].tolist())
              for k in (0, len(grid) // 2, len(grid) - 1)],

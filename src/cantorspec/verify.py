@@ -31,13 +31,19 @@ run of level-s nodes are columns of every deeper level (:class:`_Group`), and on
 walk (:func:`_group_levels`) tabulates the root group through a group level, and
 then each group of columns past it alone, so the peak memory stays flat in the
 level.  A factor vanishes only at integer xi, so each deep product keeps one sign
-on (0, 1/2], read at xi = 1/4.  :func:`completeness_Q` states the split, the
+on (0, 1/2], read at xi = 1/4.  :func:`_completeness_walk` states the split, the
 aggregation and the certified slack from two sums per block.
+
+That walk serves deviation tables only.  On canonical labels :func:`completeness_Q`
+runs on the transfer operator (:func:`transfer_gaps`), which enumerates no word: one
+step per level maps the gap of the pair shifted by one level to the gap of the pair,
+on 24 Chebyshev nodes.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -462,8 +468,12 @@ class CompletenessReport:
     slack: np.ndarray       # the certified slack of each Q, in the same layout
     l_max: int
     bounded: bool           # the direct sum of the terms <= 1 + certified slack
-    worst_gap: float        # max over the grid of the gap 1 - Q_{L_max}
+    worst_gap: float        # max over the grid of the gap G_{L_max} = 1 - Q_{L_max}
     worst_gap_xi: float
+    gap_mantissa: np.ndarray  # G_L = gap_mantissa 2^gap_exp2 in the layout of q, both 0 where
+    gap_exp2: np.ndarray      # G_L = 0: the gap past the double range keeps its digits
+    method: str             # "transfer" or "walk", the one that ran
+    work: TransferWork | None  # the transfer operator's counters; None for the walk
 
     @property
     def rows(self) -> tuple[QRow, ...]:
@@ -794,9 +804,10 @@ def _by_block(reduce: np.ufunc, cells: np.ndarray, heads: list[int], past: list[
     return out
 
 
-def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
-                   tol: float = 1e-10, budget: int = 10**6) -> CompletenessReport:
-    """Partial completeness sums Q_L(xi) for L = 1..l_max on a grid in [0, 1/2].
+def _completeness_walk(tm: TreeMapping, xis: list[float], l_max: int, tol: float,
+                       budget: int) -> CompletenessReport:
+    """Partial completeness sums Q_L(xi) for L = 1..l_max by the walk over the words, on a
+    grid in [0, 1/2], after the checks of :func:`completeness_Q`.
 
     Lambda_{l_max} holds the frequencies of the zero-extensions of the
     level-l_max nodes, so each term is t = w T: the node's product w and its tail
@@ -878,26 +889,13 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     |lambda| + sigma xi exactly (sigma = +1 at lambda = 0),
     A = sum |lambda| sqrt(t) + xi sum sigma sqrt(t) and
     B = N xi^2 + 2 xi sum lambda + sum lambda^2 over the block's N terms, equal
-    to the direct sums but for rounding.  A mapping failing
-    :func:`validate_tree_mapping`, or frequencies too large for B
-    (:func:`_check_frequency_range`), raise a ValueError.  An empty grid gives no rows,
-    ``bounded`` true and a worst gap of -inf at xi = 0; of tied worst gaps the
-    first grid point is reported.
+    to the direct sums but for rounding.  Frequencies too large for B
+    (:func:`_check_frequency_range`) raise a ValueError.  Of tied worst gaps the first
+    grid point is reported, and the gap columns are the frexp of G_L, whose mantissa is
+    negative where rounding makes G_L so.
     """
     pair = tm.pair
-    xis = [float(x) for x in xi_grid]
-    for x in xis:
-        if not 0.0 <= x <= 0.5:
-            raise ValueError(f"grid point {x} outside [0, 1/2]")
-    check_word_budget(pair, l_max, budget, least=1)
-    validation = validate_tree_mapping(tm)
-    if not validation.ok:
-        issue = validation.issues[0]
-        raise ValueError(f"tree mapping fails condition {issue.condition} at {issue.location}: "
-                         f"{issue.message}; its frequencies need not be distinct")
     scales = _Scales(pair).upto(l_max)
-    if 1 in scales.d[2:l_max + 1]:  # no words new at that level: an empty block
-        raise ValueError(f"d_{scales.d.index(1, 2)} = 1: completeness needs d_n >= 2")
     tree = _Tree(tm, scales, l_max, uniform_family(pair))
     bound = _check_frequency_range(tree)
     # the deepest truncation any xi in [0, 1/2] needs: |xi + lambda| <= B + 1/2, and
@@ -1001,7 +999,244 @@ def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
     slack = np.cumsum(kc * (2.0 * lin + kc * (column * (count * column + 2.0 * sum_lam) + sum_sq)),
                       axis=1)
     worst = int(np.argmax(gaps)) if len(xis) else None  # the first xi of the largest gap
+    mantissa, exp2 = np.frexp(gaps[:, None] + later)
     return CompletenessReport(grid=column[:, 0], q=q, slack=slack, l_max=l_max,
                               bounded=bool(np.all(np.cumsum(sums, axis=1) <= 1.0 + slack)),
                               worst_gap=-math.inf if worst is None else float(gaps[worst]),
-                              worst_gap_xi=0.0 if worst is None else xis[worst])
+                              worst_gap_xi=0.0 if worst is None else xis[worst],
+                              gap_mantissa=mantissa, gap_exp2=exp2.astype(np.int64), method="walk",
+                              work=None)
+
+
+# ---------------------------------------------------------------------------
+# Completeness by the transfer operator
+# ---------------------------------------------------------------------------
+
+_NODES = 24
+_ANGLES = (2.0 * np.arange(_NODES) + 1.0) * (np.pi / (2 * _NODES))
+_CHEB = 0.25 + 0.25 * np.cos(_ANGLES)  # the first-kind Chebyshev nodes on [0, 1/2]
+_BARY = np.where(np.arange(_NODES) % 2, -1.0, 1.0) * np.sin(_ANGLES)  # their barycentric weights
+_CHUNK = 1 << 12  # the digits of one block of a step: its points times the nodes stay near 2^21
+_START_TOL = 4.0 * math.pi ** 2 / 9.0  # the start function's tail bound is this (rho_k / rho_{N+1})^2
+
+
+class TransferWork(NamedTuple):
+    """The transfer operator's counters: the most levels of one start function, the
+    nodes, the steps, and the digits delta that the steps summed per node."""
+
+    depth: int
+    nodes: int
+    steps: int
+    digits: int
+
+
+class TransferGaps(NamedTuple):
+    """The gaps G_L(xi) = ``mantissa`` 2^``exp2`` of grid point k and level L at [k, L - 1],
+    the mantissa in [0.5, 1) and both 0 where G_L = 0; the start function's tail bound
+    per level L, ``slack``; and the :class:`TransferWork`."""
+
+    mantissa: np.ndarray
+    exp2: np.ndarray
+    slack: np.ndarray
+    work: TransferWork
+
+
+def _binary(n: int) -> tuple[float, int]:
+    # (m, e) with the positive integer n = m 2^e to double precision, m in [0.5, 1), of any size
+    shift = max(0, n.bit_length() - 1000)
+    m, e = math.frexp(float(n >> shift))
+    return m, e + shift
+
+
+def _interpolate(h: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Chebyshev interpolant of the node values ``h`` at the points ``y``, of any shape,
+    by the barycentric formula of the second kind: per point an elementwise product and
+    ``np.sum`` over the nodes.  A point on a node takes that node's value."""
+    diff = y[..., None] - _CHEB
+    exact = diff == 0.0
+    c = _BARY / np.where(exact, 1.0, diff)
+    out = np.sum(c * h, axis=-1) / np.sum(c, axis=-1)
+    hit = exact.any(axis=-1)
+    out[hit] = h[exact[hit].argmax(axis=-1)]
+    return out
+
+
+def _fejer(f: int, z: np.ndarray) -> np.ndarray:
+    """1 - |H_f(z)|^2 = (4 / f^2) sum_{0<i<f} (f - i) sin^2(pi i z) per entry of ``z``: a sum of
+    nonnegative terms, where 1 minus the closed form cancels at small z."""
+    i = np.arange(1.0, f)
+    s = np.sin(np.pi * (z[..., None] * i))
+    return 4.0 / (f * f) * np.sum((f - i) * s * s, axis=-1)
+
+
+def _start(level, k: int, need: float, budget: int) -> tuple[np.ndarray, int, float]:
+    """(h, levels, bound): h = G^(k)_0 / x^2 on the nodes, the gap of the product from level k
+    on, G^(k)_0(x) = 1 - prod_{k<=n<=N} |H_{d_n}(x rho_k / (d_n rho_n))|^2, with ``levels``
+    = N - k + 1, N the least with (rho_{N+1} / rho_k)^2 >= ``need``; ``bound`` is the tail
+    bound (4 pi^2 / 9) (rho_k / rho_{N+1})^2 of h.  ``level(n)`` is (b_n, d_n).
+
+    1 - |H_d(s)|^2 <= (d^2 - 1) (pi s)^2 / 3 and rho_{n+1} >= 2 rho_n bound the levels past N
+    by (pi x)^2 / 3 sum_{n>N} (rho_k / rho_n)^2 <= x^2 times that bound, and 1 - prod (1 - a_n)
+    <= sum a_n.  Each level runs as the sub-levels of :func:`_sub_levels`,
+    |H_d(s)|^2 = prod_j |H_{f_j}((d / D_j) s)|^2, each a_j = 1 - |H_{f_j}|^2 in the Fejér form
+    (:func:`_fejer`), deepest first, into g <- g + a_j (1 - g): nonnegative terms.  A prime
+    sub-level f costs f - 1 sines per node, so d_n is factored only to the budget's cap
+    (:func:`_prime_factors`), and a sub-level past it raises BudgetExceededError."""
+    subs, n, scale, ratio = [], k, 1, level(k)[0]  # ratio = rho_{N+1} / rho_k after level N
+    while True:
+        primes = _prime_factors(level(n)[1], budget // _NODES + 1)
+        for f, sub in zip(primes, itertools.accumulate(primes, operator.mul)):
+            if (f - 1) * _NODES > budget:
+                raise BudgetExceededError(f"tail level {n} needs {f - 1} sines over {_NODES} nodes, "
+                                          f"over the budget of {budget}", required=(f - 1) * _NODES)
+            subs.append((f, sub * scale))  # D_j rho_n / rho_k
+        if ratio * ratio >= need:
+            break
+        n, scale = n + 1, ratio
+        ratio *= level(n)[0]
+    g = np.zeros(_NODES)
+    for f, c in reversed(subs):
+        m, e = _binary(c)
+        g += _fejer(f, np.ldexp(_CHEB / m, -e)) * (1.0 - g)
+    m, e = _binary(ratio)
+    return g / (_CHEB * _CHEB), n - k + 1, _START_TOL * math.ldexp(1.0 / (m * m), -2 * e)
+
+
+def _step(b: int, d: int, h: np.ndarray, exp2: int) -> tuple[np.ndarray, int]:
+    """One step of the transfer operator in h-form, h = G / x^2: from h^(k+1) 2^``exp2`` on the
+    nodes, h^(k)(x) = sum_{delta<d} v_delta(x) h^(k+1)((x + delta) / b) with
+    v_delta(x) = |H_d((x + delta) / d)|^2 ((x + delta) / (b x))^2
+              = (sin(pi x) / x)^2 (x + delta)^2 / (b d sin(pi (x + delta) / d))^2,
+    which has no cancellation: for delta past d / 2 the sine's argument is taken as
+    (d - delta) - x, whose one rounding is relative to it, where d - (x + delta) would carry
+    the rounding of x + delta.
+    b = m 2^e enters the weights as m and the exponent as -2 e, and the values are scaled by
+    the power of two that puts their largest in [0.5, 1): returns (values, exponent)."""
+    m, e = _binary(b)
+    x = _CHEB[:, None]
+    out = np.zeros(_NODES)
+    for lo in range(0, d, _CHUNK):
+        delta = np.arange(lo, min(lo + _CHUNK, d), dtype=float)
+        s = x + delta
+        # sin(pi s / d) = sin(pi (d - s) / d), with d - s = (d - delta) - x of one rounding
+        near = np.where(2.0 * delta < d, s, (d - delta) - x)
+        v = np.sin(np.pi * x) / x * s / (m * d * np.sin(np.pi * (near / d)))
+        out += np.sum(v * v * _interpolate(h, np.ldexp(s / m, -e)), axis=1)
+    top = math.frexp(float(np.max(out)))[1]
+    return np.ldexp(out, -top), exp2 - 2 * e + top
+
+
+def transfer_gaps(pair: ScalePair, xis, l_max: int, tol: float = 1e-10,
+                  budget: int = 10**6) -> TransferGaps:
+    """The completeness gaps G_L(xi) = 1 - Q_L(xi) of the canonical labels for L = 1..l_max at
+    each xi of ``xis`` in [0, 1/2], by the transfer operator, which enumerates no word.
+
+    Write G^(k)_j for the gap of the pair shifted to start at level k, with j levels of
+    words.  Then G^(k)_0 is the start function of :func:`_start`, and one step (:func:`_step`)
+    gives G^(k)_j(x) = sum_{delta<d_k} |H_{d_k}((x + delta) / d_k)|^2 G^(k+1)_{j-1}((x + delta) / b_k)
+    (the Ruelle operator of Strichartz, J. Anal. Math. 81, 2000, and Łaba and Wang, J. Funct.
+    Anal. 193, 2002), where d_k divides b_k, so that H_{d_k} is periodic across the words of
+    the later levels: its weights are nonnegative and sum to 1, and for x in [0, 1/2] every
+    argument stays in [0, 1/2] when b_k >= 2 d_k.  G_L = G^(1)_L.  From the end of the
+    explicit prefix on, every level is the last one, so its G^(k)_j are one function: a
+    constant pair takes l_max steps for all the levels, and a Moran (alpha) pair
+    l_max (l_max + 1) / 2.
+
+    Each G^(k)_j is held as h = G / x^2 on 24 first-kind Chebyshev nodes on [0, 1/2] (G and
+    G' vanish at 0 on a spectrum that holds 0) times one binary exponent per step, so a gap
+    past 2^-1074 keeps its digits, and is read at the grid by the barycentric formula
+    (:func:`_interpolate`): G_L(xi) = xi^2 h(xi) 2^e, formed as mantissa and exponent.
+
+    The start function is truncated at the least depth N where its tail bound on h is at
+    most min(``tol``, 2^-60), and ``slack[L - 1]`` is that bound on G^(L+1)_0 at x = 1/2: a
+    step's weights sum to 1, so it bounds the truncation error of G_L on [0, 1/2].  The
+    error of the interpolation and the rounding are not in it: their bounds are open
+    (ROADMAP items 15 and 20(c)).  A step of d_k digits costs d_k sines per node: where
+    d_k times the nodes passes ``budget``, or a sub-level of a start function does
+    (:func:`_start`), BudgetExceededError names the level.  A level of words whose b_k is not
+    a multiple of d_k, at least 2 d_k, raises a ValueError naming it.  Only ``sin``, ``cos``,
+    arithmetic and ``np.sum`` touch the floats, whose bits no CPU dispatch level moves."""
+    xis = np.asarray(xis, dtype=float)
+    need = _START_TOL / min(tol, _TAYLOR_TOL)
+    if not math.isfinite(need):
+        raise ValueError(f"tol = {tol!r} needs a start function past the double range")
+    repeat = len(pair.b_prefix) if pair.alpha is None else math.inf  # levels from here on repeat
+
+    @functools.cache
+    def level(n: int) -> tuple[int, int]:
+        check_growth(pair, n, pair.b(n))  # else the start function's depth has no end
+        return pair.b(n), pair.d(n)
+
+    memo, depth, steps, digits = {}, 0, 0, 0  # memo[k, j]: (h, exponent, slack) of G^(k)_j
+    mantissa, exp2 = np.zeros((len(xis), l_max)), np.zeros((len(xis), l_max), dtype=np.int64)
+    slack = np.zeros(l_max)
+    mx, ex = np.frexp(xis)
+    for n in range(1, l_max + 1):
+        for j in range(n + 1):  # the chain G^(n+1)_0, G^(n)_1, ..., G^(1)_n
+            t = n + 1 - j
+            k = min(t, repeat)  # the level that G^(t)_j is held at
+            if (k, j) in memo:
+                continue
+            if j == 0:
+                h, levels, bound = _start(level, t, need, budget)
+                memo[k, 0], depth = (h, 0, bound / 4.0), max(depth, levels)
+                continue
+            b, d = level(t)
+            if b % d or b < 2 * d:
+                raise ValueError(f"level {t}: b_{t} = {b} is not a multiple of d_{t} = {d} past d_{t}, "
+                                 f"so the transfer operator does not reach level {t}")
+            if d * _NODES > budget:
+                raise BudgetExceededError(f"level {t}: a step sums {d} digits over {_NODES} nodes, "
+                                          f"over the budget of {budget}", required=d * _NODES)
+            h, e, bound = memo[min(k + 1, repeat), j - 1]
+            memo[k, j] = (*_step(b, d, h, e), bound)
+            steps, digits = steps + 1, digits + d
+        h, e, slack[n - 1] = memo[1, n]
+        m, e2 = np.frexp(mx * mx * _interpolate(h, xis))
+        mantissa[:, n - 1] = m
+        exp2[:, n - 1] = np.where(m == 0.0, 0, e2 + 2 * ex + e)
+    return TransferGaps(mantissa, exp2, slack, TransferWork(depth, _NODES, steps, digits))
+
+
+def completeness_Q(tm: TreeMapping, xi_grid: Sequence[float], l_max: int,
+                   tol: float = 1e-10, budget: int = 10**6) -> CompletenessReport:
+    """Partial completeness sums Q_L(xi) = sum_{lambda in Lambda_L} |muhat(xi + lambda)|^2 for
+    L = 1..l_max on a grid in [0, 1/2].
+
+    Canonical labels run on the transfer operator (:func:`transfer_gaps`): Q_L = 1 - G_L,
+    rounded once from the gap, which is nonnegative by construction, so Q <= 1 and
+    ``bounded`` holds; the slack is the start function's truncation bound.  A deviation
+    table runs on the walk over the words (:func:`_completeness_walk`), with its certified
+    per-term slack.  Both check the grid, the word budget of ``l_max``, the mapping
+    (:func:`validate_tree_mapping`) and d_n >= 2 past level 1 first.  An empty grid gives
+    no rows, ``bounded`` true and a worst gap of -inf at xi = 0; of tied worst gaps the
+    first grid point is reported, the gaps compared by exponent and mantissa.
+    """
+    pair = tm.pair
+    xis = [float(x) for x in xi_grid]
+    for x in xis:
+        if not 0.0 <= x <= 0.5:
+            raise ValueError(f"grid point {x} outside [0, 1/2]")
+    check_word_budget(pair, l_max, budget, least=1)
+    validation = validate_tree_mapping(tm)
+    if not validation.ok:
+        issue = validation.issues[0]
+        raise ValueError(f"tree mapping fails condition {issue.condition} at {issue.location}: "
+                         f"{issue.message}; its frequencies need not be distinct")
+    d = [pair.d(n) for n in range(2, l_max + 1)]
+    if 1 in d:  # no words new at that level: an empty block
+        raise ValueError(f"d_{d.index(1) + 2} = 1: completeness needs d_n >= 2")
+    if tm.table:
+        return _completeness_walk(tm, xis, l_max, tol, budget)
+    gaps = transfer_gaps(pair, xis, l_max, tol, budget)
+    q = 1.0 - np.ldexp(gaps.mantissa, gaps.exp2)
+    slack = np.broadcast_to(gaps.slack, q.shape).copy()
+    last = list(zip(gaps.mantissa[:, -1].tolist(), gaps.exp2[:, -1].tolist()))
+    # the first xi of the largest gap: a zero gap below any other, then by exponent and mantissa
+    worst = max(range(len(xis)), key=lambda i: (last[i][0] > 0.0, last[i][1], last[i][0]), default=None)
+    return CompletenessReport(grid=np.array(xis), q=q, slack=slack, l_max=l_max,
+                              bounded=bool(np.all(q <= 1.0 + slack)),
+                              worst_gap=-math.inf if worst is None else math.ldexp(*last[worst]),
+                              worst_gap_xi=0.0 if worst is None else xis[worst],
+                              gap_mantissa=gaps.mantissa, gap_exp2=gaps.exp2, method="transfer",
+                              work=gaps.work)

@@ -262,36 +262,50 @@ def test_completeness_subcommand(mu42, tmp_path):
     assert run(["completeness", "--pair", mu42, "--grid", "8", "--level", "8",
                 "--out", str(out)]) == 0
     lines = (out / "completeness.csv").read_text().splitlines()
-    assert lines[0] == "xi,L,Q,certified_slack"
+    assert lines[0] == "xi,L,Q,certified_slack,gap_mantissa,gap_exp2"
     assert len(lines) == 1 + 9 * 8                       # (grid+1) points x levels
     report = json.loads((out / "completeness_report.json").read_text())
     assert report["bounded"] and "monotone" not in report
     assert (out / "completeness.svg").exists()
 
 
+def _walk_table(tmp_path) -> list[str]:
+    # --tree with the one entry tau(1) = 1, the canonical label of the word (1,) on any pair
+    # with d_1 = 2: the frequencies are the canonical ones, but completeness runs on the walk
+    # over the words, as on every deviation table
+    tree = tmp_path / "canonical_table.json"
+    tree.write_text(json.dumps([{"word": [1], "value": 1}]))
+    return ["--tree", str(tree)]
+
+
 def test_completeness_alpha_one_matches_the_direct_sum(tmp_path):
     # the one-dimensional endpoint at L = 3, whose tail has the explicit level
     # d_4 = 2048, against the direct per-term sum of 189e78e (the oracle file's header
-    # has the command): Q within an ulp, the slack within 2.2e-14 relative, the same
-    # verdict; the oracle's last column, monotone_ok, has no counterpart
+    # has the command): Q within an ulp and the same verdict, on the transfer operator
+    # (canonical labels) and on the walk (a table of tau(1) = 1, canonical on alpha_one's
+    # d_1 = 4); the walk's certified slack within 2.2e-14 relative of the per-term sum's.  The
+    # oracle's last column, monotone_ok, has no counterpart
     oracle = ROOT / "tests" / "oracles" / "completeness_alpha_one_L3.csv"
     want = list(csv.reader(line for line in oracle.read_text().splitlines() if not line.startswith("#")))
-    out = tmp_path / "out"
-    assert run(["completeness", "--pair", str(ROOT / "demos" / "configs" / "alpha_one.json"),
-                "--level", "3", "--out", str(out)]) == 0
-    got = list(csv.reader(io.StringIO((out / "completeness.csv").read_text())))
-    assert got[0] == want[0][:4] and len(got) == len(want) == 1 + 33 * 3
-    for (xi, level, q, slack, _), row in zip(want[1:], got[1:]):
-        assert len(row) == 4 and row[:2] == [xi, level]
-        assert abs(float(row[2]) - float(q)) <= math.ulp(float(q)), (xi, level)
-        assert abs(float(row[3]) - float(slack)) <= 2.2e-14 * float(slack), (xi, level)
-    report = json.loads((out / "completeness_report.json").read_text())
-    assert report["bounded"] and report["worst_gap_xi"] == 0.5
+    for labels in ([], _walk_table(tmp_path)):
+        out = tmp_path / f"out{len(labels)}"
+        assert run(["completeness", "--pair", str(ROOT / "demos" / "configs" / "alpha_one.json"),
+                    "--level", "3", *labels, "--out", str(out)]) == 0
+        got = list(csv.reader(io.StringIO((out / "completeness.csv").read_text())))
+        assert got[0] == [*want[0][:4], "gap_mantissa", "gap_exp2"] and len(got) == len(want) == 1 + 33 * 3
+        for (xi, level, q, slack, _), row in zip(want[1:], got[1:]):
+            assert len(row) == 6 and row[:2] == [xi, level]
+            assert abs(float(row[2]) - float(q)) <= math.ulp(float(q)), (xi, level)
+            if labels:
+                assert abs(float(row[3]) - float(slack)) <= 2.2e-14 * float(slack), (xi, level)
+        report = json.loads((out / "completeness_report.json").read_text())
+        assert report["bounded"] and report["worst_gap_xi"] == 0.5
+        assert report["method"] == ("walk" if labels else "transfer")
 
 
 @pytest.mark.parametrize("cmd, name, kinds", [
     (["completeness", "--grid", "8", "--level", "5"], "completeness.csv",
-     (float, int, float, float)),
+     (float, int, float, float, float, int)),
     (["partition", "--level", "4", "--draws", "7"], "partition.csv", (float, int, float, float)),
 ])
 def test_csv_xi_text_is_what_csv_writer_writes(mu42, tmp_path, cmd, name, kinds):
@@ -667,13 +681,16 @@ def test_a_word_budget_prints_its_count_once(tmp_path, capsys):
 
 @pytest.mark.parametrize("d, required", [(1021, None), (4093, 8374278)])
 def test_completeness_budgets_the_angles_of_a_prime_tail_level(tmp_path, capsys, d, required):
-    # the explicit tail level 2 of (2d, d) at L = 1 is one H_d sub-level, whose (d - 1) / 2
-    # rows of angles span every level-1 node: 2046 x 4093 entries pass the default budget
-    # of 10^6, and the check exits 2 before it tabulates any; 510 x 1021 stay within it
+    # the walk's explicit tail level 2 of (2d, d) at L = 1 is one H_d sub-level, whose
+    # (d - 1) / 2 rows of angles span every level-1 node: 2046 x 4093 entries pass the default
+    # budget of 10^6, and the check exits 2 before it tabulates any; 510 x 1021 stay within it.
+    # Canonical labels run on the transfer operator, whose start function takes d - 1 sines
+    # per node there (test_transfer_holds_its_sines_to_the_budget)
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps({"kind": "constant", "b": 2 * d, "d": d}))
     out = tmp_path / "o"
-    code = run(["completeness", "--pair", str(pair), "--level", "1", "--out", str(out)])
+    code = run(["completeness", "--pair", str(pair), "--level", "1", *_walk_table(tmp_path),
+                "--out", str(out)])
     if required is None:
         assert code == 0
     else:
@@ -708,8 +725,19 @@ def test_a_prime_tail_level_past_the_caps_square_exits_2_at_once(tmp_path):
 
 def test_a_composite_tail_level_exits_2_after_trial_division_to_the_cap(tmp_path):
     # d_2 = (2^31 - 1)(2^61 - 1) fails Fermat's test, so trial division runs, and stops at
-    # the cap of 10^6 + 1 of the default budget, short of its factor 2^31 - 1
+    # the cap of 10^6 / 24 + 1 of the default budget, short of its factor 2^31 - 1
     _tail_run(tmp_path, "explicit_composite_tail", "completeness", "--level", "1")
+
+
+@pytest.mark.parametrize("config, budget", [("explicit_prime_tail", "1000000000"),
+                                            ("explicit_composite_tail", "1000000")],
+                         ids=["prime", "composite"])
+def test_the_walk_refuses_a_large_tail_level_by_the_budget(tmp_path, config, budget):
+    # the walk's tail plan, on a table: the prime d_2 = 2^61 - 1 passes Fermat's test past
+    # (10^9)^2, the square of its factoring cap at --budget 10^9, so no trial division runs
+    # (to the cap of 10^9 it took minutes); the composite (2^31 - 1)(2^61 - 1) stops at the
+    # cap of 10^6 + 1, short of its factor 2^31 - 1
+    _tail_run(tmp_path, config, "completeness", "--level", "1", "--budget", budget, *_walk_table(tmp_path))
 
 
 
@@ -780,8 +808,10 @@ BIG = 10 ** 4200  # a config may hold it; rho_3 = BIG^2 has 8401 digits
                                            ("report", 2)])
 def test_exact_integers_past_the_digit_limit_are_written_whole(tmp_path, capsys, command, code):
     # each of these runs exited 2 with Python's "Exceeds the limit (4300 digits) for
-    # integer string conversion"; report still exits 2, on the double range of the
-    # completeness slack, as on explicit_huge.  The caller's digit limit stays in place
+    # integer string conversion"; report still exits 2: its completeness passes on the
+    # transfer operator, which needs no lambda in the double range, and beurling refuses a
+    # window grid of rho_n / 2 all past the double range.  The caller's digit limit stays in
+    # place
     pair = tmp_path / "big.json"
     pair.write_text(json.dumps({"kind": "explicit", "b": [BIG, BIG, 4], "d": [2, 2, 2]}))
     out = tmp_path / "o"
@@ -804,7 +834,7 @@ def test_exact_integers_past_the_digit_limit_are_written_whole(tmp_path, capsys,
         assert rows[0] == ["word", "left", "right"] and len(rows) > 1
         assert max(len(cell) for row in rows[1:] for cell in row) > 8400  # Fractions over rho_3
     else:
-        assert "double range" in err
+        assert "the window grid holds 0 distinct window(s)" in err
 
 
 def test_dimension_counts_intervals_past_the_digit_limit(tmp_path):
@@ -1006,9 +1036,12 @@ def test_partition_past_the_double_range(tmp_path):
                                          ([2**507, 32], [2, 16], 32)])
 @pytest.mark.parametrize("cmd", ["completeness", "report"])
 def test_completeness_refuses_frequencies_past_the_slack_range(tmp_path, capsys, b, d, count, cmd):
-    # the slack's sum of lambda^2 would overflow to inf, and inf slack bounds everything
+    # the walk's slack's sum of lambda^2 would overflow to inf, and inf slack bounds
+    # everything; canonical labels run on the transfer operator, which forms no lambda
+    # (test_transfer_reaches_frequencies_past_the_slack_range)
     pair = _pair_file(tmp_path, b, d)
-    assert run([cmd, "--pair", pair, "--level", "2", "--grid", "4", "--out", str(tmp_path / "o")]) == 2
+    assert run([cmd, "--pair", pair, "--level", "2", "--grid", "4", *_walk_table(tmp_path),
+                "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "2^511" in err  # report runs completeness at its own, deeper level
     assert cmd == "report" or "level 2: " in err and f"over {count} frequencies" in err
@@ -1026,10 +1059,12 @@ def test_beurling_past_the_double_range(tmp_path):
                                        (64, "sample"), (64, "report")])
 def test_d_past_the_machine_range_exits_2_naming_the_level(tmp_path, capsys, bits, cmd):
     # d_2 = 2^1100 ended completeness, and so report, in an OverflowError traceback of
-    # the tail plan (exit 1); d_2 = 2^64 ended sample in numpy's "high is out of bounds
-    # for int64", which named neither the level nor d_2
+    # the walk's tail plan (exit 1); d_2 = 2^64 ended sample in numpy's "high is out of
+    # bounds for int64", which named neither the level nor d_2.  completeness runs on the
+    # walk here: the transfer operator's start function takes d_2 = 2^1100 as 1100 H_2
+    # sub-levels (test_transfer_reaches_frequencies_past_the_slack_range)
     pair, out = _pair_file(tmp_path, [4, 2 ** (bits + 1)], [2, 2**bits]), tmp_path / "o"
-    depth = ["--level", "1"] if cmd == "completeness" else []
+    depth = ["--level", "1", *_walk_table(tmp_path)] if cmd == "completeness" else []
     assert run([cmd, "--pair", pair, *depth, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: level 2: d_2 = {2**bits} is past ")
     assert not out.exists()

@@ -406,6 +406,12 @@ POLYNOMIAL_CASES = [
 DEEP_LABEL42 = TreeMapping(MU42, {(1,) + (0,) * 12: -2})
 
 
+def walk(tm, xis, level, tol=1e-10):
+    # the walk over the words, which completeness_Q runs on a deviation table, called directly
+    # on any labels: canonical labels run on the transfer operator
+    return verify._completeness_walk(tm, [float(x) for x in xis], level, tol, 10**6)
+
+
 def scalar_completeness(tm, xi, level, tol):
     """(Q_L, slack_L) for L = 1..level from the exact frequency sets.
 
@@ -449,7 +455,7 @@ def assert_slack_bounds_scalar_sum(got, slack, tol):
     *POLYNOMIAL_CASES,
 ])
 def test_completeness_matches_scalar_sum(tm, xi, level):
-    rep = completeness_Q(tm, [xi], level, tol=1e-10)
+    rep = walk(tm, [xi], level)
     for row, (q, slack) in zip(rep.rows, scalar_completeness(tm, xi, level, 1e-10)):
         assert abs(row.q - q) <= 1e-14, (row.level, row.q, q)
         assert abs(row.certified_slack - slack) <= 1e-9 * slack + 1e-30, row.level
@@ -465,7 +471,7 @@ def test_completeness_memory_stays_flat_in_the_level():
     for level in (14, 18):
         tracemalloc.start()
         try:
-            completeness_Q(canonical_tau(MU42), grid, level)
+            walk(canonical_tau(MU42), grid, level)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -501,7 +507,7 @@ def test_polynomial_cases_reach_polynomial_levels(monkeypatch, tm, xi, level):
 
     walk_depth = verify._walk_depth
     monkeypatch.setattr(verify, "_walk_depth", spy)
-    completeness_Q(tm, [xi], level)
+    walk(tm, [xi], level)
     (primes, dv), = seen
     assert primes and set(primes) == set(verify._prime_factors(tm.pair.d(level))) and dv >= 1
     tree = verify._Tree(tm, verify._Scales(tm.pair), level, uniform_family(tm.pair))
@@ -550,7 +556,7 @@ def test_an_explicit_tail_level_runs_one_pass_per_prime_sub_level(monkeypatch):
     for tm, level, levels, primes in cases:
         tails.clear()
         subs.clear()
-        completeness_Q(tm, [0.5 * j / 32 for j in range(33)], level)
+        walk(tm, [0.5 * j / 32 for j in range(33)], level)
         assert tails
         assert [k for k in subs if k > level] == levels
         for explicit, passes in tails:
@@ -627,7 +633,7 @@ def test_each_check_tabulates_each_tree_level_once(monkeypatch, tm, level):
     assert calls == []
     sizes = {t: tree.size[t] for t in range(1, tree.ends[level] + 1)}
     for check in (lambda: partition_levels(tm, [0.0, 0.3], level),
-                  lambda: completeness_Q(tm, [0.0, 0.25, 0.5], level)):
+                  lambda: walk(tm, [0.0, 0.25, 0.5], level)):
         entries.clear()
         check()
         assert entries == sizes
@@ -695,7 +701,7 @@ def test_deep_products_keep_one_sign_on_the_window(case, xis):
 ])
 def test_completeness_slices_match_scalar_sum(monkeypatch, tm, xi, level, size):
     monkeypatch.setattr(verify, "_SLICE", size)
-    rep = completeness_Q(tm, [xi], level, tol=1e-10)
+    rep = walk(tm, [xi], level)
     for row, (q, slack) in zip(rep.rows, scalar_completeness(tm, xi, level, 1e-10)):
         assert abs(row.q - q) <= 1e-14, (row.level, row.q, q)
         assert abs(row.certified_slack - slack) <= 1e-9 * slack + 1e-30, row.level
@@ -735,7 +741,7 @@ def test_completeness_rows_equal_one_row_at_a_time(monkeypatch, tm, level, size)
         monkeypatch.setattr(verify, "_SLICE", size)
     points = {None: 33, 64: 9, 7: 5, 1: 3}[size]
     grid = [0.5 * j / (points - 1) for j in range(points)]
-    rep = completeness_Q(tm, grid, level, tol=1e-10)
+    rep = walk(tm, grid, level)
 
     def one_row(tree, xis, kernels):
         # the tiles of each xi alone, one row each
@@ -745,7 +751,7 @@ def test_completeness_rows_equal_one_row_at_a_time(monkeypatch, tm, level, size)
 
     tiles = verify._Tree.tiles
     monkeypatch.setattr(verify._Tree, "tiles", one_row)
-    assert rep == completeness_Q(tm, grid, level, tol=1e-10)
+    assert rep == walk(tm, grid, level)
 
 
 @pytest.mark.parametrize("tm, level", [
@@ -812,10 +818,12 @@ def test_completeness_matches_deep_oracle():
 
 def test_completeness_of_an_empty_grid():
     # nothing to check: no rows, bounded true and the worst gap -inf at xi = 0
-    rep = completeness_Q(canonical_tau(MU42), [], 4)
-    assert rep == verify.CompletenessReport(grid=np.zeros(0), q=np.zeros((0, 4)), slack=np.zeros((0, 4)),
-                                            l_max=4, bounded=True, worst_gap=-math.inf, worst_gap_xi=0.0)
-    assert rep.rows == ()
+    for rep in (completeness_Q(canonical_tau(MU42), [], 4), completeness_Q(DEVIATED42, [], 4)):
+        empty = np.zeros((0, 4))
+        assert rep == verify.CompletenessReport(
+            grid=np.zeros(0), q=empty, slack=empty, l_max=4, bounded=True, worst_gap=-math.inf,
+            worst_gap_xi=0.0, gap_mantissa=empty, gap_exp2=empty, method=rep.method, work=rep.work)
+        assert rep.rows == ()
 
 
 @pytest.mark.parametrize("grid", [[-0.0, 0.0], [0.0, -0.0]])

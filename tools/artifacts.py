@@ -82,13 +82,12 @@ def ops() -> list[list[str]]:
     """The fixed op list, paths relative to the repository root, each op once."""
     listed = [op for seed in (1, 2) for name in ("canonical", "tree-alpha")
               for op in wl.workload_ops(name, seed)]
-    # completeness at levels past the walk depth, which run as polynomials in xi: mu25_5
-    # takes the closed form of H_5, mu30_6 the H_2 and H_3 sub-levels of d_n = 6, alpha_zero
-    # the H_2 sub-levels of d_4 = 16, and alpha_one --level 3 the explicit tail level
-    # d_4 = 2048, which runs as 11 H_2 sub-levels like the tree's; past the group level
-    # completeness walks one subtree group at a time: mu42 at --level 19, the deepest the
-    # default word budget allows, in the most groups, and alpha_half at --level 5 in groups
-    # over the H_2 sub-levels of d_5 = 32
+    # completeness on canonical labels runs on the transfer operator: mu25_5 takes the Fejér
+    # form of H_5, mu30_6 the H_2 and H_3 sub-levels of d_n = 6 in its start function, the
+    # Moran pairs alpha_zero and alpha_half one chain of steps per level, alpha_one --level 3
+    # steps of 256 digits and the start-function level d_4 = 2048 as 11 H_2 sub-levels, and
+    # mu42 at --level 19, the deepest the default word budget allows.  On deviation tables
+    # completeness walks the words (the tree_deviation and tree_zero_extension ops below)
     for spec in ["mu25_5:6", "mu30_6:5", "mu82:8", "mu93:8", "alpha_zero:4", "alpha_one:3",
                  "mu42:19", "alpha_half:5"]:
         pair, level = spec.split(":")
@@ -116,12 +115,12 @@ def ops() -> list[list[str]]:
     # refuses it before the label walk, so partition exits 2 naming level 1 and the word
     listed.append(["partition", *_pair("label_past_range"), "--tree",
                    "demos/configs/tree_label_past_range.json", "--level", "2"])
-    # the prime d_2 = 2^61 - 1 of the tail past level 1 is one sub-level of 2^60 - 1 rows
-    # of angles: completeness exits 2 naming --budget, after trial division only as far as
-    # the budget admits a factor
+    # the prime d_2 = 2^61 - 1 of the tail past level 1 is one sub-level of 2^61 - 2 sines
+    # per node of the transfer operator's start function: completeness exits 2 naming
+    # --budget, after trial division only as far as the budget admits a factor
     listed.append(["completeness", *_pair("explicit_prime_tail"), "--level", "1"])
     # the composite d_2 = (2^31 - 1)(2^61 - 1) fails Fermat's test, so trial division runs,
-    # to the cap of 10^6 + 1 only: completeness exits 2 naming --budget
+    # to the cap of 10^6 / 24 + 1 only: completeness exits 2 naming --budget
     listed.append(["completeness", *_pair("explicit_composite_tail"), "--level", "1"])
     # dimension reads the exact integer tails at the endpoints alpha_zero and alpha_one, at
     # alpha_half and on mu42
@@ -130,15 +129,20 @@ def ops() -> list[list[str]]:
     # the H_2 sub-levels of composite d_n, alpha_zero and alpha_one the paper's zero- and
     # one-dimensional endpoints, mu93 the cosine form of H_3, mu25_5 the closed form of H_5,
     # mu30_6 an H_2 and an H_3 sub-level per level, and mu42 + tree the table labels;
-    # explicit_huge is left out, as its frequencies pass the range of the completeness
-    # slack and report exits 2 on it.  Then completeness at further levels
+    # explicit_huge is left out: its completeness passes on the transfer operator, whose
+    # start function takes b_3 past the double range by its binary exponent, but its
+    # beurling check fails and report exits 1.  Then the points of the alpha sweep where
+    # the walk failed: bounded by rounding at alpha = 0.05 and 0.1, and the slack's range
+    # at 0.001, 0.01 and 0.011, where the transfer operator forms no lambda.  Then
+    # completeness at further levels
     listed += [["report", *_pair(pair)] for pair in _PAIRS if pair != "explicit_huge"]
+    listed += [["report", *_pair(f"alpha_0_{digits}")] for digits in ("001", "01", "011", "05", "1")]
     listed.append(["report", *_pair("mu42"), *_TREE])
     for pair, level in [("mu42", 1), ("mu42", 2), ("mu42", 14), ("mu42", 18), ("mu93", 10),
                         ("alpha_quarter", 4), ("alpha_half", 4), ("mu25_5", 8), ("mu30_6", 6)]:
         listed.append(["completeness", *_pair(pair), "--level", str(level)])
-    # completeness at its default level on every pair (six exceed the word budget and
-    # explicit_huge the slack's range: exit 2), and the subcommands no op above runs
+    # completeness at its default level on every pair (six exceed the word budget: exit 2),
+    # and the subcommands no op above runs
     listed += [["completeness", *_pair(pair)] for pair in _PAIRS]
     listed += [[name, *_pair("mu42")] for name in ("pair", "spectrum", "orthogonality", "beurling")]
     # the sampler sums 2^16 samples a block: --count 20000 on mu42 stays inside one block,

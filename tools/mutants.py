@@ -80,7 +80,21 @@ MUTANTS = [
     Mutant("completeness slack halved", _VERIFY,
            "slack = np.cumsum(kc * (", "slack = 0.5 * np.cumsum(kc * (",
            ("tests/test_cli.py::test_completeness_alpha_one_matches_the_direct_sum",),
-           "the certified slack is pinned by a direct sum and by the manifest's completeness.csv"),
+           "the walk's certified slack is pinned by a direct sum, on a table of one canonical "
+           "label, and by the completeness.csv of the manifest's table ops"),
+    Mutant("a step drops one delta term", _VERIFY,
+           "delta = np.arange(lo, min(lo + _CHUNK, d), dtype=float)",
+           "delta = np.arange(lo + 1, min(lo + _CHUNK, d), dtype=float)",
+           ("tests/test_transfer.py::test_gaps_match_the_oracle_file",),
+           "a step of the transfer operator sums every digit delta < d_k: without delta = 0 the "
+           "gaps of mu42 leave the mpmath oracle"),
+    Mutant("start function as 1 minus the closed form", _VERIFY,
+           "return 4.0 / (f * f) * np.sum((f - i) * s * s, axis=-1)",
+           "return 1.0 - (np.sin(np.pi * f * z) / (f * np.sin(np.pi * z))) ** 2",
+           ("tests/test_transfer.py::test_gaps_match_a_sum_sized_to_the_gap",
+            "tests/test_transfer.py::test_gaps_match_the_deep_oracle"),
+           "1 - |H_f|^2 of the start function is the Fejér form: 1 minus the closed form cancels "
+           "at the small arguments of the tail levels, and the gaps leave the sized mpmath sums"),
     Mutant("dimension agrees within 0.5", _CLI,
            "agree = abs(box.slope - formula.liminf_proxy) <= 0.05",
            "agree = abs(box.slope - formula.liminf_proxy) <= 0.5",
@@ -173,15 +187,17 @@ MUTANTS = [
            "series' bytes would follow OPENBLAS_CORETYPE"),
     Mutant("tail factored without the budget's cap", _VERIFY,
            "_sub_levels(scales, k, max(3, 2 * budget // nodes + 1))", "_sub_levels(scales, k)",
-           ("tests/test_cli.py::test_a_composite_tail_level_exits_2_after_trial_division_to_the_cap",),
-           "a composite tail level d_2 = (2^31 - 1)(2^61 - 1) must exit 2 within the test's 10 s, "
-           "not after trial division to its factor 2^31 - 1"),
+           ("tests/test_cli.py::test_the_walk_refuses_a_large_tail_level_by_the_budget[composite]",),
+           "on the walk, a composite tail level d_2 = (2^31 - 1)(2^61 - 1) must exit 2 within the "
+           "test's 10 s, not after trial division to its factor 2^31 - 1"),
     Mutant("tail factoring without the probable-prime stop", _VERIFY,
            "factors, p, prime = [], 2, d > limit * limit and pow(2, d - 1, d) == 1",
            "factors, p, prime = [], 2, False",
-           ("tests/test_cli.py::test_a_prime_tail_level_past_the_caps_square_exits_2_at_once",),
+           ("tests/test_cli.py::test_the_walk_refuses_a_large_tail_level_by_the_budget[prime]",
+            "tests/test_cli.py::test_a_prime_tail_level_past_the_caps_square_exits_2_at_once"),
            "a prime tail level d_2 = 2^61 - 1 at --budget 10^9 must exit 2 within the test's "
-           "10 s, not after trial division to the cap of 10^9"),
+           "10 s, not after trial division to the cap of 10^9 on the walk, or of 10^9 / 24 on "
+           "the transfer operator"),
     Mutant("tail inputs drop the labels past the tree", _VERIFY,
            "u[at] += labels", "pass",
            ("tests/test_verify.py::test_a_label_past_the_polynomial_levels_matches_mpmath",),
@@ -198,8 +214,9 @@ MUTANTS = [
            "range check must refuse"),
 ]
 
-_UNDECIDED = ("survives: the only runs where bounded is false are the rounding defects of ROADMAP "
-              "items 3 and 4, which no test may pin as verdicts until they are mended")
+_UNDECIDED = ("survives: bounded holds by construction on the transfer operator, and on the walk the "
+              "only runs where it is false are the rounding defects of ROADMAP items 3 and 4, which no "
+              "test may pin as verdicts until they are mended")
 EXCLUDED = [
     Mutant("completeness bounded by 2 + slack", _VERIFY,
            "np.cumsum(sums, axis=1) <= 1.0 + slack", "np.cumsum(sums, axis=1) <= 2.0 + slack", (),
